@@ -202,9 +202,7 @@ def load_sweep(habit_r10, tmp_path_factory):
     engines = []
 
     def make(window_ms=2.0):
-        engine = BatchImputationEngine(
-            registry, max_workers=4, batch_window_ms=window_ms
-        )
+        engine = BatchImputationEngine(registry, batch_window_ms=window_ms)
         engines.append(engine)
         return engine
 

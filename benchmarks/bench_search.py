@@ -1,9 +1,9 @@
 """Search-variant benchmark: the CSR query engine on KIEL r9/r10.
 
-Times ``CellGraph.find_path`` for every search variant -- Dijkstra, A*
-(grid heuristic), bidirectional A* (balanced grid potentials), ALT
-(landmark heuristic) and CH (contraction hierarchy, the serving
-default) -- over the same snapped gap endpoints, and records
+Times ``CellGraph.find_path`` for every search variant -- Dijkstra (the
+cost oracle), A* (grid heuristic, the paper's query) and CH (contraction
+hierarchy, the serving default) -- over the same snapped gap endpoints,
+and records
 mean expanded-node counts in ``extra_info`` so heuristic quality is
 visible next to wall-clock numbers.  ``test_variants_agree_on_cost`` is
 the correctness gate CI runs even with timing disabled: all variants
@@ -44,7 +44,6 @@ def _snapped_pairs(imputer, gaps):
 @pytest.fixture(scope="module", params=[9, 10], ids=["r9", "r10"])
 def search_case(request, habit_r9, habit_r10, kiel_gaps):
     imputer = habit_r9 if request.param == 9 else habit_r10
-    imputer.graph.ensure_landmarks(imputer.config.num_landmarks)
     imputer.graph.ensure_ch()
     return imputer.graph, _snapped_pairs(imputer, kiel_gaps)
 

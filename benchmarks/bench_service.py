@@ -9,9 +9,8 @@ what makes fit-once/serve-many worth a registry at all.
 
 Two of the tests below are the service-latency trajectory: the p50/p95/
 p99 quantiles of the ``repro_impute_seconds`` request-latency histogram
-across (thread | process executor) x (cold | warm path cache) are
-written to ``BENCH_service.json`` (committed from a representative run,
-uploaded by CI), and the metrics layer itself must cost < 5 % on the
+for a cold and a warm path cache are written to ``BENCH_service.json``
+(committed from a representative run, uploaded by CI), and the metrics layer itself must cost < 5 % on the
 warm path.  Both run under ``--benchmark-disable`` -- they measure
 through the metrics histograms, not pytest-benchmark timers.
 """
@@ -50,7 +49,7 @@ def train_fitter(kiel):
 def warm_engine(habit_r9, tmp_path_factory):
     registry = ModelRegistry(tmp_path_factory.mktemp("svc_warm"))
     registry.publish("KIEL", habit_r9)
-    return BatchImputationEngine(registry, max_workers=4), habit_r9.config
+    return BatchImputationEngine(registry), habit_r9.config
 
 
 @pytest.mark.benchmark(group="service-cache")
@@ -61,9 +60,7 @@ def test_cold_start_request(benchmark, train_fitter, habit_r9, kiel_gaps, tmp_pa
 
     def cold():
         registry = ModelRegistry(tmp_path / f"cold{next(counter)}", fitter=train_fitter)
-        return BatchImputationEngine(registry, max_workers=1).run(
-            requests, habit_r9.config
-        )
+        return BatchImputationEngine(registry).run(requests, habit_r9.config)
 
     results = benchmark(cold)
     assert results[0].provenance.cache == "fit"
@@ -96,7 +93,7 @@ def test_warm_cache_request(benchmark, warm_engine, kiel_gaps):
 
 @pytest.mark.benchmark(group="service-throughput")
 def test_warm_batch_throughput(benchmark, warm_engine, kiel_gaps):
-    """A 64-gap batch on a warm model, fanned over the thread pool."""
+    """A 64-gap batch on a warm model."""
     engine, config = warm_engine
     requests = _requests(kiel_gaps, 64)
     engine.run(requests[:1], config)  # prime
@@ -109,39 +106,11 @@ def test_warm_batch_throughput(benchmark, warm_engine, kiel_gaps):
         benchmark.extra_info["requests_per_s"] = len(requests) / stats.stats.mean
 
 
-@pytest.mark.benchmark(group="service-executor")
-def test_process_pool_batch(benchmark, warm_engine, kiel_gaps):
-    """The same 64-gap batch fanned over worker processes.
-
-    Workers resolve the model from the registry directory once per
-    process, then batches reuse warm workers -- the relevant regime for
-    a long-lived daemon.  Thread-vs-process result equality is asserted
-    (the perf trade-off itself is hardware-dependent: processes win only
-    when searches are long enough to out-earn the serialisation tax).
-    """
-    from repro.service import BatchImputationEngine
-
-    thread_engine, config = warm_engine
-    requests = _requests(kiel_gaps, 64)
-    with BatchImputationEngine(
-        thread_engine.registry, max_workers=4, executor="process"
-    ) as engine:
-        first = engine.run(requests, config)  # prime pool + worker caches
-        assert all(r.provenance.executor == "process" for r in first)
-        expected = thread_engine.run(requests, config)
-        for mine, theirs in zip(first, expected):
-            assert mine.provenance.model_id == theirs.provenance.model_id
-            assert mine.provenance.method == theirs.provenance.method
-            assert mine.num_points == theirs.num_points
-        results = benchmark(engine.run, requests, config)
-    assert len(results) == 64
-
-
 def test_warm_throughput_at_least_10x_cold(train_fitter, habit_r9, kiel_gaps, tmp_path):
     """Acceptance: warm-cache throughput >= 10x cold start, measured directly."""
     started = time.perf_counter()
     registry = ModelRegistry(tmp_path / "ratio", fitter=train_fitter)
-    engine = BatchImputationEngine(registry, max_workers=4)
+    engine = BatchImputationEngine(registry)
     (first,) = engine.run(_requests(kiel_gaps, 1), habit_r9.config)
     cold_s = time.perf_counter() - started
     assert first.provenance.cache == "fit"
@@ -161,18 +130,17 @@ def test_warm_throughput_at_least_10x_cold(train_fitter, habit_r9, kiel_gaps, tm
     assert warm_rps >= 10.0 * cold_rps
 
 
-def _impute_quantiles(delta, executor):
+def _impute_quantiles(delta):
     """p50/p95/p99 (in us) of ``repro_impute_seconds`` from a snapshot delta.
 
-    The delta is absorbed into a scratch registry -- the same merge the
-    parent applies to process-pool worker deltas -- so the quantiles
+    The delta is absorbed into a scratch registry, so the quantiles
     cover exactly the requests between the two snapshots, regardless of
     what earlier tests left in the global registry.
     """
     scratch = MetricsRegistry()
     scratch.absorb(delta)
     hist = scratch.get("repro_impute_seconds")
-    summary = hist.summary((executor,))
+    summary = hist.summary(("thread",))
     return {
         "requests": summary["count"],
         "p50_us": round(summary["p50"] * 1e6, 1),
@@ -184,8 +152,8 @@ def _impute_quantiles(delta, executor):
 def test_latency_quantile_artifact(warm_engine, kiel_gaps):
     """Write BENCH_service.json from the request-latency histogram.
 
-    Four scenarios -- (thread | process executor) x (cold | warm path
-    cache) -- each read back as p50/p95/p99 of ``repro_impute_seconds``.
+    Two scenarios -- cold and warm path cache -- each read back as
+    p50/p95/p99 of ``repro_impute_seconds``.
     Runs under --benchmark-disable (CI's smoke), so the artifact is
     written directly rather than through the conftest group emitter.
     """
@@ -197,11 +165,9 @@ def test_latency_quantile_artifact(warm_engine, kiel_gaps):
     # snap + search per request (model stays warm in the registry LRU).
     before = METRICS.snapshot()
     for _ in range(3):
-        BatchImputationEngine(thread_engine.registry, max_workers=4).run(
-            requests, config
-        )
+        BatchImputationEngine(thread_engine.registry).run(requests, config)
     delta = diff_snapshots(METRICS.snapshot(), before)
-    scenarios["thread_cold_cache"] = _impute_quantiles(delta, "thread")
+    scenarios["thread_cold_cache"] = _impute_quantiles(delta)
 
     # Thread, warm path cache.
     thread_engine.run(requests, config)  # prime
@@ -209,25 +175,7 @@ def test_latency_quantile_artifact(warm_engine, kiel_gaps):
     for _ in range(5):
         thread_engine.run(requests, config)
     delta = diff_snapshots(METRICS.snapshot(), before)
-    scenarios["thread_warm_cache"] = _impute_quantiles(delta, "thread")
-
-    with BatchImputationEngine(
-        thread_engine.registry, max_workers=4, executor="process"
-    ) as engine:
-        # Process, cold: first batch pays pool spin-up, per-worker model
-        # load, and cold path caches; the timings arrive in the parent
-        # via the worker metric deltas.
-        before = METRICS.snapshot()
-        engine.run(requests, config)
-        delta = diff_snapshots(METRICS.snapshot(), before)
-        scenarios["process_cold_cache"] = _impute_quantiles(delta, "process")
-
-        # Process, warm: same pool, warm worker caches.
-        before = METRICS.snapshot()
-        for _ in range(5):
-            engine.run(requests, config)
-        delta = diff_snapshots(METRICS.snapshot(), before)
-        scenarios["process_warm_cache"] = _impute_quantiles(delta, "process")
+    scenarios["thread_warm_cache"] = _impute_quantiles(delta)
 
     for name, stats in scenarios.items():
         assert stats["requests"] > 0, name

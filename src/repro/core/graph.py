@@ -19,16 +19,7 @@ Search variants (:meth:`CellGraph.find_path`):
 
 - ``"dijkstra"`` -- no heuristic; the cost oracle.
 - ``"astar"`` -- grid-distance heuristic, precomputed for all nodes per
-  query as one vectorised pass.
-- ``"bidirectional"`` -- meet-in-the-middle Dijkstra over reduced costs
-  from the balanced grid potential ``p(v) = (h(v, dst) - h(v, src)) / 2``
-  (consistent both ways, so the standard ``top_f + top_b >= mu`` stopping
-  rule is provably equal-cost).
-- ``"alt"`` -- A* with the ALT/landmark heuristic maxed with the grid
-  heuristic; landmarks are far-apart high-degree hub cells with exact
-  CSR-Dijkstra distance tables (:meth:`CellGraph.compute_landmarks`),
-  persisted in format-v4 model files so loaded models skip
-  preprocessing.
+  query as one vectorised pass (the paper's query).
 - ``"ch"`` (default) -- contraction hierarchies.  An offline pass
   (:meth:`CellGraph.compute_ch`) contracts nodes in edge-difference
   order (lazy re-evaluation) and records shortcut edges with
@@ -67,11 +58,24 @@ from repro.hexgrid import (
 )
 from repro.obs import COUNT_BUCKETS, METRICS
 
-__all__ = ["CellGraph", "SearchResult", "SEARCH_METHODS", "GOAL_DIRECTED_METHODS"]
+__all__ = [
+    "CellGraph",
+    "EDGE_WEIGHTS",
+    "GOAL_DIRECTED_METHODS",
+    "PROJECTIONS",
+    "SEARCH_METHODS",
+    "SearchResult",
+]
 
 #: Search variants accepted by :meth:`CellGraph.find_path` (and, through
 #: ``HabitConfig.search``, by the imputer's query path).
-SEARCH_METHODS = ("dijkstra", "astar", "bidirectional", "alt", "ch")
+SEARCH_METHODS = ("dijkstra", "astar", "ch")
+
+#: Node placements accepted by :meth:`CellGraph.from_statistics`.
+PROJECTIONS = ("center", "median")
+
+#: Edge weight schemes accepted by :meth:`CellGraph.from_statistics`.
+EDGE_WEIGHTS = ("transitions", "inverse_frequency")
 
 #: Below this many non-degenerate lanes, ``find_paths_batch`` answers
 #: each pair with the scalar CH query instead of the NumPy sweep: the
@@ -84,7 +88,7 @@ KERNEL_CROSSOVER_LANES = 4
 #: The variants that search *toward* the goal (heuristic- or
 #: hierarchy-guided); each must settle no more nodes than plain Dijkstra
 #: on any admissible graph -- the bound the property suite asserts.
-GOAL_DIRECTED_METHODS = ("astar", "alt")
+GOAL_DIRECTED_METHODS = ("astar",)
 
 _INF = float("inf")
 
@@ -101,7 +105,7 @@ _SEARCH_EXPANDED = METRICS.histogram(
 )
 _GRAPH_BUILD_SECONDS = METRICS.histogram(
     "repro_graph_build_seconds",
-    "Search-preprocessing build duration, by stage (landmarks, ch).",
+    "Search-preprocessing build duration, by stage (ch).",
     ("stage",),
 )
 
@@ -109,8 +113,8 @@ _GRAPH_BUILD_SECONDS = METRICS.histogram(
 #: endpoints constantly; distinct endpoints are bounded by traffic area).
 _SNAP_CACHE_SIZE = 1 << 16
 
-#: Bound on the per-target heuristic-vector memos.  Hub-to-hub queries
-#: concentrate on few destinations, so the vectorised grid/ALT heuristic
+#: Bound on the per-target heuristic-vector memo.  Hub-to-hub queries
+#: concentrate on few destinations, so the vectorised grid heuristic
 #: pass is usually amortised to a dict probe; each entry is O(num_nodes).
 _H_CACHE_SIZE = 128
 
@@ -193,11 +197,6 @@ class CellGraph:
         self.indices = dst_idx[valid][eorder].astype(np.int32)
         self.costs = self.edge_cost[valid][eorder]
         self._csr_counts = self.edge_count[valid][eorder]
-        # Optional ALT landmark tables (node indices + k x n distance
-        # matrices, exact CSR-Dijkstra distances, inf = unreachable).
-        self.landmarks = None
-        self.landmark_from = None
-        self.landmark_to = None
         # Optional contraction hierarchy (``compute_ch``): per-node
         # contraction rank plus upward/downward shortcut CSR arrays with
         # middle-node back-pointers (-1 = original edge).  ``ch_down_*``
@@ -213,18 +212,15 @@ class CellGraph:
         self.ch_down_costs = None
         self.ch_down_middle = None
         # Lazily built structures (hot-loop adjacency mirrors, legacy
-        # dict views, snap memo, landmarks) share one reentrant lock
-        # (landmark preprocessing builds the mirrors while holding it);
+        # dict views, snap memo, CH mirrors) share one reentrant lock;
         # all are pure functions of the frozen arrays, so queries stay
         # read-only in spirit.
         self._lock = threading.RLock()
         self._csr_lists = None
-        self._rev_lists = None
         self._node_attrs = None
         self._adjacency = None
         self._snap_cache = {}
-        self._h_cache = {}  # target idx -> (int64 array, python list)
-        self._alt_h_cache = {}  # target idx -> python list
+        self._h_cache = {}  # target idx -> python list
         self._ch_up_lists = None  # hot-loop mirrors of the CH CSR arrays
         self._ch_down_lists = None
         self._ch_middle_map = None  # (u, v) -> middle node (unpacking)
@@ -373,44 +369,14 @@ class CellGraph:
                     self._csr_lists = adj
         return adj
 
-    def _backward(self):
-        """Hot-loop adjacency mirror of the reverse CSR (lazy, cached)."""
-        adj = self._rev_lists
-        if adj is None:
-            with self._lock:
-                adj = self._rev_lists
-                if adj is None:
-                    n = self.num_nodes
-                    eorder = np.argsort(self.indices, kind="stable")
-                    counts = (
-                        np.bincount(self.indices, minlength=n)
-                        if len(self.indices)
-                        else np.zeros(n, np.int64)
-                    )
-                    indptr = np.zeros(n + 1, dtype=np.int64)
-                    np.cumsum(counts, out=indptr[1:])
-                    # Source of each CSR edge, recovered from indptr.
-                    src_of_edge = np.repeat(
-                        np.arange(n, dtype=np.int32), np.diff(self.indptr)
-                    )
-                    adj = self._neighbour_tuples(
-                        indptr, src_of_edge[eorder], self.costs[eorder]
-                    )
-                    self._rev_lists = adj
-        return adj
-
-    def _grid_h_array(self, target):
-        """Grid distance of every node to *target* (one vectorised pass)."""
-        dq = self.node_q.astype(np.int64) - int(self.node_q[target])
-        dr = self.node_r.astype(np.int64) - int(self.node_r[target])
-        return (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) >> 1
-
     def _grid_h(self, target):
-        """Memoized ``(array, list)`` grid heuristic to *target*."""
+        """Grid distance of every node to *target*, as a memoized list
+        (one vectorised pass per target)."""
         entry = self._h_cache.get(target)
         if entry is None:
-            arr = self._grid_h_array(target)
-            entry = (arr, arr.tolist())
+            dq = self.node_q.astype(np.int64) - int(self.node_q[target])
+            dr = self.node_r.astype(np.int64) - int(self.node_r[target])
+            entry = ((np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) >> 1).tolist()
             with self._lock:
                 if len(self._h_cache) >= _H_CACHE_SIZE:
                     self._h_cache.clear()
@@ -498,21 +464,11 @@ class CellGraph:
             return SearchResult((cell,), 0.0, 0, method, (si,))
         if self._degenerate_unreachable(si, di):
             return None
-        if method == "bidirectional":
-            found = self._bidirectional(si, di)
-        elif method == "ch":
+        if method == "ch":
             self.ensure_ch()
             found = self._ch_query(si, di)
         else:
-            if method == "dijkstra":
-                h = None
-            elif method == "astar":
-                h = self._grid_h(di)[1]
-            else:  # alt
-                self.ensure_landmarks()
-                h = self._alt_h(di)
-                if h[si] == _INF:
-                    return None  # provably unreachable (landmark bound)
+            h = self._grid_h(di) if method == "astar" else None
             found = self._astar_indices(si, di, h)
         if found is None:
             return None
@@ -526,7 +482,7 @@ class CellGraph:
         A source with no outgoing edges cannot reach anything and a
         target with no incoming edges cannot be reached, so every
         variant can return ``None`` before touching its heap (or
-        triggering a lazy landmark/CH build).
+        triggering a lazy CH build).
         """
         return (
             self.indptr[si + 1] == self.indptr[si] or self._in_degree()[di] == 0
@@ -577,245 +533,10 @@ class CellGraph:
                     continue
                 tentative = gu + w
                 if tentative < g[v]:
-                    hv = h[v] if h else 0.0
-                    if hv == _INF:
-                        continue
                     g[v] = tentative
                     came[v] = u
-                    heappush(frontier, (tentative + hv, v))
+                    heappush(frontier, (tentative + (h[v] if h else 0.0), v))
         return None
-
-    def _bidirectional(self, si, di):
-        """Meet-in-the-middle search with balanced grid potentials.
-
-        Runs bidirectional Dijkstra over reduced costs
-        ``c(u, v) - p(u) + p(v)`` with ``p(v) = (h(v, dst) - h(v, src)) / 2``;
-        consistency of the grid heuristic makes reduced costs non-negative
-        in both directions, so the classic ``top_f + top_b >= mu`` stop is
-        exact.  True (unreduced) distances ride along for the returned
-        cost.
-        """
-        fadj = self._forward()
-        badj = self._backward()
-        n = self.num_nodes
-        p = ((self._grid_h(di)[0] - self._grid_h(si)[0]) * 0.5).tolist()
-        gf = [_INF] * n  # reduced forward distances
-        gb = [_INF] * n
-        tf = [_INF] * n  # true forward distances
-        tb = [_INF] * n
-        cf = [-1] * n
-        cb = [-1] * n
-        donef = bytearray(n)
-        doneb = bytearray(n)
-        gf[si] = tf[si] = 0.0
-        gb[di] = tb[di] = 0.0
-        qf = [(0.0, si)]
-        qb = [(0.0, di)]
-        mu = _INF  # best reduced meeting cost
-        mu_true = _INF
-        meet = -1
-        expanded = 0
-        while qf and qb and qf[0][0] + qb[0][0] < mu:
-            if qf[0][0] <= qb[0][0]:
-                _, u = heappop(qf)
-                if donef[u]:
-                    continue
-                donef[u] = 1
-                expanded += 1
-                tu = tf[u]
-                base = gf[u] - p[u]
-                for v, w in fadj[u]:
-                    if donef[v]:
-                        continue
-                    ng = base + w + p[v]
-                    # ng >= mu can never improve: reduced costs are
-                    # non-negative, so any s-t path via v costs >= mu.
-                    if ng < gf[v] and ng < mu:
-                        gf[v] = ng
-                        tf[v] = tu + w
-                        cf[v] = u
-                        heappush(qf, (ng, v))
-                        if gb[v] < _INF:
-                            cand = ng + gb[v]
-                            if cand < mu:
-                                mu = cand
-                                mu_true = tf[v] + tb[v]
-                                meet = v
-            else:
-                _, u = heappop(qb)
-                if doneb[u]:
-                    continue
-                doneb[u] = 1
-                expanded += 1
-                tu = tb[u]
-                base = gb[u] + p[u]
-                for v, w in badj[u]:
-                    if doneb[v]:
-                        continue
-                    ng = base + w - p[v]  # reverse reduced cost
-                    if ng < gb[v] and ng < mu:
-                        gb[v] = ng
-                        tb[v] = tu + w
-                        cb[v] = u
-                        heappush(qb, (ng, v))
-                        if gf[v] < _INF:
-                            cand = gf[v] + ng
-                            if cand < mu:
-                                mu = cand
-                                mu_true = tf[v] + tb[v]
-                                meet = v
-        if meet < 0:
-            return None
-        path = [meet]
-        u = meet
-        while cf[u] >= 0:
-            u = cf[u]
-            path.append(u)
-        path.reverse()
-        u = meet
-        while cb[u] >= 0:
-            u = cb[u]
-            path.append(u)
-        return path, mu_true, expanded
-
-    # -- ALT landmarks -----------------------------------------------------
-
-    @property
-    def has_landmarks(self):
-        """Whether ALT landmark tables are present."""
-        return self.landmarks is not None and len(self.landmarks) > 0
-
-    def ensure_landmarks(self, k=8):
-        """Compute landmark tables if absent (idempotent, thread-safe)."""
-        if self.landmarks is None:
-            with self._lock:
-                if self.landmarks is None:
-                    with _GRAPH_BUILD_SECONDS.time(("landmarks",)):
-                        self._compute_landmarks_locked(k)
-        return self
-
-    def compute_landmarks(self, k=8):
-        """(Re)select ~*k* far-apart high-degree hub landmarks.
-
-        Picks the highest-degree node, then farthest-point selection over
-        a high-degree candidate pool using exact symmetric graph
-        distances, and precomputes per-landmark distance tables from
-        (``landmark_from``) and to (``landmark_to``) every node via CSR
-        Dijkstra.  Persisted with format-v4 models so loading skips this.
-        """
-        with self._lock:
-            with _GRAPH_BUILD_SECONDS.time(("landmarks",)):
-                self._compute_landmarks_locked(k)
-        return self
-
-    def _compute_landmarks_locked(self, k):
-        n = self.num_nodes
-        k = max(int(k), 0)
-        if n == 0 or k == 0:
-            self.landmarks = np.zeros(0, dtype=np.int32)
-            self.landmark_from = np.zeros((0, n), dtype=np.float64)
-            self.landmark_to = np.zeros((0, n), dtype=np.float64)
-            return
-        k = min(k, n)
-        out_deg = np.diff(self.indptr)
-        in_deg = (
-            np.bincount(self.indices, minlength=n)
-            if len(self.indices)
-            else np.zeros(n, np.int64)
-        )
-        degree = out_deg + in_deg
-        # Candidate pool: hubs only (top quartile by degree, at least k).
-        pool = np.argsort(degree, kind="stable")[::-1][: max(k, n // 4)]
-        chosen = [int(pool[0])]
-        dist_from = [self._sssp(chosen[0], reverse=False)]
-        dist_to = [self._sssp(chosen[0], reverse=True)]
-        # Farthest-point selection on min symmetric landmark distance;
-        # unreachable (inf) sorts first, spreading across components.
-        min_sym = np.minimum(dist_from[0], dist_to[0])
-        while len(chosen) < k:
-            scores = min_sym[pool].copy()
-            scores[np.isin(pool, chosen)] = -1.0
-            best = int(pool[int(np.argmax(scores))])
-            if best in chosen or scores.max() <= 0.0:
-                break  # pool exhausted (tiny or fully covered graph)
-            chosen.append(best)
-            dist_from.append(self._sssp(best, reverse=False))
-            dist_to.append(self._sssp(best, reverse=True))
-            min_sym = np.minimum(min_sym, np.minimum(dist_from[-1], dist_to[-1]))
-        self.landmarks = np.asarray(chosen, dtype=np.int32)
-        self.landmark_from = np.vstack(dist_from)
-        self.landmark_to = np.vstack(dist_to)
-        self._alt_h_cache = {}
-
-    def set_landmarks(self, landmarks, dist_from, dist_to):
-        """Install precomputed landmark tables (model load path)."""
-        landmarks = np.asarray(landmarks, dtype=np.int32)
-        dist_from = np.asarray(dist_from, dtype=np.float64)
-        dist_to = np.asarray(dist_to, dtype=np.float64)
-        n = self.num_nodes
-        expected = (len(landmarks), n)
-        if dist_from.shape != expected or dist_to.shape != expected:
-            raise ValueError(
-                f"landmark tables must be shaped {expected}, got "
-                f"{dist_from.shape} / {dist_to.shape}"
-            )
-        self.landmarks = landmarks
-        self.landmark_from = dist_from
-        self.landmark_to = dist_to
-        self._alt_h_cache = {}
-        return self
-
-    def _sssp(self, source, reverse=False):
-        """Exact single-source distances over the (reverse) CSR."""
-        adj = self._backward() if reverse else self._forward()
-        n = self.num_nodes
-        dist = [_INF] * n
-        done = bytearray(n)
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = 1
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        return np.asarray(dist, dtype=np.float64)
-
-    def _alt_h(self, di):
-        """ALT heuristic to *di* for every node, maxed with the grid one.
-
-        Triangle-inequality bounds ``d(l, t) - d(l, v)`` and
-        ``d(v, l) - d(t, l)`` per landmark; ``inf`` entries are exact
-        (the node provably cannot reach *di*) and prune the search, while
-        ``inf - inf`` (no information) collapses to the grid bound.
-        Memoized per target like the grid heuristic.
-        """
-        cached = self._alt_h_cache.get(di)
-        if cached is not None:
-            return cached
-        grid_h = self._grid_h(di)[0].astype(np.float64)
-        lf = self.landmark_from
-        lt = self.landmark_to
-        if lf is None or lf.shape[0] == 0:
-            h = grid_h.tolist()
-        else:
-            with np.errstate(invalid="ignore"):
-                a = lf[:, di : di + 1] - lf  # d(l, t) - d(l, v)
-                b = lt - lt[:, di : di + 1]  # d(v, l) - d(t, l)
-            bounds = np.fmax(
-                np.nan_to_num(a, nan=-np.inf, posinf=np.inf, neginf=-np.inf),
-                np.nan_to_num(b, nan=-np.inf, posinf=np.inf, neginf=-np.inf),
-            ).max(axis=0)
-            h = np.maximum(bounds, grid_h).tolist()
-        with self._lock:
-            if len(self._alt_h_cache) >= _H_CACHE_SIZE:
-                self._alt_h_cache.clear()
-            self._alt_h_cache[di] = h
-        return h
 
     # -- contraction hierarchy ---------------------------------------------
 
@@ -1612,31 +1333,6 @@ class CellGraph:
 
 
 # -- CH module helpers -----------------------------------------------------
-
-
-def _flatten_ch_rows(rows):
-    """Pack per-node ``(neighbour, cost, middle)`` rows into CSR arrays.
-
-    Rows are sorted by neighbour index so the layout is deterministic --
-    rebuilding the hierarchy from the same graph reproduces the persisted
-    arrays bit-exactly (the persistence-matrix tests rely on it).
-    """
-    n = len(rows)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    total = sum(len(row) for row in rows)
-    indices = np.empty(total, dtype=np.int32)
-    costs = np.empty(total, dtype=np.float64)
-    middle = np.empty(total, dtype=np.int32)
-    pos = 0
-    for u, row in enumerate(rows):
-        row.sort()
-        for v, cost, mid in row:
-            indices[pos] = v
-            costs[pos] = cost
-            middle[pos] = mid
-            pos += 1
-        indptr[u + 1] = pos
-    return indptr, indices, costs, middle
 
 
 def _check_ch_csr(name, num_nodes, indptr, indices, costs, middle):

@@ -18,8 +18,8 @@ into serving provenance.
 
 A query snaps both gap endpoints to graph nodes (memoized per graph),
 routes over the CSR search engine (``HabitConfig.search`` picks the
-variant: Dijkstra, A*, bidirectional A*, ALT/landmark A*, or the default
-contraction-hierarchy search -- all provably equal-cost), projects the
+variant: Dijkstra, A*, or the default contraction-hierarchy search --
+all provably equal-cost), projects the
 cell path to positions (cell centres
 or per-cell medians), simplifies with RDP at ``tolerance_m``, and pins
 the exact endpoints.  The three stages are public --
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.graph import CellGraph
+from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS, SEARCH_METHODS, CellGraph
 from repro.core.path import ImputedPath, resample_polyline_xy, straight_line_path
 from repro.core.statistics import StatisticsState, partial_statistics
 from repro.geo.proj import latlng_to_xy_m
@@ -61,12 +61,12 @@ __all__ = ["HabitConfig", "HabitImputer", "ModelFormatError", "config_hash"]
 #: a clear error instead of being mis-read.  Version 3 added the model
 #: revision and the optional mergeable fit state that powers
 #: :meth:`HabitImputer.update` after a load.  Version 4 added the search
-#: config fields and the optional precomputed ALT landmark tables.
-#: Version 5 added the optional contraction-hierarchy arrays (node
-#: order + upward/downward shortcut CSRs with middle-node
-#: back-pointers).  Version-3/-4 files still load; whatever
-#: preprocessing their payload lacks (landmarks, hierarchy) is rebuilt
-#: on demand at the first query that needs it.
+#: config fields (and ALT landmark tables, a search variant since
+#: removed: loaders ignore the arrays).  Version 5 added the optional
+#: contraction-hierarchy arrays (node order + upward/downward shortcut
+#: CSRs with middle-node back-pointers).  Version-3/-4 files still
+#: load; a hierarchy their payload lacks is rebuilt on demand at the
+#: first query that needs it.
 MODEL_FORMAT = "habit-npz"
 MODEL_FORMAT_VERSION = 5
 MIN_MODEL_FORMAT_VERSION = 3
@@ -87,6 +87,17 @@ _GRAPH_KEYS = (
 )
 
 
+#: The landmark count of the removed ALT search, frozen at its old
+#: default: :func:`config_hash` still hashes it and model files still
+#: store it in config slot 9, so digests -- and with them every
+#: ``{DATASET}_{hash}.npz`` already on disk -- stay unchanged.
+_LEGACY_NUM_LANDMARKS = 8
+
+#: Stored search variants that no longer exist, read back as the
+#: equal-cost default (the hierarchy is rebuilt on demand).
+_LEGACY_SEARCH = {"alt": "ch", "bidirectional": "ch"}
+
+
 class ModelFormatError(ValueError):
     """A model file is not a readable, current-version ``.npz`` artefact."""
 
@@ -94,12 +105,14 @@ class ModelFormatError(ValueError):
 def config_hash(config):
     """Stable 12-hex digest of a :class:`HabitConfig`.
 
-    Hashes the JSON-serialised field dict, so the digest is identical
-    across processes and Python versions (unlike ``hash()``, which is
-    salted per run).  Registries and caches key fitted models on
+    Hashes the JSON-serialised field dict (plus the frozen legacy
+    ``num_landmarks`` entry), so the digest is identical across
+    processes and Python versions (unlike ``hash()``, which is salted
+    per run).  Registries and caches key fitted models on
     ``(dataset, config_hash)``.
     """
-    payload = json.dumps(asdict(config), sort_keys=True)
+    fields = {**asdict(config), "num_landmarks": _LEGACY_NUM_LANDMARKS}
+    payload = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 
 
@@ -138,10 +151,6 @@ def _check_format(data, kind, path):
     return parsed
 
 
-#: Optional per-graph ALT landmark arrays (format v4+); absent in v3
-#: files and in models whose graphs never computed landmarks.
-_LANDMARK_KEYS = ("landmarks", "landmark_from", "landmark_to")
-
 #: Optional per-graph contraction-hierarchy arrays (format v5+), in the
 #: positional order of :meth:`repro.core.graph.CellGraph.set_ch`; absent
 #: in pre-v5 files and in models whose graphs never built the hierarchy
@@ -161,10 +170,6 @@ _CH_KEYS = (
 
 def _graph_payload(graph, prefix=""):
     payload = {prefix + key: getattr(graph, key) for key in _GRAPH_KEYS}
-    if graph.has_landmarks:
-        payload.update(
-            {prefix + key: getattr(graph, key) for key in _LANDMARK_KEYS}
-        )
     if graph.has_ch:
         payload.update({prefix + key: getattr(graph, key) for key in _CH_KEYS})
     return payload
@@ -175,8 +180,6 @@ def _graph_from_npz(data, path, prefix=""):
     if missing:
         raise ModelFormatError(f"{path}: missing graph arrays {missing}")
     graph = CellGraph(*(data[prefix + key] for key in _GRAPH_KEYS))
-    if all(prefix + key in data.files for key in _LANDMARK_KEYS):
-        graph.set_landmarks(*(data[prefix + key] for key in _LANDMARK_KEYS))
     if all(prefix + key in data.files for key in _CH_KEYS):
         graph.set_ch(*(data[prefix + key] for key in _CH_KEYS))
     return graph
@@ -194,7 +197,7 @@ def _config_payload(config):
             str(config.snap_limit_cells),
             str(config.resample_m),
             config.search,
-            str(config.num_landmarks),
+            str(_LEGACY_NUM_LANDMARKS),
         ]
     )
 
@@ -211,8 +214,8 @@ def _config_from_npz(raw):
         resample_m=float(raw[7]),
     )
     if len(raw) > 8:  # format v4+; v3 configs fall back to field defaults
-        kwargs["search"] = str(raw[8])
-        kwargs["num_landmarks"] = int(raw[9])
+        search = str(raw[8])
+        kwargs["search"] = _LEGACY_SEARCH.get(search, search)
     return HabitConfig(**kwargs)
 
 
@@ -276,16 +279,13 @@ class HabitConfig:
     - ``resample_m``: output point spacing; simplified paths are resampled
       back to AIS-like density so point-to-point metrics stay comparable.
     - ``search``: query search variant -- ``"ch"`` (default; contraction
-      hierarchy precomputed at :meth:`HabitImputer.finalize`, an order
-      of magnitude fewer expansions than ALT on lane-shaped cell
-      graphs), ``"alt"`` (landmark heuristic; cheaper preprocessing),
-      ``"bidirectional"`` (meet-in-the-middle; no preprocessing, wins
-      when fits are too frequent to amortise any preprocessing),
-      ``"astar"``, or ``"dijkstra"``.  All return equal-cost paths; they
-      differ only in nodes expanded per query.
-    - ``num_landmarks``: ALT landmark count, selected at
-      :meth:`HabitImputer.finalize` when ``search="alt"`` (or on the
-      first ALT query) and persisted in format-v4+ model files.
+      hierarchy precomputed at :meth:`HabitImputer.finalize`, the fewest
+      expansions per query), ``"astar"`` (the paper's query), or
+      ``"dijkstra"`` (the cost oracle).  All return equal-cost paths;
+      they differ only in nodes expanded per query.
+
+    An unknown ``projection``, ``edge_weight`` or ``search`` raises
+    ``ValueError`` at construction, before any fit can start.
     """
 
     resolution: int = 9
@@ -297,7 +297,18 @@ class HabitConfig:
     snap_limit_cells: int = 200
     resample_m: float = 250.0
     search: str = "ch"
-    num_landmarks: int = 8
+
+    def __post_init__(self):
+        for name, choices in (
+            ("projection", PROJECTIONS),
+            ("edge_weight", EDGE_WEIGHTS),
+            ("search", SEARCH_METHODS),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r}; expected one of {choices}"
+                )
 
 
 class HabitImputer:
@@ -366,12 +377,9 @@ class HabitImputer:
                 projection=self.config.projection,
                 edge_weight=self.config.edge_weight,
             )
-            if self.config.search == "alt":
-                # Pay landmark preprocessing once at fit time; the tables
-                # ride in the (v4+) model payload so loads skip this.
-                self.graph.ensure_landmarks(self.config.num_landmarks)
-            elif self.config.search == "ch":
-                # Same deal for the contraction hierarchy (v5 payload).
+            if self.config.search == "ch":
+                # Pay hierarchy preprocessing once at fit time; it rides
+                # in the (v5) model payload so loads skip this.
                 self.graph.ensure_ch()
             self._finalized_state = self._state
         return self
@@ -463,9 +471,7 @@ class HabitImputer:
         """
         self._require_fitted()
         method = method or self.config.search
-        if method == "alt":
-            self.graph.ensure_landmarks(self.config.num_landmarks)
-        elif method == "ch":
+        if method == "ch":
             self.graph.ensure_ch()
         return self.graph.find_path(src_node, dst_node, method)
 
@@ -484,9 +490,7 @@ class HabitImputer:
         """
         self._require_fitted()
         method = method or self.config.search
-        if method == "alt":
-            self.graph.ensure_landmarks(self.config.num_landmarks)
-        elif method == "ch":
+        if method == "ch":
             self.graph.ensure_ch()
         return self.graph.find_paths_batch(pairs, method)
 
@@ -576,10 +580,11 @@ class HabitImputer:
         Raises :class:`ModelFormatError` when *path* is not a readable
         habit model (wrong kind, out-of-range version, missing arrays,
         or not an ``.npz`` archive at all).  Format-v3 files load with
-        default search settings and no precomputed tables; v4 files
-        restore ALT landmarks; v5 files additionally restore the
-        contraction hierarchy.  Whatever a pre-v5 payload lacks is
-        rebuilt on demand at the first query that needs it.  Models
+        default search settings; v4+ files restore the stored search
+        variant (a removed ``"alt"`` or ``"bidirectional"`` reads as
+        ``"ch"``, and landmark arrays are ignored); v5 files also
+        restore the contraction hierarchy, which is otherwise rebuilt
+        on demand at the first query that needs it.  Models
         saved with their fit state come back refreshable; state-less
         artefacts load fine but reject :meth:`update`.
         """

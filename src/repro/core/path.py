@@ -19,7 +19,7 @@ class ImputedPath:
     """A reconstructed trajectory between two gap endpoints.
 
     ``method`` records how the path was produced (a graph search variant
-    -- ``"astar"``, ``"dijkstra"``, ``"bidirectional"``, ``"alt"`` -- or
+    -- ``"ch"``, ``"astar"``, ``"dijkstra"`` -- or
     ``"straight"`` / ``"fallback"`` when a search found no route and the
     imputer degraded to a straight line).  ``expanded`` counts the nodes
     the search settled (0 for straight lines), making heuristic quality

@@ -17,10 +17,9 @@ promoted to its own graph once enough of its traffic has streamed in --
 and :meth:`TypedHabitImputer.update` refreshes all graphs from new trips
 without ever re-reading history.  The per-class states ride inside the
 typed ``.npz`` container, so a loaded typed model keeps refreshing --
-and so does every class graph's precomputed search state (ALT landmark
-tables and, since format v5, the contraction hierarchy), so a loaded
-typed model answers its first ``"ch"`` query without paying per-class
-preprocessing.
+and so does every class graph's contraction hierarchy (format v5), so
+a loaded typed model answers its first ``"ch"`` query without paying
+per-class preprocessing.
 """
 
 from pathlib import Path
@@ -158,7 +157,7 @@ class TypedHabitImputer:
         if no single chunk did.  Classes whose state is untouched since
         their last finalize keep their existing graph -- a refresh whose
         chunk only carried cargo traffic does not pay N-1 other classes'
-        graph (and ALT landmark) rebuilds -- and keep their ``revision``
+        graph (and hierarchy) rebuilds -- and keep their ``revision``
         too, so their serve-path cache entries stay warm; only rebuilt
         imputers take the typed model's new revision.  Returns self.
         """

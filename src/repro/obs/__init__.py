@@ -15,16 +15,12 @@ picklable dicts, :func:`merge_snapshots` folds two snapshots into one
 -- bit-exactly for counters and histogram bucket counts (integer
 addition is associative and commutative, so merge order never changes a
 count) -- and :meth:`MetricsRegistry.absorb` folds a snapshot (or a
-:func:`diff_snapshots` delta) back into a live registry.  That is what
-lets process-pool workers piggyback their metric deltas on batch
-results: each worker diffs its registry against the last shipped
-snapshot, the parent absorbs the delta, and worker-side search and
-path-cache activity becomes visible in the parent's ``/metrics`` scrape
-instead of vanishing into the pool.
+:func:`diff_snapshots` delta) back into a live registry.  Benchmarks
+use the delta to isolate one scenario's growth: snapshot, run, diff.
 
 Gauges are process-local by design: a gauge is a statement about *this*
-process ("models loaded here"), so :func:`diff_snapshots` drops them
-and workers never ship theirs.  :func:`merge_snapshots` sums gauges
+process ("models loaded here"), so :func:`diff_snapshots` drops them.
+:func:`merge_snapshots` sums gauges
 (useful when aggregating sibling daemons); absorb follows the same
 rule.
 
@@ -485,10 +481,10 @@ def merge_snapshots(a, b):
 def diff_snapshots(current, previous):
     """The counter/histogram growth between two snapshots of one registry.
 
-    The worker-side half of metric piggybacking: ship
-    ``diff(now, last_shipped)`` and let the parent absorb it.  Gauges
-    are dropped (process-local); series and metrics absent from
-    *previous* pass through whole.
+    Isolates what happened between two points in time (a benchmark
+    scenario's growth); :meth:`MetricsRegistry.absorb` can fold the
+    delta into another registry.  Gauges are dropped (process-local);
+    series and metrics absent from *previous* pass through whole.
     """
     out = {}
     for name, entry in current.items():

@@ -9,9 +9,8 @@ package provides the three pieces:
   :meth:`ModelRegistry.refresh` folds newly arrived trips into a served
   model (plain or typed) without refitting history.
 - :class:`BatchImputationEngine` (:mod:`repro.service.engine`) -- groups
-  gap requests by model and fans them out over a thread pool or a
-  process pool (``executor=``), timing and annotating every result with
-  provenance.
+  gap requests by model and answers each group with one kernel sweep,
+  timing and annotating every result with provenance.
 - :class:`FollowDaemon` (:mod:`repro.service.follow`) -- tails a growing
   AIS dump and refreshes a served model on a cadence (the ``--follow``
   CLI mode), surfacing revisions through the ``/models`` feed.

@@ -22,6 +22,7 @@ import argparse
 
 from repro.ais.reader import DEFAULT_CHUNK_ROWS
 from repro.core import SEARCH_METHODS, HabitConfig
+from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS
 from repro.service.http import make_server
 from repro.service.registry import ModelRegistry
 
@@ -73,18 +74,6 @@ def _build_parser():
     parser.add_argument("--port", type=int, default=8080, help="bind port for --serve")
     parser.add_argument(
         "--capacity", type=int, default=8, help="LRU cache size in models"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="imputation executor fan-out width"
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "batch executor: 'thread' (in-process, lowest latency) or 'process' "
-            "(worker processes for CPU-bound batches; recorded in provenance)"
-        ),
     )
     parser.add_argument(
         "--batch-window-ms",
@@ -202,13 +191,13 @@ def _build_parser():
     )
     model.add_argument(
         "--projection",
-        choices=("center", "median"),
+        choices=PROJECTIONS,
         default=default.projection,
         help="node placement: cell centres or per-cell medians",
     )
     model.add_argument(
         "--edge-weight",
-        choices=("transitions", "inverse_frequency"),
+        choices=EDGE_WEIGHTS,
         default=default.edge_weight,
         help="edge cost scheme",
     )
@@ -224,15 +213,9 @@ def _build_parser():
         default=default.search,
         help=(
             "query search variant (all equal-cost): 'ch' (contraction "
-            "hierarchy, precomputed at fit time; fewest expansions), 'alt' "
-            "(landmark heuristic), 'bidirectional', 'astar', 'dijkstra'"
+            "hierarchy, precomputed at fit time; fewest expansions), 'astar' "
+            "(the paper's grid-heuristic A*), 'dijkstra'"
         ),
-    )
-    model.add_argument(
-        "--num-landmarks",
-        type=int,
-        default=default.num_landmarks,
-        help="ALT landmark count (used when --search alt)",
     )
     return parser
 
@@ -245,7 +228,6 @@ def _config_from_args(args):
         edge_weight=args.edge_weight,
         resample_m=args.resample_m,
         search=args.search,
-        num_landmarks=args.num_landmarks,
     )
 
 
@@ -331,8 +313,6 @@ def main(argv=None):
             registry,
             host=args.host,
             port=args.port,
-            max_workers=args.workers,
-            executor=args.executor,
             follow=follow,
             metrics=args.metrics,
             log_json=args.log_json,
@@ -341,10 +321,7 @@ def main(argv=None):
             batch_max_lanes=args.batch_max_lanes,
         )
         host, port = server.server_address[:2]
-        print(
-            f"serving on http://{host}:{port} "
-            f"(registry: {args.registry}, executor: {args.executor})"
-        )
+        print(f"serving on http://{host}:{port} (registry: {args.registry})")
         try:
             server.serve_forever()
         except KeyboardInterrupt:

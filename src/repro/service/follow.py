@@ -222,7 +222,7 @@ class FollowDaemon:
     def stop(self, timeout=10.0):
         """Signal the thread to exit and join it; returns True once dead.
 
-        A refresh mid-flight (graph rebuild, landmark precompute) can
+        A refresh mid-flight (graph and hierarchy rebuild) can
         outlive *timeout*; in that case the handle is kept so a later
         ``start()`` cannot race a second ingest thread onto the same
         follower/segmenter state -- call ``stop()`` again to finish the

@@ -4,8 +4,7 @@ Four routes:
 
 - ``GET /healthz`` -- liveness plus registry cache counters (hits /
   loads / fits / evictions / refreshes), the engine's snap-and-path
-  cache block (``path_cache``: hits / misses / entries / capacity --
-  worker-side counts included in process mode via the metrics merge)
+  cache block (``path_cache``: hits / misses / entries / capacity)
   and, when a follow daemon is attached, its ``follow`` status block
   (rows read, trips closed, refreshes, current revision, last error).
 - ``GET /models``  -- the model/revision feed: every model in the
@@ -17,8 +16,7 @@ Four routes:
   registry in Prometheus text exposition format (0.0.4); append
   ``?format=json`` for the same data as JSON.  Covers every layer:
   search variants, fit stages, registry tiers, path-cache tiers, follow
-  cycles, HTTP routes -- including process-pool worker activity, which
-  the engine merges back from batch metric deltas.  404 when the server
+  cycles, HTTP routes.  404 when the server
   was built with ``metrics=False``.
 - ``POST /impute`` -- a batch of gap requests (see
   :mod:`repro.service.schema`); the response carries per-request
@@ -82,8 +80,6 @@ def make_server(
     registry,
     host="127.0.0.1",
     port=8080,
-    max_workers=None,
-    executor="thread",
     follow=None,
     metrics=True,
     log_json=False,
@@ -93,11 +89,9 @@ def make_server(
 ):
     """A ready-to-run HTTP server over *registry*.
 
-    *executor* picks the batch engine's fan-out (``"thread"`` or
-    ``"process"``, see :class:`repro.service.BatchImputationEngine`);
-    *batch_window_ms* / *batch_max_lanes* configure the engine's
-    cross-request micro-batching dispatcher (thread mode; ``0``
-    disables it -- see :class:`repro.service.dispatch.BatchDispatcher`);
+    *batch_window_ms* / *batch_max_lanes* configure the batch engine's
+    cross-request micro-batching dispatcher (``0`` disables it -- see
+    :class:`repro.service.dispatch.BatchDispatcher`);
     *follow* optionally attaches a started
     :class:`repro.service.FollowDaemon`, surfaced under ``/healthz``.
     *metrics* controls the ``GET /metrics`` route and this transport's
@@ -109,15 +103,13 @@ def make_server(
     caller's to close.  Pass ``port=0`` to bind an ephemeral port
     (tests); the chosen port is ``server.server_address[1]``.  The
     caller owns the serve loop (and the engine shutdown --
-    ``server.engine.close()`` releases a process pool)::
+    ``server.engine.close()`` releases the dispatcher)::
 
         server = make_server(registry, port=8080)
         server.serve_forever()
     """
     engine = BatchImputationEngine(
         registry,
-        max_workers=max_workers,
-        executor=executor,
         batch_window_ms=batch_window_ms,
         batch_max_lanes=batch_max_lanes,
     )
@@ -139,7 +131,7 @@ def make_server(
             Handler.access_log = sys.stderr
         Handler.access_log_lock = threading.Lock()
     server = ThreadingHTTPServer((host, port), Handler)
-    server.engine = engine  # so callers can close() a process pool
+    server.engine = engine  # so callers can close() the dispatcher
     server.access_log_file = access_log_file
     return server
 
@@ -216,7 +208,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "status": "ok",
                 "uptime_s": time.monotonic() - self.started_monotonic,
                 "models_loaded": len(self.registry.loaded_ids),
-                "executor": self.engine.executor,
+                "executor": "thread",  # the only executor; kept for clients
                 "cache": {
                     "hits": stats.hits,
                     "loads": stats.loads,

@@ -303,9 +303,8 @@ class ModelRegistry:
         file's revision field alone -- no graph construction, no cache
         insertion.  ``None`` means the model is not cheaply resolvable
         (missing or unreadable file): callers fall back to :meth:`get`,
-        which applies the full fitter/corruption semantics.  The process
-        executor uses this so the parent never loads models only its
-        workers will query.
+        which applies the full fitter/corruption semantics.  The follow
+        daemon uses this to read a model's revision without loading it.
         """
         model_id = self.model_id(dataset, config, typed)
         with self._lock:
@@ -316,22 +315,6 @@ class ModelRegistry:
         if not path.exists():
             return model_id, None
         return model_id, self._stored_revision(path, typed)
-
-    def ensure_revision(self, model_id, revision):
-        """Drop a cached model older than *revision* (it reloads from disk).
-
-        Cross-process staleness guard: a refresh in another process
-        republishes the file but cannot touch this process's in-memory
-        cache.  Callers that learn the current revision out of band
-        (e.g. pool workers handed the parent's resolutions) call this
-        before serving, so the next :meth:`get` reloads the fresh
-        artefact instead of answering from a stale cache hit.
-        """
-        with self._lock:
-            cached = self._cache.get(model_id)
-            if cached is not None and getattr(cached, "revision", 1) < revision:
-                del self._cache[model_id]
-                _MODELS_LOADED.set(len(self._cache))
 
     def list_models(self):
         """All models in the registry directory, as JSON-ready dicts.
@@ -391,8 +374,7 @@ class ModelRegistry:
         out-of-range version, missing graph arrays.  That keeps
         :meth:`peek_revision`'s fast path honest -- a corrupt or
         mis-kinded file falls through to :meth:`get`, which applies the
-        fitter semantics, instead of being dispatched to fitter-less
-        pool workers.
+        fitter semantics.
         """
         try:
             mtime_ns = path.stat().st_mtime_ns

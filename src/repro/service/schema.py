@@ -81,14 +81,12 @@ class Provenance:
     lines; preserved on cache hits even though the heap wasn't touched),
     so search quality is observable per served response -- with the
     default contraction-hierarchy search (``HabitConfig.search="ch"``)
-    expect an order of magnitude fewer than the ALT landmark search
-    reported.  ``revision``
+    expect an order of magnitude fewer than plain A*.  ``revision``
     is the model's incremental-refresh counter (1 until the first
     :meth:`repro.service.ModelRegistry.refresh`), so clients can tell
-    which vintage of the model answered.  ``executor`` records which
-    batch executor ran the request -- ``"thread"`` (in-process pool, the
-    default) or ``"process"`` (fanned to a worker process; see
-    :class:`repro.service.BatchImputationEngine`).  ``path_length_m`` is
+    which vintage of the model answered.  ``executor`` is always
+    ``"thread"`` (the engine runs in-process; the field stays for wire
+    compatibility).  ``path_length_m`` is
     the metric length of the returned polyline -- the path-cost measure
     exposed to clients.  When a request's ``max_points`` budget actually
     compressed the response, ``points_in``/``points_out`` record the
@@ -150,7 +148,9 @@ def build_config(overrides):
     """A :class:`HabitConfig` from a JSON override dict.
 
     Values are coerced to the type of the field's default; unknown field
-    names raise :class:`SchemaError`.
+    names and values :class:`HabitConfig` rejects (an unknown
+    ``search``, ``projection`` or ``edge_weight``) raise
+    :class:`SchemaError`, so a bad config never reaches fit-on-miss.
     """
     if overrides is None:
         return HabitConfig()
@@ -177,7 +177,10 @@ def build_config(overrides):
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"config field {name!r}: cannot coerce {value!r}") from exc
         kwargs[name] = coerced
-    return HabitConfig(**kwargs)
+    try:
+        return HabitConfig(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"config: {exc}") from exc
 
 
 def _parse_endpoint(value, where):

@@ -273,9 +273,7 @@ def test_hammer_every_submission_answered_exactly_once():
 def dispatch_engine(tmp_path_factory, service_model):
     registry = ModelRegistry(tmp_path_factory.mktemp("dispatch_registry"))
     registry.publish("KIEL", service_model)
-    engine = BatchImputationEngine(
-        registry, max_workers=4, batch_window_ms=50.0, batch_max_lanes=64
-    )
+    engine = BatchImputationEngine(registry, batch_window_ms=50.0, batch_max_lanes=64)
     yield engine, service_model.config
     engine.close()
 
@@ -362,7 +360,7 @@ def test_engine_close_with_requests_in_flight(tmp_path, service_model):
     registry = ModelRegistry(tmp_path / "close_registry")
     registry.publish("KIEL", service_model)
     engine = BatchImputationEngine(
-        registry, max_workers=2, batch_window_ms=30_000.0, batch_max_lanes=64
+        registry, batch_window_ms=30_000.0, batch_max_lanes=64
     )
     (request,) = _gap_requests(service_model, 1, offset=90)
     # Hold the window open so the request below parks instead of flushing.

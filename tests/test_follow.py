@@ -142,7 +142,7 @@ def followed_service(tmp_path, service_model):
         refresh_interval_s=0.05,
         poll_interval_s=0.02,
     ).start()
-    server = make_server(registry, port=0, max_workers=2, follow=daemon)
+    server = make_server(registry, port=0, follow=daemon)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

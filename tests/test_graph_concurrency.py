@@ -1,10 +1,10 @@
-"""Thread-safety of the lazy auxiliary builds (landmarks and CH).
+"""Thread-safety of the lazy auxiliary builds (CH and hot-loop mirrors).
 
-``ensure_landmarks`` and ``ensure_ch`` are called from serving threads on
-first use, so they must be idempotent and race-free: many threads hitting
-a cold graph at once must trigger exactly one build, every thread must
-observe the same finished tables, and mixing the two builds (both guarded
-by the one shared reentrant lock) must not deadlock.
+``ensure_ch`` is called from serving threads on first use, so it must be
+idempotent and race-free: many threads hitting a cold graph at once must
+trigger exactly one build, every thread must observe the same finished
+tables, and mixing the build with queries (whose lazy mirrors share the
+one reentrant lock) must not deadlock.
 """
 
 import threading
@@ -57,22 +57,6 @@ def test_concurrent_ensure_ch_builds_once():
     assert sorted(graph.ch_rank.tolist()) == list(range(graph.num_nodes))
 
 
-def test_concurrent_ensure_landmarks_builds_once():
-    graph = uniform_graph(np.random.default_rng(22))
-    builds = []
-    original = graph._compute_landmarks_locked
-
-    def counting_compute(k):
-        builds.append(threading.get_ident())
-        original(k)
-
-    graph._compute_landmarks_locked = counting_compute
-    _hammer(lambda: graph.ensure_landmarks(6))
-    assert graph.has_landmarks
-    assert len(builds) == 1
-    assert graph.landmark_from.shape == (len(graph.landmarks), graph.num_nodes)
-
-
 def test_mixed_builds_and_queries_share_the_lock_without_deadlock():
     rng = np.random.default_rng(23)
     graph = uniform_graph(rng)
@@ -86,7 +70,6 @@ def test_mixed_builds_and_queries_share_the_lock_without_deadlock():
         method = SEARCH_METHODS[index % len(SEARCH_METHODS)]
 
         def work():
-            graph.ensure_landmarks(4)
             graph.ensure_ch()
             result = graph.find_path(src, dst, method)
             expect = oracle[(src, dst)]
@@ -117,7 +100,7 @@ def test_mixed_builds_and_queries_share_the_lock_without_deadlock():
     assert not any(w.is_alive() for w in workers), "worker deadlocked"
     assert not errors, errors
     assert not mismatches, mismatches
-    assert graph.has_landmarks and graph.has_ch
+    assert graph.has_ch
 
 
 def test_ensure_calls_are_idempotent_after_build():
@@ -127,7 +110,3 @@ def test_ensure_calls_are_idempotent_after_build():
     up_costs = graph.ch_up_costs
     graph.ensure_ch()  # second call must be a no-op, not a rebuild
     assert graph.ch_rank is rank and graph.ch_up_costs is up_costs
-    graph.ensure_landmarks(5)
-    table = graph.landmark_from
-    graph.ensure_landmarks(5)
-    assert graph.landmark_from is table

@@ -1,4 +1,4 @@
-"""repro.obs: metric core, mergeable snapshots, /metrics, worker merge."""
+"""repro.obs: metric core, mergeable snapshots, diff/absorb, /metrics."""
 
 import json
 import re
@@ -17,7 +17,7 @@ from repro.obs import (
     diff_snapshots,
     merge_snapshots,
 )
-from repro.service import BatchImputationEngine, GapRequest, ModelRegistry, make_server
+from repro.service import ModelRegistry, make_server
 
 
 @pytest.fixture()
@@ -29,7 +29,7 @@ def registry(tmp_path, service_model):
 
 @pytest.fixture()
 def server(registry):
-    server = make_server(registry, port=0, max_workers=4)
+    server = make_server(registry, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -202,7 +202,7 @@ def _random_registry(rng, rounds=200):
     hist = reg.histogram("h_seconds", "h", ("method",), buckets=(1.0, 8.0, 64.0))
     gauge = reg.gauge("g", "g")
     tiers = ("hit", "miss", "bypass")
-    methods = ("ch", "alt")
+    methods = ("ch", "astar")
     for _ in range(rounds):
         roll = int(rng.integers(0, 3))
         if roll == 0:
@@ -227,7 +227,7 @@ def test_merge_is_bit_exact_and_order_independent(rng):
         key = (tier,)
         expected = _series(a, "c_total").get(key, 0) + _series(b, "c_total").get(key, 0)
         assert _series(ab, "c_total").get(key, 0) == expected
-    for method in ("ch", "alt"):
+    for method in ("ch", "astar"):
         key = (method,)
         sa = _series(a, "h_seconds").get(key)
         sb = _series(b, "h_seconds").get(key)
@@ -258,7 +258,7 @@ def test_merge_rejects_mismatched_metrics():
 
 
 def test_diff_then_absorb_reproduces_worker_growth(rng):
-    """The process-pool piggyback contract: shipping diff(now, last)
+    """The diff/absorb contract: shipping diff(now, last)
     after every batch and absorbing each delta reproduces the worker's
     counters in the parent exactly, without double counting."""
     worker = _random_registry(rng, rounds=50)
@@ -318,31 +318,6 @@ def test_search_and_fit_metrics_flow_into_global_registry(service_model, tiny_ki
     fit = _series(METRICS.snapshot(), "repro_fit_seconds")
     assert fit[("partial",)]["count"] >= 1
     assert fit[("finalize",)]["count"] >= 1
-
-
-def test_process_worker_metrics_merge_into_parent(registry, service_model, tiny_kiel):
-    """Acceptance criterion: worker-side path-cache and search counters
-    must be visible in the parent's registry (merged, not zero).  In
-    process mode the parent imputes nothing itself, so every count in
-    the delta below was shipped back from a worker."""
-    gap = tiny_kiel.gaps(3600.0)[0]
-    requests = [GapRequest("KIEL", gap.start, gap.end, f"r{i}") for i in range(3)]
-    before = METRICS.snapshot()
-    with BatchImputationEngine(registry, max_workers=1, executor="process") as engine:
-        engine.run(requests, service_model.config)
-        engine.run(requests, service_model.config)  # warm worker: cache hits
-    delta = diff_snapshots(METRICS.snapshot(), before)
-    impute = _series(delta, "repro_impute_seconds")
-    assert impute[("process",)]["count"] == 6
-    cache = _series(delta, "repro_path_cache_total")
-    assert cache.get(("miss",), 0) >= 1  # first route searched in the worker
-    assert cache.get(("coalesced",), 0) >= 2  # in-batch repeats share one lane
-    assert cache.get(("hit",), 0) >= 3  # the whole warm batch
-    search = _series(delta, "repro_search_seconds")
-    assert sum(s["count"] for s in search.values()) >= 1
-    # The worker's own registry load surfaced too.
-    resolutions = _series(delta, "repro_registry_resolutions_total")
-    assert resolutions.get(("load",), 0) >= 1
 
 
 # -- HTTP: /metrics, healthz path_cache, access log ----------------------

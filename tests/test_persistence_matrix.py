@@ -1,21 +1,29 @@
 """Model-format compatibility matrix: v3, v4 and v5 files all load.
 
-Format v5 added the contraction-hierarchy arrays; v4 added the ALT
-landmark tables; v3 is the floor (``MIN_MODEL_FORMAT_VERSION``).  The
-matrix pinned here:
+Format v5 added the contraction-hierarchy arrays; v4 added the search
+config fields (and ALT landmark tables, since removed); v3 is the floor
+(``MIN_MODEL_FORMAT_VERSION``).  The matrix pinned here:
 
 - files saved at every supported version load into a working imputer;
 - pre-v5 files (no CH payload) rebuild the hierarchy on first demand;
+- v4/v5 files written with the removed ``"alt"`` / ``"bidirectional"``
+  search load as ``"ch"`` (landmark arrays ignored), are listed by the
+  registry and answer at Dijkstra's cost;
 - plain and typed round-trips preserve every CH array **bit-exactly**
   (the CH build is deterministic, so save -> load -> rebuild agrees);
 - new saves are stamped ``format_version == 5``.
 """
+
+import hashlib
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import repro.core.habit as habit_mod
 from repro.core import HabitConfig, HabitImputer, TypedHabitImputer
+from repro.service import ModelRegistry
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +39,9 @@ def _downgrade(saved_path, out_path, version):
     with np.load(saved_path) as data:
         payload = {key: data[key] for key in data.files}
     payload["format"] = np.array([habit_mod.MODEL_FORMAT, str(version)])
-    strip = habit_mod._CH_KEYS  # v4: everything but the hierarchy
     if version == 3:
-        strip = strip + habit_mod._LANDMARK_KEYS
         payload["config"] = payload["config"][:8]  # v3 configs had 8 fields
-    for key in strip:
+    for key in habit_mod._CH_KEYS:  # pre-v5: everything but the hierarchy
         payload.pop(key, None)
     np.savez(out_path, **payload)
     return out_path
@@ -57,6 +63,61 @@ def test_every_supported_version_loads_and_serves(ch_model, tiny_kiel, tmp_path,
     result = restored.impute(gap.start, gap.end)
     assert result.num_points >= 2 and result.method == "ch"
     assert restored.graph.has_ch  # pre-v5 loads rebuilt it on demand
+
+
+def _legacy_search_file(saved_path, root, version, search):
+    """Rewrite a saved model as a v4/v5 file written with a removed
+    search variant: *search* in config slot 8, synthesised landmark
+    tables, and the registry file name that config hashed to."""
+    with np.load(saved_path) as data:
+        payload = {key: data[key] for key in data.files}
+    payload["format"] = np.array([habit_mod.MODEL_FORMAT, str(version)])
+    if version == 4:
+        for key in habit_mod._CH_KEYS:
+            payload.pop(key)
+    config = payload["config"].tolist()
+    payload["config"] = np.array(config[:8] + [search, "8"])
+    n = len(payload["cells"])
+    rng = np.random.default_rng(version)
+    payload["landmarks"] = np.array([0, n - 1], dtype=np.int32)
+    payload["landmark_from"] = rng.uniform(0.0, 50.0, (2, n))
+    payload["landmark_to"] = rng.uniform(0.0, 50.0, (2, n))
+    fields = {
+        **asdict(HabitConfig(resolution=9)),
+        "search": search,
+        "num_landmarks": 8,
+    }
+    digest = hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode("ascii")
+    ).hexdigest()[:12]
+    path = root / f"KIEL_{digest}.npz"
+    np.savez(path, **payload)
+    return path
+
+
+@pytest.mark.parametrize("search", ["alt", "bidirectional"])
+@pytest.mark.parametrize("version", [4, 5])
+def test_legacy_search_files_load_as_ch(ch_model, tiny_kiel, tmp_path, version, search):
+    root = tmp_path / "registry"
+    root.mkdir()
+    path = _legacy_search_file(ch_model.save(tmp_path / "v5.npz"), root, version, search)
+    (entry,) = ModelRegistry(root).list_models()
+    assert entry["model_id"] == path.stem and entry["revision"] == 1
+    restored = HabitImputer.load(path)
+    assert restored.config == HabitConfig(resolution=9)  # search reads as "ch"
+    assert restored.graph.has_ch == (version == 5)
+    checked = 0
+    for gap in tiny_kiel.gaps(3600.0):
+        snapped = restored.snap_endpoints(gap.start, gap.end)
+        oracle = snapped and restored.graph.find_path(*snapped, "dijkstra")
+        if not oracle:
+            continue
+        result = restored.route(*snapped)
+        assert result.method == "ch"
+        assert result.cost == pytest.approx(oracle.cost, rel=1e-9)
+        assert restored.impute(gap.start, gap.end).method == "ch"
+        checked += 1
+    assert checked > 0
 
 
 def test_prev5_rebuild_matches_persisted_hierarchy(ch_model, tmp_path):

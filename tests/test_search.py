@@ -1,10 +1,16 @@
-"""CSR search engine: variant equivalence, landmarks, v3-v5 models, snaps."""
+"""CSR search engine: variant equivalence, v3-v5 models, snaps."""
 
 import numpy as np
 import pytest
 
 from graphgen import uniform_graph as _random_graph
-from repro.core import SEARCH_METHODS, CellGraph, HabitConfig, HabitImputer
+from repro.core import (
+    GOAL_DIRECTED_METHODS,
+    SEARCH_METHODS,
+    CellGraph,
+    HabitConfig,
+    HabitImputer,
+)
 from repro.hexgrid import (
     cell_axial_array,
     cell_to_latlng_array,
@@ -22,7 +28,7 @@ def _path_cost(graph, result):
 
 
 def test_all_variants_equal_cost_on_random_graphs():
-    """astar / dijkstra / bidirectional / ALT / CH agree on any admissible graph."""
+    """astar / dijkstra / CH agree on any admissible graph."""
     rng = np.random.default_rng(1234)
     for _ in range(8):
         graph = _random_graph(rng)
@@ -81,7 +87,7 @@ def test_trivial_and_missing_endpoints():
     assert same.cells == (cell,) and same.cost == 0.0 and same.expanded == 0
     # A cell that is no node: searches return None, astar() wrapper too.
     missing = int(graph.cells.max()) + 12345
-    assert graph.find_path(cell, missing, "bidirectional") is None
+    assert graph.find_path(cell, missing, "ch") is None
     assert graph.astar(missing, cell) is None
 
 
@@ -97,7 +103,7 @@ def test_heuristics_expand_no_more_than_dijkstra(tiny_kiel):
         dijkstra = graph.find_path(snapped[0], snapped[1], "dijkstra")
         if dijkstra is None:
             continue
-        for method in ("astar", "alt"):
+        for method in GOAL_DIRECTED_METHODS:
             guided = graph.find_path(snapped[0], snapped[1], method)
             assert guided.cost == pytest.approx(dijkstra.cost)
             assert guided.expanded <= dijkstra.expanded
@@ -132,41 +138,12 @@ def test_snap_memoization_and_scalar_fallback(tiny_kiel):
     assert first == brute
 
 
-# -- landmarks & model format v3-v5 ---------------------------------------
+# -- model format v3-v5 ---------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def alt_model(tiny_kiel):
-    return HabitImputer(
-        HabitConfig(resolution=9, search="alt", num_landmarks=6)
-    ).fit_from_trips(tiny_kiel.train)
-
-
-def test_finalize_computes_landmarks_for_alt(alt_model):
-    graph = alt_model.graph
-    assert graph.has_landmarks
-    assert 1 <= len(graph.landmarks) <= 6
-    assert graph.landmark_from.shape == (len(graph.landmarks), graph.num_nodes)
-    assert graph.landmark_to.shape == graph.landmark_from.shape
-    # Landmarks sit at distance 0 from themselves.
-    for row, node in enumerate(graph.landmarks):
-        assert graph.landmark_from[row, node] == 0.0
-        assert graph.landmark_to[row, node] == 0.0
-
-
-def test_v4_round_trip_preserves_landmarks(alt_model, tiny_kiel, tmp_path):
-    gap = tiny_kiel.gaps(3600.0)[0]
-    path = alt_model.save(tmp_path / "alt.npz")
-    restored = HabitImputer.load(path)
-    assert restored.config == alt_model.config
-    assert restored.graph.has_landmarks
-    assert np.array_equal(restored.graph.landmarks, alt_model.graph.landmarks)
-    assert np.array_equal(restored.graph.landmark_from, alt_model.graph.landmark_from)
-    assert np.array_equal(restored.graph.landmark_to, alt_model.graph.landmark_to)
-    a = alt_model.impute(gap.start, gap.end)
-    b = restored.impute(gap.start, gap.end)
-    assert np.array_equal(a.lats, b.lats) and np.array_equal(a.lngs, b.lngs)
-    assert a.method == b.method == "alt"
+def default_model(tiny_kiel):
+    return HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
 
 
 def _as_v3_file(saved_path, out_path):
@@ -177,35 +154,36 @@ def _as_v3_file(saved_path, out_path):
         payload = {key: data[key] for key in data.files}
     payload["format"] = np.array([habit_mod.MODEL_FORMAT, "3"])
     payload["config"] = payload["config"][:8]  # v3 configs had 8 fields
-    for key in habit_mod._LANDMARK_KEYS + habit_mod._CH_KEYS:
+    for key in habit_mod._CH_KEYS:
         payload.pop(key, None)
     np.savez(out_path, **payload)
     return out_path
 
 
-def test_v3_files_still_load_and_rebuild_landmarks(alt_model, tiny_kiel, tmp_path):
+def test_v3_files_still_load_and_refresh(default_model, tiny_kiel, tmp_path):
     gap = tiny_kiel.gaps(3600.0)[0]
-    v3 = _as_v3_file(alt_model.save(tmp_path / "v5.npz"), tmp_path / "v3.npz")
+    v3 = _as_v3_file(default_model.save(tmp_path / "v5.npz"), tmp_path / "v3.npz")
     restored = HabitImputer.load(v3)
     # v3 configs fall back to current defaults for the new fields.
     assert restored.config.search == HabitConfig().search
-    assert not restored.graph.has_landmarks  # dropped with the v3 payload
-    result = restored.impute(gap.start, gap.end, method="alt")
-    assert restored.graph.has_landmarks  # rebuilt on demand
-    assert result.num_points >= 2 and result.method == "alt"
+    assert not restored.graph.has_ch  # dropped with the v3 payload
+    result = restored.impute(gap.start, gap.end)
+    assert restored.graph.has_ch  # rebuilt on demand
+    assert result.num_points >= 2 and result.method == "ch"
     # State survived, so incremental refresh still works after a v3 load.
     restored.update(tiny_kiel.test)
     assert restored.revision == 2
 
 
-def test_saved_format_version_is_5(alt_model, tmp_path):
+def test_saved_format_version_is_5(default_model, tmp_path):
     import repro.core.habit as habit_mod
 
-    path = alt_model.save(tmp_path / "m.npz")
+    path = default_model.save(tmp_path / "m.npz")
     with np.load(path) as data:
         tag = data["format"]
         assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "5"
-        assert len(data["config"]) == 10
+        # Slot 9 still holds the removed landmark count, frozen at 8.
+        assert len(data["config"]) == 10 and str(data["config"][9]) == "8"
 
 
 def test_search_config_round_trips_through_service_schema():
@@ -216,21 +194,21 @@ def test_search_config_round_trips_through_service_schema():
             "dataset": "KIEL",
             "start": [54.0, 10.0],
             "end": [55.0, 11.0],
-            "config": {"search": "bidirectional", "num_landmarks": 4},
+            "config": {"search": "astar"},
         }
     )
-    assert config.search == "bidirectional" and config.num_landmarks == 4
+    assert config.search == "astar"
 
 
 def test_impute_method_override_and_config_search(tiny_kiel):
     gap = tiny_kiel.gaps(3600.0)[0]
-    imputer = HabitImputer(
-        HabitConfig(resolution=9, search="bidirectional")
-    ).fit_from_trips(tiny_kiel.train)
+    imputer = HabitImputer(HabitConfig(resolution=9, search="astar")).fit_from_trips(
+        tiny_kiel.train
+    )
     default = imputer.impute(gap.start, gap.end)
-    assert default.method == "bidirectional"
+    assert default.method == "astar"
     assert default.expanded > 0
     legacy = imputer.impute(gap.start, gap.end, use_heuristic=False)
     assert legacy.method == "dijkstra"
-    override = imputer.impute(gap.start, gap.end, method="astar")
-    assert override.method == "astar"
+    override = imputer.impute(gap.start, gap.end, method="ch")
+    assert override.method == "ch"

@@ -183,8 +183,7 @@ def test_degenerate_pairs_short_circuit_before_any_search_work(monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("degenerate pair reached search machinery")
 
-    for name in ("_astar_indices", "_bidirectional", "_ch_query", "ensure_ch",
-                 "ensure_landmarks", "_ch_kernel_tables"):
+    for name in ("_astar_indices", "_ch_query", "ensure_ch", "_ch_kernel_tables"):
         monkeypatch.setattr(graph_mod.CellGraph, name, poisoned)
     monkeypatch.setattr(graph_mod, "solve_batch", poisoned)
     for method in SEARCH_METHODS:

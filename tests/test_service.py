@@ -53,6 +53,14 @@ def test_model_id_is_stable_and_config_sensitive():
     assert ModelRegistry.model_id("kiel", a) == f"KIEL_{config_hash(a)}"
 
 
+def test_config_hash_digests_are_pinned():
+    """Golden digests: model files on disk are named by these, so a
+    config field change must not move them (the removed ALT landmark
+    count is still hashed at its old default)."""
+    assert config_hash(HabitConfig()) == "4f13efd807a1"
+    assert config_hash(HabitConfig(resolution=10)) == "9b763d460853"
+
+
 def test_registry_resolution_tiers(registry, service_model):
     config = service_model.config
     # publish() left the model warm.
@@ -164,9 +172,7 @@ def test_registry_list_models(registry, service_model):
 def test_engine_batch_order_and_provenance(registry, service_model, tiny_kiel):
     gaps = tiny_kiel.gaps(3600.0)
     requests = _gap_requests("KIEL", gaps, n=6)
-    results = BatchImputationEngine(registry, max_workers=3).run(
-        requests, service_model.config
-    )
+    results = BatchImputationEngine(registry).run(requests, service_model.config)
     assert [r.request.request_id for r in results] == [r.request_id for r in requests]
     expected_id = ModelRegistry.model_id("KIEL", service_model.config)
     for result in results:
@@ -194,47 +200,10 @@ def test_engine_unknown_dataset_raises(registry, service_model):
         BatchImputationEngine(registry).run([request], service_model.config)
 
 
-def test_engine_process_pool_matches_thread_pool(registry, service_model, tiny_kiel):
-    gaps = tiny_kiel.gaps(3600.0)
-    requests = _gap_requests("KIEL", gaps, n=6)
-    thread_results = BatchImputationEngine(registry).run(requests, service_model.config)
-    with BatchImputationEngine(
-        registry, max_workers=2, executor="process"
-    ) as engine:
-        process_results = engine.run(requests, service_model.config)
-        # The pool is persistent: a second batch reuses warm workers.
-        again = engine.run(requests[:2], service_model.config)
-    assert len(process_results) == len(thread_results)
-    for t, p in zip(thread_results, process_results):
-        assert p.request.request_id == t.request.request_id
-        assert np.array_equal(p.lats, t.lats) and np.array_equal(p.lngs, t.lngs)
-        assert p.provenance.model_id == t.provenance.model_id
-        assert p.provenance.method == t.provenance.method
-        assert t.provenance.executor == "thread"
-        assert p.provenance.executor == "process"
-    assert all(r.provenance.executor == "process" for r in again)
-
-
-def test_process_workers_see_refreshed_revision(registry, service_model, tiny_kiel):
-    """A refresh in the parent must reach warm workers: the parent's
-    resolved revision rides with each batch and evicts stale worker
-    caches, so process mode never serves an older revision than /models
-    advertises."""
-    gap = tiny_kiel.gaps(3600.0)[0]
-    request = [GapRequest("KIEL", gap.start, gap.end, "r0")]
-    with BatchImputationEngine(registry, max_workers=1, executor="process") as engine:
-        (before,) = engine.run(request, service_model.config)
-        assert before.provenance.revision == 1
-        registry.refresh("KIEL", tiny_kiel.test, service_model.config)
-        (after,) = engine.run(request, service_model.config)
-        assert after.provenance.revision == 2
-        assert after.provenance.executor == "process"
-
-
 def test_peek_revision_rejects_unloadable_files(tmp_path, service_model):
-    """The process executor's cheap probe must not trust a file a real
-    load() would reject -- such files fall through to get() and its
-    fitter semantics instead of reaching fitter-less pool workers."""
+    """The cheap revision probe must not trust a file a real load()
+    would reject -- such files fall through to get() and its fitter
+    semantics."""
     reg = ModelRegistry(tmp_path / "reg")
     config = service_model.config
     # Valid zip with a readable revision but no graph arrays.
@@ -255,18 +224,6 @@ def test_peek_revision_rejects_unloadable_files(tmp_path, service_model):
     reg.evict_all()
     _, revision = reg.peek_revision("KIEL", config)
     assert revision == service_model.revision
-
-
-def test_engine_rejects_unknown_executor(registry):
-    with pytest.raises(ValueError, match="executor"):
-        BatchImputationEngine(registry, executor="fiber")
-
-
-def test_engine_process_pool_unknown_dataset_raises_in_parent(registry, service_model):
-    request = GapRequest("ATLANTIS", (54.0, 10.0), (55.0, 11.0), "x")
-    with BatchImputationEngine(registry, executor="process") as engine:
-        with pytest.raises(ModelNotFound):
-            engine.run([request], service_model.config)
 
 
 def test_result_feature_carries_provenance(registry, service_model, tiny_kiel):
@@ -555,7 +512,7 @@ def _get(base, path):
 
 @pytest.fixture()
 def server(registry):
-    server = make_server(registry, port=0, max_workers=4)
+    server = make_server(registry, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -613,6 +570,43 @@ def test_http_error_statuses(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _get(server, "/nope")
     assert err.value.code == 404
+
+
+@pytest.mark.parametrize("field", ["search", "projection", "edge_weight"])
+def test_http_bad_config_value_is_400_before_fit_on_miss(tmp_path, tiny_kiel, field):
+    """An unknown config value is a client error: 400, and no fit runs
+    or publishes a stray model into the registry."""
+    fits = []
+
+    def fitter(dataset, config):
+        fits.append(config)
+        return HabitImputer(config).fit_from_trips(tiny_kiel.train)
+
+    root = tmp_path / "reg"
+    server = make_server(ModelRegistry(root, fitter=fitter), port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(
+                f"http://{host}:{port}",
+                "/impute",
+                {
+                    "dataset": "KIEL",
+                    "start": [54.4, 10.2],
+                    "end": [54.5, 10.3],
+                    "config": {"resolution": 8, field: "bogus"},
+                },
+            )
+        assert err.value.code == 400
+        assert field in json.loads(err.value.read())["error"]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert fits == []
+    assert not list(root.glob("*.npz"))
 
 
 def test_http_concurrent_imputes(server, tiny_kiel):

@@ -136,7 +136,7 @@ def test_stateless_save_refuses_update_and_fork(tmp_path, halves, config):
 
 def test_update_skips_rebuilding_untouched_classes(tiny_kiel, halves, config):
     """A refresh whose chunk only carries one class's traffic must not
-    pay graph (and ALT landmark) rebuilds for every other class."""
+    pay graph (and hierarchy) rebuilds for every other class."""
     from repro.ais import schema
 
     typed = TypedHabitImputer(config, min_group_rows=MIN_ROWS).fit_from_trips(

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Run the README's quickstart and live-refresh stories as a smoke test.
 
-Two stages, both against temp directories (nothing lands in the repo):
+First a static check: the backticked ``--flag``s in the
+``docs/OPERATIONS.md`` "CLI flag reference" table must equal the
+options of the ``python -m repro.service`` argument parser, so a flag
+cannot be deleted while still documented (or added undocumented).
+Then two stages, both against temp directories (nothing lands in the
+repo):
 
 1. **Quickstart** -- extracts the first ``python`` code block under the
    README's "## Quickstart" heading and ``exec``s it verbatim, so the
@@ -37,6 +42,36 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+
+
+def check_flag_table():
+    """The OPERATIONS.md flag table documents exactly the CLI's options."""
+    from repro.service.__main__ import _build_parser
+
+    ops = (REPO / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    if "## CLI flag reference" not in ops:
+        raise SystemExit("docs/OPERATIONS.md: no '## CLI flag reference' section")
+    section = ops.split("## CLI flag reference", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `--"):
+            first_cell = line.split("|")[1]
+            documented.update(re.findall(r"`(--[a-z][a-z0-9-]*)", first_cell))
+    parser_flags = {
+        option
+        for action in _build_parser()._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    stale = sorted(documented - parser_flags)
+    undocumented = sorted(parser_flags - documented)
+    if stale or undocumented:
+        raise SystemExit(
+            "docs/OPERATIONS.md flag table drifted from the CLI parser: "
+            f"documented but not accepted {stale}, accepted but not "
+            f"documented {undocumented}"
+        )
+    print(f"-- flag table: all {len(parser_flags)} CLI options documented --")
 
 
 def run_quickstart(workdir):
@@ -201,6 +236,7 @@ def main():
     args = parser.parse_args()
     feed_path = args.models_feed.resolve() if args.models_feed else None
     scrape_path = args.metrics_scrape.resolve() if args.metrics_scrape else None
+    check_flag_table()
     with tempfile.TemporaryDirectory(prefix="docs-smoke-") as tmp:
         workdir = Path(tmp)
         run_quickstart(workdir)
