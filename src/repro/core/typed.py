@@ -247,37 +247,6 @@ class TypedHabitImputer:
         imputer, _ = self.resolve(vessel_type)
         return imputer.impute(start, end)
 
-    def route_batch(self, items, method=None):
-        """Route many ``(src, dst, vessel_type)`` triples, batched per class.
-
-        Each triple resolves its class graph exactly like
-        :meth:`resolve`; the batch is then split into per-class
-        sub-batches and every sub-batch runs through that class
-        imputer's :meth:`repro.core.habit.HabitImputer.route_batch` --
-        one kernel sweep per distinct graph, however the classes are
-        interleaved in *items*.  Returns a list aligned with *items* of
-        :class:`repro.core.graph.SearchResult` (or ``None``), identical
-        to routing each triple on ``resolve(vessel_type)[0]`` alone.
-        """
-        if self.fallback is None:
-            raise RuntimeError(
-                "TypedHabitImputer.route_batch called before fit_from_trips"
-            )
-        items = list(items)
-        groups = {}  # class tag -> (imputer, [positions], [pairs])
-        for i, (src, dst, vessel_type) in enumerate(items):
-            imputer, tag = self.resolve(vessel_type)
-            group = groups.get(tag)
-            if group is None:
-                group = groups[tag] = (imputer, [], [])
-            group[1].append(i)
-            group[2].append((src, dst))
-        results = [None] * len(items)
-        for imputer, positions, pairs in groups.values():
-            for i, result in zip(positions, imputer.route_batch(pairs, method)):
-                results[i] = result
-        return results
-
     def storage_size_bytes(self):
         """Total footprint across the fallback and all typed graphs."""
         if self.fallback is None:

@@ -11,18 +11,16 @@ the full catalogue even before the first observation.
 The design contract is the same one :mod:`repro.minidb.partial` gives
 the fit pipeline: **snapshots are mergeable states**.
 :meth:`MetricsRegistry.snapshot` captures every series as plain
-picklable dicts, :func:`merge_snapshots` folds two snapshots into one
--- bit-exactly for counters and histogram bucket counts (integer
-addition is associative and commutative, so merge order never changes a
-count) -- and :meth:`MetricsRegistry.absorb` folds a snapshot (or a
-:func:`diff_snapshots` delta) back into a live registry.  Benchmarks
-use the delta to isolate one scenario's growth: snapshot, run, diff.
+picklable dicts, :func:`diff_snapshots` takes the growth between two
+snapshots of one registry, and :meth:`MetricsRegistry.absorb` folds a
+snapshot (or such a delta) back into a live registry -- bit-exactly for
+counters and histogram bucket counts (integer addition is associative
+and commutative, so fold order never changes a count).  Benchmarks use
+the delta to isolate one scenario's growth: snapshot, run, diff.
 
 Gauges are process-local by design: a gauge is a statement about *this*
-process ("models loaded here"), so :func:`diff_snapshots` drops them.
-:func:`merge_snapshots` sums gauges
-(useful when aggregating sibling daemons); absorb follows the same
-rule.
+process ("models loaded here"), so :func:`diff_snapshots` drops them and
+absorb skips them.
 
 Rendering: :meth:`MetricsRegistry.render_prometheus` emits the
 Prometheus text exposition format (version 0.0.4) served by
@@ -45,7 +43,6 @@ __all__ = [
     "METRICS",
     "MetricsRegistry",
     "diff_snapshots",
-    "merge_snapshots",
 ]
 
 
@@ -424,58 +421,6 @@ def _label_str(label_names, label_values, extra=None):
         return ""
     body = ",".join(f'{name}="{_escape_label(str(v))}"' for name, v in pairs)
     return "{" + body + "}"
-
-
-def _merged_series(kind, a_series, b_series, num_buckets=0):
-    out = {}
-    for key in set(a_series) | set(b_series):
-        va, vb = a_series.get(key), b_series.get(key)
-        if va is None or vb is None:
-            present = va if vb is None else vb
-            out[key] = (
-                {
-                    "buckets": list(present["buckets"]),
-                    "count": present["count"],
-                    "sum": present["sum"],
-                }
-                if kind == "histogram"
-                else present
-            )
-        elif kind == "histogram":
-            out[key] = {
-                "buckets": [x + y for x, y in zip(va["buckets"], vb["buckets"])],
-                "count": va["count"] + vb["count"],
-                "sum": va["sum"] + vb["sum"],
-            }
-        else:
-            out[key] = va + vb
-    return out
-
-
-def merge_snapshots(a, b):
-    """Fold two snapshots into one; commutative, and bit-exact for
-    counters and histogram bucket counts (integer sums)."""
-    out = {}
-    for name in set(a) | set(b):
-        ea, eb = a.get(name), b.get(name)
-        if ea is None or eb is None:
-            present = ea if eb is None else eb
-            out[name] = {
-                **present,
-                "series": _merged_series(present["kind"], present["series"], {}),
-            }
-            continue
-        if ea["kind"] != eb["kind"]:
-            raise ValueError(
-                f"metric {name!r}: cannot merge kind {ea['kind']} with {eb['kind']}"
-            )
-        if ea.get("buckets") != eb.get("buckets"):
-            raise ValueError(f"metric {name!r}: bucket edges differ")
-        out[name] = {
-            **ea,
-            "series": _merged_series(ea["kind"], ea["series"], eb["series"]),
-        }
-    return out
 
 
 def diff_snapshots(current, previous):

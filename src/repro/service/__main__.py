@@ -76,28 +76,6 @@ def _build_parser():
         "--capacity", type=int, default=8, help="LRU cache size in models"
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help=(
-            "cross-request micro-batching window: concurrent requests "
-            "arriving within this many milliseconds fuse their cache-missed "
-            "searches into one kernel call (a lone request never waits; "
-            "0 disables the dispatcher; default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
-        "--batch-max-lanes",
-        type=int,
-        default=64,
-        metavar="N",
-        help=(
-            "flush a micro-batching window early once this many search "
-            "lanes are pending (default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
         "--fit-on-miss",
         action="store_true",
         help="fit (at --scale) when a requested model is neither cached nor on disk",
@@ -317,8 +295,6 @@ def main(argv=None):
             metrics=args.metrics,
             log_json=args.log_json,
             log_file=args.log_file,
-            batch_window_ms=args.batch_window_ms,
-            batch_max_lanes=args.batch_max_lanes,
         )
         host, port = server.server_address[:2]
         print(f"serving on http://{host}:{port} (registry: {args.registry})")

@@ -35,15 +35,18 @@ drain):
   submitter re-raises it), matching the blast radius of a failed
   in-batch search.
 
-**Cross-request coalescing:** submissions flag which lanes are shared
-(full snap-and-path cache keys -- model id, class tag, revision,
-snapped endpoints).  Identical shared keys from *different* submissions
-fuse into one search lane; the first submitter keeps its ``"miss"``
-path-cache tier and every later one is answered from the same lane
-under the new ``"cross_batch"`` tier -- PR 8's in-batch ``"coalesced"``
-tier extended across concurrent requests.  Unshared lanes (path cache
-disabled) are never deduplicated, preserving the engine's
-every-request-pays-its-own-lane contract in that mode.
+**Cross-request coalescing:** lanes are keyed by their full
+snap-and-path cache key (model id, class tag, revision, snapped
+endpoints).  Identical keys from *different* submissions fuse into one
+search lane; the first submitter keeps its ``"miss"`` path-cache tier
+and every later one is answered from the same lane under the
+``"cross_batch"`` tier -- the in-batch ``"coalesced"`` tier extended
+across concurrent requests.
+
+The engine builds its dispatcher from fixed constants
+(:data:`repro.service.engine.BATCH_WINDOW_MS`,
+:data:`repro.service.engine.BATCH_MAX_LANES`); the constructor
+parameters are the unit tests' seam.
 
 Instrumentation: ``repro_dispatch_queue_wait_seconds`` (submit-to-flush
 wait), ``repro_dispatch_window_occupancy`` (requests fused per flush),
@@ -144,14 +147,13 @@ class BatchDispatcher:
     def submit(self, token, entries):
         """Park *entries* in the current window; returns their results.
 
-        *entries* is a list of ``(key, imputer, (src, dst), shared,
-        riders)`` lanes -- ``key`` names the lane within this
-        submission (the full path-cache key when *shared*), ``riders``
+        *entries* is a list of ``(key, imputer, (src, dst), riders)``
+        lanes -- ``key`` is the lane's full path-cache key, ``riders``
         is how many requests of the submitting batch ride it (used for
         kernel-time attribution).  Blocks until a flush answers every
         lane, then returns ``{key: (result, cross, share_s)}`` --
-        ``cross`` is True when another request's identical shared lane
-        ran the search, ``share_s`` the lane's per-rider share of its
+        ``cross`` is True when another request's identical lane ran the
+        search, ``share_s`` the lane's per-rider share of its
         kernel call.  Raises whatever the flush's searches raised.
         An empty *entries* is a no-op (the run's hold stays with its
         token until :meth:`leave`).
@@ -210,25 +212,19 @@ class BatchDispatcher:
                 DISPATCH_QUEUE_WAIT_SECONDS.observe(started - sub.queued_at)
             DISPATCH_WINDOW_OCCUPANCY.observe(len(batch))
         try:
-            # Merge: shared keys from different submissions fuse into one
-            # lane (claims beyond the first are cross-request coalesces);
-            # unshared lanes always get their own.
-            lanes = []  # [imputer, pair, [(sub, key, riders), ...]]
-            shared_lanes = {}
+            # Merge: identical keys from different submissions fuse into
+            # one lane (claims beyond the first are cross-request
+            # coalesces).
+            lanes = {}  # key -> [imputer, pair, [(sub, riders), ...]]
             crossed = 0
             for sub in batch:
-                for key, imputer, pair, shared, riders in sub.entries:
-                    if shared:
-                        lane = shared_lanes.get(key)
-                        if lane is not None:
-                            lane[2].append((sub, key, riders))
-                            crossed += 1
-                            continue
-                        lane = [imputer, pair, [(sub, key, riders)]]
-                        shared_lanes[key] = lane
+                for key, imputer, pair, riders in sub.entries:
+                    lane = lanes.get(key)
+                    if lane is None:
+                        lanes[key] = [imputer, pair, [(sub, riders)]]
                     else:
-                        lane = [imputer, pair, [(sub, key, riders)]]
-                    lanes.append(lane)
+                        lane[2].append((sub, riders))
+                        crossed += 1
             if METRICS.enabled:
                 DISPATCH_BATCH_LANES.observe(len(lanes))
                 if crossed:
@@ -236,17 +232,16 @@ class BatchDispatcher:
             # One route_batch per resolved class graph: a single kernel
             # sweep answers every lane riding that graph.
             groups = {}
-            for lane in lanes:
-                groups.setdefault(id(lane[0]), (lane[0], []))[1].append(lane)
+            for key, lane in lanes.items():
+                groups.setdefault(id(lane[0]), (lane[0], []))[1].append((key, lane))
             for imputer, group in groups.values():
                 group_started = time.perf_counter()
-                results = imputer.route_batch([lane[1] for lane in group])
+                results = imputer.route_batch([lane[1] for _, lane in group])
                 share = (time.perf_counter() - group_started) / max(
-                    1,
-                    sum(riders for lane in group for _, _, riders in lane[2]),
+                    1, sum(riders for _, lane in group for _, riders in lane[2])
                 )
-                for lane, result in zip(group, results):
-                    for pos, (sub, key, _) in enumerate(lane[2]):
+                for (key, lane), result in zip(group, results):
+                    for pos, (sub, _) in enumerate(lane[2]):
                         sub.results[key] = (result, pos > 0, share)
         except BaseException as exc:  # noqa: BLE001 - poison the whole flush
             for sub in batch:

@@ -6,11 +6,11 @@ through the registry exactly once (one cache probe / disk load / fit per
 model, however many gaps ride on it).  Execution is **batch-native**:
 every request snaps its endpoints and probes the path cache, the
 remaining cache misses are deduplicated (see request coalescing below)
-and grouped by resolved class graph, and each group runs through one
-:meth:`repro.core.habit.HabitImputer.route_batch` call -- a single
-vectorised CH kernel sweep (:mod:`repro.core.kernel`) answers the whole
-group instead of one Python heap loop per request.  Per-request
-``expanded``/cost/latency still land in provenance individually.
+and handed to the dispatcher, which groups them by resolved class graph
+-- a single vectorised CH kernel sweep (:mod:`repro.core.kernel`)
+answers a whole group instead of one Python heap loop per request.
+Per-request ``expanded``/cost/latency still land in provenance
+individually.
 
 Everything runs in-process: fitted imputers are read-only, so the whole
 batch runs on the request thread -- snap and render are cheap Python,
@@ -39,24 +39,25 @@ requester records path-cache tier ``"miss"``; every other rider on the
 same route records ``"coalesced"`` and is fanned the single result --
 large fleet batches converging on hub pairs pay one kernel lane, not N.
 
-**Cross-request micro-batching:** the engine routes
-every batch's cache-missed lanes through a shared
-:class:`repro.service.dispatch.BatchDispatcher`.  Concurrent HTTP
-handler threads submitting within a bounded window (``batch_window_ms``,
-plus a ``batch_max_lanes`` cap) fuse into one kernel call per resolved
-class graph, so sixteen simultaneous singletons cost one sweep, not
-sixteen.  The window flushes immediately once every in-flight request
-is parked in it -- a lone request never waits (the idle bypass) -- and
-identical shared routes from *different* requests dedupe to one lane:
-the late arrivals record path-cache tier ``"cross_batch"``, the
-cross-request extension of ``"coalesced"``.  ``batch_window_ms=0``
-disables the dispatcher entirely.
+**Cross-request micro-batching:** every batch's cache-missed lanes go
+through one shared :class:`repro.service.dispatch.BatchDispatcher`.
+Concurrent HTTP handler threads submitting within a bounded window
+(:data:`BATCH_WINDOW_MS`, with a :data:`BATCH_MAX_LANES` cap) fuse into
+one kernel call per resolved class graph, so sixteen simultaneous
+singletons cost one sweep, not sixteen.  The window flushes immediately
+once every in-flight request is parked in it -- a lone request never
+waits (the idle bypass) -- and identical routes from *different*
+requests dedupe to one lane: the late arrivals record path-cache tier
+``"cross_batch"``, the cross-request extension of ``"coalesced"``.
+The dispatcher and both cache tiers are always on; there is exactly
+one miss path.
 
 On top of the route cache sits a **rendered-path memo**: RDP
 simplification and resampling dominate the per-request cost of a warm
 hit, yet their output depends only on the route and the *exact* raw
 endpoints.  Both cache tiers' renders are memoized under ``(route key,
-start, end)`` (same capacity as the path cache), together with the
+start, end)`` (same :data:`PATH_CACHE_SIZE` capacity as the path
+cache), together with the
 rendered polyline's metric length, so an exactly-repeated query costs
 two LRU probes and no geometry at all.  Memoized results share their
 coordinate arrays across responses; callers must treat them as
@@ -65,7 +66,8 @@ read-only (the transport only serialises them).
 Every result carries :class:`repro.service.schema.Provenance`: which
 model answered, how it was obtained (cache hit / disk load / fit), the
 path-cache tier
-(``hit``/``miss``/``coalesced``/``cross_batch``/``bypass``), the routing
+(``hit``/``miss``/``coalesced``/``cross_batch``, or ``bypass`` for an
+out-of-coverage straight-line fallback), the routing
 method actually used (including the straight-line fallback flag), nodes
 expanded by the search, the metric path length, and per-request
 wall-clock latency.
@@ -110,6 +112,13 @@ _COMPRESS_DROPPED = METRICS.counter(
 #: Sentinel distinguishing "not cached" from a cached no-route (None).
 _MISSING = object()
 
+#: Snap-and-path LRU entries; also the rendered-path memo's capacity.
+PATH_CACHE_SIZE = 4096
+#: Cross-request micro-batching window (milliseconds).
+BATCH_WINDOW_MS = 2.0
+#: Pending search lanes that flush a micro-batching window early.
+BATCH_MAX_LANES = 64
+
 
 class _PathCache:
     """Thread-safe bounded LRU of search results keyed by snapped routes."""
@@ -144,36 +153,22 @@ class _PathCache:
 class BatchImputationEngine:
     """Executes batches of gap requests against a model registry.
 
-    Parameters: *registry* (a :class:`repro.service.ModelRegistry`),
-    *path_cache_size* (snap-and-path LRU entries, 0 disables; also sizes
-    the rendered-path memo), *batch_window_ms* (cross-request
-    micro-batching window, 0 disables the dispatcher) and
-    *batch_max_lanes* (pending-lane cap that flushes a window early).
-    Call :meth:`close` (or use the engine as a context manager) to
-    release the dispatcher.
+    *registry* is a :class:`repro.service.ModelRegistry`.  Call
+    :meth:`close` (or use the engine as a context manager) to release
+    the dispatcher.
     """
 
-    def __init__(
-        self,
-        registry,
-        path_cache_size=4096,
-        batch_window_ms=2.0,
-        batch_max_lanes=64,
-    ):
+    def __init__(self, registry):
         self.registry = registry
         #: LRU over (model id, class tag, revision, snapped src, snapped
-        #: dst) -> SearchResult | None; 0 disables route caching.
-        self.path_cache = _PathCache(path_cache_size) if path_cache_size else None
+        #: dst) -> SearchResult | None.
+        self.path_cache = _PathCache(PATH_CACHE_SIZE)
         #: LRU over (route cache key, raw start, raw end) ->
         #: (ImputedPath, path_length_m): the rendered-path memo.
-        self.render_cache = _PathCache(path_cache_size) if path_cache_size else None
-        self.batch_window_ms = float(batch_window_ms)
-        self.batch_max_lanes = int(batch_max_lanes)
-        self.dispatcher = None
-        if self.batch_window_ms > 0:
-            self.dispatcher = BatchDispatcher(
-                window_s=self.batch_window_ms / 1e3, max_lanes=self.batch_max_lanes
-            )
+        self.render_cache = _PathCache(PATH_CACHE_SIZE)
+        self.dispatcher = BatchDispatcher(
+            window_s=BATCH_WINDOW_MS / 1e3, max_lanes=BATCH_MAX_LANES
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -183,8 +178,7 @@ class BatchImputationEngine:
         In-flight requests complete (the dispatcher's final window is
         flushed by its own waiters; later submissions run immediately,
         unbatched)."""
-        if self.dispatcher is not None:
-            self.dispatcher.close()
+        self.dispatcher.close()
 
     def __enter__(self):
         return self
@@ -205,7 +199,7 @@ class BatchImputationEngine:
         config = config or HabitConfig()
         # Bracket the whole run so the dispatcher knows this thread may
         # still contribute lanes to the current micro-batching window.
-        token = self.dispatcher.enter() if self.dispatcher is not None else None
+        token = self.dispatcher.enter()
         try:
             models = {}
             for request in requests:
@@ -216,8 +210,7 @@ class BatchImputationEngine:
                     )
             return self._run_batched(models, requests, token)
         finally:
-            if token is not None:
-                self.dispatcher.leave(token)
+            self.dispatcher.leave(token)
 
     def path_cache_stats(self):
         """JSON-ready path-cache block for ``/healthz``.
@@ -231,133 +224,88 @@ class BatchImputationEngine:
             hits = _PATH_CACHE_TOTAL.value(("hit",))
             misses = _PATH_CACHE_TOTAL.value(("miss",))
         else:
-            hits = cache.hits if cache is not None else 0
-            misses = cache.misses if cache is not None else 0
+            hits, misses = cache.hits, cache.misses
         return {
             "hits": hits,
             "misses": misses,
-            "entries": len(cache) if cache is not None else 0,
-            "capacity": cache.capacity if cache is not None else 0,
+            "entries": len(cache),
+            "capacity": cache.capacity,
         }
 
     def _run_batched(self, models, requests, token):
-        """Execute one batch: snap + cache-probe per request, one kernel
-        sweep per resolved class graph for the misses, render per request.
+        """Execute one batch: snap + cache-probe per request, one
+        dispatcher submission for the misses, render per request.
 
-        Coalescing happens between the probe and the sweep: requests
-        sharing a full cache key ride one search lane; the first records
-        tier ``"miss"``, the rest ``"coalesced"``.  With a dispatcher the
-        miss lanes go through it (*token* is the run's window hold from
-        :meth:`BatchDispatcher.enter`), where
-        they can further fuse with other concurrent requests' lanes; a
-        lane answered by another request's identical search records
-        ``"cross_batch"``.  With the path cache disabled nothing is
-        deduplicated (every request provably pays its own search lane,
-        tier ``"bypass"``), and models without the snap/route/render
-        stages fall back to their scalar ``impute``.  Per-request
-        latency charges each rider its snap/probe/render time plus an
-        equal share of its group's kernel call.  All renders go through
-        the rendered-path memo (exact raw endpoints in the key).
+        Coalescing happens between the probe and the submission:
+        requests sharing a full cache key ride one search lane; the
+        first records tier ``"miss"``, the rest ``"coalesced"``.  The
+        miss lanes go through the dispatcher (*token* is the run's
+        window hold from :meth:`BatchDispatcher.enter`), where they can
+        further fuse with other concurrent requests' lanes; a lane
+        answered by another request's identical search records
+        ``"cross_batch"``.  Per-request latency charges each rider its
+        snap/probe/render time plus an equal share of its group's
+        kernel call.  All renders go through the rendered-path memo
+        (exact raw endpoints in the key).
         """
         paths = [None] * len(requests)
         lengths = [None] * len(requests)
         tiers = [None] * len(requests)
         elapsed = [0.0] * len(requests)
-        #: cache key -> [plain imputer, (src, dst), first result, rider idxs]
-        lanes = {}
-        groups = {}  # id(plain imputer) -> (plain, [lane keys])
+        lanes = {}  # cache key -> (plain imputer, (src, dst), rider idxs)
         for i, request in enumerate(requests):
             started = time.perf_counter()
             imputer, model_id, _ = models[(request.dataset.upper(), request.typed)]
-            class_tag = ""
-            plain = imputer
             if request.typed:
-                resolver = getattr(imputer, "resolve", None)
-                if resolver is None:
-                    plain = None
-                else:
-                    plain, class_tag = resolver(request.vessel_type)
-            if plain is None or not hasattr(plain, "route_batch"):
-                if request.typed:
-                    paths[i] = imputer.impute(
-                        request.start, request.end, request.vessel_type
-                    )
-                else:
-                    paths[i] = imputer.impute(request.start, request.end)
+                plain, class_tag = imputer.resolve(request.vessel_type)
+            else:
+                plain, class_tag = imputer, ""
+            snapped = plain.snap_endpoints(request.start, request.end)
+            if snapped is None:
+                # Out-of-coverage: straight line, nothing to cache.
+                paths[i] = plain.render_path(request.start, request.end, None)
                 tiers[i] = "bypass"
             else:
-                snapped = plain.snap_endpoints(request.start, request.end)
-                if snapped is None:
-                    # Out-of-coverage: straight line, nothing to cache.
-                    paths[i] = plain.render_path(request.start, request.end, None)
-                    tiers[i] = "bypass"
+                key = (model_id, class_tag, plain.revision, *snapped)
+                if key in lanes:
+                    lanes[key][2].append(i)
+                    tiers[i] = "coalesced"
                 else:
-                    key = (model_id, class_tag, plain.revision, *snapped)
-                    if self.path_cache is None:
-                        # Cache off: per-request lanes, no dedupe.
-                        lanes[(key, i)] = [plain, snapped, None, [i]]
-                        tiers[i] = "bypass"
-                        groups.setdefault(id(plain), (plain, []))[1].append((key, i))
-                    elif key in lanes:
-                        lanes[key][3].append(i)
-                        tiers[i] = "coalesced"
+                    result = self.path_cache.get(key)
+                    if result is _MISSING:
+                        lanes[key] = (plain, snapped, [i])
+                        tiers[i] = "miss"
                     else:
-                        result = self.path_cache.get(key)
-                        if result is _MISSING:
-                            lanes[key] = [plain, snapped, None, [i]]
-                            tiers[i] = "miss"
-                            groups.setdefault(id(plain), (plain, []))[1].append(key)
-                        else:
-                            paths[i], lengths[i] = self._render(
-                                plain, key, request, result
-                            )
-                            tiers[i] = "hit"
+                        paths[i], lengths[i] = self._render(
+                            plain, key, request, result
+                        )
+                        tiers[i] = "hit"
             elapsed[i] = time.perf_counter() - started
-        if lanes and token is not None:
-            # Hand the miss lanes to the shared dispatcher,
-            # which fuses them with other concurrent requests' windows
-            # and runs one kernel call per resolved class graph.
-            shared = self.path_cache is not None
+        if lanes:
+            # The shared dispatcher fuses these lanes with other
+            # concurrent requests' windows and runs one kernel call per
+            # resolved class graph.
             answers = self.dispatcher.submit(
                 token,
                 [
-                    (key, lane[0], lane[1], shared, len(lane[3]))
-                    for key, lane in lanes.items()
+                    (key, plain, snapped, len(riders))
+                    for key, (plain, snapped, riders) in lanes.items()
                 ],
             )
-            for key, lane in lanes.items():
+            for key, (plain, _, riders) in lanes.items():
                 result, cross, share = answers[key]
-                lane[2] = result
-                if shared:
-                    self.path_cache.put(key, result)
+                self.path_cache.put(key, result)
                 if cross:
                     # Another in-flight request's identical lane ran the
                     # search; this batch's first rider was provisionally
                     # a "miss" (in-batch riders stay "coalesced").
-                    tiers[lane[3][0]] = "cross_batch"
-                for i in lane[3]:
-                    elapsed[i] += share
-        else:
-            for plain, keys in groups.values():
-                started = time.perf_counter()
-                results = plain.route_batch([lanes[key][1] for key in keys])
-                share = (time.perf_counter() - started) / max(
-                    1, sum(len(lanes[key][3]) for key in keys)
-                )
-                for key, result in zip(keys, results):
-                    lane = lanes[key]
-                    lane[2] = result
-                    if self.path_cache is not None:
-                        self.path_cache.put(key, result)
-                    for i in lane[3]:
-                        elapsed[i] += share
-        for key, lane in lanes.items():
-            plain, _, result, riders = lane
-            for i in riders:
-                started = time.perf_counter()
-                request = requests[i]
-                paths[i], lengths[i] = self._render(plain, key, request, result)
-                elapsed[i] += time.perf_counter() - started
+                    tiers[riders[0]] = "cross_batch"
+                for i in riders:
+                    started = time.perf_counter()
+                    paths[i], lengths[i] = self._render(
+                        plain, key, requests[i], result
+                    )
+                    elapsed[i] += share + time.perf_counter() - started
         out = []
         for i, request in enumerate(requests):
             imputer, model_id, source = models[(request.dataset.upper(), request.typed)]
@@ -427,16 +375,14 @@ class BatchImputationEngine:
         Straight-line fallbacks skip the memo: they are cheaper than
         the probe.
         """
-        cache = self.render_cache
-        if cache is None or result is None:
+        if result is None:
             path = plain.render_path(request.start, request.end, result)
             return path, float(path_length_m(path.lats, path.lngs))
         memo_key = (key, request.start, request.end)
-        entry = cache.get(memo_key)
+        entry = self.render_cache.get(memo_key)
         if entry is not _MISSING:
             return entry
         path = plain.render_path(request.start, request.end, result)
         entry = (path, float(path_length_m(path.lats, path.lngs)))
-        cache.put(memo_key, entry)
+        self.render_cache.put(memo_key, entry)
         return entry
-

@@ -84,14 +84,9 @@ def make_server(
     metrics=True,
     log_json=False,
     log_file=None,
-    batch_window_ms=2.0,
-    batch_max_lanes=64,
 ):
     """A ready-to-run HTTP server over *registry*.
 
-    *batch_window_ms* / *batch_max_lanes* configure the batch engine's
-    cross-request micro-batching dispatcher (``0`` disables it -- see
-    :class:`repro.service.dispatch.BatchDispatcher`);
     *follow* optionally attaches a started
     :class:`repro.service.FollowDaemon`, surfaced under ``/healthz``.
     *metrics* controls the ``GET /metrics`` route and this transport's
@@ -108,11 +103,7 @@ def make_server(
         server = make_server(registry, port=8080)
         server.serve_forever()
     """
-    engine = BatchImputationEngine(
-        registry,
-        batch_window_ms=batch_window_ms,
-        batch_max_lanes=batch_max_lanes,
-    )
+    engine = BatchImputationEngine(registry)
 
     class Handler(_ServiceHandler):
         pass
@@ -245,6 +236,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # read(-1) would block until the client hangs up; without a
+            # usable length the body cannot be framed, so drop the
+            # connection after answering.
+            self.close_connection = True
+            self._send_json(400, {"error": "invalid Content-Length"})
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"")
         except (ValueError, TypeError):
             self._send_json(400, {"error": "body is not valid JSON"})

@@ -62,7 +62,7 @@ def test_lone_submission_executes_immediately():
     stub = StubImputer()
     token = dispatcher.enter()
     started = time.perf_counter()
-    results = dispatcher.submit(token, [("k1", stub, (1, 2), True, 1)])
+    results = dispatcher.submit(token, [("k1", stub, (1, 2), 1)])
     waited = time.perf_counter() - started
     dispatcher.leave(token)
     assert results == {"k1": (("route", 1, 2), False, pytest.approx(results["k1"][2]))}
@@ -80,12 +80,12 @@ def test_two_runs_fuse_into_one_kernel_call_with_cross_tier():
     token_a = dispatcher.enter()
     token_b = dispatcher.enter()
     thread_a, box_a = _submit_in_thread(
-        dispatcher, token_a, [("key", stub, (1, 2), True, 1)]
+        dispatcher, token_a, [("key", stub, (1, 2), 1)]
     )
     # A is parked: B still pre-submit, no deadline for 30s.
     time.sleep(0.05)
     assert "results" not in box_a
-    results_b = dispatcher.submit(token_b, [("key", stub, (1, 2), True, 2)])
+    results_b = dispatcher.submit(token_b, [("key", stub, (1, 2), 2)])
     thread_a.join(timeout=10)
     assert not thread_a.is_alive()
     dispatcher.leave(token_a)
@@ -98,26 +98,6 @@ def test_two_runs_fuse_into_one_kernel_call_with_cross_tier():
     assert share_a == share_b > 0.0
 
 
-def test_unshared_lanes_never_fuse():
-    """Cache-off lanes (shared=False) keep one search lane per request
-    even for identical pairs -- the engine's bypass contract."""
-    dispatcher = BatchDispatcher(window_s=30.0, max_lanes=64)
-    stub = StubImputer()
-    token_a = dispatcher.enter()
-    token_b = dispatcher.enter()
-    thread_a, box_a = _submit_in_thread(
-        dispatcher, token_a, [(("key", 0), stub, (1, 2), False, 1)]
-    )
-    time.sleep(0.05)
-    results_b = dispatcher.submit(token_b, [(("key", 0), stub, (1, 2), False, 1)])
-    thread_a.join(timeout=10)
-    dispatcher.leave(token_a)
-    dispatcher.leave(token_b)
-    assert len(stub.calls) == 1 and len(stub.calls[0]) == 2  # fused, not deduped
-    assert box_a["results"][("key", 0)][1] is False
-    assert results_b[("key", 0)][1] is False
-
-
 def test_window_timeout_flushes_without_stragglers():
     """A run stuck pre-submit (e.g. a slow fit) must not hold the window
     past its deadline: the parked submitter flushes alone."""
@@ -126,7 +106,7 @@ def test_window_timeout_flushes_without_stragglers():
     token_a = dispatcher.enter()
     straggler = dispatcher.enter()  # never submits until after the flush
     started = time.perf_counter()
-    results = dispatcher.submit(token_a, [("k", stub, (3, 4), True, 1)])
+    results = dispatcher.submit(token_a, [("k", stub, (3, 4), 1)])
     waited = time.perf_counter() - started
     assert results["k"][0] == ("route", 3, 4)
     assert 0.05 <= waited < 5.0
@@ -141,7 +121,7 @@ def test_max_lanes_flushes_early():
     stub = StubImputer()
     token = dispatcher.enter()
     straggler = dispatcher.enter()
-    entries = [(f"k{i}", stub, (i, i + 1), True, 1) for i in range(4)]
+    entries = [(f"k{i}", stub, (i, i + 1), 1) for i in range(4)]
     started = time.perf_counter()
     results = dispatcher.submit(token, entries)
     assert time.perf_counter() - started < 5.0
@@ -158,7 +138,7 @@ def test_leave_without_submitting_releases_the_window():
     token_a = dispatcher.enter()
     hits_only = dispatcher.enter()
     thread_a, box_a = _submit_in_thread(
-        dispatcher, token_a, [("k", stub, (1, 2), True, 1)]
+        dispatcher, token_a, [("k", stub, (1, 2), 1)]
     )
     time.sleep(0.05)
     assert "results" not in box_a
@@ -177,7 +157,7 @@ def test_close_flushes_parked_submissions_and_serves_later_ones():
     stub = StubImputer()
     token = dispatcher.enter()
     holder = dispatcher.enter()  # keeps the window open across close()
-    thread, box = _submit_in_thread(dispatcher, token, [("k", stub, (1, 2), True, 1)])
+    thread, box = _submit_in_thread(dispatcher, token, [("k", stub, (1, 2), 1)])
     time.sleep(0.05)
     assert "results" not in box
     dispatcher.close()
@@ -187,7 +167,7 @@ def test_close_flushes_parked_submissions_and_serves_later_ones():
     dispatcher.leave(token)
     dispatcher.leave(holder)
     late = dispatcher.enter()
-    assert dispatcher.submit(late, [("k2", stub, (5, 6), True, 1)])["k2"][0] == (
+    assert dispatcher.submit(late, [("k2", stub, (5, 6), 1)])["k2"][0] == (
         "route",
         5,
         6,
@@ -204,17 +184,17 @@ def test_search_error_poisons_the_whole_flush():
     token_a = dispatcher.enter()
     token_b = dispatcher.enter()
     thread_a, box_a = _submit_in_thread(
-        dispatcher, token_a, [("ka", bad, (1, 2), True, 1)]
+        dispatcher, token_a, [("ka", bad, (1, 2), 1)]
     )
     time.sleep(0.05)
     with pytest.raises(RuntimeError, match="search exploded"):
-        dispatcher.submit(token_b, [("kb", bad, (3, 4), True, 1)])
+        dispatcher.submit(token_b, [("kb", bad, (3, 4), 1)])
     thread_a.join(timeout=10)
     assert isinstance(box_a["error"], RuntimeError)
     dispatcher.leave(token_a)
     dispatcher.leave(token_b)
     healthy = dispatcher.enter()
-    assert dispatcher.submit(healthy, [("k", good, (7, 8), True, 1)])["k"][0] == (
+    assert dispatcher.submit(healthy, [("k", good, (7, 8), 1)])["k"][0] == (
         "route",
         7,
         8,
@@ -239,10 +219,10 @@ def test_hammer_every_submission_answered_exactly_once():
                 token = dispatcher.enter()
                 # Half the threads share a key each round; half are solo.
                 if tid % 2 == 0:
-                    entries = [(("hub", round_no), stub, (round_no, 99), True, 1)]
+                    entries = [(("hub", round_no), stub, (round_no, 99), 1)]
                 else:
                     entries = [
-                        ((tid, round_no), stub, (tid * 1000 + round_no, tid), True, 1)
+                        ((tid, round_no), stub, (tid * 1000 + round_no, tid), 1)
                     ]
                 results = dispatcher.submit(token, entries)
                 dispatcher.leave(token)
@@ -273,7 +253,8 @@ def test_hammer_every_submission_answered_exactly_once():
 def dispatch_engine(tmp_path_factory, service_model):
     registry = ModelRegistry(tmp_path_factory.mktemp("dispatch_registry"))
     registry.publish("KIEL", service_model)
-    engine = BatchImputationEngine(registry, batch_window_ms=50.0, batch_max_lanes=64)
+    engine = BatchImputationEngine(registry)
+    engine.dispatcher.window_s = 0.05
     yield engine, service_model.config
     engine.close()
 
@@ -359,9 +340,8 @@ def test_engine_close_with_requests_in_flight(tmp_path, service_model):
     completes, and post-close requests are served unbatched."""
     registry = ModelRegistry(tmp_path / "close_registry")
     registry.publish("KIEL", service_model)
-    engine = BatchImputationEngine(
-        registry, batch_window_ms=30_000.0, batch_max_lanes=64
-    )
+    engine = BatchImputationEngine(registry)
+    engine.dispatcher.window_s = 30.0
     (request,) = _gap_requests(service_model, 1, offset=90)
     # Hold the window open so the request below parks instead of flushing.
     holder = engine.dispatcher.enter()
@@ -381,13 +361,3 @@ def test_engine_close_with_requests_in_flight(tmp_path, service_model):
     engine.dispatcher.leave(holder)
     (late,) = engine.run([request], service_model.config)
     assert late.provenance.path_cache == "hit"
-
-
-def test_engine_window_zero_disables_dispatcher(tmp_path, service_model):
-    registry = ModelRegistry(tmp_path / "nodispatch_registry")
-    registry.publish("KIEL", service_model)
-    engine = BatchImputationEngine(registry, batch_window_ms=0)
-    assert engine.dispatcher is None
-    (request,) = _gap_requests(service_model, 1, offset=10)
-    (result,) = engine.run([request], service_model.config)
-    assert result.provenance.path_cache in {"miss", "bypass"}

@@ -86,29 +86,6 @@ def test_route_batch_matches_scalar_route(fitted, tiny_kiel):
             assert result.cells == scalar.cells
 
 
-def test_typed_route_batch_splits_per_class(tiny_kiel):
-    typed = TypedHabitImputer(
-        HabitConfig(resolution=9, tolerance_m=100.0), min_group_rows=100
-    ).fit_from_trips(tiny_kiel.train)
-    gaps = tiny_kiel.gaps(3600.0)
-    classes = [*typed.fitted_groups, None, "submarine"]  # known, fallback x2
-    items = []
-    for i, gap in enumerate(gaps * 2):
-        vessel_type = classes[i % len(classes)]
-        imputer, _ = typed.resolve(vessel_type)
-        snapped = imputer.snap_endpoints(gap.start, gap.end)
-        if snapped is not None:
-            items.append((snapped[0], snapped[1], vessel_type))
-    assert items
-    batch = typed.route_batch(items)
-    for (src, dst, vessel_type), result in zip(items, batch):
-        imputer, _ = typed.resolve(vessel_type)
-        scalar = imputer.route(src, dst)
-        assert (result is None) == (scalar is None)
-        if result is not None:
-            assert result.cost == scalar.cost and result.cells == scalar.cells
-
-
 def test_dijkstra_equals_astar_cost(fitted, gap):
     with_h = fitted.impute(gap.start, gap.end, use_heuristic=True)
     without = fitted.impute(gap.start, gap.end, use_heuristic=False)

@@ -15,7 +15,6 @@ from repro.obs import (
     METRICS,
     MetricsRegistry,
     diff_snapshots,
-    merge_snapshots,
 )
 from repro.service import ModelRegistry, make_server
 
@@ -196,7 +195,7 @@ def test_render_json_shape():
 
 def _random_registry(rng, rounds=200):
     """A registry fuzzed with integer-valued observations (so histogram
-    sums are exactly representable and merges must be bit-exact)."""
+    sums are exactly representable and diff/absorb must be bit-exact)."""
     reg = MetricsRegistry()
     counter = reg.counter("c_total", "c", ("tier",))
     hist = reg.histogram("h_seconds", "h", ("method",), buckets=(1.0, 8.0, 64.0))
@@ -212,49 +211,6 @@ def _random_registry(rng, rounds=200):
         else:
             gauge.set(int(rng.integers(0, 100)))
     return reg
-
-
-def test_merge_is_bit_exact_and_order_independent(rng):
-    a = _random_registry(rng).snapshot()
-    b = _random_registry(rng).snapshot()
-    c = _random_registry(rng).snapshot()
-    ab, ba = merge_snapshots(a, b), merge_snapshots(b, a)
-    assert ab == ba  # commutative, bit for bit
-    # Associative too (integer counts and exactly-representable sums).
-    assert merge_snapshots(ab, c) == merge_snapshots(a, merge_snapshots(b, c))
-    # Counters and bucket counts are the exact integer sums of the parts.
-    for tier in ("hit", "miss", "bypass"):
-        key = (tier,)
-        expected = _series(a, "c_total").get(key, 0) + _series(b, "c_total").get(key, 0)
-        assert _series(ab, "c_total").get(key, 0) == expected
-    for method in ("ch", "astar"):
-        key = (method,)
-        sa = _series(a, "h_seconds").get(key)
-        sb = _series(b, "h_seconds").get(key)
-        merged = _series(ab, "h_seconds").get(key)
-        if sa is None or sb is None:
-            assert merged == (sa or sb)
-            continue
-        assert merged["buckets"] == [
-            x + y for x, y in zip(sa["buckets"], sb["buckets"])
-        ]
-        assert merged["count"] == sa["count"] + sb["count"]
-        assert merged["sum"] == sa["sum"] + sb["sum"]
-
-
-def test_merge_rejects_mismatched_metrics():
-    a = MetricsRegistry()
-    a.counter("m", "m").inc()
-    b = MetricsRegistry()
-    b.gauge("m", "m").set(1)
-    with pytest.raises(ValueError, match="cannot merge"):
-        merge_snapshots(a.snapshot(), b.snapshot())
-    c = MetricsRegistry()
-    c.histogram("h", "h", buckets=(1.0,)).observe(0.5)
-    d = MetricsRegistry()
-    d.histogram("h", "h", buckets=(2.0,)).observe(0.5)
-    with pytest.raises(ValueError, match="bucket edges"):
-        merge_snapshots(c.snapshot(), d.snapshot())
 
 
 def test_diff_then_absorb_reproduces_worker_growth(rng):

@@ -4,7 +4,11 @@
 First a static check: the backticked ``--flag``s in the
 ``docs/OPERATIONS.md`` "CLI flag reference" table must equal the
 options of the ``python -m repro.service`` argument parser, so a flag
-cannot be deleted while still documented (or added undocumented).
+cannot be deleted while still documented (or added undocumented), and
+every other backticked ``--flag`` in that file (inline code or fenced
+block) must be a parser option too, unless it is on the short
+allow-list of non-CLI flags (:data:`NON_CLI_FLAGS`) -- so prose cannot
+keep recommending a flag that is gone.
 Then two stages, both against temp directories (nothing lands in the
 repo):
 
@@ -44,11 +48,32 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 
+#: Backticked flags OPERATIONS.md may name that belong to other tools.
+NON_CLI_FLAGS = frozenset({"--benchmark-disable"})
+
+_FLAG = r"(?<![\w-])(--[a-z][a-z0-9-]*)"
+
+
 def check_flag_table():
-    """The OPERATIONS.md flag table documents exactly the CLI's options."""
+    """The OPERATIONS.md flag table documents exactly the CLI's options,
+    and no backticked flag elsewhere in the file names a missing one."""
     from repro.service.__main__ import _build_parser
 
     ops = (REPO / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    accepted = {
+        option
+        for action in _build_parser()._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    fences = re.findall(r"```.*?```", ops, flags=re.DOTALL)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", ops, flags=re.DOTALL))
+    mentioned = {flag for text in fences + spans for flag in re.findall(_FLAG, text)}
+    unknown = sorted(mentioned - accepted - NON_CLI_FLAGS)
+    if unknown:
+        raise SystemExit(
+            f"docs/OPERATIONS.md names flags the CLI parser does not accept: {unknown}"
+        )
     if "## CLI flag reference" not in ops:
         raise SystemExit("docs/OPERATIONS.md: no '## CLI flag reference' section")
     section = ops.split("## CLI flag reference", 1)[1].split("\n## ", 1)[0]
@@ -57,12 +82,7 @@ def check_flag_table():
         if line.startswith("| `--"):
             first_cell = line.split("|")[1]
             documented.update(re.findall(r"`(--[a-z][a-z0-9-]*)", first_cell))
-    parser_flags = {
-        option
-        for action in _build_parser()._actions
-        for option in action.option_strings
-        if option.startswith("--") and option != "--help"
-    }
+    parser_flags = accepted - {"--help"}
     stale = sorted(documented - parser_flags)
     undocumented = sorted(parser_flags - documented)
     if stale or undocumented:
