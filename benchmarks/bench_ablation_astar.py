@@ -48,5 +48,3 @@ def test_same_cost_both_ways(endpoints):
     without = graph.find_path(src, dst, "dijkstra")
     assert with_h.cost == pytest.approx(without.cost)
     assert with_h.expanded <= without.expanded
-    # The legacy astar() wrapper returns the same cells.
-    assert graph.astar(src, dst, True) == list(with_h.cells)

@@ -8,9 +8,10 @@ This is the paper's method end to end:
    spatial discontinuities (:mod:`repro.core.segmentation`).
 3. :func:`compute_statistics` aggregates positions into hex-cell and
    cell-transition statistics with :mod:`repro.minidb`
-   (:mod:`repro.core.statistics`); the same stage runs shard-by-shard via
-   :func:`partial_statistics` + :func:`merge_statistics` (parallel and
-   streaming fits: :mod:`repro.core.parallel`, :class:`StreamingSegmenter`).
+   (:mod:`repro.core.statistics`); the same stage runs part-by-part via
+   :func:`partial_statistics` + :func:`merge_statistics` (incremental and
+   streaming fits: :meth:`HabitImputer.fit_partial`,
+   :class:`StreamingSegmenter`).
 4. :class:`HabitImputer` builds a weighted cell graph from those statistics
    and answers gap queries with A* plus RDP smoothing
    (:mod:`repro.core.habit`, :mod:`repro.core.graph`).
@@ -29,7 +30,6 @@ from repro.core.graph import (
     SearchResult,
 )
 from repro.core.habit import HabitConfig, HabitImputer, ModelFormatError, config_hash
-from repro.core.parallel import compute_statistics_sharded, parallel_fit, shard_trips
 from repro.core.path import ImputedPath, straight_line_path
 from repro.core.segmentation import (
     StreamingSegmenter,
@@ -60,13 +60,10 @@ __all__ = [
     "clean_messages",
     "compress_trajectory",
     "compute_statistics",
-    "compute_statistics_sharded",
     "config_hash",
     "merge_statistics",
-    "parallel_fit",
     "partial_statistics",
     "segment_trips",
     "segment_trips_stream",
-    "shard_trips",
     "straight_line_path",
 ]

@@ -425,17 +425,6 @@ class CellGraph:
 
     # -- search ------------------------------------------------------------
 
-    def astar(self, src, dst, use_heuristic=True):
-        """Cheapest path of cell ids from *src* to *dst*, or ``None``.
-
-        With *use_heuristic* the hex grid distance to *dst* guides the
-        search; without it this is Dijkstra.  Both return equal-cost paths
-        because the heuristic is admissible and consistent.  (Compat
-        wrapper over :meth:`find_path`.)
-        """
-        result = self.find_path(src, dst, "astar" if use_heuristic else "dijkstra")
-        return None if result is None else list(result.cells)
-
     def find_path(self, src, dst, method="astar"):
         """Search for a cheapest *src* -> *dst* path (cell ids).
 

@@ -45,6 +45,7 @@ from repro.core.statistics import StatisticsState, partial_statistics
 from repro.geo.proj import latlng_to_xy_m
 from repro.geo.simplify import rdp_keep_indices
 from repro.hexgrid import grid_distance, latlng_to_cell
+from repro.hexgrid.cells import _MAX_RES
 from repro.obs import METRICS
 
 _FIT_SECONDS = METRICS.histogram(
@@ -284,7 +285,8 @@ class HabitConfig:
       ``"dijkstra"`` (the cost oracle).  All return equal-cost paths;
       they differ only in nodes expanded per query.
 
-    An unknown ``projection``, ``edge_weight`` or ``search`` raises
+    An unknown ``projection``, ``edge_weight`` or ``search``, or a
+    ``resolution`` outside the hex grid's ``[0, 15]``, raises
     ``ValueError`` at construction, before any fit can start.
     """
 
@@ -299,6 +301,10 @@ class HabitConfig:
     search: str = "ch"
 
     def __post_init__(self):
+        if not 0 <= self.resolution <= _MAX_RES:
+            raise ValueError(
+                f"resolution must be in [0, {_MAX_RES}], got {self.resolution!r}"
+            )
         for name, choices in (
             ("projection", PROJECTIONS),
             ("edge_weight", EDGE_WEIGHTS),
@@ -531,19 +537,16 @@ class HabitImputer:
             expanded=result.expanded,
         )
 
-    def impute(self, start, end, use_heuristic=True, method=None):
+    def impute(self, start, end, *, method=None):
         """Reconstruct the path between two ``(lat, lng)`` gap endpoints.
 
-        *method* overrides the configured search variant for this query;
-        ``use_heuristic=False`` is the legacy spelling for ``"dijkstra"``
-        (the A* ablation's control arm).
+        *method* overrides the configured search variant for this query
+        (``"dijkstra"`` is the A* ablation's control arm).
         """
         self._require_fitted()
         snapped = self.snap_endpoints(start, end)
         if snapped is None:
             return straight_line_path(start, end, method="fallback")
-        if method is None:
-            method = self.config.search if use_heuristic else "dijkstra"
         return self.render_path(start, end, self.route(snapped[0], snapped[1], method))
 
     # -- persistence ------------------------------------------------------

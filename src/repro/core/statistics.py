@@ -22,8 +22,9 @@ documented in :mod:`repro.minidb.tdigest`.
 
 Shard/chunk contract: a shard must contain **whole trips** -- transitions
 are extracted within each chunk, so splitting one trip across two states
-would drop the boundary transition.  :func:`repro.core.parallel.shard_trips`
-and :class:`repro.core.segmentation.StreamingSegmenter` both honour this.
+would drop the boundary transition.  Partitioning trips by ``trip_id``
+(as the tests do) and :class:`repro.core.segmentation.StreamingSegmenter`
+both honour this.
 """
 
 from dataclasses import dataclass
@@ -202,21 +203,3 @@ def compute_statistics(trips, config):
     """
     return partial_statistics(trips, config).finalize()
 
-
-def cell_medians(cell_stats):
-    """Convenience accessor: (cells, median_lats, median_lons) arrays."""
-    return (
-        cell_stats.column(CELL),
-        cell_stats.column("median_lat"),
-        cell_stats.column("median_lon"),
-    )
-
-
-def transition_arrays(transition_stats):
-    """Convenience accessor: (src, dst, transitions, vessels) arrays."""
-    return (
-        transition_stats.column(CELL),
-        transition_stats.column(NEXT_CELL),
-        transition_stats.column("transitions"),
-        transition_stats.column("vessels"),
-    )

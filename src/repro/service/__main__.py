@@ -292,7 +292,6 @@ def main(argv=None):
             host=args.host,
             port=args.port,
             follow=follow,
-            metrics=args.metrics,
             log_json=args.log_json,
             log_file=args.log_file,
         )

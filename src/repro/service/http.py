@@ -16,8 +16,8 @@ Four routes:
   registry in Prometheus text exposition format (0.0.4); append
   ``?format=json`` for the same data as JSON.  Covers every layer:
   search variants, fit stages, registry tiers, path-cache tiers, follow
-  cycles, HTTP routes.  404 when the server
-  was built with ``metrics=False``.
+  cycles, HTTP routes.  404 while the registry is disabled
+  (``METRICS.set_enabled(False)``, the CLI's ``--no-metrics``).
 - ``POST /impute`` -- a batch of gap requests (see
   :mod:`repro.service.schema`); the response carries per-request
   provenance and a GeoJSON FeatureCollection of the imputed paths.
@@ -81,7 +81,6 @@ def make_server(
     host="127.0.0.1",
     port=8080,
     follow=None,
-    metrics=True,
     log_json=False,
     log_file=None,
 ):
@@ -89,10 +88,9 @@ def make_server(
 
     *follow* optionally attaches a started
     :class:`repro.service.FollowDaemon`, surfaced under ``/healthz``.
-    *metrics* controls the ``GET /metrics`` route and this transport's
-    own request counters (it does not flip the process-wide
-    :data:`repro.obs.METRICS` switch -- the CLI's ``--no-metrics``
-    does that).  *log_json* enables the structured access log, to
+    The ``GET /metrics`` route and this transport's request counters
+    follow the process-wide :data:`repro.obs.METRICS` switch (the CLI's
+    ``--no-metrics``).  *log_json* enables the structured access log, to
     *log_file* (append) or stderr; the opened handle is exposed as
     ``server.access_log_file`` (``None`` for stderr) and is the
     caller's to close.  Pass ``port=0`` to bind an ephemeral port
@@ -112,7 +110,6 @@ def make_server(
     Handler.registry = registry
     Handler.follow = follow
     Handler.started_monotonic = time.monotonic()
-    Handler.metrics_enabled = bool(metrics)
     access_log_file = None
     if log_json:
         if log_file:
@@ -132,7 +129,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     registry = None
     follow = None
     started_monotonic = 0.0
-    metrics_enabled = True
     access_log = None  # file-like; None disables the JSON access log
     access_log_lock = None
     server_version = "repro-service/1"
@@ -169,9 +165,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def _finish_request(self, status):
         route = self._route_label()
         elapsed = time.perf_counter() - self._request_started
-        if self.metrics_enabled:
-            _HTTP_REQUESTS_TOTAL.inc(1, (route, str(int(status))))
-            _HTTP_REQUEST_SECONDS.observe(elapsed, (route,))
+        _HTTP_REQUESTS_TOTAL.inc(1, (route, str(int(status))))
+        _HTTP_REQUEST_SECONDS.observe(elapsed, (route,))
         if self.access_log is not None:
             record = {
                 "ts": round(time.time(), 3),
@@ -215,7 +210,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         elif path == "/models":
             self._send_json(200, {"models": self.registry.list_models()})
         elif path == "/metrics":
-            if not self.metrics_enabled:
+            if not METRICS.enabled:
                 self._send_json(404, {"error": "metrics are disabled (--no-metrics)"})
             elif "format=json" in query.split("&"):
                 self._send_json(200, METRICS.render_json())

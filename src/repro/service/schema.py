@@ -140,17 +140,49 @@ class ImputeResult:
         return linestring_feature(self.lats, self.lngs, properties)
 
 
-#: HabitConfig field name -> default value, used to coerce JSON overrides.
+#: HabitConfig field name -> default value, used to type-check JSON overrides.
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(HabitConfig)}
+
+
+def _is_finite_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _config_value(name, value):
+    """*value* checked against the JSON type of field *name*'s default.
+
+    Nothing is coerced from another type: bool fields take only a JSON
+    bool, int fields only a non-bool integer, float fields only a finite
+    non-bool number (an integer is widened to float), and str fields only
+    a string.
+    """
+    default = _CONFIG_DEFAULTS[name]
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_finite_number(value), "a finite number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise SchemaError(f"config field {name!r} must be {kind}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
 
 
 def build_config(overrides):
     """A :class:`HabitConfig` from a JSON override dict.
 
-    Values are coerced to the type of the field's default; unknown field
-    names and values :class:`HabitConfig` rejects (an unknown
-    ``search``, ``projection`` or ``edge_weight``) raise
-    :class:`SchemaError`, so a bad config never reaches fit-on-miss.
+    Each value must already have its field's JSON type (see
+    :func:`_config_value`); unknown field names, mistyped values and
+    values :class:`HabitConfig` rejects (an unknown ``search``,
+    ``projection`` or ``edge_weight``, a ``resolution`` off the hex grid)
+    raise :class:`SchemaError`, so a bad config never reaches fit-on-miss.
     """
     if overrides is None:
         return HabitConfig()
@@ -162,21 +194,7 @@ def build_config(overrides):
             f"unknown config fields: {', '.join(unknown)}; "
             f"valid fields are {', '.join(sorted(_CONFIG_DEFAULTS))}"
         )
-    kwargs = {}
-    for name, value in overrides.items():
-        default = _CONFIG_DEFAULTS[name]
-        try:
-            if isinstance(default, bool):
-                coerced = bool(value)
-            elif isinstance(default, int):
-                coerced = int(value)
-            elif isinstance(default, float):
-                coerced = float(value)
-            else:
-                coerced = str(value)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"config field {name!r}: cannot coerce {value!r}") from exc
-        kwargs[name] = coerced
+    kwargs = {name: _config_value(name, value) for name, value in overrides.items()}
     try:
         return HabitConfig(**kwargs)
     except ValueError as exc:

@@ -87,8 +87,8 @@ def test_route_batch_matches_scalar_route(fitted, tiny_kiel):
 
 
 def test_dijkstra_equals_astar_cost(fitted, gap):
-    with_h = fitted.impute(gap.start, gap.end, use_heuristic=True)
-    without = fitted.impute(gap.start, gap.end, use_heuristic=False)
+    with_h = fitted.impute(gap.start, gap.end, method="astar")
+    without = fitted.impute(gap.start, gap.end, method="dijkstra")
     dtw = dtw_distance_m(with_h.lats, with_h.lngs, without.lats, without.lngs)
     assert dtw == pytest.approx(0.0, abs=1e-6)
 

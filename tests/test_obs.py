@@ -349,22 +349,27 @@ def test_healthz_path_cache_block(server, tiny_kiel):
 
 
 def test_make_server_metrics_disabled_404s_route(registry):
-    server = make_server(registry, port=0, metrics=False)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    base = f"http://{host}:{port}"
+    was_enabled = METRICS.enabled
+    METRICS.set_enabled(False)
     try:
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _get_json(base, "/metrics")
-        assert err.value.code == 404
-        # healthz keeps its path_cache block via the parent's counters.
-        _, health = _get_json(base, "/healthz")
-        assert "path_cache" in health
+        server = make_server(registry, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
+        try:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get_json(base, "/metrics")
+            assert err.value.code == 404
+            # healthz keeps its path_cache block via the parent's counters.
+            _, health = _get_json(base, "/healthz")
+            assert "path_cache" in health
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        METRICS.set_enabled(was_enabled)
 
 
 def test_json_access_log_lines(registry, tiny_kiel, tmp_path):

@@ -3,9 +3,9 @@
 Property-style checks over random tables and random row partitions:
 counts, distincts, HLL, min/max/first merge exactly; sums merge to float
 tolerance; medians stay within the documented t-digest rank-error bound.
-The same contract is then pinned at the statistics layer (sharded and
-incremental fits vs ``compute_statistics``) and at the model layer
-(``fit_partial``/``merge``/``finalize`` vs ``fit_from_trips``).
+The same contract is then pinned at the statistics layer (whole-trip
+partitions and incremental fits vs ``compute_statistics``) and at the
+model layer (``fit_partial``/``merge``/``finalize`` vs ``fit_from_trips``).
 """
 
 import numpy as np
@@ -15,11 +15,8 @@ from repro.core import (
     HabitConfig,
     HabitImputer,
     compute_statistics,
-    compute_statistics_sharded,
     merge_statistics,
-    parallel_fit,
     partial_statistics,
-    shard_trips,
 )
 from repro.minidb import Table, TDigest, agg, merge_states
 from repro.minidb.partial import GroupState
@@ -177,11 +174,19 @@ def kiel_config():
     return HabitConfig(resolution=9)
 
 
+def _whole_trip_parts(trips, k):
+    """Partition segmented trips into *k* tables by ``trip_id % k``."""
+    trip_ids = np.asarray(trips.column("trip_id"))
+    return [trips.filter(trip_ids % k == part) for part in range(k)]
+
+
 def test_sharded_statistics_exactness(tiny_kiel, kiel_config):
     cell_stats, transition_stats = compute_statistics(tiny_kiel.train, kiel_config)
-    for shards in (2, 5):
-        cell_sh, tr_sh = compute_statistics_sharded(
-            tiny_kiel.train, kiel_config, num_shards=shards
+    assert kiel_config.approx_distinct  # "vessels" holds HLL estimates
+    for k in (2, 5):
+        parts = _whole_trip_parts(tiny_kiel.train, k)
+        cell_sh, tr_sh = merge_statistics(
+            [partial_statistics(part, kiel_config) for part in parts]
         )
         assert np.array_equal(cell_stats["cell"], cell_sh["cell"])
         assert np.array_equal(cell_stats["count"], cell_sh["count"])
@@ -190,15 +195,10 @@ def test_sharded_statistics_exactness(tiny_kiel, kiel_config):
         assert np.array_equal(transition_stats["next_cell"], tr_sh["next_cell"])
         assert np.array_equal(transition_stats["transitions"], tr_sh["transitions"])
         assert np.array_equal(transition_stats["vessels"], tr_sh["vessels"])
-
-
-def test_shard_trips_keeps_trips_whole(tiny_kiel, kiel_config):
-    shards = shard_trips(tiny_kiel.train, 4, kiel_config.resolution)
-    assert sum(s.num_rows for s in shards) == tiny_kiel.train.num_rows
-    seen = [set(np.asarray(s.column("trip_id")).tolist()) for s in shards]
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            assert not (seen[i] & seen[j]), "a trip crossed shards"
+        # Medians are t-digest estimates: within a fraction of a cell edge.
+        for column in ("median_lat", "median_lon"):
+            delta_m = np.abs(cell_stats[column] - cell_sh[column]).max() * 111_320.0
+            assert delta_m < 50.0, f"k={k}: {column} drifted {delta_m:.1f} m"
 
 
 def test_merge_statistics_rejects_mixed_configs(tiny_kiel):
@@ -222,12 +222,15 @@ def test_statistics_reject_invalid_coordinates(tiny_kiel, kiel_config):
 # -- model layer ---------------------------------------------------------
 
 
-def test_parallel_fit_graph_is_bit_identical(tiny_kiel, kiel_config):
+def test_partitioned_fit_graph_is_bit_identical(tiny_kiel, kiel_config):
     one_shot = HabitImputer(kiel_config).fit_from_trips(tiny_kiel.train)
-    sharded = parallel_fit(tiny_kiel.train, kiel_config, num_shards=4)
+    partitioned = HabitImputer(kiel_config)
+    for part in _whole_trip_parts(tiny_kiel.train, 4):
+        partitioned.merge(HabitImputer(kiel_config).fit_partial(part))
+    partitioned.finalize()
     for key in GRAPH_KEYS:
         assert np.array_equal(
-            getattr(one_shot.graph, key), getattr(sharded.graph, key)
+            getattr(one_shot.graph, key), getattr(partitioned.graph, key)
         ), key
 
 

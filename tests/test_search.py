@@ -85,10 +85,9 @@ def test_trivial_and_missing_endpoints():
     cell = int(graph.cells[0])
     same = graph.find_path(cell, cell, "astar")
     assert same.cells == (cell,) and same.cost == 0.0 and same.expanded == 0
-    # A cell that is no node: searches return None, astar() wrapper too.
+    # A cell that is no node: searches return None.
     missing = int(graph.cells.max()) + 12345
     assert graph.find_path(cell, missing, "ch") is None
-    assert graph.astar(missing, cell) is None
 
 
 def test_heuristics_expand_no_more_than_dijkstra(tiny_kiel):
@@ -208,7 +207,5 @@ def test_impute_method_override_and_config_search(tiny_kiel):
     default = imputer.impute(gap.start, gap.end)
     assert default.method == "astar"
     assert default.expanded > 0
-    legacy = imputer.impute(gap.start, gap.end, use_heuristic=False)
-    assert legacy.method == "dijkstra"
     override = imputer.impute(gap.start, gap.end, method="ch")
     assert override.method == "ch"

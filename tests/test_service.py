@@ -598,10 +598,28 @@ def test_http_negative_content_length_is_400(server, length):
     assert json.loads(body) == {"error": "invalid Content-Length"}
 
 
-@pytest.mark.parametrize("field", ["search", "projection", "edge_weight"])
-def test_http_bad_config_value_is_400_before_fit_on_miss(tmp_path, tiny_kiel, field):
-    """An unknown config value is a client error: 400, and no fit runs
-    or publishes a stray model into the registry."""
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        pytest.param("search", "bogus", id="search"),
+        pytest.param("projection", "bogus", id="projection"),
+        pytest.param("edge_weight", "bogus", id="edge_weight"),
+        # Mistyped values are rejected, never coerced.
+        pytest.param("approx_distinct", "false", id="approx_distinct-str"),
+        pytest.param("resolution", 9.5, id="resolution-float"),
+        pytest.param("resolution", True, id="resolution-bool"),
+        pytest.param("snap_max_ring", "8", id="snap_max_ring-str"),
+        pytest.param("tolerance_m", "100", id="tolerance_m-str"),
+        pytest.param("resample_m", float("nan"), id="resample_m-nan"),
+        # Off the hex grid's resolution range.
+        pytest.param("resolution", 16, id="resolution-16"),
+    ],
+)
+def test_http_bad_config_value_is_400_before_fit_on_miss(
+    tmp_path, tiny_kiel, field, value
+):
+    """An unknown or mistyped config value is a client error: 400, and no
+    fit runs or publishes a stray model into the registry."""
     fits = []
 
     def fitter(dataset, config):
@@ -622,7 +640,7 @@ def test_http_bad_config_value_is_400_before_fit_on_miss(tmp_path, tiny_kiel, fi
                     "dataset": "KIEL",
                     "start": [54.4, 10.2],
                     "end": [54.5, 10.3],
-                    "config": {"resolution": 8, field: "bogus"},
+                    "config": {"resolution": 8, field: value},
                 },
             )
         assert err.value.code == 400
