@@ -35,6 +35,13 @@ evenly-parameterised interpolation.
 the same online pass (kept indices are identical by construction -- the
 property suite pins this), then replaces the online error *bounds* with
 the exactly recomputed SED of every dropped point against the output.
+
+:func:`compress_rendered_path` is the served-path compressor behind
+``/impute max_points``.  A rendered path is a few RDP turn points plus a
+uniform resample lying on the lines between them, so it first drops
+every on-chord point (RDP's own pre-pass, :func:`off_chord_mask`) and
+runs SQUISH-E only over the surviving turn points, and only when they
+still exceed the budget.
 """
 
 import heapq
@@ -42,7 +49,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BudgetCompressor", "BudgetResult", "compress_to_budget"]
+from repro.geo.simplify import off_chord_mask
+
+__all__ = [
+    "BudgetCompressor",
+    "BudgetResult",
+    "compress_rendered_path",
+    "compress_to_budget",
+]
+
+
+def _check_max_points(max_points):
+    if isinstance(max_points, bool) or not isinstance(max_points, int):
+        raise TypeError(f"max_points must be an int, got {max_points!r}")
+    if max_points < 2:
+        raise ValueError(f"max_points must be >= 2, got {max_points}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +74,8 @@ class BudgetResult:
     includes the first and last pushed point).  ``max_sed_m`` and
     ``mean_sed_m`` are sound upper bounds on the SED of dropped points
     when produced by the online compressor, and exact recomputed values
-    when produced by :func:`compress_to_budget`.
+    when produced by :func:`compress_to_budget` or
+    :func:`compress_rendered_path`.
     """
 
     indices: np.ndarray
@@ -85,10 +107,7 @@ class BudgetCompressor:
     """
 
     def __init__(self, max_points):
-        if isinstance(max_points, bool) or not isinstance(max_points, int):
-            raise TypeError(f"max_points must be an int, got {max_points!r}")
-        if max_points < 2:
-            raise ValueError(f"max_points must be >= 2, got {max_points}")
+        _check_max_points(max_points)
         self.max_points = max_points
         self._count = 0  # points pushed so far; also the next ingest index
         self._head = None
@@ -233,6 +252,14 @@ def _exact_dropped_sed(x, y, t, kept):
     return np.hypot(x[dropped] - sx, y[dropped] - sy)
 
 
+def _as_xy(x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be 1-D arrays of equal length")
+    return x, y
+
+
 def compress_to_budget(x, y, max_points, t=None):
     """Offline twin of :class:`BudgetCompressor` for batch polylines.
 
@@ -241,10 +268,7 @@ def compress_to_budget(x, y, max_points, t=None):
     online error *bounds* with the exact SED of each dropped point
     recomputed against the output polyline.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-D arrays of equal length")
+    x, y = _as_xy(x, y)
     if t is not None:
         t = np.asarray(t, dtype=np.float64)
         if t.shape != x.shape:
@@ -261,6 +285,43 @@ def compress_to_budget(x, y, max_points, t=None):
         indices=res.indices,
         points_in=res.points_in,
         points_out=res.points_out,
+        max_sed_m=float(sed.max()),
+        mean_sed_m=float(sed.mean()),
+    )
+
+
+def compress_rendered_path(x, y, max_points):
+    """Budget a rendered path: drop on-chord points, then SQUISH-E the turns.
+
+    Interior points on their neighbours' chord (:func:`off_chord_mask`)
+    go first, at zero cost to the shape.  Only when the surviving turn
+    points still exceed *max_points* does :func:`compress_to_budget`
+    rank them, synchronised by their original indices.  The output is a
+    strictly increasing subsequence of the input that keeps both
+    endpoints and has at most *max_points* points -- often fewer, since
+    zero-error points are never kept to fill the budget.  ``max_sed_m``
+    and ``mean_sed_m`` are the exact index-synchronised SED of *every*
+    dropped input point against the output polyline.
+    """
+    x, y = _as_xy(x, y)
+    _check_max_points(max_points)
+    n = len(x)
+    if n <= max_points:
+        return BudgetResult(
+            indices=np.arange(n),
+            points_in=n,
+            points_out=n,
+            max_sed_m=0.0,
+            mean_sed_m=0.0,
+        )
+    kept = np.flatnonzero(off_chord_mask(x, y))
+    if len(kept) > max_points:
+        kept = kept[compress_to_budget(x[kept], y[kept], max_points, t=kept).indices]
+    sed = _exact_dropped_sed(x, y, np.arange(n, dtype=np.float64), kept)
+    return BudgetResult(
+        indices=kept,
+        points_in=n,
+        points_out=len(kept),
         max_sed_m=float(sed.max()),
         mean_sed_m=float(sed.mean()),
     )

@@ -12,7 +12,38 @@ import numpy as np
 
 from repro.geo.proj import latlng_to_xy_m
 
-__all__ = ["rdp_keep_indices", "rdp_simplify", "vw_simplify"]
+__all__ = ["off_chord_mask", "rdp_keep_indices", "rdp_simplify", "vw_simplify"]
+
+
+def off_chord_mask(x, y):
+    """Keep-mask dropping interior points that lie on their neighbours' chord.
+
+    An interior point is *on chord* when it sits within 0.1 mm of the
+    line through its two neighbours and projects inside their segment.
+    The mask is ``True`` for the endpoints and every other point.
+    Distance-to-line equals distance-to-segment only for points
+    projecting inside the chord, so out-and-back spikes (collinear but
+    beyond an endpoint, or over a degenerate chord) are kept.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    mask = np.ones(len(x), dtype=bool)
+    if len(x) < 3:
+        return mask
+    cx = x[2:] - x[:-2]
+    cy = y[2:] - y[:-2]
+    ex = x[1:-1] - x[:-2]
+    ey = y[1:-1] - y[:-2]
+    chord2 = cx * cx + cy * cy
+    cross = cx * ey - cy * ex
+    dot = ex * cx + ey * cy
+    mask[1:-1] = ~(
+        (chord2 > 0.0)
+        & (dot >= 0.0)
+        & (dot <= chord2)
+        & (np.abs(cross) <= 1e-4 * np.sqrt(chord2))
+    )
+    return mask
 
 
 def _point_segment_distance(px, py, ax, ay, bx, by):
@@ -50,11 +81,11 @@ def rdp_keep_indices(x, y, tolerance_m):
     points, and at that size per-call NumPy dispatch overhead dwarfs the
     arithmetic (the vectorised variant spent ~10x longer in
     ``np.clip``/``np.argmax`` bookkeeping than in actual math).  Squared
-    distances avoid the hypot per point, and a vectorised pre-pass drops
-    interior points lying within 0.1 mm of their neighbours' chord --
-    degenerate vertices RDP could never retain at metre tolerances, but
-    which hex-centre polylines produce in straight runs and which the
-    scan would otherwise re-visit at every recursion level.
+    distances avoid the hypot per point, and the :func:`off_chord_mask`
+    pre-pass drops on-chord interior points -- degenerate vertices RDP
+    could never retain at metre tolerances, but which hex-centre
+    polylines produce in straight runs and which the scan would
+    otherwise re-visit at every recursion level.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -63,25 +94,8 @@ def rdp_keep_indices(x, y, tolerance_m):
         return np.arange(n)
     orig = None
     if n > 3:
-        cx = x[2:] - x[:-2]
-        cy = y[2:] - y[:-2]
-        ex = x[1:-1] - x[:-2]
-        ey = y[1:-1] - y[:-2]
-        chord2 = cx * cx + cy * cy
-        cross = cx * ey - cy * ex
-        dot = ex * cx + ey * cy
-        # Distance-to-line equals distance-to-segment only for points
-        # projecting inside the chord; out-and-back spikes (collinear
-        # but beyond an endpoint, or over a degenerate chord) must
-        # survive for the exact scan below to judge.
-        collinear = (
-            (chord2 > 0.0)
-            & (dot >= 0.0)
-            & (dot <= chord2)
-            & (np.abs(cross) <= 1e-4 * np.sqrt(chord2))
-        )
-        if collinear.any():
-            mask = np.concatenate(([True], ~collinear, [True]))
+        mask = off_chord_mask(x, y)
+        if not mask.all():
             orig = np.flatnonzero(mask)
             x = x[mask]
             y = y[mask]

@@ -20,7 +20,7 @@ __all__ = [
 def _coords(lats, lngs):
     lats = np.asarray(lats, dtype=np.float64)
     lngs = np.asarray(lngs, dtype=np.float64)
-    return [[float(lng), float(lat)] for lat, lng in zip(lats, lngs)]
+    return np.column_stack((lngs, lats)).tolist()
 
 
 def linestring_feature(lats, lngs, properties=None):

@@ -124,6 +124,31 @@ def make_server(
     return server
 
 
+def impute_response(results, elapsed_ms):
+    """The ``/impute`` 200 body: per-result provenance plus the GeoJSON.
+
+    Each result's provenance dict is built once and shared by
+    ``results[].provenance`` and its feature's ``properties``.
+    """
+    provenances = [r.provenance.to_dict() for r in results]
+    return {
+        "count": len(results),
+        "elapsed_ms": elapsed_ms,
+        "results": [
+            {
+                "request_id": r.request.request_id,
+                "dataset": r.request.dataset,
+                "num_points": r.num_points,
+                "provenance": provenance,
+            }
+            for r, provenance in zip(results, provenances)
+        ],
+        "geojson": feature_collection(
+            r.to_feature(provenance) for r, provenance in zip(results, provenances)
+        ),
+    }
+
+
 class _ServiceHandler(BaseHTTPRequestHandler):
     engine = None
     registry = None
@@ -263,20 +288,4 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
             return
-        self._send_json(
-            200,
-            {
-                "count": len(results),
-                "elapsed_ms": elapsed_ms,
-                "results": [
-                    {
-                        "request_id": r.request.request_id,
-                        "dataset": r.request.dataset,
-                        "num_points": r.num_points,
-                        "provenance": r.provenance.to_dict(),
-                    }
-                    for r in results
-                ],
-                "geojson": feature_collection(r.to_feature() for r in results),
-            },
-        )
+        self._send_json(200, impute_response(results, elapsed_ms))

@@ -13,7 +13,7 @@ unknown fields are rejected rather than silently ignored.  Parsing raises
 naming the offending field.
 """
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from math import isfinite
 
 import numpy as np
@@ -45,10 +45,12 @@ class GapRequest:
     graph, falling back to the global one when omitted or unknown.
 
     ``max_points`` caps the response polyline: when the rendered path is
-    longer, it is compressed to the budget with
-    :func:`repro.geo.compress_to_budget` *after* the render memo, so
-    cached paths stay budget-agnostic and a large budget is an exact
-    no-op.  Must be an integer >= 2 when given.
+    longer, it is compressed with
+    :func:`repro.geo.budget.compress_rendered_path` *after* the render
+    memo, so cached paths stay budget-agnostic and a large budget is an
+    exact no-op.  On-chord points are dropped first, so the answer often
+    carries fewer than ``max_points`` points; SQUISH-E ranks only the
+    turn points left.  Must be an integer >= 2 when given.
     """
 
     dataset: str
@@ -90,10 +92,12 @@ class Provenance:
     the metric length of the returned polyline -- the path-cost measure
     exposed to clients.  When a request's ``max_points`` budget actually
     compressed the response, ``points_in``/``points_out`` record the
-    polyline size before/after compression and ``max_sed_m`` the worst
-    synchronized-Euclidean displacement of any dropped point; all three
-    stay at their zero defaults when no points were dropped, so an
-    over-large budget yields a response byte-identical to omitting it.
+    polyline size before/after compression (``points_out`` is often
+    below the budget: on-chord points are dropped first) and
+    ``max_sed_m`` the exact index-synchronised SED of the worst dropped
+    rendered point; all three stay at their zero defaults when no points
+    were dropped, so an over-large budget yields a response
+    byte-identical to omitting it.
     """
 
     model_id: str
@@ -112,8 +116,15 @@ class Provenance:
     max_sed_m: float = 0.0
 
     def to_dict(self):
-        """Plain-dict view for JSON responses."""
-        return asdict(self)
+        """Plain-dict view for JSON responses, keys in field order.
+
+        Every field is a JSON scalar, so this reads the fields directly
+        instead of paying for ``dataclasses.asdict``'s recursive copy.
+        """
+        return {name: getattr(self, name) for name in _PROVENANCE_FIELDS}
+
+
+_PROVENANCE_FIELDS = tuple(f.name for f in fields(Provenance))
 
 
 @dataclass(frozen=True)
@@ -130,12 +141,16 @@ class ImputeResult:
         """Number of path positions."""
         return len(self.lats)
 
-    def to_feature(self):
-        """GeoJSON LineString feature with provenance in ``properties``."""
+    def to_feature(self, provenance=None):
+        """GeoJSON LineString feature with provenance in ``properties``.
+
+        *provenance* is ``self.provenance.to_dict()``, for a caller that
+        has already built it.
+        """
         properties = {
             "request_id": self.request.request_id,
             "dataset": self.request.dataset,
-            **self.provenance.to_dict(),
+            **(provenance or self.provenance.to_dict()),
         }
         return linestring_feature(self.lats, self.lngs, properties)
 

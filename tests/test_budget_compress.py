@@ -17,7 +17,7 @@ within budget -- asserting the hard invariants:
 import numpy as np
 import pytest
 
-from repro.geo import BudgetCompressor, compress_to_budget
+from repro.geo import BudgetCompressor, compress_rendered_path, compress_to_budget
 
 CASES_PER_TOPOLOGY = 48  # x5 topologies = 240 seeded trajectories
 TOPOLOGIES = ("random", "lane", "duplicates", "collinear", "within_budget")
@@ -209,3 +209,29 @@ def test_buffer_never_exceeds_budget_between_pushes():
     res = comp.result()
     assert res.points_in == 500
     assert res.points_out == 16
+
+
+def test_rendered_path_drops_on_chord_points_before_ranking_turns():
+    # An L-shaped route resampled every 50 m with the corner between two
+    # samples: only the endpoints and the two points straddling the
+    # corner are off their neighbours' chord.
+    s = np.linspace(0.0, 2000.0, 41)
+    x = np.minimum(s, 1025.0)
+    y = np.maximum(s - 1025.0, 0.0)
+    res = compress_rendered_path(x, y, 8)
+    np.testing.assert_array_equal(res.indices, [0, 20, 21, 40])
+    assert (res.points_in, res.points_out) == (41, 4)
+    assert res.max_sed_m < 1e-9
+    # More turns than budget: SQUISH-E ranks the turns, and the error
+    # reported is the exact SED over every dropped input point.
+    res = compress_rendered_path(x, y, 3)
+    assert res.points_out == 3 and res.indices[0] == 0 and res.indices[-1] == 40
+    assert res.max_sed_m > 0.0
+    sed = _true_dropped_sed(x, y, np.arange(41.0), res.indices)
+    assert res.max_sed_m == pytest.approx(sed.max())
+    # A budget at or above the input size keeps everything.
+    np.testing.assert_array_equal(compress_rendered_path(x, y, 41).indices, np.arange(41))
+    with pytest.raises(ValueError):
+        compress_rendered_path(x, y, 1)
+    with pytest.raises(TypeError):
+        compress_rendered_path(x[:2], y[:2], 2.5)

@@ -61,3 +61,23 @@ def test_geojson_shapes(tmp_path):
     assert path.exists()
     loaded = json.loads(path.read_text())
     assert loaded["features"][0]["properties"]["name"] == "truth"
+
+
+def test_linestring_coordinates_serialise_like_per_point_floats():
+    # The served GeoJSON must round-trip exactly, so the vectorised
+    # coordinate builder has to emit the same JSON bytes as converting
+    # each point with float(): signed zeros, subnormals and values that
+    # need all 17 significant digits included.
+    rng = np.random.default_rng(11)
+    specials = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                         0.1 + 0.2, 54.123456789012345, -179.99999999999997])
+    for n in (0, 1, 2, 17, 300):
+        lats = rng.uniform(-90.0, 90.0, n)
+        lngs = rng.uniform(-180.0, 180.0, n)
+        if n:
+            lats[: min(n, len(specials))] = specials[:n]
+            lngs[-min(n, len(specials)):] = specials[::-1][:n]
+        coords = linestring_feature(lats, lngs)["geometry"]["coordinates"]
+        old = [[float(lng), float(lat)] for lat, lng in zip(lats, lngs)]
+        assert json.dumps(coords) == json.dumps(old)
+        assert all(type(v) is float for point in coords for v in point)

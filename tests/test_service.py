@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import HabitConfig, HabitImputer, TypedHabitImputer, config_hash
+from repro.geo import compress_to_budget, latlng_to_xy_m
+from repro.geo.simplify import off_chord_mask
 from repro.service import (
     BatchImputationEngine,
     GapRequest,
@@ -540,6 +542,60 @@ def test_http_impute_returns_geojson_with_provenance(server, tiny_kiel, service_
     assert feature["properties"]["fallback"] in (False, True)
 
 
+def test_impute_response_bytes_match_asdict_construction(registry, service_model, tiny_kiel):
+    # The /impute body builds each provenance dict once and shares it
+    # between results[] and the feature properties; the bytes must equal
+    # the original construction (dataclasses.asdict per use, per-point
+    # float() coordinates) for routed, budgeted and fallback answers.
+    from dataclasses import asdict
+
+    from repro.io import feature_collection
+    from repro.service.http import impute_response
+
+    gap = tiny_kiel.gaps(3600.0)[0]
+    requests = [
+        GapRequest("KIEL", gap.start, gap.end, "plain"),
+        GapRequest("KIEL", gap.start, gap.end, "budgeted", max_points=5),
+        GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
+    ]
+    results = BatchImputationEngine(registry).run(requests, service_model.config)
+    assert results[1].provenance.points_in > 0 and results[2].provenance.fallback
+
+    def old_feature(r):
+        return {
+            "type": "Feature",
+            "geometry": {
+                "type": "LineString",
+                "coordinates": [
+                    [float(lng), float(lat)] for lat, lng in zip(r.lats, r.lngs)
+                ],
+            },
+            "properties": {
+                "request_id": r.request.request_id,
+                "dataset": r.request.dataset,
+                **asdict(r.provenance),
+            },
+        }
+
+    old = {
+        "count": len(results),
+        "elapsed_ms": 12.25,
+        "results": [
+            {
+                "request_id": r.request.request_id,
+                "dataset": r.request.dataset,
+                "num_points": r.num_points,
+                "provenance": asdict(r.provenance),
+            }
+            for r in results
+        ],
+        "geojson": feature_collection(old_feature(r) for r in results),
+    }
+    assert json.dumps(impute_response(results, 12.25)) == json.dumps(old)
+    for r in results:
+        assert json.dumps(r.to_feature()) == json.dumps(old_feature(r))
+
+
 def test_http_health_and_models(server):
     status, health = _get(server, "/healthz")
     assert status == 200 and health["status"] == "ok"
@@ -953,6 +1009,104 @@ def test_http_impute_max_points_bounded(server, tiny_kiel):
     assert prov["points_in"] == n
     assert prov["points_out"] == len(coords)
     assert prov["max_sed_m"] > 0.0
+
+
+def _served_budget_runs(registry, config, gaps, budgets):
+    """(rendered, {budget: budgeted}) results for every routed gap."""
+    engine = BatchImputationEngine(registry)
+    plain = engine.run(
+        [GapRequest("KIEL", g.start, g.end, f"g{k}") for k, g in enumerate(gaps)], config
+    )
+    keep = [k for k, r in enumerate(plain) if not r.provenance.fallback]
+    budgeted = {
+        budget: engine.run(
+            [
+                GapRequest("KIEL", gaps[k].start, gaps[k].end, f"g{k}", max_points=budget)
+                for k in keep
+            ],
+            config,
+        )
+        for budget in budgets
+    }
+    return [plain[k] for k in keep], budgeted
+
+
+def _subsequence_indices(full, part):
+    """Indices of *part*'s points in *full*, matched in order."""
+    out = []
+    j = 0
+    for lat, lng in zip(part.lats, part.lngs):
+        while full.lats[j] != lat or full.lngs[j] != lng:
+            j += 1  # IndexError: not a subsequence
+        out.append(j)
+        j += 1
+    return np.asarray(out)
+
+
+def _index_synced_sed(x, y, kept):
+    """SED of every dropped point against the kept polyline, by index."""
+    worst = 0.0
+    for u, v in zip(kept[:-1], kept[1:]):
+        for d in range(u + 1, v):
+            frac = (d - u) / (v - u)
+            sx = x[u] + frac * (x[v] - x[u])
+            sy = y[u] + frac * (y[v] - y[u])
+            worst = max(worst, float(np.hypot(x[d] - sx, y[d] - sy)))
+    return worst
+
+
+@pytest.mark.parametrize("resolution", [9, 10])
+def test_engine_max_points_contract(tmp_path, tiny_kiel, resolution):
+    # The served max_points contract: a subsequence of the rendered path
+    # with both endpoints, at most max_points long, never keeping a point
+    # on its rendered neighbours' chord (so often shorter), and max_sed_m
+    # the exact index-synchronised SED over every dropped rendered point.
+    model = HabitImputer(HabitConfig(resolution=resolution)).fit_from_trips(tiny_kiel.train)
+    registry = ModelRegistry(tmp_path / "models", capacity=2)
+    registry.publish("KIEL", model)
+    gaps = [g for d in (1800.0, 3600.0, 7200.0) for g in tiny_kiel.gaps(d, max_per_trip=4)]
+    full, budgeted = _served_budget_runs(registry, model.config, gaps, (2, 4, 8, 32, 64))
+    assert len(full) >= 10
+    for budget, results in budgeted.items():
+        for rendered, squeezed in zip(full, results):
+            n = rendered.num_points
+            prov = squeezed.provenance
+            if n <= budget:
+                assert prov.points_in == 0 and prov.max_sed_m == 0.0
+                assert np.array_equal(squeezed.lats, rendered.lats)
+                continue
+            kept = _subsequence_indices(rendered, squeezed)
+            assert kept[0] == 0 and kept[-1] == n - 1
+            assert np.all(np.diff(kept) > 0)
+            assert prov.points_in == n
+            assert prov.points_out == len(kept) <= budget
+            x, y = latlng_to_xy_m(rendered.lats, rendered.lngs)
+            assert off_chord_mask(x, y)[kept].all()
+            assert abs(prov.max_sed_m - _index_synced_sed(x, y, kept)) <= 1e-9
+
+
+def test_engine_max_points_sed_against_squish_e(tmp_path, tiny_kiel):
+    # On the served r10 model (few RDP turns per path), ranking only the
+    # turn points never loses to SQUISH-E over the whole rendered path at
+    # budgets >= 32, and is no worse in median at budgets 4 and 8.
+    model = HabitImputer(HabitConfig(resolution=10)).fit_from_trips(tiny_kiel.train)
+    registry = ModelRegistry(tmp_path / "models", capacity=2)
+    registry.publish("KIEL", model)
+    gaps = [g for d in (1800.0, 3600.0, 7200.0) for g in tiny_kiel.gaps(d, max_per_trip=4)]
+    full, budgeted = _served_budget_runs(registry, model.config, gaps, (4, 8, 32, 64))
+    for budget, results in budgeted.items():
+        served, squish = [], []
+        for rendered, squeezed in zip(full, results):
+            if rendered.num_points <= budget:
+                continue
+            x, y = latlng_to_xy_m(rendered.lats, rendered.lngs)
+            served.append(squeezed.provenance.max_sed_m)
+            squish.append(compress_to_budget(x, y, budget).max_sed_m)
+        assert served
+        if budget >= 32:
+            assert all(s <= q + 1e-9 for s, q in zip(served, squish))
+        else:
+            assert np.median(served) <= np.median(squish) + 1e-9
 
 
 def test_http_invalid_max_points_is_400(server):
