@@ -12,8 +12,9 @@ must return equal-cost paths (and agree on unreachable pairs).
 The ``batch-kernel`` group times ``CellGraph.find_paths_batch`` -- the
 vectorised NumPy sweep (:mod:`repro.core.kernel`) -- at batch sizes
 1/8/64/256 on the r10 graph (``per_query_us`` in ``extra_info`` is the
-apples-to-apples number against the scalar ``r10-ch`` row), plus the
-``compute_ch`` preprocessing build.
+apples-to-apples number against the scalar ``r10-ch`` row), a
+scalar-vs-kernel sweep over 1-4 lanes that calibrates
+``KERNEL_CROSSOVER_LANES``, and the ``compute_ch`` preprocessing build.
 ``test_batch64_beats_scalar_ch_per_query`` is the regression gate: the
 batched per-query mean must stay below the scalar CH loop's, so the
 kernel speedup is a CI-checked artefact, not prose.
@@ -26,6 +27,7 @@ import time
 
 import pytest
 
+import repro.core.graph as graph_mod
 from repro.core.graph import SEARCH_METHODS, CellGraph
 from repro.hexgrid import latlng_to_cell
 
@@ -99,11 +101,39 @@ def test_batch_kernel_per_query_latency(benchmark, batch_case, batch_size):
         benchmark.extra_info["per_query_us"] = stats.mean * 1e6 / batch_size
 
 
+
+@pytest.mark.benchmark(group="batch-kernel")
+@pytest.mark.parametrize("lanes", [1, 2, 3, 4])
+@pytest.mark.parametrize("engine", ["scalar", "kernel"])
+def test_crossover_lanes(benchmark, batch_case, monkeypatch, engine, lanes):
+    """Scalar CH loop vs the batch kernel on the same 1-4 lane batches.
+
+    The smallest lane count whose ``kernel`` row beats its ``scalar`` row
+    is what ``KERNEL_CROSSOVER_LANES`` is set to; the crossover is
+    lowered to 1 here so every ``kernel`` call really sweeps."""
+    graph, pairs = batch_case
+    monkeypatch.setattr(graph_mod, "KERNEL_CROSSOVER_LANES", 1)
+    state = {"i": 0}
+
+    def one_call():
+        lo = state["i"] % (len(pairs) - lanes + 1)
+        state["i"] += lanes
+        batch = pairs[lo : lo + lanes]
+        if engine == "kernel":
+            return graph.find_paths_batch(batch)
+        return [graph.find_path(src, dst, "ch") for src, dst in batch]
+
+    assert len(benchmark(one_call)) == lanes
+    benchmark.extra_info["lanes"] = lanes
+    if benchmark.stats is not None:  # absent under --benchmark-disable
+        stats = getattr(benchmark.stats, "stats", benchmark.stats)
+        benchmark.extra_info["per_query_us"] = stats.mean * 1e6 / lanes
+
 @pytest.mark.benchmark(group="batch-kernel")
 def test_compute_ch_build_latency(benchmark, habit_r10):
-    """CH preprocessing at r10: the vectorised witness pipeline under
-    ``compute_ch`` (PR-6 pure-Python baseline: ~0.9s on the committed
-    artefact's machine)."""
+    """CH preprocessing at r10: the customizable-CH build under
+    ``compute_ch`` (nested-dissection order, chordal completion, basic
+    and perfect customisation)."""
     g = habit_r10.graph
 
     def build():

@@ -20,13 +20,14 @@ Search variants (:meth:`CellGraph.find_path`):
 - ``"dijkstra"`` -- no heuristic; the cost oracle.
 - ``"astar"`` -- grid-distance heuristic, precomputed for all nodes per
   query as one vectorised pass (the paper's query).
-- ``"ch"`` (default) -- contraction hierarchies.  An offline pass
-  (:meth:`CellGraph.compute_ch`) contracts nodes in edge-difference
-  order (lazy re-evaluation) and records shortcut edges with
-  middle-node back-pointers; queries run a bidirectional upward-only
-  Dijkstra with stall-on-demand pruning and unpack shortcuts back into
-  original cells.  The hierarchy is stored as CSR ``int32`` arrays and
-  persisted in format-v5 model files.
+- ``"ch"`` (default) -- contraction hierarchies, built witness-free as
+  a customizable CH (:meth:`CellGraph.compute_ch`): a nested-dissection
+  order on the cells' axial coordinates, chordal completion for the
+  shortcut topology, then triangle customisation of the costs, with
+  middle-node back-pointers on every shortcut.  Queries run a
+  bidirectional upward-only Dijkstra with stall-on-demand pruning and
+  unpack shortcuts back into original cells.  The hierarchy is stored as
+  CSR ``int32`` arrays and persisted in format-v5 model files.
 
 Two weight schemes are supported:
 
@@ -38,7 +39,8 @@ Two weight schemes are supported:
 
 import threading
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -46,8 +48,8 @@ import numpy as np
 from repro.core.kernel import (
     KERNEL_BATCH_SIZE,
     KERNEL_SECONDS,
+    _expand_ranges,
     build_kernel_tables,
-    initial_cut_counts,
     solve_batch,
 )
 from repro.hexgrid import (
@@ -82,8 +84,10 @@ EDGE_WEIGHTS = ("transitions", "inverse_frequency")
 #: kernel's fixed per-sweep cost (dense 2n workspace, frontier set-up)
 #: only amortises across several lanes, and costs are bit-equal either
 #: way.  ``expanded`` keeps its per-variant meaning (settled nodes
-#: scalar-side, labelled nodes batch-side).
-KERNEL_CROSSOVER_LANES = 4
+#: scalar-side, labelled nodes batch-side).  Set to the smallest lane
+#: count whose kernel row beats the scalar row in ``bench_search.py``'s
+#: ``test_crossover_lanes`` sweep (``BENCH_search.json``).
+KERNEL_CROSSOVER_LANES = 3
 
 #: The variants that search *toward* the goal (heuristic- or
 #: hierarchy-guided); each must settle no more nodes than plain Dijkstra
@@ -118,19 +122,10 @@ _SNAP_CACHE_SIZE = 1 << 16
 #: pass is usually amortised to a dict probe; each entry is O(num_nodes).
 _H_CACHE_SIZE = 128
 
-#: Cap on nodes settled per witness search during CH contraction.  The
-#: witness search only ever *skips* a shortcut; hitting the cap adds a
-#: (redundant but harmless) shortcut, it never loses a necessary one,
-#: so correctness is independent of this knob -- only preprocessing
-#: time and hierarchy density depend on it.
-_CH_WITNESS_LIMIT = 64
-
-#: Relative slack when a witness path is compared against a candidate
-#: shortcut.  Costs are float sums in different association orders; a
-#: witness within this slack of the shortcut cost still proves the
-#: shortcut unnecessary (up to the same slack the equal-cost tests
-#: allow), while a genuinely longer witness never passes.
-_CH_WITNESS_RTOL = 1e-12
+#: Largest node set the nested-dissection order ranks as one leaf instead
+#: of bisecting it further.  On the KIEL r10 graph, leaves of 4-16 nodes
+#: give the same query search space; 32 makes it ~10 % larger.
+_CCH_LEAF_SIZE = 8
 
 
 def _edge_costs(grid_spans, counts, scheme):
@@ -546,20 +541,28 @@ class CellGraph:
     def compute_ch(self):
         """(Re)build the contraction hierarchy.
 
-        Contracts every node in edge-difference order (shortcuts added
-        minus edges removed, plus a deleted-neighbours term for spatial
-        uniformity) with lazy priority re-evaluation: the cheapest node
-        is re-scored when popped and contracted only if it still beats
-        the next candidate.  Contracting ``w`` adds a shortcut
-        ``u -> v`` with cost ``c(u,w) + c(w,v)`` for every in/out
-        neighbour pair unless a bounded witness search proves an equally
-        cheap detour survives without ``w``; the witness search is
-        conservative (a truncated search adds a redundant shortcut, it
-        never drops a needed one), so CH distances are *exactly* the
-        Dijkstra distances.  The result is stored as upward/downward CSR
-        ``int32`` arrays with per-edge middle-node back-pointers for
-        path unpacking, persisted in format-v5 model files so loads skip
-        this pass.
+        A customizable contraction hierarchy (Dibbelt, Strasser and
+        Wagner, ACM JEA 2016), exact by construction with no witness
+        search, in four steps:
+
+        1. *Order*: nested dissection by recursive coordinate bisection
+           on the axial ``(q, r)`` (:func:`_dissection_rank`).
+        2. *Completion*: eliminating nodes in rank order, each node's
+           upper neighbours are joined to its lowest upper neighbour,
+           giving a chordal supergraph -- the shortcut topology.
+        3. *Basic customisation*: bottom-up, every lower triangle
+           ``u < v < w`` relaxes ``c(v->w)`` by ``c(v->u) + c(u->w)`` and
+           ``c(w->v)`` by ``c(w->u) + c(u->v)``; a triangle that wins
+           makes ``u`` the arc's middle node.
+        4. *Perfect customisation*: top-down, every arc is lowered to its
+           true distance; arcs whose basic cost is above it, or with no
+           path at all, are dropped.
+
+        The surviving arcs are stored as upward/downward CSR ``int32``
+        arrays with per-edge middle-node back-pointers for path
+        unpacking, persisted in format-v5 model files so loads skip this
+        pass.  The build is deterministic, so a rebuild reproduces the
+        persisted arrays bit-exactly.
         """
         with self._lock:
             with _GRAPH_BUILD_SECONDS.time(("ch",)):
@@ -568,15 +571,9 @@ class CellGraph:
 
     def _compute_ch_locked(self):
         n = self.num_nodes
-        # Overlay adjacency for the contraction pass, deduplicated to
-        # the cheapest parallel edge (what every search relaxes anyway)
-        # and self-loop-free (positive costs, never on a cheapest
-        # path).  ``out_all`` accumulates every augmented edge with its
-        # middle back-pointer for the final rank split; ``out_live`` /
-        # ``in_live`` mirror only the *remaining* graph -- contracted
-        # nodes are physically removed, so the witness inner loop
-        # iterates plain ``{node: cost}`` dicts with no contracted
-        # checks or tuple unpacking.
+        # Original edges deduplicated to the cheapest parallel edge (what
+        # every search relaxes anyway) and self-loop-free (positive
+        # costs, never on a cheapest path).
         eu = np.repeat(
             np.arange(n, dtype=np.int64), np.diff(self.indptr.astype(np.int64))
         )
@@ -590,406 +587,123 @@ class CellGraph:
         first = np.ones(ekey.size, dtype=bool)
         first[1:] = ekey[1:] != ekey[:-1]
         eu, ev, ec = eu[order][first], ev[order][first], ec[order][first]
-        fsplit = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(eu, minlength=n), out=fsplit[1:])
-        rorder = np.argsort(ev, kind="stable")
-        rsplit = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ev, minlength=n), out=rsplit[1:])
-        fv, fc = ev.tolist(), ec.tolist()
-        ru, rc = eu[rorder].tolist(), ec[rorder].tolist()
-        fb, rb = fsplit.tolist(), rsplit.tolist()
-        out_live = [
-            dict(zip(fv[fb[u] : fb[u + 1]], fc[fb[u] : fb[u + 1]]))
-            for u in range(n)
-        ]
-        in_live = [
-            dict(zip(ru[rb[v] : rb[v + 1]], rc[rb[v] : rb[v + 1]]))
-            for v in range(n)
-        ]
-        out_all = [
-            {v: (c, -1) for v, c in row.items()} for row in out_live
-        ]
-        contracted = bytearray(n)
-        rank = np.zeros(n, dtype=np.int32)
-        deleted = [0] * n
 
-        # Stamped scratch arrays for the witness searches: one flat
-        # distance/version pair per node instead of a fresh dict per
-        # search, so the inner relax loop is pure list indexing.
-        wdist = [0.0] * n
-        wstamp = [0] * n
-        wver = 0
+        # 1. Order.  Everything below runs in rank space: rank p is node
+        # ``node_at[p]``.
+        rank = _dissection_rank(self.node_q, self.node_r, eu, ev)
+        node_at = np.argsort(rank).astype(np.int64)
+        ru = rank[eu].astype(np.int64)
+        rv = rank[ev].astype(np.int64)
 
-        def witness_distances(adj, source, targets, limit):
-            """Bounded Dijkstra from *source* over *adj* (the live
-            forward or reverse overlay); fills the stamped scratch
-            arrays and returns the search's stamp.  The node being
-            evaluated must already be detached from *adj* -- the caller
-            unlinks its incident edges once per evaluation, which is
-            cheaper than a skip test in every relaxation."""
-            nonlocal wver
-            wver += 1
-            ver = wver
-            dist = wdist
-            stamp = wstamp
-            dist[source] = 0.0
-            stamp[source] = ver
-            heap = [(0.0, source)]
-            pop = heappop
-            push = heappush
-            remaining = len(targets)
-            settled = 0
-            # Labels beyond the witness cap can never pass a witness
-            # comparison (every ``through <= limit``), so pushes past
-            # it are pure heap churn -- prune them at the source.
-            cap = limit * (1.0 + _CH_WITNESS_RTOL)
-            while heap and remaining and settled < _CH_WITNESS_LIMIT:
-                d, u = pop(heap)
-                if d > limit:
-                    break
-                if d > dist[u]:
-                    continue  # stale heap entry
-                if u in targets:
-                    remaining -= 1
-                settled += 1
-                for v, w in adj[u].items():
-                    nd = d + w
-                    if nd > cap:
-                        continue
-                    if stamp[v] != ver or nd < dist[v]:
-                        dist[v] = nd
-                        stamp[v] = ver
-                        push(heap, (nd, v))
-            return ver
+        # 2. Completion: eliminating ranks bottom-up, a node's upper
+        # neighbours all become upper neighbours of its lowest one (its
+        # elimination-tree parent).  The result is chordal: any two upper
+        # neighbours of a node are adjacent, which is what makes every
+        # lower triangle below enumerable.
+        upper = [set() for _ in range(n)]
+        for a, b in zip(np.minimum(ru, rv).tolist(), np.maximum(ru, rv).tolist()):
+            upper[a].add(b)
+        rows = []
+        parent = [-1] * n
+        for p in range(n):
+            row = sorted(upper[p])
+            rows.append(row)
+            if row:
+                parent[p] = row[0]
+                upper[row[0]].update(row[1:])
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        arc_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=arc_ptr[1:])
+        num_arcs = int(arc_ptr[-1])
+        tail = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        head = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=num_arcs)
+        arc_key = tail * n + head  # ascending: rows in order, heads sorted
+        # Arc ``tail < head`` carries both directions: ``up`` costs
+        # tail -> head, ``down`` costs head -> tail; inf = no path yet.
+        up = np.full(num_arcs, _INF)
+        down = np.full(num_arcs, _INF)
+        fwd = ru < rv
+        up[np.searchsorted(arc_key, ru[fwd] * n + rv[fwd])] = ec[fwd]
+        down[np.searchsorted(arc_key, rv[~fwd] * n + ru[~fwd])] = ec[~fwd]
 
-        def scan_pairs(w, din, dout, skip=()):
-            """Pending (in, out) pairs of *w* with no trivial witness.
+        def triangles(nodes):
+            """Every triangle {u < v < w} with u in *nodes*, as arc
+            indices (u,v), (u,w), (v,w): each pair of arcs in one row,
+            closed by the arc between their heads (chordality)."""
+            arcs = _expand_ranges(arc_ptr[nodes], sizes[nodes])
+            later = arc_ptr[tail[arcs] + 1] - arcs - 1
+            uv = np.repeat(arcs, later)
+            uw = _expand_ranges(arcs + 1, later)
+            return uv, uw, np.searchsorted(arc_key, head[uv] * n + head[uw])
 
-            A live overlay edge between the pair's endpoints is itself
-            a witness (shortcut expansions pass only through
-            already-contracted nodes, never through live *w*), and most
-            remaining witnesses in these near-planar overlays are two
-            edges long -- a handful of dict probes settles them far
-            cheaper than a heap search.  Survivors are grouped by
-            source for ``searched_cuts``.  ``din is None`` scans every
-            pair (exact mode); otherwise only pairs touching an edge in
-            ``din``/``dout`` are considered.  Pairs in ``skip`` are
-            excluded (already-settled verdicts the caller vouches for).
-            """
-            ins_d = in_live[w]
-            outs_d = out_live[w]
-            rtol = 1.0 + _CH_WITNESS_RTOL
-            exact = din is None
-            pend = {}
-            tgts = set()
-            for a, cuw in ins_d.items():
-                adirty = exact or a in din
-                if not adirty and not dout:
-                    continue
-                direct = out_live[a]
-                for b, cwb in outs_d.items():
-                    if b == a or not (adirty or b in dout):
-                        continue
-                    if skip and (a, b) in skip:
-                        continue
-                    through = cuw + cwb
-                    cap = through * rtol
-                    dbc = direct.get(b)
-                    if dbc is not None and dbc <= cap:
-                        continue  # the edge itself is a witness
-                    hop2 = False
-                    for x, cax in direct.items():
-                        if x == w or x == b:
-                            continue
-                        cxb = out_live[x].get(b)
-                        if cxb is not None and cax + cxb <= cap:
-                            hop2 = True
-                            break
-                    if hop2:
-                        continue
-                    pend.setdefault(a, []).append((b, through))
-                    tgts.add(b)
-            return pend, tgts
+        # A node's lower neighbours are its elimination-tree descendants
+        # and its upper ones its ancestors, so no two nodes of equal tree
+        # height (or depth) are adjacent: relaxing one level's triangles
+        # never writes an arc another triangle of that level reads.
+        height = [0] * n
+        depth = [0] * n
+        for p in range(n):
+            above = parent[p]
+            if above >= 0 and height[above] <= height[p]:
+                height[above] = height[p] + 1
+        for p in range(n - 1, -1, -1):
+            above = parent[p]
+            if above >= 0:
+                depth[p] = depth[above] + 1
 
-        def searched_cuts(w, pend, tgts):
-            """Witness searches for the pending pairs of *w*; returns
-            the pairs with no witness (the cuts).  Searches run on the
-            *smaller* grouping -- forward from each source over
-            ``out_live``, or backward from each target over the reverse
-            overlay -- with *w* detached so no path routes through it.
-            """
-            new_cuts = []
-            if not pend:
-                return new_cuts
-            ins_d = in_live[w]
-            outs_d = out_live[w]
-            rtol = 1.0 + _CH_WITNESS_RTOL
-            for a in ins_d:
-                del out_live[a][w]
-            for b in outs_d:
-                del in_live[b][w]
-            if len(pend) <= len(tgts):
-                for a, pairs in pend.items():
-                    ver = witness_distances(
-                        out_live,
-                        a,
-                        [b for b, _ in pairs],
-                        max(t for _, t in pairs),
-                    )
-                    for b, through in pairs:
-                        if (
-                            wstamp[b] == ver
-                            and wdist[b] <= through * rtol
-                        ):
-                            continue  # a witness survives without w
-                        new_cuts.append((a, b, through))
-            else:
-                back = {}
-                for a, pairs in pend.items():
-                    for b, through in pairs:
-                        back.setdefault(b, []).append((a, through))
-                for b, pairs in back.items():
-                    ver = witness_distances(
-                        in_live,
-                        b,
-                        [a for a, _ in pairs],
-                        max(t for _, t in pairs),
-                    )
-                    for a, through in pairs:
-                        if (
-                            wstamp[a] == ver
-                            and wdist[a] <= through * rtol
-                        ):
-                            continue
-                        new_cuts.append((a, b, through))
-            for a, cuw in ins_d.items():
-                out_live[a][w] = cuw
-            for b, cwb in outs_d.items():
-                in_live[b][w] = cwb
-            return new_cuts
+        # 3. Basic customisation, bottom-up: v -> u -> w bounds v -> w
+        # (and w -> u -> v bounds w -> v); a strictly cheaper triangle
+        # makes u the arc's middle node.
+        mid_up = np.full(num_arcs, -1, dtype=np.int64)
+        mid_down = np.full(num_arcs, -1, dtype=np.int64)
+        for nodes in _level_groups(np.asarray(height, dtype=np.int64)):
+            a, b, c = triangles(nodes)
+            u = tail[a]
+            _relax(up, mid_up, c, down[a] + up[b], u)
+            _relax(down, mid_down, c, down[b] + up[a], u)
 
-        def estimate(w):
-            """Estimated cut *count* for *w* -- heap ordering only.
+        # 4. Perfect customisation, top-down: with every arc above u
+        # already exact, an arc at u is exact once relaxed through each
+        # other upper neighbour of u.  Arcs a cheaper path beats are not
+        # needed by any query and are dropped, as are arcs with no path.
+        basic_up, basic_down = up.copy(), down.copy()
+        for nodes in _level_groups(np.asarray(depth, dtype=np.int64)):
+            a, b, c = triangles(nodes)
+            np.minimum.at(up, a, basic_up[b] + down[c])
+            np.minimum.at(down, a, up[c] + basic_down[b])
+            np.minimum.at(up, b, basic_up[a] + up[c])
+            np.minimum.at(down, b, down[c] + basic_down[a])
+        keep_up = (basic_up == up) & (basic_up < _INF)
+        keep_down = (basic_down == down) & (basic_down < _INF)
 
-            Runs no witness searches at all.  ``cached`` keeps verdicts
-            from the last exact evaluation: its "cut" triples stay
-            valid forever (contraction maps every new path to an
-            equal-cost older one, so live distances only grow, and a
-            pair's ``through`` improving marks it dirty), while pairs
-            touching a dirty edge move into ``unver`` -- counted as
-            provisional cuts until ``exact_cuts`` resolves them at
-            contraction time.  A reused "witnessed" verdict (a pair
-            absent from both) can go stale without any of the pair's
-            own edges changing -- contracting some other node *x*
-            destroys the witness path exactly when *x*'s replacement
-            shortcut was suppressed by a witness through *w* itself --
-            so cached verdicts order the heap but are never trusted
-            for insertion; only cuts survive reuse, and only in
-            ``exact_cuts``'s skip set.
-            """
-            ins_d = in_live[w]
-            outs_d = out_live[w]
-            din = dirty_in[w]
-            dout = dirty_out[w]
-            uv = unver[w]
-            if din is None and dout is None and deleted[w] == eval_del[w]:
-                return len(cached[w]) + (len(uv) if uv else 0)
-            eval_del[w] = deleted[w]
-            if not ins_d or not outs_d:
-                dirty_in[w] = None
-                dirty_out[w] = None
-                cached[w] = []
-                unver[w] = None
-                return 0
-            din = din or ()
-            dout = dout or ()
-            dirty_in[w] = None
-            dirty_out[w] = None
-            cached[w] = retained = [
-                t
-                for t in cached[w]
-                if t[0] in ins_d
-                and t[1] in outs_d
-                and t[0] not in din
-                and t[1] not in dout
-            ]
-            if uv:
-                for a, b in list(uv):
-                    if (
-                        a not in ins_d
-                        or b not in outs_d
-                        or a in din
-                        or b in dout
-                    ):
-                        del uv[(a, b)]
-            if din or dout:
-                pend, _ = scan_pairs(w, din, dout)
-                if pend:
-                    if uv is None:
-                        uv = unver[w] = {}
-                    for a, pairs in pend.items():
-                        for b, through in pairs:
-                            uv[(a, b)] = through
-            return len(retained) + (len(uv) if uv else 0)
-
-        def exact_cuts(w):
-            """Current witnessed cuts of *w*, recomputed against the
-            live overlay -- the only verdicts sound enough to insert as
-            shortcuts (see ``estimate`` for why cached "witnessed"
-            ones are not).  Cached *cut* verdicts, by contrast, never
-            go stale -- contraction maps every new path to an equal-cost
-            older one, so live distances (with or without *w*) only
-            ever grow, and a pair's ``through`` improving marks it
-            dirty -- so the cuts ``estimate`` just filtered to current
-            membership are taken verbatim and only the remaining
-            pairs are re-proven.  Skipping them drops exactly the most
-            expensive searches: a no-witness search exhausts its whole
-            cost ball before giving up.
-            """
-            if not in_live[w] or not out_live[w]:
-                return []
-            known = cached[w]
-            pend, tgts = scan_pairs(
-                w, None, (), {(a, b) for a, b, _ in known}
-            )
-            new_cuts = searched_cuts(w, pend, tgts)
-            return known + new_cuts if new_cuts else known
-
-        # Lazy-re-evaluation contraction loop: each popped node is
-        # re-scored with the cheap incremental ``estimate`` and
-        # contracted only while it still beats the heap's next
-        # candidate -- at which point ``exact_cuts`` recomputes the
-        # real shortcut set against the live overlay.  The initial
-        # pass -- one exact witness evaluation per node on the pristine
-        # overlay -- runs as one vectorised multi-lane sweep in the
-        # kernel; counts and cut triples are exactly the scalar pass's
-        # (see ``initial_cut_counts``), and seed the estimate cache.
-        init_counts, (cw, cu, cv, ct) = initial_cut_counts(
-            n,
-            self.indptr,
-            self.indices,
-            self.costs,
-            _CH_WITNESS_RTOL,
-            return_cuts=True,
-        )
-        heap = [
-            (c - len(in_live[w]) - len(out_live[w]), w)
-            for w, c in enumerate(init_counts.tolist())
-        ]
-        heapify(heap)
-        cached = [[] for _ in range(n)]  # node -> last exact cut verdicts
-        for wi, ui, vi, ti in zip(
-            cw.tolist(), cu.tolist(), cv.tolist(), ct.tolist()
-        ):
-            cached[wi].append((ui, vi, ti))
-        unver = [None] * n  # node -> {(a, b): through} awaiting a verdict
-        # Endpoints of edges added/improved since a node's last
-        # evaluation -- the only pairs ``estimate`` must re-scan --
-        # plus the neighbour-contraction count last seen, so a pop
-        # with no changes at all returns its count untouched.
-        dirty_in = [None] * n
-        dirty_out = [None] * n
-        eval_del = [0] * n
-        aug = []  # every inserted shortcut, flat, for the final split
-        next_rank = 0
-        while heap:
-            _, w = heappop(heap)
-            if contracted[w]:
-                continue
-            degree = len(in_live[w]) + len(out_live[w])
-            priority = estimate(w) - degree + deleted[w]
-            if heap and priority > heap[0][0]:
-                heappush(heap, (priority, w))
-                continue
-            cuts = exact_cuts(w)
-            priority = len(cuts) - degree + deleted[w]
-            if heap and priority > heap[0][0]:
-                # The estimate was off; the exact verdicts are the
-                # freshest estimate there is, so recycle them.
-                cached[w] = cuts
-                unver[w] = None
-                dirty_in[w] = None
-                dirty_out[w] = None
-                eval_del[w] = deleted[w]
-                heappush(heap, (priority, w))
-                continue
-            for u, v, cost in cuts:
-                old = out_all[u].get(v)
-                if old is None or cost < old[0]:
-                    out_all[u][v] = (cost, w)
-                    out_live[u][v] = cost
-                    in_live[v][u] = cost
-                    aug.append((u, v, cost, w))
-                    du = dirty_out[u]
-                    if du is None:
-                        dirty_out[u] = {v}
-                    else:
-                        du.add(v)
-                    dv = dirty_in[v]
-                    if dv is None:
-                        dirty_in[v] = {u}
-                    else:
-                        dv.add(u)
-            contracted[w] = 1
-            rank[w] = next_rank
-            next_rank += 1
-            for u in in_live[w]:
-                del out_live[u][w]
-                deleted[u] += 1
-            for v in out_live[w]:
-                del in_live[v][w]
-                deleted[v] += 1
-            out_live[w] = {}
-            in_live[w] = {}
-
-        # Split the augmented edge set by rank direction, vectorised:
-        # originals plus every appended shortcut, deduplicated to the
-        # cheapest per pair with earliest-insertion tie-breaking (the
-        # same verdicts the ``out_all`` dicts keep), then one stable
-        # sort per direction.  ``up`` rows are outgoing edges to
-        # higher-ranked nodes (forward search); ``down`` rows are
-        # *incoming* edges from higher-ranked nodes (backward search,
-        # and the forward search's stall probe).
-        if aug:
-            su, sv, sc, sm = zip(*aug)
-            au = np.concatenate([eu, np.asarray(su, dtype=np.int64)])
-            av = np.concatenate([ev, np.asarray(sv, dtype=np.int64)])
-            ac = np.concatenate([ec, np.asarray(sc, dtype=np.float64)])
-            am = np.concatenate(
-                [
-                    np.full(eu.size, -1, dtype=np.int32),
-                    np.asarray(sm, dtype=np.int32),
-                ]
-            )
-        else:
-            au, av, ac = eu, ev, ec
-            am = np.full(eu.size, -1, dtype=np.int32)
-        akey = au * n + av
-        aorder = np.lexsort((ac, akey))
-        akey = akey[aorder]
-        akeep = np.ones(akey.size, dtype=bool)
-        akeep[1:] = akey[1:] != akey[:-1]
-        sel = aorder[akeep]  # sorted by (u, v), cheapest per pair
-        au, av, ac, am = au[sel], av[sel], ac[sel], am[sel]
-        rank64 = rank.astype(np.int64)
-        up_mask = rank64[av] > rank64[au]
+        # Back to node space.  Both CSRs give each node a row of its
+        # higher-ranked neighbours: ``up`` holds the arcs leaving the row
+        # node (forward search), ``down`` the arcs entering it (backward
+        # search, and the forward search's stall probe).
+        low, high = node_at[tail], node_at[head]
+        mid_up = np.where(mid_up >= 0, node_at[mid_up], -1)
+        mid_down = np.where(mid_down >= 0, node_at[mid_down], -1)
         self.ch_rank = rank
-        self.ch_up_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(au[up_mask], minlength=n), out=self.ch_up_indptr[1:]
+        (
+            self.ch_up_indptr,
+            self.ch_up_indices,
+            self.ch_up_costs,
+            self.ch_up_middle,
+        ) = _rank_csr(
+            n, low[keep_up], high[keep_up], basic_up[keep_up], mid_up[keep_up]
         )
-        self.ch_up_indices = av[up_mask].astype(np.int32)
-        self.ch_up_costs = ac[up_mask]
-        self.ch_up_middle = am[up_mask]
-        down = ~up_mask
-        dorder = np.argsort(av[down] * n + au[down])  # rows by v, then u
-        self.ch_down_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(av[down], minlength=n), out=self.ch_down_indptr[1:]
+        (
+            self.ch_down_indptr,
+            self.ch_down_indices,
+            self.ch_down_costs,
+            self.ch_down_middle,
+        ) = _rank_csr(
+            n,
+            low[keep_down],
+            high[keep_down],
+            basic_down[keep_down],
+            mid_down[keep_down],
         )
-        self.ch_down_indices = au[down][dorder].astype(np.int32)
-        self.ch_down_costs = ac[down][dorder]
-        self.ch_down_middle = am[down][dorder]
         self._ch_up_lists = None
         self._ch_down_lists = None
         self._ch_middle_map = None
@@ -1007,14 +721,25 @@ class CellGraph:
         down_costs,
         down_middle,
     ):
-        """Install precomputed hierarchy arrays (model load path)."""
+        """Install precomputed hierarchy arrays (model load path).
+
+        Raises ``ValueError`` unless the arrays form a hierarchy the
+        queries can walk: *rank* is a permutation of the nodes, every
+        index is in range, every stored arc joins a node to a
+        higher-ranked one (up rows climb, down rows hold arcs that
+        descend into the row's node), and every middle node is ``-1`` or
+        ranked below both endpoints -- which is what makes shortcut
+        unpacking terminate.
+        """
         rank = np.asarray(rank, dtype=np.int32)
         n = self.num_nodes
         if rank.shape != (n,):
             raise ValueError(f"ch_rank must be shaped ({n},), got {rank.shape}")
-        up = _check_ch_csr("ch_up", n, up_indptr, up_indices, up_costs, up_middle)
+        if not np.array_equal(np.sort(rank), np.arange(n)):
+            raise ValueError(f"ch_rank must be a permutation of 0..{n - 1}")
+        up = _check_ch_csr("ch_up", rank, up_indptr, up_indices, up_costs, up_middle)
         down = _check_ch_csr(
-            "ch_down", n, down_indptr, down_indices, down_costs, down_middle
+            "ch_down", rank, down_indptr, down_indices, down_costs, down_middle
         )
         self.ch_rank = rank
         (
@@ -1101,6 +826,11 @@ class CellGraph:
         meeting cost over nodes labelled from both sides; a side stops
         once its queue minimum reaches ``mu`` (labels only grow upward,
         so nothing cheaper can appear), which keeps the stop exact.
+
+        Equal-cost ties resolve to the lowest node index, both for a
+        node's parent among the predecessors that reach its label and
+        for the meeting node among those that reach ``mu`` -- the rule
+        the batch kernel applies too, so both return the same path.
         """
         up = self._ch_up()
         down = self._ch_down()
@@ -1135,16 +865,21 @@ class CellGraph:
                     expanded += 1
                     for v, w in up[u]:
                         nd = d + w
-                        if nd < df.get(v, _INF):
+                        old = df.get(v, _INF)
+                        if nd < old:
                             df[v] = nd
                             pf[v] = u
                             heappush(heapf, (nd, v))
                             dbv = db.get(v)
-                            if dbv is not None and nd + dbv < mu:
+                            if dbv is not None and (
+                                nd + dbv < mu or nd + dbv == mu and v < meet
+                            ):
                                 mu = nd + dbv
                                 meet = v
+                        elif nd == old and u < pf[v]:
+                            pf[v] = u
                 dbu = db.get(u)
-                if dbu is not None and d + dbu < mu:
+                if dbu is not None and (d + dbu < mu or d + dbu == mu and u < meet):
                     mu = d + dbu
                     meet = u
             else:
@@ -1162,16 +897,21 @@ class CellGraph:
                     expanded += 1
                     for v, w in down[u]:
                         nd = d + w
-                        if nd < db.get(v, _INF):
+                        old = db.get(v, _INF)
+                        if nd < old:
                             db[v] = nd
                             pb[v] = u
                             heappush(heapb, (nd, v))
                             dfv = df.get(v)
-                            if dfv is not None and dfv + nd < mu:
+                            if dfv is not None and (
+                                dfv + nd < mu or dfv + nd == mu and v < meet
+                            ):
                                 mu = dfv + nd
                                 meet = v
+                        elif nd == old and u < pb[v]:
+                            pb[v] = u
                 dfu = df.get(u)
-                if dfu is not None and dfu + d < mu:
+                if dfu is not None and (dfu + d < mu or dfu + d == mu and u < meet):
                     mu = dfu + d
                     meet = u
         if meet < 0:
@@ -1324,8 +1064,88 @@ class CellGraph:
 # -- CH module helpers -----------------------------------------------------
 
 
-def _check_ch_csr(name, num_nodes, indptr, indices, costs, middle):
-    """Validate one direction's CH CSR arrays (the ``set_ch`` load path)."""
+def _dissection_rank(q, r, eu, ev):
+    """Nested-dissection contraction order by recursive coordinate bisection.
+
+    A node set is split at the median of its longer axial axis (*q* or
+    *r*).  The endpoints of the cut edges on the side with fewer of them
+    form a separator: the two halves are ranked recursively, then the
+    separator above both, so no shortcut ever joins the halves.  Sets of
+    at most ``_CCH_LEAF_SIZE`` nodes are ranked in the order they come.
+    *eu*/*ev* are the edge endpoints; costs play no part, so the order
+    is a pure function of the cells and the edge topology.
+    """
+    n = q.size
+    rank = np.empty(n, dtype=np.int32)
+    half = np.zeros(n, dtype=np.int8)
+    in_sep = np.zeros(n, dtype=bool)
+    next_rank = 0
+
+    def assign(nodes):
+        nonlocal next_rank
+        rank[nodes] = np.arange(next_rank, next_rank + nodes.size)
+        next_rank += nodes.size
+
+    def dissect(nodes, su, sv):
+        if nodes.size <= _CCH_LEAF_SIZE:
+            assign(nodes)
+            return
+        nq, nr = q[nodes], r[nodes]
+        axis = nq if np.ptp(nq) >= np.ptp(nr) else nr
+        nodes = nodes[np.argsort(axis, kind="stable")]
+        lo, hi = nodes[: nodes.size // 2], nodes[nodes.size // 2 :]
+        half[lo] = 0
+        half[hi] = 1
+        hu = half[su]
+        cut = hu != half[sv]
+        ends = np.concatenate([su[cut], sv[cut]])
+        lo_ends = np.unique(ends[half[ends] == 0])
+        hi_ends = np.unique(ends[half[ends] == 1])
+        sep = lo_ends if lo_ends.size <= hi_ends.size else hi_ends
+        in_sep[sep] = True
+        inner = ~cut & ~in_sep[su] & ~in_sep[sv]
+        su, sv, left = su[inner], sv[inner], hu[inner] == 0
+        dissect(lo[~in_sep[lo]], su[left], sv[left])
+        dissect(hi[~in_sep[hi]], su[~left], sv[~left])
+        assign(sep)
+
+    dissect(np.arange(n, dtype=np.int64), eu, ev)
+    return rank
+
+
+def _level_groups(levels):
+    """Indices of equal *levels*, lowest level first, ascending within."""
+    order = np.argsort(levels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(levels[order])) + 1)
+
+
+def _relax(cost, middle, arcs, through, via):
+    """Lower ``cost[arcs]`` to *through* and, where that strictly wins,
+    set ``middle[arcs]`` to the lowest tying *via* node."""
+    before = cost[arcs]
+    np.minimum.at(cost, arcs, through)
+    won = (through < before) & (through == cost[arcs])
+    if won.any():
+        middle[arcs[won]] = np.iinfo(middle.dtype).max
+        np.minimum.at(middle, arcs[won], via[won])
+
+
+def _rank_csr(n, rows, cols, costs, middles):
+    """One hierarchy direction as CSR: a row per node, columns ascending."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return (
+        indptr,
+        cols[order].astype(np.int32),
+        costs[order],
+        middles[order].astype(np.int32),
+    )
+
+
+def _check_ch_csr(name, rank, indptr, indices, costs, middle):
+    """Validate one direction's CH CSR arrays against *rank* (see ``set_ch``)."""
+    num_nodes = rank.size
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int32)
     costs = np.asarray(costs, dtype=np.float64)
@@ -1334,12 +1154,25 @@ def _check_ch_csr(name, num_nodes, indptr, indices, costs, middle):
         raise ValueError(
             f"{name}_indptr must be shaped ({num_nodes + 1},), got {indptr.shape}"
         )
-    edges = int(indptr[-1]) if len(indptr) else 0
+    if indptr[0] != 0 or (np.diff(indptr) < 0).any():
+        raise ValueError(f"{name}_indptr must rise from 0")
+    edges = int(indptr[-1])
     if not (len(indices) == len(costs) == len(middle) == edges):
         raise ValueError(
             f"{name} arrays must all hold {edges} edges, got "
             f"{len(indices)} / {len(costs)} / {len(middle)}"
         )
+    if ((indices < 0) | (indices >= num_nodes)).any() or (
+        (middle < -1) | (middle >= num_nodes)
+    ).any():
+        raise ValueError(f"{name} node indices out of range")
+    # Up row u lists heads above u; down row v lists tails above v.
+    row_rank = np.repeat(rank, np.diff(indptr))
+    if (rank[indices] <= row_rank).any():
+        raise ValueError(f"{name} arcs must join each row to higher-ranked nodes")
+    shortcut = middle >= 0
+    if (rank[middle[shortcut]] >= row_rank[shortcut]).any():
+        raise ValueError(f"{name} middle nodes must rank below both endpoints")
     return indptr, indices, costs, middle
 
 

@@ -182,7 +182,10 @@ def _graph_from_npz(data, path, prefix=""):
         raise ModelFormatError(f"{path}: missing graph arrays {missing}")
     graph = CellGraph(*(data[prefix + key] for key in _GRAPH_KEYS))
     if all(prefix + key in data.files for key in _CH_KEYS):
-        graph.set_ch(*(data[prefix + key] for key in _CH_KEYS))
+        try:
+            graph.set_ch(*(data[prefix + key] for key in _CH_KEYS))
+        except ValueError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
     return graph
 
 
@@ -582,6 +585,7 @@ class HabitImputer:
 
         Raises :class:`ModelFormatError` when *path* is not a readable
         habit model (wrong kind, out-of-range version, missing arrays,
+        a hierarchy :meth:`~repro.core.graph.CellGraph.set_ch` rejects,
         or not an ``.npz`` archive at all).  Format-v3 files load with
         default search settings; v4+ files restore the stored search
         variant (a removed ``"alt"`` or ``"bidirectional"`` reads as

@@ -1,10 +1,11 @@
 """Vectorised batch query kernel over contraction-hierarchy CSR arrays.
 
 The scalar CH query (:meth:`repro.core.graph.CellGraph._ch_query`)
-settles ~30 nodes per r10 query, so nearly all of its latency is
-CPython interpreter overhead in the heap/relaxation loop (~8 us per
-settled node).  This module removes the interpreter from the per-node
-path by answering *many* ``(src, dst)`` queries in one NumPy sweep:
+settles ~60 nodes per r10 query on the customizable hierarchy, so
+nearly all of its latency is CPython interpreter overhead in the
+heap/relaxation loop (~8 us per settled node).  This module removes the
+interpreter from the per-node path by answering *many* ``(src, dst)``
+queries in one NumPy sweep:
 
 - **One combined bidirectional sweep.**  Upward CH edges go strictly to
   higher-ranked nodes, so each directed search space is a DAG and a
@@ -57,7 +58,6 @@ __all__ = [
     "KernelTables",
     "batch_ch_paths",
     "build_kernel_tables",
-    "initial_cut_counts",
     "solve_batch",
 ]
 
@@ -266,11 +266,13 @@ def _sweep(tables, num_q, srcs, dsts):
         np.minimum.at(dist, key, nd)
         after = dist[key]
         improved = after < before
-        # A candidate "wins" its key when it equals the post-scatter
-        # minimum; duplicate winners are cost ties, either parent is a
-        # valid shortest-path predecessor.
-        winners = improved & (nd == after)
-        parent[key[winners]] = np.repeat(fv, deg)[winners]
+        # Every candidate equal to its key's label is a shortest-path
+        # predecessor; the parent is the lowest node id among them, this
+        # round's or an earlier round's -- the scalar query's tie-break,
+        # so both return the same path, not just the same cost.
+        tied = nd == after
+        parent[key[improved]] = n2
+        np.minimum.at(parent, key[tied], np.repeat(fv, deg)[tied].astype(np.int32))
         # Sort + adjacent-compare dedup of the improved keys (same
         # result as ``np.unique`` at a fraction of the cost).
         fkey = key[improved]
@@ -424,170 +426,3 @@ def solve_batch(tables, srcs, dsts):
     paths, costs, expanded, rounds = batch_ch_paths(tables, srcs, dsts)
     KERNEL_SWEEP_ITERATIONS.observe(rounds)
     return paths, costs, expanded
-
-
-def _directed_csr(n, src, dst, cost):
-    """CSR over *src*-major edge arrays (rows sorted, stable order)."""
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order], cost[order]
-
-
-def initial_cut_counts(n, indptr, indices, costs, rtol, return_cuts=False):
-    """Witnessed shortcut counts for every node of the *original* graph.
-
-    The CH contraction loop seeds its priority heap with one exact
-    witness evaluation per node -- a third of all witness searches,
-    every one running against the same pristine overlay.  This computes
-    the identical counts vectorised: one bounded multi-lane
-    label-correcting sweep, one lane per (node, min-side neighbour)
-    pair, with per-lane skip-node masking and distance limits.
-
-    Exactness: the scalar witness search settles in distance order, so
-    by the time it terminates every target within the limit holds its
-    final label -- the same min-plus fixpoint over left-associated
-    float sums the sweep converges to (the settle cap never binds on
-    the pristine overlay's small neighbourhoods, and labels beyond
-    ``limit * (1 + rtol)`` fail every witness comparison in both
-    implementations).  The per-node counts are therefore equal to the
-    scalar pass's.
-
-    *indptr*/*indices*/*costs* are the graph's raw adjacency CSR;
-    parallel edges are deduplicated to the cheapest and self-loops
-    dropped, exactly like the contraction overlay.  Returns an int64
-    count per node (0 where either side of the neighbourhood is empty).
-    With ``return_cuts=True`` returns ``(counts, (w, u, v, through))``
-    -- the witnessed shortcut triples themselves, so the contraction
-    loop can reuse them verbatim for nodes whose neighbourhood is still
-    pristine when they reach the top of the heap.
-    """
-    counts = np.zeros(n, dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
-    no_cuts = (empty, empty, empty, np.empty(0, dtype=np.float64))
-    if n == 0 or len(indices) == 0:
-        return (counts, no_cuts) if return_cuts else counts
-    tol = 1.0 + rtol
-    # Dedup to the cheapest parallel edge, self-loop-free.
-    u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    v = np.asarray(indices, dtype=np.int64)
-    c = np.asarray(costs, dtype=np.float64)
-    keep = u != v
-    u, v, c = u[keep], v[keep], c[keep]
-    if not u.size:
-        return (counts, no_cuts) if return_cuts else counts
-    key = u * n + v
-    order = np.lexsort((c, key))
-    key, u, v, c = key[order], u[order], v[order], c[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    u, v, c = u[first], v[first], c[first]
-    out_indptr, out_idx, out_cost = _directed_csr(n, u, v, c)
-    in_indptr, in_idx, in_cost = _directed_csr(n, v, u, c)
-    out_deg = np.diff(out_indptr)
-    in_deg = np.diff(in_indptr)
-    both = (out_deg > 0) & (in_deg > 0)
-    fwd = both & (in_deg <= out_deg)
-    bwd = both & ~fwd
-    chunk = max(1, BATCH_CHUNK_CELLS // n)
-    dist = np.full(chunk * n, _INF)  # shared workspace, reset per chunk
-    cut_parts = []  # (w, u, v, through) arrays per side when return_cuts
-
-    def side(ws, src, tgt, relax, tgt_is_out):
-        """Count cuts for nodes *ws* whose witness searches start on the
-        *src* side (one lane per source neighbour), probe *tgt*-side
-        pairs, and relax over the *relax* CSR."""
-        src_indptr, src_idx, src_cost = src
-        tgt_indptr, tgt_idx, tgt_cost = tgt
-        relax_indptr, relax_idx, relax_cost = relax
-        ldeg = src_indptr[ws + 1] - src_indptr[ws]
-        lane_w = np.repeat(ws, ldeg)
-        eids = _expand_ranges(src_indptr[ws], ldeg)
-        lane_src = src_idx[eids].astype(np.int64)
-        lane_scost = src_cost[eids]
-        # Per-node max target cost bounds each lane's search radius,
-        # matching the scalar ``limit = c(src) + max(target costs)``.
-        tdeg = tgt_indptr[ws + 1] - tgt_indptr[ws]
-        teids = _expand_ranges(tgt_indptr[ws], tdeg)
-        maxt = np.full(ws.size, -_INF)
-        np.maximum.at(maxt, np.repeat(np.arange(ws.size), tdeg), tgt_cost[teids])
-        lane_limit = (lane_scost + np.repeat(maxt, ldeg)) * tol
-        # Every (lane, target) pair, minus the source itself.
-        lane_wpos = np.repeat(np.arange(ws.size), ldeg)
-        ptdeg = tdeg[lane_wpos]
-        pair_lane = np.repeat(np.arange(lane_w.size, dtype=np.int64), ptdeg)
-        pteids = _expand_ranges(tgt_indptr[lane_w], ptdeg)
-        pair_v = tgt_idx[pteids].astype(np.int64)
-        pair_through = lane_scost[pair_lane] + tgt_cost[pteids]
-        keep = pair_v != lane_src[pair_lane]
-        pair_lane = pair_lane[keep]
-        pair_v = pair_v[keep]
-        pair_through = pair_through[keep]
-        num_lanes = lane_w.size
-        pair_label = np.full(pair_lane.size, _INF)
-        bounds = np.searchsorted(
-            pair_lane, np.arange(0, num_lanes + chunk, chunk)
-        )
-        for ci, lo in enumerate(range(0, num_lanes, chunk)):
-            hi = min(lo + chunk, num_lanes)
-            skip = lane_w[lo:hi]
-            limit = lane_limit[lo:hi]
-            fl = np.arange(hi - lo, dtype=np.int64)
-            fv = lane_src[lo:hi].copy()
-            fkey = fl * n + fv
-            dist[fkey] = 0.0
-            touched = [fkey]
-            while fv.size:
-                base = dist[fkey]
-                deg = relax_indptr[fv + 1] - relax_indptr[fv]
-                eids2 = _expand_ranges(relax_indptr[fv], deg)
-                if not eids2.size:
-                    break
-                cl = np.repeat(fl, deg)
-                cv = relax_idx[eids2].astype(np.int64)
-                nd = np.repeat(base, deg) + relax_cost[eids2]
-                ok = (cv != skip[cl]) & (nd <= limit[cl])
-                cl, cv, nd = cl[ok], cv[ok], nd[ok]
-                key = cl * n + cv
-                before = dist[key]
-                np.minimum.at(dist, key, nd)
-                after = dist[key]
-                fkey = key[after < before]
-                if fkey.size:
-                    fkey.sort(kind="stable")
-                    mask = np.empty(fkey.size, dtype=bool)
-                    mask[0] = True
-                    np.not_equal(fkey[1:], fkey[:-1], out=mask[1:])
-                    fkey = fkey[mask]
-                    touched.append(fkey)
-                fl = fkey // n
-                fv = fkey - fl * n
-            s, e = bounds[ci], bounds[ci + 1]
-            pl = pair_lane[s:e] - lo
-            pair_label[s:e] = dist[pl * n + pair_v[s:e]]
-            dist[np.concatenate(touched)] = _INF
-        cut = pair_label > pair_through * tol
-        np.add.at(counts, lane_w[pair_lane[cut]], 1)
-        if return_cuts:
-            ends_a = lane_src[pair_lane[cut]]  # the search-source side
-            ends_b = pair_v[cut]  # the probed target side
-            cu, cv = (ends_a, ends_b) if tgt_is_out else (ends_b, ends_a)
-            cut_parts.append(
-                (lane_w[pair_lane[cut]], cu, cv, pair_through[cut])
-            )
-
-    out = (out_indptr, out_idx, out_cost)
-    rev = (in_indptr, in_idx, in_cost)
-    if fwd.any():
-        side(np.flatnonzero(fwd).astype(np.int64), rev, out, out, True)
-    if bwd.any():
-        side(np.flatnonzero(bwd).astype(np.int64), out, rev, rev, False)
-    if not return_cuts:
-        return counts
-    if cut_parts:
-        cuts = tuple(
-            np.concatenate([p[i] for p in cut_parts]) for i in range(4)
-        )
-    else:
-        cuts = no_cuts
-    return counts, cuts

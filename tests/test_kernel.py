@@ -3,25 +3,16 @@
 The equal-cost property suite (`test_search_properties.py`) hammers the
 end-to-end batch/scalar agreement across 220 seeded graphs; this module
 covers the kernel-specific machinery underneath it -- range expansion,
-chunking, the precomputed shortcut-expansion table, the vectorised
-initial witness pass against a brute-force oracle, and the obs
+chunking, the precomputed shortcut-expansion table, and the obs
 instrumentation.
 """
-
-import heapq
 
 import numpy as np
 import pytest
 
 from graphgen import random_graph
 from repro.core import kernel
-from repro.core.graph import _CH_WITNESS_RTOL
-from repro.core.kernel import (
-    KERNEL_BATCH_SIZE,
-    KERNEL_SECONDS,
-    _expand_ranges,
-    initial_cut_counts,
-)
+from repro.core.kernel import KERNEL_BATCH_SIZE, KERNEL_SECONDS, _expand_ranges
 
 
 def _seeded_graph(seed=101, topology="uniform"):
@@ -92,89 +83,3 @@ def test_kernel_metrics_observe_batches():
     assert KERNEL_BATCH_SIZE.count() == calls_before + 1
     assert KERNEL_SECONDS.count() == seconds_before + 1
     assert KERNEL_BATCH_SIZE.sum() >= len(pairs)
-
-
-def _brute_force_cut_counts(graph, rtol):
-    """Scalar witness-pass oracle: full Dijkstra per (node, in-neighbour)
-    on the deduped self-loop-free overlay minus the contracted node."""
-    n = graph.num_nodes
-    out = [dict() for _ in range(n)]
-    inn = [dict() for _ in range(n)]
-    u = np.repeat(np.arange(n), np.diff(graph.indptr))
-    for a, b, c in zip(u.tolist(), graph.indices.tolist(), graph.costs.tolist()):
-        if a == b:
-            continue
-        if b not in out[a] or c < out[a][b]:
-            out[a][b] = c
-            inn[b][a] = c
-    tol = 1.0 + rtol
-    counts = np.zeros(n, dtype=np.int64)
-    for w in range(n):
-        if not inn[w] or not out[w]:
-            continue
-        for a, cuw in inn[w].items():
-            targets = {b for b in out[w] if b != a}
-            if not targets:
-                continue
-            dist = {a: 0.0}
-            heap = [(0.0, a)]
-            while heap and targets:
-                d, x = heapq.heappop(heap)
-                if d > dist.get(x, np.inf):
-                    continue
-                targets.discard(x)
-                for y, c in out[x].items():
-                    if y == w:
-                        continue
-                    nd = d + c
-                    if nd < dist.get(y, np.inf):
-                        dist[y] = nd
-                        heapq.heappush(heap, (nd, y))
-            for b, cwb in out[w].items():
-                if b == a:
-                    continue
-                through = cuw + cwb
-                if dist.get(b, np.inf) > through * tol:
-                    counts[w] += 1
-    return counts
-
-
-@pytest.mark.parametrize("seed", [31, 47, 63])
-@pytest.mark.parametrize("topology", ["uniform", "lane", "multi_component"])
-def test_initial_cut_counts_match_bruteforce_witnesses(seed, topology):
-    graph = _seeded_graph(seed, topology)
-    counts = initial_cut_counts(
-        graph.num_nodes, graph.indptr, graph.indices, graph.costs, _CH_WITNESS_RTOL
-    )
-    expected = _brute_force_cut_counts(graph, _CH_WITNESS_RTOL)
-    assert np.array_equal(counts, expected), (
-        f"seed={seed} topology={topology}: "
-        f"{np.flatnonzero(counts != expected)[:5]}"
-    )
-
-
-def test_initial_cut_counts_returns_reusable_triples():
-    graph = _seeded_graph(53)
-    n = graph.num_nodes
-    counts, (w, u, v, through) = initial_cut_counts(
-        n, graph.indptr, graph.indices, graph.costs, _CH_WITNESS_RTOL,
-        return_cuts=True,
-    )
-    assert len(w) == len(u) == len(v) == len(through) == counts.sum()
-    assert np.array_equal(np.bincount(w, minlength=n), counts)
-    # Every triple is a genuine in->w->out wedge with the summed cost.
-    out = [dict() for _ in range(n)]
-    uu = np.repeat(np.arange(n), np.diff(graph.indptr))
-    for a, b, c in zip(uu.tolist(), graph.indices.tolist(), graph.costs.tolist()):
-        if a != b and (b not in out[a] or c < out[a][b]):
-            out[a][b] = c
-    for wi, ui, vi, ti in zip(w.tolist(), u.tolist(), v.tolist(), through.tolist()):
-        assert ui != vi
-        assert ti == out[ui][wi] + out[wi][vi]
-
-
-def test_empty_graph_initial_pass():
-    counts = initial_cut_counts(
-        0, np.zeros(1, np.int64), np.empty(0, np.int64), np.empty(0), 1e-12
-    )
-    assert counts.size == 0

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import repro.core.habit as habit_mod
-from repro.core import HabitConfig, HabitImputer, TypedHabitImputer
+from repro.core import HabitConfig, HabitImputer, ModelFormatError, TypedHabitImputer
 from repro.service import ModelRegistry
 
 
@@ -129,6 +129,21 @@ def test_prev5_rebuild_matches_persisted_hierarchy(ch_model, tmp_path):
     for key in habit_mod._CH_KEYS:
         assert np.array_equal(getattr(restored.graph, key), getattr(ch_model.graph, key)), key
 
+
+
+def test_v5_file_whose_shortcuts_never_unpack_is_rejected(ch_model, tmp_path):
+    """Middle nodes that are their own arc's tail would make every CH
+    path unpack forever; such a file fails to load like any bad model,
+    so the registry refits or rejects it instead of pinning a thread."""
+    with np.load(ch_model.save(tmp_path / "v5.npz")) as data:
+        payload = {key: data[key] for key in data.files}
+    indptr = payload["ch_up_indptr"]
+    tails = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    payload["ch_up_middle"] = tails.astype(np.int32)
+    crafted = tmp_path / "crafted.npz"
+    np.savez(crafted, **payload)
+    with pytest.raises(ModelFormatError, match="middle"):
+        HabitImputer.load(crafted)
 
 def test_plain_round_trip_preserves_ch_arrays_bit_exactly(ch_model, tmp_path):
     restored = HabitImputer.load(ch_model.save(tmp_path / "m.npz"))

@@ -185,6 +185,44 @@ def test_saved_format_version_is_5(default_model, tmp_path):
         assert len(data["config"]) == 10 and str(data["config"][9]) == "8"
 
 
+
+def _corrupt_ch(arrays, defect):
+    """Copy of ``set_ch``'s positional arrays with one *defect* planted."""
+    (rank, up_ptr, up_idx, up_cost, up_mid, down_ptr, down_idx, down_cost,
+     down_mid) = (np.array(a, copy=True) for a in arrays)
+    up_rows = np.repeat(np.arange(len(rank)), np.diff(up_ptr))
+    if defect == "rank":
+        rank[0] = rank[1]
+    elif defect == "index":
+        up_idx[0] = len(rank)
+    elif defect == "indptr":
+        up_ptr[0] = -1
+    elif defect == "direction":
+        up_idx[0] = up_rows[0]
+    elif defect == "middle":
+        up_mid[:] = up_rows  # each arc's middle is its own tail
+    return (rank, up_ptr, up_idx, up_cost, up_mid, down_ptr, down_idx,
+            down_cost, down_mid)
+
+
+@pytest.mark.parametrize("defect", ["rank", "index", "indptr", "direction", "middle"])
+def test_set_ch_rejects_hierarchies_queries_cannot_walk(defect):
+    """``set_ch`` accepts only hierarchies whose queries and shortcut
+    unpacking terminate: a permutation rank, in-range indices, arcs that
+    climb in rank, and middle nodes ranked below both endpoints."""
+    built = _random_graph(np.random.default_rng(29))
+    built.compute_ch()
+    arrays = [getattr(built, key) for key in (
+        "ch_rank", "ch_up_indptr", "ch_up_indices", "ch_up_costs", "ch_up_middle",
+        "ch_down_indptr", "ch_down_indices", "ch_down_costs", "ch_down_middle",
+    )]
+    fresh = _random_graph(np.random.default_rng(29))
+    with pytest.raises(ValueError, match="ch_"):
+        fresh.set_ch(*_corrupt_ch(arrays, defect))
+    assert not fresh.has_ch
+    fresh.set_ch(*arrays)
+    assert fresh.has_ch
+
 def test_search_config_round_trips_through_service_schema():
     from repro.service import parse_impute_payload
 

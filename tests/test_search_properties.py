@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from graphgen import TOPOLOGIES, random_graph
-from repro.core import GOAL_DIRECTED_METHODS, SEARCH_METHODS
+from repro.core import GOAL_DIRECTED_METHODS, SEARCH_METHODS, CellGraph
+from repro.core.graph import _ch_unpack
+from repro.core.habit import _CH_KEYS
 
 #: (topology, number of graph draws) -- 220 graphs in total.
 _PLAN = (
@@ -196,3 +198,67 @@ def test_degenerate_pairs_short_circuit_before_any_search_work(monkeypatch):
         )
         assert batched[0].cost == 0.0 and batched[0].expanded == 0, method
         assert batched[1] is None and batched[2] is None, method
+
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_every_stored_arc_unpacks_to_its_cost(topology):
+    """Every up/down arc of a freshly built hierarchy costs what its
+    unpacked original edges sum to, and every middle node ranks below
+    both endpoints (the ``set_ch`` invariant unpacking relies on)."""
+    for draw in range(12):
+        seed = _BASE_SEED + draw
+        graph = random_graph(np.random.default_rng(seed), topology)
+        graph.compute_ch()
+        rank = graph.ch_rank
+        middles = graph._ch_middles()
+        cheapest = {}
+        for a, row in graph.adjacency.items():
+            for b, cost, _ in row:
+                cheapest[a, b] = min(cost, cheapest.get((a, b), np.inf))
+        # Up row u holds arcs u -> v; down row v holds arcs u -> v.
+        for name, row_is_tail in (("up", True), ("down", False)):
+            indptr = getattr(graph, f"ch_{name}_indptr")
+            rows = np.repeat(np.arange(graph.num_nodes), np.diff(indptr))
+            cols = getattr(graph, f"ch_{name}_indices")
+            tails, heads = (rows, cols) if row_is_tail else (cols, rows)
+            arcs = zip(
+                tails.tolist(),
+                heads.tolist(),
+                getattr(graph, f"ch_{name}_costs").tolist(),
+                getattr(graph, f"ch_{name}_middle").tolist(),
+            )
+            for u, v, cost, m in arcs:
+                where = f"topology={topology} seed={seed} {name} arc {u}->{v}"
+                assert m == -1 or rank[m] < min(rank[u], rank[v]), where
+                path = [u]
+                _ch_unpack(u, v, middles, path)
+                cells = graph.cells[path].tolist()
+                total = sum(cheapest[a, b] for a, b in zip(cells, cells[1:]))
+                assert cost == pytest.approx(total, rel=1e-12), where
+        # The fresh arrays pass the load-path validation unchanged.
+        copy = random_graph(np.random.default_rng(seed), topology)
+        copy.set_ch(*(getattr(graph, key) for key in _CH_KEYS))
+
+
+@pytest.mark.parametrize("topology", ["uniform", "lane", "multi_component"])
+def test_batch_and_scalar_ch_return_the_same_path_on_ties(topology):
+    """Whole-step costs make equal-cost paths common.  The batch kernel
+    and the scalar CH query must still return the *same* path, not just
+    the same cost: a served batch answer has to equal an offline single
+    ``impute`` of the same gap."""
+    for draw in range(20):
+        seed = _BASE_SEED + draw
+        base = random_graph(np.random.default_rng(seed), topology)
+        graph = CellGraph(
+            base.cells, base.lats, base.lngs, base.edge_src, base.edge_dst,
+            np.ceil(base.edge_cost), base.edge_count,
+        )
+        rng = np.random.default_rng(seed)
+        pairs = [tuple(int(c) for c in rng.choice(graph.cells, 2)) for _ in range(24)]
+        for (src, dst), batched in zip(pairs, graph.find_paths_batch(pairs)):
+            scalar = graph.find_path(src, dst, "ch")
+            where = f"topology={topology} seed={seed} {src}->{dst}"
+            assert (scalar is None) == (batched is None), where
+            if scalar is not None:
+                assert batched.cells == scalar.cells, where
