@@ -22,5 +22,5 @@ def test_snap_ring_limit(benchmark, habit_r9, max_ring):
 @pytest.mark.benchmark(group="ablation-snap")
 def test_snap_hit_is_instant(benchmark, habit_r9):
     graph = habit_r9.graph
-    node = next(iter(graph.node_attrs))
+    node = int(graph.cells[0])
     assert benchmark(graph.nearest_node, node) == node

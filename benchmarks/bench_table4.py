@@ -1,8 +1,10 @@
 """Table 4 benchmark: per-query imputation latency, HABIT vs GTI.
 
 The reproduction target is the *ratio*: GTI (full Dijkstra over a point
-graph) is roughly an order of magnitude slower per query than HABIT
-(A* over the compressed cell graph), and finer HABIT resolutions cost more.
+graph) is roughly an order of magnitude slower per query than HABIT over
+the compressed cell graph, and finer HABIT resolutions cost more.  HABIT
+is timed with its default contraction-hierarchy search; the paper's A*
+query costs the same path and is timed in ``bench_ablation_astar.py``.
 """
 
 import pytest

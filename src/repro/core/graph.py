@@ -11,9 +11,7 @@ Internally the graph lives in a compact index space: cell ids are mapped
 to dense ``int32`` node indices at construction and edges are stored as
 CSR arrays (``indptr`` / ``indices`` / ``costs``), with per-node axial
 ``(q, r)`` coordinates precomputed so heuristics are two integer
-subtractions on arrays instead of a bit-unpack per edge relaxation.  The
-legacy dict views (``adjacency``, ``node_attrs``) are built lazily for
-compatibility and never touched by the hot path.
+subtractions on arrays instead of a bit-unpack per edge relaxation.
 
 Search variants (:meth:`CellGraph.find_path`):
 
@@ -27,7 +25,7 @@ Search variants (:meth:`CellGraph.find_path`):
   middle-node back-pointers on every shortcut.  Queries run a
   bidirectional upward-only Dijkstra with stall-on-demand pruning and
   unpack shortcuts back into original cells.  The hierarchy is stored as
-  CSR ``int32`` arrays and persisted in format-v5 model files.
+  CSR ``int32`` arrays and persisted in every model file.
 
 Two weight schemes are supported:
 
@@ -70,7 +68,7 @@ __all__ = [
 ]
 
 #: Search variants accepted by :meth:`CellGraph.find_path` (and, through
-#: ``HabitConfig.search``, by the imputer's query path).
+#: ``method=``, by :meth:`repro.core.habit.HabitImputer.impute`).
 SEARCH_METHODS = ("dijkstra", "astar", "ch")
 
 #: Node placements accepted by :meth:`CellGraph.from_statistics`.
@@ -191,7 +189,6 @@ class CellGraph:
         np.cumsum(counts, out=self.indptr[1:])
         self.indices = dst_idx[valid][eorder].astype(np.int32)
         self.costs = self.edge_cost[valid][eorder]
-        self._csr_counts = self.edge_count[valid][eorder]
         # Optional contraction hierarchy (``compute_ch``): per-node
         # contraction rank plus upward/downward shortcut CSR arrays with
         # middle-node back-pointers (-1 = original edge).  ``ch_down_*``
@@ -206,14 +203,12 @@ class CellGraph:
         self.ch_down_indices = None
         self.ch_down_costs = None
         self.ch_down_middle = None
-        # Lazily built structures (hot-loop adjacency mirrors, legacy
-        # dict views, snap memo, CH mirrors) share one reentrant lock;
-        # all are pure functions of the frozen arrays, so queries stay
-        # read-only in spirit.
+        # Lazily built structures (hot-loop adjacency mirrors, snap
+        # memo, CH mirrors) share one reentrant lock; all are pure
+        # functions of the frozen arrays, so queries stay read-only in
+        # spirit.
         self._lock = threading.RLock()
         self._csr_lists = None
-        self._node_attrs = None
-        self._adjacency = None
         self._snap_cache = {}
         self._h_cache = {}  # target idx -> python list
         self._ch_up_lists = None  # hot-loop mirrors of the CH CSR arrays
@@ -268,48 +263,6 @@ class CellGraph:
         if pos >= len(sorted_cells) or int(sorted_cells[pos]) != int(cell):
             return -1
         return int(self._sorted_to_node[pos])
-
-    # -- legacy dict views (lazy; not used by the hot path) ---------------
-
-    @property
-    def node_attrs(self):
-        """cell id -> (lat, lng); compat view, built on first access."""
-        attrs = self._node_attrs
-        if attrs is None:
-            with self._lock:
-                attrs = self._node_attrs
-                if attrs is None:
-                    attrs = {
-                        int(c): (float(la), float(ln))
-                        for c, la, ln in zip(self.cells, self.lats, self.lngs)
-                    }
-                    self._node_attrs = attrs
-        return attrs
-
-    @property
-    def adjacency(self):
-        """cell id -> [(neighbour cell, cost, count)]; compat view."""
-        adj = self._adjacency
-        if adj is None:
-            with self._lock:
-                adj = self._adjacency
-                if adj is None:
-                    adj = {}
-                    cells = self.cells
-                    indptr, indices = self.indptr, self.indices
-                    for u in range(len(cells)):
-                        row = [
-                            (
-                                int(cells[indices[e]]),
-                                float(self.costs[e]),
-                                int(self._csr_counts[e]),
-                            )
-                            for e in range(indptr[u], indptr[u + 1])
-                        ]
-                        if row:
-                            adj[int(cells[u])] = row
-                    self._adjacency = adj
-        return adj
 
     # -- shape / size ------------------------------------------------------
 
@@ -420,7 +373,7 @@ class CellGraph:
 
     # -- search ------------------------------------------------------------
 
-    def find_path(self, src, dst, method="astar"):
+    def find_path(self, src, dst, method="ch"):
         """Search for a cheapest *src* -> *dst* path (cell ids).
 
         Returns a :class:`SearchResult` or ``None`` when either endpoint
@@ -560,7 +513,7 @@ class CellGraph:
 
         The surviving arcs are stored as upward/downward CSR ``int32``
         arrays with per-edge middle-node back-pointers for path
-        unpacking, persisted in format-v5 model files so loads skip this
+        unpacking, persisted in every model file so loads skip this
         pass.  The build is deterministic, so a rebuild reproduces the
         persisted arrays bit-exactly.
         """
@@ -936,20 +889,17 @@ class CellGraph:
 
     # -- batch kernel ------------------------------------------------------
 
-    def find_paths_batch(self, pairs, method="ch"):
-        """Answer many ``(src, dst)`` cell-id queries in one call.
+    def find_paths_batch(self, pairs):
+        """Answer many ``(src, dst)`` cell-id CH queries in one call.
 
-        With the default ``"ch"`` method every non-degenerate pair runs
-        through the vectorised batch kernel
-        (:func:`repro.core.kernel.solve_batch`): one NumPy frontier
-        sweep answers the whole batch instead of one Python heap loop
-        per query, with costs bit-equal to scalar CH.  Batches smaller
-        than :data:`KERNEL_CROSSOVER_LANES` fall back to the scalar CH
-        query per pair, which wins below the sweep's fixed cost (same
-        costs and paths; ``expanded`` counts settled nodes, as for any
-        scalar query).  Other methods
-        fall back to :meth:`find_path` per pair -- the scalar oracle
-        the property suite compares against.  Degenerate pairs
+        Every non-degenerate pair runs through the vectorised batch
+        kernel (:func:`repro.core.kernel.solve_batch`): one NumPy
+        frontier sweep answers the whole batch instead of one Python
+        heap loop per query, with costs bit-equal to scalar CH.  Batches
+        smaller than :data:`KERNEL_CROSSOVER_LANES` fall back to the
+        scalar CH query per pair, which wins below the sweep's fixed
+        cost (same costs and paths; ``expanded`` counts settled nodes,
+        as for any scalar query).  Degenerate pairs
         (missing endpoints, ``src == dst``, provably unreachable) are
         short-circuited before any kernel work, exactly like
         :meth:`find_path`.
@@ -958,10 +908,6 @@ class CellGraph:
         (``expanded`` counts labelled nodes across both sweep
         directions, the batch analogue of settled nodes) or ``None``.
         """
-        if method not in SEARCH_METHODS:
-            raise ValueError(
-                f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
-            )
         pairs = list(pairs)
         KERNEL_BATCH_SIZE.observe(len(pairs))
         started = perf_counter()
@@ -974,14 +920,10 @@ class CellGraph:
                 continue
             if si == di:
                 cell = int(self.cells[si])
-                results[i] = SearchResult((cell,), 0.0, 0, method, (si,))
+                results[i] = SearchResult((cell,), 0.0, 0, "ch", (si,))
                 continue
-            if self._degenerate_unreachable(si, di):
-                continue
-            if method == "ch":
+            if not self._degenerate_unreachable(si, di):
                 lanes.append((i, si, di))
-            else:
-                results[i] = self.find_path(src, dst, method)
         if lanes and len(lanes) < KERNEL_CROSSOVER_LANES:
             # Too few lanes for the sweep's fixed cost to amortise: the
             # scalar CH query wins below the crossover, at bit-equal

@@ -17,13 +17,13 @@ pass over historical rows.  ``revision`` counts those refreshes and rides
 into serving provenance.
 
 A query snaps both gap endpoints to graph nodes (memoized per graph),
-routes over the CSR search engine (``HabitConfig.search`` picks the
-variant: Dijkstra, A*, or the default contraction-hierarchy search --
-all provably equal-cost), projects the
-cell path to positions (cell centres
-or per-cell medians), simplifies with RDP at ``tolerance_m``, and pins
-the exact endpoints.  The three stages are public --
-:meth:`HabitImputer.snap_endpoints`, :meth:`HabitImputer.route`,
+routes over the graph's contraction hierarchy (built at
+:meth:`HabitImputer.finalize`; :meth:`HabitImputer.impute` takes
+``method="astar"`` or ``"dijkstra"`` for the paper's query and the cost
+oracle -- all provably equal-cost), projects the cell path to positions
+(cell centres or per-cell medians), simplifies with RDP at
+``tolerance_m``, and pins the exact endpoints.  The three stages are
+public -- :meth:`HabitImputer.snap_endpoints`, :meth:`HabitImputer.route`,
 :meth:`HabitImputer.render_path` -- so the serving layer can cache
 search results keyed by snapped endpoints.  When no route exists the
 imputer degrades to a straight line, flagged in ``ImputedPath.method``.
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS, SEARCH_METHODS, CellGraph
+from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS, CellGraph
 from repro.core.path import ImputedPath, resample_polyline_xy, straight_line_path
 from repro.core.statistics import StatisticsState, partial_statistics
 from repro.geo.proj import latlng_to_xy_m
@@ -58,19 +58,14 @@ _FIT_SECONDS = METRICS.histogram(
 __all__ = ["HabitConfig", "HabitImputer", "ModelFormatError", "config_hash"]
 
 #: On-disk model format tag and version.  Bumped whenever the ``.npz``
-#: layout changes; version-1 files predate the tag and are rejected with
-#: a clear error instead of being mis-read.  Version 3 added the model
-#: revision and the optional mergeable fit state that powers
-#: :meth:`HabitImputer.update` after a load.  Version 4 added the search
-#: config fields (and ALT landmark tables, a search variant since
-#: removed: loaders ignore the arrays).  Version 5 added the optional
-#: contraction-hierarchy arrays (node order + upward/downward shortcut
-#: CSRs with middle-node back-pointers).  Version-3/-4 files still
-#: load; a hierarchy their payload lacks is rebuilt on demand at the
-#: first query that needs it.
+#: layout or the :func:`config_hash` digests change; this build reads
+#: only the current version (an older file is a registry miss and is
+#: refitted).  Version 6 stores the eight-field config, the model
+#: revision, the graph with its contraction hierarchy (always present)
+#: and, optionally, the mergeable fit state that powers
+#: :meth:`HabitImputer.update` after a load.
 MODEL_FORMAT = "habit-npz"
-MODEL_FORMAT_VERSION = 5
-MIN_MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 6
 
 #: Prefix under which a model's mergeable fit state is stored in the npz.
 _STATE_PREFIX = "state_"
@@ -87,75 +82,9 @@ _GRAPH_KEYS = (
     "edge_count",
 )
 
-
-#: The landmark count of the removed ALT search, frozen at its old
-#: default: :func:`config_hash` still hashes it and model files still
-#: store it in config slot 9, so digests -- and with them every
-#: ``{DATASET}_{hash}.npz`` already on disk -- stay unchanged.
-_LEGACY_NUM_LANDMARKS = 8
-
-#: Stored search variants that no longer exist, read back as the
-#: equal-cost default (the hierarchy is rebuilt on demand).
-_LEGACY_SEARCH = {"alt": "ch", "bidirectional": "ch"}
-
-
-class ModelFormatError(ValueError):
-    """A model file is not a readable, current-version ``.npz`` artefact."""
-
-
-def config_hash(config):
-    """Stable 12-hex digest of a :class:`HabitConfig`.
-
-    Hashes the JSON-serialised field dict (plus the frozen legacy
-    ``num_landmarks`` entry), so the digest is identical across
-    processes and Python versions (unlike ``hash()``, which is salted
-    per run).  Registries and caches key fitted models on
-    ``(dataset, config_hash)``.
-    """
-    fields = {**asdict(config), "num_landmarks": _LEGACY_NUM_LANDMARKS}
-    payload = json.dumps(fields, sort_keys=True)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
-
-
-# -- shared .npz payload helpers (also used by the typed variant) ---------
-
-
-def _format_array(kind):
-    return np.array([kind, str(MODEL_FORMAT_VERSION)])
-
-
-def _check_format(data, kind, path):
-    """Validate the format tag of an opened ``np.load`` mapping.
-
-    Returns the (integer) format version so loaders can branch on it;
-    versions ``MIN_MODEL_FORMAT_VERSION..MODEL_FORMAT_VERSION`` are
-    readable, anything else fails loudly.
-    """
-    if "format" not in data.files:
-        raise ModelFormatError(
-            f"{path}: no format tag; not a {kind!r} model "
-            "(or written by a pre-versioning release)"
-        )
-    tag = data["format"]
-    name, version = str(tag[0]), str(tag[1])
-    if name != kind:
-        raise ModelFormatError(f"{path}: format {name!r}, expected {kind!r}")
-    try:
-        parsed = int(version)
-    except ValueError:
-        parsed = -1
-    if not MIN_MODEL_FORMAT_VERSION <= parsed <= MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: format version {version}, this build reads versions "
-            f"{MIN_MODEL_FORMAT_VERSION}..{MODEL_FORMAT_VERSION}"
-        )
-    return parsed
-
-
-#: Optional per-graph contraction-hierarchy arrays (format v5+), in the
-#: positional order of :meth:`repro.core.graph.CellGraph.set_ch`; absent
-#: in pre-v5 files and in models whose graphs never built the hierarchy
-#: (it is then rebuilt on demand at the first ``"ch"`` query).
+#: The graph's contraction-hierarchy arrays, in the positional order of
+#: :meth:`repro.core.graph.CellGraph.set_ch`; every saved graph carries
+#: them, so a loaded model answers its first query without preprocessing.
 _CH_KEYS = (
     "ch_rank",
     "ch_up_indptr",
@@ -169,23 +98,78 @@ _CH_KEYS = (
 )
 
 
+def _graph_arrays(prefix=""):
+    """Names of the arrays one saved graph occupies under *prefix*."""
+    return tuple(prefix + key for key in _GRAPH_KEYS + _CH_KEYS)
+
+
+#: Arrays every plain model file carries (the state arrays are optional).
+_REQUIRED_ARRAYS = ("config", "revision", *_graph_arrays())
+
+
+class ModelFormatError(ValueError):
+    """A model file is not a readable, current-version ``.npz`` artefact."""
+
+
+def config_hash(config):
+    """Stable 12-hex digest of a :class:`HabitConfig`.
+
+    Hashes the JSON-serialised field dict, so the digest is identical
+    across processes and Python versions (unlike ``hash()``, which is
+    salted per run).  Registries and caches key fitted models on
+    ``(dataset, config_hash)``.
+    """
+    payload = json.dumps(asdict(config), sort_keys=True)
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
+
+
+# -- shared .npz payload helpers (also used by the typed variant) ---------
+
+
+def _format_array(kind):
+    return np.array([kind, str(MODEL_FORMAT_VERSION)])
+
+
+def _check_format(data, kind, path, required):
+    """Validate an opened ``np.load`` mapping before anything is parsed.
+
+    The format tag must name *kind* at :data:`MODEL_FORMAT_VERSION`, and
+    every array in *required* must be present; anything else raises
+    :class:`ModelFormatError`.  The loaders and the registry's revision
+    peek share this check, so the peek accepts exactly what loads.
+    """
+    if "format" not in data.files:
+        raise ModelFormatError(
+            f"{path}: no format tag; not a {kind!r} model "
+            "(or written by a pre-versioning release)"
+        )
+    tag = data["format"]
+    name, version = str(tag[0]), str(tag[1])
+    if name != kind:
+        raise ModelFormatError(f"{path}: format {name!r}, expected {kind!r}")
+    if version != str(MODEL_FORMAT_VERSION):
+        raise ModelFormatError(
+            f"{path}: format version {version}, this build reads only "
+            f"version {MODEL_FORMAT_VERSION}"
+        )
+    missing = [key for key in required if key not in data.files]
+    if missing:
+        raise ModelFormatError(f"{path}: missing arrays {missing}")
+
+
 def _graph_payload(graph, prefix=""):
-    payload = {prefix + key: getattr(graph, key) for key in _GRAPH_KEYS}
-    if graph.has_ch:
-        payload.update({prefix + key: getattr(graph, key) for key in _CH_KEYS})
-    return payload
+    graph.ensure_ch()
+    return {prefix + key: getattr(graph, key) for key in _GRAPH_KEYS + _CH_KEYS}
 
 
 def _graph_from_npz(data, path, prefix=""):
-    missing = [key for key in _GRAPH_KEYS if prefix + key not in data.files]
-    if missing:
-        raise ModelFormatError(f"{path}: missing graph arrays {missing}")
+    """The graph (hierarchy installed) saved under *prefix*; the arrays'
+    presence was checked by :func:`_check_format`."""
     graph = CellGraph(*(data[prefix + key] for key in _GRAPH_KEYS))
-    if all(prefix + key in data.files for key in _CH_KEYS):
-        try:
-            graph.set_ch(*(data[prefix + key] for key in _CH_KEYS))
-        except ValueError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from exc
+    try:
+        graph.set_ch(*(data[prefix + key] for key in _CH_KEYS))
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
     return graph
 
 
@@ -200,27 +184,26 @@ def _config_payload(config):
             str(config.snap_max_ring),
             str(config.snap_limit_cells),
             str(config.resample_m),
-            config.search,
-            str(_LEGACY_NUM_LANDMARKS),
         ]
     )
 
 
-def _config_from_npz(raw):
-    kwargs = dict(
-        resolution=int(raw[0]),
-        tolerance_m=float(raw[1]),
-        projection=str(raw[2]),
-        edge_weight=str(raw[3]),
-        approx_distinct=bool(int(raw[4])),
-        snap_max_ring=int(raw[5]),
-        snap_limit_cells=int(raw[6]),
-        resample_m=float(raw[7]),
-    )
-    if len(raw) > 8:  # format v4+; v3 configs fall back to field defaults
-        search = str(raw[8])
-        kwargs["search"] = _LEGACY_SEARCH.get(search, search)
-    return HabitConfig(**kwargs)
+def _config_from_npz(raw, path):
+    """The :class:`HabitConfig` stored in *raw*; a short config or a
+    value the config rejects raises :class:`ModelFormatError`."""
+    try:
+        return HabitConfig(
+            resolution=int(raw[0]),
+            tolerance_m=float(raw[1]),
+            projection=str(raw[2]),
+            edge_weight=str(raw[3]),
+            approx_distinct=bool(int(raw[4])),
+            snap_max_ring=int(raw[5]),
+            snap_limit_cells=int(raw[6]),
+            resample_m=float(raw[7]),
+        )
+    except (IndexError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: bad config ({exc})") from exc
 
 
 def _open_npz(path):
@@ -282,15 +265,10 @@ class HabitConfig:
       through an arbitrarily distant corridor.
     - ``resample_m``: output point spacing; simplified paths are resampled
       back to AIS-like density so point-to-point metrics stay comparable.
-    - ``search``: query search variant -- ``"ch"`` (default; contraction
-      hierarchy precomputed at :meth:`HabitImputer.finalize`, the fewest
-      expansions per query), ``"astar"`` (the paper's query), or
-      ``"dijkstra"`` (the cost oracle).  All return equal-cost paths;
-      they differ only in nodes expanded per query.
 
-    An unknown ``projection``, ``edge_weight`` or ``search``, or a
-    ``resolution`` outside the hex grid's ``[0, 15]``, raises
-    ``ValueError`` at construction, before any fit can start.
+    An unknown ``projection`` or ``edge_weight``, or a ``resolution``
+    outside the hex grid's ``[0, 15]``, raises ``ValueError`` at
+    construction, before any fit can start.
     """
 
     resolution: int = 9
@@ -301,7 +279,6 @@ class HabitConfig:
     snap_max_ring: int = 8
     snap_limit_cells: int = 200
     resample_m: float = 250.0
-    search: str = "ch"
 
     def __post_init__(self):
         if not 0 <= self.resolution <= _MAX_RES:
@@ -311,7 +288,6 @@ class HabitConfig:
         for name, choices in (
             ("projection", PROJECTIONS),
             ("edge_weight", EDGE_WEIGHTS),
-            ("search", SEARCH_METHODS),
         ):
             value = getattr(self, name)
             if value not in choices:
@@ -386,10 +362,9 @@ class HabitImputer:
                 projection=self.config.projection,
                 edge_weight=self.config.edge_weight,
             )
-            if self.config.search == "ch":
-                # Pay hierarchy preprocessing once at fit time; it rides
-                # in the (v5) model payload so loads skip this.
-                self.graph.ensure_ch()
+            # Pay hierarchy preprocessing once at fit time; it rides in
+            # the model payload so loads skip this.
+            self.graph.ensure_ch()
             self._finalized_state = self._state
         return self
 
@@ -469,27 +444,23 @@ class HabitImputer:
             return None
         return src, dst
 
-    def route(self, src_node, dst_node, method=None):
+    def route(self, src_node, dst_node, method="ch"):
         """Search the cell graph between two snapped node cells.
 
-        *method* defaults to ``config.search``; returns the
-        :class:`repro.core.graph.SearchResult` (or ``None`` when no route
-        exists).  This is the cacheable stage: the result depends only on
-        the graph and the snapped endpoints, never on the raw query
-        positions.
+        *method* is a :meth:`repro.core.graph.CellGraph.find_path`
+        variant; returns the :class:`repro.core.graph.SearchResult` (or
+        ``None`` when no route exists).  This is the cacheable stage: the
+        result depends only on the graph and the snapped endpoints, never
+        on the raw query positions.
         """
         self._require_fitted()
-        method = method or self.config.search
-        if method == "ch":
-            self.graph.ensure_ch()
         return self.graph.find_path(src_node, dst_node, method)
 
-    def route_batch(self, pairs, method=None):
+    def route_batch(self, pairs):
         """Search many snapped ``(src, dst)`` node-cell pairs in one call.
 
-        The batch analogue of :meth:`route`: *method* defaults to
-        ``config.search``, and with the default ``"ch"`` every
-        non-degenerate pair is answered by one vectorised kernel sweep
+        The batch analogue of :meth:`route`: every non-degenerate pair is
+        answered by one vectorised CH kernel sweep
         (:meth:`repro.core.graph.CellGraph.find_paths_batch`) instead of
         a Python heap loop per pair.  Returns a list aligned with
         *pairs* of :class:`repro.core.graph.SearchResult` (or ``None``
@@ -498,10 +469,7 @@ class HabitImputer:
         engine relies on when it caches the results individually.
         """
         self._require_fitted()
-        method = method or self.config.search
-        if method == "ch":
-            self.graph.ensure_ch()
-        return self.graph.find_paths_batch(pairs, method)
+        return self.graph.find_paths_batch(pairs)
 
     def render_path(self, start, end, result):
         """Project a search result into an :class:`ImputedPath`.
@@ -540,11 +508,12 @@ class HabitImputer:
             expanded=result.expanded,
         )
 
-    def impute(self, start, end, *, method=None):
+    def impute(self, start, end, *, method="ch"):
         """Reconstruct the path between two ``(lat, lng)`` gap endpoints.
 
-        *method* overrides the configured search variant for this query
-        (``"dijkstra"`` is the A* ablation's control arm).
+        *method* picks the search variant for this query: ``"astar"`` is
+        the paper's query and ``"dijkstra"`` the A* ablation's control
+        arm; all return equal-cost paths.
         """
         self._require_fitted()
         snapped = self.snap_endpoints(start, end)
@@ -584,21 +553,17 @@ class HabitImputer:
         """Restore a model saved with :meth:`save`.
 
         Raises :class:`ModelFormatError` when *path* is not a readable
-        habit model (wrong kind, out-of-range version, missing arrays,
-        a hierarchy :meth:`~repro.core.graph.CellGraph.set_ch` rejects,
-        or not an ``.npz`` archive at all).  Format-v3 files load with
-        default search settings; v4+ files restore the stored search
-        variant (a removed ``"alt"`` or ``"bidirectional"`` reads as
-        ``"ch"``, and landmark arrays are ignored); v5 files also
-        restore the contraction hierarchy, which is otherwise rebuilt
-        on demand at the first query that needs it.  Models
-        saved with their fit state come back refreshable; state-less
-        artefacts load fine but reject :meth:`update`.
+        habit model (wrong kind, any version but
+        :data:`MODEL_FORMAT_VERSION`, missing arrays, a bad config, a
+        hierarchy :meth:`~repro.core.graph.CellGraph.set_ch` rejects, or
+        not an ``.npz`` archive at all).  Models saved with their fit
+        state come back refreshable; state-less artefacts load fine but
+        reject :meth:`update`.
         """
         path = Path(path)
         with _open_npz(path) as data:
-            _check_format(data, MODEL_FORMAT, path)
-            imputer = cls(_config_from_npz(data["config"]))
+            _check_format(data, MODEL_FORMAT, path, _REQUIRED_ARRAYS)
+            imputer = cls(_config_from_npz(data["config"], path))
             imputer.graph = _graph_from_npz(data, path)
             imputer.revision = int(data["revision"][0])
             if _STATE_PREFIX + "meta" in data.files:

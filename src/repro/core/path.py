@@ -28,7 +28,7 @@ class ImputedPath:
 
     lats: np.ndarray
     lngs: np.ndarray
-    method: str = "astar"
+    method: str
     cells: tuple = field(default=(), repr=False)
     expanded: int = 0
 

@@ -17,9 +17,9 @@ promoted to its own graph once enough of its traffic has streamed in --
 and :meth:`TypedHabitImputer.update` refreshes all graphs from new trips
 without ever re-reading history.  The per-class states ride inside the
 typed ``.npz`` container, so a loaded typed model keeps refreshing --
-and so does every class graph's contraction hierarchy (format v5), so
-a loaded typed model answers its first ``"ch"`` query without paying
-per-class preprocessing.
+and so does every class graph's contraction hierarchy, so a loaded
+typed model answers its first query without paying per-class
+preprocessing.
 """
 
 from pathlib import Path
@@ -35,6 +35,7 @@ from repro.core.habit import (
     _config_from_npz,
     _config_payload,
     _format_array,
+    _graph_arrays,
     _graph_from_npz,
     _graph_payload,
     _normalize_npz_path,
@@ -49,13 +50,22 @@ __all__ = ["TypedHabitImputer"]
 #: a clear :class:`repro.core.habit.ModelFormatError`.
 TYPED_MODEL_FORMAT = "typed-habit-npz"
 
+#: Arrays every typed model file carries ahead of its class graphs.
+_HEADER_ARRAYS = (
+    "config",
+    "min_group_rows",
+    "revision",
+    "groups",
+    *_graph_arrays("fallback_"),
+)
+
 #: Prefixes under which the mergeable per-class fit states live in the
-#: (v4) container.  ``state_groups`` lists every class carrying a state
+#: container.  ``state_groups`` lists every class carrying a state
 #: (a superset of ``groups``: thin classes accumulate state before they
 #: earn a graph); class *i* of that list stores under ``state_c{i}_``,
 #: the fallback under ``state_fallback_``.  All state fields are
-#: optional -- files saved before they existed (or with
-#: ``include_state=False``) still load, but refuse incremental update.
+#: optional -- files saved with ``include_state=False`` still load, but
+#: refuse incremental update.
 _STATE_GROUPS_KEY = "state_groups"
 _FALLBACK_STATE_PREFIX = "state_fallback_"
 
@@ -309,18 +319,17 @@ class TypedHabitImputer:
         """Restore a model saved with :meth:`save`.
 
         Raises :class:`repro.core.habit.ModelFormatError` on kind/version
-        mismatch or missing arrays.  Files written before the typed
-        container carried revisions/states load with ``revision=1`` and
-        no states (serve-only: :meth:`update` raises); state-carrying
-        files come back fully refreshable, thin classes included.
+        mismatch, missing arrays (:func:`_required_arrays`) or a bad
+        config.  Files saved without states are serve-only
+        (:meth:`update` raises); state-carrying files come back fully
+        refreshable, thin classes included.
         """
         path = Path(path)
         with _open_npz(path) as data:
-            _check_format(data, TYPED_MODEL_FORMAT, path)
-            config = _config_from_npz(data["config"])
+            _check_format(data, TYPED_MODEL_FORMAT, path, _required_arrays(data))
+            config = _config_from_npz(data["config"], path)
             typed = cls(config, min_group_rows=int(data["min_group_rows"][0]))
-            if "revision" in data.files:
-                typed.revision = int(data["revision"][0])
+            typed.revision = int(data["revision"][0])
             typed.fallback = _with_graph(config, _graph_from_npz(data, path, "fallback_"))
             for i, name in enumerate(data["groups"]):
                 graph = _graph_from_npz(data, path, f"g{i}_")
@@ -343,6 +352,15 @@ class TypedHabitImputer:
             for imputer in (typed.fallback, *typed._partials.values()):
                 imputer.revision = typed.revision
         return typed
+
+
+def _required_arrays(data):
+    """Every array a typed file must carry: the fixed header, the
+    fallback graph, and the graph of each class ``groups`` lists."""
+    groups = data["groups"] if "groups" in data.files else ()
+    return _HEADER_ARRAYS + tuple(
+        key for i in range(len(groups)) for key in _graph_arrays(f"g{i}_")
+    )
 
 
 def _with_graph(config, graph):

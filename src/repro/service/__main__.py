@@ -21,7 +21,7 @@ Every flag is documented in ``--help`` and, with operational context, in
 import argparse
 
 from repro.ais.reader import DEFAULT_CHUNK_ROWS
-from repro.core import SEARCH_METHODS, HabitConfig
+from repro.core import HabitConfig
 from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS
 from repro.service.http import make_server
 from repro.service.registry import ModelRegistry
@@ -185,16 +185,6 @@ def _build_parser():
         default=default.resample_m,
         help="output point spacing in metres",
     )
-    model.add_argument(
-        "--search",
-        choices=SEARCH_METHODS,
-        default=default.search,
-        help=(
-            "query search variant (all equal-cost): 'ch' (contraction "
-            "hierarchy, precomputed at fit time; fewest expansions), 'astar' "
-            "(the paper's grid-heuristic A*), 'dijkstra'"
-        ),
-    )
     return parser
 
 
@@ -205,7 +195,6 @@ def _config_from_args(args):
         projection=args.projection,
         edge_weight=args.edge_weight,
         resample_m=args.resample_m,
-        search=args.search,
     )
 
 

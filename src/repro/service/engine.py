@@ -16,16 +16,14 @@ Everything runs in-process: fitted imputers are read-only, so the whole
 batch runs on the request thread -- snap and render are cheap Python,
 and the search itself is one NumPy kernel call per model, with no
 serialisation, one shared path cache and models resolved once per
-process.  (Provenance still records ``executor="thread"`` for wire
-compatibility.)
+process.
 
 On top of the model cache sits a **snap-and-path LRU cache**: hub-to-hub
 queries from large fleets mostly repeat, and a route depends only on the
 graph and the *snapped* endpoints -- never on the raw query positions.
-(A cache miss pays one graph search -- by default the
-contraction-hierarchy variant, whose upward-only bidirectional query
-settles the fewest nodes of any variant; the per-route ``expanded``
-count rides into provenance either way.)
+(A cache miss pays one contraction-hierarchy search, whose upward-only
+bidirectional query settles the fewest nodes of any variant; the
+per-route ``expanded`` count rides into provenance.)
 Each request snaps its endpoints (memoized per graph), then looks up the
 search result under ``(model id, class tag, revision, snapped src,
 snapped dst)``; a hit renders the cached route without touching the

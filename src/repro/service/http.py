@@ -219,7 +219,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "status": "ok",
                 "uptime_s": time.monotonic() - self.started_monotonic,
                 "models_loaded": len(self.registry.loaded_ids),
-                "executor": "thread",  # the only executor; kept for clients
                 "cache": {
                     "hits": stats.hits,
                     "loads": stats.loads,

@@ -48,6 +48,8 @@ from repro.core import (
     TypedHabitImputer,
     config_hash,
 )
+from repro.core.habit import _REQUIRED_ARRAYS, MODEL_FORMAT, _check_format
+from repro.core.typed import TYPED_MODEL_FORMAT, _required_arrays
 from repro.obs import METRICS
 
 __all__ = ["ModelNotFound", "ModelRegistry", "RegistryStats"]
@@ -366,12 +368,12 @@ class ModelRegistry:
         ``np.load`` reads the zip directory lazily, so this touches one
         tiny array -- and repeat calls are memoized on the file's mtime,
         so a polled ``/models`` feed costs one ``stat`` per cold model,
-        not a zip open.  Files predating the revision field report 1.
+        not a zip open.
 
         ``None`` means "do not trust this artefact": not just unreadable
         zips, but any file the *expected* loader (plain vs *typed*,
-        derived from the model id) would reject -- wrong kind,
-        out-of-range version, missing graph arrays.  That keeps
+        derived from the model id) would reject -- wrong kind, any other
+        version, missing arrays.  That keeps
         :meth:`peek_revision`'s fast path honest -- a corrupt or
         mis-kinded file falls through to :meth:`get`, which applies the
         fitter semantics.
@@ -397,23 +399,16 @@ class ModelRegistry:
     def _validated_revision(path, typed):
         """Revision if the file would plausibly load as its kind, else None.
 
-        Kind/version validation is delegated to the loader's own
-        :func:`repro.core.habit._check_format` so the peek cannot drift
-        from what ``load()`` actually accepts as the format evolves; the
-        graph-keys probe mirrors the loader's missing-arrays check.
+        Validation is the loaders' own :func:`repro.core.habit._check_format`
+        with their own required-array lists, so the peek cannot drift
+        from what ``load()`` accepts as the format evolves.
         """
-        from repro.core.habit import _GRAPH_KEYS, MODEL_FORMAT, _check_format
-        from repro.core.typed import TYPED_MODEL_FORMAT
-
-        kind = TYPED_MODEL_FORMAT if typed else MODEL_FORMAT
-        prefix = "fallback_" if typed else ""
         try:
             with np.load(path) as data:
-                _check_format(data, kind, path)
-                if any(prefix + key not in data.files for key in _GRAPH_KEYS):
-                    return None
-                if "revision" in data.files:
-                    return int(data["revision"][0])
-                return 1
+                if typed:
+                    _check_format(data, TYPED_MODEL_FORMAT, path, _required_arrays(data))
+                else:
+                    _check_format(data, MODEL_FORMAT, path, _REQUIRED_ARRAYS)
+                return int(data["revision"][0])
         except Exception:
             return None

@@ -81,14 +81,12 @@ class Provenance:
     the number of
     nodes the search that produced the route settled (0 for straight
     lines; preserved on cache hits even though the heap wasn't touched),
-    so search quality is observable per served response -- with the
-    default contraction-hierarchy search (``HabitConfig.search="ch"``)
-    expect an order of magnitude fewer than plain A*.  ``revision``
+    so search quality is observable per served response -- the served
+    contraction-hierarchy search settles an order of magnitude fewer
+    than plain A*.  ``revision``
     is the model's incremental-refresh counter (1 until the first
     :meth:`repro.service.ModelRegistry.refresh`), so clients can tell
-    which vintage of the model answered.  ``executor`` is always
-    ``"thread"`` (the engine runs in-process; the field stays for wire
-    compatibility).  ``path_length_m`` is
+    which vintage of the model answered.  ``path_length_m`` is
     the metric length of the returned polyline -- the path-cost measure
     exposed to clients.  When a request's ``max_points`` budget actually
     compressed the response, ``points_in``/``points_out`` record the
@@ -110,7 +108,6 @@ class Provenance:
     revision: int = 1
     path_cache: str = "bypass"
     expanded: int = 0
-    executor: str = "thread"
     points_in: int = 0
     points_out: int = 0
     max_sed_m: float = 0.0
@@ -195,8 +192,8 @@ def build_config(overrides):
 
     Each value must already have its field's JSON type (see
     :func:`_config_value`); unknown field names, mistyped values and
-    values :class:`HabitConfig` rejects (an unknown ``search``,
-    ``projection`` or ``edge_weight``, a ``resolution`` off the hex grid)
+    values :class:`HabitConfig` rejects (an unknown ``projection`` or
+    ``edge_weight``, a ``resolution`` off the hex grid)
     raise :class:`SchemaError`, so a bad config never reaches fit-on-miss.
     """
     if overrides is None:

@@ -18,6 +18,8 @@ uniform blob:
 - ``"single_node"`` -- one node, no edges (trivial queries only).
 - ``"no_edges"`` -- nodes but not a single edge: everything is
   unreachable from everything else.
+
+:func:`hop_costs` is the suites' path-cost oracle.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ from repro.hexgrid import (
     latlng_to_cell_array,
 )
 
-__all__ = ["TOPOLOGIES", "random_graph"]
+__all__ = ["TOPOLOGIES", "hop_costs", "random_graph"]
 
 #: Base latitude/longitude of the synthetic patch (Kiel-ish waters).
 _LAT0, _LNG0 = 55.0, 10.0
@@ -153,3 +155,19 @@ TOPOLOGIES = {
 def random_graph(rng, topology="uniform", **kwargs):
     """Draw one graph of the named topology (see ``TOPOLOGIES``)."""
     return TOPOLOGIES[topology](rng, **kwargs)
+
+
+def hop_costs(graph):
+    """``(src cell, dst cell) -> cheapest edge cost`` of a ``CellGraph``.
+
+    Read from the flat persisted ``edge_src``/``edge_dst``/``edge_cost``
+    arrays, not the CSR the searches run on, so a path-cost check built
+    on it stays independent of the CSR build.
+    """
+    cheapest = {}
+    for a, b, cost in zip(
+        graph.edge_src.tolist(), graph.edge_dst.tolist(), graph.edge_cost.tolist()
+    ):
+        if cost < cheapest.get((a, b), float("inf")):
+            cheapest[a, b] = cost
+    return cheapest

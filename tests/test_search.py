@@ -1,8 +1,9 @@
-"""CSR search engine: variant equivalence, v3-v5 models, snaps."""
+"""CSR search engine: variant equivalence, hierarchy validation, snaps."""
 
 import numpy as np
 import pytest
 
+from graphgen import hop_costs
 from graphgen import uniform_graph as _random_graph
 from repro.core import (
     GOAL_DIRECTED_METHODS,
@@ -20,11 +21,9 @@ from repro.hexgrid import (
 
 
 def _path_cost(graph, result):
-    """Recompute a result's cost from the adjacency view (oracle check)."""
-    total = 0.0
-    for a, b in zip(result.cells, result.cells[1:]):
-        total += min(c for t, c, _ in graph.adjacency[a] if t == b)
-    return total
+    """Recompute a result's cost from the flat edge arrays (oracle check)."""
+    costs = hop_costs(graph)
+    return sum(costs[hop] for hop in zip(result.cells, result.cells[1:]))
 
 
 def test_all_variants_equal_cost_on_random_graphs():
@@ -108,15 +107,7 @@ def test_heuristics_expand_no_more_than_dijkstra(tiny_kiel):
             assert guided.expanded <= dijkstra.expanded
         checked += 1
     assert checked > 0
-
-
-def test_compat_views_match_csr(tiny_kiel):
-    imputer = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
-    graph = imputer.graph
-    assert set(graph.node_attrs) == set(int(c) for c in graph.cells)
-    total_edges = sum(len(v) for v in graph.adjacency.values())
-    assert total_edges == graph.num_edges == len(graph.indices)
-    # CSR axial coordinates match the packed ids.
+    # The heuristic's per-node axial coordinates match the packed ids.
     q, r = cell_axial_array(graph.cells)
     assert np.array_equal(graph.node_q, q.astype(np.int32))
     assert np.array_equal(graph.node_r, r.astype(np.int32))
@@ -137,53 +128,15 @@ def test_snap_memoization_and_scalar_fallback(tiny_kiel):
     assert first == brute
 
 
-# -- model format v3-v5 ---------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def default_model(tiny_kiel):
-    return HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
-
-
-def _as_v3_file(saved_path, out_path):
-    """Rewrite a saved (v5) model as its v3 equivalent."""
+def test_saved_format_version_is_6(tiny_kiel, tmp_path):
     import repro.core.habit as habit_mod
 
-    with np.load(saved_path) as data:
-        payload = {key: data[key] for key in data.files}
-    payload["format"] = np.array([habit_mod.MODEL_FORMAT, "3"])
-    payload["config"] = payload["config"][:8]  # v3 configs had 8 fields
-    for key in habit_mod._CH_KEYS:
-        payload.pop(key, None)
-    np.savez(out_path, **payload)
-    return out_path
-
-
-def test_v3_files_still_load_and_refresh(default_model, tiny_kiel, tmp_path):
-    gap = tiny_kiel.gaps(3600.0)[0]
-    v3 = _as_v3_file(default_model.save(tmp_path / "v5.npz"), tmp_path / "v3.npz")
-    restored = HabitImputer.load(v3)
-    # v3 configs fall back to current defaults for the new fields.
-    assert restored.config.search == HabitConfig().search
-    assert not restored.graph.has_ch  # dropped with the v3 payload
-    result = restored.impute(gap.start, gap.end)
-    assert restored.graph.has_ch  # rebuilt on demand
-    assert result.num_points >= 2 and result.method == "ch"
-    # State survived, so incremental refresh still works after a v3 load.
-    restored.update(tiny_kiel.test)
-    assert restored.revision == 2
-
-
-def test_saved_format_version_is_5(default_model, tmp_path):
-    import repro.core.habit as habit_mod
-
-    path = default_model.save(tmp_path / "m.npz")
-    with np.load(path) as data:
+    model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
+    with np.load(model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "5"
-        # Slot 9 still holds the removed landmark count, frozen at 8.
-        assert len(data["config"]) == 10 and str(data["config"][9]) == "8"
-
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "6"
+        # Eight config slots: the search and landmark slots are gone.
+        assert len(data["config"]) == 8
 
 
 def _corrupt_ch(arrays, defect):
@@ -224,26 +177,28 @@ def test_set_ch_rejects_hierarchies_queries_cannot_walk(defect):
     assert fresh.has_ch
 
 def test_search_config_round_trips_through_service_schema():
-    from repro.service import parse_impute_payload
+    """``search`` is no config field: the variant is a per-query
+    ``method=``, so the service schema rejects it like any unknown key."""
+    from repro.service import SchemaError, parse_impute_payload
 
-    _, config = parse_impute_payload(
-        {
-            "dataset": "KIEL",
-            "start": [54.0, 10.0],
-            "end": [55.0, 11.0],
-            "config": {"search": "astar"},
-        }
-    )
-    assert config.search == "astar"
+    with pytest.raises(SchemaError, match="unknown config fields: search"):
+        parse_impute_payload(
+            {
+                "dataset": "KIEL",
+                "start": [54.0, 10.0],
+                "end": [55.0, 11.0],
+                "config": {"search": "astar"},
+            }
+        )
 
 
 def test_impute_method_override_and_config_search(tiny_kiel):
     gap = tiny_kiel.gaps(3600.0)[0]
-    imputer = HabitImputer(HabitConfig(resolution=9, search="astar")).fit_from_trips(
-        tiny_kiel.train
-    )
+    imputer = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     default = imputer.impute(gap.start, gap.end)
-    assert default.method == "astar"
-    assert default.expanded > 0
-    override = imputer.impute(gap.start, gap.end, method="ch")
-    assert override.method == "ch"
+    assert default.method == "ch"
+    override = imputer.impute(gap.start, gap.end, method="astar")
+    assert override.method == "astar"
+    assert override.expanded > 0
+    assert override.cells[0] == default.cells[0]
+    assert override.cells[-1] == default.cells[-1]

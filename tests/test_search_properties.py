@@ -3,8 +3,8 @@
 The contract under test: all members of ``SEARCH_METHODS`` are *provably
 equal-cost* -- on any graph whose edge costs respect the grid-span
 invariant, every variant must return a path of exactly Dijkstra's cost
-(to float tolerance), a path that is valid under the adjacency view, and
-the same unreachable verdict.  This suite hammers that contract with
+(to float tolerance), a path made of the graph's own edges, and the same
+unreachable verdict.  This suite hammers that contract with
 hundreds of seeded random graphs across adversarial topologies (see
 ``graphgen.TOPOLOGIES``) so a regression in any variant -- most likely
 the contraction-hierarchy build, the newest and most intricate -- fails
@@ -17,7 +17,7 @@ any counterexample replays with a two-line snippet.
 import numpy as np
 import pytest
 
-from graphgen import TOPOLOGIES, random_graph
+from graphgen import TOPOLOGIES, hop_costs, random_graph
 from repro.core import GOAL_DIRECTED_METHODS, SEARCH_METHODS, CellGraph
 from repro.core.graph import _ch_unpack
 from repro.core.habit import _CH_KEYS
@@ -34,13 +34,12 @@ _QUERIES_PER_GRAPH = 6
 _BASE_SEED = 977
 
 
-def _path_cost(graph, result):
-    """Recompute a result's cost from the adjacency view (oracle check)."""
+def _path_cost(costs, result):
+    """Recompute a result's cost from :func:`graphgen.hop_costs` (oracle)."""
     total = 0.0
     for a, b in zip(result.cells, result.cells[1:]):
-        hops = [c for t, c, _ in graph.adjacency[a] if t == b]
-        assert hops, f"path uses non-edge {a}->{b}"
-        total += min(hops)
+        assert (a, b) in costs, f"path uses non-edge {a}->{b}"
+        total += costs[a, b]
     return total
 
 
@@ -51,12 +50,13 @@ def _check_query(graph, src, dst, context):
         for method, result in results.items():
             assert result is None, f"{method} found a path Dijkstra did not ({context})"
         return
+    costs = hop_costs(graph)
     for method, result in results.items():
         where = f"{method} ({context})"
         assert result is not None, f"{where}: unreachable verdict disagrees"
         assert result.cost == pytest.approx(oracle.cost, rel=1e-9), where
         assert result.cells[0] == src and result.cells[-1] == dst, where
-        assert _path_cost(graph, result) == pytest.approx(result.cost, rel=1e-9), where
+        assert _path_cost(costs, result) == pytest.approx(result.cost, rel=1e-9), where
         assert result.method == method and result.expanded >= 0, where
     for method in GOAL_DIRECTED_METHODS:
         assert results[method].expanded <= oracle.expanded, (
@@ -68,10 +68,11 @@ def _check_batch(graph, pairs, context):
     """The batch kernel agrees with the scalar oracles on *pairs*.
 
     Bit-equal costs vs scalar CH (same hierarchy, same relaxation
-    order), Dijkstra-equal to float tolerance, valid adjacency-oracle
-    paths, and identical unreachable verdicts.
+    order), Dijkstra-equal to float tolerance, paths over real edges,
+    and identical unreachable verdicts.
     """
     batch = graph.find_paths_batch(pairs)
+    costs = hop_costs(graph)
     assert len(batch) == len(pairs), context
     for (src, dst), result in zip(pairs, batch):
         where = f"batch {src}->{dst} ({context})"
@@ -85,7 +86,7 @@ def _check_batch(graph, pairs, context):
         assert result.cost == ch.cost, f"{where}: not bit-equal to scalar CH"
         assert result.cost == pytest.approx(dijkstra.cost, rel=1e-9), where
         assert result.cells[0] == src and result.cells[-1] == dst, where
-        assert _path_cost(graph, result) == pytest.approx(result.cost, rel=1e-9), where
+        assert _path_cost(costs, result) == pytest.approx(result.cost, rel=1e-9), where
         assert result.method == "ch" and result.expanded >= 0, where
 
 
@@ -149,9 +150,9 @@ def test_trivial_source_equals_destination_on_every_topology():
             result = graph.find_path(cell, cell, method)
             assert result.cells == (cell,), (topology, method)
             assert result.cost == 0.0 and result.expanded == 0, (topology, method)
-            (batched,) = graph.find_paths_batch([(cell, cell)], method)
-            assert batched.cells == (cell,), (topology, method)
-            assert batched.cost == 0.0 and batched.expanded == 0, (topology, method)
+        (batched,) = graph.find_paths_batch([(cell, cell)])
+        assert batched.cells == (cell,), topology
+        assert batched.cost == 0.0 and batched.expanded == 0, topology
 
 
 def test_no_edge_graphs_are_unreachable_everywhere():
@@ -159,7 +160,7 @@ def test_no_edge_graphs_are_unreachable_everywhere():
     src, dst = (int(c) for c in graph.cells[:2])
     for method in SEARCH_METHODS:
         assert graph.find_path(src, dst, method) is None, method
-        assert graph.find_paths_batch([(src, dst)], method) == [None], method
+    assert graph.find_paths_batch([(src, dst)]) == [None]
 
 
 def test_degenerate_pairs_short_circuit_before_any_search_work(monkeypatch):
@@ -193,11 +194,9 @@ def test_degenerate_pairs_short_circuit_before_any_search_work(monkeypatch):
         assert trivial.cost == 0.0 and trivial.expanded == 0, method
         assert graph.find_path(sink, other, method) is None, method
         assert graph.find_path(other, source, method) is None, method
-        batched = graph.find_paths_batch(
-            [(cell, cell), (sink, other), (other, source)], method
-        )
-        assert batched[0].cost == 0.0 and batched[0].expanded == 0, method
-        assert batched[1] is None and batched[2] is None, method
+    batched = graph.find_paths_batch([(cell, cell), (sink, other), (other, source)])
+    assert batched[0].cost == 0.0 and batched[0].expanded == 0
+    assert batched[1] is None and batched[2] is None
 
 
 
@@ -212,10 +211,7 @@ def test_every_stored_arc_unpacks_to_its_cost(topology):
         graph.compute_ch()
         rank = graph.ch_rank
         middles = graph._ch_middles()
-        cheapest = {}
-        for a, row in graph.adjacency.items():
-            for b, cost, _ in row:
-                cheapest[a, b] = min(cost, cheapest.get((a, b), np.inf))
+        cheapest = hop_costs(graph)
         # Up row u holds arcs u -> v; down row v holds arcs u -> v.
         for name, row_is_tail in (("up", True), ("down", False)):
             indptr = getattr(graph, f"ch_{name}_indptr")

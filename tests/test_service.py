@@ -57,11 +57,10 @@ def test_model_id_is_stable_and_config_sensitive():
 
 
 def test_config_hash_digests_are_pinned():
-    """Golden digests: model files on disk are named by these, so a
-    config field change must not move them (the removed ALT landmark
-    count is still hashed at its old default)."""
-    assert config_hash(HabitConfig()) == "4f13efd807a1"
-    assert config_hash(HabitConfig(resolution=10)) == "9b763d460853"
+    """Golden digests: model files on disk are named by these, so they
+    move only with a model-format version bump (v6 hashes ``asdict``)."""
+    assert config_hash(HabitConfig()) == "648449ff7406"
+    assert config_hash(HabitConfig(resolution=10)) == "0f63d9493d79"
 
 
 def test_registry_resolution_tiers(registry, service_model):
@@ -601,7 +600,7 @@ def test_http_health_and_models(server):
     assert status == 200 and health["status"] == "ok"
     assert {"hits", "loads", "fits", "evictions", "refreshes"} <= set(health["cache"])
     assert {"hits", "misses", "entries", "capacity"} <= set(health["path_cache"])
-    assert health["executor"] == "thread"
+    assert "executor" not in health
     assert "follow" not in health  # no daemon attached to this server
     status, models = _get(server, "/models")
     assert status == 200 and len(models["models"]) == 1
