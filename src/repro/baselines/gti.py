@@ -9,7 +9,8 @@ gap endpoints to the nearest node (``rm_m`` is the intended matching
 radius; beyond it the nearest node is still used so queries always
 answer) and route with plain Dijkstra -- no admissible heuristic exists on
 an irregular point graph, which is exactly why GTI pays an
-order-of-magnitude latency penalty versus HABIT's cell A*.
+order-of-magnitude latency penalty versus HABIT's cell A*.  Routes are
+resampled to :data:`repro.core.path.RESAMPLE_M`, like HABIT's.
 """
 
 import heapq
@@ -32,7 +33,6 @@ class GTIConfig:
     rm_m: float = 250.0
     rd_deg: float = 5e-4
     downsample_s: float = 60.0
-    resample_m: float = 250.0
 
 
 def _downsample(trips, interval_s):
@@ -184,6 +184,5 @@ class GTIImputer:
         lats[-1], lngs[-1] = float(end[0]), float(end[1])
         lats[1:-1] = self.node_lats[node_path]
         lngs[1:-1] = self.node_lngs[node_path]
-        if self.config.resample_m > 0.0:
-            lats, lngs = resample_polyline(lats, lngs, self.config.resample_m)
+        lats, lngs = resample_polyline(lats, lngs)
         return ImputedPath(lats=lats, lngs=lngs, method="dijkstra")

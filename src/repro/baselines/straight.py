@@ -8,16 +8,13 @@ __all__ = ["StraightLineImputer"]
 class StraightLineImputer:
     """Linear interpolation between gap endpoints; needs no fitting."""
 
-    def __init__(self, step_m=250.0):
-        self.step_m = step_m
-
     def fit_from_trips(self, trips):
         """No-op, for interface parity with the learned imputers."""
         return self
 
     def impute(self, start, end):
         """Straight path between ``(lat, lng)`` endpoints."""
-        return straight_line_path(start, end, step_m=self.step_m)
+        return straight_line_path(start, end)
 
     def storage_size_bytes(self):
         """SLI keeps no model."""

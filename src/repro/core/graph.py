@@ -336,8 +336,9 @@ class CellGraph:
     def nearest_node(self, cell, max_ring=8):
         """Snap a cell to the nearest graph node.
 
-        Expands hex rings outwards (cheap, local) and falls back to a
-        vectorised full scan over all nodes when the rings miss.  Snaps
+        Expands up to *max_ring* hex rings outwards (cheap, local; the
+        serving snap keeps the default) and falls back to a vectorised
+        full scan over all nodes when the rings miss.  Snaps
         are memoized per graph -- the serve path re-snaps identical
         endpoints constantly -- in a bounded memo keyed by
         ``(cell, max_ring)`` (flushed wholesale when full).  Returns

@@ -22,8 +22,9 @@ routes over the graph's contraction hierarchy (built at
 ``method="astar"`` or ``"dijkstra"`` for the paper's query and the cost
 oracle -- all provably equal-cost), projects the cell path to positions
 (cell centres or per-cell medians), simplifies with RDP at
-``tolerance_m``, and pins the exact endpoints.  The three stages are
-public -- :meth:`HabitImputer.snap_endpoints`, :meth:`HabitImputer.route`,
+``tolerance_m``, resamples to :data:`repro.core.path.RESAMPLE_M` and pins
+the exact endpoints.  The three stages are public --
+:meth:`HabitImputer.snap_endpoints`, :meth:`HabitImputer.route`,
 :meth:`HabitImputer.render_path` -- so the serving layer can cache
 search results keyed by snapped endpoints.  When no route exists the
 imputer degrades to a straight line, flagged in ``ImputedPath.method``.
@@ -60,15 +61,20 @@ __all__ = ["HabitConfig", "HabitImputer", "ModelFormatError", "config_hash"]
 #: On-disk model format tag and version.  Bumped whenever the ``.npz``
 #: layout or the :func:`config_hash` digests change; this build reads
 #: only the current version (an older file is a registry miss and is
-#: refitted).  Version 6 stores the eight-field config, the model
-#: revision, the graph with its contraction hierarchy (always present)
-#: and, optionally, the mergeable fit state that powers
-#: :meth:`HabitImputer.update` after a load.
+#: refitted).  Version 7 has one layout: the five-field config, the model
+#: revision, the graph with its contraction hierarchy and the mergeable
+#: fit state that powers :meth:`HabitImputer.update` after a load -- all
+#: always present.
 MODEL_FORMAT = "habit-npz"
-MODEL_FORMAT_VERSION = 6
+MODEL_FORMAT_VERSION = 7
 
 #: Prefix under which a model's mergeable fit state is stored in the npz.
 _STATE_PREFIX = "state_"
+
+#: A snap farther than this many grid steps from its query endpoint is
+#: rejected, so queries far outside the trained coverage degrade to the
+#: straight-line fallback instead of routing through a distant corridor.
+SNAP_LIMIT_CELLS = 200
 
 #: The flat arrays that fully describe a :class:`CellGraph`, in the
 #: positional order of its constructor.
@@ -103,8 +109,9 @@ def _graph_arrays(prefix=""):
     return tuple(prefix + key for key in _GRAPH_KEYS + _CH_KEYS)
 
 
-#: Arrays every plain model file carries (the state arrays are optional).
-_REQUIRED_ARRAYS = ("config", "revision", *_graph_arrays())
+#: Arrays every plain model file carries; the fit state's remaining
+#: arrays are checked by :func:`_state_from_npz`.
+_REQUIRED_ARRAYS = ("config", "revision", *_graph_arrays(), _STATE_PREFIX + "meta")
 
 
 class ModelFormatError(ValueError):
@@ -181,9 +188,6 @@ def _config_payload(config):
             config.projection,
             config.edge_weight,
             str(int(config.approx_distinct)),
-            str(config.snap_max_ring),
-            str(config.snap_limit_cells),
-            str(config.resample_m),
         ]
     )
 
@@ -198,12 +202,18 @@ def _config_from_npz(raw, path):
             projection=str(raw[2]),
             edge_weight=str(raw[3]),
             approx_distinct=bool(int(raw[4])),
-            snap_max_ring=int(raw[5]),
-            snap_limit_cells=int(raw[6]),
-            resample_m=float(raw[7]),
         )
     except (IndexError, ValueError) as exc:
         raise ModelFormatError(f"{path}: bad config ({exc})") from exc
+
+
+def _state_from_npz(data, path, prefix):
+    """The fit state saved under *prefix*; a missing array or an
+    unparseable value raises :class:`ModelFormatError`."""
+    try:
+        return StatisticsState.from_payload(data, prefix)
+    except (KeyError, IndexError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: bad fit state {prefix!r} ({exc!r})") from exc
 
 
 def _open_npz(path):
@@ -258,13 +268,6 @@ class HabitConfig:
     - ``projection``: node placement, ``"center"`` or ``"median"``.
     - ``edge_weight``: ``"transitions"`` (paper) or ``"inverse_frequency"``.
     - ``approx_distinct``: HyperLogLog vs exact distinct vessels in stats.
-    - ``snap_max_ring``: hex rings searched before the snap full-scan.
-    - ``snap_limit_cells``: reject a snap farther than this many grid
-      steps from the query endpoint -- queries far outside the trained
-      coverage degrade to the straight-line fallback instead of routing
-      through an arbitrarily distant corridor.
-    - ``resample_m``: output point spacing; simplified paths are resampled
-      back to AIS-like density so point-to-point metrics stay comparable.
 
     An unknown ``projection`` or ``edge_weight``, or a ``resolution``
     outside the hex grid's ``[0, 15]``, raises ``ValueError`` at
@@ -276,9 +279,6 @@ class HabitConfig:
     projection: str = "center"
     edge_weight: str = "transitions"
     approx_distinct: bool = True
-    snap_max_ring: int = 8
-    snap_limit_cells: int = 200
-    resample_m: float = 250.0
 
     def __post_init__(self):
         if not 0 <= self.resolution <= _MAX_RES:
@@ -379,11 +379,6 @@ class HabitImputer:
         ``revision``.  Only the graph rebuild repeats -- historical rows
         live on solely as merged sketch state.  Returns self.
         """
-        if self.graph is not None and self._state is None:
-            raise ValueError(
-                "model was saved without its fit state and cannot be "
-                "updated incrementally; refit from the full history"
-            )
         self.fit_partial(trips)
         self.revision += 1
         return self.finalize()
@@ -397,15 +392,8 @@ class HabitImputer:
         sharing one between the original and the fork is safe; the
         built graph rides along too (queries never mutate it beyond its
         own locked memos), which lets a typed refresh skip rebuilding
-        classes the new chunk never touched.  Raises ``ValueError`` on a
-        model saved without its fit state (there is nothing refreshable
-        to share).
+        classes the new chunk never touched.
         """
-        if self._state is None:
-            raise ValueError(
-                "model was saved without its fit state and cannot be "
-                "refreshed incrementally; refit from the full history"
-            )
         fresh = type(self)(self.config)
         fresh._state = self._state
         fresh._finalized_state = self._finalized_state
@@ -425,7 +413,7 @@ class HabitImputer:
         """Snap both ``(lat, lng)`` gap endpoints to graph node cells.
 
         Returns ``(src_cell, dst_cell)``, or ``None`` when the graph is
-        empty or either snap lands beyond ``snap_limit_cells`` (the
+        empty or either snap lands beyond :data:`SNAP_LIMIT_CELLS` (the
         caller degrades to the straight-line fallback).  Snaps are
         memoized on the graph, so repeated endpoints cost a dict probe.
         """
@@ -435,11 +423,11 @@ class HabitImputer:
             return None
         src_cell = latlng_to_cell(start[0], start[1], config.resolution)
         dst_cell = latlng_to_cell(end[0], end[1], config.resolution)
-        src = self.graph.nearest_node(src_cell, config.snap_max_ring)
-        dst = self.graph.nearest_node(dst_cell, config.snap_max_ring)
+        src = self.graph.nearest_node(src_cell)
+        dst = self.graph.nearest_node(dst_cell)
         if (
-            grid_distance(src_cell, src) > config.snap_limit_cells
-            or grid_distance(dst_cell, dst) > config.snap_limit_cells
+            grid_distance(src_cell, src) > SNAP_LIMIT_CELLS
+            or grid_distance(dst_cell, dst) > SNAP_LIMIT_CELLS
         ):
             return None
         return src, dst
@@ -476,8 +464,8 @@ class HabitImputer:
 
         Positions come straight from the graph's flat arrays (no dict
         lookups), then RDP at ``tolerance_m``, resampling to
-        ``resample_m``, and exact endpoint pinning.  ``None`` renders the
-        flagged straight-line fallback.
+        :data:`repro.core.path.RESAMPLE_M`, and exact endpoint pinning.
+        ``None`` renders the flagged straight-line fallback.
         """
         if result is None:
             return straight_line_path(start, end, method="fallback")
@@ -491,15 +479,11 @@ class HabitImputer:
         lats[1:-1] = graph.lats[idx]
         lngs[1:-1] = graph.lngs[idx]
         # One projection feeds both simplification and resampling.
-        x = y = None
-        if config.tolerance_m > 0.0 and len(lats) > 2:
-            x, y = latlng_to_xy_m(lats, lngs)
+        x, y = latlng_to_xy_m(lats, lngs)
+        if config.tolerance_m > 0.0:
             kept = rdp_keep_indices(x, y, config.tolerance_m)
             lats, lngs, x, y = lats[kept], lngs[kept], x[kept], y[kept]
-        if config.resample_m > 0.0 and len(lats) >= 2:
-            if x is None:
-                x, y = latlng_to_xy_m(lats, lngs)
-            lats, lngs = resample_polyline_xy(lats, lngs, x, y, config.resample_m)
+        lats, lngs = resample_polyline_xy(lats, lngs, x, y)
         return ImputedPath(
             lats=lats,
             lngs=lngs,
@@ -528,12 +512,11 @@ class HabitImputer:
         self._require_fitted()
         return self.graph.storage_size_bytes()
 
-    def save(self, path, include_state=True):
+    def save(self, path):
         """Serialise the fitted model to an ``.npz`` file; returns the path.
 
-        With *include_state* (the default) the mergeable fit state rides
-        along, so a loaded model can keep absorbing new data via
-        :meth:`update`; pass ``False`` for a leaner, serve-only artefact.
+        The mergeable fit state rides along, so a loaded model keeps
+        absorbing new data via :meth:`update`.
         """
         self._require_fitted()
         path = _normalize_npz_path(path)
@@ -542,9 +525,8 @@ class HabitImputer:
             "config": _config_payload(self.config),
             "revision": np.array([self.revision], dtype=np.int64),
             **_graph_payload(self.graph),
+            **self._state.payload(_STATE_PREFIX),
         }
-        if include_state and self._state is not None:
-            payload.update(self._state.payload(_STATE_PREFIX))
         _atomic_savez(path, payload)
         return path
 
@@ -554,11 +536,10 @@ class HabitImputer:
 
         Raises :class:`ModelFormatError` when *path* is not a readable
         habit model (wrong kind, any version but
-        :data:`MODEL_FORMAT_VERSION`, missing arrays, a bad config, a
-        hierarchy :meth:`~repro.core.graph.CellGraph.set_ch` rejects, or
-        not an ``.npz`` archive at all).  Models saved with their fit
-        state come back refreshable; state-less artefacts load fine but
-        reject :meth:`update`.
+        :data:`MODEL_FORMAT_VERSION`, missing arrays, a bad config or fit
+        state, a hierarchy :meth:`~repro.core.graph.CellGraph.set_ch`
+        rejects, or not an ``.npz`` archive at all).  A loaded model is
+        always refreshable.
         """
         path = Path(path)
         with _open_npz(path) as data:
@@ -566,8 +547,7 @@ class HabitImputer:
             imputer = cls(_config_from_npz(data["config"], path))
             imputer.graph = _graph_from_npz(data, path)
             imputer.revision = int(data["revision"][0])
-            if _STATE_PREFIX + "meta" in data.files:
-                imputer._state = StatisticsState.from_payload(data, _STATE_PREFIX)
-                # The persisted graph was built from this very state.
-                imputer._finalized_state = imputer._state
+            imputer._state = _state_from_npz(data, path, _STATE_PREFIX)
+            # The persisted graph was built from this very state.
+            imputer._finalized_state = imputer._state
         return imputer

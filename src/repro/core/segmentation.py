@@ -279,17 +279,6 @@ class StreamingSegmenter:
         )
         return out
 
-    def _note_emitted(self, emitted):
-        vessel = np.asarray(emitted.column(schema.VESSEL_ID))
-        t = np.asarray(emitted.column(schema.T), dtype=np.float64)
-        order = np.lexsort((t, vessel))
-        sv, st = vessel[order], t[order]
-        run_end = np.ones(len(sv), dtype=bool)
-        run_end[:-1] = sv[:-1] != sv[1:]
-        integral = np.issubdtype(vessel.dtype, np.integer)
-        for v, newest in zip(sv[run_end], st[run_end]):
-            self._emitted_t[int(v) if integral else v] = float(newest)
-
 
 def segment_trips_stream(chunks, max_gap_s=1800.0, max_jump_m=5000.0, min_points=2):
     """Generator over chunked raw tables yielding per-chunk closed trips.

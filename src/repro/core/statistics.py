@@ -7,8 +7,8 @@ segmented trips into a mergeable :class:`StatisticsState`, and
 tables the cell graph is built from:
 
 - **cell statistics**: support count, distinct vessels (HyperLogLog or
-  exact, per ``config.approx_distinct``), and median position/speed/course
-  -- the medians drive the "median" cell projection.
+  exact, per ``config.approx_distinct``), and median position -- the
+  medians drive the "median" cell projection.
 - **transition statistics**: directed cell pairs observed consecutively
   within a trip, with transition counts and distinct-vessel support --
   the graph's edge list.
@@ -167,8 +167,6 @@ def partial_statistics(trips, config):
         _distinct_agg(config.approx_distinct),
         agg.median(schema.LAT).alias("median_lat"),
         agg.median(schema.LON).alias("median_lon"),
-        agg.median(schema.SOG).alias("median_sog"),
-        agg.median(schema.COG).alias("median_cog"),
     )
 
     if trips.num_rows:

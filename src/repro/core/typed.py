@@ -15,8 +15,8 @@ and folds it into per-class :class:`repro.core.statistics.StatisticsState`s
 *accumulated* support reached ``min_group_rows`` -- so a thin class can be
 promoted to its own graph once enough of its traffic has streamed in --
 and :meth:`TypedHabitImputer.update` refreshes all graphs from new trips
-without ever re-reading history.  The per-class states ride inside the
-typed ``.npz`` container, so a loaded typed model keeps refreshing --
+without ever re-reading history.  Every per-class state rides inside
+the typed ``.npz`` container, so a loaded typed model keeps refreshing --
 and so does every class graph's contraction hierarchy, so a loaded
 typed model answers its first query without paying per-class
 preprocessing.
@@ -30,6 +30,7 @@ from repro.ais import schema
 from repro.core.habit import (
     HabitConfig,
     HabitImputer,
+    ModelFormatError,
     _atomic_savez,
     _check_format,
     _config_from_npz,
@@ -40,8 +41,8 @@ from repro.core.habit import (
     _graph_payload,
     _normalize_npz_path,
     _open_npz,
+    _state_from_npz,
 )
-from repro.core.statistics import StatisticsState
 
 __all__ = ["TypedHabitImputer"]
 
@@ -50,6 +51,14 @@ __all__ = ["TypedHabitImputer"]
 #: a clear :class:`repro.core.habit.ModelFormatError`.
 TYPED_MODEL_FORMAT = "typed-habit-npz"
 
+#: Prefixes under which the mergeable per-class fit states live in the
+#: container.  ``state_groups`` lists every class carrying a state
+#: (a superset of ``groups``: thin classes accumulate state before they
+#: earn a graph); class *i* of that list stores under ``state_c{i}_``,
+#: the fallback under ``state_fallback_``.
+_STATE_GROUPS_KEY = "state_groups"
+_FALLBACK_STATE_PREFIX = "state_fallback_"
+
 #: Arrays every typed model file carries ahead of its class graphs.
 _HEADER_ARRAYS = (
     "config",
@@ -57,21 +66,8 @@ _HEADER_ARRAYS = (
     "revision",
     "groups",
     *_graph_arrays("fallback_"),
-)
-
-#: Prefixes under which the mergeable per-class fit states live in the
-#: container.  ``state_groups`` lists every class carrying a state
-#: (a superset of ``groups``: thin classes accumulate state before they
-#: earn a graph); class *i* of that list stores under ``state_c{i}_``,
-#: the fallback under ``state_fallback_``.  All state fields are
-#: optional -- files saved with ``include_state=False`` still load, but
-#: refuse incremental update.
-_STATE_GROUPS_KEY = "state_groups"
-_FALLBACK_STATE_PREFIX = "state_fallback_"
-
-_STATELESS_MESSAGE = (
-    "typed model was saved without its per-class fit states and cannot "
-    "be refreshed incrementally; refit from the full history"
+    _STATE_GROUPS_KEY,
+    _FALLBACK_STATE_PREFIX + "meta",
 )
 
 
@@ -116,14 +112,7 @@ class TypedHabitImputer:
         feeds the global fallback state.  No graphs are touched; call
         :meth:`finalize` once every chunk is in.  Chunks must hold whole
         trips.  Returns self.
-
-        A model loaded from a state-less artefact raises ``ValueError``
-        (like :meth:`update`): folding a chunk into empty states would
-        silently rebuild the graphs from that chunk alone, discarding
-        the fitted history.
         """
-        if self.fallback is not None and self.fallback._state is None:
-            raise ValueError(_STATELESS_MESSAGE)
         if self.fallback is None:
             self.fallback = HabitImputer(self.config)
         self.fallback.fit_partial(trips)
@@ -145,9 +134,9 @@ class TypedHabitImputer:
         """
         if not isinstance(other, TypedHabitImputer):
             raise TypeError("TypedHabitImputer.merge expects a TypedHabitImputer")
-        if self.fallback is None or self.fallback._state is None:
+        if self.fallback is None:
             raise ValueError("cannot merge into a typed imputer with no fit state")
-        if other.fallback is None or other.fallback._state is None:
+        if other.fallback is None:
             raise ValueError("cannot merge a typed imputer with no fit state")
         self.fallback.merge(other.fallback)
         for name, imputer in other._partials.items():
@@ -171,7 +160,7 @@ class TypedHabitImputer:
         too, so their serve-path cache entries stay warm; only rebuilt
         imputers take the typed model's new revision.  Returns self.
         """
-        if self.fallback is None or self.fallback._state is None:
+        if self.fallback is None:
             raise RuntimeError("TypedHabitImputer.finalize called with no fit state")
         refreshed = []
         if (
@@ -211,11 +200,8 @@ class TypedHabitImputer:
 
         Results are equivalent to a full refit on the concatenated
         history (exactly for graph topology and transition counts,
-        within t-digest tolerance for median projections).  Raises
-        ``ValueError`` on a model loaded without its fit states.
+        within t-digest tolerance for median projections).
         """
-        if self.fallback is not None and self.fallback._state is None:
-            raise ValueError(_STATELESS_MESSAGE)
         self.fit_partial(trips)
         self.revision += 1
         return self.finalize()
@@ -225,10 +211,7 @@ class TypedHabitImputer:
 
         The registry's refresh path forks the served model, updates the
         fork, and swaps it in -- in-flight queries keep the old graphs.
-        Raises ``ValueError`` when the model carries no states.
         """
-        if self.fallback is None or self.fallback._state is None:
-            raise ValueError(_STATELESS_MESSAGE)
         fresh = TypedHabitImputer(self.config, min_group_rows=self.min_group_rows)
         fresh.fallback = self.fallback.fork()
         fresh._partials = {name: imp.fork() for name, imp in self._partials.items()}
@@ -266,14 +249,12 @@ class TypedHabitImputer:
 
     # -- persistence ------------------------------------------------------
 
-    def save(self, path, include_state=True):
+    def save(self, path):
         """Serialise the fallback and every per-type graph to one ``.npz``.
 
-        With *include_state* (the default) every class's mergeable fit
-        state -- including classes still below ``min_group_rows`` --
-        rides along in the container, so a loaded typed model keeps
-        refreshing incrementally; pass ``False`` for a leaner, serve-only
-        artefact that rejects :meth:`update`.
+        Every class's mergeable fit state -- including classes still
+        below ``min_group_rows`` -- rides along in the container, so a
+        loaded typed model keeps refreshing incrementally.
         """
         if self.fallback is None or self.fallback.graph is None:
             raise RuntimeError(
@@ -292,6 +273,7 @@ class TypedHabitImputer:
                 )
         path = _normalize_npz_path(path)
         groups = self.fitted_groups
+        state_groups = sorted(self._partials)
         payload = {
             "format": _format_array(TYPED_MODEL_FORMAT),
             "config": _config_payload(self.config),
@@ -300,17 +282,13 @@ class TypedHabitImputer:
             # dtype=str sizes the array to the longest name -- never truncate.
             "groups": np.array(groups, dtype=np.str_),
             **_graph_payload(self.fallback.graph, "fallback_"),
+            _STATE_GROUPS_KEY: np.array(state_groups, dtype=np.str_),
+            **self.fallback._state.payload(_FALLBACK_STATE_PREFIX),
         }
         for i, name in enumerate(groups):
             payload.update(_graph_payload(self.by_type[name].graph, f"g{i}_"))
-        if include_state and self.fallback._state is not None:
-            state_groups = sorted(self._partials)
-            payload[_STATE_GROUPS_KEY] = np.array(state_groups, dtype=np.str_)
-            payload.update(self.fallback._state.payload(_FALLBACK_STATE_PREFIX))
-            for i, name in enumerate(state_groups):
-                payload.update(
-                    self._partials[name]._state.payload(f"state_c{i}_")
-                )
+        for i, name in enumerate(state_groups):
+            payload.update(self._partials[name]._state.payload(f"state_c{i}_"))
         _atomic_savez(path, payload)
         return path
 
@@ -319,9 +297,8 @@ class TypedHabitImputer:
         """Restore a model saved with :meth:`save`.
 
         Raises :class:`repro.core.habit.ModelFormatError` on kind/version
-        mismatch, missing arrays (:func:`_required_arrays`) or a bad
-        config.  Files saved without states are serve-only
-        (:meth:`update` raises); state-carrying files come back fully
+        mismatch, missing arrays (:func:`_required_arrays`), a bad config
+        or a bad fit state.  A loaded typed model comes back fully
         refreshable, thin classes included.
         """
         path = Path(path)
@@ -330,40 +307,32 @@ class TypedHabitImputer:
             config = _config_from_npz(data["config"], path)
             typed = cls(config, min_group_rows=int(data["min_group_rows"][0]))
             typed.revision = int(data["revision"][0])
-            typed.fallback = _with_graph(config, _graph_from_npz(data, path, "fallback_"))
-            for i, name in enumerate(data["groups"]):
-                graph = _graph_from_npz(data, path, f"g{i}_")
-                imputer = _with_graph(config, graph)
-                typed.by_type[str(name)] = imputer
+            typed.fallback = HabitImputer(config)
+            typed.fallback.graph = _graph_from_npz(data, path, "fallback_")
+            typed.fallback._state = _state_from_npz(data, path, _FALLBACK_STATE_PREFIX)
+            for i, name in enumerate(data[_STATE_GROUPS_KEY]):
+                imputer = HabitImputer(config)
+                imputer._state = _state_from_npz(data, path, f"state_c{i}_")
                 typed._partials[str(name)] = imputer
-            if _STATE_GROUPS_KEY in data.files:
-                typed.fallback._state = StatisticsState.from_payload(
-                    data, _FALLBACK_STATE_PREFIX
-                )
-                typed.fallback._finalized_state = typed.fallback._state
-                for i, name in enumerate(data[_STATE_GROUPS_KEY]):
-                    imputer = typed._partials.setdefault(
-                        str(name), HabitImputer(config)
-                    )
-                    imputer._state = StatisticsState.from_payload(data, f"state_c{i}_")
-                    if imputer.graph is not None:
-                        # The persisted graph came from this very state.
-                        imputer._finalized_state = imputer._state
+            for i, name in enumerate(map(str, data["groups"])):
+                imputer = typed._partials.get(name)
+                if imputer is None:
+                    raise ModelFormatError(f"{path}: class {name!r} has no fit state")
+                imputer.graph = _graph_from_npz(data, path, f"g{i}_")
+                typed.by_type[name] = imputer
             for imputer in (typed.fallback, *typed._partials.values()):
                 imputer.revision = typed.revision
+                if imputer.graph is not None:
+                    # The persisted graph was built from this very state.
+                    imputer._finalized_state = imputer._state
         return typed
 
 
 def _required_arrays(data):
     """Every array a typed file must carry: the fixed header, the
-    fallback graph, and the graph of each class ``groups`` lists."""
+    fallback graph and state, and the graph of each class ``groups``
+    lists; the per-class states are checked by ``_state_from_npz``."""
     groups = data["groups"] if "groups" in data.files else ()
     return _HEADER_ARRAYS + tuple(
         key for i in range(len(groups)) for key in _graph_arrays(f"g{i}_")
     )
-
-
-def _with_graph(config, graph):
-    imputer = HabitImputer(config)
-    imputer.graph = graph
-    return imputer

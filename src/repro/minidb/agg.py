@@ -3,7 +3,7 @@
 Each helper returns an :class:`AggSpec` naming a kernel and an input column;
 ``.alias(name)`` renames the output column.  The mix mirrors the paper's
 per-cell CTE: ``count``, ``approx_count_distinct`` (HyperLogLog), and
-``median`` over position/speed/course columns.
+``median`` over the position columns.
 """
 
 from dataclasses import dataclass, replace

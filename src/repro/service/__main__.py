@@ -179,12 +179,6 @@ def _build_parser():
         default=default.edge_weight,
         help="edge cost scheme",
     )
-    model.add_argument(
-        "--resample-m",
-        type=float,
-        default=default.resample_m,
-        help="output point spacing in metres",
-    )
     return parser
 
 
@@ -194,7 +188,6 @@ def _config_from_args(args):
         tolerance_m=args.tolerance_m,
         projection=args.projection,
         edge_weight=args.edge_weight,
-        resample_m=args.resample_m,
     )
 
 

@@ -79,8 +79,7 @@ class FollowDaemon:
     - *path*: the growing CSV dump to tail (same header dialects as
       :func:`repro.ais.read_csv`; may not exist yet).
     - *dataset*: the model to refresh.  It must be resolvable -- fit it
-      first or give the registry a fitter -- and must carry its fit
-      state (models saved with ``include_state=False`` refuse refresh).
+      first or give the registry a fitter.
     - *config*: the model's :class:`repro.core.HabitConfig` (default
       config if omitted); *typed* selects the dataset's typed model.
     - *refresh_interval_s*: minimum seconds between refreshes; closed

@@ -216,8 +216,8 @@ class ModelRegistry:
         The served instance is never mutated: the base model is *forked*
         (states are immutable and shared), the fork absorbs the chunk,
         and the fork replaces the original in cache and on disk --
-        in-flight queries keep reading the old graph.  Models whose file
-        was saved without fit state raise ``ValueError``.
+        in-flight queries keep reading the old graph.  Every loaded model
+        carries its fit state, so every model refreshes.
         """
         config = config or HabitConfig()
         model_id = self.model_id(dataset, config, typed)
@@ -226,7 +226,7 @@ class ModelRegistry:
             with self._lock:
                 base = self._cache.get(model_id, base)
             # Replace, never mutate: fork() shares the (immutable) fit
-            # states and raises ValueError on state-less artefacts.
+            # states.
             fresh = base.fork()
             fresh.update(chunk)
             fresh.save(self.root / f"{model_id}.npz")

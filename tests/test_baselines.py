@@ -7,7 +7,7 @@ from repro.baselines import GTIConfig, GTIImputer, StraightLineImputer
 
 
 def test_sli_endpoints_and_spacing():
-    sli = StraightLineImputer(step_m=250.0)
+    sli = StraightLineImputer()  # RESAMPLE_M = 250 m spacing
     result = sli.impute((55.0, 10.0), (55.0, 10.1))  # ~6.4 km east
     assert result.lats[0] == 55.0 and result.lngs[0] == 10.0
     assert result.lats[-1] == 55.0 and result.lngs[-1] == 10.1

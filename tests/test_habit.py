@@ -1,5 +1,7 @@
 """HABIT end-to-end: fit, impute, persist, and the typed variant."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -170,10 +172,8 @@ def test_config_hash_tracks_every_field(fitted):
         HabitConfig(projection="median"),
         HabitConfig(edge_weight="inverse_frequency"),
         HabitConfig(approx_distinct=False),
-        HabitConfig(snap_max_ring=4),
-        HabitConfig(snap_limit_cells=100),
-        HabitConfig(resample_m=500.0),
     ]
+    assert len(changed) == len(fields(HabitConfig))
     digests = {config_hash(c) for c in changed} | {config_hash(base)}
     assert len(digests) == len(changed) + 1  # every field moves the digest
 

@@ -261,13 +261,6 @@ def test_model_state_round_trips_and_updates_after_load(
     full = HabitImputer(kiel_config).fit_from_trips(tiny_kiel.train)
     for key in GRAPH_KEYS:
         assert np.array_equal(getattr(full.graph, key), getattr(restored.graph, key))
-    # A state-less artefact still serves but refuses incremental updates.
-    lean_path = full.save(tmp_path / "lean.npz", include_state=False)
-    assert lean_path.stat().st_size < saved.stat().st_size
-    lean = HabitImputer.load(lean_path)
-    assert lean.graph.num_nodes == full.graph.num_nodes
-    with pytest.raises(ValueError, match="without its fit state"):
-        lean.update(new)
 
 
 def test_finalize_without_state_raises():

@@ -1,17 +1,19 @@
-"""Model-format matrix: format v6 is the only version the loaders read.
+"""Model-format matrix: format v7 is the only version the loaders read.
 
 The matrix pinned here:
 
-- a saved v6 file loads into a working imputer with its hierarchy
+- a saved v7 file loads into a working imputer with its hierarchy
   installed (no rebuild at the first query);
-- files tagged with any other version, and malformed v6 files (missing
+- files tagged with any other version, and malformed v7 files (missing
   or short config, a config value the imputer rejects, missing
   revision or typed header arrays, a listed class graph that is
-  absent), raise :class:`ModelFormatError` -- and a registry with a
-  fitter refits them instead of failing every request;
+  absent, a missing or malformed fit state), raise
+  :class:`ModelFormatError` -- and a registry with a fitter refits them
+  instead of failing every request;
 - plain and typed round-trips preserve every CH array **bit-exactly**,
   and the deterministic CH build reproduces the persisted arrays;
-- new saves are stamped ``format_version == 6`` with every CH array.
+- new saves are stamped ``format_version == 7`` with every CH array and
+  the fit state.
 """
 
 import numpy as np
@@ -101,17 +103,20 @@ def test_typed_round_trip_preserves_ch_arrays_bit_exactly(typed_model, tmp_path)
             assert a.dtype == b.dtype and np.array_equal(a, b), key
 
 
-def test_new_saves_are_stamped_version_6(ch_model, tmp_path):
+def test_new_saves_are_stamped_version_7(ch_model, tmp_path):
     with np.load(ch_model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "6"
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "7"
         for key in habit_mod._CH_KEYS:
+            assert key in data.files, key
+        state = ch_model._state.payload(habit_mod._STATE_PREFIX)
+        for key in state:
             assert key in data.files, key
 
 
 def test_versions_outside_the_window_are_rejected(ch_model, tmp_path):
     payload = _payload(ch_model.save(tmp_path / "m.npz"))
-    for bad in ("2", "3", "4", "5", "7"):
+    for bad in ("2", "3", "4", "5", "6", "8"):
         payload["format"] = np.array([habit_mod.MODEL_FORMAT, bad])
         bad_path = tmp_path / f"bad{bad}.npz"
         np.savez(bad_path, **payload)
@@ -134,19 +139,42 @@ def _shorten_config(payload):
     payload["config"] = payload["config"][:3]
 
 
+def _drop_state(payload):
+    for key in [key for key in payload if key.startswith("state_")]:
+        del payload[key]
+
+
+def _set_array(key, value):
+    def plant(payload):
+        payload[key] = value
+
+    return plant
+
+
 _DEFECTS = {
     "no_config": _drop("config"),
     "no_revision": _drop("revision"),
     "short_config": _shorten_config,
     "resolution_x": _set_config_slot(0, "x"),
     "resolution_99": _set_config_slot(0, "99"),
+    "no_state": _drop_state,
+}
+_PLAIN_DEFECTS = {
+    "no_state_cell_counts": _drop("state_cell_counts"),
+    "no_state_tr_manifest": _drop("state_tr_manifest"),
+    "bad_state_cell_manifest": _set_array("state_cell_manifest", np.array(["{"])),
+    "short_state_meta": _set_array("state_meta", np.array(["9"])),
 }
 _TYPED_DEFECTS = {
     "no_min_group_rows": _drop("min_group_rows"),
     "no_groups": _drop("groups"),
     "no_g0_cells": _drop("g0_cells"),
+    "no_state_c0_meta": _drop("state_c0_meta"),
+    "no_state_fallback_cell_counts": _drop("state_fallback_cell_counts"),
+    "no_class_states": _set_array("state_groups", np.array([], dtype=np.str_)),
 }
-_CASES = [(False, name) for name in _DEFECTS] + [
+_ALL_DEFECTS = {**_DEFECTS, **_PLAIN_DEFECTS, **_TYPED_DEFECTS}
+_CASES = [(False, name) for name in {**_DEFECTS, **_PLAIN_DEFECTS}] + [
     (True, name) for name in {**_DEFECTS, **_TYPED_DEFECTS}
 ]
 
@@ -168,7 +196,7 @@ def test_malformed_files_raise_format_error_and_refit(
     )
     path = registry.path_for("KIEL", model.config, typed)
     payload = _payload(model.save(tmp_path / "good.npz"))
-    {**_DEFECTS, **_TYPED_DEFECTS}[defect](payload)
+    _ALL_DEFECTS[defect](payload)
     np.savez(path, **payload)
     loader = TypedHabitImputer if typed else HabitImputer
     with pytest.raises(ModelFormatError):

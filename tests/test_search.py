@@ -128,15 +128,15 @@ def test_snap_memoization_and_scalar_fallback(tiny_kiel):
     assert first == brute
 
 
-def test_saved_format_version_is_6(tiny_kiel, tmp_path):
+def test_saved_format_version_is_7(tiny_kiel, tmp_path):
     import repro.core.habit as habit_mod
 
     model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     with np.load(model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "6"
-        # Eight config slots: the search and landmark slots are gone.
-        assert len(data["config"]) == 8
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "7"
+        # Five config slots: the snap-limit and resample slots are gone.
+        assert len(data["config"]) == 5
 
 
 def _corrupt_ch(arrays, defect):

@@ -58,9 +58,10 @@ def test_model_id_is_stable_and_config_sensitive():
 
 def test_config_hash_digests_are_pinned():
     """Golden digests: model files on disk are named by these, so they
-    move only with a model-format version bump (v6 hashes ``asdict``)."""
-    assert config_hash(HabitConfig()) == "648449ff7406"
-    assert config_hash(HabitConfig(resolution=10)) == "0f63d9493d79"
+    move only with a model-format version bump (v7 hashes the five-field
+    ``asdict``)."""
+    assert config_hash(HabitConfig()) == "20202d97f028"
+    assert config_hash(HabitConfig(resolution=10)) == "c48ce07ec417"
 
 
 def test_registry_resolution_tiers(registry, service_model):
@@ -410,20 +411,6 @@ def test_models_feed_reports_revision_and_refresh(registry, service_model, tiny_
     assert cold["rows_ingested"] == 0
 
 
-def test_refresh_rejects_stateless_models(tmp_path, tiny_kiel, service_model):
-    # A serve-only artefact (no fit state) must refuse refresh rather
-    # than silently rebuilding the model from the new chunk alone.
-    reg = ModelRegistry(tmp_path / "models")
-    config = service_model.config
-    path = reg.path_for("KIEL", config)
-    service_model.save(path, include_state=False)
-    nodes_before = reg.get("KIEL", config)[0].graph.num_nodes
-    with pytest.raises(ValueError, match="without its fit state"):
-        reg.refresh("KIEL", tiny_kiel.test, config)
-    # The full-history model on disk is untouched.
-    assert HabitImputer.load(path).graph.num_nodes == nodes_before
-
-
 # -- schema validation ---------------------------------------------------
 
 
@@ -656,16 +643,18 @@ def test_http_negative_content_length_is_400(server, length):
 @pytest.mark.parametrize(
     ("field", "value"),
     [
+        # Unknown fields, including ones earlier model formats had.
         pytest.param("search", "bogus", id="search"),
+        pytest.param("resample_m", 500.0, id="resample_m"),
         pytest.param("projection", "bogus", id="projection"),
         pytest.param("edge_weight", "bogus", id="edge_weight"),
         # Mistyped values are rejected, never coerced.
         pytest.param("approx_distinct", "false", id="approx_distinct-str"),
         pytest.param("resolution", 9.5, id="resolution-float"),
         pytest.param("resolution", True, id="resolution-bool"),
-        pytest.param("snap_max_ring", "8", id="snap_max_ring-str"),
+        pytest.param("resolution", "9", id="resolution-str"),
         pytest.param("tolerance_m", "100", id="tolerance_m-str"),
-        pytest.param("resample_m", float("nan"), id="resample_m-nan"),
+        pytest.param("tolerance_m", float("nan"), id="tolerance_m-nan"),
         # Off the hex grid's resolution range.
         pytest.param("resolution", 16, id="resolution-16"),
     ],

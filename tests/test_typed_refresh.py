@@ -119,21 +119,6 @@ def test_save_load_roundtrip_keeps_states_refreshable(tmp_path, halves, config):
     _assert_equivalent(loaded, typed)
 
 
-def test_stateless_save_refuses_update_and_fork(tmp_path, halves, config):
-    typed = TypedHabitImputer(config, min_group_rows=MIN_ROWS).fit_from_trips(halves[0])
-    path = typed.save(tmp_path / "lean.npz", include_state=False)
-    loaded = TypedHabitImputer.load(path)
-    assert loaded.fitted_groups == typed.fitted_groups  # serves fine
-    with pytest.raises(ValueError, match="fit state"):
-        loaded.update(halves[1])
-    with pytest.raises(ValueError, match="fit state"):
-        loaded.fork()
-    # fit_partial must refuse too: folding a chunk into empty states
-    # would silently rebuild the graphs from that chunk alone.
-    with pytest.raises(ValueError, match="fit state"):
-        loaded.fit_partial(halves[1])
-
-
 def test_update_skips_rebuilding_untouched_classes(tiny_kiel, halves, config):
     """A refresh whose chunk only carries one class's traffic must not
     pay graph (and hierarchy) rebuilds for every other class."""
