@@ -10,7 +10,7 @@ from repro.eval.metrics import dtw_distance_m
 
 @pytest.mark.benchmark(group="fig3-resolution")
 @pytest.mark.parametrize("resolution", [7, 9, 10])
-@pytest.mark.parametrize("projection", ["center", "median"])
+@pytest.mark.parametrize("projection", ["center", "mean"])
 def test_impute_and_score(benchmark, kiel, kiel_gaps, resolution, projection):
     imputer = HabitImputer(
         HabitConfig(resolution=resolution, projection=projection, tolerance_m=100.0)

@@ -72,7 +72,7 @@ __all__ = [
 SEARCH_METHODS = ("dijkstra", "astar", "ch")
 
 #: Node placements accepted by :meth:`CellGraph.from_statistics`.
-PROJECTIONS = ("center", "median")
+PROJECTIONS = ("center", "mean")
 
 #: Edge weight schemes accepted by :meth:`CellGraph.from_statistics`.
 EDGE_WEIGHTS = ("transitions", "inverse_frequency")
@@ -222,14 +222,14 @@ class CellGraph:
         """Build a graph from :func:`repro.core.statistics.compute_statistics`.
 
         *projection* places each node at the cell centre (``"center"``) or
-        at the median of its observed positions (``"median"``).
+        at the mean of its observed positions (``"mean"``).
         """
         cells = np.asarray(cell_stats.column("cell"), dtype=np.int64)
         if projection == "center":
             lats, lngs = cell_to_latlng_array(cells)
-        elif projection == "median":
-            lats = np.asarray(cell_stats.column("median_lat"), dtype=np.float64)
-            lngs = np.asarray(cell_stats.column("median_lon"), dtype=np.float64)
+        elif projection == "mean":
+            lats = np.asarray(cell_stats.column("mean_lat"), dtype=np.float64)
+            lngs = np.asarray(cell_stats.column("mean_lon"), dtype=np.float64)
         else:
             raise ValueError(f"unknown projection {projection!r}")
         src = np.asarray(transition_stats.column("cell"), dtype=np.int64)

@@ -21,7 +21,7 @@ routes over the graph's contraction hierarchy (built at
 :meth:`HabitImputer.finalize`; :meth:`HabitImputer.impute` takes
 ``method="astar"`` or ``"dijkstra"`` for the paper's query and the cost
 oracle -- all provably equal-cost), projects the cell path to positions
-(cell centres or per-cell medians), simplifies with RDP at
+(cell centres or per-cell mean positions), simplifies with RDP at
 ``tolerance_m``, resamples to :data:`repro.core.path.RESAMPLE_M` and pins
 the exact endpoints.  The three stages are public --
 :meth:`HabitImputer.snap_endpoints`, :meth:`HabitImputer.route`,
@@ -32,6 +32,7 @@ imputer degrades to a straight line, flagged in ``ImputedPath.method``.
 
 import hashlib
 import json
+import math
 import os
 import threading
 import zipfile
@@ -61,12 +62,12 @@ __all__ = ["HabitConfig", "HabitImputer", "ModelFormatError", "config_hash"]
 #: On-disk model format tag and version.  Bumped whenever the ``.npz``
 #: layout or the :func:`config_hash` digests change; this build reads
 #: only the current version (an older file is a registry miss and is
-#: refitted).  Version 7 has one layout: the five-field config, the model
+#: refitted).  Version 8 has one layout: the five-field config, the model
 #: revision, the graph with its contraction hierarchy and the mergeable
 #: fit state that powers :meth:`HabitImputer.update` after a load -- all
 #: always present.
 MODEL_FORMAT = "habit-npz"
-MODEL_FORMAT_VERSION = 7
+MODEL_FORMAT_VERSION = 8
 
 #: Prefix under which a model's mergeable fit state is stored in the npz.
 _STATE_PREFIX = "state_"
@@ -265,13 +266,14 @@ class HabitConfig:
 
     - ``resolution``: hex grid resolution (paper sweep: 6..10).
     - ``tolerance_m``: RDP simplification tolerance; 0 disables smoothing.
-    - ``projection``: node placement, ``"center"`` or ``"median"``.
+    - ``projection``: node placement, ``"center"`` or ``"mean"``.
     - ``edge_weight``: ``"transitions"`` (paper) or ``"inverse_frequency"``.
     - ``approx_distinct``: HyperLogLog vs exact distinct vessels in stats.
 
-    An unknown ``projection`` or ``edge_weight``, or a ``resolution``
-    outside the hex grid's ``[0, 15]``, raises ``ValueError`` at
-    construction, before any fit can start.
+    An unknown ``projection`` or ``edge_weight``, a ``resolution``
+    outside the hex grid's ``[0, 15]``, or a ``tolerance_m`` that is
+    negative or not finite raises ``ValueError`` at construction, before
+    any fit can start.
     """
 
     resolution: int = 9
@@ -284,6 +286,10 @@ class HabitConfig:
         if not 0 <= self.resolution <= _MAX_RES:
             raise ValueError(
                 f"resolution must be in [0, {_MAX_RES}], got {self.resolution!r}"
+            )
+        if not 0.0 <= self.tolerance_m < math.inf:
+            raise ValueError(
+                f"tolerance_m must be finite and >= 0, got {self.tolerance_m!r}"
             )
         for name, choices in (
             ("projection", PROJECTIONS),

@@ -7,18 +7,20 @@ segmented trips into a mergeable :class:`StatisticsState`, and
 tables the cell graph is built from:
 
 - **cell statistics**: support count, distinct vessels (HyperLogLog or
-  exact, per ``config.approx_distinct``), and median position -- the
-  medians drive the "median" cell projection.
+  exact, per ``config.approx_distinct``), and mean position
+  (``mean_lat`` / ``mean_lon``) -- the means drive the "mean" cell
+  projection.
 - **transition statistics**: directed cell pairs observed consecutively
   within a trip, with transition counts and distinct-vessel support --
   the graph's edge list.
 
 :func:`compute_statistics` (the original one-shot entry point) is a thin
 wrapper: one partial state, finalised immediately.  Equivalence between
-the two paths is pinned by tests: counts, transitions and HLL distinct
-estimates are **exactly** equal however the trips were sharded or
-streamed; medians are mergeable t-digest estimates within the tolerance
-documented in :mod:`repro.minidb.tdigest`.
+the two paths is pinned by tests: every column, means included, is
+**exactly** equal however the trips were sharded or streamed.  The mean
+is exact because the state holds no float: each position is stored as
+an ``int64`` offset from its cell centre in :data:`OFFSET_DEG` units,
+summed per cell, and only :meth:`StatisticsState.finalize` divides.
 
 Shard/chunk contract: a shard must contain **whole trips** -- transitions
 are extracted within each chunk, so splitting one trip across two states
@@ -32,13 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ais import schema
-from repro.hexgrid import latlng_to_cell_array
+from repro.hexgrid import cell_to_latlng_array, latlng_to_cell_array
 from repro.minidb import agg, merge_states
 from repro.minidb.partial import GroupState
 
 __all__ = [
     "CELL",
     "NEXT_CELL",
+    "OFFSET_DEG",
     "StatisticsState",
     "compute_statistics",
     "merge_statistics",
@@ -51,7 +54,16 @@ CELL = "cell"
 #: Column name for the following cell within a trip.
 NEXT_CELL = "next_cell"
 
+#: Fixed-point unit (degrees) of the per-cell position sums: ~1 cm of
+#: latitude, far below any cell edge, and small enough that a cell's
+#: offsets sum in ``int64`` without overflow.
+OFFSET_DEG = 1e-7
+
 _NO_CELL = np.int64(-1)
+
+#: Partial-state columns holding each cell's summed position offsets.
+_LAT_SUM = "lat_offset_sum"
+_LON_SUM = "lon_offset_sum"
 
 
 def _distinct_agg(approx):
@@ -123,8 +135,19 @@ class StatisticsState:
         )
 
     def finalize(self):
-        """Render ``(cell_stats, transition_stats)`` tables."""
-        return self.cell_state.finalize(), self.transition_state.finalize()
+        """Render ``(cell_stats, transition_stats)`` tables.
+
+        The cell table's offset sums become ``mean_lat`` / ``mean_lon``:
+        cell centre + sum / count x :data:`OFFSET_DEG`.
+        """
+        cells = self.cell_state.finalize()
+        count = cells.column("count")
+        center_lat, center_lon = cell_to_latlng_array(cells.column(CELL))
+        cells = cells.drop(_LAT_SUM, _LON_SUM).with_columns(
+            mean_lat=center_lat + cells.column(_LAT_SUM) / count * OFFSET_DEG,
+            mean_lon=center_lon + cells.column(_LON_SUM) / count * OFFSET_DEG,
+        )
+        return cells, self.transition_state.finalize()
 
     # -- persistence (ridden by model files) ------------------------------
 
@@ -153,6 +176,12 @@ class StatisticsState:
         )
 
 
+def _offsets(degrees, center):
+    """Fixed-point ``int64`` offsets of *degrees* from their cell *center*."""
+    delta = np.asarray(degrees, dtype=np.float64) - center
+    return np.rint(delta / OFFSET_DEG).astype(np.int64)
+
+
 def partial_statistics(trips, config):
     """Summarise one shard/chunk of segmented trips into a mergeable state.
 
@@ -161,12 +190,19 @@ def partial_statistics(trips, config):
     The chunk must hold whole trips (see the module docstring).
     """
     cells = _index_cells(trips, config)
-    indexed = trips.with_columns(**{CELL: cells})
+    center_lat, center_lon = cell_to_latlng_array(cells)
+    indexed = trips.with_columns(
+        **{
+            CELL: cells,
+            _LAT_SUM: _offsets(trips.column(schema.LAT), center_lat),
+            _LON_SUM: _offsets(trips.column(schema.LON), center_lon),
+        }
+    )
     cell_state = indexed.group_by(CELL).partial(
         agg.count(),
         _distinct_agg(config.approx_distinct),
-        agg.median(schema.LAT).alias("median_lat"),
-        agg.median(schema.LON).alias("median_lon"),
+        agg.sum(_LAT_SUM).alias(_LAT_SUM),
+        agg.sum(_LON_SUM).alias(_LON_SUM),
     )
 
     if trips.num_rows:
@@ -197,7 +233,7 @@ def compute_statistics(trips, config):
     """One-shot aggregation: a single partial state, finalised immediately.
 
     Kept as the simple entry point; the sharded/streamed paths produce
-    identical counts, transitions and HLL estimates (see module docstring).
+    identical tables (see module docstring).
     """
     return partial_statistics(trips, config).finalize()
 

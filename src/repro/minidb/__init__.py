@@ -10,9 +10,8 @@ Everything is vectorised -- there are no per-row Python loops -- so the
 
 Aggregation runs eagerly (``group_by(...).agg(...)``) or as mergeable
 partial states (``group_by(...).partial(...)`` + :func:`merge_states` +
-``state.finalize()``) so shards and streamed chunks combine into the same
-result as one in-memory pass -- exactly for counts/distincts/HLL, within
-t-digest tolerance for medians.
+``state.finalize()``) so shards and streamed chunks combine into exactly
+the result of one in-memory pass (counts, integer sums, distincts, HLL).
 
 Submodules:
 
@@ -20,7 +19,6 @@ Submodules:
 - :mod:`repro.minidb.agg` -- aggregate specifications (``agg.count()``,
   ``agg.median("sog")``, ``agg.approx_count_distinct("vessel_id")``, ...).
 - :mod:`repro.minidb.hll` -- HyperLogLog sketches, standalone and grouped.
-- :mod:`repro.minidb.tdigest` -- mergeable quantile sketches.
 - :mod:`repro.minidb.partial` -- the partial-aggregate states behind
   the shard-and-merge path.
 """
@@ -28,12 +26,9 @@ Submodules:
 from repro.minidb import agg
 from repro.minidb.partial import GroupState, merge_states
 from repro.minidb.table import Table, factorize
-from repro.minidb.tdigest import GroupedTDigest, TDigest
 
 __all__ = [
     "GroupState",
-    "GroupedTDigest",
-    "TDigest",
     "Table",
     "agg",
     "factorize",

@@ -1,9 +1,10 @@
 """Aggregate specifications for :meth:`repro.minidb.Table.group_by`.
 
 Each helper returns an :class:`AggSpec` naming a kernel and an input column;
-``.alias(name)`` renames the output column.  The mix mirrors the paper's
-per-cell CTE: ``count``, ``approx_count_distinct`` (HyperLogLog), and
-``median`` over the position columns.
+``.alias(name)`` renames the output column.  The fit's per-cell CTE uses
+``count``, ``approx_count_distinct`` (HyperLogLog) and ``sum`` over
+fixed-point position offsets -- the kinds with a mergeable partial state
+(:mod:`repro.minidb.partial`); the rest run on the eager path only.
 """
 
 from dataclasses import dataclass, replace

@@ -9,16 +9,15 @@ aggregates over *one shard or chunk* of the rows -- and
 rows were partitioned.  ``state.finalize()`` renders the merged state as
 the same table ``agg`` would have produced.
 
-Equivalence contract (pinned by tests):
-
-- ``count`` / ``count_distinct`` / ``min`` / ``max`` / ``first`` and the
-  HyperLogLog ``approx_count_distinct`` are **exactly** equal to the
-  eager one-shot result, bit for bit, for any partition of the rows.
-- ``sum`` / ``mean`` agree up to float summation order.
-- ``median`` is held as a mergeable t-digest
-  (:mod:`repro.minidb.tdigest`), so it is approximate: the returned value
-  lies within a rank error of about ``pi / delta`` of the exact median
-  (exact when no centroids collided, i.e. small groups).
+Only the kinds the fit aggregates have a partial state: ``count``,
+``sum``, ``count_distinct`` and the HyperLogLog
+``approx_count_distinct``.  Each merges **exactly**: for any partition
+of the rows the result equals the eager one-shot pass.  ``sum`` takes
+integer columns only and accumulates in ``int64`` (where the eager
+kernel returns floats), so its merge is associative; a float column
+raises ``ValueError`` -- encode it as fixed-point integers first, as
+:mod:`repro.core.statistics` does for positions.  Medians, means and
+extrema stay eager-only.
 
 States carry their group *keys by value*, not by code -- group codes are
 local to each shard and are re-factorised on merge -- and serialise to a
@@ -37,24 +36,11 @@ from repro.minidb.hll import (
     grouped_register_pairs,
     merge_register_pairs,
 )
-from repro.minidb.tdigest import DEFAULT_DELTA, GroupedTDigest
 
 __all__ = ["GroupState", "merge_states"]
 
-#: Aggregate kinds with a mergeable state (every kind in ``minidb.agg``).
-MERGEABLE_KINDS = frozenset(
-    {
-        "count",
-        "sum",
-        "mean",
-        "min",
-        "max",
-        "first",
-        "median",
-        "count_distinct",
-        "approx_count_distinct",
-    }
-)
+#: Aggregate kinds with a mergeable state.
+MERGEABLE_KINDS = frozenset({"count", "sum", "count_distinct", "approx_count_distinct"})
 
 
 def _unique_pairs(codes, values):
@@ -99,7 +85,7 @@ class GroupState:
         :meth:`repro.minidb.table.GroupBy.partial`.
         """
         # Local import: table.py lazily imports this module for .partial().
-        from repro.minidb.table import _factorize_keys, _run_agg
+        from repro.minidb.table import _factorize_keys
 
         unknown = [s.kind for s in specs if s.kind not in MERGEABLE_KINDS]
         if unknown:
@@ -107,23 +93,21 @@ class GroupState:
         codes, key_columns = _factorize_keys(table, key_names)
         num_groups = len(next(iter(key_columns.values()))) if key_columns else 0
         counts = np.bincount(codes, minlength=num_groups).astype(np.int64)
-        sorted_cache = {}
         data = {}
         for spec in specs:
             kind = spec.kind
             if kind == "count":
                 state = None
-            elif kind in ("sum", "mean"):
-                values = table.column(spec.column)
-                state = {"sum": np.bincount(codes, weights=values, minlength=num_groups)}
-            elif kind in ("min", "max", "first"):
-                state = {"values": _run_agg(table, spec, codes, num_groups, counts, sorted_cache)}
-            elif kind == "median":
-                state = {
-                    "digest": GroupedTDigest.from_values(
-                        codes, table.column(spec.column), num_groups, DEFAULT_DELTA
+            elif kind == "sum":
+                values = np.asarray(table.column(spec.column))
+                if not np.issubdtype(values.dtype, np.integer):
+                    raise ValueError(
+                        f"partial sum of {spec.column!r} needs an integer column, "
+                        f"got {values.dtype}"
                     )
-                }
+                total = np.zeros(num_groups, dtype=np.int64)
+                np.add.at(total, codes, values)
+                state = {"sum": total}
             elif kind == "count_distinct":
                 pair_codes, pair_values = _unique_pairs(codes, table.column(spec.column))
                 state = {"codes": pair_codes, "values": pair_values}
@@ -148,12 +132,6 @@ class GroupState:
                 column = counts.copy()
             elif kind == "sum":
                 column = state["sum"].copy()
-            elif kind == "mean":
-                column = state["sum"] / np.maximum(counts, 1)
-            elif kind in ("min", "max", "first"):
-                column = state["values"]
-            elif kind == "median":
-                column = state["digest"].medians()
             elif kind == "count_distinct":
                 column = np.bincount(
                     state["codes"], minlength=self.num_groups
@@ -184,16 +162,8 @@ class GroupState:
             tag = f"{prefix}s{i}_"
             if spec.kind == "count":
                 continue
-            if spec.kind in ("sum", "mean"):
+            if spec.kind == "sum":
                 out[tag + "sum"] = state["sum"]
-            elif spec.kind in ("min", "max", "first"):
-                out[tag + "values"] = state["values"]
-            elif spec.kind == "median":
-                digest = state["digest"]
-                out[tag + "codes"] = digest.codes
-                out[tag + "means"] = digest.means
-                out[tag + "weights"] = digest.weights
-                out[tag + "delta"] = np.array([digest.delta], dtype=np.int64)
             elif spec.kind == "count_distinct":
                 out[tag + "codes"] = state["codes"]
                 out[tag + "values"] = state["values"]
@@ -215,26 +185,13 @@ class GroupState:
         )
         key_columns = {name: np.asarray(data[f"{prefix}key_{name}"]) for name in key_names}
         counts = np.asarray(data[prefix + "counts"])
-        num_groups = len(counts)
         state_data = {}
         for i, spec in enumerate(specs):
             tag = f"{prefix}s{i}_"
             if spec.kind == "count":
                 state = None
-            elif spec.kind in ("sum", "mean"):
+            elif spec.kind == "sum":
                 state = {"sum": np.asarray(data[tag + "sum"])}
-            elif spec.kind in ("min", "max", "first"):
-                state = {"values": np.asarray(data[tag + "values"])}
-            elif spec.kind == "median":
-                state = {
-                    "digest": GroupedTDigest(
-                        np.asarray(data[tag + "codes"]),
-                        np.asarray(data[tag + "means"]),
-                        np.asarray(data[tag + "weights"]),
-                        num_groups,
-                        int(np.asarray(data[tag + "delta"])[0]),
-                    )
-                }
             elif spec.kind == "count_distinct":
                 state = {
                     "codes": np.asarray(data[tag + "codes"]),
@@ -253,9 +210,7 @@ class GroupState:
 def merge_states(states):
     """Merge :class:`GroupState` shards into one state over the union of groups.
 
-    All states must share key names and aggregate specs.  ``first``
-    resolves ties by argument order (the earliest state owning a group
-    wins), matching a concatenation of the shards in that order.
+    All states must share key names and aggregate specs.
     """
     states = [s for s in states if s is not None]
     if not states:
@@ -297,19 +252,11 @@ def merge_states(states):
         parts = [s.data[spec.name] for s in states]
         if kind == "count":
             state = None
-        elif kind in ("sum", "mean"):
-            total = np.zeros(num_groups, dtype=np.float64)
+        elif kind == "sum":
+            total = np.zeros(num_groups, dtype=np.int64)
             for part, mapping in zip(parts, maps):
                 np.add.at(total, mapping, part["sum"])
             state = {"sum": total}
-        elif kind in ("min", "max", "first"):
-            state = {"values": _merge_extrema(kind, parts, maps, num_groups)}
-        elif kind == "median":
-            state = {
-                "digest": GroupedTDigest.merged(
-                    [p["digest"] for p in parts], maps, num_groups
-                )
-            }
         elif kind == "count_distinct":
             pair_codes, pair_values = _unique_pairs(
                 np.concatenate([m[p["codes"]] for p, m in zip(parts, maps)]),
@@ -333,24 +280,3 @@ def merge_states(states):
         data[spec.name] = state
     return GroupState(head.key_names, key_columns, head.specs, counts, data)
 
-
-def _merge_extrema(kind, parts, maps, num_groups):
-    """Merge per-group min/max/first values across states."""
-    codes = np.concatenate([m for m in maps])
-    values = np.concatenate([p["values"] for p in parts])
-    if kind == "first":
-        # Earliest state owning the group wins: sort by (group, state index).
-        state_idx = np.concatenate(
-            [np.full(len(m), i, dtype=np.int64) for i, m in enumerate(maps)]
-        )
-        order = np.lexsort((state_idx, codes))
-    else:
-        order = np.lexsort((values, codes))
-    g, v = codes[order], values[order]
-    starts = np.ones(len(g), dtype=bool)
-    starts[1:] = g[1:] != g[:-1]
-    if kind == "max":
-        ends = np.ones(len(g), dtype=bool)
-        ends[:-1] = g[:-1] != g[1:]
-        return v[ends]
-    return v[starts]

@@ -29,6 +29,14 @@ from repro.service.registry import ModelRegistry
 __all__ = ["main"]
 
 
+def _tolerance_m(text):
+    """``--tolerance-m`` as a float :class:`HabitConfig` accepts."""
+    try:
+        return HabitConfig(tolerance_m=float(text)).tolerance_m
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -163,15 +171,15 @@ def _build_parser():
     )
     model.add_argument(
         "--tolerance-m",
-        type=float,
+        type=_tolerance_m,
         default=default.tolerance_m,
-        help="RDP simplification tolerance in metres",
+        help="RDP simplification tolerance in metres (finite, >= 0)",
     )
     model.add_argument(
         "--projection",
         choices=PROJECTIONS,
         default=default.projection,
-        help="node placement: cell centres or per-cell medians",
+        help="node placement: cell centres or per-cell mean positions",
     )
     model.add_argument(
         "--edge-weight",

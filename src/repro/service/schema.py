@@ -193,7 +193,8 @@ def build_config(overrides):
     Each value must already have its field's JSON type (see
     :func:`_config_value`); unknown field names, mistyped values and
     values :class:`HabitConfig` rejects (an unknown ``projection`` or
-    ``edge_weight``, a ``resolution`` off the hex grid)
+    ``edge_weight``, a ``resolution`` off the hex grid, a negative
+    ``tolerance_m``)
     raise :class:`SchemaError`, so a bad config never reaches fit-on-miss.
     """
     if overrides is None:

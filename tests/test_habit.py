@@ -63,12 +63,14 @@ def test_projection_modes_differ(tiny_kiel, gap):
     center = HabitImputer(
         HabitConfig(resolution=9, projection="center")
     ).fit_from_trips(tiny_kiel.train)
-    median = HabitImputer(
-        HabitConfig(resolution=9, projection="median")
+    mean = HabitImputer(
+        HabitConfig(resolution=9, projection="mean")
     ).fit_from_trips(tiny_kiel.train)
+    assert np.array_equal(center.graph.cells, mean.graph.cells)
+    assert not np.array_equal(center.graph.lats, mean.graph.lats)
     r_center = center.impute(gap.start, gap.end)
-    r_median = median.impute(gap.start, gap.end)
-    assert r_center.num_points >= 2 and r_median.num_points >= 2
+    r_mean = mean.impute(gap.start, gap.end)
+    assert r_center.num_points >= 2 and r_mean.num_points >= 2
 
 
 def test_route_batch_matches_scalar_route(fitted, tiny_kiel):
@@ -169,13 +171,21 @@ def test_config_hash_tracks_every_field(fitted):
     changed = [
         HabitConfig(resolution=8),
         HabitConfig(tolerance_m=50.0),
-        HabitConfig(projection="median"),
+        HabitConfig(projection="mean"),
         HabitConfig(edge_weight="inverse_frequency"),
         HabitConfig(approx_distinct=False),
     ]
     assert len(changed) == len(fields(HabitConfig))
     digests = {config_hash(c) for c in changed} | {config_hash(base)}
     assert len(digests) == len(changed) + 1  # every field moves the digest
+
+
+@pytest.mark.parametrize("tolerance_m", [-1.0, float("nan"), float("inf")])
+def test_config_rejects_negative_or_non_finite_tolerance(tolerance_m):
+    # -1 and nan would render like 0 under their own digests; inf would
+    # collapse every path to a straight line.
+    with pytest.raises(ValueError, match="tolerance_m"):
+        HabitConfig(tolerance_m=tolerance_m)
 
 
 def test_save_without_suffix_returns_real_file(fitted, gap, tmp_path):

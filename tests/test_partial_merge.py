@@ -1,11 +1,10 @@
 """Merge semantics: partial -> merge must reproduce the one-shot pass.
 
 Property-style checks over random tables and random row partitions:
-counts, distincts, HLL, min/max/first merge exactly; sums merge to float
-tolerance; medians stay within the documented t-digest rank-error bound.
-The same contract is then pinned at the statistics layer (whole-trip
-partitions and incremental fits vs ``compute_statistics``) and at the
-model layer (``fit_partial``/``merge``/``finalize`` vs ``fit_from_trips``).
+counts, integer sums, distincts and HLL merge exactly.  The same
+contract is then pinned at the statistics layer (whole-trip partitions
+and incremental fits vs ``compute_statistics``) and at the model layer
+(``fit_partial``/``merge``/``finalize`` vs ``fit_from_trips``).
 """
 
 import numpy as np
@@ -18,17 +17,15 @@ from repro.core import (
     merge_statistics,
     partial_statistics,
 )
-from repro.minidb import Table, TDigest, agg, merge_states
+from repro.core.graph import PROJECTIONS
+from repro.core.statistics import OFFSET_DEG
+from repro.hexgrid import latlng_to_cell_array
+from repro.minidb import Table, agg, merge_states
 from repro.minidb.partial import GroupState
 
 ALL_SPECS = (
     agg.count(),
-    agg.sum("x"),
-    agg.mean("x"),
-    agg.min("x"),
-    agg.max("x"),
-    agg.first("x"),
-    agg.median("x"),
+    agg.sum("n"),
     agg.count_distinct("who"),
     agg.approx_count_distinct("who"),
 )
@@ -42,6 +39,7 @@ def _random_table(rng, n=8000, groups=200):
             "k": rng.integers(0, groups, n),
             "k2": rng.integers(0, 4, n),
             "x": rng.normal(size=n),
+            "n": rng.integers(-(10**6), 10**6, n),
             "who": rng.integers(0, 60, n),
         }
     )
@@ -62,52 +60,11 @@ def test_merged_partials_match_one_shot(rng, shards):
     ]
     merged = merge_states(states).finalize()
     assert merged.column_names == eager.column_names
-    for key in ("k", "k2", "count", "min_x", "max_x", "distinct_who"):
+    # HLL registers max-merge losslessly, and integer sums are
+    # associative: every column is equal, not just close.
+    for key in eager.column_names:
         assert np.array_equal(merged[key], eager[key]), key
-    # HLL registers max-merge losslessly: estimates are bit-equal.
-    assert np.array_equal(merged["approx_distinct_who"], eager["approx_distinct_who"])
-    assert np.allclose(merged["sum_x"], eager["sum_x"])
-    assert np.allclose(merged["mean_x"], eager["mean_x"])
-
-
-def test_first_matches_shard_concatenation_order(rng):
-    table = _random_table(rng)
-    parts = _partition(rng, table, 4)
-    states = [p.group_by("k").partial(agg.first("x")) for p in parts]
-    reference = Table.concat(parts).group_by("k").agg(agg.first("x"))
-    merged = merge_states(states).finalize()
-    assert np.array_equal(merged["first_x"], reference["first_x"])
-
-
-def test_merged_median_within_tdigest_tolerance(rng):
-    # Big groups force centroid compression; the estimate must stay
-    # within the documented rank-error band around the exact median.
-    n = 60_000
-    table = Table({"k": rng.integers(0, 8, n), "x": rng.normal(size=n)})
-    eager = table.group_by("k").agg(agg.median("x"))
-    states = [
-        p.group_by("k").partial(agg.median("x")) for p in _partition(rng, table, 6)
-    ]
-    merged = merge_states(states).finalize()
-    for row, key in enumerate(eager["k"]):
-        values = np.sort(table["x"][table["k"] == key])
-        # Rank tolerance: a few compression buckets around q = 0.5
-        # (pi/delta per bucket, doubled for the merge recompression).
-        eps = 2.5 * np.pi / 128
-        lo = values[int(len(values) * (0.5 - eps))]
-        hi = values[int(len(values) * (0.5 + eps))]
-        assert lo <= merged["median_x"][row] <= hi
-
-
-def test_small_group_medians_are_exact(rng):
-    # Below one value per compression bucket nothing collides, so the
-    # digest interpolates back to the exact (lo + hi) / 2 sample median.
-    table = _random_table(rng, n=3000, groups=400)
-    eager = table.group_by("k").agg(agg.median("x"))
-    merged = merge_states(
-        [p.group_by("k").partial(agg.median("x")) for p in _partition(rng, table, 3)]
-    ).finalize()
-    assert np.allclose(merged["median_x"], eager["median_x"], atol=1e-12)
+    assert merged["sum_n"].dtype == np.int64
 
 
 def test_single_state_finalize_equals_eager(rng):
@@ -115,12 +72,7 @@ def test_single_state_finalize_equals_eager(rng):
     eager = table.group_by("k").agg(*ALL_SPECS)
     alone = table.group_by("k").partial(*ALL_SPECS).finalize()
     for key in eager.column_names:
-        if key.startswith("median"):
-            assert np.allclose(alone[key], eager[key], atol=1e-12)
-        elif key.startswith(("sum", "mean")):
-            assert np.allclose(alone[key], eager[key])
-        else:
-            assert np.array_equal(alone[key], eager[key]), key
+        assert np.array_equal(alone[key], eager[key]), key
 
 
 def test_state_payload_round_trip(rng):
@@ -148,22 +100,18 @@ def test_partial_rejects_unmergeable_spec(rng):
         table.group_by("k").partial(agg.AggSpec("mode", "x", "mode_x"))
 
 
-def test_tdigest_scalar_accuracy_and_merge(rng):
-    values = rng.normal(size=50_000)
-    whole = TDigest().add_array(values)
-    parts = np.array_split(values, 8)
-    merged = TDigest().add_array(parts[0])
-    for part in parts[1:]:
-        merged.merge(TDigest().add_array(part))
-    for q in (0.1, 0.5, 0.9):
-        exact = np.quantile(values, q)
-        assert whole.quantile(q) == pytest.approx(exact, abs=0.05)
-        assert merged.quantile(q) == pytest.approx(exact, abs=0.05)
-    assert merged.total_weight == len(values)
-    # Unit-weight exactness on small inputs (matches the eager median rule).
-    small = TDigest().add_array(np.array([3.0, 1.0, 4.0, 2.0]))
-    assert small.median() == pytest.approx(2.5)
-    assert np.isnan(TDigest().median())
+@pytest.mark.parametrize(
+    "spec", [agg.median("x"), agg.mean("x"), agg.min("x"), agg.max("x"), agg.first("x")]
+)
+def test_eager_only_kinds_have_no_partial_state(rng, spec):
+    with pytest.raises(ValueError, match="no mergeable state"):
+        _random_table(rng).group_by("k").partial(spec)
+
+
+def test_partial_sum_rejects_float_columns(rng):
+    # A float sum would merge only up to summation order.
+    with pytest.raises(ValueError, match="integer column"):
+        _random_table(rng).group_by("k").partial(agg.sum("x"))
 
 
 # -- statistics layer ----------------------------------------------------
@@ -195,10 +143,27 @@ def test_sharded_statistics_exactness(tiny_kiel, kiel_config):
         assert np.array_equal(transition_stats["next_cell"], tr_sh["next_cell"])
         assert np.array_equal(transition_stats["transitions"], tr_sh["transitions"])
         assert np.array_equal(transition_stats["vessels"], tr_sh["vessels"])
-        # Medians are t-digest estimates: within a fraction of a cell edge.
-        for column in ("median_lat", "median_lon"):
-            delta_m = np.abs(cell_stats[column] - cell_sh[column]).max() * 111_320.0
-            assert delta_m < 50.0, f"k={k}: {column} drifted {delta_m:.1f} m"
+        # Means come from integer offset sums, so they merge bit-exactly.
+        assert np.array_equal(cell_stats["mean_lat"], cell_sh["mean_lat"])
+        assert np.array_equal(cell_stats["mean_lon"], cell_sh["mean_lon"])
+
+
+def test_mean_nodes_match_eager_cell_means(tiny_kiel):
+    """Every ``"mean"`` node sits within one fixed-point unit of the eager
+    float mean of its cell's training positions."""
+    config = HabitConfig(resolution=9, projection="mean")
+    graph = HabitImputer(config).fit_from_trips(tiny_kiel.train).graph
+    cells = latlng_to_cell_array(
+        np.asarray(tiny_kiel.train["lat"]), np.asarray(tiny_kiel.train["lon"]), 9
+    )
+    eager = (
+        tiny_kiel.train.with_columns(cell=cells)
+        .group_by("cell")
+        .agg(agg.mean("lat"), agg.mean("lon"))
+    )
+    assert np.array_equal(graph.cells, eager["cell"])
+    assert np.abs(graph.lats - eager["mean_lat"]).max() <= OFFSET_DEG
+    assert np.abs(graph.lngs - eager["mean_lon"]).max() <= OFFSET_DEG
 
 
 def test_merge_statistics_rejects_mixed_configs(tiny_kiel):
@@ -222,16 +187,18 @@ def test_statistics_reject_invalid_coordinates(tiny_kiel, kiel_config):
 # -- model layer ---------------------------------------------------------
 
 
-def test_partitioned_fit_graph_is_bit_identical(tiny_kiel, kiel_config):
-    one_shot = HabitImputer(kiel_config).fit_from_trips(tiny_kiel.train)
-    partitioned = HabitImputer(kiel_config)
-    for part in _whole_trip_parts(tiny_kiel.train, 4):
-        partitioned.merge(HabitImputer(kiel_config).fit_partial(part))
-    partitioned.finalize()
-    for key in GRAPH_KEYS:
-        assert np.array_equal(
-            getattr(one_shot.graph, key), getattr(partitioned.graph, key)
-        ), key
+def test_partitioned_fit_graph_is_bit_identical(tiny_kiel):
+    for projection in PROJECTIONS:
+        config = HabitConfig(resolution=9, projection=projection)
+        one_shot = HabitImputer(config).fit_from_trips(tiny_kiel.train)
+        partitioned = HabitImputer(config)
+        for part in _whole_trip_parts(tiny_kiel.train, 4):
+            partitioned.merge(HabitImputer(config).fit_partial(part))
+        partitioned.finalize()
+        for key in GRAPH_KEYS:
+            assert np.array_equal(
+                getattr(one_shot.graph, key), getattr(partitioned.graph, key)
+            ), (projection, key)
 
 
 def test_fit_partial_then_update_matches_full_fit(tiny_kiel, kiel_config):

@@ -1,10 +1,10 @@
-"""Model-format matrix: format v7 is the only version the loaders read.
+"""Model-format matrix: format v8 is the only version the loaders read.
 
 The matrix pinned here:
 
-- a saved v7 file loads into a working imputer with its hierarchy
+- a saved v8 file loads into a working imputer with its hierarchy
   installed (no rebuild at the first query);
-- files tagged with any other version, and malformed v7 files (missing
+- files tagged with any other version, and malformed v8 files (missing
   or short config, a config value the imputer rejects, missing
   revision or typed header arrays, a listed class graph that is
   absent, a missing or malformed fit state), raise
@@ -12,7 +12,7 @@ The matrix pinned here:
   instead of failing every request;
 - plain and typed round-trips preserve every CH array **bit-exactly**,
   and the deterministic CH build reproduces the persisted arrays;
-- new saves are stamped ``format_version == 7`` with every CH array and
+- new saves are stamped ``format_version == 8`` with every CH array and
   the fit state.
 """
 
@@ -103,10 +103,10 @@ def test_typed_round_trip_preserves_ch_arrays_bit_exactly(typed_model, tmp_path)
             assert a.dtype == b.dtype and np.array_equal(a, b), key
 
 
-def test_new_saves_are_stamped_version_7(ch_model, tmp_path):
+def test_new_saves_are_stamped_version_8(ch_model, tmp_path):
     with np.load(ch_model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "7"
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "8"
         for key in habit_mod._CH_KEYS:
             assert key in data.files, key
         state = ch_model._state.payload(habit_mod._STATE_PREFIX)
@@ -116,12 +116,35 @@ def test_new_saves_are_stamped_version_7(ch_model, tmp_path):
 
 def test_versions_outside_the_window_are_rejected(ch_model, tmp_path):
     payload = _payload(ch_model.save(tmp_path / "m.npz"))
-    for bad in ("2", "3", "4", "5", "6", "8"):
+    for bad in ("2", "3", "4", "5", "6", "7", "9"):
         payload["format"] = np.array([habit_mod.MODEL_FORMAT, bad])
         bad_path = tmp_path / f"bad{bad}.npz"
         np.savez(bad_path, **payload)
         with pytest.raises(ModelFormatError, match="format version"):
             HabitImputer.load(bad_path)
+
+
+def test_v7_file_in_registry_is_refitted_on_miss(ch_model, tmp_path):
+    """A default-config file from the t-digest era sits at the same path
+    (the digest did not move), but its version is stale: the registry
+    refits it instead of serving or failing on it."""
+    config = HabitConfig()
+    assert ch_model.config == config
+    fits = []
+
+    def fitter(dataset, config, typed=False):
+        fits.append(config)
+        return ch_model
+
+    registry = ModelRegistry(tmp_path / "registry", fitter=fitter)
+    path = registry.path_for("KIEL", config)
+    payload = _payload(ch_model.save(tmp_path / "good.npz"))
+    payload["format"] = np.array([habit_mod.MODEL_FORMAT, "7"])
+    np.savez(path, **payload)
+    _, _, source = registry.get("KIEL", config)
+    assert source == "fit" and fits == [config]
+    with np.load(path) as data:
+        assert str(data["format"][1]) == str(habit_mod.MODEL_FORMAT_VERSION)
 
 
 def _set_config_slot(slot, value):

@@ -655,6 +655,8 @@ def test_http_negative_content_length_is_400(server, length):
         pytest.param("resolution", "9", id="resolution-str"),
         pytest.param("tolerance_m", "100", id="tolerance_m-str"),
         pytest.param("tolerance_m", float("nan"), id="tolerance_m-nan"),
+        # Well-typed, but a value HabitConfig rejects.
+        pytest.param("tolerance_m", -1, id="tolerance_m-negative"),
         # Off the hex grid's resolution range.
         pytest.param("resolution", 16, id="resolution-16"),
     ],
@@ -695,6 +697,16 @@ def test_http_bad_config_value_is_400_before_fit_on_miss(
         thread.join(timeout=5)
     assert fits == []
     assert not list(root.glob("*.npz"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cli_rejects_bad_tolerance_at_parse_time(capsys, value):
+    from repro.service.__main__ import _build_parser
+
+    with pytest.raises(SystemExit) as exit_info:
+        _build_parser().parse_args(["--serve", "--tolerance-m", value])
+    assert exit_info.value.code == 2
+    assert "tolerance_m" in capsys.readouterr().err
 
 
 def test_http_concurrent_imputes(server, tiny_kiel):

@@ -2,9 +2,9 @@
 
 The exactness contract mirrors the plain imputer's: for any whole-trip
 split of the history, per-class transition counts and graph topology
-from the incremental path are exactly equal to the one-shot fit; median
-projections differ only within t-digest tolerance (irrelevant under the
-default "center" projection used here).
+from the incremental path are exactly equal to the one-shot fit, and so
+are node positions under either projection (the "mean" state is integer
+sums).
 """
 
 import numpy as np
