@@ -31,7 +31,7 @@ from repro.ais.schema import LAT, LON, T, TRIP_ID
 from repro.core import HabitConfig, HabitImputer, annotate_events, compress_trajectory
 from repro.eval.metrics import dtw_distance_m
 from repro.geo import compress_to_budget, latlng_to_xy_m, rdp_simplify, vw_simplify
-from repro.geo.simplify import rdp_keep_indices
+from repro.geo.simplify import rdp_keep_indices_batch
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +142,7 @@ def _compress_one(lat, lng, t, budget):
     online_lat, online_lng = lat[online.indices], lng[online.indices]
 
     rdp_tol = _smallest_threshold_within(
-        budget, lambda tol: len(rdp_keep_indices(x, y, tol)), 1e-2, 1e6
+        budget, lambda tol: len(rdp_keep_indices_batch([(x, y)], tol)[0]), 1e-2, 1e6
     )
     rdp_lat, rdp_lng = rdp_simplify(lat, lng, rdp_tol)
 

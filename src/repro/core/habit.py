@@ -25,8 +25,9 @@ oracle -- all provably equal-cost), projects the cell path to positions
 ``tolerance_m``, resamples to :data:`repro.core.path.RESAMPLE_M` and pins
 the exact endpoints.  The three stages are public --
 :meth:`HabitImputer.snap_endpoints`, :meth:`HabitImputer.route`,
-:meth:`HabitImputer.render_path` -- so the serving layer can cache
-search results keyed by snapped endpoints.  When no route exists the
+:meth:`HabitImputer.render_paths` -- so the serving layer can cache
+search results keyed by snapped endpoints and render a whole batch's
+paths in one simplification pass.  When no route exists the
 imputer degrades to a straight line, flagged in ``ImputedPath.method``.
 """
 
@@ -45,7 +46,7 @@ from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS, CellGraph
 from repro.core.path import ImputedPath, resample_polyline_xy, straight_line_path
 from repro.core.statistics import StatisticsState, partial_statistics
 from repro.geo.proj import latlng_to_xy_m
-from repro.geo.simplify import rdp_keep_indices
+from repro.geo.simplify import rdp_keep_indices_batch
 from repro.hexgrid import grid_distance, latlng_to_cell
 from repro.hexgrid.cells import _MAX_RES
 from repro.obs import METRICS
@@ -466,37 +467,61 @@ class HabitImputer:
         return self.graph.find_paths_batch(pairs)
 
     def render_path(self, start, end, result):
-        """Project a search result into an :class:`ImputedPath`.
+        """Project one search result into an :class:`ImputedPath`.
 
-        Positions come straight from the graph's flat arrays (no dict
-        lookups), then RDP at ``tolerance_m``, resampling to
-        :data:`repro.core.path.RESAMPLE_M`, and exact endpoint pinning.
-        ``None`` renders the flagged straight-line fallback.
+        The one-path form of :meth:`render_paths`; ``None`` renders the
+        flagged straight-line fallback.
         """
-        if result is None:
-            return straight_line_path(start, end, method="fallback")
+        return self.render_paths([start], [end], [result])[0]
+
+    def render_paths(self, starts, ends, results):
+        """Project many search results into :class:`ImputedPath` objects.
+
+        Aligned with *results*.  Positions come straight from the
+        graph's flat arrays (no dict lookups) with the exact endpoints
+        pinned at both ends; each path is projected once, one
+        :func:`repro.geo.simplify.rdp_keep_indices_batch` call
+        simplifies every routed path at ``tolerance_m``, and each path
+        is resampled to :data:`repro.core.path.RESAMPLE_M`.  A ``None``
+        result renders the flagged straight-line fallback.  A path's
+        render does not depend on the others in the call.
+        """
         config = self.config
         graph = self.graph
-        idx = np.asarray(result.node_indices, dtype=np.int64)
-        lats = np.empty(len(idx) + 2)
-        lngs = np.empty(len(idx) + 2)
-        lats[0], lngs[0] = float(start[0]), float(start[1])
-        lats[-1], lngs[-1] = float(end[0]), float(end[1])
-        lats[1:-1] = graph.lats[idx]
-        lngs[1:-1] = graph.lngs[idx]
-        # One projection feeds both simplification and resampling.
-        x, y = latlng_to_xy_m(lats, lngs)
+        out = [None] * len(results)
+        routed = []
+        for i, (start, end, result) in enumerate(zip(starts, ends, results)):
+            if result is None:
+                out[i] = straight_line_path(start, end, method="fallback")
+                continue
+            idx = np.asarray(result.node_indices, dtype=np.int64)
+            lats = np.empty(len(idx) + 2)
+            lngs = np.empty(len(idx) + 2)
+            lats[0], lngs[0] = float(start[0]), float(start[1])
+            lats[-1], lngs[-1] = float(end[0]), float(end[1])
+            lats[1:-1] = graph.lats[idx]
+            lngs[1:-1] = graph.lngs[idx]
+            # One projection feeds both simplification and resampling.
+            x, y = latlng_to_xy_m(lats, lngs)
+            routed.append((i, result, lats, lngs, x, y))
         if config.tolerance_m > 0.0:
-            kept = rdp_keep_indices(x, y, config.tolerance_m)
-            lats, lngs, x, y = lats[kept], lngs[kept], x[kept], y[kept]
-        lats, lngs = resample_polyline_xy(lats, lngs, x, y)
-        return ImputedPath(
-            lats=lats,
-            lngs=lngs,
-            method=result.method,
-            cells=result.cells,
-            expanded=result.expanded,
-        )
+            kept = rdp_keep_indices_batch(
+                [(x, y) for *_, x, y in routed], config.tolerance_m
+            )
+            routed = [
+                (i, result, lats[keep], lngs[keep], x[keep], y[keep])
+                for (i, result, lats, lngs, x, y), keep in zip(routed, kept)
+            ]
+        for i, result, lats, lngs, x, y in routed:
+            lats, lngs = resample_polyline_xy(lats, lngs, x, y)
+            out[i] = ImputedPath(
+                lats=lats,
+                lngs=lngs,
+                method=result.method,
+                cells=result.cells,
+                expanded=result.expanded,
+            )
+        return out
 
     def impute(self, start, end, *, method="ch"):
         """Reconstruct the path between two ``(lat, lng)`` gap endpoints.

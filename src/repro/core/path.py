@@ -65,12 +65,15 @@ def resample_polyline_xy(lats, lngs, x, y):
     Segment lengths come from the caller's *x*/*y* (so the imputation hot
     path projects each polyline exactly once); interpolation itself runs
     on lat/lng, which is equivalent under the affine local projection.
+    A zero-length polyline (a gap whose start equals its end) renders
+    as its two endpoints, the fewest positions a GeoJSON LineString
+    may hold.
     """
     seg = np.hypot(np.diff(x), np.diff(y))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     length = float(cum[-1])
     if length <= 0.0:
-        return lats[:1].copy(), lngs[:1].copy()
+        return lats[[0, -1]], lngs[[0, -1]]
     num = max(2, int(np.ceil(length / RESAMPLE_M)) + 1)
     along = np.linspace(0.0, length, num)
     return np.interp(along, cum, lats), np.interp(along, cum, lngs)

@@ -1,9 +1,12 @@
 """Polyline simplification: Ramer-Douglas-Peucker and Visvalingam-Whyatt.
 
 Both keep the endpoints, take metre-denominated thresholds, and return
-``(lats, lngs)`` arrays.  RDP runs an explicit stack with vectorised
-point-to-segment distances per span; VW maintains a heap of effective
-triangle areas over a doubly-linked vertex list.
+``(lats, lngs)`` arrays.  RDP has one kernel,
+:func:`rdp_keep_indices_batch`: a level-synchronous NumPy pass that
+splits every open segment of every polyline in a batch at once, so the
+serving layer simplifies a whole batch of rendered paths in one call and
+:func:`rdp_simplify` is the one-polyline case.  VW maintains a heap of
+effective triangle areas over a doubly-linked vertex list.
 """
 
 import heapq
@@ -12,7 +15,7 @@ import numpy as np
 
 from repro.geo.proj import latlng_to_xy_m
 
-__all__ = ["off_chord_mask", "rdp_keep_indices", "rdp_simplify", "vw_simplify"]
+__all__ = ["off_chord_mask", "rdp_keep_indices_batch", "rdp_simplify", "vw_simplify"]
 
 
 def off_chord_mask(x, y):
@@ -46,17 +49,6 @@ def off_chord_mask(x, y):
     return mask
 
 
-def _point_segment_distance(px, py, ax, ay, bx, by):
-    """Distances from points (px, py) to the segment (a, b), vectorised."""
-    dx = bx - ax
-    dy = by - ay
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 == 0.0:
-        return np.hypot(px - ax, py - ay)
-    t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg_len2, 0.0, 1.0)
-    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
 def rdp_simplify(lats, lngs, tolerance_m):
     """Ramer-Douglas-Peucker simplification with a metre tolerance."""
     lats = np.asarray(lats, dtype=np.float64)
@@ -65,93 +57,110 @@ def rdp_simplify(lats, lngs, tolerance_m):
     if n <= 2 or tolerance_m <= 0.0:
         return lats.copy(), lngs.copy()
     x, y = latlng_to_xy_m(lats, lngs)
-    kept_idx = rdp_keep_indices(x, y, tolerance_m)
+    kept_idx = rdp_keep_indices_batch([(x, y)], tolerance_m)[0]
     return lats[kept_idx], lngs[kept_idx]
 
 
-def rdp_keep_indices(x, y, tolerance_m):
-    """RDP keep-set over pre-projected coordinates; returns kept indices.
+def rdp_keep_indices_batch(polylines, tolerance_m):
+    """RDP keep-sets of many pre-projected ``(x, y)`` polylines at once.
 
-    The projection-free kernel behind :func:`rdp_simplify`, exposed so
-    the imputation hot path can project a polyline once and share the
-    coordinates between simplification and resampling.
+    Returns one ascending array of kept indices per polyline, always
+    holding both endpoints (a polyline of two points or fewer keeps
+    every index).  The imputation hot path projects each polyline once
+    and shares the coordinates between simplification and resampling;
+    the serving engine hands a whole batch's polylines to one call.
 
-    The span scan runs in scalar Python over coordinate lists: RDP sits
-    on the per-query imputation hot path where spans are a few dozen
-    points, and at that size per-call NumPy dispatch overhead dwarfs the
-    arithmetic (the vectorised variant spent ~10x longer in
-    ``np.clip``/``np.argmax`` bookkeeping than in actual math).  Squared
-    distances avoid the hypot per point, and the :func:`off_chord_mask`
-    pre-pass drops on-chord interior points -- degenerate vertices RDP
-    could never retain at metre tolerances, but which hex-centre
-    polylines produce in straight runs and which the scan would
-    otherwise re-visit at every recursion level.
+    The polylines are concatenated.  The :func:`off_chord_mask`
+    pre-pass runs once over the concatenation, with every path's
+    endpoints masked back in and paths of three points or fewer left
+    whole: it drops on-chord interior points -- degenerate vertices RDP
+    could never keep at metre tolerances, which hex-centre polylines
+    produce in straight runs.  The split pass is then level-synchronous:
+    each level measures every interior point of every open segment of
+    every path in one set of NumPy operations, takes each segment's
+    first farthest point with ``maximum.reduceat`` /
+    ``minimum.reduceat``, and splits the segments whose maximum exceeds
+    the tolerance.  A segment's split depends only on its own
+    endpoints, so the kept set does not depend on processing order or
+    on the other paths in the batch.  Squared distances follow the
+    scalar recursion's formula and branch order -- the start point when
+    the projection parameter ``t <= 0`` (a zero-length chord has
+    ``t = 0``), the end point when ``t >= 1``, else the foot of the
+    perpendicular -- and NumPy rounds each elementwise operation like a
+    Python float, so the indices equal a per-path stack loop's exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(x)
-    if n <= 2:
-        return np.arange(n)
-    orig = None
-    if n > 3:
-        mask = off_chord_mask(x, y)
-        if not mask.all():
-            orig = np.flatnonzero(mask)
-            x = x[mask]
-            y = y[mask]
-            n = len(x)
-    xs = x.tolist()
-    ys = y.tolist()
+    xs = [np.asarray(x, dtype=np.float64) for x, _ in polylines]
+    ys = [np.asarray(y, dtype=np.float64) for _, y in polylines]
+    if not xs:
+        return []
+    sizes = np.array([len(x) for x in xs], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    x = np.concatenate(xs)
+    y = np.concatenate(ys)
+    mask = off_chord_mask(x, y)
+    nonempty = sizes > 0
+    mask[starts[nonempty]] = True
+    mask[ends[nonempty] - 1] = True
+    mask[starts[sizes == 3] + 1] = True
+    orig = np.flatnonzero(mask)
+    x = x[mask]
+    y = y[mask]
+    # Each path's first and last position in the reduced arrays.
+    before = np.concatenate(([0], np.cumsum(mask)))
+    first = before[starts][nonempty]
+    last = before[ends][nonempty] - 1
+    keep = np.zeros(len(x), dtype=bool)
+    keep[first] = True
+    keep[last] = True
     tol2 = float(tolerance_m) * float(tolerance_m)
-    keep = bytearray(n)
-    keep[0] = keep[n - 1] = 1
-    stack = [(0, n - 1)]
-    while stack:
-        i, j = stack.pop()
-        if j - i < 2:
-            continue
-        ax = xs[i]
-        ay = ys[i]
-        dx = xs[j] - ax
-        dy = ys[j] - ay
+    a, b = first, last
+    while True:
+        spans = b - a >= 2
+        a = a[spans]
+        b = b[spans]
+        if not len(a):
+            break
+        inner = b - a - 1
+        offsets = np.cumsum(inner) - inner
+        seg = np.repeat(np.arange(len(a)), inner)
+        k = np.arange(len(seg)) - offsets[seg] + a[seg] + 1
+        ax = x[a]
+        ay = y[a]
+        bx = x[b]
+        by = y[b]
+        dx = bx - ax
+        dy = by - ay
         seg2 = dx * dx + dy * dy
-        best = tol2
-        arg = -1
-        if seg2 == 0.0:
-            for k in range(i + 1, j):
-                ex = xs[k] - ax
-                ey = ys[k] - ay
-                d2 = ex * ex + ey * ey
-                if d2 > best:
-                    best = d2
-                    arg = k
-        else:
-            inv = 1.0 / seg2
-            bx = xs[j]
-            by = ys[j]
-            for k in range(i + 1, j):
-                ex = xs[k] - ax
-                ey = ys[k] - ay
-                t = (ex * dx + ey * dy) * inv
-                if t <= 0.0:
-                    d2 = ex * ex + ey * ey
-                elif t >= 1.0:
-                    fx = xs[k] - bx
-                    fy = ys[k] - by
-                    d2 = fx * fx + fy * fy
-                else:
-                    fx = ex - t * dx
-                    fy = ey - t * dy
-                    d2 = fx * fx + fy * fy
-                if d2 > best:
-                    best = d2
-                    arg = k
-        if arg >= 0:
-            keep[arg] = 1
-            stack.append((i, arg))
-            stack.append((arg, j))
-    kept = np.frombuffer(bytes(keep), dtype=np.uint8).astype(bool)
-    return orig[kept] if orig is not None else np.flatnonzero(kept)
+        inv = np.zeros_like(seg2)
+        np.divide(1.0, seg2, out=inv, where=seg2 != 0.0)
+        px = x[k]
+        py = y[k]
+        ex = px - ax[seg]
+        ey = py - ay[seg]
+        sdx = dx[seg]
+        sdy = dy[seg]
+        t = (ex * sdx + ey * sdy) * inv[seg]
+        fx = px - bx[seg]
+        fy = py - by[seg]
+        mx = ex - t * sdx
+        my = ey - t * sdy
+        d2 = np.where(
+            t <= 0.0,
+            ex * ex + ey * ey,
+            np.where(t >= 1.0, fx * fx + fy * fy, mx * mx + my * my),
+        )
+        best = np.maximum.reduceat(d2, offsets)
+        far = np.minimum.reduceat(np.where(d2 == best[seg], k, len(x)), offsets)
+        split = best > tol2
+        mid = far[split]
+        keep[mid] = True
+        a = np.concatenate((a[split], mid))
+        b = np.concatenate((mid, b[split]))
+    kept = orig[keep]
+    bounds = np.searchsorted(kept, ends)
+    lows = np.concatenate(([0], bounds[:-1]))
+    return [kept[lo:hi] - s for lo, hi, s in zip(lows, bounds, starts)]
 
 
 def _triangle_area(x, y, i, j, k):

@@ -13,8 +13,8 @@ Per-request ``expanded``/cost/latency still land in provenance
 individually.
 
 Everything runs in-process: fitted imputers are read-only, so the whole
-batch runs on the request thread -- snap and render are cheap Python,
-and the search itself is one NumPy kernel call per model, with no
+batch runs on the request thread -- snap is cheap Python, and the
+search and the simplification are one NumPy call each per model, with no
 serialisation, one shared path cache and models resolved once per
 process.
 
@@ -57,7 +57,12 @@ endpoints.  Both cache tiers' renders are memoized under ``(route key,
 start, end)`` (same :data:`PATH_CACHE_SIZE` capacity as the path
 cache), together with the
 rendered polyline's metric length, so an exactly-repeated query costs
-two LRU probes and no geometry at all.  Memoized results share their
+two LRU probes and no geometry at all.  **Rendering is batch-native
+too:** a batch's memo misses, from both cache tiers, render in one
+:meth:`repro.core.habit.HabitImputer.render_paths` call per resolved
+class graph -- one level-synchronous RDP pass over all their paths --
+and each gap is charged an equal share of its group's render time,
+as it is of its group's kernel call.  Memoized results share their
 coordinate arrays across responses; callers must treat them as
 read-only (the transport only serialises them).
 
@@ -237,7 +242,7 @@ class BatchImputationEngine:
 
     def _run_batched(self, models, requests, token):
         """Execute one batch: snap + cache-probe per request, one
-        dispatcher submission for the misses, render per request.
+        dispatcher submission for the misses, one render call per model.
 
         Coalescing happens between the probe and the submission:
         requests sharing a full cache key ride one search lane; the
@@ -246,16 +251,21 @@ class BatchImputationEngine:
         window hold from :meth:`BatchDispatcher.enter`), where they can
         further fuse with other concurrent requests' lanes; a lane
         answered by another request's identical search records
-        ``"cross_batch"``.  Per-request latency charges each rider its
-        snap/probe/render time plus an equal share of its group's
-        kernel call.  All renders go through the rendered-path memo
-        (exact raw endpoints in the key).
+        ``"cross_batch"``.  Every routed answer -- path-cache hit or
+        searched miss -- then probes the rendered-path memo (exact raw
+        endpoints in the key), and the memo misses of each resolved
+        class graph render together in one
+        :meth:`~repro.core.habit.HabitImputer.render_paths` call.
+        Per-request latency charges each rider its snap/probe time plus
+        an equal share of its group's kernel call and of its group's
+        render call.
         """
         paths = [None] * len(requests)
         lengths = [None] * len(requests)
         tiers = [None] * len(requests)
         elapsed = [0.0] * len(requests)
         lanes = {}  # cache key -> (plain imputer, (src, dst), rider idxs)
+        routed = []  # (request idx, plain imputer, cache key, SearchResult | None)
         for i, request in enumerate(requests):
             started = time.perf_counter()
             imputer, model_id, _ = models[(request.dataset.upper(), request.typed)]
@@ -266,7 +276,7 @@ class BatchImputationEngine:
             snapped = plain.snap_endpoints(request.start, request.end)
             if snapped is None:
                 # Out-of-coverage: straight line, nothing to cache.
-                paths[i] = plain.render_path(request.start, request.end, None)
+                routed.append((i, plain, None, None))
                 tiers[i] = "bypass"
             else:
                 key = (model_id, class_tag, plain.revision, *snapped)
@@ -279,9 +289,7 @@ class BatchImputationEngine:
                         lanes[key] = (plain, snapped, [i])
                         tiers[i] = "miss"
                     else:
-                        paths[i], lengths[i] = self._render(
-                            plain, key, request, result
-                        )
+                        routed.append((i, plain, key, result))
                         tiers[i] = "hit"
             elapsed[i] = time.perf_counter() - started
         if lanes:
@@ -304,11 +312,54 @@ class BatchImputationEngine:
                     # a "miss" (in-batch riders stay "coalesced").
                     tiers[riders[0]] = "cross_batch"
                 for i in riders:
-                    started = time.perf_counter()
-                    paths[i], lengths[i] = self._render(
-                        plain, key, requests[i], result
-                    )
-                    elapsed[i] += share + time.perf_counter() - started
+                    routed.append((i, plain, key, result))
+                    elapsed[i] += share
+        # Rendered-path memo: the key pairs the route's full cache key
+        # with the *exact* raw endpoints -- simplification and
+        # resampling both see the pinned endpoints, so only an
+        # exactly-repeated query may reuse the geometry (a nudged
+        # endpoint re-renders, bit-identically to an unmemoized engine).
+        # Straight-line fallbacks skip the memo: they are cheaper than
+        # the probe.  Riders sharing a memo key share one render.
+        renders = {}  # memo key -> (plain imputer, request, result, rider idxs)
+        for i, plain, key, result in routed:
+            started = time.perf_counter()
+            request = requests[i]
+            if result is None:
+                paths[i] = plain.render_path(request.start, request.end, None)
+                lengths[i] = float(path_length_m(paths[i].lats, paths[i].lngs))
+            else:
+                memo_key = (key, request.start, request.end)
+                if memo_key in renders:
+                    renders[memo_key][3].append(i)
+                else:
+                    entry = self.render_cache.get(memo_key)
+                    if entry is _MISSING:
+                        renders[memo_key] = (plain, request, result, [i])
+                    else:
+                        paths[i], lengths[i] = entry
+            elapsed[i] += time.perf_counter() - started
+        groups = {}  # id(plain imputer) -> (plain imputer, [memo keys])
+        for memo_key, (plain, *_) in renders.items():
+            groups.setdefault(id(plain), (plain, []))[1].append(memo_key)
+        for plain, memo_keys in groups.values():
+            started = time.perf_counter()
+            pending = [renders[memo_key] for memo_key in memo_keys]
+            rendered = plain.render_paths(
+                [request.start for _, request, _, _ in pending],
+                [request.end for _, request, _, _ in pending],
+                [result for _, _, result, _ in pending],
+            )
+            riders = []
+            for memo_key, path, (*_, idxs) in zip(memo_keys, rendered, pending):
+                entry = (path, float(path_length_m(path.lats, path.lngs)))
+                self.render_cache.put(memo_key, entry)
+                for i in idxs:
+                    paths[i], lengths[i] = entry
+                riders.extend(idxs)
+            share = (time.perf_counter() - started) / len(riders)
+            for i in riders:
+                elapsed[i] += share
         out = []
         for i, request in enumerate(requests):
             imputer, model_id, source = models[(request.dataset.upper(), request.typed)]
@@ -338,8 +389,6 @@ class BatchImputationEngine:
                 points_in = squeezed.points_in
                 points_out = squeezed.points_out
                 max_sed = squeezed.max_sed_m
-            if length is None:
-                length = float(path_length_m(path.lats, path.lngs))
             _PATH_CACHE_TOTAL.inc(1, (tiers[i],))
             _IMPUTE_SECONDS.observe(elapsed[i], ("thread",))
             provenance = Provenance(
@@ -366,26 +415,3 @@ class BatchImputationEngine:
                 )
             )
         return out
-
-    def _render(self, plain, key, request, result):
-        """Render *result* through the rendered-path memo.
-
-        Returns ``(ImputedPath, metric length)``.  The memo key pairs
-        the route's full cache key with the *exact* raw endpoints --
-        simplification and resampling both see the pinned endpoints, so
-        only an exactly-repeated query may reuse the geometry (a nudged
-        endpoint re-renders, bit-identically to an unmemoized engine).
-        Straight-line fallbacks skip the memo: they are cheaper than
-        the probe.
-        """
-        if result is None:
-            path = plain.render_path(request.start, request.end, result)
-            return path, float(path_length_m(path.lats, path.lngs))
-        memo_key = (key, request.start, request.end)
-        entry = self.render_cache.get(memo_key)
-        if entry is not _MISSING:
-            return entry
-        path = plain.render_path(request.start, request.end, result)
-        entry = (path, float(path_length_m(path.lats, path.lngs)))
-        self.render_cache.put(memo_key, entry)
-        return entry

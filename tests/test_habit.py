@@ -204,6 +204,17 @@ def test_fallback_when_endpoints_far_from_graph(fitted):
     assert np.all(np.isfinite(result.lats))
 
 
+def test_render_zero_length_gap_is_two_point_linestring(fitted):
+    # A gap that starts where it ends, on a node and just off one: a
+    # LineString needs two positions, as the straight-line fallback has.
+    node = (float(fitted.graph.lats[0]), float(fitted.graph.lngs[0]))
+    for point in (node, (node[0] + 0.001, node[1])):
+        result = fitted.impute(point, point)
+        assert result.method == "ch"
+        assert result.lats.tolist() == [point[0], point[0]]
+        assert result.lngs.tolist() == [point[1], point[1]]
+
+
 def test_typed_imputer(tiny_kiel, gap):
     typed = TypedHabitImputer(
         HabitConfig(resolution=9), min_group_rows=100

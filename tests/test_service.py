@@ -582,6 +582,15 @@ def test_impute_response_bytes_match_asdict_construction(registry, service_model
         assert json.dumps(r.to_feature()) == json.dumps(old_feature(r))
 
 
+def test_http_render_zero_length_gap_is_two_point_linestring(server, service_model):
+    node = [float(service_model.graph.lats[0]), float(service_model.graph.lngs[0])]
+    status, body = _post(server, "/impute", {"dataset": "KIEL", "start": node, "end": node})
+    assert status == 200
+    assert body["results"][0]["provenance"]["method"] == "ch"
+    geometry = body["geojson"]["features"][0]["geometry"]
+    assert geometry["coordinates"] == [node[::-1], node[::-1]]
+
+
 def test_http_health_and_models(server):
     status, health = _get(server, "/healthz")
     assert status == 200 and health["status"] == "ok"
@@ -920,6 +929,51 @@ def test_engine_path_cache_typed_routes_by_class(registry, service_model, tiny_k
         expected = typed.impute(gap.start, gap.end, vessel_type)
         assert np.array_equal(result.lats, expected.lats)
         assert np.array_equal(result.lngs, expected.lngs)
+
+
+def test_engine_batch_render_equals_offline_impute(registry, service_model, tiny_kiel):
+    """One mixed batch renders every answer exactly as offline ``impute``
+    does: searched misses, coalesced riders (one sharing a render, one
+    nudged), a route-cache hit whose render is not memoized, an
+    out-of-coverage fallback and a typed request, rendered together."""
+    typed = TypedHabitImputer(service_model.config, min_group_rows=100).fit_from_trips(
+        tiny_kiel.train
+    )
+    registry.publish("KIEL", typed)
+    known = typed.fitted_groups[0]
+    gaps = tiny_kiel.gaps(3600.0)
+    assert len(gaps) >= 2
+    engine = BatchImputationEngine(registry)
+    engine.run([GapRequest("KIEL", gaps[0].start, gaps[0].end, "prime")], service_model.config)
+    nudge = lambda p: (p[0] + 1e-7, p[1] - 1e-7)  # noqa: E731
+    requests = [
+        GapRequest("KIEL", nudge(gaps[0].start), gaps[0].end, "hit"),
+        GapRequest("KIEL", gaps[1].start, gaps[1].end, "miss"),
+        GapRequest("KIEL", gaps[1].start, gaps[1].end, "rider"),
+        GapRequest("KIEL", gaps[1].start, nudge(gaps[1].end), "nudged-rider"),
+        GapRequest("KIEL", (10.0, -40.0), (11.0, -41.0), "ocean"),
+        GapRequest("KIEL", gaps[0].start, gaps[0].end, "typed", typed=True, vessel_type=known),
+        GapRequest("KIEL", gaps[0].end, gaps[0].start, "reversed"),
+    ]
+    results = engine.run(requests, service_model.config)
+    assert [r.provenance.path_cache for r in results] == [
+        "hit",
+        "miss",
+        "coalesced",
+        "coalesced",
+        "bypass",
+        "miss",
+        "miss",
+    ]
+    for request, result in zip(requests, results):
+        if request.typed:
+            expected = typed.impute(request.start, request.end, request.vessel_type)
+        else:
+            expected = service_model.impute(request.start, request.end)
+        assert np.array_equal(result.lats, expected.lats), request.request_id
+        assert np.array_equal(result.lngs, expected.lngs), request.request_id
+        assert result.provenance.method == expected.method
+        assert result.provenance.elapsed_ms > 0.0
 
 
 # -- budget compression (max_points) --------------------------------------
