@@ -415,16 +415,15 @@ class CellGraph:
         return SearchResult(cells, cost, expanded, method, tuple(path))
 
     def _degenerate_unreachable(self, si, di):
-        """Cheap provable-unreachable test for a ``si != di`` pair.
+        """Cheap provable-unreachable test for ``si != di`` pairs.
 
         A source with no outgoing edges cannot reach anything and a
         target with no incoming edges cannot be reached, so every
         variant can return ``None`` before touching its heap (or
-        triggering a lazy CH build).
+        triggering a lazy CH build).  Elementwise: *si*/*di* are node
+        indices or aligned index arrays.
         """
-        return (
-            self.indptr[si + 1] == self.indptr[si] or self._in_degree()[di] == 0
-        )
+        return (self.indptr[si + 1] == self.indptr[si]) | (self._in_degree()[di] == 0)
 
     def _in_degree(self):
         """Per-node in-degree array (lazy, cached)."""
@@ -913,44 +912,47 @@ class CellGraph:
         KERNEL_BATCH_SIZE.observe(len(pairs))
         started = perf_counter()
         results = [None] * len(pairs)
-        lanes = []  # (batch position, src node, dst node) for the kernel
-        for i, (src, dst) in enumerate(pairs):
-            si = self.node_index(src)
-            di = self.node_index(dst)
-            if si < 0 or di < 0:
-                continue
-            if si == di:
-                cell = int(self.cells[si])
-                results[i] = SearchResult((cell,), 0.0, 0, "ch", (si,))
-                continue
-            if not self._degenerate_unreachable(si, di):
-                lanes.append((i, si, di))
+        ends = self._node_index_array(
+            np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        ).astype(np.int64)
+        si, di = ends[:, 0], ends[:, 1]
+        found = (si >= 0) & (di >= 0)
+        for i in np.flatnonzero(found & (si == di)).tolist():
+            node = int(si[i])
+            results[i] = SearchResult((int(self.cells[node]),), 0.0, 0, "ch", (node,))
+        lanes = np.flatnonzero(found & (si != di))
+        live = ~self._degenerate_unreachable(si[lanes], di[lanes])
+        lanes = lanes[live]
+        si, di = si[lanes], di[lanes]
+        lanes = lanes.tolist()
         if lanes and len(lanes) < KERNEL_CROSSOVER_LANES:
             # Too few lanes for the sweep's fixed cost to amortise: the
             # scalar CH query wins below the crossover, at bit-equal
             # costs (it observes its own search metrics).
-            for i, _, _ in lanes:
+            for i in lanes:
                 results[i] = self.find_path(pairs[i][0], pairs[i][1], "ch")
         elif lanes:
             self.ensure_ch()
             kernel_started = perf_counter()
-            paths, costs, expanded = solve_batch(
-                self._ch_kernel_tables(),
-                np.asarray([si for _, si, _ in lanes], dtype=np.int64),
-                np.asarray([di for _, _, di in lanes], dtype=np.int64),
+            indptr, nodes, costs, expanded = solve_batch(
+                self._ch_kernel_tables(), si, di
             )
             # Each lane is one search: feed the scalar per-query series
             # too (an equal share of the sweep), so dashboards keep
             # counting searches when serving goes batch-native.
             share = (perf_counter() - kernel_started) / len(lanes)
-            for (i, _, _), path, cost, exp in zip(lanes, paths, costs, expanded):
-                _SEARCH_SECONDS.observe(share, ("ch",))
-                if path is None:
-                    continue
-                _SEARCH_EXPANDED.observe(int(exp), ("ch",))
-                cells = tuple(self.cells[path].tolist())
-                results[i] = SearchResult(
-                    cells, float(cost), int(exp), "ch", tuple(path)
+            _SEARCH_SECONDS.observe_many([share] * len(lanes), ("ch",))
+            reached = np.flatnonzero(np.isfinite(costs))
+            _SEARCH_EXPANDED.observe_many(expanded[reached].tolist(), ("ch",))
+            cells = self.cells[nodes].tolist()
+            nodes = nodes.tolist()
+            bounds = indptr.tolist()
+            costs = costs.tolist()
+            expanded = expanded.tolist()
+            for j in reached.tolist():
+                lo, hi = bounds[j], bounds[j + 1]
+                results[lanes[j]] = SearchResult(
+                    tuple(cells[lo:hi]), costs[j], expanded[j], "ch", tuple(nodes[lo:hi])
                 )
         KERNEL_SECONDS.observe(perf_counter() - started)
         return results

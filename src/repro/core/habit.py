@@ -38,15 +38,16 @@ import os
 import threading
 import zipfile
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS, CellGraph
-from repro.core.path import ImputedPath, resample_polyline_xy, straight_line_path
+from repro.core.path import ImputedPath, resample_polylines_xy, straight_line_path
 from repro.core.statistics import StatisticsState, partial_statistics
-from repro.geo.proj import latlng_to_xy_m
-from repro.geo.simplify import rdp_keep_indices_batch
+from repro.geo.proj import path_lengths_m, polylines_xy_m
+from repro.geo.simplify import rdp_keep_indices_concat
 from repro.hexgrid import grid_distance, latlng_to_cell
 from repro.hexgrid.cells import _MAX_RES
 from repro.obs import METRICS
@@ -472,56 +473,72 @@ class HabitImputer:
         The one-path form of :meth:`render_paths`; ``None`` renders the
         flagged straight-line fallback.
         """
-        return self.render_paths([start], [end], [result])[0]
+        paths, _ = self.render_paths([start], [end], [result])
+        return paths[0]
 
     def render_paths(self, starts, ends, results):
         """Project many search results into :class:`ImputedPath` objects.
 
-        Aligned with *results*.  Positions come straight from the
-        graph's flat arrays (no dict lookups) with the exact endpoints
-        pinned at both ends; each path is projected once, one
-        :func:`repro.geo.simplify.rdp_keep_indices_batch` call
-        simplifies every routed path at ``tolerance_m``, and each path
-        is resampled to :data:`repro.core.path.RESAMPLE_M`.  A ``None``
-        result renders the flagged straight-line fallback.  A path's
-        render does not depend on the others in the call.
+        Returns ``(paths, lengths)`` aligned with *results*: the paths
+        and each one's metric length
+        (:func:`repro.geo.proj.path_length_m` of the rendered polyline).
+        Positions come straight from the graph's flat arrays (no dict
+        lookups) with the exact endpoints pinned at both ends.  The
+        routed paths are rendered as one concatenation: one projection,
+        one :func:`repro.geo.simplify.rdp_keep_indices_concat` pass at
+        ``tolerance_m``, one :func:`repro.core.path.resample_polylines_xy`
+        call to :data:`repro.core.path.RESAMPLE_M` spacing and one
+        :func:`repro.geo.proj.path_lengths_m` call.  Those functions
+        keep every reduction per path, so a path's render does not
+        depend on the others in the call.  A ``None`` result renders the
+        flagged straight-line fallback.
         """
-        config = self.config
-        graph = self.graph
-        out = [None] * len(results)
+        paths = [None] * len(results)
         routed = []
         for i, (start, end, result) in enumerate(zip(starts, ends, results)):
             if result is None:
-                out[i] = straight_line_path(start, end, method="fallback")
-                continue
-            idx = np.asarray(result.node_indices, dtype=np.int64)
-            lats = np.empty(len(idx) + 2)
-            lngs = np.empty(len(idx) + 2)
-            lats[0], lngs[0] = float(start[0]), float(start[1])
-            lats[-1], lngs[-1] = float(end[0]), float(end[1])
-            lats[1:-1] = graph.lats[idx]
-            lngs[1:-1] = graph.lngs[idx]
+                paths[i] = straight_line_path(start, end, method="fallback")
+            else:
+                routed.append(i)
+        if routed:
+            graph = self.graph
+            sizes = np.array([len(results[i].node_indices) + 2 for i in routed])
+            heads = np.cumsum(sizes) - sizes
+            tails = heads + sizes - 1
+            inner = np.ones(int(sizes.sum()), dtype=bool)
+            inner[heads] = False
+            inner[tails] = False
+            nodes = np.fromiter(
+                chain.from_iterable(results[i].node_indices for i in routed),
+                dtype=np.int64,
+                count=int(inner.sum()),
+            )
+            lats = np.empty(len(inner))
+            lngs = np.empty(len(inner))
+            lats[inner] = graph.lats[nodes]
+            lngs[inner] = graph.lngs[nodes]
+            lats[heads] = [float(starts[i][0]) for i in routed]
+            lngs[heads] = [float(starts[i][1]) for i in routed]
+            lats[tails] = [float(ends[i][0]) for i in routed]
+            lngs[tails] = [float(ends[i][1]) for i in routed]
             # One projection feeds both simplification and resampling.
-            x, y = latlng_to_xy_m(lats, lngs)
-            routed.append((i, result, lats, lngs, x, y))
-        if config.tolerance_m > 0.0:
-            kept = rdp_keep_indices_batch(
-                [(x, y) for *_, x, y in routed], config.tolerance_m
-            )
-            routed = [
-                (i, result, lats[keep], lngs[keep], x[keep], y[keep])
-                for (i, result, lats, lngs, x, y), keep in zip(routed, kept)
-            ]
-        for i, result, lats, lngs, x, y in routed:
-            lats, lngs = resample_polyline_xy(lats, lngs, x, y)
-            out[i] = ImputedPath(
-                lats=lats,
-                lngs=lngs,
-                method=result.method,
-                cells=result.cells,
-                expanded=result.expanded,
-            )
-        return out
+            x, y = polylines_xy_m(lats, lngs, sizes)
+            if self.config.tolerance_m > 0.0:
+                kept = rdp_keep_indices_concat(x, y, sizes, self.config.tolerance_m)
+                sizes = np.diff(np.searchsorted(kept, tails + 1), prepend=0)
+                lats, lngs, x, y = lats[kept], lngs[kept], x[kept], y[kept]
+            out_lats, out_lngs = resample_polylines_xy(lats, lngs, x, y, sizes)
+            for i, path_lats, path_lngs in zip(routed, out_lats, out_lngs):
+                result = results[i]
+                paths[i] = ImputedPath(
+                    lats=path_lats,
+                    lngs=path_lngs,
+                    method=result.method,
+                    cells=result.cells,
+                    expanded=result.expanded,
+                )
+        lengths = path_lengths_m([p.lats for p in paths], [p.lngs for p in paths])
+        return paths, lengths
 
     def impute(self, start, end, *, method="ch"):
         """Reconstruct the path between two ``(lat, lng)`` gap endpoints.

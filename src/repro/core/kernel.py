@@ -292,12 +292,12 @@ def _sweep(tables, num_q, srcs, dsts):
 
 
 def _trace_steps(parent, n2, qids, start):
-    """Walk many queries' parent chains in lock-step.
+    """Walk many parent chains in lock-step.
 
-    Returns a list of per-round node arrays (all ``qids.size`` long):
-    ``steps[k][j]`` is query ``j``'s ``k``-th ancestor, ``-1`` once its
-    chain is exhausted.  Each round is one vectorised gather, so the
-    cost is O(longest chain), not O(total nodes) Python steps.
+    Returns a ``(rounds, qids.size)`` array: row ``k`` holds each
+    chain's ``k``-th ancestor (row 0 is *start*), ``-1`` once the chain
+    is exhausted.  Each round is one vectorised gather, so the cost is
+    O(longest chain), not O(total nodes) Python steps.
     """
     steps = []
     qn = qids * n2
@@ -310,7 +310,7 @@ def _trace_steps(parent, n2, qids, start):
         if not (nxt >= 0).any():
             break
         cur = nxt
-    return steps
+    return np.stack(steps)
 
 
 def _unpack_edges(tables, qid, a, b):
@@ -340,6 +340,24 @@ def _unpack_edges(tables, qid, a, b):
     return np.repeat(qid, counts), tails
 
 
+def _chains(steps, n):
+    """Assemble lock-step parent walks into per-lane augmented chains.
+
+    *steps* is :func:`_trace_steps` over ``2 * lanes`` walks from every
+    lane's meet: the first half walks its forward labels back to the
+    source, the second its backward labels (combined ids, offset by
+    *n*) on to the target.  Laid out lane-major -- the forward walk
+    reversed, then the backward walk past the meet -- each lane's
+    source-to-target chain is its row's valid entries in order, so one
+    mask flattens all chains at once.  Returns ``(nodes, counts)``: the
+    concatenated chains and each lane's chain length.
+    """
+    lanes = steps.shape[1] // 2
+    table = np.concatenate((steps[::-1, :lanes], steps[1:, lanes:] - n)).T
+    valid = table >= 0
+    return table[valid], valid.sum(axis=1)
+
+
 def batch_ch_paths(tables, srcs, dsts):
     """Answer ``len(srcs)`` CH queries with one vectorised sweep each chunk.
 
@@ -347,17 +365,21 @@ def batch_ch_paths(tables, srcs, dsts):
     valid, pairwise-distinct node indices (the graph layer
     short-circuits degenerate pairs first).
 
-    Returns ``(paths, costs, expanded, rounds)``: per-query node-index
-    lists (``None`` when unreachable), bit-equal-to-scalar-CH float
-    costs, per-query labelled-node counts (the batch analogue of the
-    scalar ``expanded``), and total relaxation rounds across chunks.
+    Returns ``(indptr, nodes, costs, expanded, rounds)``: every query's
+    node-index path as one CSR -- query ``i``'s path is
+    ``nodes[indptr[i]:indptr[i + 1]]``, empty when unreachable --
+    bit-equal-to-scalar-CH float costs (``inf`` when unreachable),
+    per-query labelled-node counts (the batch analogue of the scalar
+    ``expanded``; 0 when unreachable), and total relaxation rounds
+    across chunks.
     """
     n = tables.num_nodes
     n2 = 2 * n
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
     num = len(srcs)
-    paths = [None] * num
+    lengths = np.zeros(num, dtype=np.int64)
+    pieces = []
     costs = np.full(num, _INF)
     expanded = np.zeros(num, dtype=np.int64)
     total_rounds = 0
@@ -377,38 +399,37 @@ def batch_ch_paths(tables, srcs, dsts):
         if not rq.size:
             continue
         meets_r = meets[rq].astype(np.int64)
-        # Trace all reachable queries' parent chains in lock-step (one
-        # gather per chain hop); forward chains walk from the meet back
-        # to the source, backward chains live in the upper half of the
-        # combined node space.
-        fsteps = _trace_steps(parent, n2, rq, meets_r)
-        bsteps = _trace_steps(parent, n2, rq, meets_r + n)[1:]
-        fcols = [s.tolist() for s in fsteps]
-        bcols = [s.tolist() for s in bsteps]
-        flat_q, flat_a, flat_b = [], [], []
-        firsts = []
-        for j in range(rq.size):
-            chain = [c[j] for c in reversed(fcols) if c[j] >= 0]
-            chain += [c[j] - n for c in bcols if c[j] >= 0]
-            firsts.append(chain[0])
-            flat_q.extend([j] * (len(chain) - 1))
-            flat_a.extend(chain[:-1])
-            flat_b.extend(chain[1:])
-        qid, tail = _unpack_edges(
-            tables,
-            np.asarray(flat_q, dtype=np.int64),
-            np.asarray(flat_a, dtype=np.int64),
-            np.asarray(flat_b, dtype=np.int64),
+        # Trace all reachable queries' parent chains in both directions
+        # in lock-step (one gather per chain hop); forward chains walk
+        # from the meet back to the source, backward chains live in the
+        # upper half of the combined node space.
+        chain, sizes = _chains(
+            _trace_steps(
+                parent,
+                n2,
+                np.concatenate((rq, rq)),
+                np.concatenate((meets_r, meets_r + n)),
+            ),
+            n,
         )
-        counts = np.bincount(qid, minlength=rq.size)
-        bounds = np.cumsum(counts)
-        tail = tail.tolist()
-        for j, i in enumerate(rq.tolist()):
-            seg = tail[bounds[j] - counts[j] : bounds[j]]
-            paths[lo + i] = [firsts[j], *seg]
-            costs[lo + i] = chunk_costs[i]
-            expanded[lo + i] = labelled[i]
-    return paths, costs, expanded, total_rounds
+        # Consecutive chain nodes of one lane are its augmented edges.
+        lane = np.repeat(np.arange(rq.size, dtype=np.int64), sizes)
+        inner = lane[1:] == lane[:-1]
+        qid, tail = _unpack_edges(
+            tables, lane[1:][inner], chain[:-1][inner], chain[1:][inner]
+        )
+        # Each lane's path: its source, then its unpacked edge tails (a
+        # stable sort by lane keeps both in order).
+        owner = np.concatenate((np.arange(rq.size), qid))
+        heads = chain[np.cumsum(sizes) - sizes]
+        pieces.append(np.concatenate((heads, tail))[np.argsort(owner, kind="stable")])
+        lengths[lo + rq] = np.bincount(owner, minlength=rq.size)
+        costs[lo + rq] = chunk_costs[rq]
+        expanded[lo + rq] = labelled[rq]
+    indptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    nodes = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    return indptr, nodes, costs, expanded, total_rounds
 
 
 def solve_batch(tables, srcs, dsts):
@@ -420,9 +441,9 @@ def solve_batch(tables, srcs, dsts):
     model's fused lanes through here.  Wraps :func:`batch_ch_paths` and
     owns the per-sweep instrumentation
     (``repro_kernel_sweep_iterations``), so every entry path is counted
-    identically.  Returns ``(paths, costs, expanded)``; see
+    identically.  Returns ``(indptr, nodes, costs, expanded)``; see
     :func:`batch_ch_paths` for the contract.
     """
-    paths, costs, expanded, rounds = batch_ch_paths(tables, srcs, dsts)
+    indptr, nodes, costs, expanded, rounds = batch_ch_paths(tables, srcs, dsts)
     KERNEL_SWEEP_ITERATIONS.observe(rounds)
-    return paths, costs, expanded
+    return indptr, nodes, costs, expanded

@@ -11,6 +11,7 @@ __all__ = [
     "ImputedPath",
     "resample_polyline",
     "resample_polyline_xy",
+    "resample_polylines_xy",
     "straight_line_path",
 ]
 
@@ -62,21 +63,73 @@ def resample_polyline(lats, lngs):
 def resample_polyline_xy(lats, lngs, x, y):
     """:func:`resample_polyline` over pre-projected coordinates.
 
-    Segment lengths come from the caller's *x*/*y* (so the imputation hot
-    path projects each polyline exactly once); interpolation itself runs
-    on lat/lng, which is equivalent under the affine local projection.
-    A zero-length polyline (a gap whose start equals its end) renders
-    as its two endpoints, the fewest positions a GeoJSON LineString
-    may hold.
+    The one-polyline form of :func:`resample_polylines_xy`.
     """
+    (lats,), (lngs,) = resample_polylines_xy(lats, lngs, x, y, [len(lats)])
+    return lats, lngs
+
+
+def resample_polylines_xy(lats, lngs, x, y, sizes):
+    """Resample concatenated polylines to :data:`RESAMPLE_M` spacing.
+
+    *lats*/*lngs* and their projection *x*/*y* hold the polylines back
+    to back, *sizes* their point counts (each at least 2).  Segment
+    lengths come from the caller's *x*/*y* (so the imputation hot path
+    projects each polyline exactly once); interpolation itself runs on
+    lat/lng, which is equivalent under the affine local projection.  A
+    zero-length polyline (a gap whose start equals its end) renders as
+    its two endpoints, the fewest positions a GeoJSON LineString may
+    hold.  Returns ``(lats, lngs)``: one array per polyline.
+
+    The elementwise work -- segment lengths and every polyline's sample
+    positions -- runs once over the whole batch.  Each polyline keeps
+    its own running sum (a sequential ``cumsum`` along the rows of a
+    zero-padded table rounds exactly like one per polyline) and its own
+    ``np.interp``, so every output equals a one-polyline call's bit for
+    bit.  Sample positions reproduce ``np.linspace(0, length, num)``:
+    ``k * (length / (num - 1))`` with the last pinned to ``length``.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    count = len(sizes)
+    if not count:
+        return [], []
+    lats = np.asarray(lats, dtype=np.float64)
+    lngs = np.asarray(lngs, dtype=np.float64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     seg = np.hypot(np.diff(x), np.diff(y))
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    length = float(cum[-1])
-    if length <= 0.0:
-        return lats[[0, -1]], lngs[[0, -1]]
-    num = max(2, int(np.ceil(length / RESAMPLE_M)) + 1)
-    along = np.linspace(0.0, length, num)
-    return np.interp(along, cum, lats), np.interp(along, cum, lngs)
+    # The diff across each pair of neighbouring polylines is no segment.
+    own = np.ones(len(seg), dtype=bool)
+    own[ends[:-1] - 1] = False
+    # Row i: 0.0, then polyline i's segment lengths, then zero padding.
+    table = np.zeros((count, int(sizes.max())))
+    table[:, 1:][np.arange(table.shape[1] - 1) < sizes[:, None] - 1] = seg[own]
+    cum = np.cumsum(table, axis=1)
+    lengths = cum[np.arange(count), sizes - 1]
+    moving = lengths > 0.0
+    nums = np.maximum(2, np.ceil(lengths / RESAMPLE_M).astype(np.int64) + 1)
+    heads = np.cumsum(nums) - nums
+    steps = np.repeat(lengths / (nums - 1), nums)
+    along = (np.arange(heads[-1] + nums[-1]) - np.repeat(heads, nums)) * steps
+    along[heads + nums - 1] = lengths
+    out_lats, out_lngs = [], []
+    for i, lo, hi, head, num, move in zip(
+        range(count),
+        starts.tolist(),
+        ends.tolist(),
+        heads.tolist(),
+        nums.tolist(),
+        moving.tolist(),
+    ):
+        if not move:
+            out_lats.append(lats[[lo, hi - 1]])
+            out_lngs.append(lngs[[lo, hi - 1]])
+            continue
+        xp = cum[i, : hi - lo]
+        samples = along[head : head + num]
+        out_lats.append(np.interp(samples, xp, lats[lo:hi]))
+        out_lngs.append(np.interp(samples, xp, lngs[lo:hi]))
+    return out_lats, out_lngs
 
 
 def straight_line_path(start, end, method="straight"):

@@ -2,10 +2,11 @@
 
 Both keep the endpoints, take metre-denominated thresholds, and return
 ``(lats, lngs)`` arrays.  RDP has one kernel,
-:func:`rdp_keep_indices_batch`: a level-synchronous NumPy pass that
+:func:`rdp_keep_indices_concat`: a level-synchronous NumPy pass that
 splits every open segment of every polyline in a batch at once, so the
-serving layer simplifies a whole batch of rendered paths in one call and
-:func:`rdp_simplify` is the one-polyline case.  VW maintains a heap of
+serving layer simplifies a whole batch of rendered paths in one call;
+:func:`rdp_keep_indices_batch` is its per-polyline-list form and
+:func:`rdp_simplify` the one-polyline case.  VW maintains a heap of
 effective triangle areas over a doubly-linked vertex list.
 """
 
@@ -15,7 +16,13 @@ import numpy as np
 
 from repro.geo.proj import latlng_to_xy_m
 
-__all__ = ["off_chord_mask", "rdp_keep_indices_batch", "rdp_simplify", "vw_simplify"]
+__all__ = [
+    "off_chord_mask",
+    "rdp_keep_indices_batch",
+    "rdp_keep_indices_concat",
+    "rdp_simplify",
+    "vw_simplify",
+]
 
 
 def off_chord_mask(x, y):
@@ -66,38 +73,59 @@ def rdp_keep_indices_batch(polylines, tolerance_m):
 
     Returns one ascending array of kept indices per polyline, always
     holding both endpoints (a polyline of two points or fewer keeps
-    every index).  The imputation hot path projects each polyline once
-    and shares the coordinates between simplification and resampling;
-    the serving engine hands a whole batch's polylines to one call.
-
-    The polylines are concatenated.  The :func:`off_chord_mask`
-    pre-pass runs once over the concatenation, with every path's
-    endpoints masked back in and paths of three points or fewer left
-    whole: it drops on-chord interior points -- degenerate vertices RDP
-    could never keep at metre tolerances, which hex-centre polylines
-    produce in straight runs.  The split pass is then level-synchronous:
-    each level measures every interior point of every open segment of
-    every path in one set of NumPy operations, takes each segment's
-    first farthest point with ``maximum.reduceat`` /
-    ``minimum.reduceat``, and splits the segments whose maximum exceeds
-    the tolerance.  A segment's split depends only on its own
-    endpoints, so the kept set does not depend on processing order or
-    on the other paths in the batch.  Squared distances follow the
-    scalar recursion's formula and branch order -- the start point when
-    the projection parameter ``t <= 0`` (a zero-length chord has
-    ``t = 0``), the end point when ``t >= 1``, else the foot of the
-    perpendicular -- and NumPy rounds each elementwise operation like a
-    Python float, so the indices equal a per-path stack loop's exactly.
+    every index).  The per-polyline form of
+    :func:`rdp_keep_indices_concat`, which documents the kernel.
     """
-    xs = [np.asarray(x, dtype=np.float64) for x, _ in polylines]
-    ys = [np.asarray(y, dtype=np.float64) for _, y in polylines]
-    if not xs:
+    if not polylines:
         return []
-    sizes = np.array([len(x) for x in xs], dtype=np.int64)
+    sizes = np.array([len(x) for x, _ in polylines], dtype=np.int64)
+    kept = rdp_keep_indices_concat(
+        np.concatenate([x for x, _ in polylines]),
+        np.concatenate([y for _, y in polylines]),
+        sizes,
+        tolerance_m,
+    )
+    ends = np.cumsum(sizes)
+    bounds = np.searchsorted(kept, ends)
+    lows = np.concatenate(([0], bounds[:-1]))
+    return [kept[lo:hi] - s for lo, hi, s in zip(lows, bounds, ends - sizes)]
+
+
+def rdp_keep_indices_concat(x, y, sizes, tolerance_m):
+    """RDP keep-set of concatenated pre-projected polylines.
+
+    *x*/*y* hold the polylines back to back and *sizes* their point
+    counts.  Returns the ascending kept positions in the concatenation
+    -- every polyline's endpoints included -- so a caller holding
+    concatenated arrays gathers every kept point with one fancy index.
+    The imputation hot path projects each polyline once and shares the
+    coordinates between simplification and resampling; the serving
+    engine hands a whole batch's polylines to one call.
+
+    The :func:`off_chord_mask` pre-pass runs once over the
+    concatenation, with every path's endpoints masked back in and paths
+    of three points or fewer left whole: it drops on-chord interior
+    points -- degenerate vertices RDP could never keep at metre
+    tolerances, which hex-centre polylines produce in straight runs.
+    The split pass is then level-synchronous: each level measures every
+    interior point of every open segment of every path in one set of
+    NumPy operations, takes each segment's first farthest point with
+    ``maximum.reduceat`` / ``minimum.reduceat``, and splits the
+    segments whose maximum exceeds the tolerance.  A segment's split
+    depends only on its own endpoints, so the kept set does not depend
+    on processing order or on the other paths in the batch.  Squared
+    distances follow the scalar recursion's formula and branch order --
+    the start point when the projection parameter ``t <= 0`` (a
+    zero-length chord has ``t = 0``), the end point when ``t >= 1``,
+    else the foot of the perpendicular -- and NumPy rounds each
+    elementwise operation like a Python float, so the indices equal a
+    per-path stack loop's exactly.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
     mask = off_chord_mask(x, y)
     nonempty = sizes > 0
     mask[starts[nonempty]] = True
@@ -157,10 +185,7 @@ def rdp_keep_indices_batch(polylines, tolerance_m):
         keep[mid] = True
         a = np.concatenate((a[split], mid))
         b = np.concatenate((mid, b[split]))
-    kept = orig[keep]
-    bounds = np.searchsorted(kept, ends)
-    lows = np.concatenate(([0], bounds[:-1]))
-    return [kept[lo:hi] - s for lo, hi, s in zip(lows, bounds, starts)]
+    return orig[keep]
 
 
 def _triangle_area(x, y, i, j, k):

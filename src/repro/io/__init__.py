@@ -8,6 +8,7 @@ viewer.
 from repro.io.geojson import (
     feature_collection,
     linestring_feature,
+    linestring_features,
     point_feature,
     write_geojson,
 )
@@ -15,6 +16,7 @@ from repro.io.geojson import (
 __all__ = [
     "feature_collection",
     "linestring_feature",
+    "linestring_features",
     "point_feature",
     "write_geojson",
 ]

@@ -12,24 +12,45 @@ import numpy as np
 __all__ = [
     "feature_collection",
     "linestring_feature",
+    "linestring_features",
     "point_feature",
     "write_geojson",
 ]
 
 
-def _coords(lats, lngs):
-    lats = np.asarray(lats, dtype=np.float64)
-    lngs = np.asarray(lngs, dtype=np.float64)
-    return np.column_stack((lngs, lats)).tolist()
+def linestring_features(lats, lngs, properties):
+    """Yield one LineString feature per ``(lats[i], lngs[i], properties[i])``.
+
+    Coordinates for every path come from one ``tolist`` over the
+    concatenated ``[lng, lat]`` columns, sliced per feature, and each
+    *properties* mapping is used as given (not copied).  Features are
+    built lazily, so a consumer such as :func:`feature_collection` pays
+    for them as it draws them.
+    """
+    sizes = [len(a) for a in lats]
+    if not sizes:
+        return
+    coords = np.column_stack(
+        (
+            np.concatenate(lngs).astype(np.float64, copy=False),
+            np.concatenate(lats).astype(np.float64, copy=False),
+        )
+    ).tolist()
+    lo = 0
+    for size, props in zip(sizes, properties):
+        hi = lo + size
+        yield {
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": coords[lo:hi]},
+            "properties": props,
+        }
+        lo = hi
 
 
 def linestring_feature(lats, lngs, properties=None):
     """A LineString feature from parallel lat/lng arrays."""
-    return {
-        "type": "Feature",
-        "geometry": {"type": "LineString", "coordinates": _coords(lats, lngs)},
-        "properties": dict(properties or {}),
-    }
+    (feature,) = linestring_features([lats], [lngs], [dict(properties or {})])
+    return feature
 
 
 def point_feature(lat, lng, properties=None):

@@ -99,6 +99,25 @@ class Counter(_Metric):
         with registry._lock:
             self._series[key] = self._series.get(key, 0) + amount
 
+    def inc_many(self, label_values):
+        """Increment by one per label tuple in *label_values*.
+
+        The bulk form of ``inc(1, labels)`` for a batch's per-item
+        series: each distinct label tuple is checked once and the whole
+        batch lands under one lock acquisition, with the same final
+        counts as one ``inc`` per item.
+        """
+        registry = self._registry
+        if not registry.enabled:
+            return
+        tally = {}
+        for labels in label_values:
+            tally[labels] = tally.get(labels, 0) + 1
+        keyed = [(self._check_labels(labels), n) for labels, n in tally.items()]
+        with registry._lock:
+            for key, n in keyed:
+                self._series[key] = self._series.get(key, 0) + n
+
     def value(self, labels=()):
         key = self._check_labels(labels)
         with self._registry._lock:
@@ -146,7 +165,8 @@ class Histogram(_Metric):
 
     Each series is ``[per-bucket counts (last = +Inf), total count,
     sum]``; bucket counts are integers, so merges are bit-exact like
-    counters.  ``observe`` costs one bisect plus three increments.
+    counters.  ``observe`` costs one bisect plus three increments;
+    ``observe_many`` records a batch under one lock.
     """
 
     kind = "histogram"
@@ -171,6 +191,36 @@ class Histogram(_Metric):
             series[0][slot] += 1
             series[1] += 1
             series[2] += value
+
+    def observe_many(self, values, labels=()):
+        """Observe every value of *values* into one series.
+
+        The bulk form of ``observe`` for a batch's per-item series: one
+        label check and one lock acquisition per call.  Bucket counts,
+        the count and the sum (accumulated in order, like repeated
+        ``observe`` calls) equal those of one ``observe`` per value.
+        """
+        registry = self._registry
+        if not registry.enabled:
+            return
+        key = self._check_labels(labels)
+        values = list(values)
+        if not values:
+            return
+        buckets = self.buckets
+        slots = [bisect_left(buckets, value) for value in values]
+        with registry._lock:
+            series = self._series.get(key)
+            if series is None:
+                series = [[0] * (len(buckets) + 1), 0, 0.0]
+                self._series[key] = series
+            counts = series[0]
+            total = series[2]
+            for slot, value in zip(slots, values):
+                counts[slot] += 1
+                total += value
+            series[1] += len(values)
+            series[2] = total
 
     def time(self, labels=()):
         """``with histogram.time(labels): ...`` observes the span."""

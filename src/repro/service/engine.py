@@ -81,9 +81,11 @@ import time
 from collections import OrderedDict
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core import HabitConfig
 from repro.geo.budget import compress_rendered_path
-from repro.geo.proj import latlng_to_xy_m, path_length_m
+from repro.geo.proj import path_lengths_m, polylines_xy_m
 from repro.obs import METRICS
 from repro.service.dispatch import BatchDispatcher
 from repro.service.schema import ImputeResult, Provenance
@@ -253,12 +255,15 @@ class BatchImputationEngine:
         answered by another request's identical search records
         ``"cross_batch"``.  Every routed answer -- path-cache hit or
         searched miss -- then probes the rendered-path memo (exact raw
-        endpoints in the key), and the memo misses of each resolved
-        class graph render together in one
-        :meth:`~repro.core.habit.HabitImputer.render_paths` call.
-        Per-request latency charges each rider its snap/probe time plus
-        an equal share of its group's kernel call and of its group's
-        render call.
+        endpoints in the key), and the memo misses and straight-line
+        fallbacks of each resolved class graph render together in one
+        :meth:`~repro.core.habit.HabitImputer.render_paths` call, which
+        also measures every rendered path; :meth:`_compress` then
+        budgets the over-large answers in one pass.  Per-request latency
+        charges each rider its snap/probe time plus an equal share of
+        its group's kernel call, of its group's render call and of the
+        compression stage.  The per-gap metric series are fed in bulk,
+        one call per series per batch.
         """
         paths = [None] * len(requests)
         lengths = [None] * len(requests)
@@ -319,15 +324,15 @@ class BatchImputationEngine:
         # resampling both see the pinned endpoints, so only an
         # exactly-repeated query may reuse the geometry (a nudged
         # endpoint re-renders, bit-identically to an unmemoized engine).
-        # Straight-line fallbacks skip the memo: they are cheaper than
-        # the probe.  Riders sharing a memo key share one render.
+        # Straight-line fallbacks skip the memo (they are cheaper than
+        # the probe) and render with their group, keyed by request
+        # index.  Riders sharing a memo key share one render.
         renders = {}  # memo key -> (plain imputer, request, result, rider idxs)
         for i, plain, key, result in routed:
             started = time.perf_counter()
             request = requests[i]
             if result is None:
-                paths[i] = plain.render_path(request.start, request.end, None)
-                lengths[i] = float(path_length_m(paths[i].lats, paths[i].lngs))
+                renders[i] = (plain, request, None, [i])
             else:
                 memo_key = (key, request.start, request.end)
                 if memo_key in renders:
@@ -339,65 +344,44 @@ class BatchImputationEngine:
                     else:
                         paths[i], lengths[i] = entry
             elapsed[i] += time.perf_counter() - started
-        groups = {}  # id(plain imputer) -> (plain imputer, [memo keys])
-        for memo_key, (plain, *_) in renders.items():
-            groups.setdefault(id(plain), (plain, []))[1].append(memo_key)
-        for plain, memo_keys in groups.values():
+        groups = {}  # id(plain imputer) -> (plain imputer, [render keys])
+        for render_key, (plain, *_) in renders.items():
+            groups.setdefault(id(plain), (plain, []))[1].append(render_key)
+        for plain, render_keys in groups.values():
             started = time.perf_counter()
-            pending = [renders[memo_key] for memo_key in memo_keys]
-            rendered = plain.render_paths(
+            pending = [renders[render_key] for render_key in render_keys]
+            rendered, rendered_lengths = plain.render_paths(
                 [request.start for _, request, _, _ in pending],
                 [request.end for _, request, _, _ in pending],
                 [result for _, _, result, _ in pending],
             )
             riders = []
-            for memo_key, path, (*_, idxs) in zip(memo_keys, rendered, pending):
-                entry = (path, float(path_length_m(path.lats, path.lngs)))
-                self.render_cache.put(memo_key, entry)
+            for render_key, path, length, (_, _, result, idxs) in zip(
+                render_keys, rendered, rendered_lengths, pending
+            ):
+                if result is not None:
+                    self.render_cache.put(render_key, (path, length))
                 for i in idxs:
-                    paths[i], lengths[i] = entry
+                    paths[i], lengths[i] = path, length
                 riders.extend(idxs)
             share = (time.perf_counter() - started) / len(riders)
             for i in riders:
                 elapsed[i] += share
+        budgets = self._compress(requests, paths, lengths, elapsed)
+        _PATH_CACHE_TOTAL.inc_many((tier,) for tier in tiers)
+        _IMPUTE_SECONDS.observe_many(elapsed, ("thread",))
         out = []
         for i, request in enumerate(requests):
             imputer, model_id, source = models[(request.dataset.upper(), request.typed)]
             path = paths[i]
-            length = lengths[i]
-            points_in = points_out = 0
-            max_sed = 0.0
-            budget = request.max_points
-            if budget is not None and len(path.lats) > budget:
-                # Strictly post-memo: the rendered-path memo (and the
-                # route cache before it) stay budget-agnostic, so mixed
-                # budgets share one cached geometry and an over-large
-                # budget is an exact no-op.
-                started = time.perf_counter()
-                x, y = latlng_to_xy_m(path.lats, path.lngs)
-                squeezed = compress_to_budget(x, y, budget)
-                path = replace(
-                    path,
-                    lats=path.lats[squeezed.indices],
-                    lngs=path.lngs[squeezed.indices],
-                )
-                length = float(path_length_m(path.lats, path.lngs))
-                spent = time.perf_counter() - started
-                elapsed[i] += spent
-                _COMPRESS_SECONDS.observe(spent)
-                _COMPRESS_DROPPED.inc(squeezed.points_dropped)
-                points_in = squeezed.points_in
-                points_out = squeezed.points_out
-                max_sed = squeezed.max_sed_m
-            _PATH_CACHE_TOTAL.inc(1, (tiers[i],))
-            _IMPUTE_SECONDS.observe(elapsed[i], ("thread",))
+            points_in, points_out, max_sed = budgets[i]
             provenance = Provenance(
                 model_id=model_id,
                 cache=source,
                 method=path.method,
                 fallback=path.method == "fallback",
                 num_cells=len(path.cells),
-                path_length_m=length,
+                path_length_m=lengths[i],
                 elapsed_ms=elapsed[i] * 1e3,
                 revision=getattr(imputer, "revision", 1),
                 path_cache=tiers[i],
@@ -415,3 +399,59 @@ class BatchImputationEngine:
                 )
             )
         return out
+
+    @staticmethod
+    def _compress(requests, paths, lengths, elapsed):
+        """Apply every request's ``max_points`` budget, in place.
+
+        Strictly post-memo: the rendered-path memo (and the route cache
+        before it) stay budget-agnostic, so mixed budgets share one
+        cached geometry and an over-large budget is an exact no-op.  The
+        over-budget paths are projected in one pass and re-measured in
+        one :func:`repro.geo.proj.path_lengths_m` call; each one's
+        compression is its own :data:`compress_to_budget` call, and each
+        is charged an equal share of the stage.  Returns per-request
+        ``(points_in, points_out, max_sed_m)``, zeros where nothing was
+        dropped.
+        """
+        budgets = [(0, 0, 0.0)] * len(requests)
+        over = [
+            i
+            for i, request in enumerate(requests)
+            if request.max_points is not None and len(paths[i].lats) > request.max_points
+        ]
+        if not over:
+            return budgets
+        started = time.perf_counter()
+        sizes = [len(paths[i].lats) for i in over]
+        x, y = polylines_xy_m(
+            np.concatenate([paths[i].lats for i in over]),
+            np.concatenate([paths[i].lngs for i in over]),
+            sizes,
+        )
+        dropped = 0
+        lo = 0
+        for i, size in zip(over, sizes):
+            hi = lo + size
+            squeezed = compress_to_budget(x[lo:hi], y[lo:hi], requests[i].max_points)
+            lo = hi
+            path = paths[i]
+            paths[i] = replace(
+                path,
+                lats=path.lats[squeezed.indices],
+                lngs=path.lngs[squeezed.indices],
+            )
+            budgets[i] = (squeezed.points_in, squeezed.points_out, squeezed.max_sed_m)
+            dropped += squeezed.points_dropped
+        squeezed_lengths = path_lengths_m(
+            [paths[i].lats for i in over], [paths[i].lngs for i in over]
+        )
+        for i, length in zip(over, squeezed_lengths):
+            lengths[i] = length
+        share = (time.perf_counter() - started) / len(over)
+        for i in over:
+            elapsed[i] += share
+        _COMPRESS_SECONDS.observe_many([share] * len(over))
+        _COMPRESS_DROPPED.inc(dropped)
+        return budgets
+

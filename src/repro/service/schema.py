@@ -215,14 +215,18 @@ def build_config(overrides):
 
 
 def _parse_endpoint(value, where):
+    """A ``(lat, lng)`` float pair from a JSON ``[lat, lng]`` array.
+
+    Like the config fields, nothing is coerced: each coordinate must be
+    a finite, non-bool JSON number (an integer too large for a float is
+    rejected, not an ``OverflowError``), and the pair must lie on the
+    globe.
+    """
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SchemaError(f"{where} must be a [lat, lng] pair")
-    try:
-        lat, lng = float(value[0]), float(value[1])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where} must hold two numbers, got {value!r}") from exc
-    if not (isfinite(lat) and isfinite(lng)):
-        raise SchemaError(f"{where} must be finite, got {value!r}")
+    if not (_is_finite_number(value[0]) and _is_finite_number(value[1])):
+        raise SchemaError(f"{where} must hold two numbers (finite, non-bool), got {value!r}")
+    lat, lng = float(value[0]), float(value[1])
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lng <= 180.0):
         raise SchemaError(f"{where} out of range: lat {lat}, lng {lng}")
     return (lat, lng)

@@ -1,0 +1,470 @@
+"""The batch-native tail after the kernel sweep equals its per-path oracles.
+
+Everything after ``kernel._sweep`` handles a whole batch in array
+passes: kernel result assembly, render (projection, resampling, metric
+lengths), budget compression and the ``/impute`` body.  This module
+keeps the per-lane / per-path code those passes replaced as oracles and
+asserts bit-equality -- node paths, costs and ``expanded``; rendered
+coordinates and lengths; and finally the bytes of a mixed ``/impute``
+body with ``elapsed_ms`` zeroed.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from graphgen import TOPOLOGIES, random_graph
+from repro.core import TypedHabitImputer, kernel
+from repro.core.graph import SearchResult
+from repro.core.path import (
+    RESAMPLE_M,
+    ImputedPath,
+    resample_polyline_xy,
+    resample_polylines_xy,
+    straight_line_path,
+)
+from repro.geo.budget import compress_rendered_path
+from repro.geo.proj import latlng_to_xy_m, path_length_m, path_lengths_m, polylines_xy_m
+from repro.geo.simplify import rdp_keep_indices_batch
+from repro.io import feature_collection
+from repro.service import BatchImputationEngine, GapRequest, ModelRegistry
+from repro.service.engine import _MISSING
+from repro.service.http import _ENCODER, impute_response
+
+# -- oracles: the per-lane / per-path code the batch passes replaced -------
+
+
+def _oracle_trace(parent, n2, qids, start):
+    steps = []
+    qn = qids * n2
+    cur = start
+    while True:
+        steps.append(cur)
+        nxt = np.where(cur >= 0, parent[qn + np.maximum(cur, 0)].astype(np.int64), -1)
+        if not (nxt >= 0).any():
+            break
+        cur = nxt
+    return steps
+
+
+def _oracle_batch_ch_paths(tables, srcs, dsts):
+    """Kernel results assembled one lane at a time, in Python lists."""
+    n = tables.num_nodes
+    n2 = 2 * n
+    num = len(srcs)
+    paths = [None] * num
+    costs = np.full(num, np.inf)
+    expanded = np.zeros(num, dtype=np.int64)
+    total_rounds = 0
+    chunk = max(1, kernel.BATCH_CHUNK_CELLS // max(n2, 1))
+    for lo in range(0, num, chunk):
+        hi = min(lo + chunk, num)
+        q = hi - lo
+        dist, parent, labelled, rounds = kernel._sweep(tables, q, srcs[lo:hi], dsts[lo:hi])
+        total_rounds += rounds
+        table = dist.reshape(q, n2)
+        total = table[:, :n] + table[:, n:]
+        meets = np.argmin(total, axis=1)
+        chunk_costs = total[np.arange(q), meets]
+        rq = np.flatnonzero(np.isfinite(chunk_costs))
+        if not rq.size:
+            continue
+        meets_r = meets[rq].astype(np.int64)
+        fcols = [s.tolist() for s in _oracle_trace(parent, n2, rq, meets_r)]
+        bcols = [s.tolist() for s in _oracle_trace(parent, n2, rq, meets_r + n)[1:]]
+        flat_q, flat_a, flat_b, firsts = [], [], [], []
+        for j in range(rq.size):
+            chain = [c[j] for c in reversed(fcols) if c[j] >= 0]
+            chain += [c[j] - n for c in bcols if c[j] >= 0]
+            firsts.append(chain[0])
+            flat_q.extend([j] * (len(chain) - 1))
+            flat_a.extend(chain[:-1])
+            flat_b.extend(chain[1:])
+        qid, tail = kernel._unpack_edges(
+            tables,
+            np.asarray(flat_q, dtype=np.int64),
+            np.asarray(flat_a, dtype=np.int64),
+            np.asarray(flat_b, dtype=np.int64),
+        )
+        counts = np.bincount(qid, minlength=rq.size)
+        bounds = np.cumsum(counts)
+        tail = tail.tolist()
+        for j, i in enumerate(rq.tolist()):
+            paths[lo + i] = [firsts[j], *tail[bounds[j] - counts[j] : bounds[j]]]
+            costs[lo + i] = chunk_costs[i]
+            expanded[lo + i] = labelled[i]
+    return paths, costs, expanded, total_rounds
+
+
+def _oracle_find_paths_batch(graph, pairs):
+    """Graph-level batch answers built pair by pair (two node_index calls,
+    the scalar degenerate test, one SearchResult per oracle lane)."""
+    results = [None] * len(pairs)
+    lanes = []
+    for i, (src, dst) in enumerate(pairs):
+        si, di = graph.node_index(src), graph.node_index(dst)
+        if si < 0 or di < 0:
+            continue
+        if si == di:
+            results[i] = SearchResult((int(graph.cells[si]),), 0.0, 0, "ch", (si,))
+        elif not graph._degenerate_unreachable(si, di):
+            lanes.append((i, si, di))
+    if lanes:
+        paths, costs, expanded, _ = _oracle_batch_ch_paths(
+            graph._ch_kernel_tables(),
+            np.asarray([si for _, si, _ in lanes], dtype=np.int64),
+            np.asarray([di for _, _, di in lanes], dtype=np.int64),
+        )
+        for (i, _, _), path, cost, exp in zip(lanes, paths, costs, expanded):
+            if path is not None:
+                cells = tuple(graph.cells[path].tolist())
+                results[i] = SearchResult(cells, float(cost), int(exp), "ch", tuple(path))
+    return results
+
+
+def _oracle_resample(lats, lngs, x, y):
+    seg = np.hypot(np.diff(x), np.diff(y))
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    length = float(cum[-1])
+    if length <= 0.0:
+        return lats[[0, -1]], lngs[[0, -1]]
+    num = max(2, int(np.ceil(length / RESAMPLE_M)) + 1)
+    along = np.linspace(0.0, length, num)
+    return np.interp(along, cum, lats), np.interp(along, cum, lngs)
+
+
+def _oracle_length(lats, lngs):
+    x, y = latlng_to_xy_m(lats, lngs)
+    return float(np.hypot(np.diff(x), np.diff(y)).sum())
+
+
+def _oracle_render(imputer, start, end, result):
+    if result is None:
+        return straight_line_path(start, end, method="fallback")
+    idx = np.asarray(result.node_indices, dtype=np.int64)
+    lats = np.empty(len(idx) + 2)
+    lngs = np.empty(len(idx) + 2)
+    lats[0], lngs[0] = float(start[0]), float(start[1])
+    lats[-1], lngs[-1] = float(end[0]), float(end[1])
+    lats[1:-1] = imputer.graph.lats[idx]
+    lngs[1:-1] = imputer.graph.lngs[idx]
+    x, y = latlng_to_xy_m(lats, lngs)
+    if imputer.config.tolerance_m > 0.0:
+        keep = rdp_keep_indices_batch([(x, y)], imputer.config.tolerance_m)[0]
+        lats, lngs, x, y = lats[keep], lngs[keep], x[keep], y[keep]
+    lats, lngs = _oracle_resample(lats, lngs, x, y)
+    return ImputedPath(
+        lats=lats, lngs=lngs, method=result.method, cells=result.cells, expanded=result.expanded
+    )
+
+
+def _oracle_feature(result, provenance):
+    coords = np.column_stack(
+        (np.asarray(result.lngs, dtype=np.float64), np.asarray(result.lats, dtype=np.float64))
+    ).tolist()
+    return {
+        "type": "Feature",
+        "geometry": {"type": "LineString", "coordinates": coords},
+        "properties": {
+            "request_id": result.request.request_id,
+            "dataset": result.request.dataset,
+            **provenance,
+        },
+    }
+
+
+def _oracle_response(results, elapsed_ms):
+    provenances = [r.provenance.to_dict() for r in results]
+    return {
+        "count": len(results),
+        "elapsed_ms": elapsed_ms,
+        "results": [
+            {
+                "request_id": r.request.request_id,
+                "dataset": r.request.dataset,
+                "num_points": r.num_points,
+                "provenance": provenance,
+            }
+            for r, provenance in zip(results, provenances)
+        ],
+        "geojson": feature_collection(
+            _oracle_feature(r, provenance) for r, provenance in zip(results, provenances)
+        ),
+    }
+
+
+def _bits_equal(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- kernel assembly -----------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk_cells", [kernel.BATCH_CHUNK_CELLS, 1])
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_kernel_assembly_matches_per_lane_oracle(monkeypatch, topology, chunk_cells):
+    """Array-pass chain assembly returns the per-lane oracle's paths,
+    costs, ``expanded`` and rounds bit for bit, chunked or not."""
+    monkeypatch.setattr(kernel, "BATCH_CHUNK_CELLS", chunk_cells)
+    for seed in range(6):
+        rng = np.random.default_rng(4100 + seed)
+        graph = random_graph(rng, topology)
+        n = graph.num_nodes
+        if n < 2:
+            continue
+        graph.ensure_ch()
+        tables = graph._ch_kernel_tables()
+        srcs = rng.integers(0, n, 40)
+        dsts = (srcs + rng.integers(1, n, 40)) % n  # pairwise distinct
+        paths, costs, expanded, rounds = _oracle_batch_ch_paths(tables, srcs, dsts)
+        indptr, nodes, got_costs, got_expanded, got_rounds = kernel.batch_ch_paths(
+            tables, srcs, dsts
+        )
+        where = f"{topology} seed {seed}"
+        assert got_rounds == rounds, where
+        assert _bits_equal(got_costs, costs), where
+        assert got_expanded.tolist() == expanded.tolist(), where
+        for i, path in enumerate(paths):
+            got = nodes[indptr[i] : indptr[i + 1]].tolist()
+            assert got == (path or []), f"{where} lane {i}"
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_kernel_assembly_find_paths_batch_matches_oracle(topology):
+    """Graph-level batch answers (vectorised endpoint mapping and
+    degenerate test included) equal the pair-by-pair oracle's."""
+    for seed in range(6):
+        rng = np.random.default_rng(5200 + seed)
+        graph = random_graph(rng, topology)
+        cells = graph.cells.tolist()
+        pairs = [tuple(int(c) for c in rng.choice(cells, 2)) for _ in range(30)]
+        pairs += [(cells[0], cells[0]), (cells[0], -5), (123, cells[-1])]
+        graph.ensure_ch()
+        assert graph.find_paths_batch(pairs) == _oracle_find_paths_batch(graph, pairs), (
+            f"{topology} seed {seed}"
+        )
+
+
+def test_kernel_assembly_skips_degenerate_pairs(monkeypatch):
+    """The vectorised degenerate test keeps every provably unreachable
+    pair (no out-edges at the source, no in-edges at the target) out of
+    the kernel, however many there are."""
+    graph = random_graph(np.random.default_rng(61), "uniform")
+    n = graph.num_nodes
+    sinks = np.flatnonzero(np.diff(graph.indptr) == 0)
+    sources = np.flatnonzero(np.bincount(graph.indices, minlength=n) == 0)
+    if not (sinks.size and sources.size):
+        pytest.skip("draw produced no sink/source node")
+    cells = graph.cells.tolist()
+    sink, source = cells[sinks[0]], cells[sources[0]]
+    others = [c for c in cells if c not in (sink, source)][:4]
+    pairs = [(sink, c) for c in others] + [(c, source) for c in others]
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("degenerate pair reached the kernel")
+
+    monkeypatch.setattr("repro.core.graph.solve_batch", poisoned)
+    assert graph.find_paths_batch(pairs) == [None] * len(pairs)
+
+
+# -- batch resample, projection and lengths ------------------------------
+
+
+def _random_polylines(rng, count):
+    lats, lngs = [], []
+    for k in range(count):
+        size = int(rng.integers(2, 40))
+        lat = 54.0 + np.cumsum(rng.normal(0.0, 0.01, size))
+        lng = 10.0 + np.cumsum(rng.normal(0.0, 0.02, size))
+        if k % 7 == 3:  # zero-length: every point equal
+            lat[:] = lat[0]
+            lng[:] = lng[0]
+        if k % 5 == 1:  # a repeated vertex: a zero-length segment
+            lat[1] = lat[0]
+            lng[1] = lng[0]
+        lats.append(lat)
+        lngs.append(lng)
+    return lats, lngs
+
+
+def test_batch_resample_matches_per_path_oracle(rng):
+    """One concatenated resample equals the per-path oracle bit for bit,
+    as do the one-path wrapper, the batch projection and the batch
+    lengths."""
+    lats, lngs = _random_polylines(rng, 60)
+    sizes = [len(a) for a in lats]
+    flat_lats, flat_lngs = np.concatenate(lats), np.concatenate(lngs)
+    x, y = polylines_xy_m(flat_lats, flat_lngs, sizes)
+    got_lats, got_lngs = resample_polylines_xy(flat_lats, flat_lngs, x, y, sizes)
+    lo = 0
+    for k, (lat, lng) in enumerate(zip(lats, lngs)):
+        hi = lo + len(lat)
+        px, py = latlng_to_xy_m(lat, lng)
+        assert _bits_equal(x[lo:hi], px) and _bits_equal(y[lo:hi], py), k
+        want_lats, want_lngs = _oracle_resample(lat, lng, px, py)
+        assert _bits_equal(got_lats[k], want_lats), k
+        assert _bits_equal(got_lngs[k], want_lngs), k
+        one_lats, one_lngs = resample_polyline_xy(lat, lng, px, py)
+        assert _bits_equal(one_lats, want_lats) and _bits_equal(one_lngs, want_lngs), k
+        lo = hi
+    lengths = path_lengths_m(got_lats, got_lngs)
+    want = [_oracle_length(a, b) for a, b in zip(got_lats, got_lngs)]
+    assert lengths == want
+    assert [path_length_m(a, b) for a, b in zip(got_lats, got_lngs)] == want
+    assert path_lengths_m([], []) == []
+    assert resample_polylines_xy([], [], [], [], []) == ([], [])
+
+
+# -- render --------------------------------------------------------------
+
+
+def _endpoint_requests(imputer, rng, count):
+    """Gap endpoints near random graph nodes (snapping lands nearby)."""
+    graph = imputer.graph
+    out = []
+    for _ in range(count):
+        a, b = rng.choice(graph.num_nodes, 2, replace=False)
+        start = (float(graph.lats[a]) + 1e-3, float(graph.lngs[a]) - 1e-3)
+        end = (float(graph.lats[b]) - 1e-3, float(graph.lngs[b]) + 1e-3)
+        out.append((start, end))
+    return out
+
+
+@pytest.mark.parametrize("tolerance_m", [100.0, 0.0])
+def test_render_paths_match_per_path_oracle(service_model, rng, tolerance_m):
+    """Batch render: coordinates and lengths equal the per-path oracle's,
+    fallbacks and zero-length routes included."""
+    imputer = service_model.fork()
+    imputer.config = replace(service_model.config, tolerance_m=tolerance_m)
+    gaps = _endpoint_requests(imputer, rng, 24)
+    node = (float(imputer.graph.lats[0]), float(imputer.graph.lngs[0]))
+    gaps.append((node, node))
+    starts, ends = [s for s, _ in gaps], [e for _, e in gaps]
+    snapped = [imputer.snap_endpoints(s, e) for s, e in gaps]
+    results = imputer.route_batch([p for p in snapped if p is not None])
+    results = iter(results)
+    results = [next(results) if p is not None else None for p in snapped]
+    results[3] = None  # a straight-line fallback mid-batch
+    paths, lengths = imputer.render_paths(starts, ends, results)
+    assert len(paths) == len(lengths) == len(gaps)
+    for k, (start, end, result) in enumerate(zip(starts, ends, results)):
+        want = _oracle_render(imputer, start, end, result)
+        got = paths[k]
+        assert _bits_equal(got.lats, want.lats) and _bits_equal(got.lngs, want.lngs), k
+        assert (got.method, got.cells, got.expanded) == (want.method, want.cells, want.expanded)
+        assert lengths[k] == _oracle_length(want.lats, want.lngs), k
+    assert paths[-1].num_points == 2  # the zero-length route
+    assert imputer.render_path(starts[0], ends[0], results[0]).lats.tobytes() == (
+        paths[0].lats.tobytes()
+    )
+
+
+# -- golden /impute body -------------------------------------------------
+
+
+def _oracle_result(engine, registry, config, result):
+    """*result* with its geometry, length and budget fields recomputed by
+    the per-path oracles from the engine's cached route."""
+    request = result.request
+    imputer, model_id, _ = registry.get(request.dataset, config, typed=request.typed)
+    if request.typed:
+        plain, class_tag = imputer.resolve(request.vessel_type)
+    else:
+        plain, class_tag = imputer, ""
+    snapped = plain.snap_endpoints(request.start, request.end)
+    if snapped is None:
+        path = straight_line_path(request.start, request.end, method="fallback")
+    else:
+        route = engine.path_cache.get((model_id, class_tag, plain.revision, *snapped))
+        assert route is not _MISSING
+        path = _oracle_render(plain, request.start, request.end, route)
+    length = _oracle_length(path.lats, path.lngs)
+    budget = (0, 0, 0.0)
+    if request.max_points is not None and path.num_points > request.max_points:
+        x, y = latlng_to_xy_m(path.lats, path.lngs)
+        squeezed = compress_rendered_path(x, y, request.max_points)
+        path = replace(
+            path, lats=path.lats[squeezed.indices], lngs=path.lngs[squeezed.indices]
+        )
+        length = _oracle_length(path.lats, path.lngs)
+        budget = (squeezed.points_in, squeezed.points_out, squeezed.max_sed_m)
+    provenance = replace(
+        result.provenance,
+        method=path.method,
+        fallback=path.method == "fallback",
+        num_cells=len(path.cells),
+        path_length_m=length,
+        elapsed_ms=0.0,
+        expanded=path.expanded,
+        points_in=budget[0],
+        points_out=budget[1],
+        max_sed_m=budget[2],
+    )
+    return replace(result, lats=path.lats, lngs=path.lngs, provenance=provenance)
+
+
+def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel, rng):
+    """A mixed ``/impute`` batch -- miss, hit, coalesced rider,
+    out-of-coverage fallback, cached no-route, typed request, zero-length
+    gap, budget no-op and compressed budget -- encodes to the same bytes
+    as the per-path oracles' body once ``elapsed_ms`` is zeroed."""
+    config = service_model.config
+    registry = ModelRegistry(tmp_path / "models")
+    registry.publish("KIEL", service_model)
+    typed = TypedHabitImputer(config, min_group_rows=100).fit_from_trips(tiny_kiel.train)
+    registry.publish("KIEL", typed)
+    graph = service_model.graph
+    sink = int(np.flatnonzero(np.diff(graph.indptr) == 0)[0])
+    other = (sink + 1) % graph.num_nodes
+    no_route = (
+        (float(graph.lats[sink]), float(graph.lngs[sink])),
+        (float(graph.lats[other]), float(graph.lngs[other])),
+    )
+    node = (float(graph.lats[0]), float(graph.lngs[0]))
+    warm, *fresh = _endpoint_requests(service_model, rng, 7)
+    engine = BatchImputationEngine(registry)
+    try:
+        engine.run(
+            [
+                GapRequest("KIEL", *warm, "warm"),
+                GapRequest("KIEL", *no_route, "no-route-warm"),
+            ],
+            config,
+        )
+        # The hit shares the warm gap's route but not its raw endpoints.
+        nudged = tuple((lat + 1e-6, lng) for lat, lng in warm)
+        requests = [
+            GapRequest("KIEL", *fresh[0], "miss"),
+            GapRequest("KIEL", *nudged, "hit"),
+            GapRequest("KIEL", *fresh[1], "rider-a"),
+            GapRequest("KIEL", *fresh[1], "rider-b"),
+            GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
+            GapRequest("KIEL", *no_route, "no-route"),
+            GapRequest("KIEL", *fresh[2], "typed", typed=True, vessel_type="cargo"),
+            GapRequest("KIEL", node, node, "zero-length"),
+            GapRequest("KIEL", *fresh[3], "roomy", max_points=100_000),
+            GapRequest("KIEL", *fresh[4], "squeezed", max_points=4),
+            GapRequest("KIEL", *fresh[5], "plain"),
+        ]
+        results = engine.run(requests, config)
+        results = [
+            replace(r, provenance=replace(r.provenance, elapsed_ms=0.0)) for r in results
+        ]
+        oracle = [_oracle_result(engine, registry, config, r) for r in results]
+    finally:
+        engine.close()
+    prov = {r.request.request_id: r.provenance for r in results}
+    assert prov["miss"].path_cache == "miss" and prov["hit"].path_cache == "hit"
+    assert prov["rider-b"].path_cache == "coalesced"
+    assert prov["offshore"].path_cache == "bypass" and prov["offshore"].fallback
+    assert prov["no-route"].path_cache == "hit" and prov["no-route"].fallback
+    assert prov["typed"].model_id != prov["miss"].model_id
+    assert results[7].num_points == 2
+    assert prov["roomy"].points_in == 0 and prov["squeezed"].points_in > 0
+    got = _ENCODER.encode(impute_response(results, 0.0)).encode("utf-8")
+    want = json.dumps(_oracle_response(oracle, 0.0)).encode("utf-8")
+    assert got == want

@@ -1,11 +1,13 @@
 """repro.obs: metric core, mergeable snapshots, diff/absorb, /metrics."""
 
+import importlib.util
 import json
 import re
 import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,47 @@ def test_disabled_registry_makes_observations_noops():
     reg.set_enabled(True)
     counter.inc()
     assert counter.value() == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_observe_many_equals_repeated_observe(rng, enabled):
+    """The bulk forms leave exactly what one call per item leaves: bucket
+    counts, count and the (in-order, bit-equal) sum; per-label counter
+    totals; nothing at all when metrics are off or the batch is empty."""
+    values = rng.exponential(0.01, 200).tolist() + [1e-5, 10.0, 50.0, 0, 3]
+    single, bulk = MetricsRegistry(enabled=enabled), MetricsRegistry(enabled=enabled)
+    for reg in (single, bulk):
+        reg.histogram("h_seconds", "h", ("executor",)).observe(0.25, ("thread",))
+    for value in values:
+        single.get("h_seconds").observe(value, ("thread",))
+    bulk.get("h_seconds").observe_many(values, ("thread",))
+    bulk.get("h_seconds").observe_many([], ("other",))
+    # Order matters at 2**53: one add at a time rounds every +1.0 away.
+    for reg in (single, bulk):
+        reg.get("h_seconds").observe(2.0**53, ("big",))
+    for value in (1.0, 1.0, 1.0, 1.0):
+        single.get("h_seconds").observe(value, ("big",))
+    bulk.get("h_seconds").observe_many([1.0, 1.0, 1.0, 1.0], ("big",))
+    tiers = [("hit",), ("miss",), ("hit",), ("coalesced",), ("hit",)]
+    for reg in (single, bulk):
+        reg.counter("c_total", "c", ("tier",)).inc(labels=("miss",))
+    for labels in tiers:
+        single.get("c_total").inc(1, labels)
+    bulk.get("c_total").inc_many(tiers)
+    assert bulk.snapshot() == single.snapshot()
+    hist = bulk.get("h_seconds")
+    if not enabled:
+        assert hist.count(("thread",)) == 0 and bulk.get("c_total").value(("hit",)) == 0
+        return
+    assert hist.count(("thread",)) == len(values) + 1
+    assert hist.sum(("thread",)) == single.get("h_seconds").sum(("thread",))
+    assert hist.sum(("big",)) == 2.0**53
+    assert bulk.get("c_total").value(("hit",)) == 3
+    assert ("other",) not in bulk.snapshot()["h_seconds"]["series"]
+    with pytest.raises(ValueError, match="label values"):
+        hist.observe_many([1.0])
+    with pytest.raises(ValueError, match="label values"):
+        bulk.get("c_total").inc_many([("a", "b")])
 
 
 def test_default_buckets_are_sane():
@@ -319,6 +362,65 @@ def test_http_metrics_endpoint_prometheus_and_json(server, tiny_kiel):
         if s["labels"] == {"route": "/impute", "status": "200"}
     ]
     assert impute_series and impute_series[0]["value"] >= 2
+
+
+def _documented_metrics():
+    """``tools/docs_smoke.py``'s OPERATIONS.md Monitoring catalogue."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "docs_smoke.py"
+    spec = importlib.util.spec_from_file_location("docs_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.documented_metrics()
+
+
+def test_batch_tail_keeps_metrics_series(server, service_model, rng):
+    """The batch engine feeds its per-gap and per-lane series in bulk, yet
+    a scrape after a cold batch still names every documented metric, and
+    the series keep their labels and meaning: one ``repro_impute_seconds``
+    observation and one ``repro_path_cache_total`` increment per gap, one
+    ``repro_search_seconds`` observation per kernel lane and one
+    ``repro_search_expanded`` observation per routed lane."""
+    graph = service_model.graph
+    requests = []
+    for k in range(8):
+        a, b = rng.choice(graph.num_nodes, 2, replace=False)
+        requests.append(
+            {
+                "dataset": "KIEL",
+                "id": f"g{k}",
+                "start": [float(graph.lats[a]), float(graph.lngs[a])],
+                "end": [float(graph.lats[b]), float(graph.lngs[b])],
+                **({"max_points": 4} if k % 2 else {}),
+            }
+        )
+    requests.append(dict(requests[0], id="rider"))
+    before = METRICS.snapshot()
+    status, body = _post(server, "/impute", {"requests": requests})
+    assert status == 200
+    status, text, _ = _get_text(server, "/metrics")
+    assert status == 200
+    missing = [name for name in _documented_metrics() if f"# TYPE {name} " not in text]
+    assert not missing
+    delta = diff_snapshots(METRICS.snapshot(), before)
+    provenances = [r["provenance"] for r in body["results"]]
+    tiers = {}
+    for p in provenances:
+        tiers[(p["path_cache"],)] = tiers.get((p["path_cache"],), 0) + 1
+    assert tiers[("miss",)] == 8 and tiers[("coalesced",)] == 1
+    assert _series(delta, "repro_path_cache_total") == tiers
+    (impute,) = _series(delta, "repro_impute_seconds").items()
+    assert impute[0] == ("thread",) and impute[1]["count"] == len(requests)
+    routed = sum(p["path_cache"] == "miss" and not p["fallback"] for p in provenances)
+    assert _series(delta, "repro_search_seconds")[("ch",)]["count"] == 8
+    assert _series(delta, "repro_search_expanded")[("ch",)]["count"] == routed
+    for name in ("repro_kernel_batch_size", "repro_kernel_sweep_iterations"):
+        assert _series(delta, name)[()]["count"] == 1, name
+    squeezed = [p for p in provenances if p["points_in"]]
+    assert squeezed
+    assert _series(delta, "repro_compress_seconds")[()]["count"] == len(squeezed)
+    assert _series(delta, "repro_compress_points_dropped_total")[()] == sum(
+        p["points_in"] - p["points_out"] for p in squeezed
+    )
 
 
 def test_http_unknown_routes_fold_into_other_label(server):

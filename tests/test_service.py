@@ -624,6 +624,25 @@ def test_http_error_statuses(server):
     assert err.value.code == 404
 
 
+@pytest.mark.parametrize(
+    "start",
+    [
+        pytest.param("[1" + "0" * 399 + ", 10.0]", id="integer-too-large-for-a-float"),
+        pytest.param('["54.3", "10.1"]', id="numeric-strings"),
+        pytest.param("[true, false]", id="booleans"),
+    ],
+)
+def test_http_endpoint_coordinates_must_be_finite_numbers(server, start):
+    """Endpoint coordinates are checked like config fields, never coerced:
+    an integer too large for a float (once an OverflowError and a 500),
+    numeric strings and booleans are each a 400 naming the field."""
+    body = '{"dataset": "KIEL", "start": %s, "end": [54.4, 10.2]}' % start
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(server, "/impute", body.encode())
+    assert err.value.code == 400
+    assert "requests[0].start must hold two numbers" in json.loads(err.value.read())["error"]
+
+
 @pytest.mark.parametrize("length", ["-1", "-5"])
 def test_http_negative_content_length_is_400(server, length):
     """A negative Content-Length on an open keep-alive connection gets a
