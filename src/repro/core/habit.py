@@ -445,9 +445,9 @@ class HabitImputer:
 
         *method* is a :meth:`repro.core.graph.CellGraph.find_path`
         variant; returns the :class:`repro.core.graph.SearchResult` (or
-        ``None`` when no route exists).  This is the cacheable stage: the
-        result depends only on the graph and the snapped endpoints, never
-        on the raw query positions.
+        ``None`` when no route exists).  The result depends only on the
+        graph and the snapped endpoints, never on the raw query
+        positions.
         """
         self._require_fitted()
         return self.graph.find_path(src_node, dst_node, method)
@@ -461,8 +461,8 @@ class HabitImputer:
         a Python heap loop per pair.  Returns a list aligned with
         *pairs* of :class:`repro.core.graph.SearchResult` (or ``None``
         for unreachable pairs) -- cost-identical to calling
-        :meth:`route` per pair, which is what the serving layer's batch
-        engine relies on when it caches the results individually.
+        :meth:`route` per pair, which is what lets the serving layer's
+        batch engine fan one kernel call out to many requests.
         """
         self._require_fitted()
         return self.graph.find_paths_batch(pairs)

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.geo.proj import latlng_to_xy_m
 
-__all__ = ["dtw_distance_m", "mean_consecutive_spacing_m"]
+__all__ = ["dtw_distance_m"]
 
 
 def _cost_matrix_m(lats_a, lngs_a, lats_b, lngs_b):
@@ -65,11 +65,3 @@ def dtw_distance_m(lats_a, lngs_a, lats_b, lngs_b):
         prev = cur
     return float(prev[-1])
 
-
-def mean_consecutive_spacing_m(lats, lngs):
-    """Mean spacing between consecutive path points, in metres."""
-    lats = np.asarray(lats, dtype=np.float64)
-    if len(lats) < 2:
-        return 0.0
-    x, y = latlng_to_xy_m(lats, lngs)
-    return float(np.hypot(np.diff(x), np.diff(y)).mean())

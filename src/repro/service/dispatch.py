@@ -35,10 +35,10 @@ drain):
   submitter re-raises it), matching the blast radius of a failed
   in-batch search.
 
-**Cross-request coalescing:** lanes are keyed by their full
-snap-and-path cache key (model id, class tag, revision, snapped
-endpoints).  Identical keys from *different* submissions fuse into one
-search lane; the first submitter keeps its ``"miss"`` path-cache tier
+**Cross-request coalescing:** lanes are keyed by their snapped route
+key (model id, class tag, revision, snapped endpoints).  Identical keys
+from *different* submissions fuse into one search lane; the first
+submitter keeps its ``"miss"`` answer-cache tier
 and every later one is answered from the same lane under the
 ``"cross_batch"`` tier -- the in-batch ``"coalesced"`` tier extended
 across concurrent requests.
@@ -80,7 +80,7 @@ DISPATCH_BATCH_LANES = METRICS.histogram(
 DISPATCH_COALESCED_TOTAL = METRICS.counter(
     "repro_dispatch_coalesced_total",
     "Cache-missed lanes answered by an identical lane submitted by "
-    "another in-flight request (path-cache tier cross_batch).",
+    "another in-flight request (answer-cache tier cross_batch).",
 )
 
 
@@ -148,7 +148,7 @@ class BatchDispatcher:
         """Park *entries* in the current window; returns their results.
 
         *entries* is a list of ``(key, imputer, (src, dst), riders)``
-        lanes -- ``key`` is the lane's full path-cache key, ``riders``
+        lanes -- ``key`` is the lane's snapped route key, ``riders``
         is how many requests of the submitting batch ride it (used for
         kernel-time attribution).  Blocks until a flush answers every
         lane, then returns ``{key: (result, cross, share_s)}`` --

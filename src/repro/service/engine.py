@@ -4,40 +4,43 @@ The engine is the service's query executor.  A batch is grouped by
 ``(dataset, typed)`` so each model -- plain or typed -- is resolved
 through the registry exactly once (one cache probe / disk load / fit per
 model, however many gaps ride on it).  Execution is **batch-native**:
-every request snaps its endpoints and probes the path cache, the
-remaining cache misses are deduplicated (see request coalescing below)
-and handed to the dispatcher, which groups them by resolved class graph
--- a single vectorised CH kernel sweep (:mod:`repro.core.kernel`)
-answers a whole group instead of one Python heap loop per request.
-Per-request ``expanded``/cost/latency still land in provenance
-individually.
+every request probes the answer cache, the misses snap their endpoints,
+identical routes are deduplicated (see request coalescing below) and
+handed to the dispatcher, which groups them by resolved class graph --
+a single vectorised CH kernel sweep (:mod:`repro.core.kernel`) answers a
+whole group instead of one Python heap loop per request.  Per-request
+``expanded``/cost/latency still land in provenance individually.
 
 Everything runs in-process: fitted imputers are read-only, so the whole
 batch runs on the request thread -- snap is cheap Python, and the
 search and the simplification are one NumPy call each per model, with no
-serialisation, one shared path cache and models resolved once per
+serialisation, one shared answer cache and models resolved once per
 process.
 
-On top of the model cache sits a **snap-and-path LRU cache**: hub-to-hub
-queries from large fleets mostly repeat, and a route depends only on the
-graph and the *snapped* endpoints -- never on the raw query positions.
-(A cache miss pays one contraction-hierarchy search, whose upward-only
-bidirectional query settles the fewest nodes of any variant; the
-per-route ``expanded`` count rides into provenance.)
-Each request snaps its endpoints (memoized per graph), then looks up the
-search result under ``(model id, class tag, revision, snapped src,
-snapped dst)``; a hit renders the cached route without touching the
-search kernel at all.  ``revision`` in the key makes incremental
-refreshes self-invalidating, and negative results (no route) are cached
-too.
+On top of the model cache sits one **answer cache**: a bounded LRU
+(:data:`PATH_CACHE_SIZE` entries) of rendered answers -- the
+:class:`repro.core.path.ImputedPath` and its metric length -- keyed by
+``(model id, class tag, revision, raw start, raw end)``.  A request
+resolves its class graph and probes the cache *before* snapping, so an
+exactly-repeated query costs one LRU lookup: no snap, no search, no
+geometry.  Only the exact raw endpoints may reuse an answer, because
+simplification and resampling both see the pinned endpoints; a nudged
+endpoint is searched and rendered again, bit-identically.  ``revision``
+in the key makes incremental refreshes self-invalidating.  Every answer
+is stored by the same rule -- routed paths, no-route answers and
+out-of-coverage straight lines alike -- and nothing caches a search
+result.  Cached answers share their coordinate arrays across responses;
+callers must treat them as read-only (the transport only serialises
+them).
 
-**Request coalescing:** identical ``(model id, class tag, snapped src,
-snapped dst)`` routes within one batch are searched once.  The first
-requester records path-cache tier ``"miss"``; every other rider on the
-same route records ``"coalesced"`` and is fanned the single result --
-large fleet batches converging on hub pairs pay one kernel lane, not N.
+**Request coalescing:** a miss snaps its endpoints, and identical
+``(model id, class tag, revision, snapped src, snapped dst)`` routes
+within one batch are searched once.  The first requester records tier
+``"miss"``; every other rider on the same route records ``"coalesced"``
+and is fanned the single result -- large fleet batches converging on hub
+pairs pay one kernel lane, not N.
 
-**Cross-request micro-batching:** every batch's cache-missed lanes go
+**Cross-request micro-batching:** every batch's searched lanes go
 through one shared :class:`repro.service.dispatch.BatchDispatcher`.
 Concurrent HTTP handler threads submitting within a bounded window
 (:data:`BATCH_WINDOW_MS`, with a :data:`BATCH_MAX_LANES` cap) fuse into
@@ -45,35 +48,25 @@ one kernel call per resolved class graph, so sixteen simultaneous
 singletons cost one sweep, not sixteen.  The window flushes immediately
 once every in-flight request is parked in it -- a lone request never
 waits (the idle bypass) -- and identical routes from *different*
-requests dedupe to one lane: the late arrivals record path-cache tier
+requests dedupe to one lane: the late arrivals record tier
 ``"cross_batch"``, the cross-request extension of ``"coalesced"``.
-The dispatcher and both cache tiers are always on; there is exactly
+The dispatcher and the answer cache are always on; there is exactly
 one miss path.
 
-On top of the route cache sits a **rendered-path memo**: RDP
-simplification and resampling dominate the per-request cost of a warm
-hit, yet their output depends only on the route and the *exact* raw
-endpoints.  Both cache tiers' renders are memoized under ``(route key,
-start, end)`` (same :data:`PATH_CACHE_SIZE` capacity as the path
-cache), together with the
-rendered polyline's metric length, so an exactly-repeated query costs
-two LRU probes and no geometry at all.  **Rendering is batch-native
-too:** a batch's memo misses, from both cache tiers, render in one
+**Rendering is batch-native too:** a batch's misses render in one
 :meth:`repro.core.habit.HabitImputer.render_paths` call per resolved
 class graph -- one level-synchronous RDP pass over all their paths --
-and each gap is charged an equal share of its group's render time,
-as it is of its group's kernel call.  Memoized results share their
-coordinate arrays across responses; callers must treat them as
-read-only (the transport only serialises them).
+requests sharing an answer key share one render, and each gap is
+charged an equal share of its group's render time, as it is of its
+group's kernel call.
 
 Every result carries :class:`repro.service.schema.Provenance`: which
 model answered, how it was obtained (cache hit / disk load / fit), the
-path-cache tier
-(``hit``/``miss``/``coalesced``/``cross_batch``, or ``bypass`` for an
-out-of-coverage straight-line fallback), the routing
-method actually used (including the straight-line fallback flag), nodes
-expanded by the search, the metric path length, and per-request
-wall-clock latency.
+answer-cache tier (``hit``/``miss``/``coalesced``/``cross_batch``, or
+``bypass`` for an out-of-coverage straight-line fallback that was not
+cached yet), the routing method actually used (including the
+straight-line fallback flag), nodes expanded by the search, the metric
+path length, and per-request wall-clock latency.
 """
 
 import threading
@@ -94,7 +87,7 @@ __all__ = ["BatchImputationEngine"]
 
 _PATH_CACHE_TOTAL = METRICS.counter(
     "repro_path_cache_total",
-    "Snap-and-path route-cache resolutions by tier "
+    "Answer-cache resolutions by tier "
     "(hit, miss, coalesced, cross_batch, bypass).",
     ("tier",),
 )
@@ -119,10 +112,10 @@ _COMPRESS_DROPPED = METRICS.counter(
 #: ``repro.service.engine.compress_to_budget`` as ``budget.compress``.
 compress_to_budget = compress_rendered_path
 
-#: Sentinel distinguishing "not cached" from a cached no-route (None).
+#: Sentinel returned by :meth:`_PathCache.get` for a key not cached.
 _MISSING = object()
 
-#: Snap-and-path LRU entries; also the rendered-path memo's capacity.
+#: Answer-cache entries.
 PATH_CACHE_SIZE = 4096
 #: Cross-request micro-batching window (milliseconds).
 BATCH_WINDOW_MS = 2.0
@@ -131,7 +124,7 @@ BATCH_MAX_LANES = 64
 
 
 class _PathCache:
-    """Thread-safe bounded LRU of search results keyed by snapped routes."""
+    """Thread-safe bounded LRU with its own hit/miss counters."""
 
     def __init__(self, capacity):
         self.capacity = int(capacity)
@@ -170,11 +163,8 @@ class BatchImputationEngine:
 
     def __init__(self, registry):
         self.registry = registry
-        #: LRU over (model id, class tag, revision, snapped src, snapped
-        #: dst) -> SearchResult | None.
-        self.path_cache = _PathCache(PATH_CACHE_SIZE)
-        #: LRU over (route cache key, raw start, raw end) ->
-        #: (ImputedPath, path_length_m): the rendered-path memo.
+        #: The answer cache: LRU over (model id, class tag, revision, raw
+        #: start, raw end) -> (ImputedPath, path_length_m).
         self.render_cache = _PathCache(PATH_CACHE_SIZE)
         self.dispatcher = BatchDispatcher(
             window_s=BATCH_WINDOW_MS / 1e3, max_lanes=BATCH_MAX_LANES
@@ -223,54 +213,49 @@ class BatchImputationEngine:
             self.dispatcher.leave(token)
 
     def path_cache_stats(self):
-        """JSON-ready path-cache block for ``/healthz``.
-
-        Hit/miss counts come from the metrics registry when collection
-        is enabled and fall back to the cache's own counters when
-        metrics are off.
-        """
-        cache = self.path_cache
-        if METRICS.enabled:
-            hits = _PATH_CACHE_TOTAL.value(("hit",))
-            misses = _PATH_CACHE_TOTAL.value(("miss",))
-        else:
-            hits, misses = cache.hits, cache.misses
+        """JSON-ready answer-cache block for ``/healthz``: this engine's
+        own hit/miss counts, entries and capacity."""
+        cache = self.render_cache
         return {
-            "hits": hits,
-            "misses": misses,
+            "hits": cache.hits,
+            "misses": cache.misses,
             "entries": len(cache),
             "capacity": cache.capacity,
         }
 
     def _run_batched(self, models, requests, token):
-        """Execute one batch: snap + cache-probe per request, one
-        dispatcher submission for the misses, one render call per model.
+        """Execute one batch: an answer-cache probe per request, one
+        dispatcher submission for the routes to search, one render call
+        per resolved class graph.
 
-        Coalescing happens between the probe and the submission:
-        requests sharing a full cache key ride one search lane; the
-        first records tier ``"miss"``, the rest ``"coalesced"``.  The
-        miss lanes go through the dispatcher (*token* is the run's
-        window hold from :meth:`BatchDispatcher.enter`), where they can
-        further fuse with other concurrent requests' lanes; a lane
-        answered by another request's identical search records
-        ``"cross_batch"``.  Every routed answer -- path-cache hit or
-        searched miss -- then probes the rendered-path memo (exact raw
-        endpoints in the key), and the memo misses and straight-line
-        fallbacks of each resolved class graph render together in one
-        :meth:`~repro.core.habit.HabitImputer.render_paths` call, which
-        also measures every rendered path; :meth:`_compress` then
-        budgets the over-large answers in one pass.  Per-request latency
-        charges each rider its snap/probe time plus an equal share of
-        its group's kernel call, of its group's render call and of the
-        compression stage.  The per-gap metric series are fed in bulk,
-        one call per series per batch.
+        Each request resolves its class graph and probes the answer
+        cache under ``(model id, class tag, revision, raw start, raw
+        end)``; a hit (tier ``"hit"``) takes the cached answer and never
+        snaps.  A miss snaps: an out-of-coverage gap renders the
+        straight line (tier ``"bypass"``), and the rest coalesce by
+        snapped route key -- requests sharing a route ride one search
+        lane; the first records ``"miss"``, the rest ``"coalesced"``.
+        The lanes go through the dispatcher (*token* is the run's window
+        hold from :meth:`BatchDispatcher.enter`), where they can further
+        fuse with other concurrent requests' lanes; a lane answered by
+        another request's identical search records ``"cross_batch"``.
+        The misses of each resolved class graph then render together in
+        one :meth:`~repro.core.habit.HabitImputer.render_paths` call,
+        which also measures every rendered path; requests sharing an
+        answer key share one render, and every rendered answer is stored
+        under its key.  :meth:`_compress` then budgets the over-large
+        answers in one pass.  Per-request latency charges each rider its
+        probe/snap time plus an equal share of its group's kernel call,
+        of its group's render call and of the compression stage.  The
+        per-gap metric series are fed in bulk, one call per series per
+        batch.
         """
         paths = [None] * len(requests)
         lengths = [None] * len(requests)
         tiers = [None] * len(requests)
         elapsed = [0.0] * len(requests)
-        lanes = {}  # cache key -> (plain imputer, (src, dst), rider idxs)
-        routed = []  # (request idx, plain imputer, cache key, SearchResult | None)
+        lanes = {}  # route key -> (plain imputer, (src, dst), rider idxs)
+        renders = {}  # answer key -> (plain imputer, request, route key | None, rider idxs)
         for i, request in enumerate(requests):
             started = time.perf_counter()
             imputer, model_id, _ = models[(request.dataset.upper(), request.typed)]
@@ -278,25 +263,27 @@ class BatchImputationEngine:
                 plain, class_tag = imputer.resolve(request.vessel_type)
             else:
                 plain, class_tag = imputer, ""
-            snapped = plain.snap_endpoints(request.start, request.end)
-            if snapped is None:
-                # Out-of-coverage: straight line, nothing to cache.
-                routed.append((i, plain, None, None))
-                tiers[i] = "bypass"
+            tag = (model_id, class_tag, plain.revision)
+            key = (*tag, request.start, request.end)
+            # A repeat within the batch is answered by the pending render.
+            entry = _MISSING if key in renders else self.render_cache.get(key)
+            if entry is not _MISSING:
+                paths[i], lengths[i] = entry
+                tiers[i] = "hit"
             else:
-                key = (model_id, class_tag, plain.revision, *snapped)
-                if key in lanes:
-                    lanes[key][2].append(i)
+                snapped = plain.snap_endpoints(request.start, request.end)
+                route = None if snapped is None else (*tag, *snapped)
+                if route is None:
+                    tiers[i] = "bypass"
+                elif route in lanes:
+                    lanes[route][2].append(i)
                     tiers[i] = "coalesced"
                 else:
-                    result = self.path_cache.get(key)
-                    if result is _MISSING:
-                        lanes[key] = (plain, snapped, [i])
-                        tiers[i] = "miss"
-                    else:
-                        routed.append((i, plain, key, result))
-                        tiers[i] = "hit"
+                    lanes[route] = (plain, snapped, [i])
+                    tiers[i] = "miss"
+                renders.setdefault(key, (plain, request, route, []))[3].append(i)
             elapsed[i] = time.perf_counter() - started
+        results = {}  # route key -> SearchResult | None
         if lanes:
             # The shared dispatcher fuses these lanes with other
             # concurrent requests' windows and runs one kernel call per
@@ -304,63 +291,36 @@ class BatchImputationEngine:
             answers = self.dispatcher.submit(
                 token,
                 [
-                    (key, plain, snapped, len(riders))
-                    for key, (plain, snapped, riders) in lanes.items()
+                    (route, plain, snapped, len(riders))
+                    for route, (plain, snapped, riders) in lanes.items()
                 ],
             )
-            for key, (plain, _, riders) in lanes.items():
-                result, cross, share = answers[key]
-                self.path_cache.put(key, result)
+            for route, (_, _, riders) in lanes.items():
+                results[route], cross, share = answers[route]
                 if cross:
                     # Another in-flight request's identical lane ran the
                     # search; this batch's first rider was provisionally
                     # a "miss" (in-batch riders stay "coalesced").
                     tiers[riders[0]] = "cross_batch"
                 for i in riders:
-                    routed.append((i, plain, key, result))
                     elapsed[i] += share
-        # Rendered-path memo: the key pairs the route's full cache key
-        # with the *exact* raw endpoints -- simplification and
-        # resampling both see the pinned endpoints, so only an
-        # exactly-repeated query may reuse the geometry (a nudged
-        # endpoint re-renders, bit-identically to an unmemoized engine).
-        # Straight-line fallbacks skip the memo (they are cheaper than
-        # the probe) and render with their group, keyed by request
-        # index.  Riders sharing a memo key share one render.
-        renders = {}  # memo key -> (plain imputer, request, result, rider idxs)
-        for i, plain, key, result in routed:
+        groups = {}  # id(plain imputer) -> (plain imputer, [answer keys])
+        for key, (plain, *_) in renders.items():
+            groups.setdefault(id(plain), (plain, []))[1].append(key)
+        for plain, keys in groups.values():
             started = time.perf_counter()
-            request = requests[i]
-            if result is None:
-                renders[i] = (plain, request, None, [i])
-            else:
-                memo_key = (key, request.start, request.end)
-                if memo_key in renders:
-                    renders[memo_key][3].append(i)
-                else:
-                    entry = self.render_cache.get(memo_key)
-                    if entry is _MISSING:
-                        renders[memo_key] = (plain, request, result, [i])
-                    else:
-                        paths[i], lengths[i] = entry
-            elapsed[i] += time.perf_counter() - started
-        groups = {}  # id(plain imputer) -> (plain imputer, [render keys])
-        for render_key, (plain, *_) in renders.items():
-            groups.setdefault(id(plain), (plain, []))[1].append(render_key)
-        for plain, render_keys in groups.values():
-            started = time.perf_counter()
-            pending = [renders[render_key] for render_key in render_keys]
+            pending = [renders[key] for key in keys]
             rendered, rendered_lengths = plain.render_paths(
                 [request.start for _, request, _, _ in pending],
                 [request.end for _, request, _, _ in pending],
-                [result for _, _, result, _ in pending],
+                # A bypass has no route key: it renders the straight line.
+                [results.get(route) for _, _, route, _ in pending],
             )
             riders = []
-            for render_key, path, length, (_, _, result, idxs) in zip(
-                render_keys, rendered, rendered_lengths, pending
+            for key, path, length, (*_, idxs) in zip(
+                keys, rendered, rendered_lengths, pending
             ):
-                if result is not None:
-                    self.render_cache.put(render_key, (path, length))
+                self.render_cache.put(key, (path, length))
                 for i in idxs:
                     paths[i], lengths[i] = path, length
                 riders.extend(idxs)
@@ -404,13 +364,13 @@ class BatchImputationEngine:
     def _compress(requests, paths, lengths, elapsed):
         """Apply every request's ``max_points`` budget, in place.
 
-        Strictly post-memo: the rendered-path memo (and the route cache
-        before it) stay budget-agnostic, so mixed budgets share one
-        cached geometry and an over-large budget is an exact no-op.  The
-        over-budget paths are projected in one pass and re-measured in
-        one :func:`repro.geo.proj.path_lengths_m` call; each one's
-        compression is its own :data:`compress_to_budget` call, and each
-        is charged an equal share of the stage.  Returns per-request
+        Strictly post-cache: the answer cache stays budget-agnostic, so
+        mixed budgets share one cached geometry and an over-large budget
+        is an exact no-op.  The over-budget paths are projected in one
+        pass and re-measured in one :func:`repro.geo.proj.path_lengths_m`
+        call; each one's compression is its own
+        :data:`compress_to_budget` call, and each is charged an equal
+        share of the stage.  Returns per-request
         ``(points_in, points_out, max_sed_m)``, zeros where nothing was
         dropped.
         """

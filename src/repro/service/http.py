@@ -3,8 +3,8 @@
 Four routes:
 
 - ``GET /healthz`` -- liveness plus registry cache counters (hits /
-  loads / fits / evictions / refreshes), the engine's snap-and-path
-  cache block (``path_cache``: hits / misses / entries / capacity)
+  loads / fits / evictions / refreshes), the engine's answer-cache
+  block (``path_cache``: hits / misses / entries / capacity)
   and, when a follow daemon is attached, its ``follow`` status block
   (rows read, trips closed, refreshes, current revision, last error).
 - ``GET /models``  -- the model/revision feed: every model in the
@@ -15,7 +15,7 @@ Four routes:
 - ``GET /metrics`` -- the process-wide :data:`repro.obs.METRICS`
   registry in Prometheus text exposition format (0.0.4); append
   ``?format=json`` for the same data as JSON.  Covers every layer:
-  search variants, fit stages, registry tiers, path-cache tiers, follow
+  search variants, fit stages, registry tiers, answer-cache tiers, follow
   cycles, HTTP routes.  404 while the registry is disabled
   (``METRICS.set_enabled(False)``, the CLI's ``--no-metrics``).
 - ``POST /impute`` -- a batch of gap requests (see

@@ -68,16 +68,18 @@ class Provenance:
 
     ``cache`` records how the model was obtained: ``"hit"`` (in-memory),
     ``"load"`` (read from the registry directory) or ``"fit"`` (fitted on
-    miss).  ``path_cache`` records the engine's snap-and-path cache tier
-    for the *route*: ``"hit"`` (answered without touching the search
-    kernel), ``"miss"`` (searched, now cached), ``"coalesced"`` (an
+    miss).  ``path_cache`` records the engine's answer-cache tier:
+    ``"hit"`` (an exact repeat of a cached query, answered without
+    snapping, searching or rendering), ``"miss"`` (searched and
+    rendered, now cached), ``"coalesced"`` (an
     identical route earlier in the same batch was searched once and this
     request rode the same kernel lane), ``"cross_batch"`` (an identical
     route submitted by a *different* concurrent request landed in the
     same micro-batching window and was searched once -- the
     cross-request extension of ``"coalesced"``; see
     :class:`repro.service.dispatch.BatchDispatcher`) or ``"bypass"``
-    (uncacheable -- snap fallback or cache disabled).  ``expanded`` is
+    (out of coverage: the straight-line fallback, now cached so an
+    exact repeat is a ``"hit"``).  ``expanded`` is
     the number of
     nodes the search that produced the route settled (0 for straight
     lines; preserved on cache hits even though the heap wasn't touched),

@@ -368,20 +368,32 @@ def test_render_paths_match_per_path_oracle(service_model, rng, tolerance_m):
 
 def _oracle_result(engine, registry, config, result):
     """*result* with its geometry, length and budget fields recomputed by
-    the per-path oracles from the engine's cached route."""
+    the per-path oracles; the engine's answer cache must hold the
+    request's pre-budget answer, equal to the oracle's render."""
     request = result.request
     imputer, model_id, _ = registry.get(request.dataset, config, typed=request.typed)
     if request.typed:
         plain, class_tag = imputer.resolve(request.vessel_type)
     else:
         plain, class_tag = imputer, ""
+    cached = engine.render_cache.get(
+        (model_id, class_tag, plain.revision, request.start, request.end)
+    )
+    assert cached is not _MISSING
+    cached_path, cached_length = cached
     snapped = plain.snap_endpoints(request.start, request.end)
     if snapped is None:
         path = straight_line_path(request.start, request.end, method="fallback")
     else:
-        route = engine.path_cache.get((model_id, class_tag, plain.revision, *snapped))
-        assert route is not _MISSING
-        path = _oracle_render(plain, request.start, request.end, route)
+        (route,) = plain.route_batch([snapped])
+        # ``expanded`` counts what the engine's shared kernel sweep
+        # settled for this lane, so it is read from the cached answer.
+        path = replace(
+            _oracle_render(plain, request.start, request.end, route),
+            expanded=cached_path.expanded,
+        )
+    assert _bits_equal(cached_path.lats, path.lats) and _bits_equal(cached_path.lngs, path.lngs)
+    assert cached_length == _oracle_length(path.lats, path.lngs)
     length = _oracle_length(path.lats, path.lngs)
     budget = (0, 0, 0.0)
     if request.max_points is not None and path.num_points > request.max_points:
@@ -407,15 +419,14 @@ def _oracle_result(engine, registry, config, result):
     return replace(result, lats=path.lats, lngs=path.lngs, provenance=provenance)
 
 
-def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel, rng):
-    """A mixed ``/impute`` batch -- miss, hit, coalesced rider,
-    out-of-coverage fallback, cached no-route, typed request, zero-length
-    gap, budget no-op and compressed budget -- encodes to the same bytes
-    as the per-path oracles' body once ``elapsed_ms`` is zeroed."""
-    config = service_model.config
+def _mixed_batch_setup(tmp_path, service_model, tiny_kiel):
+    """A registry serving the plain and a typed KIEL model, and a gap
+    between two nodes with no route (out of a sink node)."""
     registry = ModelRegistry(tmp_path / "models")
     registry.publish("KIEL", service_model)
-    typed = TypedHabitImputer(config, min_group_rows=100).fit_from_trips(tiny_kiel.train)
+    typed = TypedHabitImputer(service_model.config, min_group_rows=100).fit_from_trips(
+        tiny_kiel.train
+    )
     registry.publish("KIEL", typed)
     graph = service_model.graph
     sink = int(np.flatnonzero(np.diff(graph.indptr) == 0)[0])
@@ -424,6 +435,18 @@ def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel,
         (float(graph.lats[sink]), float(graph.lngs[sink])),
         (float(graph.lats[other]), float(graph.lngs[other])),
     )
+    return registry, no_route
+
+
+def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel, rng):
+    """A mixed ``/impute`` batch -- miss, answer-cache hit, a miss nudged
+    off the hit's endpoints, coalesced rider, out-of-coverage fallback,
+    cached no-route, typed request, zero-length gap, budget no-op and
+    compressed budget -- encodes to the same bytes as the per-path
+    oracles' body once ``elapsed_ms`` is zeroed."""
+    config = service_model.config
+    registry, no_route = _mixed_batch_setup(tmp_path, service_model, tiny_kiel)
+    graph = service_model.graph
     node = (float(graph.lats[0]), float(graph.lngs[0]))
     warm, *fresh = _endpoint_requests(service_model, rng, 7)
     engine = BatchImputationEngine(registry)
@@ -435,11 +458,13 @@ def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel,
             ],
             config,
         )
-        # The hit shares the warm gap's route but not its raw endpoints.
+        # The nudged gap shares the warm gap's route but not its raw
+        # endpoints, so only the exact repeat is a hit.
         nudged = tuple((lat + 1e-6, lng) for lat, lng in warm)
         requests = [
             GapRequest("KIEL", *fresh[0], "miss"),
-            GapRequest("KIEL", *nudged, "hit"),
+            GapRequest("KIEL", *warm, "hit"),
+            GapRequest("KIEL", *nudged, "nudged"),
             GapRequest("KIEL", *fresh[1], "rider-a"),
             GapRequest("KIEL", *fresh[1], "rider-b"),
             GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
@@ -459,12 +484,73 @@ def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel,
         engine.close()
     prov = {r.request.request_id: r.provenance for r in results}
     assert prov["miss"].path_cache == "miss" and prov["hit"].path_cache == "hit"
+    assert prov["nudged"].path_cache == "miss"
     assert prov["rider-b"].path_cache == "coalesced"
     assert prov["offshore"].path_cache == "bypass" and prov["offshore"].fallback
     assert prov["no-route"].path_cache == "hit" and prov["no-route"].fallback
     assert prov["typed"].model_id != prov["miss"].model_id
-    assert results[7].num_points == 2
+    assert results[8].num_points == 2
     assert prov["roomy"].points_in == 0 and prov["squeezed"].points_in > 0
     got = _ENCODER.encode(impute_response(results, 0.0)).encode("utf-8")
     want = json.dumps(_oracle_response(oracle, 0.0)).encode("utf-8")
     assert got == want
+
+
+# -- the answer cache ----------------------------------------------------
+
+
+def _zeroed_body(results, tier):
+    """The ``/impute`` body bytes with ``elapsed_ms`` zeroed and every
+    answer-cache tier set to *tier*."""
+    results = [
+        replace(r, provenance=replace(r.provenance, elapsed_ms=0.0, path_cache=tier))
+        for r in results
+    ]
+    return _ENCODER.encode(impute_response(results, 0.0)).encode("utf-8")
+
+
+def test_answer_cache_out_of_coverage_repeat_is_a_hit(tmp_path, service_model):
+    """An exactly repeated out-of-coverage gap is answered from the cache:
+    ``bypass`` once, then ``hit``, with the same body otherwise."""
+    registry = ModelRegistry(tmp_path / "models")
+    registry.publish("KIEL", service_model)
+    request = [GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore")]
+    with BatchImputationEngine(registry) as engine:
+        (first,) = engine.run(request, service_model.config)
+        (again,) = engine.run(request, service_model.config)
+    assert first.provenance.path_cache == "bypass" and first.provenance.fallback
+    assert again.provenance.path_cache == "hit" and again.provenance.fallback
+    assert _zeroed_body([first], "") == _zeroed_body([again], "")
+
+
+def test_answer_cache_holds_only_rendered_answers(tmp_path, service_model, tiny_kiel, rng):
+    """After a mixed batch the one cache holds an ``(ImputedPath, float)``
+    answer per distinct request -- fallbacks and no-routes included --
+    and no search result."""
+    config = service_model.config
+    registry, no_route = _mixed_batch_setup(tmp_path, service_model, tiny_kiel)
+    gaps = _endpoint_requests(service_model, rng, 3)
+    requests = [
+        GapRequest("KIEL", *gaps[0], "miss"),
+        GapRequest("KIEL", *gaps[0], "rider"),
+        GapRequest("KIEL", *gaps[1], "squeezed", max_points=4),
+        GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
+        GapRequest("KIEL", *no_route, "no-route"),
+        GapRequest("KIEL", *gaps[2], "typed", typed=True, vessel_type="cargo"),
+    ]
+    with BatchImputationEngine(registry) as engine:
+        results = engine.run(requests, config)
+        entries = list(engine.render_cache._entries.values())
+    assert [r.provenance.path_cache for r in results] == [
+        "miss",
+        "coalesced",
+        "miss",
+        "bypass",
+        "miss",
+        "miss",
+    ]
+    assert len(entries) == len(requests) - 1
+    for entry in entries:
+        assert isinstance(entry, tuple) and len(entry) == 2
+        path, length = entry
+        assert isinstance(path, ImputedPath) and isinstance(length, float)

@@ -16,6 +16,7 @@ import pytest
 from repro.core import HabitConfig, HabitImputer, TypedHabitImputer, config_hash
 from repro.geo import compress_to_budget, latlng_to_xy_m
 from repro.geo.simplify import off_chord_mask
+from repro.obs import METRICS
 from repro.service import (
     BatchImputationEngine,
     GapRequest,
@@ -815,7 +816,7 @@ def test_engine_results_are_finite(registry, service_model, tiny_kiel):
         assert np.all(np.isfinite(result.lats)) and np.all(np.isfinite(result.lngs))
 
 
-# -- snap-and-path cache --------------------------------------------------
+# -- answer cache ---------------------------------------------------------
 
 
 def test_engine_path_cache_hits_on_repeat(registry, service_model, tiny_kiel):
@@ -827,12 +828,39 @@ def test_engine_path_cache_hits_on_repeat(registry, service_model, tiny_kiel):
     assert first.provenance.expanded > 0
     (second,) = engine.run(request, service_model.config)
     assert second.provenance.path_cache == "hit"
-    # Cached routes render identically, and keep the original search effort.
+    # Cached answers are the same answer, and keep the original search effort.
     assert np.array_equal(first.lats, second.lats)
     assert np.array_equal(first.lngs, second.lngs)
     assert second.provenance.expanded == first.provenance.expanded
-    assert engine.path_cache.hits == 1 and engine.path_cache.misses == 1
-    # A nearby-but-distinct endpoint that snaps to the same cells also hits.
+    assert engine.render_cache.hits == 1 and engine.render_cache.misses == 1
+    assert not hasattr(engine, "path_cache")
+
+
+def test_answer_cache_warm_hit_never_snaps(registry, service_model, tiny_kiel, monkeypatch):
+    snaps = []
+    snap = HabitImputer.snap_endpoints
+
+    def counting_snap(self, start, end):
+        snaps.append((start, end))
+        return snap(self, start, end)
+
+    monkeypatch.setattr(HabitImputer, "snap_endpoints", counting_snap)
+    gap = tiny_kiel.gaps(3600.0)[0]
+    engine = BatchImputationEngine(registry)
+    request = [GapRequest("KIEL", gap.start, gap.end, "r0")]
+    (cold,) = engine.run(request, service_model.config)
+    assert cold.provenance.path_cache == "miss" and len(snaps) == 1
+    warm = engine.run(request * 3, service_model.config)
+    assert [r.provenance.path_cache for r in warm] == ["hit"] * 3
+    assert len(snaps) == 1
+
+
+def test_answer_cache_nudged_endpoint_is_a_miss(registry, service_model, tiny_kiel):
+    """A query that snaps to a cached route but differs in its raw
+    endpoints is searched again, and answers what a fresh engine does."""
+    gap = tiny_kiel.gaps(3600.0)[0]
+    engine = BatchImputationEngine(registry)
+    engine.run([GapRequest("KIEL", gap.start, gap.end, "r0")], service_model.config)
     nudged = [
         GapRequest(
             "KIEL",
@@ -841,10 +869,45 @@ def test_engine_path_cache_hits_on_repeat(registry, service_model, tiny_kiel):
             "r1",
         )
     ]
+    snap = service_model.snap_endpoints
+    assert snap(nudged[0].start, nudged[0].end) == snap(gap.start, gap.end)
     (third,) = engine.run(nudged, service_model.config)
-    assert third.provenance.path_cache == "hit"
-    # ...while the exact endpoints are still pinned per request.
+    assert third.provenance.path_cache == "miss"
+    assert third.provenance.expanded > 0
+    (fresh,) = BatchImputationEngine(registry).run(nudged, service_model.config)
+    assert np.array_equal(third.lats, fresh.lats)
+    assert np.array_equal(third.lngs, fresh.lngs)
+    # The exact endpoints are pinned per request.
     assert third.lats[0] == pytest.approx(gap.start[0] + 1e-7)
+
+
+def test_path_cache_stats_are_per_engine(registry, service_model, tiny_kiel):
+    """``/healthz`` counts are the engine's own, whether or not metrics
+    are collected: a second engine that served nothing reports zeros."""
+    gap = tiny_kiel.gaps(3600.0)[0]
+    request = [GapRequest("KIEL", gap.start, gap.end, "r0")]
+    was_enabled = METRICS.enabled
+    try:
+        for enabled in (True, False):
+            METRICS.set_enabled(enabled)
+            first = BatchImputationEngine(registry)
+            first.run(request, service_model.config)
+            first.run(request, service_model.config)
+            second = BatchImputationEngine(registry)
+            assert first.path_cache_stats() == {
+                "hits": 1,
+                "misses": 1,
+                "entries": 1,
+                "capacity": 4096,
+            }
+            assert second.path_cache_stats() == {
+                "hits": 0,
+                "misses": 0,
+                "entries": 0,
+                "capacity": 4096,
+            }
+    finally:
+        METRICS.set_enabled(was_enabled)
 
 
 def test_engine_path_cache_bypasses_fallback(registry, service_model):
@@ -884,14 +947,15 @@ def test_engine_coalesces_identical_routes_in_batch(registry, service_model, tin
         "coalesced",
         "coalesced",
     ]
-    # One search: the cache saw exactly one probe-miss and one insert.
-    assert engine.path_cache.misses == 1 and len(engine.path_cache) == 1
+    # One search and one render: the answer cache saw exactly one
+    # probe-miss and one insert.
+    assert engine.render_cache.misses == 1 and len(engine.render_cache) == 1
     for rider in results[1:]:
         assert np.array_equal(rider.lats, results[0].lats)
         assert np.array_equal(rider.lngs, results[0].lngs)
         assert rider.provenance.expanded == results[0].provenance.expanded
         assert rider.provenance.elapsed_ms > 0.0
-    # A later batch finds the coalesced route cached like any other.
+    # A later batch finds the coalesced answer cached like any other.
     (warm,) = engine.run(requests[:1], service_model.config)
     assert warm.provenance.path_cache == "hit"
 
@@ -952,8 +1016,8 @@ def test_engine_path_cache_typed_routes_by_class(registry, service_model, tiny_k
 
 def test_engine_batch_render_equals_offline_impute(registry, service_model, tiny_kiel):
     """One mixed batch renders every answer exactly as offline ``impute``
-    does: searched misses, coalesced riders (one sharing a render, one
-    nudged), a route-cache hit whose render is not memoized, an
+    does: an answer-cache hit, searched misses (one nudged off the hit's
+    endpoints), coalesced riders (one sharing a render, one nudged), an
     out-of-coverage fallback and a typed request, rendered together."""
     typed = TypedHabitImputer(service_model.config, min_group_rows=100).fit_from_trips(
         tiny_kiel.train
@@ -966,7 +1030,8 @@ def test_engine_batch_render_equals_offline_impute(registry, service_model, tiny
     engine.run([GapRequest("KIEL", gaps[0].start, gaps[0].end, "prime")], service_model.config)
     nudge = lambda p: (p[0] + 1e-7, p[1] - 1e-7)  # noqa: E731
     requests = [
-        GapRequest("KIEL", nudge(gaps[0].start), gaps[0].end, "hit"),
+        GapRequest("KIEL", gaps[0].start, gaps[0].end, "hit"),
+        GapRequest("KIEL", nudge(gaps[0].start), gaps[0].end, "nudged"),
         GapRequest("KIEL", gaps[1].start, gaps[1].end, "miss"),
         GapRequest("KIEL", gaps[1].start, gaps[1].end, "rider"),
         GapRequest("KIEL", gaps[1].start, nudge(gaps[1].end), "nudged-rider"),
@@ -977,6 +1042,7 @@ def test_engine_batch_render_equals_offline_impute(registry, service_model, tiny
     results = engine.run(requests, service_model.config)
     assert [r.provenance.path_cache for r in results] == [
         "hit",
+        "miss",
         "miss",
         "coalesced",
         "coalesced",
