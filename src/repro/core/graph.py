@@ -498,8 +498,8 @@ class CellGraph:
         Wagner, ACM JEA 2016), exact by construction with no witness
         search, in four steps:
 
-        1. *Order*: nested dissection by recursive coordinate bisection
-           on the axial ``(q, r)`` (:func:`_dissection_rank`).
+        1. *Order*: nested dissection by level-synchronous coordinate
+           bisection on the axial ``(q, r)`` (:func:`_dissection_rank`).
         2. *Completion*: eliminating nodes in rank order, each node's
            upper neighbours are joined to its lowest upper neighbour,
            giving a chordal supergraph -- the shortcut topology.
@@ -533,13 +533,14 @@ class CellGraph:
         ev = self.indices.astype(np.int64)
         ec = self.costs
         keep = eu != ev
-        eu, ev, ec = eu[keep], ev[keep], ec[keep]
-        ekey = eu * n + ev
-        order = np.lexsort((ec, ekey))
+        ekey = eu[keep] * n + ev[keep]
+        order = np.argsort(ekey)
         ekey = ekey[order]
         first = np.ones(ekey.size, dtype=bool)
         first[1:] = ekey[1:] != ekey[:-1]
-        eu, ev, ec = eu[order][first], ev[order][first], ec[order][first]
+        starts = np.flatnonzero(first)
+        ec = np.fmin.reduceat(ec[keep][order], starts) if starts.size else ec[:0]
+        eu, ev = np.divmod(ekey[starts], n)
 
         # 1. Order.  Everything below runs in rank space: rank p is node
         # ``node_at[p]``.
@@ -579,16 +580,6 @@ class CellGraph:
         up[np.searchsorted(arc_key, ru[fwd] * n + rv[fwd])] = ec[fwd]
         down[np.searchsorted(arc_key, rv[~fwd] * n + ru[~fwd])] = ec[~fwd]
 
-        def triangles(nodes):
-            """Every triangle {u < v < w} with u in *nodes*, as arc
-            indices (u,v), (u,w), (v,w): each pair of arcs in one row,
-            closed by the arc between their heads (chordality)."""
-            arcs = _expand_ranges(arc_ptr[nodes], sizes[nodes])
-            later = arc_ptr[tail[arcs] + 1] - arcs - 1
-            uv = np.repeat(arcs, later)
-            uw = _expand_ranges(arcs + 1, later)
-            return uv, uw, np.searchsorted(arc_key, head[uv] * n + head[uw])
-
         # A node's lower neighbours are its elimination-tree descendants
         # and its upper ones its ancestors, so no two nodes of equal tree
         # height (or depth) are adjacent: relaxing one level's triangles
@@ -604,12 +595,32 @@ class CellGraph:
             if above >= 0:
                 depth[p] = depth[above] + 1
 
+        # Every triangle {u < v < w} as arc indices (u,v), (u,w), (v,w),
+        # enumerated once with the nodes u in height order: each pair of
+        # arcs in u's row, closed by the arc between their heads
+        # (chordality).  Node u's triangles are one contiguous block.
+        by_height = _level_groups(np.asarray(height, dtype=np.int64))
+        nodes = np.concatenate(by_height)
+        arcs = _expand_ranges(arc_ptr[nodes], sizes[nodes])
+        later = arc_ptr[tail[arcs] + 1] - arcs - 1
+        tri_a = np.repeat(arcs, later)
+        tri_b = _expand_ranges(arcs + 1, later)
+        tri_c = np.searchsorted(arc_key, head[tri_a] * n + head[tri_b])
+        count = sizes * (sizes - 1) // 2
+        block = np.empty(n, dtype=np.int64)
+        block[nodes] = np.cumsum(count[nodes]) - count[nodes]
+
+        def triangles(nodes):
+            """The triangles whose lowest node is in *nodes*."""
+            tri = _expand_ranges(block[nodes], count[nodes])
+            return tri_a[tri], tri_b[tri], tri_c[tri]
+
         # 3. Basic customisation, bottom-up: v -> u -> w bounds v -> w
         # (and w -> u -> v bounds w -> v); a strictly cheaper triangle
         # makes u the arc's middle node.
         mid_up = np.full(num_arcs, -1, dtype=np.int64)
         mid_down = np.full(num_arcs, -1, dtype=np.int64)
-        for nodes in _level_groups(np.asarray(height, dtype=np.int64)):
+        for nodes in by_height:
             a, b, c = triangles(nodes)
             u = tail[a]
             _relax(up, mid_up, c, down[a] + up[b], u)
@@ -680,9 +691,10 @@ class CellGraph:
         queries can walk: *rank* is a permutation of the nodes, every
         index is in range, every stored arc joins a node to a
         higher-ranked one (up rows climb, down rows hold arcs that
-        descend into the row's node), and every middle node is ``-1`` or
+        descend into the row's node), every middle node is ``-1`` or
         ranked below both endpoints -- which is what makes shortcut
-        unpacking terminate.
+        unpacking terminate -- and every cost is finite and positive, as
+        a search over non-negative lengths needs.
         """
         rank = np.asarray(rank, dtype=np.int32)
         n = self.num_nodes
@@ -1010,52 +1022,90 @@ class CellGraph:
 
 
 def _dissection_rank(q, r, eu, ev):
-    """Nested-dissection contraction order by recursive coordinate bisection.
+    """Nested-dissection contraction order by coordinate bisection.
 
-    A node set is split at the median of its longer axial axis (*q* or
-    *r*).  The endpoints of the cut edges on the side with fewer of them
-    form a separator: the two halves are ranked recursively, then the
-    separator above both, so no shortcut ever joins the halves.  Sets of
-    at most ``_CCH_LEAF_SIZE`` nodes are ranked in the order they come.
+    A node set (a *part*) is split at the median of its longer axial
+    axis (*q* or *r*, *q* on a tie).  The endpoints of the cut edges on
+    the side with fewer of them form a separator: the lower half is
+    ranked first, then the upper half, then the separator above both in
+    ascending node id, so no shortcut ever joins the halves.  Parts of
+    at most ``_CCH_LEAF_SIZE`` nodes are ranked in the order they came.
     *eu*/*ev* are the edge endpoints; costs play no part, so the order
     is a pure function of the cells and the edge topology.
+
+    The bisection is level-synchronous: each pass splits every open part
+    at once.  Open nodes stay grouped by part, in arrival order within
+    it, and one stable sort by ``(part, axis)`` splits them all; each
+    part's rank range is fixed top-down from the sizes of its halves.
     """
     n = q.size
     rank = np.empty(n, dtype=np.int32)
-    half = np.zeros(n, dtype=np.int8)
-    in_sep = np.zeros(n, dtype=bool)
-    next_rank = 0
-
-    def assign(nodes):
-        nonlocal next_rank
-        rank[nodes] = np.arange(next_rank, next_rank + nodes.size)
-        next_rank += nodes.size
-
-    def dissect(nodes, su, sv):
-        if nodes.size <= _CCH_LEAF_SIZE:
-            assign(nodes)
-            return
+    owner = np.zeros(n, dtype=np.int64)  # part of each open node, -1 once ranked
+    half = np.zeros(n, dtype=bool)  # True on the upper half of its part
+    ends = np.zeros(n, dtype=bool)  # endpoint of a cut edge this pass
+    nodes = np.arange(n, dtype=np.int64)
+    sizes = np.array([n] if n else [], dtype=np.int64)
+    bases = np.zeros(sizes.size, dtype=np.int64)  # first rank of each part
+    su, sv = eu, ev
+    while nodes.size:
+        # Leaves take their part's ranks in arrival order.
+        small = sizes <= _CCH_LEAF_SIZE
+        leaf = np.repeat(small, sizes)
+        done = nodes[leaf]
+        rank[done] = (np.repeat(bases, sizes) + _run_positions(sizes))[leaf]
+        owner[done] = -1
+        nodes, sizes, bases = nodes[~leaf], sizes[~small], bases[~small]
+        if not nodes.size:
+            break
+        num = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        part = np.repeat(np.arange(num, dtype=np.int64), sizes)
+        owner[nodes] = part
+        # Only edges inside one open part can be cut.
+        eo = owner[su]
+        inside = (eo >= 0) & (eo == owner[sv])
+        su, sv = su[inside], sv[inside]
+        # Split every part at the median of its longer axis.
         nq, nr = q[nodes], r[nodes]
-        axis = nq if np.ptp(nq) >= np.ptp(nr) else nr
-        nodes = nodes[np.argsort(axis, kind="stable")]
-        lo, hi = nodes[: nodes.size // 2], nodes[nodes.size // 2 :]
-        half[lo] = 0
-        half[hi] = 1
-        hu = half[su]
-        cut = hu != half[sv]
-        ends = np.concatenate([su[cut], sv[cut]])
-        lo_ends = np.unique(ends[half[ends] == 0])
-        hi_ends = np.unique(ends[half[ends] == 1])
-        sep = lo_ends if lo_ends.size <= hi_ends.size else hi_ends
-        in_sep[sep] = True
-        inner = ~cut & ~in_sep[su] & ~in_sep[sv]
-        su, sv, left = su[inner], sv[inner], hu[inner] == 0
-        dissect(lo[~in_sep[lo]], su[left], sv[left])
-        dissect(hi[~in_sep[hi]], su[~left], sv[~left])
-        assign(sep)
-
-    dissect(np.arange(n, dtype=np.int64), eu, ev)
+        use_q = np.maximum.reduceat(nq, starts) - np.minimum.reduceat(nq, starts) >= (
+            np.maximum.reduceat(nr, starts) - np.minimum.reduceat(nr, starts)
+        )
+        # One stable sort by (part, axis) as a single int64 key.
+        axis = np.where(use_q[part], nq, nr).astype(np.int64)
+        axis -= axis.min()
+        nodes = nodes[np.argsort(part * (int(axis.max()) + 1) + axis, kind="stable")]
+        upper = _run_positions(sizes) >= np.repeat(sizes // 2, sizes)
+        half[nodes] = upper
+        # The separator: the side with fewer cut-edge endpoints.
+        cut = half[su] != half[sv]
+        ends[su[cut]] = True
+        ends[sv[cut]] = True
+        marked = ends[nodes]
+        ends[nodes] = False
+        lo_ends = np.bincount(part[marked & ~upper], minlength=num)
+        hi_ends = np.bincount(part[marked & upper], minlength=num)
+        sep = marked & (upper == (lo_ends > hi_ends)[part])
+        lo_size = np.bincount(part[~upper & ~sep], minlength=num)
+        hi_size = np.bincount(part[upper & ~sep], minlength=num)
+        # Separators rank above both halves, in ascending node id.
+        sep_nodes, sep_part = nodes[sep], part[sep]
+        by_id = np.argsort(sep_part * n + sep_nodes)  # unique keys
+        sep_nodes, sep_part = sep_nodes[by_id], sep_part[by_id]
+        sep_pos = _run_positions(np.bincount(sep_part, minlength=num))
+        rank[sep_nodes] = bases[sep_part] + lo_size[sep_part] + hi_size[sep_part] + sep_pos
+        owner[sep_nodes] = -1
+        # Each part's halves become the next pass's parts, lower first.
+        nodes = nodes[~sep]
+        sizes = np.stack((lo_size, hi_size), axis=1).ravel()
+        bases = np.stack((bases, bases + lo_size), axis=1).ravel()
+        live = sizes > 0
+        sizes, bases = sizes[live], bases[live]
     return rank
+
+
+def _run_positions(sizes):
+    """Each element's position within its run, for runs of *sizes*."""
+    return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
 def _level_groups(levels):
@@ -1077,7 +1127,7 @@ def _relax(cost, middle, arcs, through, via):
 
 def _rank_csr(n, rows, cols, costs, middles):
     """One hierarchy direction as CSR: a row per node, columns ascending."""
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows * n + cols)  # (row, column) pairs are unique
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return (
@@ -1118,6 +1168,8 @@ def _check_ch_csr(name, rank, indptr, indices, costs, middle):
     shortcut = middle >= 0
     if (rank[middle[shortcut]] >= row_rank[shortcut]).any():
         raise ValueError(f"{name} middle nodes must rank below both endpoints")
+    if not (np.isfinite(costs) & (costs > 0)).all():
+        raise ValueError(f"{name}_costs must be finite and positive")
     return indptr, indices, costs, middle
 
 

@@ -174,8 +174,12 @@ def _graph_payload(graph, prefix=""):
 
 def _graph_from_npz(data, path, prefix=""):
     """The graph (hierarchy installed) saved under *prefix*; the arrays'
-    presence was checked by :func:`_check_format`."""
+    presence was checked by :func:`_check_format`.  Edge costs that are
+    not finite and positive, like a hierarchy ``set_ch`` rejects, raise
+    :class:`ModelFormatError`."""
     graph = CellGraph(*(data[prefix + key] for key in _GRAPH_KEYS))
+    if not (np.isfinite(graph.edge_cost) & (graph.edge_cost > 0)).all():
+        raise ModelFormatError(f"{path}: {prefix}edge_cost must be finite and positive")
     try:
         graph.set_ch(*(data[prefix + key] for key in _CH_KEYS))
     except ValueError as exc:

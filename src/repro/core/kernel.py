@@ -126,36 +126,56 @@ def _expand_ranges(starts, counts):
 def _expand_all(mid_keys, mid_vals, n):
     """Unroll every augmented edge into its original-edge node chain.
 
-    Iteratively splits each shortcut edge ``a -> b`` with middle ``m``
-    into ``a -> m, m -> b`` (both of which are themselves augmented
-    edges) until only original edges remain, processing *all* table
-    rows at once.  Returns ``(exp_indptr, exp_nodes)``: row ``i`` of
-    the CSR lists the path tail nodes (excluding the head) of edge
-    ``mid_keys[i]`` in order.
+    A shortcut ``a -> b`` with middle ``m`` expands to the expansion of
+    ``a -> m`` followed by that of ``m -> b``.  Both halves are looked up
+    in the table once; rows are then filled bottom-up by nesting depth
+    (original edges first), each shortcut by copying its two finished
+    halves, so no edge is expanded twice.  A half the table lacks counts
+    as an original edge.  Returns ``(exp_indptr, exp_nodes)``: row ``i``
+    of the CSR lists the path nodes after the tail of edge
+    ``mid_keys[i]``, in order, ending at its head.
     """
     num = mid_keys.size
-    eid = np.arange(num, dtype=np.int64)
+    exp_indptr = np.zeros(num + 1, dtype=np.int64)
+    if not num:
+        return exp_indptr, np.empty(0, dtype=np.int32)
     a = mid_keys // n
     b = mid_keys - a * n
-    while num and a.size:
-        pos = np.minimum(np.searchsorted(mid_keys, a * n + b), num - 1)
-        key = a * n + b
-        mid = np.where(mid_keys[pos] == key, mid_vals[pos], -1)
-        shortcut = mid >= 0
-        if not shortcut.any():
+    rows = np.flatnonzero(mid_vals >= 0)  # shortcuts
+    m = mid_vals[rows].astype(np.int64)
+    # Each shortcut's (a -> m, m -> b) halves as table rows; row ``num``
+    # stands for an absent half.
+    heads = np.stack((m, b[rows]), axis=1)
+    halves = np.stack((a[rows] * n + m, m * n + b[rows]), axis=1)
+    pos = np.minimum(np.searchsorted(mid_keys, halves), num - 1)
+    halves = np.where(mid_keys[pos] == halves, pos, num)
+    # Nesting depth (original edges 0) and expansion length by fixpoint:
+    # each pass makes both exact for one more level.
+    depth = np.zeros(num + 1, dtype=np.int64)
+    length = np.ones(num + 1, dtype=np.int64)
+    while True:
+        deeper = depth[halves].max(axis=1) + 1
+        length[rows] = length[halves].sum(axis=1)
+        if np.array_equal(deeper, depth[rows]):
             break
-        rep = np.where(shortcut, 2, 1)
-        starts = np.cumsum(rep) - rep
-        na = np.repeat(a, rep)
-        nb = np.repeat(b, rep)
-        eid = np.repeat(eid, rep)
-        nb[starts[shortcut]] = mid[shortcut]  # first half: a -> mid
-        na[starts[shortcut] + 1] = mid[shortcut]  # second half: mid -> b
-        a, b = na, nb
-    counts = np.bincount(eid, minlength=num)
-    exp_indptr = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum(counts, out=exp_indptr[1:])
-    return exp_indptr, b.astype(np.int32)
+        depth[rows] = deeper
+    by_depth = np.argsort(deeper, kind="stable")
+    levels = np.split(by_depth, np.flatnonzero(np.diff(deeper[by_depth])) + 1)
+    np.cumsum(length[:num], out=exp_indptr[1:])
+    # One spare slot, read (then overwritten) by absent halves.
+    exp_nodes = np.empty(int(exp_indptr[-1]) + 1, dtype=np.int32)
+    original = mid_vals < 0
+    exp_nodes[exp_indptr[:-1][original]] = b[original]
+    for level in levels:
+        src = halves[level].ravel()
+        size = length[src]
+        nodes = exp_nodes[_expand_ranges(exp_indptr[src], size)]
+        absent = src == num
+        if absent.any():
+            nodes[(np.cumsum(size) - size)[absent]] = heads[level].ravel()[absent]
+        dst = rows[level]
+        exp_nodes[_expand_ranges(exp_indptr[dst], length[dst])] = nodes
+    return exp_indptr, exp_nodes[:-1]
 
 
 def build_kernel_tables(n, up, down, mid_keys, mid_vals):

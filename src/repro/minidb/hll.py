@@ -128,16 +128,21 @@ def merge_register_pairs(keys, rho):
     pairs are identical whether the rows arrived in one pass or many --
     the property the shard-and-merge fit relies on for exact equivalence.
     Returns ``(keys, rho)`` sorted by key.
+
+    Merged states arrive as concatenated runs that are each sorted
+    already, which the stable (run-merging) key sort exploits; the max
+    rank of each key run is then one ``maximum.reduceat``.
     """
     keys = np.asarray(keys, dtype=np.int64)
     rho = np.asarray(rho, dtype=np.int64)
-    # Sort by (key, rho); the last row of each key run carries the max rank.
-    order = np.lexsort((rho, keys))
+    if not keys.size:
+        return keys, rho
+    order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    sorted_rho = rho[order]
-    last = np.ones(len(sorted_keys), dtype=bool)
-    last[:-1] = sorted_keys[:-1] != sorted_keys[1:]
-    return sorted_keys[last], sorted_rho[last]
+    first = np.ones(len(sorted_keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    return sorted_keys[starts], np.maximum.reduceat(rho[order], starts)
 
 
 def grouped_register_pairs(codes, values, p=DEFAULT_P):

@@ -1,0 +1,279 @@
+"""The array-native hierarchy passes equal the recursive code they replaced.
+
+The nested-dissection order (``graph._dissection_rank``) bisects every
+open part of a level at once, and the kernel's shortcut expansion
+(``kernel._expand_all``) fills rows bottom-up by nesting depth.  This
+module keeps the recursive bisection and the round-by-round splitter as
+oracles and asserts bit-equality: ranks, the whole ``compute_ch`` output
+(rank plus all eight CSR arrays, dtypes included) and the kernel tables,
+on every ``graphgen`` topology and on the miniature KIEL graphs.  The
+``compute_ch`` output is also pinned by digest, so a change to the
+customisation passes that moves any array fails here too.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import repro.core.graph as graph_mod
+from graphgen import TOPOLOGIES, random_graph
+from repro.core import HabitConfig, HabitImputer, kernel
+from repro.core.graph import _CCH_LEAF_SIZE, _dissection_rank
+from repro.core.habit import _CH_KEYS
+
+# -- oracles: the recursive code the array passes replaced ---------------
+
+
+def _oracle_dissection_rank(q, r, eu, ev):
+    """Recursive coordinate bisection, one part per call."""
+    n = q.size
+    rank = np.empty(n, dtype=np.int32)
+    half = np.zeros(n, dtype=np.int8)
+    in_sep = np.zeros(n, dtype=bool)
+    next_rank = 0
+
+    def assign(nodes):
+        nonlocal next_rank
+        rank[nodes] = np.arange(next_rank, next_rank + nodes.size)
+        next_rank += nodes.size
+
+    def dissect(nodes, su, sv):
+        if nodes.size <= _CCH_LEAF_SIZE:
+            assign(nodes)
+            return
+        nq, nr = q[nodes], r[nodes]
+        axis = nq if np.ptp(nq) >= np.ptp(nr) else nr
+        nodes = nodes[np.argsort(axis, kind="stable")]
+        lo, hi = nodes[: nodes.size // 2], nodes[nodes.size // 2 :]
+        half[lo] = 0
+        half[hi] = 1
+        hu = half[su]
+        cut = hu != half[sv]
+        ends = np.concatenate([su[cut], sv[cut]])
+        lo_ends = np.unique(ends[half[ends] == 0])
+        hi_ends = np.unique(ends[half[ends] == 1])
+        sep = lo_ends if lo_ends.size <= hi_ends.size else hi_ends
+        in_sep[sep] = True
+        inner = ~cut & ~in_sep[su] & ~in_sep[sv]
+        su, sv, left = su[inner], sv[inner], hu[inner] == 0
+        dissect(lo[~in_sep[lo]], su[left], sv[left])
+        dissect(hi[~in_sep[hi]], su[~left], sv[~left])
+        assign(sep)
+
+    dissect(np.arange(n, dtype=np.int64), eu, ev)
+    return rank
+
+
+def _oracle_expand_all(mid_keys, mid_vals, n):
+    """Split every shortcut into its halves, all rows per round, until
+    only original edges remain."""
+    num = mid_keys.size
+    eid = np.arange(num, dtype=np.int64)
+    a = mid_keys // n
+    b = mid_keys - a * n
+    while num and a.size:
+        pos = np.minimum(np.searchsorted(mid_keys, a * n + b), num - 1)
+        key = a * n + b
+        mid = np.where(mid_keys[pos] == key, mid_vals[pos], -1)
+        shortcut = mid >= 0
+        if not shortcut.any():
+            break
+        rep = np.where(shortcut, 2, 1)
+        starts = np.cumsum(rep) - rep
+        na = np.repeat(a, rep)
+        nb = np.repeat(b, rep)
+        eid = np.repeat(eid, rep)
+        nb[starts[shortcut]] = mid[shortcut]  # first half: a -> mid
+        na[starts[shortcut] + 1] = mid[shortcut]  # second half: mid -> b
+        a, b = na, nb
+    counts = np.bincount(eid, minlength=num)
+    exp_indptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(counts, out=exp_indptr[1:])
+    return exp_indptr, b.astype(np.int32)
+
+
+# -- helpers ---------------------------------------------------------------
+
+
+def _edges(graph):
+    """The CSR edges as ``(eu, ev)`` node-index arrays, self-loops dropped."""
+    eu = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), np.diff(graph.indptr))
+    ev = graph.indices.astype(np.int64)
+    keep = eu != ev
+    return eu[keep], ev[keep]
+
+
+def _assert_ranks_match(q, r, eu, ev):
+    q = np.asarray(q, dtype=np.int32)
+    r = np.asarray(r, dtype=np.int32)
+    eu = np.asarray(eu, dtype=np.int64)
+    ev = np.asarray(ev, dtype=np.int64)
+    ours = _dissection_rank(q, r, eu, ev)
+    oracle = _oracle_dissection_rank(q, r, eu, ev)
+    assert ours.dtype == oracle.dtype
+    assert np.array_equal(ours, oracle)
+
+
+def _ch_arrays(graph):
+    graph.compute_ch()
+    return {key: getattr(graph, key) for key in _CH_KEYS}
+
+
+def _assert_same_arrays(ours, oracle):
+    for key in oracle:
+        assert ours[key].dtype == oracle[key].dtype, key
+        assert np.array_equal(ours[key], oracle[key]), key
+
+
+@pytest.fixture(scope="module")
+def kiel_graphs(tiny_kiel):
+    """The miniature KIEL graph at r9 and r10, by resolution."""
+    return {
+        res: HabitImputer(HabitConfig(resolution=res)).fit_from_trips(tiny_kiel.train).graph
+        for res in (9, 10)
+    }
+
+
+# -- dissection ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_dissection_matches_recursive_oracle_on_every_topology(topology):
+    for seed in range(6):
+        for size in (48, 300):
+            rng = np.random.default_rng(seed)
+            graph = random_graph(rng, topology, num_nodes=size, num_edges=3 * size)
+            _assert_ranks_match(graph.node_q, graph.node_r, *_edges(graph))
+
+
+def test_dissection_edge_cases_match_oracle():
+    rng = np.random.default_rng(5)
+    none = np.empty(0, dtype=np.int64)
+    # No nodes; at most one leaf; nodes without edges.
+    _assert_ranks_match([], [], none, none)
+    for n in (1, _CCH_LEAF_SIZE - 1, _CCH_LEAF_SIZE, _CCH_LEAF_SIZE + 1):
+        q, r = rng.integers(-5, 5, n), rng.integers(-5, 5, n)
+        _assert_ranks_match(q, r, *rng.integers(0, n, (2, 2 * n)))
+    q, r = rng.integers(-40, 40, (2, 200))
+    _assert_ranks_match(q, r, none, none)
+    # Two components far apart.
+    q = np.concatenate([rng.integers(0, 20, 60), rng.integers(500, 520, 60)])
+    r = rng.integers(0, 20, 120)
+    eu = np.concatenate([rng.integers(0, 60, 150), rng.integers(60, 120, 150)])
+    ev = np.concatenate([rng.integers(0, 60, 150), rng.integers(60, 120, 150)])
+    _assert_ranks_match(q, r, eu, ev)
+
+
+@pytest.mark.parametrize("slope", [1, -1, 0])
+def test_dissection_on_collinear_cells_matches_oracle(slope):
+    """Cells on one line give equal ``ptp`` on both axes (slope +-1, the
+    tie that picks *q*) or a zero-span axis; repeated coordinates make
+    the stable sort's arrival order decide the split."""
+    rng = np.random.default_rng(11)
+    q = np.repeat(np.arange(40), 3)[rng.permutation(120)]
+    r = slope * q
+    chain = np.arange(119)
+    _assert_ranks_match(q, r, chain, chain + 1)
+    _assert_ranks_match(q, r, *rng.integers(0, 120, (2, 300)))
+
+
+def test_dissection_on_dense_coordinate_ties_matches_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(9, 400))
+        q, r = rng.integers(0, 6, (2, n))
+        _assert_ranks_match(q, r, *rng.integers(0, n, (2, int(rng.integers(0, 4 * n)))))
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_dissection_compute_ch_equals_oracle_build(topology, monkeypatch):
+    """The whole hierarchy -- rank and all eight CSR arrays -- equals a
+    build with the recursive order monkeypatched in."""
+    for seed in range(4):
+        ours = _ch_arrays(random_graph(np.random.default_rng(seed), topology))
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_mod, "_dissection_rank", _oracle_dissection_rank)
+            oracle = _ch_arrays(random_graph(np.random.default_rng(seed), topology))
+        _assert_same_arrays(ours, oracle)
+
+
+#: sha256 prefixes of the ``compute_ch`` arrays (dtype and bytes, in
+#: ``_CH_KEYS`` order) over ``graphgen`` seeds 0-3, per topology.  A
+#: deliberate change to the hierarchy updates these.
+_CH_DIGESTS = {
+    "lane": "617d938c64738c71",
+    "multi_component": "ceeda8860dcd2749",
+    "no_edges": "aa4211a4c6a78418",
+    "single_node": "bd433bef88842728",
+    "uniform": "8b5c6f9caba66c65",
+}
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_dissection_and_customisation_output_is_pinned(topology):
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for array in _ch_arrays(random_graph(np.random.default_rng(seed), topology)).values():
+            digest.update(array.dtype.str.encode())
+            digest.update(array.tobytes())
+    assert digest.hexdigest()[:16] == _CH_DIGESTS[topology]
+
+
+@pytest.mark.parametrize("resolution", [9, 10])
+def test_dissection_compute_ch_equals_oracle_build_on_kiel(
+    kiel_graphs, resolution, monkeypatch
+):
+    graph = kiel_graphs[resolution]
+    _assert_ranks_match(graph.node_q, graph.node_r, *_edges(graph))
+    ours = _ch_arrays(graph)
+    monkeypatch.setattr(graph_mod, "_dissection_rank", _oracle_dissection_rank)
+    _assert_same_arrays(ours, _ch_arrays(graph))
+
+
+# -- shortcut expansion ----------------------------------------------------
+
+
+def _kernel_tables(graph):
+    graph.ensure_ch()
+    graph._ch_kernel_table = None
+    return graph._ch_kernel_tables()
+
+
+def _assert_expand_all_matches(graph, monkeypatch):
+    ours = _kernel_tables(graph)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_expand_all", _oracle_expand_all)
+        oracle = _kernel_tables(graph)
+    for name, a, b in zip(ours._fields, ours, oracle):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_expand_all_matches_splitter_oracle(topology, monkeypatch):
+    for seed in range(6):
+        graph = random_graph(np.random.default_rng(seed), topology)
+        _assert_expand_all_matches(graph, monkeypatch)
+
+
+@pytest.mark.parametrize("resolution", [9, 10])
+def test_expand_all_matches_splitter_oracle_on_kiel(kiel_graphs, resolution, monkeypatch):
+    _assert_expand_all_matches(kiel_graphs[resolution], monkeypatch)
+
+
+def test_expand_all_treats_absent_halves_as_original_edges():
+    """A shortcut whose halves the table lacks (only a hand-made table
+    can) unrolls to the halves' heads, as the splitter does."""
+    n = 6
+    keys = np.array([0 * n + 2, 2 * n + 1, 3 * n + 5], dtype=np.int64)
+    vals = np.array([4, -1, 1], dtype=np.int32)
+    ours = kernel._expand_all(keys, vals, n)
+    oracle = _oracle_expand_all(keys, vals, n)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(ours, oracle))
+    empty = np.empty(0, dtype=np.int64)
+    ours = kernel._expand_all(empty, empty.astype(np.int32), n)
+    oracle = _oracle_expand_all(empty, empty.astype(np.int32), n)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(ours, oracle))

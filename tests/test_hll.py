@@ -3,7 +3,30 @@
 import numpy as np
 
 from repro.minidb import Table, agg
-from repro.minidb.hll import HyperLogLog, grouped_approx_count_distinct
+from repro.minidb.hll import (
+    HyperLogLog,
+    grouped_approx_count_distinct,
+    grouped_register_pairs,
+    merge_register_pairs,
+)
+
+
+def _oracle_merge_register_pairs(keys, rho):
+    """The ``(key, rho)`` lexsort reduction the run-merging sort replaced:
+    the last row of each key run carries the max rank."""
+    keys = np.asarray(keys, dtype=np.int64)
+    rho = np.asarray(rho, dtype=np.int64)
+    order = np.lexsort((rho, keys))
+    sorted_keys = keys[order]
+    sorted_rho = rho[order]
+    last = np.ones(len(sorted_keys), dtype=bool)
+    last[:-1] = sorted_keys[:-1] != sorted_keys[1:]
+    return sorted_keys[last], sorted_rho[last]
+
+
+def _assert_same_pairs(ours, oracle):
+    for a, b in zip(ours, oracle):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_cardinality_within_error(rng):
@@ -62,3 +85,35 @@ def test_agg_approx_vs_exact(rng):
     )
     relative = np.abs(result["approx"] - result["exact"]) / result["exact"]
     assert relative.max() < 0.1
+
+
+def test_merge_register_pairs_matches_oracle_on_unsorted_duplicates(rng):
+    """Unsorted keys, each repeated with tied and distinct ranks."""
+    for _ in range(50):
+        size = int(rng.integers(1, 400))
+        keys = rng.integers(0, max(size // 4, 1), size)
+        rho = rng.integers(0, 4, size)  # few ranks: many ties per key
+        _assert_same_pairs(
+            merge_register_pairs(keys, rho), _oracle_merge_register_pairs(keys, rho)
+        )
+
+
+def test_merge_register_pairs_on_empty_input():
+    empty = np.empty(0, dtype=np.int64)
+    ours = merge_register_pairs(empty, empty)
+    _assert_same_pairs(ours, _oracle_merge_register_pairs(empty, empty))
+    assert ours[0].size == 0 and ours[1].size == 0
+
+
+def test_merge_register_pairs_of_three_states_matches_oracle_and_one_pass(rng):
+    """k >= 3 pre-reduced states (each sorted, keys unique) merge to what
+    the oracle gives and to the state of one pass over all their rows."""
+    codes = rng.integers(0, 30, 9_000)
+    values = rng.integers(0, 2_000, 9_000)
+    chunks = np.array_split(np.arange(codes.size), 4)
+    states = [grouped_register_pairs(codes[c], values[c]) for c in chunks]
+    keys = np.concatenate([k for k, _ in states])
+    rho = np.concatenate([r for _, r in states])
+    merged = merge_register_pairs(keys, rho)
+    _assert_same_pairs(merged, _oracle_merge_register_pairs(keys, rho))
+    _assert_same_pairs(merged, grouped_register_pairs(codes, values))

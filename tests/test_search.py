@@ -154,11 +154,19 @@ def _corrupt_ch(arrays, defect):
         up_idx[0] = up_rows[0]
     elif defect == "middle":
         up_mid[:] = up_rows  # each arc's middle is its own tail
+    elif defect in _BAD_COSTS:
+        down_cost[-1] = _BAD_COSTS[defect]
     return (rank, up_ptr, up_idx, up_cost, up_mid, down_ptr, down_idx,
             down_cost, down_mid)
 
 
-@pytest.mark.parametrize("defect", ["rank", "index", "indptr", "direction", "middle"])
+#: Cost defects a torn model file can carry: none is a search length.
+_BAD_COSTS = {"nan": np.nan, "negative": -1.0, "inf": np.inf}
+
+
+@pytest.mark.parametrize(
+    "defect", ["rank", "index", "indptr", "direction", "middle", *_BAD_COSTS]
+)
 def test_set_ch_rejects_hierarchies_queries_cannot_walk(defect):
     """``set_ch`` accepts only hierarchies whose queries and shortcut
     unpacking terminate: a permutation rank, in-range indices, arcs that
@@ -175,6 +183,24 @@ def test_set_ch_rejects_hierarchies_queries_cannot_walk(defect):
     assert not fresh.has_ch
     fresh.set_ch(*arrays)
     assert fresh.has_ch
+
+
+@pytest.mark.parametrize("defect", sorted(_BAD_COSTS))
+@pytest.mark.parametrize("key", ["ch_down_costs", "edge_cost"])
+def test_load_rejects_corrupt_costs(tiny_kiel, tmp_path, key, defect):
+    """A model file whose edge or hierarchy costs are not finite and
+    positive fails to load as a ``ModelFormatError`` -- the error the
+    registry answers with a refit -- instead of serving garbage paths."""
+    from repro.core import ModelFormatError
+
+    model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
+    with np.load(model.save(tmp_path / "m.npz")) as data:
+        payload = {name: data[name] for name in data.files}
+    payload[key] = payload[key].copy()
+    payload[key][-1] = _BAD_COSTS[defect]
+    np.savez(tmp_path / "torn.npz", **payload)
+    with pytest.raises(ModelFormatError, match=key):
+        HabitImputer.load(tmp_path / "torn.npz")
 
 def test_search_config_round_trips_through_service_schema():
     """``search`` is no config field: the variant is a per-query
