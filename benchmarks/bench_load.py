@@ -29,7 +29,8 @@ delta (the same snapshot-absorb trick as ``bench_service``); window
 behaviour from the ``repro_dispatch_*`` metrics.  Everything lands in
 ``BENCH_load.json`` (committed from a representative run, uploaded by
 CI).  The regression gates at the bottom pin the dispatcher's claims: warm
-concurrent serving beats the scalar-CH per-query baseline on median
+concurrent serving beats the one-pair route baseline (``scalar_route_us``,
+one uncached ``route()`` -- a 1-lane kernel call -- per query) on median
 latency and sustained per-request cost, cold concurrency really fuses
 lanes across requests, and the ``cross_batch`` tier is live under a
 coalesced storm.  (A lone request never paying the window -- the idle
@@ -205,12 +206,12 @@ def load_sweep(habit_r10, tmp_path_factory):
         engines.append(engine)
         return engine
 
-    # The scalar-CH per-query baseline this PR's serving path must beat:
-    # one uncached route() per query, the cost every ad-hoc singleton
-    # paid before cross-request batching (compare BENCH_search.json's
-    # scalar "ch" mean on the same machine).
+    # The one-pair route baseline the serving path must beat: one
+    # uncached route() per query -- a 1-lane kernel call -- the cost of
+    # an ad-hoc singleton with no batching or caching (compare
+    # BENCH_search.json's "r10-ch" mean on the same machine).
     base_cells = alloc.cells(64)
-    model.route(*base_cells[0])  # prime the lazy CH build
+    model.route(*base_cells[0])  # warm
     started = time.perf_counter()
     reps = 0
     for _ in range(4):
@@ -274,7 +275,7 @@ def test_load_artifact(load_sweep):
     out = Path(__file__).parent / "BENCH_load.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\nclosed-loop load sweep -> {out}")
-    print(f"  scalar route baseline: {load_sweep['scalar_route_us']:.0f}us/query")
+    print(f"  one-pair route baseline: {load_sweep['scalar_route_us']:.0f}us/query")
     for name in sorted(load_sweep["scenarios"]):
         s = load_sweep["scenarios"][name]
         lat = s["latency"]
@@ -287,7 +288,7 @@ def test_load_artifact(load_sweep):
 
 def test_gate_warm_concurrency_beats_scalar_baseline(load_sweep):
     """Acceptance: with 16 concurrent clients, warm-path serving beats
-    the scalar-CH per-query baseline on both axes that matter -- the
+    the one-pair route baseline on both axes that matter -- the
     median request latency and the sustained per-request wall time
     (inverse throughput).  The mean of per-thread latency spans is
     deliberately not gated: under the GIL it is dominated by scheduler
@@ -298,7 +299,7 @@ def test_gate_warm_concurrency_beats_scalar_baseline(load_sweep):
     scalar = load_sweep["scalar_route_us"]
     print(
         f"\nwarm_c{clients}: p50 {warm['latency']['p50_us']:.0f}us, "
-        f"{warm['per_request_us']:.0f}us/request vs scalar route {scalar:.0f}us"
+        f"{warm['per_request_us']:.0f}us/request vs one-pair route {scalar:.0f}us"
     )
     assert warm["latency"]["p50_us"] < scalar
     assert warm["per_request_us"] < scalar

@@ -10,14 +10,14 @@ the correctness gate CI runs even with timing disabled: all variants
 must return equal-cost paths (and agree on unreachable pairs).
 
 The ``batch-kernel`` group times ``CellGraph.find_paths_batch`` -- the
-vectorised NumPy sweep (:mod:`repro.core.kernel`) -- at batch sizes
-1/8/64/256 on the r10 graph (``per_query_us`` in ``extra_info`` is the
-apples-to-apples number against the scalar ``r10-ch`` row), a
-scalar-vs-kernel sweep over 1-4 lanes that calibrates
-``KERNEL_CROSSOVER_LANES``, and the ``compute_ch`` preprocessing build.
-``test_batch64_beats_scalar_ch_per_query`` is the regression gate: the
-batched per-query mean must stay below the scalar CH loop's, so the
-kernel speedup is a CI-checked artefact, not prose.
+vectorised NumPy sweep (:mod:`repro.core.kernel`) that answers every CH
+query -- at batch sizes 1/8/64/256 on the r10 graph (``per_query_us`` in
+``extra_info`` is the apples-to-apples number against the one-pair
+``r10-ch`` row), plus the two preprocessing builds every refresh runs:
+``compute_ch`` and the kernel tables built from its arrays.
+``test_batch64_per_query_beats_single_lane_calls`` is the regression
+gate: a 64-lane call must cost at most half a 1-lane call per query, so
+batch amortisation is a CI-checked artefact, not prose.
 
 Results land in ``BENCH_search.json`` via the conftest emitter.
 """
@@ -27,8 +27,7 @@ import time
 
 import pytest
 
-import repro.core.graph as graph_mod
-from repro.core.graph import SEARCH_METHODS, CellGraph
+from repro.core.graph import SEARCH_METHODS, CellGraph, _kernel_tables
 from repro.hexgrid import latlng_to_cell
 
 
@@ -46,7 +45,6 @@ def _snapped_pairs(imputer, gaps):
 @pytest.fixture(scope="module", params=[9, 10], ids=["r9", "r10"])
 def search_case(request, habit_r9, habit_r10, kiel_gaps):
     imputer = habit_r9 if request.param == 9 else habit_r10
-    imputer.graph.ensure_ch()
     return imputer.graph, _snapped_pairs(imputer, kiel_gaps)
 
 
@@ -73,11 +71,10 @@ def test_search_variant_latency(benchmark, search_case, method):
 def batch_case(habit_r10):
     """The r10 graph plus 256 seeded node pairs (hub-heavy, like serving)."""
     graph = habit_r10.graph
-    graph.ensure_ch()
     rng = random.Random(1234)
     cells = graph.cells.tolist()
     pairs = [(rng.choice(cells), rng.choice(cells)) for _ in range(256)]
-    graph.find_paths_batch(pairs[:8])  # build + warm the kernel tables
+    graph.find_paths_batch(pairs[:8])  # warm
     return graph, pairs
 
 
@@ -101,95 +98,68 @@ def test_batch_kernel_per_query_latency(benchmark, batch_case, batch_size):
         benchmark.extra_info["per_query_us"] = stats.mean * 1e6 / batch_size
 
 
-
-@pytest.mark.benchmark(group="batch-kernel")
-@pytest.mark.parametrize("lanes", [1, 2, 3, 4])
-@pytest.mark.parametrize("engine", ["scalar", "kernel"])
-def test_crossover_lanes(benchmark, batch_case, monkeypatch, engine, lanes):
-    """Scalar CH loop vs the batch kernel on the same 1-4 lane batches.
-
-    The smallest lane count whose ``kernel`` row beats its ``scalar`` row
-    is what ``KERNEL_CROSSOVER_LANES`` is set to; the crossover is
-    lowered to 1 here so every ``kernel`` call really sweeps."""
-    graph, pairs = batch_case
-    monkeypatch.setattr(graph_mod, "KERNEL_CROSSOVER_LANES", 1)
-    state = {"i": 0}
-
-    def one_call():
-        lo = state["i"] % (len(pairs) - lanes + 1)
-        state["i"] += lanes
-        batch = pairs[lo : lo + lanes]
-        if engine == "kernel":
-            return graph.find_paths_batch(batch)
-        return [graph.find_path(src, dst, "ch") for src, dst in batch]
-
-    assert len(benchmark(one_call)) == lanes
-    benchmark.extra_info["lanes"] = lanes
-    if benchmark.stats is not None:  # absent under --benchmark-disable
-        stats = getattr(benchmark.stats, "stats", benchmark.stats)
-        benchmark.extra_info["per_query_us"] = stats.mean * 1e6 / lanes
-
 @pytest.mark.benchmark(group="batch-kernel")
 def test_compute_ch_build_latency(benchmark, habit_r10):
     """CH preprocessing at r10: the customizable-CH build under
     ``compute_ch`` (nested-dissection order, chordal completion, basic
-    and perfect customisation)."""
+    and perfect customisation).  ``compute_ch`` then builds the kernel
+    tables, timed on their own below."""
     g = habit_r10.graph
-
-    def build():
-        fresh = CellGraph(
-            g.cells, g.lats, g.lngs, g.edge_src, g.edge_dst, g.edge_cost,
-            g.edge_count,
-        )
-        fresh.compute_ch()
-        return fresh
-
-    fresh = benchmark(build)
+    fresh = CellGraph(
+        g.cells, g.lats, g.lngs, g.edge_src, g.edge_dst, g.edge_cost, g.edge_count
+    )
+    _, up, down = benchmark(fresh._hierarchy)
     benchmark.extra_info["num_nodes"] = fresh.num_nodes
-    benchmark.extra_info["up_edges"] = len(fresh.ch_up_indices)
-    benchmark.extra_info["down_edges"] = len(fresh.ch_down_indices)
+    benchmark.extra_info["up_edges"] = len(up[1])
+    benchmark.extra_info["down_edges"] = len(down[1])
 
 
-def test_batch64_beats_scalar_ch_per_query(batch_case):
-    """Regression gate: batch-64 per-query mean < scalar CH per-query
-    mean on identical pairs.  Min-of-samples with retries, like the
-    metrics-overhead gate, so one scheduler hiccup cannot flunk it."""
+@pytest.mark.benchmark(group="batch-kernel")
+def test_kernel_tables_build_latency(benchmark, habit_r10):
+    """Kernel-table build at r10: the sorted arc table, the combined
+    sweep CSRs and every shortcut's expansion, built from the
+    ``compute_ch`` arrays on every fit, refresh and load."""
+    g = habit_r10.graph
+    parts = ("indptr", "indices", "costs", "middle")
+    up, down = (
+        tuple(getattr(g, f"ch_{name}_{part}") for part in parts) for name in ("up", "down")
+    )
+    tables = benchmark(_kernel_tables, g, up, down)
+    benchmark.extra_info["num_nodes"] = g.num_nodes
+    benchmark.extra_info["expansion_nodes"] = len(tables.exp_nodes)
+
+
+def test_batch64_per_query_beats_single_lane_calls(batch_case):
+    """Regression gate: a 64-lane call costs at most half a 1-lane call
+    per query on identical pairs -- what sending real batches buys.
+    Min-of-samples with retries, like the metrics-overhead gate, so one
+    scheduler hiccup cannot flunk it."""
     graph, pairs = batch_case
     subset = pairs[:64]
-    for src, dst in subset[:8]:
-        graph.find_path(src, dst, "ch")  # warm scalar mirrors
 
-    def best_scalar(samples):
+    def best(samples, calls):
         times = []
         for _ in range(samples):
             started = time.perf_counter()
-            for src, dst in subset:
-                graph.find_path(src, dst, "ch")
-            times.append((time.perf_counter() - started) / len(subset))
-        return min(times)
-
-    def best_batch(samples):
-        times = []
-        for _ in range(samples):
-            started = time.perf_counter()
-            graph.find_paths_batch(subset)
+            for call in calls:
+                graph.find_paths_batch(call)
             times.append((time.perf_counter() - started) / len(subset))
         return min(times)
 
     ratio = None
     for _ in range(3):
-        scalar_us = best_scalar(5) * 1e6
-        batch_us = best_batch(5) * 1e6
-        ratio = scalar_us / batch_us
-        if ratio > 1.0:
+        single_us = best(5, [[pair] for pair in subset]) * 1e6
+        batch_us = best(5, [subset]) * 1e6
+        ratio = batch_us / single_us
+        if ratio <= 0.5:
             break
     print(
-        f"\nbatch-64 {batch_us:.1f}us/query vs scalar CH {scalar_us:.1f}us/query "
+        f"\nbatch-64 {batch_us:.1f}us/query vs 1-lane calls {single_us:.1f}us/query "
         f"({ratio:.2f}x)"
     )
-    assert ratio > 1.0, (
-        f"batch kernel lost to the scalar loop: {batch_us:.1f}us vs "
-        f"{scalar_us:.1f}us per query"
+    assert ratio <= 0.5, (
+        f"batch-64 lost its amortisation: {batch_us:.1f}us vs "
+        f"{single_us:.1f}us per query in 1-lane calls"
     )
 
 

@@ -22,10 +22,12 @@ Search variants (:meth:`CellGraph.find_path`):
   a customizable CH (:meth:`CellGraph.compute_ch`): a nested-dissection
   order on the cells' axial coordinates, chordal completion for the
   shortcut topology, then triangle customisation of the costs, with
-  middle-node back-pointers on every shortcut.  Queries run a
-  bidirectional upward-only Dijkstra with stall-on-demand pruning and
-  unpack shortcuts back into original cells.  The hierarchy is stored as
-  CSR ``int32`` arrays and persisted in every model file.
+  middle-node back-pointers on every shortcut.  Every CH query, one
+  pair or many, runs the vectorised batch kernel
+  (:mod:`repro.core.kernel`): a bidirectional upward-only sweep with
+  stall-on-demand pruning, unpacking shortcuts back into original
+  cells.  The hierarchy is stored as CSR ``int32`` arrays and persisted
+  in every model file; the kernel tables are built with it.
 
 Two weight schemes are supported:
 
@@ -77,16 +79,6 @@ PROJECTIONS = ("center", "mean")
 #: Edge weight schemes accepted by :meth:`CellGraph.from_statistics`.
 EDGE_WEIGHTS = ("transitions", "inverse_frequency")
 
-#: Below this many non-degenerate lanes, ``find_paths_batch`` answers
-#: each pair with the scalar CH query instead of the NumPy sweep: the
-#: kernel's fixed per-sweep cost (dense 2n workspace, frontier set-up)
-#: only amortises across several lanes, and costs are bit-equal either
-#: way.  ``expanded`` keeps its per-variant meaning (settled nodes
-#: scalar-side, labelled nodes batch-side).  Set to the smallest lane
-#: count whose kernel row beats the scalar row in ``bench_search.py``'s
-#: ``test_crossover_lanes`` sweep (``BENCH_search.json``).
-KERNEL_CROSSOVER_LANES = 3
-
 #: The variants that search *toward* the goal (heuristic- or
 #: hierarchy-guided); each must settle no more nodes than plain Dijkstra
 #: on any admissible graph -- the bound the property suite asserts.
@@ -107,7 +99,7 @@ _SEARCH_EXPANDED = METRICS.histogram(
 )
 _GRAPH_BUILD_SECONDS = METRICS.histogram(
     "repro_graph_build_seconds",
-    "Search-preprocessing build duration, by stage (ch).",
+    "Search-preprocessing build duration, by stage (ch, kernel_tables).",
     ("stage",),
 )
 
@@ -144,8 +136,9 @@ class SearchResult:
     ``cells`` are packed cell ids along the path (src..dst inclusive);
     ``node_indices`` are the same nodes in dense index space (used by the
     imputer to project positions without dict lookups).  ``expanded``
-    counts settled nodes -- the heuristic-quality signal surfaced in
-    serving provenance and the A* ablation.
+    counts settled nodes for A* and Dijkstra and labelled nodes for CH
+    -- the search-effort signal surfaced in serving provenance and the
+    A* ablation.
     """
 
     cells: tuple
@@ -194,6 +187,8 @@ class CellGraph:
         # middle-node back-pointers (-1 = original edge).  ``ch_down_*``
         # row u holds the *in*-neighbours of u with higher rank -- the
         # backward query's adjacency and the forward query's stall probe.
+        # ``kernel_tables`` is what CH queries read; it is installed with
+        # the arrays.
         self.ch_rank = None
         self.ch_up_indptr = None
         self.ch_up_indices = None
@@ -203,18 +198,15 @@ class CellGraph:
         self.ch_down_indices = None
         self.ch_down_costs = None
         self.ch_down_middle = None
-        # Lazily built structures (hot-loop adjacency mirrors, snap
-        # memo, CH mirrors) share one reentrant lock; all are pure
-        # functions of the frozen arrays, so queries stay read-only in
-        # spirit.
+        self.kernel_tables = None
+        # Lazily built structures (the A* adjacency mirror, snap and
+        # heuristic memos, a hand-made graph's hierarchy) share one
+        # reentrant lock; all are pure functions of the frozen arrays,
+        # so queries stay read-only in spirit.
         self._lock = threading.RLock()
         self._csr_lists = None
         self._snap_cache = {}
         self._h_cache = {}  # target idx -> python list
-        self._ch_up_lists = None  # hot-loop mirrors of the CH CSR arrays
-        self._ch_down_lists = None
-        self._ch_middle_map = None  # (u, v) -> middle node (unpacking)
-        self._ch_kernel_table = None  # sorted augmented-edge table (batch)
         self._in_deg = None  # per-node in-degree (degenerate short-circuit)
 
     @classmethod
@@ -379,7 +371,9 @@ class CellGraph:
 
         Returns a :class:`SearchResult` or ``None`` when either endpoint
         is not a node or no route exists.  All methods return equal-cost
-        paths (the heuristics are admissible and consistent).
+        paths (the heuristics are admissible and consistent).  A ``"ch"``
+        query is a one-lane batch-kernel sweep: the path and cost
+        :meth:`find_paths_batch` returns for the same pair.
         """
         if method not in SEARCH_METHODS:
             raise ValueError(
@@ -404,7 +398,8 @@ class CellGraph:
             return None
         if method == "ch":
             self.ensure_ch()
-            found = self._ch_query(si, di)
+            _, path, cost, expanded = solve_batch(self.kernel_tables, [si], [di])
+            found = (path.tolist(), float(cost[0]), int(expanded[0])) if path.size else None
         else:
             h = self._grid_h(di) if method == "astar" else None
             found = self._astar_indices(si, di, h)
@@ -419,9 +414,9 @@ class CellGraph:
 
         A source with no outgoing edges cannot reach anything and a
         target with no incoming edges cannot be reached, so every
-        variant can return ``None`` before touching its heap (or
-        triggering a lazy CH build).  Elementwise: *si*/*di* are node
-        indices or aligned index arrays.
+        variant can return ``None`` before touching its heap or sweep
+        (or building a hand-made graph's hierarchy).  Elementwise:
+        *si*/*di* are node indices or aligned index arrays.
         """
         return (self.indptr[si + 1] == self.indptr[si]) | (self._in_degree()[di] == 0)
 
@@ -479,20 +474,24 @@ class CellGraph:
 
     @property
     def has_ch(self):
-        """Whether the contraction hierarchy is present."""
-        return self.ch_rank is not None
+        """Whether the contraction hierarchy (and its kernel tables) is
+        installed."""
+        return self.kernel_tables is not None
 
     def ensure_ch(self):
-        """Compute the hierarchy if absent (idempotent, thread-safe)."""
-        if self.ch_rank is None:
+        """Build the hierarchy if absent (idempotent, thread-safe).
+
+        Fitted and loaded graphs already hold one; this builds it for a
+        graph made by hand, on its first CH query or save.
+        """
+        if self.kernel_tables is None:
             with self._lock:
-                if self.ch_rank is None:
-                    with _GRAPH_BUILD_SECONDS.time(("ch",)):
-                        self._compute_ch_locked()
+                if self.kernel_tables is None:
+                    self.compute_ch()
         return self
 
     def compute_ch(self):
-        """(Re)build the contraction hierarchy.
+        """(Re)build the contraction hierarchy and its kernel tables.
 
         A customizable contraction hierarchy (Dibbelt, Strasser and
         Wagner, ACM JEA 2016), exact by construction with no witness
@@ -509,20 +508,25 @@ class CellGraph:
            makes ``u`` the arc's middle node.
         4. *Perfect customisation*: top-down, every arc is lowered to its
            true distance; arcs whose basic cost is above it, or with no
-           path at all, are dropped.
+           path at all, are dropped -- unless a kept shortcut unpacks
+           through them.
 
         The surviving arcs are stored as upward/downward CSR ``int32``
         arrays with per-edge middle-node back-pointers for path
         unpacking, persisted in every model file so loads skip this
         pass.  The build is deterministic, so a rebuild reproduces the
-        persisted arrays bit-exactly.
+        persisted arrays bit-exactly.  The batch-kernel tables every CH
+        query reads are built from the arrays before this returns.
         """
         with self._lock:
             with _GRAPH_BUILD_SECONDS.time(("ch",)):
-                self._compute_ch_locked()
+                hierarchy = self._hierarchy()
+            self._install_ch(*hierarchy)
         return self
 
-    def _compute_ch_locked(self):
+    def _hierarchy(self):
+        """The ``compute_ch`` arrays: ``(rank, up, down)``, each direction
+        an ``(indptr, indices, costs, middle)`` CSR."""
         n = self.num_nodes
         # Original edges deduplicated to the cheapest parallel edge (what
         # every search relaxes anyway) and self-loop-free (positive
@@ -639,6 +643,29 @@ class CellGraph:
             np.minimum.at(down, b, down[c] + basic_down[a])
         keep_up = (basic_up == up) & (basic_up < _INF)
         keep_down = (basic_down == down) & (basic_down < _INF)
+        # Float re-association can leave a half of a kept shortcut an ulp
+        # above its exact cost, which drops it, yet unpacking the
+        # shortcut needs it.  So every arc a kept shortcut unpacks
+        # through stays, at its basic cost: a closure over the halves,
+        # grown from the kept shortcuts until no new arc joins.  Shortcut
+        # v -> w through u is v -> u (down on arc (u, v)) then u -> w (up
+        # on arc (u, w)); w -> v through u is w -> u then u -> v.
+        up_todo = np.flatnonzero(keep_up & (mid_up >= 0))
+        down_todo = np.flatnonzero(keep_down & (mid_down >= 0))
+        while up_todo.size or down_todo.size:
+            arcs = np.concatenate([up_todo, down_todo])
+            u = np.concatenate([mid_up[up_todo], mid_down[down_todo]])
+            to_v = np.searchsorted(arc_key, u * n + tail[arcs])
+            to_w = np.searchsorted(arc_key, u * n + head[arcs])
+            k = up_todo.size
+            new_up = np.concatenate([to_w[:k], to_v[k:]])
+            new_down = np.concatenate([to_v[:k], to_w[k:]])
+            new_up = new_up[~keep_up[new_up]]
+            new_down = new_down[~keep_down[new_down]]
+            keep_up[new_up] = True
+            keep_down[new_down] = True
+            up_todo = new_up[mid_up[new_up] >= 0]
+            down_todo = new_down[mid_down[new_down] >= 0]
 
         # Back to node space.  Both CSRs give each node a row of its
         # higher-ranked neighbours: ``up`` holds the arcs leaving the row
@@ -647,31 +674,19 @@ class CellGraph:
         low, high = node_at[tail], node_at[head]
         mid_up = np.where(mid_up >= 0, node_at[mid_up], -1)
         mid_down = np.where(mid_down >= 0, node_at[mid_down], -1)
-        self.ch_rank = rank
-        (
-            self.ch_up_indptr,
-            self.ch_up_indices,
-            self.ch_up_costs,
-            self.ch_up_middle,
-        ) = _rank_csr(
-            n, low[keep_up], high[keep_up], basic_up[keep_up], mid_up[keep_up]
+        return (
+            rank,
+            _rank_csr(
+                n, low[keep_up], high[keep_up], basic_up[keep_up], mid_up[keep_up]
+            ),
+            _rank_csr(
+                n,
+                low[keep_down],
+                high[keep_down],
+                basic_down[keep_down],
+                mid_down[keep_down],
+            ),
         )
-        (
-            self.ch_down_indptr,
-            self.ch_down_indices,
-            self.ch_down_costs,
-            self.ch_down_middle,
-        ) = _rank_csr(
-            n,
-            low[keep_down],
-            high[keep_down],
-            basic_down[keep_down],
-            mid_down[keep_down],
-        )
-        self._ch_up_lists = None
-        self._ch_down_lists = None
-        self._ch_middle_map = None
-        self._ch_kernel_table = None
 
     def set_ch(
         self,
@@ -693,8 +708,12 @@ class CellGraph:
         higher-ranked one (up rows climb, down rows hold arcs that
         descend into the row's node), every middle node is ``-1`` or
         ranked below both endpoints -- which is what makes shortcut
-        unpacking terminate -- and every cost is finite and positive, as
-        a search over non-negative lengths needs.
+        unpacking terminate -- every cost is finite and positive, as a
+        search over non-negative lengths needs, and every arc unpacks to
+        edges of the graph: both halves of each shortcut are stored arcs,
+        and each arc marked original (``-1``) is an edge.  The kernel
+        tables are built here, so a loaded graph answers its first query
+        without preprocessing.
         """
         rank = np.asarray(rank, dtype=np.int32)
         n = self.num_nodes
@@ -706,6 +725,16 @@ class CellGraph:
         down = _check_ch_csr(
             "ch_down", rank, down_indptr, down_indices, down_costs, down_middle
         )
+        self._install_ch(rank, up, down)
+        return self
+
+    def _install_ch(self, rank, up, down):
+        """Install hierarchy arrays and the kernel tables built from
+        them.  The tables go in last, so a query never reads a half-
+        installed hierarchy; when their build raises ``ValueError``
+        (:func:`_kernel_tables`), nothing is installed."""
+        with _GRAPH_BUILD_SECONDS.time(("kernel_tables",)):
+            tables = _kernel_tables(self, up, down)
         self.ch_rank = rank
         (
             self.ch_up_indptr,
@@ -719,187 +748,9 @@ class CellGraph:
             self.ch_down_costs,
             self.ch_down_middle,
         ) = down
-        self._ch_up_lists = None
-        self._ch_down_lists = None
-        self._ch_middle_map = None
-        self._ch_kernel_table = None
-        return self
+        self.kernel_tables = tables
 
-    def _ch_up(self):
-        """Hot-loop mirror of the upward CSR (lazy, cached)."""
-        rows = self._ch_up_lists
-        if rows is None:
-            with self._lock:
-                rows = self._ch_up_lists
-                if rows is None:
-                    rows = self._neighbour_tuples(
-                        self.ch_up_indptr, self.ch_up_indices, self.ch_up_costs
-                    )
-                    self._ch_up_lists = rows
-        return rows
-
-    def _ch_down(self):
-        """Hot-loop mirror of the downward CSR (lazy, cached)."""
-        rows = self._ch_down_lists
-        if rows is None:
-            with self._lock:
-                rows = self._ch_down_lists
-                if rows is None:
-                    rows = self._neighbour_tuples(
-                        self.ch_down_indptr, self.ch_down_indices, self.ch_down_costs
-                    )
-                    self._ch_down_lists = rows
-        return rows
-
-    def _ch_middles(self):
-        """``(u, v) -> middle node`` over the augmented edge set (lazy).
-
-        Each augmented edge lives in exactly one of the two CSRs (by
-        rank direction), so the union is collision-free.
-        """
-        middles = self._ch_middle_map
-        if middles is None:
-            with self._lock:
-                middles = self._ch_middle_map
-                if middles is None:
-                    middles = {}
-                    indptr = self.ch_up_indptr.tolist()
-                    indices = self.ch_up_indices.tolist()
-                    mids = self.ch_up_middle.tolist()
-                    for u in range(len(indptr) - 1):
-                        for e in range(indptr[u], indptr[u + 1]):
-                            middles[(u, indices[e])] = mids[e]
-                    indptr = self.ch_down_indptr.tolist()
-                    indices = self.ch_down_indices.tolist()
-                    mids = self.ch_down_middle.tolist()
-                    for u in range(len(indptr) - 1):
-                        for e in range(indptr[u], indptr[u + 1]):
-                            # down row u holds edges indices[e] -> u.
-                            middles[(indices[e], u)] = mids[e]
-                    self._ch_middle_map = middles
-        return middles
-
-    def _ch_query(self, si, di):
-        """Bidirectional upward Dijkstra with stall-on-demand.
-
-        Both searches only relax edges toward higher-ranked nodes (the
-        forward one over ``ch_up``, the backward one over ``ch_down``),
-        so search spaces are tiny cones under the hierarchy's hubs.  A
-        settled node is *stalled* -- counted out of ``expanded`` and not
-        relaxed -- when a higher-ranked neighbour already proves its
-        label suboptimal in the full graph.  ``mu`` tracks the best
-        meeting cost over nodes labelled from both sides; a side stops
-        once its queue minimum reaches ``mu`` (labels only grow upward,
-        so nothing cheaper can appear), which keeps the stop exact.
-
-        Equal-cost ties resolve to the lowest node index, both for a
-        node's parent among the predecessors that reach its label and
-        for the meeting node among those that reach ``mu`` -- the rule
-        the batch kernel applies too, so both return the same path.
-        """
-        up = self._ch_up()
-        down = self._ch_down()
-        df = {si: 0.0}
-        db = {di: 0.0}
-        pf = {si: -1}
-        pb = {di: -1}
-        donef = set()
-        doneb = set()
-        heapf = [(0.0, si)]
-        heapb = [(0.0, di)]
-        mu = _INF
-        meet = -1
-        expanded = 0
-        while True:
-            fgo = bool(heapf) and heapf[0][0] < mu
-            bgo = bool(heapb) and heapb[0][0] < mu
-            if not fgo and not bgo:
-                break
-            if fgo and (not bgo or heapf[0][0] <= heapb[0][0]):
-                d, u = heappop(heapf)
-                if u in donef:
-                    continue
-                donef.add(u)
-                stalled = False
-                for v, w in down[u]:  # incoming edges from higher ranks
-                    dv = df.get(v)
-                    if dv is not None and dv + w < d:
-                        stalled = True
-                        break
-                if not stalled:
-                    expanded += 1
-                    for v, w in up[u]:
-                        nd = d + w
-                        old = df.get(v, _INF)
-                        if nd < old:
-                            df[v] = nd
-                            pf[v] = u
-                            heappush(heapf, (nd, v))
-                            dbv = db.get(v)
-                            if dbv is not None and (
-                                nd + dbv < mu or nd + dbv == mu and v < meet
-                            ):
-                                mu = nd + dbv
-                                meet = v
-                        elif nd == old and u < pf[v]:
-                            pf[v] = u
-                dbu = db.get(u)
-                if dbu is not None and (d + dbu < mu or d + dbu == mu and u < meet):
-                    mu = d + dbu
-                    meet = u
-            else:
-                d, u = heappop(heapb)
-                if u in doneb:
-                    continue
-                doneb.add(u)
-                stalled = False
-                for v, w in up[u]:  # outgoing edges to higher ranks
-                    dv = db.get(v)
-                    if dv is not None and dv + w < d:
-                        stalled = True
-                        break
-                if not stalled:
-                    expanded += 1
-                    for v, w in down[u]:
-                        nd = d + w
-                        old = db.get(v, _INF)
-                        if nd < old:
-                            db[v] = nd
-                            pb[v] = u
-                            heappush(heapb, (nd, v))
-                            dfv = df.get(v)
-                            if dfv is not None and (
-                                dfv + nd < mu or dfv + nd == mu and v < meet
-                            ):
-                                mu = dfv + nd
-                                meet = v
-                        elif nd == old and u < pb[v]:
-                            pb[v] = u
-                dfu = df.get(u)
-                if dfu is not None and (dfu + d < mu or dfu + d == mu and u < meet):
-                    mu = dfu + d
-                    meet = u
-        if meet < 0:
-            return None
-        # Augmented up-down path: forward parents back to si, backward
-        # parents forward to di, then recursive shortcut unpacking.
-        chain = []
-        u = meet
-        while u != -1:
-            chain.append(u)
-            u = pf[u]
-        chain.reverse()
-        u = pb[meet]
-        while u != -1:
-            chain.append(u)
-            u = pb[u]
-        middles = self._ch_middles()
-        path = [chain[0]]
-        for a, b in zip(chain, chain[1:]):
-            _ch_unpack(a, b, middles, path)
-        return path, mu, expanded
-
-    # -- batch kernel ------------------------------------------------------
+    # -- batch queries -----------------------------------------------------
 
     def find_paths_batch(self, pairs):
         """Answer many ``(src, dst)`` cell-id CH queries in one call.
@@ -907,18 +758,14 @@ class CellGraph:
         Every non-degenerate pair runs through the vectorised batch
         kernel (:func:`repro.core.kernel.solve_batch`): one NumPy
         frontier sweep answers the whole batch instead of one Python
-        heap loop per query, with costs bit-equal to scalar CH.  Batches
-        smaller than :data:`KERNEL_CROSSOVER_LANES` fall back to the
-        scalar CH query per pair, which wins below the sweep's fixed
-        cost (same costs and paths; ``expanded`` counts settled nodes,
-        as for any scalar query).  Degenerate pairs
-        (missing endpoints, ``src == dst``, provably unreachable) are
-        short-circuited before any kernel work, exactly like
-        :meth:`find_path`.
+        heap loop per query, with the costs and paths a one-pair
+        :meth:`find_path` returns.  Degenerate pairs (missing endpoints,
+        ``src == dst``, provably unreachable) are short-circuited before
+        any kernel work, exactly like :meth:`find_path`.
 
         Returns a list aligned with *pairs* of :class:`SearchResult`
         (``expanded`` counts labelled nodes across both sweep
-        directions, the batch analogue of settled nodes) or ``None``.
+        directions) or ``None``.
         """
         pairs = list(pairs)
         KERNEL_BATCH_SIZE.observe(len(pairs))
@@ -937,21 +784,12 @@ class CellGraph:
         lanes = lanes[live]
         si, di = si[lanes], di[lanes]
         lanes = lanes.tolist()
-        if lanes and len(lanes) < KERNEL_CROSSOVER_LANES:
-            # Too few lanes for the sweep's fixed cost to amortise: the
-            # scalar CH query wins below the crossover, at bit-equal
-            # costs (it observes its own search metrics).
-            for i in lanes:
-                results[i] = self.find_path(pairs[i][0], pairs[i][1], "ch")
-        elif lanes:
+        if lanes:
             self.ensure_ch()
             kernel_started = perf_counter()
-            indptr, nodes, costs, expanded = solve_batch(
-                self._ch_kernel_tables(), si, di
-            )
-            # Each lane is one search: feed the scalar per-query series
-            # too (an equal share of the sweep), so dashboards keep
-            # counting searches when serving goes batch-native.
+            indptr, nodes, costs, expanded = solve_batch(self.kernel_tables, si, di)
+            # Each lane is one search: feed the per-query series too (an
+            # equal share of the sweep), so dashboards count searches.
             share = (perf_counter() - kernel_started) / len(lanes)
             _SEARCH_SECONDS.observe_many([share] * len(lanes), ("ch",))
             reached = np.flatnonzero(np.isfinite(costs))
@@ -968,54 +806,6 @@ class CellGraph:
                 )
         KERNEL_SECONDS.observe(perf_counter() - started)
         return results
-
-    def _ch_kernel_tables(self):
-        """Preprocessed batch-kernel tables for this hierarchy (lazy).
-
-        Builds the sorted augmented-edge table -- flat ``u * n + v``
-        keys paired with middle nodes (-1 = original edge); every
-        augmented edge lives in exactly one of the two CSRs, so keys
-        are unique -- and hands it plus the raw CSRs to
-        :func:`repro.core.kernel.build_kernel_tables`, which derives
-        the combined sweep CSRs and precomputed shortcut expansions.
-        Cached until the hierarchy changes.
-        """
-        table = self._ch_kernel_table
-        if table is None:
-            with self._lock:
-                table = self._ch_kernel_table
-                if table is None:
-                    n = self.num_nodes
-                    up_src = np.repeat(
-                        np.arange(n, dtype=np.int64), np.diff(self.ch_up_indptr)
-                    )
-                    # Down row v holds incoming edges u -> v.
-                    down_dst = np.repeat(
-                        np.arange(n, dtype=np.int64), np.diff(self.ch_down_indptr)
-                    )
-                    keys = np.concatenate(
-                        [
-                            up_src * n + self.ch_up_indices,
-                            self.ch_down_indices.astype(np.int64) * n + down_dst,
-                        ]
-                    )
-                    vals = np.concatenate(
-                        [self.ch_up_middle, self.ch_down_middle]
-                    ).astype(np.int32)
-                    order = np.argsort(keys, kind="stable")
-                    table = build_kernel_tables(
-                        n,
-                        (self.ch_up_indptr, self.ch_up_indices, self.ch_up_costs),
-                        (
-                            self.ch_down_indptr,
-                            self.ch_down_indices,
-                            self.ch_down_costs,
-                        ),
-                        keys[order],
-                        vals[order],
-                    )
-                    self._ch_kernel_table = table
-        return table
 
 
 # -- CH module helpers -----------------------------------------------------
@@ -1173,21 +963,32 @@ def _check_ch_csr(name, rank, indptr, indices, costs, middle):
     return indptr, indices, costs, middle
 
 
-def _ch_unpack(a, b, middles, out):
-    """Expand one augmented edge ``a -> b`` into original nodes.
 
-    Iterative in-order traversal of the shortcut tree (middle-node
-    back-pointers), appending every node after ``a`` to *out* --
-    recursion depth would otherwise track shortcut nesting, which is
-    unbounded in adversarial graphs.
+def _kernel_tables(graph, up, down):
+    """The batch-kernel tables for one hierarchy of *graph*.
+
+    Sorts the arcs of both directions into one table -- flat ``u * n +
+    v`` keys paired with middle nodes (-1 = original edge); every arc
+    lives in exactly one direction, so keys are unique -- and hands it
+    with the ``(indptr, indices, costs)`` CSRs to
+    :func:`repro.core.kernel.build_kernel_tables`.  Raises
+    ``ValueError`` unless every arc unpacks to edges of *graph*: an arc
+    marked original must be an edge, and (checked by the kernel) both
+    halves of every shortcut must be arcs.
     """
-    stack = [(a, b)]
-    while stack:
-        u, v = stack.pop()
-        m = middles.get((u, v), -1)
-        if m < 0:
-            out.append(v)
-        else:
-            # Right half pushed first so the left half unpacks first.
-            stack.append((m, v))
-            stack.append((u, m))
+    n = graph.num_nodes
+    rows = np.arange(n, dtype=np.int64)
+    keys = np.concatenate(
+        [
+            np.repeat(rows, np.diff(up[0])) * n + up[1],
+            # Down row v holds incoming arcs u -> v.
+            down[1].astype(np.int64) * n + np.repeat(rows, np.diff(down[0])),
+        ]
+    )
+    middles = np.concatenate([up[3], down[3]]).astype(np.int32)
+    edges = np.sort(np.repeat(rows, np.diff(graph.indptr)) * n + graph.indices)
+    original = keys[middles < 0]
+    if (np.searchsorted(edges, original) == np.searchsorted(edges, original, "right")).any():
+        raise ValueError("ch_middle: an arc marked original (-1) is no edge of the graph")
+    order = np.argsort(keys, kind="stable")
+    return build_kernel_tables(n, up[:3], down[:3], keys[order], middles[order])

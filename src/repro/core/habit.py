@@ -173,10 +173,10 @@ def _graph_payload(graph, prefix=""):
 
 
 def _graph_from_npz(data, path, prefix=""):
-    """The graph (hierarchy installed) saved under *prefix*; the arrays'
-    presence was checked by :func:`_check_format`.  Edge costs that are
-    not finite and positive, like a hierarchy ``set_ch`` rejects, raise
-    :class:`ModelFormatError`."""
+    """The graph (hierarchy and kernel tables installed) saved under
+    *prefix*; the arrays' presence was checked by :func:`_check_format`.
+    Edge costs that are not finite and positive, like a hierarchy
+    ``set_ch`` rejects, raise :class:`ModelFormatError`."""
     graph = CellGraph(*(data[prefix + key] for key in _GRAPH_KEYS))
     if not (np.isfinite(graph.edge_cost) & (graph.edge_cost > 0)).all():
         raise ModelFormatError(f"{path}: {prefix}edge_cost must be finite and positive")
@@ -374,8 +374,9 @@ class HabitImputer:
                 projection=self.config.projection,
                 edge_weight=self.config.edge_weight,
             )
-            # Pay hierarchy preprocessing once at fit time; it rides in
-            # the model payload so loads skip this.
+            # Pay hierarchy preprocessing once at fit time, kernel tables
+            # included, so the published graph is serve-ready; the
+            # hierarchy rides in the model payload so loads skip it.
             self.graph.ensure_ch()
             self._finalized_state = self._state
         return self

@@ -1,11 +1,12 @@
 """Vectorised batch query kernel over contraction-hierarchy CSR arrays.
 
-The scalar CH query (:meth:`repro.core.graph.CellGraph._ch_query`)
-settles ~60 nodes per r10 query on the customizable hierarchy, so
-nearly all of its latency is CPython interpreter overhead in the
-heap/relaxation loop (~8 us per settled node).  This module removes the
-interpreter from the per-node path by answering *many* ``(src, dst)``
-queries in one NumPy sweep:
+This kernel answers every CH query: one pair from
+:meth:`~repro.core.graph.CellGraph.find_path`, many from
+:meth:`~repro.core.graph.CellGraph.find_paths_batch`.  A query labels
+~70 nodes on the r10 customizable hierarchy, so a Python heap loop would
+spend nearly all of its latency on interpreter overhead (~8 us per
+settled node).  This module removes the interpreter from the per-node
+path by answering *many* ``(src, dst)`` queries in one NumPy sweep:
 
 - **One combined bidirectional sweep.**  Upward CH edges go strictly to
   higher-ranked nodes, so each directed search space is a DAG and a
@@ -20,7 +21,7 @@ queries in one NumPy sweep:
 - **Vectorised stall-on-demand.**  Before expanding, frontier entries
   whose label a higher-ranked in-neighbour already beats are masked out
   of the round (their labels are provably not on a shortest up-down
-  path), pruning the cones exactly like the scalar query's stall test.
+  path), pruning the cones exactly like a heap query's stall test.
 - **One argmin meet.**  Forward and backward label tables meet in a
   single ``(dist_f + dist_b).argmin(axis=1)`` reduction per chunk.
 - **Precomputed shortcut expansions.**  ``build_kernel_tables`` unrolls
@@ -30,11 +31,11 @@ queries in one NumPy sweep:
   -- O(total output nodes), with no per-path Python and no repeated
   passes over nested shortcuts.
 
-Label values are the same left-associated float sums the scalar query
-computes (``label(parent) + edge_cost``, minimised over parents), and
-the stalled up-DAG fixpoint matches the scalar query's label set, so
-batch costs are *bit-equal* to the scalar CH query's -- the batch
-property suite asserts exactly that.
+Label values are left-associated float sums (``label(parent) +
+edge_cost``, minimised over parents), and the stalled up-DAG fixpoint
+has the label set of a bidirectional heap Dijkstra with stall-on-demand,
+so costs are *bit-equal* to that heap query's -- the property suites
+keep it as a test oracle and assert exactly that, node for node.
 
 The kernel is pure NumPy -- no graph imports (the graph layer calls in
 with raw arrays and builds ``SearchResult`` objects from the returned
@@ -128,12 +129,13 @@ def _expand_all(mid_keys, mid_vals, n):
 
     A shortcut ``a -> b`` with middle ``m`` expands to the expansion of
     ``a -> m`` followed by that of ``m -> b``.  Both halves are looked up
-    in the table once; rows are then filled bottom-up by nesting depth
-    (original edges first), each shortcut by copying its two finished
-    halves, so no edge is expanded twice.  A half the table lacks counts
-    as an original edge.  Returns ``(exp_indptr, exp_nodes)``: row ``i``
-    of the CSR lists the path nodes after the tail of edge
-    ``mid_keys[i]``, in order, ending at its head.
+    in the table once; rows are then filled in Kahn levels (original
+    edges first): a shortcut is ready once both of its halves are, and
+    is filled by copying them, so no edge is expanded twice.  Returns
+    ``(exp_indptr, exp_nodes)``: row ``i`` of the CSR lists the path
+    nodes after the tail of edge ``mid_keys[i]``, in order, ending at
+    its head.  Raises ``ValueError`` when a shortcut's half is not in
+    the table.
     """
     num = mid_keys.size
     exp_indptr = np.zeros(num + 1, dtype=np.int64)
@@ -143,39 +145,47 @@ def _expand_all(mid_keys, mid_vals, n):
     b = mid_keys - a * n
     rows = np.flatnonzero(mid_vals >= 0)  # shortcuts
     m = mid_vals[rows].astype(np.int64)
-    # Each shortcut's (a -> m, m -> b) halves as table rows; row ``num``
-    # stands for an absent half.
-    heads = np.stack((m, b[rows]), axis=1)
+    # Each shortcut's (a -> m, m -> b) halves as table rows.
     halves = np.stack((a[rows] * n + m, m * n + b[rows]), axis=1)
     pos = np.minimum(np.searchsorted(mid_keys, halves), num - 1)
-    halves = np.where(mid_keys[pos] == halves, pos, num)
-    # Nesting depth (original edges 0) and expansion length by fixpoint:
-    # each pass makes both exact for one more level.
-    depth = np.zeros(num + 1, dtype=np.int64)
-    length = np.ones(num + 1, dtype=np.int64)
-    while True:
-        deeper = depth[halves].max(axis=1) + 1
-        length[rows] = length[halves].sum(axis=1)
-        if np.array_equal(deeper, depth[rows]):
-            break
-        depth[rows] = deeper
-    by_depth = np.argsort(deeper, kind="stable")
-    levels = np.split(by_depth, np.flatnonzero(np.diff(deeper[by_depth])) + 1)
-    np.cumsum(length[:num], out=exp_indptr[1:])
-    # One spare slot, read (then overwritten) by absent halves.
-    exp_nodes = np.empty(int(exp_indptr[-1]) + 1, dtype=np.int32)
+    if (mid_keys[pos] != halves).any():
+        raise ValueError("ch_middle: a shortcut unpacks through an arc the hierarchy lacks")
+    halves = pos
+    # Kahn levels over the shortcuts: ``users`` lists, per shortcut, the
+    # shortcuts that have it as a half; ``waiting`` counts each one's
+    # unfinished shortcut halves.
+    shortcut = np.full(num, -1, dtype=np.int64)
+    shortcut[rows] = np.arange(rows.size)
+    inner = shortcut[halves].ravel()
+    nested = inner >= 0
+    user_of = np.repeat(np.arange(rows.size), 2)[nested]
+    inner = inner[nested]
+    users = user_of[np.argsort(inner, kind="stable")]
+    user_ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(inner, minlength=rows.size), out=user_ptr[1:])
+    waiting = np.bincount(user_of, minlength=rows.size)
+    length = np.ones(num, dtype=np.int64)
+    levels = []
+    ready = np.flatnonzero(waiting == 0)
+    while ready.size:
+        levels.append(ready)
+        length[rows[ready]] = length[halves[ready]].sum(axis=1)
+        freed = np.bincount(
+            users[_expand_ranges(user_ptr[ready], user_ptr[ready + 1] - user_ptr[ready])],
+            minlength=rows.size,
+        )
+        waiting -= freed
+        ready = np.flatnonzero((freed > 0) & (waiting == 0))
+    np.cumsum(length, out=exp_indptr[1:])
+    exp_nodes = np.empty(int(exp_indptr[-1]), dtype=np.int32)
     original = mid_vals < 0
     exp_nodes[exp_indptr[:-1][original]] = b[original]
     for level in levels:
         src = halves[level].ravel()
-        size = length[src]
-        nodes = exp_nodes[_expand_ranges(exp_indptr[src], size)]
-        absent = src == num
-        if absent.any():
-            nodes[(np.cumsum(size) - size)[absent]] = heads[level].ravel()[absent]
+        nodes = exp_nodes[_expand_ranges(exp_indptr[src], length[src])]
         dst = rows[level]
         exp_nodes[_expand_ranges(exp_indptr[dst], length[dst])] = nodes
-    return exp_indptr, exp_nodes[:-1]
+    return exp_indptr, exp_nodes
 
 
 def build_kernel_tables(n, up, down, mid_keys, mid_vals):
@@ -191,7 +201,7 @@ def build_kernel_tables(n, up, down, mid_keys, mid_vals):
     the forward search (relax upward, stall on downward), rows
     ``[n, 2n)`` the backward search (relax downward, stall on upward,
     indices offset by ``n``) -- plus the precomputed shortcut-expansion
-    CSR.  Called once per hierarchy; the graph layer caches the result.
+    CSR.  Called once per hierarchy, when the graph layer installs it.
     """
     up_indptr, up_indices, up_costs = up
     down_indptr, down_indices, down_costs = down
@@ -230,8 +240,8 @@ def _sweep(tables, num_q, srcs, dsts):
     (from ``dsts[q]``, following downward edges) in the upper half.
     Returns ``(dist, parent, labelled, rounds)`` where *dist*/*parent*
     are flat ``(num_q * 2n)`` workspaces (parent values are combined
-    node ids), *labelled* counts each lane's finite labels (the batch
-    analogue of the scalar ``expanded``), and *rounds* counts
+    node ids), *labelled* counts each lane's finite labels (the
+    query's ``expanded``), and *rounds* counts
     relaxation iterations until the fixpoint.
     """
     n2 = 2 * tables.num_nodes
@@ -258,7 +268,7 @@ def _sweep(tables, num_q, srcs, dsts):
         # Stall-on-demand: drop (query, node) pairs whose label a
         # higher-ranked neighbour already beats.  Their labels stay
         # (safe upper bounds for the meet); they simply stop
-        # propagating, exactly like the scalar stall test.
+        # propagating, exactly like a heap query's stall test.
         sdeg = stall_indptr[fv + 1] - stall_indptr[fv]
         if sdeg.any():
             eids = _expand_ranges(stall_indptr[fv], sdeg)
@@ -288,7 +298,7 @@ def _sweep(tables, num_q, srcs, dsts):
         improved = after < before
         # Every candidate equal to its key's label is a shortest-path
         # predecessor; the parent is the lowest node id among them, this
-        # round's or an earlier round's -- the scalar query's tie-break,
+        # round's or an earlier round's -- the heap oracle's tie-break,
         # so both return the same path, not just the same cost.
         tied = nd == after
         parent[key[improved]] = n2
@@ -337,27 +347,14 @@ def _unpack_edges(tables, qid, a, b):
     """Expand augmented path edges via the precomputed expansion table.
 
     ``qid``/``a``/``b`` are parallel arrays of augmented edges in path
-    order (query-major).  One ``searchsorted`` finds each edge's row in
-    the expansion CSR; one gather emits every original tail node.
-    Edges absent from the table pass through unchanged (they can only
-    be original edges, mirroring the scalar unpack's ``.get(..., -1)``).
+    order (query-major), each an arc of the hierarchy and so a row of
+    the table.  One ``searchsorted`` finds each edge's row in the
+    expansion CSR; one gather emits every original tail node.
     """
-    mid_keys = tables.mid_keys
-    if not mid_keys.size or not a.size:
-        return qid, b
-    n = tables.num_nodes
-    key = a * n + b
-    pos = np.minimum(np.searchsorted(mid_keys, key), mid_keys.size - 1)
-    present = mid_keys[pos] == key
-    counts = np.where(present, tables.exp_indptr[pos + 1] - tables.exp_indptr[pos], 1)
-    eids = _expand_ranges(np.where(present, tables.exp_indptr[pos], 0), counts)
-    tails = tables.exp_nodes[eids].astype(np.int64)
-    # Rows that fell through (absent keys) gathered garbage; overwrite
-    # with the edge's own tail.
-    if not present.all():
-        starts = np.cumsum(counts) - counts
-        tails[starts[~present]] = b[~present]
-    return np.repeat(qid, counts), tails
+    pos = np.searchsorted(tables.mid_keys, a * tables.num_nodes + b)
+    counts = tables.exp_indptr[pos + 1] - tables.exp_indptr[pos]
+    tails = tables.exp_nodes[_expand_ranges(tables.exp_indptr[pos], counts)]
+    return np.repeat(qid, counts), tails.astype(np.int64)
 
 
 def _chains(steps, n):
@@ -388,9 +385,9 @@ def batch_ch_paths(tables, srcs, dsts):
     Returns ``(indptr, nodes, costs, expanded, rounds)``: every query's
     node-index path as one CSR -- query ``i``'s path is
     ``nodes[indptr[i]:indptr[i + 1]]``, empty when unreachable --
-    bit-equal-to-scalar-CH float costs (``inf`` when unreachable),
-    per-query labelled-node counts (the batch analogue of the scalar
-    ``expanded``; 0 when unreachable), and total relaxation rounds
+    float costs (``inf`` when unreachable), per-query labelled-node
+    counts (the query's ``expanded``; 0 when unreachable), and total
+    relaxation rounds
     across chunks.
     """
     n = tables.num_nodes
@@ -456,6 +453,7 @@ def solve_batch(tables, srcs, dsts):
     """Single-model batch entry point: one instrumented kernel solve.
 
     The reusable seam between callers and the sweep -- the graph layer's
+    :meth:`~repro.core.graph.CellGraph.find_path` (one lane) and
     :meth:`~repro.core.graph.CellGraph.find_paths_batch`, the serving
     dispatcher's per-model flushes, and benchmarks all funnel one
     model's fused lanes through here.  Wraps :func:`batch_ch_paths` and

@@ -113,7 +113,7 @@ def _oracle_find_paths_batch(graph, pairs):
             lanes.append((i, si, di))
     if lanes:
         paths, costs, expanded, _ = _oracle_batch_ch_paths(
-            graph._ch_kernel_tables(),
+            graph.kernel_tables,
             np.asarray([si for _, si, _ in lanes], dtype=np.int64),
             np.asarray([di for _, _, di in lanes], dtype=np.int64),
         )
@@ -217,7 +217,7 @@ def test_kernel_assembly_matches_per_lane_oracle(monkeypatch, topology, chunk_ce
         if n < 2:
             continue
         graph.ensure_ch()
-        tables = graph._ch_kernel_tables()
+        tables = graph.kernel_tables
         srcs = rng.integers(0, n, 40)
         dsts = (srcs + rng.integers(1, n, 40)) % n  # pairwise distinct
         paths, costs, expanded, rounds = _oracle_batch_ch_paths(tables, srcs, dsts)

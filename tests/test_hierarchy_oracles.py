@@ -2,7 +2,7 @@
 
 The nested-dissection order (``graph._dissection_rank``) bisects every
 open part of a level at once, and the kernel's shortcut expansion
-(``kernel._expand_all``) fills rows bottom-up by nesting depth.  This
+(``kernel._expand_all``) fills rows in Kahn levels of its shortcuts.  This
 module keeps the recursive bisection and the round-by-round splitter as
 oracles and asserts bit-equality: ranks, the whole ``compute_ch`` output
 (rank plus all eight CSR arrays, dtypes included) and the kernel tables,
@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import repro.core.graph as graph_mod
-from graphgen import TOPOLOGIES, random_graph
+from graphgen import TOPOLOGIES, hop_costs, random_graph
 from repro.core import HabitConfig, HabitImputer, kernel
 from repro.core.graph import _CCH_LEAF_SIZE, _dissection_rank
 from repro.core.habit import _CH_KEYS
+from repro.experiments import common
 
 # -- oracles: the recursive code the array passes replaced ---------------
 
@@ -236,8 +237,11 @@ def test_dissection_compute_ch_equals_oracle_build_on_kiel(
 
 def _kernel_tables(graph):
     graph.ensure_ch()
-    graph._ch_kernel_table = None
-    return graph._ch_kernel_tables()
+    parts = ("indptr", "indices", "costs", "middle")
+    up, down = (
+        tuple(getattr(graph, f"ch_{name}_{part}") for part in parts) for name in ("up", "down")
+    )
+    return graph_mod._kernel_tables(graph, up, down)
 
 
 def _assert_expand_all_matches(graph, monkeypatch):
@@ -264,16 +268,53 @@ def test_expand_all_matches_splitter_oracle_on_kiel(kiel_graphs, resolution, mon
     _assert_expand_all_matches(kiel_graphs[resolution], monkeypatch)
 
 
-def test_expand_all_treats_absent_halves_as_original_edges():
-    """A shortcut whose halves the table lacks (only a hand-made table
-    can) unrolls to the halves' heads, as the splitter does."""
+def test_expand_all_rejects_absent_halves():
+    """A shortcut whose halves the table lacks would unpack to a hop
+    between cells that share no edge, so the table build refuses it (the
+    loader turns that into a refit).  An empty table still builds."""
     n = 6
     keys = np.array([0 * n + 2, 2 * n + 1, 3 * n + 5], dtype=np.int64)
     vals = np.array([4, -1, 1], dtype=np.int32)
-    ours = kernel._expand_all(keys, vals, n)
-    oracle = _oracle_expand_all(keys, vals, n)
-    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(ours, oracle))
+    with pytest.raises(ValueError, match="ch_middle"):
+        kernel._expand_all(keys, vals, n)
+    # One present and one absent half is refused too.
+    keys = np.array([0 * n + 1, 0 * n + 2, 1 * n + 2], dtype=np.int64)
+    vals = np.array([-1, 1, -1], dtype=np.int32)
+    assert kernel._expand_all(keys, vals, n)[1].tolist() == [1, 1, 2, 2]
+    with pytest.raises(ValueError, match="ch_middle"):
+        kernel._expand_all(keys, np.array([-1, 3, -1], dtype=np.int32), n)
     empty = np.empty(0, dtype=np.int64)
     ours = kernel._expand_all(empty, empty.astype(np.int32), n)
     oracle = _oracle_expand_all(empty, empty.astype(np.int32), n)
     assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(ours, oracle))
+
+
+def test_expand_all_halves_exist_on_sar_r9(tiny_cache):
+    """Perfect customisation keeps every arc a kept shortcut unpacks
+    through, even one an ulp above its exact cost (float re-association
+    in the basic pass).  The SAR r9 graph at scale 0.02 has three such
+    halves; dropped, its kernel paths would hop between cells that share
+    no edge."""
+    sar = common.prepare("SAR", scale=0.02, cache_dir=tiny_cache)
+    graph = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(sar.train).graph
+    n = graph.num_nodes
+    arcs = {}
+    for name, row_is_tail in (("up", True), ("down", False)):
+        rows = np.repeat(np.arange(n), np.diff(getattr(graph, f"ch_{name}_indptr")))
+        cols = getattr(graph, f"ch_{name}_indices")
+        tails, heads = (rows, cols) if row_is_tail else (cols, rows)
+        mids = getattr(graph, f"ch_{name}_middle")
+        arcs.update(zip(zip(tails.tolist(), heads.tolist()), mids.tolist()))
+    absent = [
+        (u, v, m) for (u, v), m in arcs.items()
+        if m >= 0 and ((u, m) not in arcs or (m, v) not in arcs)
+    ]
+    assert not absent
+    edges = hop_costs(graph)
+    rng = np.random.default_rng(9)
+    pairs = [tuple(int(c) for c in rng.choice(graph.cells, 2)) for _ in range(400)]
+    routed = [r for r in graph.find_paths_batch(pairs) if r is not None]
+    assert len(routed) > 100
+    for result in routed:
+        for hop in zip(result.cells, result.cells[1:]):
+            assert hop in edges, hop

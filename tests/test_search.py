@@ -12,6 +12,7 @@ from repro.core import (
     HabitConfig,
     HabitImputer,
 )
+from repro.core.habit import _CH_KEYS
 from repro.hexgrid import (
     cell_axial_array,
     cell_to_latlng_array,
@@ -139,11 +140,13 @@ def test_saved_format_version_is_8(tiny_kiel, tmp_path):
         assert len(data["config"]) == 5
 
 
-def _corrupt_ch(arrays, defect):
-    """Copy of ``set_ch``'s positional arrays with one *defect* planted."""
+def _corrupt_ch(graph, defect):
+    """Copy of *graph*'s ``set_ch`` positional arrays with one *defect*
+    planted."""
     (rank, up_ptr, up_idx, up_cost, up_mid, down_ptr, down_idx, down_cost,
-     down_mid) = (np.array(a, copy=True) for a in arrays)
-    up_rows = np.repeat(np.arange(len(rank)), np.diff(up_ptr))
+     down_mid) = (np.array(getattr(graph, key), copy=True) for key in _CH_KEYS)
+    n = len(rank)
+    up_rows = np.repeat(np.arange(n), np.diff(up_ptr))
     if defect == "rank":
         rank[0] = rank[1]
     elif defect == "index":
@@ -154,6 +157,28 @@ def _corrupt_ch(arrays, defect):
         up_idx[0] = up_rows[0]
     elif defect == "middle":
         up_mid[:] = up_rows  # each arc's middle is its own tail
+    elif defect == "missing_half":
+        # Give an original up arc u -> v a middle m ranked below both
+        # whose halves u -> m and m -> v are not both stored arcs.
+        down_rows = np.repeat(np.arange(n), np.diff(down_ptr))
+        arcs = set((up_rows * n + up_idx).tolist()) | set((down_idx * n + down_rows).tolist())
+        e, m = next(
+            (e, m)
+            for e in np.flatnonzero(up_mid < 0).tolist()
+            for m in np.argsort(rank).tolist()
+            if rank[m] < rank[up_rows[e]]
+            and not {up_rows[e] * n + m, m * n + up_idx[e]} <= arcs
+        )
+        up_mid[e] = m
+    elif defect == "not_an_edge":
+        # Mark a shortcut that is no original edge as original.
+        edges = set(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
+        cells = graph.cells
+        e = next(
+            e for e in np.flatnonzero(up_mid >= 0).tolist()
+            if (int(cells[up_rows[e]]), int(cells[up_idx[e]])) not in edges
+        )
+        up_mid[e] = -1
     elif defect in _BAD_COSTS:
         down_cost[-1] = _BAD_COSTS[defect]
     return (rank, up_ptr, up_idx, up_cost, up_mid, down_ptr, down_idx,
@@ -164,25 +189,46 @@ def _corrupt_ch(arrays, defect):
 _BAD_COSTS = {"nan": np.nan, "negative": -1.0, "inf": np.inf}
 
 
+#: Hierarchies whose arcs do not unpack to edges of the graph.
+_UNPACK_DEFECTS = ("missing_half", "not_an_edge")
+
+
 @pytest.mark.parametrize(
-    "defect", ["rank", "index", "indptr", "direction", "middle", *_BAD_COSTS]
+    "defect",
+    ["rank", "index", "indptr", "direction", "middle", *_BAD_COSTS, *_UNPACK_DEFECTS],
 )
 def test_set_ch_rejects_hierarchies_queries_cannot_walk(defect):
     """``set_ch`` accepts only hierarchies whose queries and shortcut
-    unpacking terminate: a permutation rank, in-range indices, arcs that
-    climb in rank, and middle nodes ranked below both endpoints."""
+    unpacking terminate on edges of the graph: a permutation rank,
+    in-range indices, arcs that climb in rank, middle nodes ranked below
+    both endpoints, both halves of every shortcut stored, and every arc
+    marked original an edge."""
     built = _random_graph(np.random.default_rng(29))
     built.compute_ch()
-    arrays = [getattr(built, key) for key in (
-        "ch_rank", "ch_up_indptr", "ch_up_indices", "ch_up_costs", "ch_up_middle",
-        "ch_down_indptr", "ch_down_indices", "ch_down_costs", "ch_down_middle",
-    )]
+    arrays = [getattr(built, key) for key in _CH_KEYS]
     fresh = _random_graph(np.random.default_rng(29))
     with pytest.raises(ValueError, match="ch_"):
-        fresh.set_ch(*_corrupt_ch(arrays, defect))
+        fresh.set_ch(*_corrupt_ch(built, defect))
     assert not fresh.has_ch
     fresh.set_ch(*arrays)
     assert fresh.has_ch
+
+
+@pytest.mark.parametrize("defect", _UNPACK_DEFECTS)
+def test_load_rejects_corrupt_hierarchy_unpacking(tiny_kiel, tmp_path, defect):
+    """A model file whose hierarchy unpacks to non-edges -- a shortcut
+    half missing, or an arc marked original that is no edge -- fails to
+    load as a ``ModelFormatError``, so a registry with a fitter refits
+    it instead of serving paths that hop between unconnected cells."""
+    from repro.core import ModelFormatError
+
+    model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
+    with np.load(model.save(tmp_path / "m.npz")) as data:
+        payload = {name: data[name] for name in data.files}
+    payload.update(zip(_CH_KEYS, _corrupt_ch(model.graph, defect)))
+    np.savez(tmp_path / "torn.npz", **payload)
+    with pytest.raises(ModelFormatError, match="ch_middle"):
+        HabitImputer.load(tmp_path / "torn.npz")
 
 
 @pytest.mark.parametrize("defect", sorted(_BAD_COSTS))

@@ -17,9 +17,15 @@ any counterexample replays with a two-line snippet.
 import numpy as np
 import pytest
 
+from ch_oracle import ScalarCH, ch_middles, ch_unpack
 from graphgen import TOPOLOGIES, hop_costs, random_graph
-from repro.core import GOAL_DIRECTED_METHODS, SEARCH_METHODS, CellGraph
-from repro.core.graph import _ch_unpack
+from repro.core import (
+    GOAL_DIRECTED_METHODS,
+    SEARCH_METHODS,
+    CellGraph,
+    HabitConfig,
+    HabitImputer,
+)
 from repro.core.habit import _CH_KEYS
 
 #: (topology, number of graph draws) -- 220 graphs in total.
@@ -65,25 +71,33 @@ def _check_query(graph, src, dst, context):
 
 
 def _check_batch(graph, pairs, context):
-    """The batch kernel agrees with the scalar oracles on *pairs*.
+    """The batch kernel agrees with the oracles on *pairs*.
 
-    Bit-equal costs vs scalar CH (same hierarchy, same relaxation
-    order), Dijkstra-equal to float tolerance, paths over real edges,
-    and identical unreachable verdicts.
+    The scalar CH oracle's paths node for node at bit-equal costs (same
+    hierarchy, same relaxation order, same tie-break) -- for batches and
+    for one-pair ``find_path`` calls alike -- Dijkstra-equal costs to
+    float tolerance, paths over real edges, and identical unreachable
+    verdicts.
     """
     batch = graph.find_paths_batch(pairs)
     costs = hop_costs(graph)
+    oracle = ScalarCH(graph)
     assert len(batch) == len(pairs), context
     for (src, dst), result in zip(pairs, batch):
         where = f"batch {src}->{dst} ({context})"
-        ch = graph.find_path(src, dst, "ch")
+        ch = oracle.find_path(src, dst)
+        single = graph.find_path(src, dst, "ch")
+        assert (single is None) == (ch is None), where
+        if ch is not None:
+            assert single.cells == ch[0] and single.cost == ch[1], where
         dijkstra = graph.find_path(src, dst, "dijkstra")
         assert (ch is None) == (dijkstra is None)
         if dijkstra is None:
             assert result is None, f"{where}: unreachable verdict disagrees"
             continue
         assert result is not None, f"{where}: unreachable verdict disagrees"
-        assert result.cost == ch.cost, f"{where}: not bit-equal to scalar CH"
+        assert result.cost == ch[1], f"{where}: not bit-equal to scalar CH"
+        assert result.cells == ch[0], f"{where}: not the scalar CH path"
         assert result.cost == pytest.approx(dijkstra.cost, rel=1e-9), where
         assert result.cells[0] == src and result.cells[-1] == dst, where
         assert _path_cost(costs, result) == pytest.approx(result.cost, rel=1e-9), where
@@ -165,8 +179,8 @@ def test_no_edge_graphs_are_unreachable_everywhere():
 
 def test_degenerate_pairs_short_circuit_before_any_search_work(monkeypatch):
     """src==dst and provably unreachable pairs must never reach a heap,
-    a lazy preprocessing build, or the batch kernel -- in any variant,
-    scalar or batch.  Poisoning every search backend proves it."""
+    a hierarchy build, or the batch kernel -- in any variant, one pair
+    or a batch.  Poisoning every search backend proves it."""
     import repro.core.graph as graph_mod
 
     graph = random_graph(np.random.default_rng(17), "uniform")
@@ -186,9 +200,10 @@ def test_degenerate_pairs_short_circuit_before_any_search_work(monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("degenerate pair reached search machinery")
 
-    for name in ("_astar_indices", "_ch_query", "ensure_ch", "_ch_kernel_tables"):
+    for name in ("_astar_indices", "ensure_ch", "compute_ch"):
         monkeypatch.setattr(graph_mod.CellGraph, name, poisoned)
-    monkeypatch.setattr(graph_mod, "solve_batch", poisoned)
+    for name in ("solve_batch", "_kernel_tables"):
+        monkeypatch.setattr(graph_mod, name, poisoned)
     for method in SEARCH_METHODS:
         trivial = graph.find_path(cell, cell, method)
         assert trivial.cost == 0.0 and trivial.expanded == 0, method
@@ -210,7 +225,7 @@ def test_every_stored_arc_unpacks_to_its_cost(topology):
         graph = random_graph(np.random.default_rng(seed), topology)
         graph.compute_ch()
         rank = graph.ch_rank
-        middles = graph._ch_middles()
+        middles = ch_middles(graph)
         cheapest = hop_costs(graph)
         # Up row u holds arcs u -> v; down row v holds arcs u -> v.
         for name, row_is_tail in (("up", True), ("down", False)):
@@ -228,7 +243,7 @@ def test_every_stored_arc_unpacks_to_its_cost(topology):
                 where = f"topology={topology} seed={seed} {name} arc {u}->{v}"
                 assert m == -1 or rank[m] < min(rank[u], rank[v]), where
                 path = [u]
-                _ch_unpack(u, v, middles, path)
+                ch_unpack(u, v, middles, path)
                 cells = graph.cells[path].tolist()
                 total = sum(cheapest[a, b] for a, b in zip(cells, cells[1:]))
                 assert cost == pytest.approx(total, rel=1e-12), where
@@ -240,9 +255,9 @@ def test_every_stored_arc_unpacks_to_its_cost(topology):
 @pytest.mark.parametrize("topology", ["uniform", "lane", "multi_component"])
 def test_batch_and_scalar_ch_return_the_same_path_on_ties(topology):
     """Whole-step costs make equal-cost paths common.  The batch kernel
-    and the scalar CH query must still return the *same* path, not just
-    the same cost: a served batch answer has to equal an offline single
-    ``impute`` of the same gap."""
+    must still return the scalar CH oracle's *same* path, not just the
+    same cost: its tie-break (lowest node id, for parents and for the
+    meet) is the contract both keep."""
     for draw in range(20):
         seed = _BASE_SEED + draw
         base = random_graph(np.random.default_rng(seed), topology)
@@ -252,9 +267,36 @@ def test_batch_and_scalar_ch_return_the_same_path_on_ties(topology):
         )
         rng = np.random.default_rng(seed)
         pairs = [tuple(int(c) for c in rng.choice(graph.cells, 2)) for _ in range(24)]
+        oracle = ScalarCH(graph)
         for (src, dst), batched in zip(pairs, graph.find_paths_batch(pairs)):
-            scalar = graph.find_path(src, dst, "ch")
+            scalar = oracle.find_path(src, dst)
             where = f"topology={topology} seed={seed} {src}->{dst}"
             assert (scalar is None) == (batched is None), where
             if scalar is not None:
-                assert batched.cells == scalar.cells, where
+                assert batched.cells == scalar[0], where
+                assert batched.cost == scalar[1], where
+
+
+@pytest.mark.parametrize("resolution", [9, 10])
+def test_kernel_paths_equal_scalar_oracle_on_kiel(tiny_kiel, resolution):
+    """On the miniature KIEL graphs, every kernel path -- a batch of
+    seeded node pairs and the snapped gap endpoints -- is the scalar CH
+    oracle's, node for node, at a bit-equal cost."""
+    imputer = HabitImputer(HabitConfig(resolution=resolution)).fit_from_trips(
+        tiny_kiel.train
+    )
+    graph = imputer.graph
+    rng = np.random.default_rng(resolution)
+    pairs = [tuple(int(c) for c in rng.choice(graph.cells, 2)) for _ in range(48)]
+    snapped = (imputer.snap_endpoints(g.start, g.end) for g in tiny_kiel.gaps(3600.0)[:16])
+    pairs += [p for p in snapped if p is not None]
+    oracle = ScalarCH(graph)
+    routed = 0
+    for (src, dst), batched in zip(pairs, graph.find_paths_batch(pairs)):
+        scalar = oracle.find_path(src, dst)
+        assert (scalar is None) == (batched is None), (src, dst)
+        if scalar is not None:
+            assert batched.cells == scalar[0], (src, dst)
+            assert batched.cost == scalar[1], (src, dst)
+            routed += 1
+    assert routed > len(pairs) // 2
