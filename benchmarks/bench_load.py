@@ -1,13 +1,13 @@
-"""Closed-loop load benchmark: the micro-batching dispatcher under fire.
+"""Closed-loop load benchmark: the combining dispatcher under fire.
 
-PR 8 made one *batch* cheap (one kernel sweep answers 64 gaps); this
-suite measures the regime PR 8 could not touch -- many concurrent
-*singleton* requests, each on its own handler thread, the shape real
-HTTP traffic has.  N closed-loop clients (send, wait for the response,
-send again -- no open-loop request pileup) hammer a thread-mode
+One *batch* is cheap (one kernel sweep answers 64 gaps); this suite
+measures the other regime -- many concurrent *singleton* requests, each
+on its own handler thread, the shape real HTTP traffic has.  N
+closed-loop clients (send, wait for the response, send again -- no
+open-loop request pileup) hammer a
 :class:`repro.service.BatchImputationEngine` whose shared
-:class:`repro.service.dispatch.BatchDispatcher` fuses concurrent
-cache-missed searches into one kernel call per window.
+:class:`repro.service.dispatch.BatchDispatcher` fuses the cache-missed
+searches queued behind a running flush into one kernel call.
 
 The sweep crosses client counts (1 / 4 / 16 / 64, trimmed via
 ``REPRO_BENCH_LOAD_CLIENTS`` for CI's quick pass) with three traffic
@@ -21,20 +21,21 @@ tiers:
   reach it).
 - ``coalesced`` -- all clients demand the *same* fresh route each
   round (lockstep barrier): the cross-request dedup regime, where one
-  search answers the whole window and the ``cross_batch`` provenance
-  tier lights up.
+  search answers every client queued for the route and the
+  ``cross_batch`` provenance tier lights up.
 
-Latency quantiles are read from the ``repro_impute_seconds`` histogram
-delta (the same snapshot-absorb trick as ``bench_service``); window
-behaviour from the ``repro_dispatch_*`` metrics.  Everything lands in
+Latency quantiles are taken where the client sees them: from raw
+wall-clock samples around each ``engine.run`` call, so time spent
+queued in the dispatcher counts in full.  Flush behaviour comes from
+the ``repro_dispatch_*`` metric deltas.  Everything lands in
 ``BENCH_load.json`` (committed from a representative run, uploaded by
 CI).  The regression gates at the bottom pin the dispatcher's claims: warm
 concurrent serving beats the one-pair route baseline (``scalar_route_us``,
 one uncached ``route()`` -- a 1-lane kernel call -- per query) on median
 latency and sustained per-request cost, cold concurrency really fuses
 lanes across requests, and the ``cross_batch`` tier is live under a
-coalesced storm.  (A lone request never paying the window -- the idle
-bypass -- is pinned deterministically in ``tests/test_dispatch.py``.)  All of it runs under
+coalesced storm.  (A lone submission running at once is pinned
+deterministically in ``tests/test_dispatch.py``.)  All of it runs under
 ``--benchmark-disable`` -- measurements come from wall clocks and
 metric histograms, not pytest-benchmark timers.
 """
@@ -105,11 +106,12 @@ class _PairAllocator:
 
 
 def _closed_loop(engine, config, per_client, lockstep=False):
-    """Run one closed-loop scenario; returns ``(wall_s, flat results)``.
+    """Run one closed-loop scenario; returns ``(wall_s, flat results,
+    per-request wall-clock seconds)``.
 
     *per_client* is one request list per client thread; each client
     sends its requests one at a time, waiting for each response.  With
-    *lockstep* the clients barrier before every round, maximising window
+    *lockstep* the clients barrier before every round, maximising
     overlap (the coalesced tier's worst-case storm shape).
     """
     clients = len(per_client)
@@ -117,17 +119,20 @@ def _closed_loop(engine, config, per_client, lockstep=False):
     rounds = threading.Barrier(clients) if lockstep and clients > 1 else None
     errors = []
     results = [None] * clients
+    seconds = [None] * clients
 
     def run_client(c):
-        mine = []
+        mine, timed = [], []
         try:
             start.wait(timeout=120)
             for request in per_client[c]:
                 if rounds is not None:
                     rounds.wait(timeout=120)
+                sent = time.perf_counter()
                 (result,) = engine.run([request], config)
+                timed.append(time.perf_counter() - sent)
                 mine.append(result)
-            results[c] = mine
+            results[c], seconds[c] = mine, timed
         except Exception as exc:  # noqa: BLE001 - surfaced in the main thread
             errors.append(exc)
             if rounds is not None:
@@ -145,25 +150,25 @@ def _closed_loop(engine, config, per_client, lockstep=False):
         thread.join(timeout=300)
     wall = time.perf_counter() - begun
     assert not errors, errors
-    return wall, [result for batch in results for result in batch]
+    flat = [result for batch in results for result in batch]
+    return wall, flat, [s for timed in seconds for s in timed]
 
 
-def _latency_stats(delta):
-    """Mean/p50/p95/p99 (us) of ``repro_impute_seconds`` from a delta."""
-    scratch = MetricsRegistry()
-    scratch.absorb(delta)
-    summary = scratch.get("repro_impute_seconds").summary(("thread",))
+def _latency_stats(seconds):
+    """Mean/p50/p95/p99 (us) of raw client-side request wall times."""
+    us = np.asarray(seconds) * 1e6
+    p50, p95, p99 = np.percentile(us, [50, 95, 99])
     return {
-        "requests": summary["count"],
-        "mean_us": round(summary["sum"] / summary["count"] * 1e6, 1),
-        "p50_us": round(summary["p50"] * 1e6, 1),
-        "p95_us": round(summary["p95"] * 1e6, 1),
-        "p99_us": round(summary["p99"] * 1e6, 1),
+        "requests": len(us),
+        "mean_us": round(float(us.mean()), 1),
+        "p50_us": round(float(p50), 1),
+        "p95_us": round(float(p95), 1),
+        "p99_us": round(float(p99), 1),
     }
 
 
 def _dispatch_stats(delta):
-    """Window behaviour from the ``repro_dispatch_*`` metric deltas."""
+    """Flush behaviour from the ``repro_dispatch_*`` metric deltas."""
     scratch = MetricsRegistry()
     scratch.absorb(delta)
     lanes = scratch.get("repro_dispatch_batch_lanes")
@@ -178,7 +183,7 @@ def _dispatch_stats(delta):
 
 def _run_scenario(engine, config, per_client, lockstep=False):
     before = METRICS.snapshot()
-    wall, results = _closed_loop(engine, config, per_client, lockstep)
+    wall, results, seconds = _closed_loop(engine, config, per_client, lockstep)
     delta = diff_snapshots(METRICS.snapshot(), before)
     n = len(results)
     return {
@@ -186,7 +191,7 @@ def _run_scenario(engine, config, per_client, lockstep=False):
         "requests": n,
         "throughput_rps": round(n / wall, 1),
         "per_request_us": round(wall / n * 1e6, 1),
-        "latency": _latency_stats(delta),
+        "latency": _latency_stats(seconds),
         "dispatch": _dispatch_stats(delta),
         "tiers": dict(Counter(r.provenance.path_cache for r in results)),
     }
@@ -199,12 +204,6 @@ def load_sweep(habit_r10, tmp_path_factory):
     registry.publish("KIEL", habit_r10)
     model, config = habit_r10, habit_r10.config
     alloc = _PairAllocator(model)
-    engines = []
-
-    def make():
-        engine = BatchImputationEngine(registry)
-        engines.append(engine)
-        return engine
 
     # The one-pair route baseline the serving path must beat: one
     # uncached route() per query -- a 1-lane kernel call -- the cost of
@@ -225,11 +224,13 @@ def load_sweep(habit_r10, tmp_path_factory):
         # cold: fresh engine, every request a distinct never-seen route.
         cold = alloc.requests(clients * ROUNDS["cold"], f"cold{clients}")
         scenarios[f"cold_c{clients}"] = _run_scenario(
-            make(), config, [cold[c :: clients] for c in range(clients)]
+            BatchImputationEngine(registry),
+            config,
+            [cold[c :: clients] for c in range(clients)],
         )
 
         # warm: a primed pool -- route cache + rendered-path memo hits.
-        engine = make()
+        engine = BatchImputationEngine(registry)
         pool = alloc.requests(32, f"warm{clients}")
         engine.run(pool, config)  # prime
         per_client = [
@@ -241,11 +242,12 @@ def load_sweep(habit_r10, tmp_path_factory):
         # coalesced: all clients demand the same fresh route each round.
         fresh = alloc.requests(ROUNDS["coalesced"], f"coal{clients}")
         scenarios[f"coalesced_c{clients}"] = _run_scenario(
-            make(), config, [list(fresh) for _ in range(clients)], lockstep=True
+            BatchImputationEngine(registry),
+            config,
+            [list(fresh) for _ in range(clients)],
+            lockstep=True,
         )
 
-    for engine in engines:
-        engine.close()
     return {"scalar_route_us": round(scalar_route_us, 1), "scenarios": scenarios}
 
 
@@ -268,7 +270,7 @@ def test_load_artifact(load_sweep):
         "python": platform.python_version(),
         "clients": list(CLIENTS),
         "rounds_per_client": ROUNDS,
-        "source": "repro_impute_seconds + repro_dispatch_* (snapshot deltas)",
+        "source": "client-side wall clock per engine.run + repro_dispatch_* (snapshot deltas)",
         "scalar_route_us": load_sweep["scalar_route_us"],
         "scenarios": load_sweep["scenarios"],
     }
@@ -307,7 +309,7 @@ def test_gate_warm_concurrency_beats_scalar_baseline(load_sweep):
 
 def test_gate_cold_dispatcher_fuses_lanes(load_sweep):
     """Cold concurrent singletons really fuse: at the highest swept
-    concurrency the dispatcher's windows collect multiple search lanes
+    concurrency the dispatcher's flushes collect multiple search lanes
     per kernel call on average."""
     clients = max(CLIENTS)
     if clients < 4:
@@ -332,7 +334,7 @@ def test_gate_cross_batch_tier_live(load_sweep):
     assert set(s["tiers"]) <= {"miss", "cross_batch", "hit", "coalesced"}, s["tiers"]
     assert s["tiers"].get("cross_batch", 0) > 0, s["tiers"]
     assert s["dispatch"]["coalesced"] > 0, s["dispatch"]
-    # Every round searched at most once per window it straddled; with
+    # Every round searched at most once per flush it straddled; with
     # N clients lockstepped on one fresh route per round, misses stay
     # far below the request count.
     assert s["tiers"].get("miss", 0) <= s["requests"] // 2, s["tiers"]

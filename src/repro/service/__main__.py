@@ -295,7 +295,6 @@ def main(argv=None):
             if follow is not None:
                 follow.stop()
             server.server_close()
-            server.engine.close()
             if server.access_log_file is not None:
                 server.access_log_file.close()
 

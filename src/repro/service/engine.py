@@ -40,16 +40,14 @@ within one batch are searched once.  The first requester records tier
 and is fanned the single result -- large fleet batches converging on hub
 pairs pay one kernel lane, not N.
 
-**Cross-request micro-batching:** every batch's searched lanes go
-through one shared :class:`repro.service.dispatch.BatchDispatcher`.
-Concurrent HTTP handler threads submitting within a bounded window
-(:data:`BATCH_WINDOW_MS`, with a :data:`BATCH_MAX_LANES` cap) fuse into
-one kernel call per resolved class graph, so sixteen simultaneous
-singletons cost one sweep, not sixteen.  The window flushes immediately
-once every in-flight request is parked in it -- a lone request never
-waits (the idle bypass) -- and identical routes from *different*
-requests dedupe to one lane: the late arrivals record tier
-``"cross_batch"``, the cross-request extension of ``"coalesced"``.
+**Cross-request fusion:** every batch's searched lanes go through one
+shared :class:`repro.service.dispatch.BatchDispatcher`, a combining
+flush.  A submission that finds no flush running runs at once -- a lone
+request never waits -- and submissions from concurrent HTTP handler
+threads that arrive while one runs queue behind it and fuse into the
+next flush, one kernel call per resolved class graph.  Identical routes
+from *different* requests dedupe to one lane: the late arrivals record
+tier ``"cross_batch"``, the cross-request extension of ``"coalesced"``.
 The dispatcher and the answer cache are always on; there is exactly
 one miss path.
 
@@ -117,10 +115,6 @@ _MISSING = object()
 
 #: Answer-cache entries.
 PATH_CACHE_SIZE = 4096
-#: Cross-request micro-batching window (milliseconds).
-BATCH_WINDOW_MS = 2.0
-#: Pending search lanes that flush a micro-batching window early.
-BATCH_MAX_LANES = 64
 
 
 class _PathCache:
@@ -156,9 +150,7 @@ class _PathCache:
 class BatchImputationEngine:
     """Executes batches of gap requests against a model registry.
 
-    *registry* is a :class:`repro.service.ModelRegistry`.  Call
-    :meth:`close` (or use the engine as a context manager) to release
-    the dispatcher.
+    *registry* is a :class:`repro.service.ModelRegistry`.
     """
 
     def __init__(self, registry):
@@ -166,27 +158,7 @@ class BatchImputationEngine:
         #: The answer cache: LRU over (model id, class tag, revision, raw
         #: start, raw end) -> (ImputedPath, path_length_m).
         self.render_cache = _PathCache(PATH_CACHE_SIZE)
-        self.dispatcher = BatchDispatcher(
-            window_s=BATCH_WINDOW_MS / 1e3, max_lanes=BATCH_MAX_LANES
-        )
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self):
-        """Release the dispatcher.
-
-        In-flight requests complete (the dispatcher's final window is
-        flushed by its own waiters; later submissions run immediately,
-        unbatched)."""
-        self.dispatcher.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    # -- execution ---------------------------------------------------------
+        self.dispatcher = BatchDispatcher()
 
     def run(self, requests, config=None):
         """Impute every request; returns results in request order.
@@ -197,20 +169,14 @@ class BatchImputationEngine:
         """
         requests = list(requests)
         config = config or HabitConfig()
-        # Bracket the whole run so the dispatcher knows this thread may
-        # still contribute lanes to the current micro-batching window.
-        token = self.dispatcher.enter()
-        try:
-            models = {}
-            for request in requests:
-                key = (request.dataset.upper(), request.typed)
-                if key not in models:
-                    models[key] = self.registry.get(
-                        request.dataset, config, typed=request.typed
-                    )
-            return self._run_batched(models, requests, token)
-        finally:
-            self.dispatcher.leave(token)
+        models = {}
+        for request in requests:
+            key = (request.dataset.upper(), request.typed)
+            if key not in models:
+                models[key] = self.registry.get(
+                    request.dataset, config, typed=request.typed
+                )
+        return self._run_batched(models, requests)
 
     def path_cache_stats(self):
         """JSON-ready answer-cache block for ``/healthz``: this engine's
@@ -223,7 +189,7 @@ class BatchImputationEngine:
             "capacity": cache.capacity,
         }
 
-    def _run_batched(self, models, requests, token):
+    def _run_batched(self, models, requests):
         """Execute one batch: an answer-cache probe per request, one
         dispatcher submission for the routes to search, one render call
         per resolved class graph.
@@ -235,9 +201,8 @@ class BatchImputationEngine:
         straight line (tier ``"bypass"``), and the rest coalesce by
         snapped route key -- requests sharing a route ride one search
         lane; the first records ``"miss"``, the rest ``"coalesced"``.
-        The lanes go through the dispatcher (*token* is the run's window
-        hold from :meth:`BatchDispatcher.enter`), where they can further
-        fuse with other concurrent requests' lanes; a lane answered by
+        The lanes go through the dispatcher, where they can further fuse
+        with other concurrent requests' lanes; a lane answered by
         another request's identical search records ``"cross_batch"``.
         The misses of each resolved class graph then render together in
         one :meth:`~repro.core.habit.HabitImputer.render_paths` call,
@@ -286,10 +251,9 @@ class BatchImputationEngine:
         results = {}  # route key -> SearchResult | None
         if lanes:
             # The shared dispatcher fuses these lanes with other
-            # concurrent requests' windows and runs one kernel call per
+            # concurrent requests' lanes and runs one kernel call per
             # resolved class graph.
             answers = self.dispatcher.submit(
-                token,
                 [
                     (route, plain, snapped, len(riders))
                     for route, (plain, snapped, riders) in lanes.items()

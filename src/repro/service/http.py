@@ -31,9 +31,9 @@ else to 500 with the error message in the body.  The server is a
 handler thread per connection; all shared state lives in the (locked)
 registry, the read-only models, the follow daemon's own locked status
 snapshot, and the (locked) metrics registry.  Concurrency is also what
-the engine's micro-batching dispatcher feeds on: handler threads
-submitting cache-missed searches within the same bounded window share
-one kernel call (see :mod:`repro.service.dispatch`).
+the engine's combining dispatcher feeds on: handler threads whose
+cache-missed searches queue behind a running flush share the next
+kernel call (see :mod:`repro.service.dispatch`).
 
 Every request is counted and timed into
 ``repro_http_requests_total{route,status}`` /
@@ -100,8 +100,7 @@ def make_server(
     ``server.access_log_file`` (``None`` for stderr) and is the
     caller's to close.  Pass ``port=0`` to bind an ephemeral port
     (tests); the chosen port is ``server.server_address[1]``.  The
-    caller owns the serve loop (and the engine shutdown --
-    ``server.engine.close()`` releases the dispatcher)::
+    caller owns the serve loop; the engine needs no shutdown::
 
         server = make_server(registry, port=8080)
         server.serve_forever()
@@ -124,7 +123,7 @@ def make_server(
             Handler.access_log = sys.stderr
         Handler.access_log_lock = threading.Lock()
     server = ThreadingHTTPServer((host, port), Handler)
-    server.engine = engine  # so callers can close() the dispatcher
+    server.engine = engine
     server.access_log_file = access_log_file
     return server
 

@@ -74,8 +74,8 @@ class Provenance:
     rendered, now cached), ``"coalesced"`` (an
     identical route earlier in the same batch was searched once and this
     request rode the same kernel lane), ``"cross_batch"`` (an identical
-    route submitted by a *different* concurrent request landed in the
-    same micro-batching window and was searched once -- the
+    route submitted by a *different* concurrent request queued behind
+    the same running flush and was searched once -- the
     cross-request extension of ``"coalesced"``; see
     :class:`repro.service.dispatch.BatchDispatcher`) or ``"bypass"``
     (out of coverage: the straight-line fallback, now cached so an

@@ -450,38 +450,35 @@ def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel,
     node = (float(graph.lats[0]), float(graph.lngs[0]))
     warm, *fresh = _endpoint_requests(service_model, rng, 7)
     engine = BatchImputationEngine(registry)
-    try:
-        engine.run(
-            [
-                GapRequest("KIEL", *warm, "warm"),
-                GapRequest("KIEL", *no_route, "no-route-warm"),
-            ],
-            config,
-        )
-        # The nudged gap shares the warm gap's route but not its raw
-        # endpoints, so only the exact repeat is a hit.
-        nudged = tuple((lat + 1e-6, lng) for lat, lng in warm)
-        requests = [
-            GapRequest("KIEL", *fresh[0], "miss"),
-            GapRequest("KIEL", *warm, "hit"),
-            GapRequest("KIEL", *nudged, "nudged"),
-            GapRequest("KIEL", *fresh[1], "rider-a"),
-            GapRequest("KIEL", *fresh[1], "rider-b"),
-            GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
-            GapRequest("KIEL", *no_route, "no-route"),
-            GapRequest("KIEL", *fresh[2], "typed", typed=True, vessel_type="cargo"),
-            GapRequest("KIEL", node, node, "zero-length"),
-            GapRequest("KIEL", *fresh[3], "roomy", max_points=100_000),
-            GapRequest("KIEL", *fresh[4], "squeezed", max_points=4),
-            GapRequest("KIEL", *fresh[5], "plain"),
-        ]
-        results = engine.run(requests, config)
-        results = [
-            replace(r, provenance=replace(r.provenance, elapsed_ms=0.0)) for r in results
-        ]
-        oracle = [_oracle_result(engine, registry, config, r) for r in results]
-    finally:
-        engine.close()
+    engine.run(
+        [
+            GapRequest("KIEL", *warm, "warm"),
+            GapRequest("KIEL", *no_route, "no-route-warm"),
+        ],
+        config,
+    )
+    # The nudged gap shares the warm gap's route but not its raw
+    # endpoints, so only the exact repeat is a hit.
+    nudged = tuple((lat + 1e-6, lng) for lat, lng in warm)
+    requests = [
+        GapRequest("KIEL", *fresh[0], "miss"),
+        GapRequest("KIEL", *warm, "hit"),
+        GapRequest("KIEL", *nudged, "nudged"),
+        GapRequest("KIEL", *fresh[1], "rider-a"),
+        GapRequest("KIEL", *fresh[1], "rider-b"),
+        GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
+        GapRequest("KIEL", *no_route, "no-route"),
+        GapRequest("KIEL", *fresh[2], "typed", typed=True, vessel_type="cargo"),
+        GapRequest("KIEL", node, node, "zero-length"),
+        GapRequest("KIEL", *fresh[3], "roomy", max_points=100_000),
+        GapRequest("KIEL", *fresh[4], "squeezed", max_points=4),
+        GapRequest("KIEL", *fresh[5], "plain"),
+    ]
+    results = engine.run(requests, config)
+    results = [
+        replace(r, provenance=replace(r.provenance, elapsed_ms=0.0)) for r in results
+    ]
+    oracle = [_oracle_result(engine, registry, config, r) for r in results]
     prov = {r.request.request_id: r.provenance for r in results}
     assert prov["miss"].path_cache == "miss" and prov["hit"].path_cache == "hit"
     assert prov["nudged"].path_cache == "miss"
@@ -515,9 +512,9 @@ def test_answer_cache_out_of_coverage_repeat_is_a_hit(tmp_path, service_model):
     registry = ModelRegistry(tmp_path / "models")
     registry.publish("KIEL", service_model)
     request = [GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore")]
-    with BatchImputationEngine(registry) as engine:
-        (first,) = engine.run(request, service_model.config)
-        (again,) = engine.run(request, service_model.config)
+    engine = BatchImputationEngine(registry)
+    (first,) = engine.run(request, service_model.config)
+    (again,) = engine.run(request, service_model.config)
     assert first.provenance.path_cache == "bypass" and first.provenance.fallback
     assert again.provenance.path_cache == "hit" and again.provenance.fallback
     assert _zeroed_body([first], "") == _zeroed_body([again], "")
@@ -538,9 +535,9 @@ def test_answer_cache_holds_only_rendered_answers(tmp_path, service_model, tiny_
         GapRequest("KIEL", *no_route, "no-route"),
         GapRequest("KIEL", *gaps[2], "typed", typed=True, vessel_type="cargo"),
     ]
-    with BatchImputationEngine(registry) as engine:
-        results = engine.run(requests, config)
-        entries = list(engine.render_cache._entries.values())
+    engine = BatchImputationEngine(registry)
+    results = engine.run(requests, config)
+    entries = list(engine.render_cache._entries.values())
     assert [r.provenance.path_cache for r in results] == [
         "miss",
         "coalesced",

@@ -1,15 +1,17 @@
-"""Concurrency suite for the cross-request micro-batching dispatcher.
+"""Concurrency suite for the cross-request combining dispatcher.
 
 Two layers: :class:`repro.service.dispatch.BatchDispatcher` is driven
-directly with stub imputers and hand-controlled thread interleavings
-(deterministic window/fusion/flush semantics -- every request answered
-exactly once, no torn futures, window-timeout and max-lanes flush
-paths, close with requests in flight, error poisoning), and the engine
-integration is barrier-hammered through real concurrent ``run`` calls
-(results always correct and tiers always a coherent story, whichever
-way the races land).
+directly with stub imputers whose ``route_batch`` blocks on an event,
+so every interleaving is hand-controlled (a lone submission runs at
+once, submissions queued behind a running flush fuse into exactly one
+next flush, a finished submitter never waits for a later flush, an
+error poisons only its own flush, every request answered exactly
+once), and the engine integration is barrier-hammered through real
+concurrent ``run`` calls (results always correct and tiers always a
+coherent story, whichever way the races land).
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,30 +25,37 @@ from repro.service.dispatch import BatchDispatcher
 
 
 class StubImputer:
-    """route_batch stand-in: answers each (src, dst) pair with a tag,
-    recording every call so tests can assert fusion happened."""
+    """route_batch stand-in: answers each (src, dst) pair with a tag and
+    records every call.  The first *held* calls signal ``started[k]`` and
+    block until ``release[k]`` is set; call number *fail* raises."""
 
-    def __init__(self, fail=False):
+    def __init__(self, held=0, fail=None):
         self.calls = []
+        self.started = [threading.Event() for _ in range(held)]
+        self.release = [threading.Event() for _ in range(held)]
         self.fail = fail
         self.lock = threading.Lock()
 
     def route_batch(self, pairs):
         with self.lock:
+            call = len(self.calls)
             self.calls.append(list(pairs))
-        if self.fail:
+        if call < len(self.started):
+            self.started[call].set()
+            assert self.release[call].wait(timeout=30)
+        if call == self.fail:
             raise RuntimeError("search exploded")
         return [("route", src, dst) for src, dst in pairs]
 
 
-def _submit_in_thread(dispatcher, token, entries):
+def _submit_in_thread(dispatcher, entries):
     """Run submit on a worker thread; returns (thread, box) where box
     collects the result or the raised error."""
     box = {}
 
     def work():
         try:
-            box["results"] = dispatcher.submit(token, entries)
+            box["results"] = dispatcher.submit(entries)
         except BaseException as exc:  # noqa: BLE001 - recorded for asserts
             box["error"] = exc
 
@@ -55,158 +64,111 @@ def _submit_in_thread(dispatcher, token, entries):
     return thread, box
 
 
+def _wait_queued(dispatcher, n):
+    """Block until *n* submissions are queued behind the running flush."""
+    deadline = time.monotonic() + 30
+    while len(dispatcher._pending) != n:
+        assert time.monotonic() < deadline, "submissions never queued"
+        time.sleep(0.001)
+
+
+def _joined(*threads):
+    for thread in threads:
+        thread.join(timeout=30)
+    return not any(thread.is_alive() for thread in threads)
+
+
 def test_lone_submission_executes_immediately():
-    """The idle bypass: a lone in-flight run satisfies the all-parked
-    condition by itself, so its flush starts with zero window wait."""
-    dispatcher = BatchDispatcher(window_s=30.0, max_lanes=64)
+    """No flush is running, so a lone submission leads its own flush at
+    once: one route_batch call, answered as the lane's own search."""
+    dispatcher = BatchDispatcher()
     stub = StubImputer()
-    token = dispatcher.enter()
-    started = time.perf_counter()
-    results = dispatcher.submit(token, [("k1", stub, (1, 2), 1)])
-    waited = time.perf_counter() - started
-    dispatcher.leave(token)
-    assert results == {"k1": (("route", 1, 2), False, pytest.approx(results["k1"][2]))}
-    assert waited < 1.0  # nowhere near the 30s window
+    results = dispatcher.submit([("k1", stub, (1, 2), 1)])
+    assert set(results) == {"k1"}
+    result, cross, share = results["k1"]
+    assert result == ("route", 1, 2) and cross is False and share >= 0.0
     assert stub.calls == [[(1, 2)]]
+    assert dispatcher.submit([]) == {}
 
 
 def test_two_runs_fuse_into_one_kernel_call_with_cross_tier():
-    """Deterministic fusion: run B holds the window open (entered, not
-    yet submitted) while run A submits; B then submits the identical
-    shared key.  One route_batch call answers both; exactly one side is
-    flagged cross."""
-    dispatcher = BatchDispatcher(window_s=30.0, max_lanes=64)
-    stub = StubImputer()
-    token_a = dispatcher.enter()
-    token_b = dispatcher.enter()
-    thread_a, box_a = _submit_in_thread(
-        dispatcher, token_a, [("key", stub, (1, 2), 1)]
+    """Submissions that arrive while a flush runs queue behind it and
+    fuse into exactly one next flush: one route_batch call answers all
+    of them, the identical key once, its second submitter flagged
+    cross."""
+    dispatcher = BatchDispatcher()
+    stub = StubImputer(held=1)
+    thread_a, box_a = _submit_in_thread(dispatcher, [("a", stub, (0, 1), 1)])
+    assert stub.started[0].wait(timeout=30)
+    thread_b, box_b = _submit_in_thread(dispatcher, [("key", stub, (1, 2), 1)])
+    _wait_queued(dispatcher, 1)
+    thread_c, box_c = _submit_in_thread(
+        dispatcher, [("key", stub, (1, 2), 2), ("c", stub, (5, 6), 1)]
     )
-    # A is parked: B still pre-submit, no deadline for 30s.
-    time.sleep(0.05)
-    assert "results" not in box_a
-    results_b = dispatcher.submit(token_b, [("key", stub, (1, 2), 2)])
-    thread_a.join(timeout=10)
-    assert not thread_a.is_alive()
-    dispatcher.leave(token_a)
-    dispatcher.leave(token_b)
-    assert stub.calls == [[(1, 2)]]  # one fused search, not two
-    (result_a, cross_a, share_a) = box_a["results"]["key"]
-    (result_b, cross_b, share_b) = results_b["key"]
-    assert result_a == result_b == ("route", 1, 2)
-    assert sorted([cross_a, cross_b]) == [False, True]
-    assert share_a == share_b > 0.0
+    _wait_queued(dispatcher, 2)
+    stub.release[0].set()
+    assert _joined(thread_a, thread_b, thread_c)
+    assert stub.calls == [[(0, 1)], [(1, 2), (5, 6)]]  # one fused flush
+    assert box_a["results"]["a"][0] == ("route", 0, 1)
+    result_b, cross_b, share_b = box_b["results"]["key"]
+    result_c, cross_c, share_c = box_c["results"]["key"]
+    assert result_b == result_c == ("route", 1, 2)
+    assert (cross_b, cross_c) == (False, True)
+    assert share_b == share_c > 0.0
+    assert box_c["results"]["c"] == (("route", 5, 6), False, share_c)
 
 
-def test_window_timeout_flushes_without_stragglers():
-    """A run stuck pre-submit (e.g. a slow fit) must not hold the window
-    past its deadline: the parked submitter flushes alone."""
-    dispatcher = BatchDispatcher(window_s=0.05, max_lanes=64)
-    stub = StubImputer()
-    token_a = dispatcher.enter()
-    straggler = dispatcher.enter()  # never submits until after the flush
-    started = time.perf_counter()
-    results = dispatcher.submit(token_a, [("k", stub, (3, 4), 1)])
-    waited = time.perf_counter() - started
-    assert results["k"][0] == ("route", 3, 4)
-    assert 0.05 <= waited < 5.0
-    dispatcher.leave(token_a)
-    dispatcher.leave(straggler)
-
-
-def test_max_lanes_flushes_early():
-    """Reaching the lane cap flushes immediately even though another
-    run is still pre-submit and the window is huge."""
-    dispatcher = BatchDispatcher(window_s=30.0, max_lanes=4)
-    stub = StubImputer()
-    token = dispatcher.enter()
-    straggler = dispatcher.enter()
-    entries = [(f"k{i}", stub, (i, i + 1), 1) for i in range(4)]
-    started = time.perf_counter()
-    results = dispatcher.submit(token, entries)
-    assert time.perf_counter() - started < 5.0
-    assert len(results) == 4
-    dispatcher.leave(token)
-    dispatcher.leave(straggler)
-
-
-def test_leave_without_submitting_releases_the_window():
-    """A run whose lanes were all cache hits never submits; its leave()
-    must unblock waiting submitters (the all-parked flush rule)."""
-    dispatcher = BatchDispatcher(window_s=30.0, max_lanes=64)
-    stub = StubImputer()
-    token_a = dispatcher.enter()
-    hits_only = dispatcher.enter()
-    thread_a, box_a = _submit_in_thread(
-        dispatcher, token_a, [("k", stub, (1, 2), 1)]
-    )
-    time.sleep(0.05)
-    assert "results" not in box_a
-    dispatcher.leave(hits_only)
-    thread_a.join(timeout=10)
-    assert not thread_a.is_alive()
-    assert box_a["results"]["k"][0] == ("route", 1, 2)
-    dispatcher.leave(token_a)
-
-
-def test_close_flushes_parked_submissions_and_serves_later_ones():
-    """close() with a request in flight: the parked submitter leads the
-    final flush and completes; submissions after close run immediately,
-    unbatched."""
-    dispatcher = BatchDispatcher(window_s=30.0, max_lanes=64)
-    stub = StubImputer()
-    token = dispatcher.enter()
-    holder = dispatcher.enter()  # keeps the window open across close()
-    thread, box = _submit_in_thread(dispatcher, token, [("k", stub, (1, 2), 1)])
-    time.sleep(0.05)
-    assert "results" not in box
-    dispatcher.close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert box["results"]["k"][0] == ("route", 1, 2)
-    dispatcher.leave(token)
-    dispatcher.leave(holder)
-    late = dispatcher.enter()
-    assert dispatcher.submit(late, [("k2", stub, (5, 6), 1)])["k2"][0] == (
-        "route",
-        5,
-        6,
-    )
-    dispatcher.leave(late)
+def test_finished_submitter_returns_without_waiting_for_a_later_flush():
+    """B and C fuse into flush 2 while D queues behind it; once flush 2
+    ends, both B and C return although D's flush 3 is still running."""
+    dispatcher = BatchDispatcher()
+    stub = StubImputer(held=3)
+    thread_a, _ = _submit_in_thread(dispatcher, [("a", stub, (0, 1), 1)])
+    assert stub.started[0].wait(timeout=30)
+    thread_b, box_b = _submit_in_thread(dispatcher, [("b", stub, (1, 2), 1)])
+    thread_c, box_c = _submit_in_thread(dispatcher, [("c", stub, (2, 3), 1)])
+    _wait_queued(dispatcher, 2)
+    stub.release[0].set()
+    assert stub.started[1].wait(timeout=30)
+    thread_d, box_d = _submit_in_thread(dispatcher, [("d", stub, (3, 4), 1)])
+    _wait_queued(dispatcher, 1)
+    stub.release[1].set()
+    assert stub.started[2].wait(timeout=30)
+    assert _joined(thread_a, thread_b, thread_c)
+    assert "results" not in box_d  # flush 3 is still running
+    assert box_b["results"]["b"][0] == ("route", 1, 2)
+    assert box_c["results"]["c"][0] == ("route", 2, 3)
+    stub.release[2].set()
+    assert _joined(thread_d)
+    assert box_d["results"]["d"][0] == ("route", 3, 4)
+    assert len(stub.calls) == 3
 
 
 def test_search_error_poisons_the_whole_flush():
-    """A route_batch exception propagates to every fused submitter, and
-    the dispatcher stays usable afterwards."""
-    dispatcher = BatchDispatcher(window_s=30.0, max_lanes=64)
-    bad = StubImputer(fail=True)
-    good = StubImputer()
-    token_a = dispatcher.enter()
-    token_b = dispatcher.enter()
-    thread_a, box_a = _submit_in_thread(
-        dispatcher, token_a, [("ka", bad, (1, 2), 1)]
-    )
-    time.sleep(0.05)
-    with pytest.raises(RuntimeError, match="search exploded"):
-        dispatcher.submit(token_b, [("kb", bad, (3, 4), 1)])
-    thread_a.join(timeout=10)
-    assert isinstance(box_a["error"], RuntimeError)
-    dispatcher.leave(token_a)
-    dispatcher.leave(token_b)
-    healthy = dispatcher.enter()
-    assert dispatcher.submit(healthy, [("k", good, (7, 8), 1)])["k"][0] == (
-        "route",
-        7,
-        8,
-    )
-    dispatcher.leave(healthy)
+    """A raising route_batch fails exactly the submitters of its flush:
+    the flush before it answers normally, ``busy`` is cleared, and the
+    next submission runs."""
+    dispatcher = BatchDispatcher()
+    stub = StubImputer(held=1, fail=1)
+    thread_a, box_a = _submit_in_thread(dispatcher, [("a", stub, (0, 1), 1)])
+    assert stub.started[0].wait(timeout=30)
+    thread_b, box_b = _submit_in_thread(dispatcher, [("b", stub, (1, 2), 1)])
+    thread_c, box_c = _submit_in_thread(dispatcher, [("c", stub, (2, 3), 1)])
+    _wait_queued(dispatcher, 2)
+    stub.release[0].set()
+    assert _joined(thread_a, thread_b, thread_c)
+    assert box_a["results"]["a"][0] == ("route", 0, 1)
+    for box in (box_b, box_c):
+        assert isinstance(box["error"], RuntimeError) and "results" not in box
+    assert len(stub.calls) == 2 and not dispatcher._busy
+    assert dispatcher.submit([("d", stub, (7, 8), 1)])["d"][0] == ("route", 7, 8)
 
 
 def test_hammer_every_submission_answered_exactly_once():
     """Barrier-hammered: many threads, many rounds, mixed shared keys.
     Every submission gets exactly its own keys back, each mapping to the
-    right route -- no torn or crossed futures under any interleaving."""
-    dispatcher = BatchDispatcher(window_s=0.01, max_lanes=8)
+    right route -- no torn or crossed results under any interleaving."""
+    dispatcher = BatchDispatcher()
     stub = StubImputer()
     threads, rounds = 8, 15
     barrier = threading.Barrier(threads)
@@ -216,7 +178,6 @@ def test_hammer_every_submission_answered_exactly_once():
         try:
             for round_no in range(rounds):
                 barrier.wait(timeout=30)
-                token = dispatcher.enter()
                 # Half the threads share a key each round; half are solo.
                 if tid % 2 == 0:
                     entries = [(("hub", round_no), stub, (round_no, 99), 1)]
@@ -224,8 +185,7 @@ def test_hammer_every_submission_answered_exactly_once():
                     entries = [
                         ((tid, round_no), stub, (tid * 1000 + round_no, tid), 1)
                     ]
-                results = dispatcher.submit(token, entries)
-                dispatcher.leave(token)
+                results = dispatcher.submit(entries)
                 assert set(results) == {entries[0][0]}, results
                 result, _, share = results[entries[0][0]]
                 assert result == ("route", *entries[0][2]), result
@@ -234,16 +194,22 @@ def test_hammer_every_submission_answered_exactly_once():
             failures.append(exc)
             barrier.abort()
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(client, range(threads)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleavings inside submit
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(client, range(threads)))
+    finally:
+        sys.setswitchinterval(interval)
     assert not failures, failures
     # Shared hub lanes deduped: per round at most one (round, 99) search
-    # ran, however many of the 4 sharing threads fused.
+    # ran per flush, however many of the 4 sharing threads fused.
     for round_no in range(rounds):
         hub_searches = sum(
             pairs.count((round_no, 99)) for pairs in stub.calls
         )
         assert 1 <= hub_searches <= 4, (round_no, hub_searches)
+    assert all(len(set(pairs)) == len(pairs) for pairs in stub.calls)
 
 
 # -- engine integration layer (real models, real races) ------------------
@@ -253,10 +219,7 @@ def test_hammer_every_submission_answered_exactly_once():
 def dispatch_engine(tmp_path_factory, service_model):
     registry = ModelRegistry(tmp_path_factory.mktemp("dispatch_registry"))
     registry.publish("KIEL", service_model)
-    engine = BatchImputationEngine(registry)
-    engine.dispatcher.window_s = 0.05
-    yield engine, service_model.config
-    engine.close()
+    return BatchImputationEngine(registry), service_model.config
 
 
 def _gap_requests(model, n, offset=0):
@@ -312,7 +275,7 @@ def test_engine_concurrent_identical_singletons_coalesce_across_requests(
 
 
 def test_engine_concurrent_distinct_singletons_all_answered(dispatch_engine):
-    """Distinct concurrent routes fuse into shared windows but never mix
+    """Distinct concurrent routes fuse into shared flushes but never mix
     up results: each response matches the solo run of the same gap."""
     engine, config = dispatch_engine
     model = engine.registry.get("KIEL", config)[0]
@@ -333,31 +296,3 @@ def test_engine_concurrent_distinct_singletons_all_answered(dispatch_engine):
         assert got.provenance.method == expected.method, rid
         assert got.lats[0] == pytest.approx(expected.lats[0]), rid
         assert got.lngs[-1] == pytest.approx(expected.lngs[-1]), rid
-
-
-def test_engine_close_with_requests_in_flight(tmp_path, service_model):
-    """Engine close while a window is parked: the in-flight request still
-    completes, and post-close requests are served unbatched."""
-    registry = ModelRegistry(tmp_path / "close_registry")
-    registry.publish("KIEL", service_model)
-    engine = BatchImputationEngine(registry)
-    engine.dispatcher.window_s = 30.0
-    (request,) = _gap_requests(service_model, 1, offset=90)
-    # Hold the window open so the request below parks instead of flushing.
-    holder = engine.dispatcher.enter()
-    box = {}
-
-    def work():
-        box["result"] = engine.run([request], service_model.config)
-
-    thread = threading.Thread(target=work, daemon=True)
-    thread.start()
-    time.sleep(0.1)
-    assert "result" not in box  # parked in the 30s window
-    engine.close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert box["result"][0].provenance.path_cache == "miss"
-    engine.dispatcher.leave(holder)
-    (late,) = engine.run([request], service_model.config)
-    assert late.provenance.path_cache == "hit"

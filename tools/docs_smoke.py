@@ -235,7 +235,6 @@ def run_live_refresh(workdir, feed_path, scrape_path):
         daemon.stop()
         server.shutdown()
         server.server_close()
-        server.engine.close()
         thread.join(timeout=5)
 
 
