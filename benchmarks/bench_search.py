@@ -108,7 +108,7 @@ def test_compute_ch_build_latency(benchmark, habit_r10):
     fresh = CellGraph(
         g.cells, g.lats, g.lngs, g.edge_src, g.edge_dst, g.edge_cost, g.edge_count
     )
-    _, up, down = benchmark(fresh._hierarchy)
+    _, up, down, _ = benchmark(fresh._hierarchy)
     benchmark.extra_info["num_nodes"] = fresh.num_nodes
     benchmark.extra_info["up_edges"] = len(up[1])
     benchmark.extra_info["down_edges"] = len(down[1])
@@ -116,15 +116,13 @@ def test_compute_ch_build_latency(benchmark, habit_r10):
 
 @pytest.mark.benchmark(group="batch-kernel")
 def test_kernel_tables_build_latency(benchmark, habit_r10):
-    """Kernel-table build at r10: the sorted arc table, the combined
-    sweep CSRs and every shortcut's expansion, built from the
-    ``compute_ch`` arrays on every fit, refresh and load."""
+    """Kernel-table build at r10 as every fit and refresh runs it: the
+    sorted arc table, the combined sweep CSRs and every shortcut's
+    expansion, built from the ``compute_ch`` arrays with the shortcut
+    halves the customisation found (a load looks them up by key)."""
     g = habit_r10.graph
-    parts = ("indptr", "indices", "costs", "middle")
-    up, down = (
-        tuple(getattr(g, f"ch_{name}_{part}") for part in parts) for name in ("up", "down")
-    )
-    tables = benchmark(_kernel_tables, g, up, down)
+    _, up, down, halves = g._hierarchy()
+    tables = benchmark(_kernel_tables, g, up, down, halves)
     benchmark.extra_info["num_nodes"] = g.num_nodes
     benchmark.extra_info["expansion_nodes"] = len(tables.exp_nodes)
 

@@ -2,12 +2,15 @@
 
 Not a paper table, but the numbers that explain HABIT's build times:
 hexgrid bulk indexing, minidb group-by with the paper's aggregate mix,
-window lag, HLL sketching, and DTW scoring.
+window lag, HLL sketching, DTW scoring, and the follow daemon's ingest
+of one outage backlog (CSV poll, cleaning, streaming segmentation).
 """
 
 import numpy as np
 import pytest
 
+from repro.ais import CsvFollower, schema
+from repro.core import StreamingSegmenter, clean_messages
 from repro.eval.metrics import dtw_distance_m
 from repro.hexgrid import grid_distance_array, latlng_to_cell_array
 from repro.minidb import Table, agg
@@ -105,3 +108,36 @@ def test_dtw_on_60min_paths(benchmark, rng):
     lngs_b = lngs_a + rng.normal(0, 0.001, n)
     d = benchmark(dtw_distance_m, lats_a, lngs_a, lats_b, lngs_b)
     assert d >= 0
+
+
+#: Rows in one follow backlog: the KIEL bench feed cut into 24 outages.
+BACKLOG_ROWS = 2_500
+
+
+@pytest.mark.benchmark(group="substrate-ingest")
+def test_follow_backlog_poll_and_push(benchmark, kiel, tmp_path):
+    """One ~2,500-row backlog through the follow daemon's ingest: a
+    :class:`CsvFollower` poll of the appended CSV rows, then cleaning and
+    a :class:`StreamingSegmenter` push.  Rows are KIEL reports in time
+    order with ``repr`` floats, as a receiver replaying its outage buffer
+    writes them."""
+    raw = kiel.bundle.table
+    columns = list(schema.RAW_COLUMNS)
+    order = np.argsort(np.asarray(raw.column(schema.T)), kind="stable")[:BACKLOG_ROWS]
+    values = [np.asarray(raw.column(c))[order].tolist() for c in columns]
+    lines = [",".join(map(repr, row[:-1])) + f",{row[-1]}\n" for row in zip(*values)]
+    path = tmp_path / "backlog.csv"
+    path.write_text(",".join(columns) + "\n" + "".join(lines))
+
+    def setup():
+        return (CsvFollower(path), StreamingSegmenter(1800.0, 5000.0, 2)), {}
+
+    def ingest(follower, segmenter):
+        return [segmenter.push(clean_messages(chunk)) for chunk in follower.poll()]
+
+    benchmark.pedantic(ingest, setup=setup, rounds=20)
+    follower, segmenter = setup()[0]
+    closed = ingest(follower, segmenter)
+    assert follower.rows_read == BACKLOG_ROWS
+    assert sum(t.num_rows for t in closed) + segmenter.open_rows > 0
+    benchmark.extra_info["rows"] = BACKLOG_ROWS

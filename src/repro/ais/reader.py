@@ -126,14 +126,18 @@ def _map_header(names, source):
 
 
 def _to_float(values):
-    """Column to float64 with unparseable entries as NaN."""
-    arr = np.asarray(values)
+    """Column to float64 with unparseable entries as NaN.
+
+    One vectorised parse first; NumPy's str -> float64 cast is Python's
+    ``float``, so only a column holding an unparseable entry takes the
+    per-element path.
+    """
     try:
-        return arr.astype(np.float64)
-    except ValueError:
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
         pass
-    out = np.full(len(arr), np.nan)
-    for i, value in enumerate(arr):
+    out = np.full(len(values), np.nan)
+    for i, value in enumerate(values):
         try:
             out[i] = float(value)
         except (TypeError, ValueError):
@@ -142,17 +146,23 @@ def _to_float(values):
 
 
 def _to_epoch(values):
-    """Column to epoch seconds (numeric, datetime64, or string formats)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind == "M":
-        stamped = arr.astype("datetime64[ns]")
+    """Column to epoch seconds (numeric, datetime64, or string formats).
+
+    Numeric columns, strings included, take one vectorised parse (the
+    numbers :func:`_parse_time` would return); only a column with a date
+    string or an unparseable entry is parsed per element.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "M":
+        stamped = values.astype("datetime64[ns]")
         out = stamped.astype(np.int64) / 1e9
         out[np.isnat(stamped)] = np.nan  # NaT casts to int64-min, not NaN
         return out
-    if arr.dtype.kind in "fiu":
-        return arr.astype(np.float64)
-    out = np.full(len(arr), np.nan)
-    for i, value in enumerate(arr):
+    try:
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        pass
+    out = np.full(len(values), np.nan)
+    for i, value in enumerate(values):
         parsed = _parse_time(value)
         if parsed is not None:
             out[i] = parsed
@@ -160,10 +170,11 @@ def _to_epoch(values):
 
 
 def _from_named_columns(named, source):
-    """Alias-map and coerce ``{header: array}`` into a raw schema table."""
+    """Alias-map and coerce ``{header: column}`` into a raw schema table;
+    a column is an array or a sequence of raw values."""
     mapping = _map_header(list(named), source)
     by_header = list(named.values())
-    column = {key: np.asarray(by_header[idx]) for key, idx in mapping.items()}
+    column = {key: by_header[idx] for key, idx in mapping.items()}
 
     vessel = _to_float(column[schema.VESSEL_ID])
     t = _to_epoch(column[schema.T])
@@ -190,11 +201,11 @@ def _from_named_columns(named, source):
 
 
 def _rows_to_table(header, cells, source):
-    named = {
-        name: np.array([row[i] for row in cells], dtype="U64")
-        for i, name in enumerate(header)
-    }
-    return _from_named_columns(named, source)
+    """Equal-width CSV rows to a raw schema table, one column sequence
+    per header field (no fixed-width string arrays, which would cut long
+    fields)."""
+    columns = list(zip(*cells)) if cells else [()] * len(header)
+    return _from_named_columns(dict(zip(header, columns)), source)
 
 
 def read_csv(path, delimiter=","):

@@ -502,21 +502,25 @@ class CellGraph:
         2. *Completion*: eliminating nodes in rank order, each node's
            upper neighbours are joined to its lowest upper neighbour,
            giving a chordal supergraph -- the shortcut topology.
-        3. *Basic customisation*: bottom-up, every lower triangle
-           ``u < v < w`` relaxes ``c(v->w)`` by ``c(v->u) + c(u->w)`` and
-           ``c(w->v)`` by ``c(w->u) + c(u->v)``; a triangle that wins
-           makes ``u`` the arc's middle node.
-        4. *Perfect customisation*: top-down, every arc is lowered to its
-           true distance; arcs whose basic cost is above it, or with no
-           path at all, are dropped -- unless a kept shortcut unpacks
-           through them.
+        3. *Basic customisation*: bottom-up over elimination-tree
+           height levels, every lower triangle ``u < v < w`` relaxes
+           ``c(v->w)`` by ``c(v->u) + c(u->w)`` and ``c(w->v)`` by
+           ``c(w->u) + c(u->v)``; the triangle that wins makes ``u`` the
+           arc's middle node and its arcs at ``u`` the arc's halves.
+        4. *Perfect customisation*: top-down over the same height
+           levels (every ancestor is taller, so the arcs a level reads
+           are already exact), every arc is lowered to its true
+           distance; arcs whose basic cost is above it, or with no path
+           at all, are dropped -- unless a kept shortcut unpacks through
+           them.
 
         The surviving arcs are stored as upward/downward CSR ``int32``
         arrays with per-edge middle-node back-pointers for path
         unpacking, persisted in every model file so loads skip this
         pass.  The build is deterministic, so a rebuild reproduces the
         persisted arrays bit-exactly.  The batch-kernel tables every CH
-        query reads are built from the arrays before this returns.
+        query reads are built from the arrays, with the halves step 3
+        found, before this returns.
         """
         with self._lock:
             with _GRAPH_BUILD_SECONDS.time(("ch",)):
@@ -525,8 +529,10 @@ class CellGraph:
         return self
 
     def _hierarchy(self):
-        """The ``compute_ch`` arrays: ``(rank, up, down)``, each direction
-        an ``(indptr, indices, costs, middle)`` CSR."""
+        """The ``compute_ch`` arrays: ``(rank, up, down, halves)``, each
+        direction an ``(indptr, indices, costs, middle)`` CSR, and
+        *halves* each arc's two shortcut halves as rows of the up-then-
+        down listing of both CSRs (``-1`` for an original edge)."""
         n = self.num_nodes
         # Original edges deduplicated to the cheapest parallel edge (what
         # every search relaxes anyway) and self-loop-free (positive
@@ -557,18 +563,27 @@ class CellGraph:
         # neighbours all become upper neighbours of its lowest one (its
         # elimination-tree parent).  The result is chordal: any two upper
         # neighbours of a node are adjacent, which is what makes every
-        # lower triangle below enumerable.
+        # lower triangle below enumerable.  A node's lower neighbours are
+        # its elimination-tree descendants and its upper ones its
+        # ancestors, and every ancestor is strictly taller, so no two
+        # nodes of equal tree height are adjacent: relaxing one height
+        # level's triangles never writes an arc another triangle of that
+        # level reads.
         upper = [set() for _ in range(n)]
         for a, b in zip(np.minimum(ru, rv).tolist(), np.maximum(ru, rv).tolist()):
             upper[a].add(b)
         rows = []
-        parent = [-1] * n
+        height = [0] * n
         for p in range(n):
-            row = sorted(upper[p])
+            above = upper[p]
+            row = sorted(above)
             rows.append(row)
             if row:
-                parent[p] = row[0]
-                upper[row[0]].update(row[1:])
+                parent = row[0]
+                above.discard(parent)
+                upper[parent] |= above
+                if height[parent] <= height[p]:
+                    height[parent] = height[p] + 1
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=n)
         arc_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(sizes, out=arc_ptr[1:])
@@ -584,25 +599,11 @@ class CellGraph:
         up[np.searchsorted(arc_key, ru[fwd] * n + rv[fwd])] = ec[fwd]
         down[np.searchsorted(arc_key, rv[~fwd] * n + ru[~fwd])] = ec[~fwd]
 
-        # A node's lower neighbours are its elimination-tree descendants
-        # and its upper ones its ancestors, so no two nodes of equal tree
-        # height (or depth) are adjacent: relaxing one level's triangles
-        # never writes an arc another triangle of that level reads.
-        height = [0] * n
-        depth = [0] * n
-        for p in range(n):
-            above = parent[p]
-            if above >= 0 and height[above] <= height[p]:
-                height[above] = height[p] + 1
-        for p in range(n - 1, -1, -1):
-            above = parent[p]
-            if above >= 0:
-                depth[p] = depth[above] + 1
-
         # Every triangle {u < v < w} as arc indices (u,v), (u,w), (v,w),
         # enumerated once with the nodes u in height order: each pair of
         # arcs in u's row, closed by the arc between their heads
-        # (chordality).  Node u's triangles are one contiguous block.
+        # (chordality).  Node u's triangles are one contiguous block, and
+        # so is each height level's, ascending in u within it.
         by_height = _level_groups(np.asarray(height, dtype=np.int64))
         nodes = np.concatenate(by_height)
         arcs = _expand_ranges(arc_ptr[nodes], sizes[nodes])
@@ -610,33 +611,34 @@ class CellGraph:
         tri_a = np.repeat(arcs, later)
         tri_b = _expand_ranges(arcs + 1, later)
         tri_c = np.searchsorted(arc_key, head[tri_a] * n + head[tri_b])
-        count = sizes * (sizes - 1) // 2
-        block = np.empty(n, dtype=np.int64)
-        block[nodes] = np.cumsum(count[nodes]) - count[nodes]
-
-        def triangles(nodes):
-            """The triangles whose lowest node is in *nodes*."""
-            tri = _expand_ranges(block[nodes], count[nodes])
-            return tri_a[tri], tri_b[tri], tri_c[tri]
+        tri_u = tail[tri_a]
+        count = (sizes * (sizes - 1) // 2)[nodes]
+        tri_end = np.concatenate([[0], np.cumsum(count)])
+        bounds = tri_end[np.cumsum([0] + [group.size for group in by_height])].tolist()
+        levels = list(zip(bounds[:-1], bounds[1:]))
 
         # 3. Basic customisation, bottom-up: v -> u -> w bounds v -> w
-        # (and w -> u -> v bounds w -> v); a strictly cheaper triangle
-        # makes u the arc's middle node.
-        mid_up = np.full(num_arcs, -1, dtype=np.int64)
-        mid_down = np.full(num_arcs, -1, dtype=np.int64)
-        for nodes in by_height:
-            a, b, c = triangles(nodes)
-            u = tail[a]
-            _relax(up, mid_up, c, down[a] + up[b], u)
-            _relax(down, mid_down, c, down[b] + up[a], u)
+        # (and w -> u -> v bounds w -> v).  Each arc records the triangle
+        # that last strictly lowered it: the lowest tying index, which
+        # within a level is the lowest tying u.  That u is the arc's
+        # middle node, and the triangle's other two arcs are its halves.
+        win_up = np.full(num_arcs, -1, dtype=np.int64)
+        win_down = np.full(num_arcs, -1, dtype=np.int64)
+        for lo, hi in levels:
+            a, b, c = tri_a[lo:hi], tri_b[lo:hi], tri_c[lo:hi]
+            tri = np.arange(lo, hi)
+            _relax(up, win_up, c, down[a] + up[b], tri)
+            _relax(down, win_down, c, down[b] + up[a], tri)
 
-        # 4. Perfect customisation, top-down: with every arc above u
-        # already exact, an arc at u is exact once relaxed through each
-        # other upper neighbour of u.  Arcs a cheaper path beats are not
-        # needed by any query and are dropped, as are arcs with no path.
+        # 4. Perfect customisation, top-down over the same height levels:
+        # every upper neighbour of u is taller than u, so with the taller
+        # levels done every arc above u is exact, and an arc at u is exact
+        # once relaxed through each other upper neighbour of u.  Arcs a
+        # cheaper path beats are not needed by any query and are dropped,
+        # as are arcs with no path.
         basic_up, basic_down = up.copy(), down.copy()
-        for nodes in _level_groups(np.asarray(depth, dtype=np.int64)):
-            a, b, c = triangles(nodes)
+        for lo, hi in reversed(levels):
+            a, b, c = tri_a[lo:hi], tri_b[lo:hi], tri_c[lo:hi]
             np.minimum.at(up, a, basic_up[b] + down[c])
             np.minimum.at(down, a, up[c] + basic_down[b])
             np.minimum.at(up, b, basic_up[a] + up[c])
@@ -650,43 +652,51 @@ class CellGraph:
         # grown from the kept shortcuts until no new arc joins.  Shortcut
         # v -> w through u is v -> u (down on arc (u, v)) then u -> w (up
         # on arc (u, w)); w -> v through u is w -> u then u -> v.
-        up_todo = np.flatnonzero(keep_up & (mid_up >= 0))
-        down_todo = np.flatnonzero(keep_down & (mid_down >= 0))
+        up_todo = np.flatnonzero(keep_up & (win_up >= 0))
+        down_todo = np.flatnonzero(keep_down & (win_down >= 0))
         while up_todo.size or down_todo.size:
-            arcs = np.concatenate([up_todo, down_todo])
-            u = np.concatenate([mid_up[up_todo], mid_down[down_todo]])
-            to_v = np.searchsorted(arc_key, u * n + tail[arcs])
-            to_w = np.searchsorted(arc_key, u * n + head[arcs])
-            k = up_todo.size
-            new_up = np.concatenate([to_w[:k], to_v[k:]])
-            new_down = np.concatenate([to_v[:k], to_w[k:]])
+            t_up, t_down = win_up[up_todo], win_down[down_todo]
+            new_up = np.concatenate([tri_b[t_up], tri_a[t_down]])
+            new_down = np.concatenate([tri_a[t_up], tri_b[t_down]])
             new_up = new_up[~keep_up[new_up]]
             new_down = new_down[~keep_down[new_down]]
             keep_up[new_up] = True
             keep_down[new_down] = True
-            up_todo = new_up[mid_up[new_up] >= 0]
-            down_todo = new_down[mid_down[new_down] >= 0]
+            up_todo = new_up[win_up[new_up] >= 0]
+            down_todo = new_down[win_down[new_down] >= 0]
 
         # Back to node space.  Both CSRs give each node a row of its
         # higher-ranked neighbours: ``up`` holds the arcs leaving the row
         # node (forward search), ``down`` the arcs entering it (backward
         # search, and the forward search's stall probe).
         low, high = node_at[tail], node_at[head]
-        mid_up = np.where(mid_up >= 0, node_at[mid_up], -1)
-        mid_down = np.where(mid_down >= 0, node_at[mid_down], -1)
-        return (
-            rank,
-            _rank_csr(
-                n, low[keep_up], high[keep_up], basic_up[keep_up], mid_up[keep_up]
-            ),
-            _rank_csr(
-                n,
-                low[keep_down],
-                high[keep_down],
-                basic_down[keep_down],
-                mid_down[keep_down],
-            ),
-        )
+
+        def direction(keep, cost, win):
+            arcs = np.flatnonzero(keep)
+            middle = np.full(arcs.size, -1, dtype=np.int64)
+            won = win[arcs] >= 0
+            middle[won] = node_at[tri_u[win[arcs[won]]]]
+            order, csr = _rank_csr(n, low[arcs], high[arcs], cost[arcs], middle)
+            return arcs[order], csr
+
+        up_arcs, up_csr = direction(keep_up, basic_up, win_up)
+        down_arcs, down_csr = direction(keep_down, basic_down, win_down)
+        # Each shortcut's halves as rows of the up-then-down CSR listing
+        # (-1 for original edges and for a half that was not kept); the
+        # first half always runs down an arc, the second up.
+        up_row = np.full(num_arcs, -1, dtype=np.int64)
+        down_row = np.full(num_arcs, -1, dtype=np.int64)
+        up_row[up_arcs] = np.arange(up_arcs.size)
+        down_row[down_arcs] = np.arange(down_arcs.size) + up_arcs.size
+        halves = np.full((up_arcs.size + down_arcs.size, 2), -1, dtype=np.int64)
+        for base, win, to_u, from_u in (
+            (0, win_up[up_arcs], tri_a, tri_b),
+            (up_arcs.size, win_down[down_arcs], tri_b, tri_a),
+        ):
+            won = np.flatnonzero(win >= 0)
+            halves[base + won, 0] = down_row[to_u[win[won]]]
+            halves[base + won, 1] = up_row[from_u[win[won]]]
+        return rank, up_csr, down_csr, halves
 
     def set_ch(
         self,
@@ -728,13 +738,14 @@ class CellGraph:
         self._install_ch(rank, up, down)
         return self
 
-    def _install_ch(self, rank, up, down):
+    def _install_ch(self, rank, up, down, halves=None):
         """Install hierarchy arrays and the kernel tables built from
-        them.  The tables go in last, so a query never reads a half-
-        installed hierarchy; when their build raises ``ValueError``
-        (:func:`_kernel_tables`), nothing is installed."""
+        them (*halves* as :meth:`_hierarchy` returns them, or ``None`` to
+        look them up by key).  The tables go in last, so a query never
+        reads a half-installed hierarchy; when their build raises
+        ``ValueError`` (:func:`_kernel_tables`), nothing is installed."""
         with _GRAPH_BUILD_SECONDS.time(("kernel_tables",)):
-            tables = _kernel_tables(self, up, down)
+            tables = _kernel_tables(self, up, down, halves)
         self.ch_rank = rank
         (
             self.ch_up_indptr,
@@ -904,23 +915,24 @@ def _level_groups(levels):
     return np.split(order, np.flatnonzero(np.diff(levels[order])) + 1)
 
 
-def _relax(cost, middle, arcs, through, via):
+def _relax(cost, win, arcs, through, via):
     """Lower ``cost[arcs]`` to *through* and, where that strictly wins,
-    set ``middle[arcs]`` to the lowest tying *via* node."""
+    set ``win[arcs]`` to the lowest tying *via*."""
     before = cost[arcs]
     np.minimum.at(cost, arcs, through)
     won = (through < before) & (through == cost[arcs])
     if won.any():
-        middle[arcs[won]] = np.iinfo(middle.dtype).max
-        np.minimum.at(middle, arcs[won], via[won])
+        win[arcs[won]] = np.iinfo(win.dtype).max
+        np.minimum.at(win, arcs[won], via[won])
 
 
 def _rank_csr(n, rows, cols, costs, middles):
-    """One hierarchy direction as CSR: a row per node, columns ascending."""
+    """One hierarchy direction as CSR: a row per node, columns ascending.
+    Returns ``(order, csr)``, *order* placing the inputs in CSR order."""
     order = np.argsort(rows * n + cols)  # (row, column) pairs are unique
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return (
+    return order, (
         indptr,
         cols[order].astype(np.int32),
         costs[order],
@@ -964,17 +976,19 @@ def _check_ch_csr(name, rank, indptr, indices, costs, middle):
 
 
 
-def _kernel_tables(graph, up, down):
+def _kernel_tables(graph, up, down, halves=None):
     """The batch-kernel tables for one hierarchy of *graph*.
 
     Sorts the arcs of both directions into one table -- flat ``u * n +
     v`` keys paired with middle nodes (-1 = original edge); every arc
     lives in exactly one direction, so keys are unique -- and hands it
     with the ``(indptr, indices, costs)`` CSRs to
-    :func:`repro.core.kernel.build_kernel_tables`.  Raises
-    ``ValueError`` unless every arc unpacks to edges of *graph*: an arc
-    marked original must be an edge, and (checked by the kernel) both
-    halves of every shortcut must be arcs.
+    :func:`repro.core.kernel.build_kernel_tables`.  *halves* (from
+    :meth:`CellGraph._hierarchy`) name each shortcut's halves as rows of
+    the up-then-down arc listing; without them the kernel looks the
+    halves up by key.  Raises ``ValueError`` unless every arc unpacks to
+    edges of *graph*: an arc marked original must be an edge, and
+    (checked by the kernel) both halves of every shortcut must be arcs.
     """
     n = graph.num_nodes
     rows = np.arange(n, dtype=np.int64)
@@ -991,4 +1005,11 @@ def _kernel_tables(graph, up, down):
     if (np.searchsorted(edges, original) == np.searchsorted(edges, original, "right")).any():
         raise ValueError("ch_middle: an arc marked original (-1) is no edge of the graph")
     order = np.argsort(keys, kind="stable")
-    return build_kernel_tables(n, up[:3], down[:3], keys[order], middles[order])
+    middles = middles[order]
+    if halves is not None:
+        # Listing rows -> table rows, for the shortcuts in table order.
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        halves = halves[order[middles >= 0]]
+        halves = np.where(halves >= 0, at[halves], -1)
+    return build_kernel_tables(n, up[:3], down[:3], keys[order], middles, halves)

@@ -124,18 +124,21 @@ def _expand_ranges(starts, counts):
     return out
 
 
-def _expand_all(mid_keys, mid_vals, n):
+def _expand_all(mid_keys, mid_vals, n, halves=None):
     """Unroll every augmented edge into its original-edge node chain.
 
     A shortcut ``a -> b`` with middle ``m`` expands to the expansion of
-    ``a -> m`` followed by that of ``m -> b``.  Both halves are looked up
-    in the table once; rows are then filled in Kahn levels (original
-    edges first): a shortcut is ready once both of its halves are, and
-    is filled by copying them, so no edge is expanded twice.  Returns
-    ``(exp_indptr, exp_nodes)``: row ``i`` of the CSR lists the path
-    nodes after the tail of edge ``mid_keys[i]``, in order, ending at
-    its head.  Raises ``ValueError`` when a shortcut's half is not in
-    the table.
+    ``a -> m`` followed by that of ``m -> b``.  *halves*, when given,
+    holds each shortcut's two halves as table rows (one ``(a -> m, m ->
+    b)`` pair per shortcut, in table order; -1 for a half the table
+    lacks), as the hierarchy build found them; otherwise both halves
+    are looked up in the table by key.  Rows are then filled in Kahn
+    levels (original edges first): a shortcut is ready once both of its
+    halves are, and is filled by copying them, so no edge is expanded
+    twice.  Returns ``(exp_indptr, exp_nodes)``: row ``i`` of the CSR
+    lists the path nodes after the tail of edge ``mid_keys[i]``, in
+    order, ending at its head.  Raises ``ValueError`` when a shortcut's
+    half is not in the table.
     """
     num = mid_keys.size
     exp_indptr = np.zeros(num + 1, dtype=np.int64)
@@ -144,13 +147,13 @@ def _expand_all(mid_keys, mid_vals, n):
     a = mid_keys // n
     b = mid_keys - a * n
     rows = np.flatnonzero(mid_vals >= 0)  # shortcuts
-    m = mid_vals[rows].astype(np.int64)
-    # Each shortcut's (a -> m, m -> b) halves as table rows.
-    halves = np.stack((a[rows] * n + m, m * n + b[rows]), axis=1)
-    pos = np.minimum(np.searchsorted(mid_keys, halves), num - 1)
-    if (mid_keys[pos] != halves).any():
+    if halves is None:
+        m = mid_vals[rows].astype(np.int64)
+        keys = np.stack((a[rows] * n + m, m * n + b[rows]), axis=1)
+        pos = np.minimum(np.searchsorted(mid_keys, keys), num - 1)
+        halves = np.where(mid_keys[pos] == keys, pos, -1)
+    if (halves < 0).any():
         raise ValueError("ch_middle: a shortcut unpacks through an arc the hierarchy lacks")
-    halves = pos
     # Kahn levels over the shortcuts: ``users`` lists, per shortcut, the
     # shortcuts that have it as a half; ``waiting`` counts each one's
     # unfinished shortcut halves.
@@ -188,14 +191,15 @@ def _expand_all(mid_keys, mid_vals, n):
     return exp_indptr, exp_nodes
 
 
-def build_kernel_tables(n, up, down, mid_keys, mid_vals):
+def build_kernel_tables(n, up, down, mid_keys, mid_vals, halves=None):
     """Preprocess a hierarchy's CSRs for :func:`batch_ch_paths`.
 
     *up*/*down* are the ``(indptr, indices, costs)`` upward and
     downward shortcut CSRs (down row ``v`` lists in-neighbours ``u``
     with higher rank and cost ``c(u, v)``); *mid_keys*/*mid_vals* the
     sorted augmented-edge table mapping ``u * n + v`` to the shortcut's
-    middle node (``-1`` for original edges).
+    middle node (``-1`` for original edges); *halves*, if known, each
+    shortcut's two half rows in that table (see :func:`_expand_all`).
 
     Builds the combined doubled-node-space CSRs -- rows ``[0, n)`` are
     the forward search (relax upward, stall on downward), rows
@@ -217,7 +221,7 @@ def build_kernel_tables(n, up, down, mid_keys, mid_vals):
         [down_indices.astype(np.int64), up_indices.astype(np.int64) + n]
     )
     stall_costs = np.concatenate([down_costs, up_costs])
-    exp_indptr, exp_nodes = _expand_all(mid_keys, mid_vals, n)
+    exp_indptr, exp_nodes = _expand_all(mid_keys, mid_vals, n, halves)
     return KernelTables(
         n,
         relax_indptr,

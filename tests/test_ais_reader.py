@@ -1,11 +1,86 @@
-"""Real-AIS CSV/parquet loaders: header mapping, coercion, pipeline fit."""
+"""Real-AIS CSV/parquet loaders: header mapping, coercion, pipeline fit.
+
+The CSV parse hands each column to the coercions as a sequence of raw
+strings and tries one vectorised float parse first.  The parse it
+replaced -- a fixed-width ``U64`` array per column, a per-element
+timestamp parse on every string column -- is kept below as an oracle;
+the two agree bit for bit on every column except labels the oracle cut
+at 64 characters.
+"""
+
+import csv
 
 import numpy as np
 import pytest
 
+import repro.ais.reader as reader
 from repro import ais
 from repro.ais import schema
 from repro.core import clean_messages, segment_trips
+from repro.minidb import Table
+
+# -- oracle: the fixed-width parse the column-native one replaced ----------
+
+
+def _oracle_to_float(values):
+    arr = np.asarray(values)
+    try:
+        return arr.astype(np.float64)
+    except ValueError:
+        pass
+    out = np.full(len(arr), np.nan)
+    for i, value in enumerate(arr):
+        try:
+            out[i] = float(value)
+        except (TypeError, ValueError):
+            pass
+    return out
+
+
+def _oracle_to_epoch(values):
+    arr = np.asarray(values)
+    if arr.dtype.kind == "M":
+        stamped = arr.astype("datetime64[ns]")
+        out = stamped.astype(np.int64) / 1e9
+        out[np.isnat(stamped)] = np.nan
+        return out
+    if arr.dtype.kind in "fiu":
+        return arr.astype(np.float64)
+    out = np.full(len(arr), np.nan)
+    for i, value in enumerate(arr):
+        parsed = reader._parse_time(value)
+        if parsed is not None:
+            out[i] = parsed
+    return out
+
+
+def _oracle_rows_to_table(header, cells, source):
+    named = {
+        name: np.array([row[i] for row in cells], dtype="U64")
+        for i, name in enumerate(header)
+    }
+    mapping = reader._map_header(list(named), source)
+    by_header = list(named.values())
+    column = {key: np.asarray(by_header[idx]) for key, idx in mapping.items()}
+    vessel = _oracle_to_float(column[schema.VESSEL_ID])
+    t = _oracle_to_epoch(column[schema.T])
+    keep = np.isfinite(vessel) & np.isfinite(t)
+    n = int(keep.sum())
+    out = {
+        schema.VESSEL_ID: vessel[keep].astype(np.int64),
+        schema.T: t[keep],
+        schema.LAT: _oracle_to_float(column[schema.LAT])[keep],
+        schema.LON: _oracle_to_float(column[schema.LON])[keep],
+    }
+    for key in (schema.SOG, schema.COG):
+        out[key] = _oracle_to_float(column[key])[keep] if key in column else np.zeros(n)
+    if schema.VESSEL_TYPE in column:
+        types = np.asarray(column[schema.VESSEL_TYPE], dtype=np.str_)
+        types = np.char.lower(np.char.strip(types))[keep]
+        out[schema.VESSEL_TYPE] = np.where(types == "", "unknown", types)
+    else:
+        out[schema.VESSEL_TYPE] = np.full(n, "unknown")
+    return Table({name: out[name] for name in schema.RAW_COLUMNS})
 
 MARINE_CADASTRE_CSV = """\
 MMSI,BaseDateTime,LAT,LON,SOG,COG,Heading,VesselName,VesselType
@@ -154,3 +229,133 @@ def test_read_parquet_is_gated_or_works(tmp_path):
     assert table.num_rows == 2
     assert np.allclose(np.diff(table.column(schema.T)), 30.0)
     assert set(table.column(schema.VESSEL_TYPE).tolist()) == {"cargo"}
+
+
+# -- the column-native parse against the oracle -----------------------------
+
+#: Field values a dump can carry: padding, signs, exponents, digit
+#: separators, non-ASCII digits, NaN/inf spellings, hex, a decimal comma,
+#: blanks, date formats and junk.
+EDGE_VALUES = [
+    " 1.5 ", "\t4\n", "+3.", "-0", "1e500", "1e-400", "1_000", "0001", "nan",
+    "-nan", "NaN", "inf", "-infinity", "\u0661\u0662", "0x10", "1,5", "", "  ",
+    "2023-01-01T00:00:30", "23/02/2023 00:00:00", "02/23/2023 00:00:00",
+    "2023-01-01 00:01:00", " 2023-01-01T00:00:00 ", "2023-13-01T00:00:00",
+    "never", "1.7e9",
+]
+
+
+def _same_bits(ours, oracle):
+    return ours.dtype == oracle.dtype and ours.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("name", ["_to_float", "_to_epoch"])
+def test_coercions_match_u64_oracle_on_edge_values(name):
+    ours = getattr(reader, name)
+    oracle = {"_to_float": _oracle_to_float, "_to_epoch": _oracle_to_epoch}[name]
+    # One value per column takes the vectorised parse wherever it can,
+    # and so do the numeric values together; the whole corpus in one
+    # column forces the per-element fallback.
+    numeric = EDGE_VALUES[: EDGE_VALUES.index("0x10")]
+    for values in [[v] for v in EDGE_VALUES] + [numeric, EDGE_VALUES]:
+        expected = oracle(np.array(values, dtype="U64"))
+        assert _same_bits(ours(tuple(values)), expected), values
+        assert _same_bits(ours(np.array(values)), expected), values
+
+
+def _assert_parse_matches_oracle(path, monkeypatch):
+    ours = ais.read_csv(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(reader, "_rows_to_table", _oracle_rows_to_table)
+        oracle = ais.read_csv(path)
+    assert ours.column_names == oracle.column_names
+    for name in ours.column_names:
+        a, b = np.asarray(ours.column(name)), np.asarray(oracle.column(name))
+        if name == schema.VESSEL_TYPE:
+            assert a.tolist() == b.tolist()
+        else:
+            assert _same_bits(a, b), name
+    return ours
+
+
+def test_parse_matches_u64_oracle_on_kiel_feed(tiny_kiel, tmp_path, monkeypatch):
+    """A KIEL feed written as CSV the way the benchmark appends it
+    (``repr`` floats), and again with ISO timestamps (the per-element
+    date path)."""
+    feed = tiny_kiel.bundle.table
+    columns = [np.asarray(feed.column(c)).tolist() for c in feed.column_names]
+    with open(tmp_path / "feed.csv", "w", newline="") as handle:
+        out = csv.writer(handle)
+        out.writerow(feed.column_names)
+        out.writerows(zip(*columns))
+    table = _assert_parse_matches_oracle(tmp_path / "feed.csv", monkeypatch)
+    assert table.num_rows == feed.num_rows
+    stamps = np.asarray(feed.column(schema.T)).astype("datetime64[s]").astype(str)
+    with open(tmp_path / "iso.csv", "w", newline="") as handle:
+        out = csv.writer(handle)
+        out.writerow(feed.column_names)
+        out.writerows(zip(*columns[:1], stamps.tolist(), *columns[2:]))
+    assert _assert_parse_matches_oracle(tmp_path / "iso.csv", monkeypatch).num_rows > 0
+
+
+def test_parse_matches_u64_oracle_on_edge_case_corpus(tmp_path, monkeypatch):
+    """Whitespace, empty fields, NaN/inf, digit separators, date and
+    junk timestamps, quoted commas and wrong-width rows, column by
+    column: each clean column takes the vectorised parse, each messy
+    one the per-element path."""
+    header = "MMSI,BaseDateTime,LAT,LON,SOG,COG,VesselType\n"
+    clean = (
+        " 219000001 ,1.7e9,54.5, 10.2 ,nan,inf,Cargo\n"
+        "1_000,\t1700000030 ,-0,10.3,+3.,-infinity, Tanker \n"
+        "219000001,1700000060,54.6,1e-400,0001,1e500,\"Cargo, hazardous\"\n"
+    )
+    messy = (
+        ",1700000000,54.5,10.2,,,\n"
+        "219000001,2023-01-01T00:00:30,bogus,10.3,\"1,5\",0x10,Cargo\n"
+        "219000001,23/02/2023 00:00:00,54.7,,5.0,90.0,\n"
+        "219000001,never,54.8,10.5,5.0,90.0,Cargo\n"
+        "not-a-vessel,1700000090,54.9,10.6,5.0,90.0,Cargo\n"
+        "219000002,,55.0,10.7,5.0,90.0,Cargo\n"
+        "219000002,1700000120,55.1,10.8\n"
+        "219000002,1700000150,55.1,10.8,5.0,90.0,Cargo,extra\n"
+        "219000002, 2023-01-01 00:01:00 ,55.2,10.9,nan,-nan,  \n"
+    )
+    for name, text in (("clean", clean), ("messy", messy), ("both", clean + messy)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(header + text)
+        _assert_parse_matches_oracle(path, monkeypatch)
+    # Header only: every column is empty.
+    (tmp_path / "empty.csv").write_text(header)
+    assert _assert_parse_matches_oracle(tmp_path / "empty.csv", monkeypatch).num_rows == 0
+
+
+LONG_LABEL = "Cargo, hazardous category A (IMO class 1 explosives) -- reserved for future use"
+
+
+def test_long_labels_survive_every_csv_entry_point(tmp_path, monkeypatch):
+    """A label over 64 characters reads back whole through read_csv,
+    read_csv_chunks and CsvFollower.poll; the fixed-width oracle cut
+    it, and that is the only difference from it."""
+    assert len(LONG_LABEL) > 64
+    path = tmp_path / "long.csv"
+    path.write_text(
+        "MMSI,epoch,Latitude,Longitude,Ship type\n"
+        f'1,0.0,54.0,10.0,"{LONG_LABEL}"\n'
+        "2,30.0,54.1,10.1,Cargo\n"
+    )
+    expected = [LONG_LABEL.lower(), "cargo"]
+    tables = {
+        "read_csv": ais.read_csv(path),
+        "read_csv_chunks": Table.concat(list(ais.read_csv_chunks(path, chunk_rows=1))),
+        "poll": Table.concat(ais.CsvFollower(path, chunk_rows=1).poll()),
+    }
+    for entry, table in tables.items():
+        assert table.column(schema.VESSEL_TYPE).tolist() == expected, entry
+    monkeypatch.setattr(reader, "_rows_to_table", _oracle_rows_to_table)
+    cut = ais.read_csv(path).column(schema.VESSEL_TYPE).tolist()
+    assert cut == [LONG_LABEL[:64].lower(), "cargo"]
+    for name in schema.RAW_COLUMNS[:-1]:
+        assert _same_bits(
+            np.asarray(tables["read_csv"].column(name)),
+            np.asarray(ais.read_csv(path).column(name)),
+        ), name

@@ -1,25 +1,38 @@
-"""The array-native hierarchy passes equal the recursive code they replaced.
+"""The array-native hierarchy passes equal the code they replaced.
 
 The nested-dissection order (``graph._dissection_rank``) bisects every
-open part of a level at once, and the kernel's shortcut expansion
-(``kernel._expand_all``) fills rows in Kahn levels of its shortcuts.  This
-module keeps the recursive bisection and the round-by-round splitter as
-oracles and asserts bit-equality: ranks, the whole ``compute_ch`` output
-(rank plus all eight CSR arrays, dtypes included) and the kernel tables,
-on every ``graphgen`` topology and on the miniature KIEL graphs.  The
-``compute_ch`` output is also pinned by digest, so a change to the
-customisation passes that moves any array fails here too.
+open part of a level at once; the customisation walks height-level
+slices of one triangle enumeration, bottom-up and then top-down, and
+records each arc's winning triangle so shortcut halves are gathers; the
+kernel's shortcut expansion (``kernel._expand_all``) fills rows in Kahn
+levels of its shortcuts.  This module keeps the recursive bisection,
+the depth-scheduled build that looked halves up by key, and the
+round-by-round splitter as oracles and asserts bit-equality: ranks, the
+whole ``compute_ch`` output (rank plus all eight CSR arrays, dtypes
+included) and the kernel tables, on every ``graphgen`` topology and on
+the miniature KIEL graphs.  The ``compute_ch`` output and the kernel
+tables are also pinned by digest, so a change to the customisation
+passes that moves any array fails here too.
 """
 
 import hashlib
+from itertools import chain
 
 import numpy as np
 import pytest
 
+import graphgen
 import repro.core.graph as graph_mod
 from graphgen import TOPOLOGIES, hop_costs, random_graph
 from repro.core import HabitConfig, HabitImputer, kernel
-from repro.core.graph import _CCH_LEAF_SIZE, _dissection_rank
+from repro.core.graph import (
+    _CCH_LEAF_SIZE,
+    _INF,
+    _dissection_rank,
+    _expand_ranges,
+    _level_groups,
+    _relax,
+)
 from repro.core.habit import _CH_KEYS
 from repro.experiments import common
 
@@ -66,9 +79,9 @@ def _oracle_dissection_rank(q, r, eu, ev):
     return rank
 
 
-def _oracle_expand_all(mid_keys, mid_vals, n):
+def _oracle_expand_all(mid_keys, mid_vals, n, halves=None):
     """Split every shortcut into its halves, all rows per round, until
-    only original edges remain."""
+    only original edges remain (looked up by key; *halves* is unused)."""
     num = mid_keys.size
     eid = np.arange(num, dtype=np.int64)
     a = mid_keys // n
@@ -92,6 +105,127 @@ def _oracle_expand_all(mid_keys, mid_vals, n):
     exp_indptr = np.zeros(num + 1, dtype=np.int64)
     np.cumsum(counts, out=exp_indptr[1:])
     return exp_indptr, b.astype(np.int32)
+
+
+def _oracle_hierarchy(graph):
+    """The ``compute_ch`` build that schedules the perfect pass by
+    elimination-tree depth, gathers each level's triangles through the
+    per-node block table, and finds shortcut halves by key search.
+    Returns ``(rank, up, down, None)``: no halves, so the kernel tables
+    look them up by key too."""
+    n = graph.num_nodes
+    eu = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr.astype(np.int64)))
+    ev = graph.indices.astype(np.int64)
+    ec = graph.costs
+    keep = eu != ev
+    ekey = eu[keep] * n + ev[keep]
+    order = np.argsort(ekey)
+    ekey = ekey[order]
+    first = np.ones(ekey.size, dtype=bool)
+    first[1:] = ekey[1:] != ekey[:-1]
+    starts = np.flatnonzero(first)
+    ec = np.fmin.reduceat(ec[keep][order], starts) if starts.size else ec[:0]
+    eu, ev = np.divmod(ekey[starts], n)
+    rank = graph_mod._dissection_rank(graph.node_q, graph.node_r, eu, ev)
+    node_at = np.argsort(rank).astype(np.int64)
+    ru = rank[eu].astype(np.int64)
+    rv = rank[ev].astype(np.int64)
+    upper = [set() for _ in range(n)]
+    for a, b in zip(np.minimum(ru, rv).tolist(), np.maximum(ru, rv).tolist()):
+        upper[a].add(b)
+    rows = []
+    parent = [-1] * n
+    for p in range(n):
+        row = sorted(upper[p])
+        rows.append(row)
+        if row:
+            parent[p] = row[0]
+            upper[row[0]].update(row[1:])
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    arc_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=arc_ptr[1:])
+    num_arcs = int(arc_ptr[-1])
+    tail = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    head = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=num_arcs)
+    arc_key = tail * n + head
+    up = np.full(num_arcs, _INF)
+    down = np.full(num_arcs, _INF)
+    fwd = ru < rv
+    up[np.searchsorted(arc_key, ru[fwd] * n + rv[fwd])] = ec[fwd]
+    down[np.searchsorted(arc_key, rv[~fwd] * n + ru[~fwd])] = ec[~fwd]
+    height = [0] * n
+    depth = [0] * n
+    for p in range(n):
+        above = parent[p]
+        if above >= 0 and height[above] <= height[p]:
+            height[above] = height[p] + 1
+    for p in range(n - 1, -1, -1):
+        above = parent[p]
+        if above >= 0:
+            depth[p] = depth[above] + 1
+    by_height = _level_groups(np.asarray(height, dtype=np.int64))
+    nodes = np.concatenate(by_height)
+    arcs = _expand_ranges(arc_ptr[nodes], sizes[nodes])
+    later = arc_ptr[tail[arcs] + 1] - arcs - 1
+    tri_a = np.repeat(arcs, later)
+    tri_b = _expand_ranges(arcs + 1, later)
+    tri_c = np.searchsorted(arc_key, head[tri_a] * n + head[tri_b])
+    count = sizes * (sizes - 1) // 2
+    block = np.empty(n, dtype=np.int64)
+    block[nodes] = np.cumsum(count[nodes]) - count[nodes]
+
+    def triangles(nodes):
+        tri = _expand_ranges(block[nodes], count[nodes])
+        return tri_a[tri], tri_b[tri], tri_c[tri]
+
+    mid_up = np.full(num_arcs, -1, dtype=np.int64)
+    mid_down = np.full(num_arcs, -1, dtype=np.int64)
+    for nodes in by_height:
+        a, b, c = triangles(nodes)
+        u = tail[a]
+        _relax(up, mid_up, c, down[a] + up[b], u)
+        _relax(down, mid_down, c, down[b] + up[a], u)
+    basic_up, basic_down = up.copy(), down.copy()
+    for nodes in _level_groups(np.asarray(depth, dtype=np.int64)):
+        a, b, c = triangles(nodes)
+        np.minimum.at(up, a, basic_up[b] + down[c])
+        np.minimum.at(down, a, up[c] + basic_down[b])
+        np.minimum.at(up, b, basic_up[a] + up[c])
+        np.minimum.at(down, b, down[c] + basic_down[a])
+    keep_up = (basic_up == up) & (basic_up < _INF)
+    keep_down = (basic_down == down) & (basic_down < _INF)
+    up_todo = np.flatnonzero(keep_up & (mid_up >= 0))
+    down_todo = np.flatnonzero(keep_down & (mid_down >= 0))
+    while up_todo.size or down_todo.size:
+        arcs = np.concatenate([up_todo, down_todo])
+        u = np.concatenate([mid_up[up_todo], mid_down[down_todo]])
+        to_v = np.searchsorted(arc_key, u * n + tail[arcs])
+        to_w = np.searchsorted(arc_key, u * n + head[arcs])
+        k = up_todo.size
+        new_up = np.concatenate([to_w[:k], to_v[k:]])
+        new_down = np.concatenate([to_v[:k], to_w[k:]])
+        new_up = new_up[~keep_up[new_up]]
+        new_down = new_down[~keep_down[new_down]]
+        keep_up[new_up] = True
+        keep_down[new_down] = True
+        up_todo = new_up[mid_up[new_up] >= 0]
+        down_todo = new_down[mid_down[new_down] >= 0]
+    low, high = node_at[tail], node_at[head]
+    mid_up = np.where(mid_up >= 0, node_at[mid_up], -1)
+    mid_down = np.where(mid_down >= 0, node_at[mid_down], -1)
+
+    def csr(rows, cols, costs, middles):
+        order = np.argsort(rows * n + cols)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return indptr, cols[order].astype(np.int32), costs[order], middles[order].astype(np.int32)
+
+    return (
+        rank,
+        csr(low[keep_up], high[keep_up], basic_up[keep_up], mid_up[keep_up]),
+        csr(low[keep_down], high[keep_down], basic_down[keep_down], mid_down[keep_down]),
+        None,
+    )
 
 
 # -- helpers ---------------------------------------------------------------
@@ -210,6 +344,17 @@ _CH_DIGESTS = {
     "uniform": "8b5c6f9caba66c65",
 }
 
+#: sha256 prefixes of the kernel tables ``compute_ch`` installs (dtype
+#: and bytes of every ``KernelTables`` field in order, ``num_nodes`` as
+#: an int64 scalar) over the same seeds, per topology.
+_TABLE_DIGESTS = {
+    "lane": "ac930f238e344565",
+    "multi_component": "8f24d2527f5432da",
+    "no_edges": "ec875bbb3e25ff1b",
+    "single_node": "2320517dbe28dd7b",
+    "uniform": "63045828186c1a6d",
+}
+
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 def test_dissection_and_customisation_output_is_pinned(topology):
@@ -221,6 +366,18 @@ def test_dissection_and_customisation_output_is_pinned(topology):
     assert digest.hexdigest()[:16] == _CH_DIGESTS[topology]
 
 
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_kernel_tables_are_pinned(topology):
+    digest = hashlib.sha256()
+    for seed in range(4):
+        graph = random_graph(np.random.default_rng(seed), topology).ensure_ch()
+        for value in graph.kernel_tables:
+            array = np.asarray(value)
+            digest.update(array.dtype.str.encode())
+            digest.update(array.tobytes())
+    assert digest.hexdigest()[:16] == _TABLE_DIGESTS[topology]
+
+
 @pytest.mark.parametrize("resolution", [9, 10])
 def test_dissection_compute_ch_equals_oracle_build_on_kiel(
     kiel_graphs, resolution, monkeypatch
@@ -230,6 +387,77 @@ def test_dissection_compute_ch_equals_oracle_build_on_kiel(
     ours = _ch_arrays(graph)
     monkeypatch.setattr(graph_mod, "_dissection_rank", _oracle_dissection_rank)
     _assert_same_arrays(ours, _ch_arrays(graph))
+
+
+# -- customisation schedule and shortcut halves ----------------------------
+
+
+def _assert_same_tables(ours, oracle):
+    for name, a, b in zip(ours._fields, ours, oracle):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def _assert_schedule_matches_oracle(graph, monkeypatch):
+    """``compute_ch`` (height slices both ways, halves from the winning
+    triangles) equals the depth-scheduled oracle build whose kernel
+    tables look the halves up by key: every array and every table."""
+    ours = _ch_arrays(graph)
+    tables = graph.kernel_tables
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_mod.CellGraph, "_hierarchy", _oracle_hierarchy)
+        oracle = _ch_arrays(graph)
+    _assert_same_arrays(ours, oracle)
+    _assert_same_tables(tables, graph.kernel_tables)
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_schedule_compute_ch_equals_depth_oracle_build(topology, monkeypatch):
+    for seed in range(6):
+        graph = random_graph(np.random.default_rng(seed), topology)
+        _assert_schedule_matches_oracle(graph, monkeypatch)
+
+
+@pytest.mark.parametrize("resolution", [9, 10])
+def test_schedule_compute_ch_equals_depth_oracle_build_on_kiel(
+    kiel_graphs, resolution, monkeypatch
+):
+    _assert_schedule_matches_oracle(kiel_graphs[resolution], monkeypatch)
+
+
+def test_schedule_compute_ch_equals_depth_oracle_build_without_triangles(monkeypatch):
+    """Small chains and stars, the two-node ones with arcs but an empty
+    triangle table (no shortcut can exist)."""
+    rng = np.random.default_rng(4)
+    for size in (2, 3, 6):
+        cells = graphgen._random_cells(rng, size, 0.05)
+        chain = np.arange(size - 1)
+        for src, dst in ((chain, chain + 1), (np.zeros(size - 1, dtype=int), chain + 1)):
+            graph = graphgen._build(rng, cells, np.r_[src, dst], np.r_[dst, src])
+            _assert_schedule_matches_oracle(graph, monkeypatch)
+            if size == 2:
+                assert graph.ch_up_indices.size + graph.ch_down_indices.size == 2
+                assert (graph.ch_up_middle == -1).all() and (graph.ch_down_middle == -1).all()
+
+
+def test_build_halves_reject_an_absent_half(kiel_graphs):
+    """The build path's halves get the key lookup's check: a shortcut
+    with a half that is not a kept arc is refused, and nothing is
+    installed."""
+    graph = kiel_graphs[9]
+    rank, up, down, halves = graph._hierarchy()
+    shortcuts = np.flatnonzero(halves[:, 0] >= 0)
+    assert shortcuts.size
+    assert (halves[halves[:, 0] < 0] == -1).all()
+    installed = graph.kernel_tables
+    for column in (0, 1):
+        broken = halves.copy()
+        broken[shortcuts[-1], column] = -1
+        with pytest.raises(ValueError, match="ch_middle"):
+            graph._install_ch(rank, up, down, broken)
+        assert graph.kernel_tables is installed
 
 
 # -- shortcut expansion ----------------------------------------------------
@@ -249,11 +477,7 @@ def _assert_expand_all_matches(graph, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(kernel, "_expand_all", _oracle_expand_all)
         oracle = _kernel_tables(graph)
-    for name, a, b in zip(ours._fields, ours, oracle):
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        else:
-            assert a == b, name
+    _assert_same_tables(ours, oracle)
 
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
