@@ -20,6 +20,7 @@ raise :class:`AISFormatError` naming what could not be mapped.
 import csv
 import io
 import os
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -110,6 +111,42 @@ def _parse_time(value):
     return None
 
 
+#: The exact 19-character shapes of :data:`_TIME_FORMATS`, ISO (either
+#: separator) and slash dates, with every field zero-padded and in range
+#: for ``strptime``.
+_ISO_STAMP = re.compile(r"\d{4}-\d\d-\d\d[T ](?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d", re.ASCII)
+_SLASH_STAMP = re.compile(r"\d\d/\d\d/\d{4} (?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d", re.ASCII)
+
+
+def _iso_epoch(text):
+    """Epoch seconds of an ISO ``YYYY-MM-DD?HH:MM:SS`` stamp read as UTC,
+    or None for an invalid date."""
+    try:
+        parsed = datetime.fromisoformat(text)
+    except ValueError:
+        return None
+    return parsed.replace(tzinfo=timezone.utc).timestamp()
+
+
+def _fast_time(value):
+    """:func:`_parse_time` for an exact :data:`_TIME_FORMATS` shape, by
+    ``datetime.fromisoformat``; None for anything else (the caller falls
+    back to :func:`_parse_time`).  A slash date is tried day-first, then
+    month-first, as :func:`_parse_time` does."""
+    if not isinstance(value, str):
+        return None
+    text = value.strip()
+    if _ISO_STAMP.fullmatch(text):
+        return _iso_epoch(text)
+    if not _SLASH_STAMP.fullmatch(text):
+        return None
+    clock = text[10:]
+    parsed = _iso_epoch(f"{text[6:10]}-{text[3:5]}-{text[:2]}{clock}")
+    if parsed is None:
+        parsed = _iso_epoch(f"{text[6:10]}-{text[:2]}-{text[3:5]}{clock}")
+    return parsed
+
+
 def _map_header(names, source):
     mapping = {}
     for index, name in enumerate(names):
@@ -150,7 +187,8 @@ def _to_epoch(values):
 
     Numeric columns, strings included, take one vectorised parse (the
     numbers :func:`_parse_time` would return); only a column with a date
-    string or an unparseable entry is parsed per element.
+    string or an unparseable entry is parsed per element, exact
+    :data:`_TIME_FORMATS` stamps by :func:`_fast_time`.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind == "M":
         stamped = values.astype("datetime64[ns]")
@@ -163,7 +201,9 @@ def _to_epoch(values):
         pass
     out = np.full(len(values), np.nan)
     for i, value in enumerate(values):
-        parsed = _parse_time(value)
+        parsed = _fast_time(value)
+        if parsed is None:
+            parsed = _parse_time(value)
         if parsed is not None:
             out[i] = parsed
     return out

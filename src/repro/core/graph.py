@@ -40,7 +40,7 @@ Two weight schemes are supported:
 import threading
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, count
 from time import perf_counter
 
 import numpy as np
@@ -103,6 +103,10 @@ _GRAPH_BUILD_SECONDS = METRICS.histogram(
     ("stage",),
 )
 
+#: Source of :attr:`CellGraph.serial`: a counter, not ``id()``, because
+#: ids are reused once a graph is garbage-collected.
+_GRAPH_SERIALS = count(1)
+
 #: Bound on the per-graph snap memo (the serve path re-snaps identical
 #: endpoints constantly; distinct endpoints are bounded by traffic area).
 _SNAP_CACHE_SIZE = 1 << 16
@@ -152,6 +156,10 @@ class CellGraph:
     """Directed graph over hex cells with metricised transition costs."""
 
     def __init__(self, cells, lats, lngs, edge_src, edge_dst, edge_cost, edge_count):
+        #: Process-unique and increasing in build order, one per built or
+        #: loaded graph: the serving engine keys its answers by it, so an
+        #: answer is only ever reused on the graph that computed it.
+        self.serial = next(_GRAPH_SERIALS)
         self.cells = np.asarray(cells, dtype=np.int64)
         self.lats = np.asarray(lats, dtype=np.float64)
         self.lngs = np.asarray(lngs, dtype=np.float64)
@@ -590,6 +598,7 @@ class CellGraph:
         num_arcs = int(arc_ptr[-1])
         tail = np.repeat(np.arange(n, dtype=np.int64), sizes)
         head = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=num_arcs)
+        del upper, rows  # the completion's Python sets and lists
         arc_key = tail * n + head  # ascending: rows in order, heads sorted
         # Arc ``tail < head`` carries both directions: ``up`` costs
         # tail -> head, ``down`` costs head -> tail; inf = no path yet.

@@ -93,8 +93,7 @@ class TypedHabitImputer:
         #: ``by_type`` values are aliases into this dict.
         self._partials = {}
         #: Incremental-refresh counter, mirrored onto every class imputer
-        #: at :meth:`finalize` so serve-path answer-cache keys (which read
-        #: the class imputer's revision) invalidate on typed refreshes too.
+        #: :meth:`finalize` rebuilds.
         self.revision = 1
 
     @property
@@ -157,8 +156,9 @@ class TypedHabitImputer:
         their last finalize keep their existing graph -- a refresh whose
         chunk only carried cargo traffic does not pay N-1 other classes'
         graph (and hierarchy) rebuilds -- and keep their ``revision``
-        too, so their serve-path answer-cache entries stay warm; only
-        rebuilt imputers take the typed model's new revision.  Returns self.
+        too.  The serve-path answer cache is keyed by graph serial, so a
+        kept graph's entries stay warm; only rebuilt imputers take the
+        typed model's new revision.  Returns self.
         """
         if self.fallback is None:
             raise RuntimeError("TypedHabitImputer.finalize called with no fit state")
@@ -179,9 +179,7 @@ class TypedHabitImputer:
                 refreshed.append(imputer)
             self.by_type[name] = imputer
         # Only rebuilt imputers take the new revision: an untouched
-        # class's graph (and therefore every cached answer on it) is
-        # byte-identical, and bumping its revision would invalidate the
-        # serve-path answer cache for nothing.
+        # class keeps its graph object, and so every cached answer on it.
         for imputer in refreshed:
             imputer.revision = self.revision
         return self
@@ -223,8 +221,9 @@ class TypedHabitImputer:
         """Pick the graph for a vessel class: ``(imputer, class_tag)``.
 
         ``class_tag`` is the resolved group name (``""`` for the global
-        fallback) -- the serving layer folds it into its answer-cache
-        key so two classes never share cached answers.
+        fallback) -- the serving layer remembers which graph serial it
+        last served for each ``(model id, class tag)``, to drop a
+        replaced graph's cached answers.
         """
         if self.fallback is None:
             raise RuntimeError("TypedHabitImputer.impute called before fit_from_trips")

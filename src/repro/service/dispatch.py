@@ -27,11 +27,12 @@ There is no window, no lane cap and no background thread:
   re-raises the error, and the next submission leads a fresh flush.
 
 **Cross-request coalescing:** lanes are keyed by their snapped route
-key (model id, class tag, revision, snapped endpoints).  Identical keys
-from *different* submissions fuse into one search lane; the first
-submitter keeps its ``"miss"`` answer-cache tier and every later one is
-answered from the same lane under the ``"cross_batch"`` tier -- the
-in-batch ``"coalesced"`` tier extended across concurrent requests.
+key (graph serial, snapped endpoints), so only lanes on the very same
+graph can fuse.  Identical keys from *different* submissions fuse into
+one search lane; the first submitter keeps its ``"miss"`` answer-cache
+tier and every later one is answered from the same lane under the
+``"cross_batch"`` tier -- the in-batch ``"coalesced"`` tier extended
+across concurrent requests.
 
 Instrumentation: ``repro_dispatch_queue_wait_seconds`` (wait behind a
 running flush), ``repro_dispatch_batch_lanes`` (search lanes per flush,

@@ -18,27 +18,42 @@ serialisation, one shared answer cache and models resolved once per
 process.
 
 On top of the model cache sits one **answer cache**: a bounded LRU
-(:data:`PATH_CACHE_SIZE` entries) of rendered answers -- the
-:class:`repro.core.path.ImputedPath` and its metric length -- keyed by
-``(model id, class tag, revision, raw start, raw end)``.  A request
-resolves its class graph and probes the cache *before* snapping, so an
-exactly-repeated query costs one LRU lookup: no snap, no search, no
-geometry.  Only the exact raw endpoints may reuse an answer, because
-simplification and resampling both see the pinned endpoints; a nudged
-endpoint is searched and rendered again, bit-identically.  ``revision``
-in the key makes incremental refreshes self-invalidating.  Every answer
-is stored by the same rule -- routed paths, no-route answers and
-out-of-coverage straight lines alike -- and nothing caches a search
-result.  Cached answers share their coordinate arrays across responses;
-callers must treat them as read-only (the transport only serialises
-them).
+(:data:`PATH_CACHE_SIZE` entries) of rendered answers keyed by
+``(graph serial, raw start, raw end)``.  The serial is the
+process-unique number every :class:`repro.core.graph.CellGraph` takes
+when it is built or loaded, so an answer is only ever handed out on the
+very graph that computed it: a refitted, republished, refreshed or
+reloaded model has a new graph, hence a new serial, whatever its
+revision says.  (A graph is only shared between forks of one model,
+which render with one config, so the serial pins the whole answer.)  A
+typed refresh keeps an untouched class's graph object, so that class's
+answers stay warm.  A request resolves its class graph and probes the
+cache *before* snapping, so an exactly-repeated query costs one LRU
+lookup: no snap, no search, no geometry.  Only the exact raw endpoints
+may reuse an answer, because simplification and resampling both see
+the pinned endpoints; a nudged endpoint is searched and rendered again,
+bit-identically.  Every answer is stored by the same rule -- routed
+paths, no-route answers and out-of-coverage straight lines alike -- and
+nothing caches a search result.
+
+An entry is an :class:`_Answer`, only what a response reads: the
+coordinate arrays, the method, ``expanded``, the cell count and the
+metric length.  The rendered path's per-cell tuple is dropped once
+counted.  Cached coordinate arrays are shared across responses; callers
+must treat them as read-only (the transport only serialises them).
+
+**Dead entries leave with their graph.**  The cache remembers the serial
+it last served for each ``(model id, class tag)``.  Serials grow with
+build order, so the first request on a newer graph drops the older
+serial's entries in one pass, and an in-flight request still on the
+older graph is answered but not stored.
 
 **Request coalescing:** a miss snaps its endpoints, and identical
-``(model id, class tag, revision, snapped src, snapped dst)`` routes
-within one batch are searched once.  The first requester records tier
-``"miss"``; every other rider on the same route records ``"coalesced"``
-and is fanned the single result -- large fleet batches converging on hub
-pairs pay one kernel lane, not N.
+``(graph serial, snapped src, snapped dst)`` routes within one batch are
+searched once.  The first requester records tier ``"miss"``; every
+other rider on the same route records ``"coalesced"`` and is fanned the
+single result -- large fleet batches converging on hub pairs pay one
+kernel lane, not N.
 
 **Cross-request fusion:** every batch's searched lanes go through one
 shared :class:`repro.service.dispatch.BatchDispatcher`, a combining
@@ -70,7 +85,7 @@ path length, and per-request wall-clock latency.
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,15 +132,45 @@ _MISSING = object()
 PATH_CACHE_SIZE = 4096
 
 
+class _Answer(NamedTuple):
+    """One cached answer: exactly what a response reads."""
+
+    lats: np.ndarray
+    lngs: np.ndarray
+    method: str
+    expanded: int
+    num_cells: int
+    length_m: float
+
+
 class _PathCache:
-    """Thread-safe bounded LRU with its own hit/miss counters."""
+    """Thread-safe bounded LRU with its own hit/miss counters, keyed by
+    ``(graph serial, ...)`` and emptied of a graph's entries once a
+    newer graph serves the same ``(model id, class tag)``."""
 
     def __init__(self, capacity):
         self.capacity = int(capacity)
         self._entries = OrderedDict()
         self._lock = threading.Lock()
+        self._serving = {}  # (model id, class tag) -> newest graph serial seen
         self.hits = 0
         self.misses = 0
+
+    def track(self, owner, serial):
+        """Note that *owner* answers on graph *serial*.  A newer serial
+        replaces the owner's old one, whose entries leave in one pass
+        unless another owner still serves that graph; an older serial
+        (an in-flight request on a replaced graph) changes nothing."""
+        if self._serving.get(owner) == serial:
+            return
+        with self._lock:
+            old = self._serving.get(owner)
+            if old is not None and old >= serial:
+                return
+            self._serving[owner] = serial
+            if old is not None and old not in self._serving.values():
+                for key in [key for key in self._entries if key[0] == old]:
+                    del self._entries[key]
 
     def get(self, key):
         with self._lock:
@@ -137,7 +182,11 @@ class _PathCache:
             return _MISSING
 
     def put(self, key, value):
+        """Store *value* unless its graph serial, ``key[0]``, has been
+        replaced since the request tracked it."""
         with self._lock:
+            if key[0] not in self._serving.values():
+                return
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -155,8 +204,8 @@ class BatchImputationEngine:
 
     def __init__(self, registry):
         self.registry = registry
-        #: The answer cache: LRU over (model id, class tag, revision, raw
-        #: start, raw end) -> (ImputedPath, path_length_m).
+        #: The answer cache: LRU over (graph serial, raw start, raw end)
+        #: -> _Answer.
         self.render_cache = _PathCache(PATH_CACHE_SIZE)
         self.dispatcher = BatchDispatcher()
 
@@ -194,13 +243,15 @@ class BatchImputationEngine:
         dispatcher submission for the routes to search, one render call
         per resolved class graph.
 
-        Each request resolves its class graph and probes the answer
-        cache under ``(model id, class tag, revision, raw start, raw
-        end)``; a hit (tier ``"hit"``) takes the cached answer and never
-        snaps.  A miss snaps: an out-of-coverage gap renders the
-        straight line (tier ``"bypass"``), and the rest coalesce by
-        snapped route key -- requests sharing a route ride one search
-        lane; the first records ``"miss"``, the rest ``"coalesced"``.
+        Each request resolves its class graph, tracks that graph's
+        serial for its ``(model id, class tag)`` (dropping a replaced
+        graph's entries) and probes the answer cache under ``(graph
+        serial, raw start, raw end)``; a hit (tier ``"hit"``) takes the
+        cached answer and never snaps.  A miss snaps: an out-of-coverage
+        gap renders the straight line (tier ``"bypass"``), and the rest
+        coalesce by snapped route key ``(graph serial, snapped src,
+        snapped dst)`` -- requests sharing a route ride one search lane;
+        the first records ``"miss"``, the rest ``"coalesced"``.
         The lanes go through the dispatcher, where they can further fuse
         with other concurrent requests' lanes; a lane answered by
         another request's identical search records ``"cross_batch"``.
@@ -208,15 +259,15 @@ class BatchImputationEngine:
         one :meth:`~repro.core.habit.HabitImputer.render_paths` call,
         which also measures every rendered path; requests sharing an
         answer key share one render, and every rendered answer is stored
-        under its key.  :meth:`_compress` then budgets the over-large
-        answers in one pass.  Per-request latency charges each rider its
-        probe/snap time plus an equal share of its group's kernel call,
-        of its group's render call and of the compression stage.  The
-        per-gap metric series are fed in bulk, one call per series per
-        batch.
+        under its key as an :class:`_Answer` -- unless its graph was
+        replaced while the batch ran.  :meth:`_compress` then budgets the
+        over-large answers in one pass.  Per-request latency charges each
+        rider its probe/snap time plus an equal share of its group's
+        kernel call, of its group's render call and of the compression
+        stage.  The per-gap metric series are fed in bulk, one call per
+        series per batch.
         """
-        paths = [None] * len(requests)
-        lengths = [None] * len(requests)
+        answers = [None] * len(requests)
         tiers = [None] * len(requests)
         elapsed = [0.0] * len(requests)
         lanes = {}  # route key -> (plain imputer, (src, dst), rider idxs)
@@ -228,16 +279,17 @@ class BatchImputationEngine:
                 plain, class_tag = imputer.resolve(request.vessel_type)
             else:
                 plain, class_tag = imputer, ""
-            tag = (model_id, class_tag, plain.revision)
-            key = (*tag, request.start, request.end)
+            serial = plain.graph.serial
+            self.render_cache.track((model_id, class_tag), serial)
+            key = (serial, request.start, request.end)
             # A repeat within the batch is answered by the pending render.
             entry = _MISSING if key in renders else self.render_cache.get(key)
             if entry is not _MISSING:
-                paths[i], lengths[i] = entry
+                answers[i] = entry
                 tiers[i] = "hit"
             else:
                 snapped = plain.snap_endpoints(request.start, request.end)
-                route = None if snapped is None else (*tag, *snapped)
+                route = None if snapped is None else (serial, *snapped)
                 if route is None:
                     tiers[i] = "bypass"
                 elif route in lanes:
@@ -253,14 +305,14 @@ class BatchImputationEngine:
             # The shared dispatcher fuses these lanes with other
             # concurrent requests' lanes and runs one kernel call per
             # resolved class graph.
-            answers = self.dispatcher.submit(
+            searched = self.dispatcher.submit(
                 [
                     (route, plain, snapped, len(riders))
                     for route, (plain, snapped, riders) in lanes.items()
                 ],
             )
             for route, (_, _, riders) in lanes.items():
-                results[route], cross, share = answers[route]
+                results[route], cross, share = searched[route]
                 if cross:
                     # Another in-flight request's identical lane ran the
                     # search; this batch's first rider was provisionally
@@ -284,32 +336,35 @@ class BatchImputationEngine:
             for key, path, length, (*_, idxs) in zip(
                 keys, rendered, rendered_lengths, pending
             ):
-                self.render_cache.put(key, (path, length))
+                answer = _Answer(
+                    path.lats, path.lngs, path.method, path.expanded, len(path.cells), length
+                )
+                self.render_cache.put(key, answer)
                 for i in idxs:
-                    paths[i], lengths[i] = path, length
+                    answers[i] = answer
                 riders.extend(idxs)
             share = (time.perf_counter() - started) / len(riders)
             for i in riders:
                 elapsed[i] += share
-        budgets = self._compress(requests, paths, lengths, elapsed)
+        budgets = self._compress(requests, answers, elapsed)
         _PATH_CACHE_TOTAL.inc_many((tier,) for tier in tiers)
         _IMPUTE_SECONDS.observe_many(elapsed, ("thread",))
         out = []
         for i, request in enumerate(requests):
             imputer, model_id, source = models[(request.dataset.upper(), request.typed)]
-            path = paths[i]
+            answer = answers[i]
             points_in, points_out, max_sed = budgets[i]
             provenance = Provenance(
                 model_id=model_id,
                 cache=source,
-                method=path.method,
-                fallback=path.method == "fallback",
-                num_cells=len(path.cells),
-                path_length_m=lengths[i],
+                method=answer.method,
+                fallback=answer.method == "fallback",
+                num_cells=answer.num_cells,
+                path_length_m=answer.length_m,
                 elapsed_ms=elapsed[i] * 1e3,
                 revision=getattr(imputer, "revision", 1),
                 path_cache=tiers[i],
-                expanded=path.expanded,
+                expanded=answer.expanded,
                 points_in=points_in,
                 points_out=points_out,
                 max_sed_m=max_sed,
@@ -317,16 +372,18 @@ class BatchImputationEngine:
             out.append(
                 ImputeResult(
                     request=request,
-                    lats=path.lats,
-                    lngs=path.lngs,
+                    lats=answer.lats,
+                    lngs=answer.lngs,
                     provenance=provenance,
                 )
             )
         return out
 
     @staticmethod
-    def _compress(requests, paths, lengths, elapsed):
-        """Apply every request's ``max_points`` budget, in place.
+    def _compress(requests, answers, elapsed):
+        """Apply every request's ``max_points`` budget, in place: an
+        over-budget request's answer becomes a squeezed copy with its
+        coordinates and length re-measured.
 
         Strictly post-cache: the answer cache stays budget-agnostic, so
         mixed budgets share one cached geometry and an over-large budget
@@ -342,36 +399,31 @@ class BatchImputationEngine:
         over = [
             i
             for i, request in enumerate(requests)
-            if request.max_points is not None and len(paths[i].lats) > request.max_points
+            if request.max_points is not None and len(answers[i].lats) > request.max_points
         ]
         if not over:
             return budgets
         started = time.perf_counter()
-        sizes = [len(paths[i].lats) for i in over]
+        sizes = [len(answers[i].lats) for i in over]
         x, y = polylines_xy_m(
-            np.concatenate([paths[i].lats for i in over]),
-            np.concatenate([paths[i].lngs for i in over]),
+            np.concatenate([answers[i].lats for i in over]),
+            np.concatenate([answers[i].lngs for i in over]),
             sizes,
         )
         dropped = 0
         lo = 0
+        kept_lats, kept_lngs = [], []
         for i, size in zip(over, sizes):
             hi = lo + size
             squeezed = compress_to_budget(x[lo:hi], y[lo:hi], requests[i].max_points)
             lo = hi
-            path = paths[i]
-            paths[i] = replace(
-                path,
-                lats=path.lats[squeezed.indices],
-                lngs=path.lngs[squeezed.indices],
-            )
+            kept_lats.append(answers[i].lats[squeezed.indices])
+            kept_lngs.append(answers[i].lngs[squeezed.indices])
             budgets[i] = (squeezed.points_in, squeezed.points_out, squeezed.max_sed_m)
             dropped += squeezed.points_dropped
-        squeezed_lengths = path_lengths_m(
-            [paths[i].lats for i in over], [paths[i].lngs for i in over]
-        )
-        for i, length in zip(over, squeezed_lengths):
-            lengths[i] = length
+        squeezed_lengths = path_lengths_m(kept_lats, kept_lngs)
+        for i, lats, lngs, length in zip(over, kept_lats, kept_lngs, squeezed_lengths):
+            answers[i] = answers[i]._replace(lats=lats, lngs=lngs, length_m=length)
         share = (time.perf_counter() - started) / len(over)
         for i in over:
             elapsed[i] += share

@@ -263,6 +263,37 @@ def test_coercions_match_u64_oracle_on_edge_values(name):
         assert _same_bits(ours(np.array(values)), expected), values
 
 
+#: Date stamps for the fast path: every format, day/month ambiguity,
+#: impossible dates, unpadded and out-of-range fields, padding, junk.
+STAMP_VALUES = [
+    "2023-04-05T06:07:08", "2023-04-05 06:07:08", "05/04/2023 06:07:08",
+    "04/25/2023 06:07:08", "12/11/2023 23:59:59", "13/12/2023 00:00:00",
+    "31/02/2023 00:00:00", "02/31/2023 00:00:00", "29/02/2024 12:00:00",
+    "29/02/2023 12:00:00", "2023-02-31T00:00:00", "0000-01-01T00:00:00",
+    "2023-4-5T06:07:08", "5/4/2023 06:07:08", "2023-04-05T6:07:08",
+    "05/04/2023 6:7:8", " 05/04/2023 06:07:08 ", "\t2023-04-05T06:07:08\n",
+    "2023-04-05T06:07:08.5", "2023-04-05T06:07:08Z", "2023-04-05t06:07:08",
+    "2023-04-05T24:00:00", "2023-04-05T23:60:00", "2023-04-05T23:59:60",
+    "05-04-2023 06:07:08", "2023/04/05 06:07:08", "05/04/2023T06:07:08",
+    "\u0662023-04-05T06:07:08", "1970-01-01T00:00:00", "01/01/1970 00:00:00",
+    "1680674828", "junk", "", "2023-04-05", "05/04/2023",
+]
+
+
+def test_epoch_fast_path_matches_oracle():
+    """The fromisoformat fast path returns what ``_parse_time`` does, or
+    defers to it; a date column parses to the same bits either way."""
+    expected = [reader._parse_time(value) for value in STAMP_VALUES]
+    for value, want in zip(STAMP_VALUES, expected):
+        got = reader._fast_time(value)
+        assert got is None or got == want, value
+    for value in STAMP_VALUES[:5]:
+        assert reader._fast_time(value) is not None, value
+    oracle = np.array([np.nan if e is None else e for e in expected])
+    assert _same_bits(reader._to_epoch(STAMP_VALUES), oracle)
+    assert _same_bits(reader._to_epoch(np.array(STAMP_VALUES)), oracle)
+
+
 def _assert_parse_matches_oracle(path, monkeypatch):
     ours = ais.read_csv(path)
     with monkeypatch.context() as patch:

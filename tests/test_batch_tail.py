@@ -372,15 +372,9 @@ def _oracle_result(engine, registry, config, result):
     request's pre-budget answer, equal to the oracle's render."""
     request = result.request
     imputer, model_id, _ = registry.get(request.dataset, config, typed=request.typed)
-    if request.typed:
-        plain, class_tag = imputer.resolve(request.vessel_type)
-    else:
-        plain, class_tag = imputer, ""
-    cached = engine.render_cache.get(
-        (model_id, class_tag, plain.revision, request.start, request.end)
-    )
+    plain = imputer.resolve(request.vessel_type)[0] if request.typed else imputer
+    cached = engine.render_cache.get((plain.graph.serial, request.start, request.end))
     assert cached is not _MISSING
-    cached_path, cached_length = cached
     snapped = plain.snap_endpoints(request.start, request.end)
     if snapped is None:
         path = straight_line_path(request.start, request.end, method="fallback")
@@ -390,10 +384,11 @@ def _oracle_result(engine, registry, config, result):
         # settled for this lane, so it is read from the cached answer.
         path = replace(
             _oracle_render(plain, request.start, request.end, route),
-            expanded=cached_path.expanded,
+            expanded=cached.expanded,
         )
-    assert _bits_equal(cached_path.lats, path.lats) and _bits_equal(cached_path.lngs, path.lngs)
-    assert cached_length == _oracle_length(path.lats, path.lngs)
+    assert _bits_equal(cached.lats, path.lats) and _bits_equal(cached.lngs, path.lngs)
+    assert cached.length_m == _oracle_length(path.lats, path.lngs)
+    assert cached.num_cells == len(path.cells)
     length = _oracle_length(path.lats, path.lngs)
     budget = (0, 0, 0.0)
     if request.max_points is not None and path.num_points > request.max_points:
@@ -521,9 +516,9 @@ def test_answer_cache_out_of_coverage_repeat_is_a_hit(tmp_path, service_model):
 
 
 def test_answer_cache_holds_only_rendered_answers(tmp_path, service_model, tiny_kiel, rng):
-    """After a mixed batch the one cache holds an ``(ImputedPath, float)``
-    answer per distinct request -- fallbacks and no-routes included --
-    and no search result."""
+    """After a mixed batch the one cache holds one slim answer per
+    distinct request -- fallbacks and no-routes included: coordinate
+    arrays and scalars, never a search result or a per-cell sequence."""
     config = service_model.config
     registry, no_route = _mixed_batch_setup(tmp_path, service_model, tiny_kiel)
     gaps = _endpoint_requests(service_model, rng, 3)
@@ -548,6 +543,8 @@ def test_answer_cache_holds_only_rendered_answers(tmp_path, service_model, tiny_
     ]
     assert len(entries) == len(requests) - 1
     for entry in entries:
-        assert isinstance(entry, tuple) and len(entry) == 2
-        path, length = entry
-        assert isinstance(path, ImputedPath) and isinstance(length, float)
+        assert not isinstance(entry, (ImputedPath, SearchResult))
+        assert entry._fields == ("lats", "lngs", "method", "expanded", "num_cells", "length_m")
+        assert all(isinstance(coords, np.ndarray) for coords in (entry.lats, entry.lngs))
+        assert isinstance(entry.method, str) and isinstance(entry.length_m, float)
+        assert isinstance(entry.expanded, int) and isinstance(entry.num_cells, int)

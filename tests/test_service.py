@@ -1,10 +1,12 @@
 """Service layer: registry LRU, batch engine provenance, HTTP transport."""
 
+import gc
 import json
 import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +28,7 @@ from repro.service import (
     make_server,
     parse_impute_payload,
 )
+from repro.service.engine import _PathCache
 
 
 @pytest.fixture()
@@ -1060,6 +1063,224 @@ def test_engine_batch_render_equals_offline_impute(registry, service_model, tiny
         assert result.provenance.method == expected.method
         assert result.provenance.elapsed_ms > 0.0
 
+
+@pytest.fixture(scope="module")
+def odd_half_model(tiny_kiel, service_model):
+    """The service model's config fitted on the odd trips only: same
+    model id, revision 1, other paths."""
+    from repro.ais import schema
+
+    ids = np.asarray(tiny_kiel.train.column(schema.TRIP_ID))
+    return HabitImputer(service_model.config).fit_from_trips(tiny_kiel.train.filter(ids % 2 == 1))
+
+
+def _replaced_gap(tiny_kiel, old, new):
+    """A held-out gap the two models answer with different paths."""
+    for gap in tiny_kiel.gaps(3600.0):
+        a, b = old.impute(gap.start, gap.end), new.impute(gap.start, gap.end)
+        if a.lats.shape != b.lats.shape or not np.array_equal(a.lats, b.lats):
+            return gap
+    raise AssertionError("no gap tells the two models apart")
+
+
+def _assert_answers_like(result, imputer):
+    request = result.request
+    expected = imputer.impute(request.start, request.end)
+    assert np.array_equal(result.lats, expected.lats)
+    assert np.array_equal(result.lngs, expected.lngs)
+    assert result.provenance.num_cells == len(expected.cells)
+
+
+def test_answer_cache_never_serves_a_replaced_model(
+    registry, service_model, odd_half_model, tiny_kiel
+):
+    """A model republished under the same id restarts at revision 1, and
+    a reload gives it a new graph: the old model's answer is not a hit."""
+    config = service_model.config
+    gap = _replaced_gap(tiny_kiel, service_model, odd_half_model)
+    request = [GapRequest("KIEL", gap.start, gap.end, "r0")]
+    engine = BatchImputationEngine(registry)
+    (first,) = engine.run(request, config)
+    _assert_answers_like(first, service_model)
+    registry.publish("KIEL", odd_half_model)
+    registry.evict_all()
+    (again,) = engine.run(request, config)
+    assert again.provenance.cache == "load" and again.provenance.revision == 1
+    assert again.provenance.path_cache == "miss"
+    _assert_answers_like(again, odd_half_model)
+    (fresh,) = BatchImputationEngine(registry).run(request, config)
+    assert np.array_equal(again.lats, fresh.lats) and np.array_equal(again.lngs, fresh.lngs)
+    # The first model's entry left with its graph.
+    assert len(engine.render_cache) == 1
+
+
+def test_answer_cache_never_serves_a_replaced_refit(
+    tmp_path, service_model, odd_half_model, tiny_kiel
+):
+    """Fit-on-miss variant: a torn model file is refitted, the refit
+    restarts at revision 1, and its answers are its own."""
+    fits = iter([service_model, odd_half_model])
+    registry = ModelRegistry(tmp_path / "models", fitter=lambda dataset, config: next(fits))
+    config = service_model.config
+    gap = _replaced_gap(tiny_kiel, service_model, odd_half_model)
+    request = [GapRequest("KIEL", gap.start, gap.end, "r0")]
+    engine = BatchImputationEngine(registry)
+    (first,) = engine.run(request, config)
+    assert first.provenance.cache == "fit"
+    _assert_answers_like(first, service_model)
+    registry.path_for("KIEL", config).write_bytes(b"torn")
+    registry.evict_all()
+    (again,) = engine.run(request, config)
+    assert again.provenance.cache == "fit" and again.provenance.revision == 1
+    assert again.provenance.path_cache == "miss"
+    _assert_answers_like(again, odd_half_model)
+
+
+def _node_gaps(graph, rng, count):
+    """Gaps whose endpoints sit just off random nodes of *graph*."""
+    pairs = [rng.choice(graph.num_nodes, 2, replace=False) for _ in range(count)]
+    return [
+        (
+            (float(graph.lats[a]) + 1e-4, float(graph.lngs[a])),
+            (float(graph.lats[b]), float(graph.lngs[b]) - 1e-4),
+        )
+        for a, b in pairs
+    ]
+
+
+def _cached_serials(engine):
+    return {key[0] for key in engine.render_cache._entries}
+
+
+def test_answer_cache_typed_refresh_keeps_untouched_classes_warm(
+    registry, service_model, tiny_kiel, rng
+):
+    """A typed refresh whose chunk carries no tanker traffic keeps the
+    tanker graph: its answers stay hits.  The rebuilt cargo graph's old
+    entries leave once the new one serves."""
+    from repro.ais import schema
+
+    config = service_model.config
+    typed = TypedHabitImputer(config, min_group_rows=100).fit_from_trips(tiny_kiel.train)
+    registry.publish("KIEL", typed)
+    tanker, cargo = typed.by_type["tanker"].graph, typed.by_type["cargo"].graph
+    requests = [
+        GapRequest("KIEL", *gap, f"{kind}{i}", typed=True, vessel_type=kind)
+        for kind, graph in (("tanker", tanker), ("cargo", cargo))
+        for i, gap in enumerate(_node_gaps(graph, rng, 3))
+    ]
+    engine = BatchImputationEngine(registry)
+    engine.run(requests, config)
+    assert _cached_serials(engine) == {tanker.serial, cargo.serial}
+    ids = np.asarray(tiny_kiel.train.column(schema.TRIP_ID))
+    cargo_only = tiny_kiel.train.filter(ids % 2 == 0)
+    refreshed, _, _ = registry.refresh("KIEL", cargo_only, config, typed=True)
+    assert refreshed.by_type["tanker"].graph is tanker
+    assert refreshed.by_type["cargo"].graph is not cargo
+    results = engine.run(requests, config)
+    tiers = [r.provenance.path_cache for r in results]
+    assert tiers[:3] == ["hit"] * 3
+    assert "hit" not in tiers[3:]
+    assert _cached_serials(engine) == {tanker.serial, refreshed.by_type["cargo"].graph.serial}
+    for result in results:
+        request = result.request
+        expected = refreshed.impute(request.start, request.end, request.vessel_type)
+        assert np.array_equal(result.lats, expected.lats)
+
+
+def test_answer_cache_evicts_dead_entries_after_refresh(
+    registry, service_model, tiny_kiel, rng, monkeypatch
+):
+    """After ``registry.refresh`` the first request on the new graph
+    drops every entry of the old one, and a batch still holding the old
+    model answers from it but stores nothing."""
+    config = service_model.config
+    engine = BatchImputationEngine(registry)
+    gaps = _node_gaps(service_model.graph, rng, 5)
+    warm = [GapRequest("KIEL", *gap, f"w{i}") for i, gap in enumerate(gaps)]
+    engine.run(warm, config)
+    assert _cached_serials(engine) == {service_model.graph.serial} and len(engine.render_cache) == 5
+    late, fresh = _node_gaps(service_model.graph, rng, 2)
+    submit = engine.dispatcher.submit
+    refreshed = []
+
+    def refresh_mid_batch(entries):
+        # While the late batch searches, the model is refreshed and
+        # another request is answered on the new graph.
+        if not refreshed:
+            refreshed.append(registry.refresh("KIEL", tiny_kiel.test, config)[0])
+            (other,) = engine.run([GapRequest("KIEL", *fresh, "fresh")], config)
+            assert other.provenance.revision == 2 and other.provenance.path_cache == "miss"
+        return submit(entries)
+
+    monkeypatch.setattr(engine.dispatcher, "submit", refresh_mid_batch)
+    (stale,) = engine.run([GapRequest("KIEL", *late, "late")], config)
+    assert stale.provenance.revision == 1 and stale.provenance.path_cache == "miss"
+    _assert_answers_like(stale, service_model)
+    new_serial = refreshed[0].graph.serial
+    assert _cached_serials(engine) == {new_serial} and len(engine.render_cache) == 1
+    # The old graph's answers are gone; the warm gaps are searched anew.
+    again = engine.run(warm, config)
+    assert [r.provenance.path_cache for r in again] == ["miss"] * 5
+    assert len(engine.render_cache) == 6
+
+
+def test_answer_cache_bytes_per_cold_answer_are_bounded(registry, service_model, rng):
+    """Cold answers cost their coordinate bytes plus a small fixed
+    record each (~0.6 KB measured).  A per-cell sequence would blow the
+    2 KB bound: a tuple of Python ints costs at least 32 B a cell."""
+    config = service_model.config
+    gaps = _node_gaps(service_model.graph, rng, 64)
+    requests = [GapRequest("KIEL", *gap, f"g{i}") for i, gap in enumerate(gaps)]
+    # Warm the graph's snap memo and every metric series on another engine.
+    BatchImputationEngine(registry).run(requests, config)
+    engine = BatchImputationEngine(registry)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for lo in range(0, len(requests), 16):
+            engine.run(requests[lo : lo + 16], config)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = list(engine.render_cache._entries.values())
+    assert len(entries) == len(requests)
+    cells = sum(entry.num_cells for entry in entries)
+    assert cells >= 64 * len(entries)  # a cell tuple would outweigh the slack
+    coordinates = sum(entry.lats.nbytes + entry.lngs.nbytes for entry in entries)
+    assert grown <= coordinates + 2048 * len(entries)
+
+
+
+def test_answer_cache_stress_keeps_only_the_newest_graph():
+    """Threads racing through graph serials 1..N of one model: every
+    entry left belongs to serial N, so no put of a replaced graph
+    slipped past a drop."""
+    cache = _PathCache(1 << 16)
+    last = 40
+
+    def worker(tid):
+        for serial in range(1, last + 1):
+            cache.track(("KIEL", ""), serial)
+            for k in range(5):
+                cache.put((serial, tid, k), serial)
+                cache.get((serial, tid, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert {key[0] for key in cache._entries} == {last}
+    assert len(cache) == 8 * 5
 
 # -- budget compression (max_points) --------------------------------------
 
