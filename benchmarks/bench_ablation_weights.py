@@ -1,5 +1,8 @@
 """Ablation: edge-weight scheme -- paper's transition count vs the shipped
-inverse-frequency alternative (popular edges cheaper)."""
+inverse-frequency alternative (popular edges cheaper).  Each scheme's
+path must end exactly at the gap endpoints and score a finite DTW."""
+
+import math
 
 import pytest
 
@@ -16,6 +19,8 @@ def test_weight_scheme(benchmark, kiel, kiel_gaps, scheme):
     gap = kiel_gaps[0]
 
     result = benchmark(imputer.impute, gap.start, gap.end)
-    benchmark.extra_info["dtw_m"] = float(
-        dtw_distance_m(result.lats, result.lngs, gap.truth_lats, gap.truth_lngs)
-    )
+    dtw_m = float(dtw_distance_m(result.lats, result.lngs, gap.truth_lats, gap.truth_lngs))
+    benchmark.extra_info["dtw_m"] = dtw_m
+    assert (result.lats[0], result.lngs[0]) == tuple(gap.start)
+    assert (result.lats[-1], result.lngs[-1]) == tuple(gap.end)
+    assert math.isfinite(dtw_m)

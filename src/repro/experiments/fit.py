@@ -13,7 +13,6 @@ from pathlib import Path
 
 from repro.core import HabitConfig, HabitImputer, TypedHabitImputer
 from repro.experiments import common
-from repro.service.registry import ModelRegistry
 
 __all__ = ["FitReport", "dataset_fitter", "fit_and_save", "fit_habit"]
 
@@ -45,23 +44,26 @@ def fit_habit(dataset, config=None, scale=1.0, seed=0, cache_dir=None, typed=Fal
 
 def fit_and_save(
     dataset,
+    registry,
     config=None,
-    registry_dir="models",
     scale=1.0,
     seed=0,
     cache_dir=None,
     typed=False,
 ):
-    """Fit *dataset* and publish the model into *registry_dir*.
+    """Fit *dataset* and publish the model into *registry*.
 
-    Returns a :class:`FitReport`; the published ``.npz`` is immediately
-    resolvable by any registry pointed at the same directory.
+    *registry* is a :class:`repro.service.registry.ModelRegistry`: the
+    published ``.npz`` is immediately resolvable by any registry pointed
+    at the same directory, and *registry* itself holds the model warm,
+    so a process that goes on to serve from it answers without a disk
+    load.  Returns a :class:`FitReport`.
     """
     started = time.perf_counter()
     imputer, prepared = fit_habit(
         dataset, config=config, scale=scale, seed=seed, cache_dir=cache_dir, typed=typed
     )
-    model_id, path = ModelRegistry(registry_dir).publish(dataset, imputer)
+    model_id, path = registry.publish(dataset, imputer)
     return FitReport(
         model_id=model_id,
         path=path,

@@ -18,9 +18,9 @@ package provides the three pieces:
   ``python -m repro.service`` CLI (:mod:`repro.service.__main__`) -- a
   stdlib JSON/HTTP endpoint (``/impute``, ``/models``, ``/healthz``).
 
-``repro.experiments.fit.fit_and_save`` populates a registry directory
-from the experiment harness.  ``docs/OPERATIONS.md`` is the operator's
-guide across all of it.
+``repro.experiments.fit.fit_and_save`` publishes a freshly fitted model
+into a registry from the experiment harness.  ``docs/OPERATIONS.md`` is
+the operator's guide across all of it.
 """
 
 from repro.service.engine import BatchImputationEngine

@@ -24,6 +24,7 @@ from repro.ais.reader import DEFAULT_CHUNK_ROWS
 from repro.core import HabitConfig
 from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS
 from repro.service.http import make_server
+from repro.service.memory import release_heap
 from repro.service.registry import ModelRegistry
 
 __all__ = ["main"]
@@ -230,14 +231,22 @@ def main(argv=None):
     config = _config_from_args(args)
 
     # Imported lazily: --serve alone must not pay for the experiments layer.
+    fitter = None
+    if args.serve and args.fit_on_miss:
+        from repro.experiments.fit import dataset_fitter
+
+        fitter = dataset_fitter(scale=args.scale, seed=args.seed, cache_dir=args.data_cache)
+    # One registry: the models fitted below are published into the one
+    # that serves, so --fit ... --serve answers its first request warm.
+    registry = ModelRegistry(args.registry, capacity=args.capacity, fitter=fitter)
     if args.fit:
         from repro.experiments.fit import fit_and_save
 
         for dataset in args.fit:
             report = fit_and_save(
                 dataset,
+                registry,
                 config=config,
-                registry_dir=args.registry,
                 scale=args.scale,
                 seed=args.seed,
                 cache_dir=args.data_cache,
@@ -248,16 +257,12 @@ def main(argv=None):
                 f"({report.storage_bytes} bytes, {report.train_rows} train rows, "
                 f"{report.fit_seconds:.2f}s)"
             )
+        if args.serve:
+            # The fits' datasets and build temporaries are freed, but the
+            # C heap keeps their pages; serving never reuses them.
+            release_heap()
 
     if args.serve:
-        fitter = None
-        if args.fit_on_miss:
-            from repro.experiments.fit import dataset_fitter
-
-            fitter = dataset_fitter(
-                scale=args.scale, seed=args.seed, cache_dir=args.data_cache
-            )
-        registry = ModelRegistry(args.registry, capacity=args.capacity, fitter=fitter)
         follow = None
         if args.follow:
             from repro.service.follow import FollowDaemon

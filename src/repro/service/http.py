@@ -16,8 +16,10 @@ Four routes:
   registry in Prometheus text exposition format (0.0.4); append
   ``?format=json`` for the same data as JSON.  Covers every layer:
   search variants, fit stages, registry tiers, answer-cache tiers, follow
-  cycles, HTTP routes.  404 while the registry is disabled
-  (``METRICS.set_enabled(False)``, the CLI's ``--no-metrics``).
+  cycles, HTTP routes, and the process's resident and peak resident
+  memory (set from ``/proc/self/status`` as each scrape renders).  404
+  while the registry is disabled (``METRICS.set_enabled(False)``, the
+  CLI's ``--no-metrics``).
 - ``POST /impute`` -- a batch of gap requests (see
   :mod:`repro.service.schema`); the response carries per-request
   provenance and a GeoJSON FeatureCollection of the imputed paths.
@@ -55,6 +57,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.io import feature_collection, linestring_features
 from repro.obs import METRICS
 from repro.service.engine import BatchImputationEngine
+from repro.service.memory import resident_bytes
 from repro.service.registry import ModelNotFound
 from repro.service.schema import SchemaError, parse_impute_payload
 
@@ -69,6 +72,14 @@ _HTTP_REQUEST_SECONDS = METRICS.histogram(
     "repro_http_request_seconds",
     "HTTP request wall-clock latency in seconds, by route.",
     ("route",),
+)
+_RESIDENT_BYTES = METRICS.gauge(
+    "repro_process_resident_bytes",
+    "Resident set size of this process in bytes (VmRSS), read at each scrape.",
+)
+_PEAK_RESIDENT_BYTES = METRICS.gauge(
+    "repro_process_peak_resident_bytes",
+    "Peak resident set size of this process in bytes (VmHWM), read at each scrape.",
 )
 
 #: The response encoder: ``json.dumps``' defaults minus the circular
@@ -253,7 +264,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         elif path == "/metrics":
             if not METRICS.enabled:
                 self._send_json(404, {"error": "metrics are disabled (--no-metrics)"})
-            elif "format=json" in query.split("&"):
+                return
+            memory = resident_bytes()
+            if memory is not None:  # no /proc (not Linux): leave them unset
+                _RESIDENT_BYTES.set(memory[0])
+                _PEAK_RESIDENT_BYTES.set(memory[1])
+            if "format=json" in query.split("&"):
                 self._send_json(200, METRICS.render_json())
             else:
                 self._send_body(

@@ -14,7 +14,11 @@ ids without coordination.
 2. the registry directory (``"load"``),
 3. an optional ``fitter(dataset, config)`` callback that fits on miss and
    publishes the result for every later process (``"fit"``).  A fitter
-   that also accepts ``typed=True`` serves typed misses too.
+   that also accepts ``typed=True`` serves typed misses too.  A fit is a
+   one-off build the serving process will not repeat, so once its model
+   is saved and cached the freed heap goes back to the kernel
+   (:func:`repro.service.memory.release_heap`); loads and refreshes keep
+   theirs, which the next load or refresh reuses.
 
 :meth:`ModelRegistry.refresh` is the incremental path: it merges a chunk
 of newly arrived (segmented) trips into the resolved model's fit state
@@ -51,6 +55,7 @@ from repro.core import (
 from repro.core.habit import _REQUIRED_ARRAYS, MODEL_FORMAT, _check_format
 from repro.core.typed import TYPED_MODEL_FORMAT, _required_arrays
 from repro.obs import METRICS
+from repro.service.memory import release_heap
 
 __all__ = ["ModelNotFound", "ModelRegistry", "RegistryStats"]
 
@@ -201,6 +206,7 @@ class ModelRegistry:
                 with self._lock:
                     self._fits += 1
                     self._insert(model_id, imputer)
+                release_heap()
                 return imputer, model_id, "fit"
         raise ModelNotFound(dataset, config_hash(config), typed)
 
