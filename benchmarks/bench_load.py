@@ -35,8 +35,8 @@ the ``repro_dispatch_*`` metric deltas.  Everything lands in
 ``BENCH_load.json`` (committed from a representative run, uploaded by
 CI).  The regression gates at the bottom pin the dispatcher's claims: warm
 concurrent serving beats the one-pair route baseline (``scalar_route_us``,
-one uncached ``route()`` -- a 1-lane kernel call -- per query) on median
-latency and sustained per-request cost, cold concurrency really fuses
+one uncached ``graph.find_path()`` -- a 1-lane kernel call -- per query)
+on median latency and sustained per-request cost, cold concurrency really fuses
 lanes across requests, and the ``cross_batch`` tier is live under a
 coalesced storm.  (A lone submission running at once is pinned
 deterministically in ``tests/test_dispatch.py``.)  All of it runs under
@@ -230,16 +230,16 @@ def load_sweep(habit_r10, tmp_path_factory):
     alloc = _PairAllocator(model)
 
     # The one-pair route baseline the serving path must beat: one
-    # uncached route() per query -- a 1-lane kernel call -- the cost of
-    # an ad-hoc singleton with no batching or caching (compare
-    # BENCH_search.json's "r10-ch" mean on the same machine).
+    # uncached graph.find_path() per query -- a 1-lane kernel call --
+    # the cost of an ad-hoc singleton with no batching or caching
+    # (compare BENCH_search.json's "r10-ch" mean on the same machine).
     base_cells = alloc.cells(64)
-    model.route(*base_cells[0])  # warm
+    model.graph.find_path(*base_cells[0])  # warm
     started = time.perf_counter()
     reps = 0
     for _ in range(4):
         for src, dst in base_cells:
-            model.route(src, dst)
+            model.graph.find_path(src, dst)
             reps += 1
     scalar_route_us = (time.perf_counter() - started) / reps * 1e6
 

@@ -186,3 +186,7 @@ class GTIImputer:
         lngs[1:-1] = self.node_lngs[node_path]
         lats, lngs = resample_polyline(lats, lngs)
         return ImputedPath(lats=lats, lngs=lngs, method="dijkstra")
+
+    def impute_batch(self, starts, ends):
+        """One :meth:`impute` per gap, aligned with *starts*."""
+        return [self.impute(s, e) for s, e in zip(starts, ends)]

@@ -16,6 +16,10 @@ class StraightLineImputer:
         """Straight path between ``(lat, lng)`` endpoints."""
         return straight_line_path(start, end)
 
+    def impute_batch(self, starts, ends):
+        """One :meth:`impute` per gap, aligned with *starts*."""
+        return [self.impute(s, e) for s, e in zip(starts, ends)]
+
     def storage_size_bytes(self):
         """SLI keeps no model."""
         return 0

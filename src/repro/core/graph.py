@@ -69,8 +69,9 @@ __all__ = [
     "SearchResult",
 ]
 
-#: Search variants accepted by :meth:`CellGraph.find_path` (and, through
-#: ``method=``, by :meth:`repro.core.habit.HabitImputer.impute`).
+#: Search variants accepted by :meth:`CellGraph.find_path`.  Imputation
+#: and serving always search with ``"ch"``; ``"astar"`` (the paper's
+#: query) and ``"dijkstra"`` (its ablation control) are reached here.
 SEARCH_METHODS = ("dijkstra", "astar", "ch")
 
 #: Node placements accepted by :meth:`CellGraph.from_statistics`.

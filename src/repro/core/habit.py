@@ -18,16 +18,14 @@ into serving provenance.
 
 A query snaps both gap endpoints to graph nodes (memoized per graph),
 routes over the graph's contraction hierarchy (built at
-:meth:`HabitImputer.finalize`; :meth:`HabitImputer.impute` takes
-``method="astar"`` or ``"dijkstra"`` for the paper's query and the cost
-oracle -- all provably equal-cost), projects the cell path to positions
+:meth:`HabitImputer.finalize`), projects the cell path to positions
 (cell centres or per-cell mean positions), simplifies with RDP at
 ``tolerance_m``, resamples to :data:`repro.core.path.RESAMPLE_M` and pins
-the exact endpoints.  The three stages are public --
-:meth:`HabitImputer.snap_endpoints`, :meth:`HabitImputer.route`,
-:meth:`HabitImputer.render_paths` -- so the serving layer can cache
-search results keyed by snapped endpoints and render a whole batch's
-paths in one simplification pass.  When no route exists the
+the exact endpoints.  The stages -- :meth:`HabitImputer.snap_endpoints`,
+:meth:`HabitImputer.route_batch`, :meth:`HabitImputer.render_paths` --
+are public and form one sequence, which :meth:`HabitImputer.impute_batch`
+runs offline (:meth:`HabitImputer.impute` is its one-gap form) and the
+serving engine runs around its answer cache.  When no route exists the
 imputer degrades to a straight line, flagged in ``ImputedPath.method``.
 """
 
@@ -445,29 +443,16 @@ class HabitImputer:
             return None
         return src, dst
 
-    def route(self, src_node, dst_node, method="ch"):
-        """Search the cell graph between two snapped node cells.
-
-        *method* is a :meth:`repro.core.graph.CellGraph.find_path`
-        variant; returns the :class:`repro.core.graph.SearchResult` (or
-        ``None`` when no route exists).  The result depends only on the
-        graph and the snapped endpoints, never on the raw query
-        positions.
-        """
-        self._require_fitted()
-        return self.graph.find_path(src_node, dst_node, method)
-
     def route_batch(self, pairs):
         """Search many snapped ``(src, dst)`` node-cell pairs in one call.
 
-        The batch analogue of :meth:`route`: every non-degenerate pair is
-        answered by one vectorised CH kernel sweep
-        (:meth:`repro.core.graph.CellGraph.find_paths_batch`) instead of
-        a Python heap loop per pair.  Returns a list aligned with
-        *pairs* of :class:`repro.core.graph.SearchResult` (or ``None``
-        for unreachable pairs) -- cost-identical to calling
-        :meth:`route` per pair, which is what lets the serving layer's
-        batch engine fan one kernel call out to many requests.
+        Every non-degenerate pair is answered by one vectorised CH kernel
+        sweep (:meth:`repro.core.graph.CellGraph.find_paths_batch`)
+        instead of a Python heap loop per pair.  Returns a list aligned
+        with *pairs* of :class:`repro.core.graph.SearchResult` (or
+        ``None`` for unreachable pairs) -- the results a one-pair
+        :meth:`~repro.core.graph.CellGraph.find_path` returns, which is
+        what lets one kernel call answer a whole batch of gaps.
         """
         self._require_fitted()
         return self.graph.find_paths_batch(pairs)
@@ -476,7 +461,8 @@ class HabitImputer:
         """Project one search result into an :class:`ImputedPath`.
 
         The one-path form of :meth:`render_paths`; ``None`` renders the
-        flagged straight-line fallback.
+        flagged straight-line fallback.  No query calls it: it stays
+        because perfbench's traced runs wrap it by name.
         """
         paths, _ = self.render_paths([start], [end], [result])
         return paths[0]
@@ -545,18 +531,26 @@ class HabitImputer:
         lengths = path_lengths_m([p.lats for p in paths], [p.lngs for p in paths])
         return paths, lengths
 
-    def impute(self, start, end, *, method="ch"):
-        """Reconstruct the path between two ``(lat, lng)`` gap endpoints.
+    def impute_batch(self, starts, ends):
+        """Reconstruct many gaps from their ``(lat, lng)`` endpoints.
 
-        *method* picks the search variant for this query: ``"astar"`` is
-        the paper's query and ``"dijkstra"`` the A* ablation's control
-        arm; all return equal-cost paths.
+        The served sequence: one :meth:`snap_endpoints` per gap, one
+        :meth:`route_batch` over the snapped pairs and one
+        :meth:`render_paths` call, in which a gap that did not snap
+        renders the flagged straight-line fallback.  Returns the
+        :class:`ImputedPath` list aligned with *starts*; every path
+        equals a one-gap :meth:`impute`'s bit for bit.
         """
         self._require_fitted()
-        snapped = self.snap_endpoints(start, end)
-        if snapped is None:
-            return straight_line_path(start, end, method="fallback")
-        return self.render_path(start, end, self.route(snapped[0], snapped[1], method))
+        snapped = [self.snap_endpoints(s, e) for s, e in zip(starts, ends)]
+        pairs = [pair for pair in snapped if pair is not None]
+        searched = iter(self.route_batch(pairs) if pairs else ())
+        results = [None if pair is None else next(searched) for pair in snapped]
+        return self.render_paths(starts, ends, results)[0]
+
+    def impute(self, start, end):
+        """Reconstruct the path between two ``(lat, lng)`` gap endpoints."""
+        return self.impute_batch([start], [end])[0]
 
     # -- persistence ------------------------------------------------------
 

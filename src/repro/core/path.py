@@ -10,7 +10,6 @@ __all__ = [
     "RESAMPLE_M",
     "ImputedPath",
     "resample_polyline",
-    "resample_polyline_xy",
     "resample_polylines_xy",
     "straight_line_path",
 ]
@@ -57,14 +56,6 @@ def resample_polyline(lats, lngs):
     if len(lats) < 2:
         return lats.copy(), lngs.copy()
     x, y = latlng_to_xy_m(lats, lngs)
-    return resample_polyline_xy(lats, lngs, x, y)
-
-
-def resample_polyline_xy(lats, lngs, x, y):
-    """:func:`resample_polyline` over pre-projected coordinates.
-
-    The one-polyline form of :func:`resample_polylines_xy`.
-    """
     (lats,), (lngs,) = resample_polylines_xy(lats, lngs, x, y, [len(lats)])
     return lats, lngs
 

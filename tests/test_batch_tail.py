@@ -6,7 +6,8 @@ lengths), budget compression and the ``/impute`` body.  This module
 keeps the per-lane / per-path code those passes replaced as oracles and
 asserts bit-equality -- node paths, costs and ``expanded``; rendered
 coordinates and lengths; and finally the bytes of a mixed ``/impute``
-body with ``elapsed_ms`` zeroed.
+body with ``elapsed_ms`` zeroed.  Offline batch imputation is pinned to
+one-gap ``impute`` the same way.
 """
 
 import json
@@ -16,12 +17,13 @@ import numpy as np
 import pytest
 
 from graphgen import TOPOLOGIES, random_graph
-from repro.core import TypedHabitImputer, kernel
+from repro.baselines import GTIImputer, StraightLineImputer
+from repro.core import HabitImputer, TypedHabitImputer, kernel
 from repro.core.graph import SearchResult
 from repro.core.path import (
     RESAMPLE_M,
     ImputedPath,
-    resample_polyline_xy,
+    resample_polyline,
     resample_polylines_xy,
     straight_line_path,
 )
@@ -308,7 +310,7 @@ def test_batch_resample_matches_per_path_oracle(rng):
         want_lats, want_lngs = _oracle_resample(lat, lng, px, py)
         assert _bits_equal(got_lats[k], want_lats), k
         assert _bits_equal(got_lngs[k], want_lngs), k
-        one_lats, one_lngs = resample_polyline_xy(lat, lng, px, py)
+        one_lats, one_lngs = resample_polyline(lat, lng)
         assert _bits_equal(one_lats, want_lats) and _bits_equal(one_lngs, want_lngs), k
         lo = hi
     lengths = path_lengths_m(got_lats, got_lngs)
@@ -361,6 +363,57 @@ def test_render_paths_match_per_path_oracle(service_model, rng, tolerance_m):
     assert imputer.render_path(starts[0], ends[0], results[0]).lats.tobytes() == (
         paths[0].lats.tobytes()
     )
+
+
+# -- offline batch imputation ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fitted_gti(tiny_kiel):
+    return GTIImputer().fit_from_trips(tiny_kiel.train)
+
+
+def _edge_case_gaps(imputer, tiny_kiel, rng):
+    """Routed gaps, each twice, plus an out-of-coverage gap, a zero-length
+    gap on a node and a pair that snaps but has no route (out of a node
+    with no outgoing edge)."""
+    graph = imputer.graph
+    routed = [(g.start, g.end) for g in tiny_kiel.gaps(3600.0)]
+    routed += _endpoint_requests(imputer, rng, 6)
+    node = (float(graph.lats[0]), float(graph.lngs[0]))
+    sink = int(np.flatnonzero(~np.isin(graph.cells, graph.edge_src))[0])
+    dead_end = (float(graph.lats[sink]), float(graph.lngs[sink]))
+    unreachable = (dead_end, (float(graph.lats[sink - 1]), float(graph.lngs[sink - 1])))
+    snapped = imputer.snap_endpoints(*unreachable)
+    assert snapped is not None and graph.find_path(*snapped) is None
+    far = ((10.0, -40.0), (11.0, -41.0))
+    assert imputer.snap_endpoints(*far) is None
+    return routed + [far, (node, node), unreachable] + routed
+
+
+@pytest.mark.parametrize("kind", ["habit", "sli", "gti"])
+def test_impute_batch_equals_one_gap_impute(service_model, fitted_gti, tiny_kiel, rng, kind):
+    """``impute_batch`` equals one ``impute`` per gap bit for bit, with
+    equal ``method``, ``cells`` and ``expanded``, for every imputer the
+    evaluation harness drives."""
+    imputer = {"habit": service_model, "sli": StraightLineImputer(), "gti": fitted_gti}[kind]
+    gaps = _edge_case_gaps(service_model, tiny_kiel, rng)
+    starts, ends = [s for s, _ in gaps], [e for _, e in gaps]
+    batch = imputer.impute_batch(starts, ends)
+    assert len(batch) == len(gaps)
+    for k, (got, (start, end)) in enumerate(zip(batch, gaps)):
+        want = imputer.impute(start, end)
+        assert _bits_equal(got.lats, want.lats) and _bits_equal(got.lngs, want.lngs), k
+        assert (got.method, got.cells, got.expanded) == (want.method, want.cells, want.expanded)
+    if kind == "habit":
+        mid = (len(gaps) - 3) // 2
+        far, zero, unreachable = batch[mid : mid + 3]
+        assert far.method == unreachable.method == "fallback"
+        assert zero.method == "ch" and zero.num_points == 2
+        assert "ch" in {path.method for path in batch[:mid]}
+        with pytest.raises(RuntimeError):
+            HabitImputer().impute_batch([], [])
+    assert imputer.impute_batch([], []) == []
 
 
 # -- golden /impute body -------------------------------------------------

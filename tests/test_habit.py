@@ -83,7 +83,7 @@ def test_route_batch_matches_scalar_route(fitted, tiny_kiel):
     batch = fitted.route_batch(pairs)
     assert len(batch) == len(pairs)
     for (src, dst), result in zip(pairs, batch):
-        scalar = fitted.route(src, dst)
+        scalar = fitted.graph.find_path(src, dst)
         assert (result is None) == (scalar is None)
         if result is not None:
             assert result.cost == scalar.cost
@@ -91,8 +91,10 @@ def test_route_batch_matches_scalar_route(fitted, tiny_kiel):
 
 
 def test_dijkstra_equals_astar_cost(fitted, gap):
-    with_h = fitted.impute(gap.start, gap.end, method="astar")
-    without = fitted.impute(gap.start, gap.end, method="dijkstra")
+    src, dst = fitted.snap_endpoints(gap.start, gap.end)
+    searched = [fitted.graph.find_path(src, dst, method) for method in ("astar", "dijkstra")]
+    assert searched[0].cost == pytest.approx(searched[1].cost)
+    (with_h, without), _ = fitted.render_paths([gap.start] * 2, [gap.end] * 2, searched)
     dtw = dtw_distance_m(with_h.lats, with_h.lngs, without.lats, without.lngs)
     assert dtw == pytest.approx(0.0, abs=1e-6)
 

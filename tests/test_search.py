@@ -249,8 +249,9 @@ def test_load_rejects_corrupt_costs(tiny_kiel, tmp_path, key, defect):
         HabitImputer.load(tmp_path / "torn.npz")
 
 def test_search_config_round_trips_through_service_schema():
-    """``search`` is no config field: the variant is a per-query
-    ``method=``, so the service schema rejects it like any unknown key."""
+    """``search`` is no config field: the variant is a
+    ``CellGraph.find_path`` argument, so the service schema rejects it
+    like any unknown key."""
     from repro.service import SchemaError, parse_impute_payload
 
     with pytest.raises(SchemaError, match="unknown config fields: search"):
@@ -269,7 +270,8 @@ def test_impute_method_override_and_config_search(tiny_kiel):
     imputer = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     default = imputer.impute(gap.start, gap.end)
     assert default.method == "ch"
-    override = imputer.impute(gap.start, gap.end, method="astar")
+    searched = imputer.graph.find_path(*imputer.snap_endpoints(gap.start, gap.end), "astar")
+    (override,), _ = imputer.render_paths([gap.start], [gap.end], [searched])
     assert override.method == "astar"
     assert override.expanded > 0
     assert override.cells[0] == default.cells[0]
