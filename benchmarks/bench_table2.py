@@ -26,7 +26,7 @@ def test_habit_build_size(benchmark, kiel, resolution):
 
 @pytest.mark.benchmark(group="table2-build")
 def test_gti_build_size(benchmark, kiel):
-    config = GTIConfig(rm_m=250.0, rd_deg=5e-4, downsample_s=common.GTI_DOWNSAMPLE_S)
+    config = GTIConfig(rd_deg=5e-4, downsample_s=common.GTI_DOWNSAMPLE_S)
 
     def build():
         return GTIImputer(config).fit_from_trips(kiel.train)

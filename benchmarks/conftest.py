@@ -116,7 +116,7 @@ def habit_r10(kiel):
 
 @pytest.fixture(scope="session")
 def gti_kiel(kiel):
-    config = GTIConfig(rm_m=250.0, rd_deg=5e-4, downsample_s=common.GTI_DOWNSAMPLE_S)
+    config = GTIConfig(rd_deg=5e-4, downsample_s=common.GTI_DOWNSAMPLE_S)
     return GTIImputer(config).fit_from_trips(kiel.train)
 
 

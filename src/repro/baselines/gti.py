@@ -5,9 +5,8 @@ every retained position becomes a graph node after merging: positions are
 quantised to an ``rd_deg`` lat/lng lattice and co-located reports collapse
 into one node at their mean position.  Edges connect nodes observed
 consecutively within a trip, weighted by metric length.  Queries snap the
-gap endpoints to the nearest node (``rm_m`` is the intended matching
-radius; beyond it the nearest node is still used so queries always
-answer) and route with plain Dijkstra -- no admissible heuristic exists on
+gap endpoints to the nearest node, however far, so queries always
+answer, and route with plain Dijkstra -- no admissible heuristic exists on
 an irregular point graph, which is exactly why GTI pays an
 order-of-magnitude latency penalty versus HABIT's cell A*.  Routes are
 resampled to :data:`repro.core.path.RESAMPLE_M`, like HABIT's.
@@ -28,9 +27,8 @@ __all__ = ["GTIConfig", "GTIImputer"]
 
 @dataclass(frozen=True)
 class GTIConfig:
-    """GTI knobs: merge lattice, snap radius, temporal downsampling."""
+    """GTI knobs: merge lattice and temporal downsampling."""
 
-    rm_m: float = 250.0
     rd_deg: float = 5e-4
     downsample_s: float = 60.0
 

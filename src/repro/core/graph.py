@@ -22,8 +22,9 @@ Search variants (:meth:`CellGraph.find_path`):
   a customizable CH (:meth:`CellGraph.compute_ch`): a nested-dissection
   order on the cells' axial coordinates, chordal completion for the
   shortcut topology, then triangle customisation of the costs, with
-  middle-node back-pointers on every shortcut.  Every CH query, one
-  pair or many, runs the vectorised batch kernel
+  middle-node back-pointers on every shortcut.  Every CH query goes
+  through :meth:`CellGraph.find_paths_batch` (a one-pair query is a
+  one-lane batch) and its vectorised kernel
   (:mod:`repro.core.kernel`): a bidirectional upward-only sweep with
   stall-on-demand pruning, unpacking shortcuts back into original
   cells.  The hierarchy is stored as CSR ``int32`` arrays and persisted
@@ -48,9 +49,10 @@ import numpy as np
 from repro.core.kernel import (
     KERNEL_BATCH_SIZE,
     KERNEL_SECONDS,
+    KERNEL_SWEEP_ITERATIONS,
     _expand_ranges,
+    batch_ch_paths,
     build_kernel_tables,
-    solve_batch,
 )
 from repro.hexgrid import (
     cell_axial_array,
@@ -108,10 +110,6 @@ _GRAPH_BUILD_SECONDS = METRICS.histogram(
 #: ids are reused once a graph is garbage-collected.
 _GRAPH_SERIALS = count(1)
 
-#: Bound on the per-graph snap memo (the serve path re-snaps identical
-#: endpoints constantly; distinct endpoints are bounded by traffic area).
-_SNAP_CACHE_SIZE = 1 << 16
-
 #: Bound on the per-target heuristic-vector memo.  Hub-to-hub queries
 #: concentrate on few destinations, so the vectorised grid heuristic
 #: pass is usually amortised to a dict probe; each entry is O(num_nodes).
@@ -138,19 +136,20 @@ def _edge_costs(grid_spans, counts, scheme):
 class SearchResult:
     """One answered graph query: the path, its cost, and search effort.
 
-    ``cells`` are packed cell ids along the path (src..dst inclusive);
-    ``node_indices`` are the same nodes in dense index space (used by the
-    imputer to project positions without dict lookups).  ``expanded``
+    ``cells`` are packed cell ids along the path (src..dst inclusive),
+    ``node_indices`` the same nodes in dense index space (what the
+    imputer gathers positions with); both are ``int64`` arrays -- in a
+    batch, slices of one gather and of the kernel's output.  ``expanded``
     counts settled nodes for A* and Dijkstra and labelled nodes for CH
     -- the search-effort signal surfaced in serving provenance and the
     A* ablation.
     """
 
-    cells: tuple
+    cells: np.ndarray
     cost: float
     expanded: int
     method: str
-    node_indices: tuple = field(default=(), repr=False)
+    node_indices: np.ndarray = field(repr=False)
 
 
 class CellGraph:
@@ -208,13 +207,12 @@ class CellGraph:
         self.ch_down_costs = None
         self.ch_down_middle = None
         self.kernel_tables = None
-        # Lazily built structures (the A* adjacency mirror, snap and
-        # heuristic memos, a hand-made graph's hierarchy) share one
+        # Lazily built structures (the A* adjacency mirror, the
+        # heuristic memo, a hand-made graph's hierarchy) share one
         # reentrant lock; all are pure functions of the frozen arrays,
         # so queries stay read-only in spirit.
         self._lock = threading.RLock()
         self._csr_lists = None
-        self._snap_cache = {}
         self._h_cache = {}  # target idx -> python list
         self._in_deg = None  # per-node in-degree (degenerate short-circuit)
 
@@ -339,30 +337,14 @@ class CellGraph:
 
         Expands up to *max_ring* hex rings outwards (cheap, local; the
         serving snap keeps the default) and falls back to a vectorised
-        full scan over all nodes when the rings miss.  Snaps
-        are memoized per graph -- the serve path re-snaps identical
-        endpoints constantly -- in a bounded memo keyed by
-        ``(cell, max_ring)`` (flushed wholesale when full).  Returns
-        ``None`` only for an empty graph.
+        full scan over all nodes when the rings miss.  Returns ``None``
+        only for an empty graph.
         """
         if self.num_nodes == 0:
             return None
         cell = int(cell)
         if self.node_index(cell) >= 0:
             return cell
-        key = (cell, int(max_ring))
-        cache = self._snap_cache
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        snapped = self._nearest_node_uncached(cell, max_ring)
-        with self._lock:
-            if len(cache) >= _SNAP_CACHE_SIZE:
-                cache.clear()
-            cache[key] = snapped
-        return snapped
-
-    def _nearest_node_uncached(self, cell, max_ring):
         for k in range(1, max_ring + 1):
             candidates = np.asarray(ring(cell, k), dtype=np.int64)
             found = self._node_index_array(candidates) >= 0
@@ -381,13 +363,15 @@ class CellGraph:
         Returns a :class:`SearchResult` or ``None`` when either endpoint
         is not a node or no route exists.  All methods return equal-cost
         paths (the heuristics are admissible and consistent).  A ``"ch"``
-        query is a one-lane batch-kernel sweep: the path and cost
-        :meth:`find_paths_batch` returns for the same pair.
+        query is ``find_paths_batch([(src, dst)])[0]``: a one-lane batch,
+        counted in the metrics like one.
         """
         if method not in SEARCH_METHODS:
             raise ValueError(
                 f"unknown search method {method!r}; expected one of {SEARCH_METHODS}"
             )
+        if method == "ch":
+            return self.find_paths_batch([(src, dst)])[0]
         started = perf_counter()
         result = self._find_path(src, dst, method)
         _SEARCH_SECONDS.observe(perf_counter() - started, (method,))
@@ -396,27 +380,23 @@ class CellGraph:
         return result
 
     def _find_path(self, src, dst, method):
+        """A* (``"astar"``) or Dijkstra (``"dijkstra"``) over node indices."""
         si = self.node_index(src)
         di = self.node_index(dst)
         if si < 0 or di < 0:
             return None
         if si == di:
-            cell = int(self.cells[si])
-            return SearchResult((cell,), 0.0, 0, method, (si,))
-        if self._degenerate_unreachable(si, di):
+            found = ([si], 0.0, 0)
+        elif self._degenerate_unreachable(si, di):
             return None
-        if method == "ch":
-            self.ensure_ch()
-            _, path, cost, expanded = solve_batch(self.kernel_tables, [si], [di])
-            found = (path.tolist(), float(cost[0]), int(expanded[0])) if path.size else None
         else:
             h = self._grid_h(di) if method == "astar" else None
             found = self._astar_indices(si, di, h)
         if found is None:
             return None
         path, cost, expanded = found
-        cells = tuple(self.cells[path].tolist())
-        return SearchResult(cells, cost, expanded, method, tuple(path))
+        path = np.array(path, dtype=np.int64)
+        return SearchResult(self.cells[path], cost, expanded, method, path)
 
     def _degenerate_unreachable(self, si, di):
         """Cheap provable-unreachable test for ``si != di`` pairs.
@@ -777,12 +757,12 @@ class CellGraph:
         """Answer many ``(src, dst)`` cell-id CH queries in one call.
 
         Every non-degenerate pair runs through the vectorised batch
-        kernel (:func:`repro.core.kernel.solve_batch`): one NumPy
+        kernel (:func:`repro.core.kernel.batch_ch_paths`): one NumPy
         frontier sweep answers the whole batch instead of one Python
-        heap loop per query, with the costs and paths a one-pair
-        :meth:`find_path` returns.  Degenerate pairs (missing endpoints,
+        heap loop per query.  Degenerate pairs (missing endpoints,
         ``src == dst``, provably unreachable) are short-circuited before
-        any kernel work, exactly like :meth:`find_path`.
+        any kernel work.  This is the one CH entry point: a one-pair
+        :meth:`find_path` is a one-lane call of it.
 
         Returns a list aligned with *pairs* of :class:`SearchResult`
         (``expanded`` counts labelled nodes across both sweep
@@ -798,33 +778,32 @@ class CellGraph:
         si, di = ends[:, 0], ends[:, 1]
         found = (si >= 0) & (di >= 0)
         for i in np.flatnonzero(found & (si == di)).tolist():
-            node = int(si[i])
-            results[i] = SearchResult((int(self.cells[node]),), 0.0, 0, "ch", (node,))
+            node = si[i : i + 1]
+            results[i] = SearchResult(self.cells[node], 0.0, 0, "ch", node)
         lanes = np.flatnonzero(found & (si != di))
         live = ~self._degenerate_unreachable(si[lanes], di[lanes])
         lanes = lanes[live]
-        si, di = si[lanes], di[lanes]
-        lanes = lanes.tolist()
-        if lanes:
+        if lanes.size:
             self.ensure_ch()
             kernel_started = perf_counter()
-            indptr, nodes, costs, expanded = solve_batch(self.kernel_tables, si, di)
+            indptr, nodes, costs, expanded, rounds = batch_ch_paths(
+                self.kernel_tables, si[lanes], di[lanes]
+            )
+            KERNEL_SWEEP_ITERATIONS.observe(rounds)
             # Each lane is one search: feed the per-query series too (an
             # equal share of the sweep), so dashboards count searches.
-            share = (perf_counter() - kernel_started) / len(lanes)
-            _SEARCH_SECONDS.observe_many([share] * len(lanes), ("ch",))
+            share = (perf_counter() - kernel_started) / lanes.size
+            _SEARCH_SECONDS.observe_many([share] * lanes.size, ("ch",))
             reached = np.flatnonzero(np.isfinite(costs))
-            _SEARCH_EXPANDED.observe_many(expanded[reached].tolist(), ("ch",))
-            cells = self.cells[nodes].tolist()
-            nodes = nodes.tolist()
+            labelled = expanded[reached].tolist()
+            _SEARCH_EXPANDED.observe_many(labelled, ("ch",))
+            cells = self.cells[nodes]
             bounds = indptr.tolist()
-            costs = costs.tolist()
-            expanded = expanded.tolist()
-            for j in reached.tolist():
+            for j, lane, cost, effort in zip(
+                reached.tolist(), lanes[reached].tolist(), costs[reached].tolist(), labelled
+            ):
                 lo, hi = bounds[j], bounds[j + 1]
-                results[lanes[j]] = SearchResult(
-                    tuple(cells[lo:hi]), costs[j], expanded[j], "ch", tuple(nodes[lo:hi])
-                )
+                results[lane] = SearchResult(cells[lo:hi], cost, effort, "ch", nodes[lo:hi])
         KERNEL_SECONDS.observe(perf_counter() - started)
         return results
 

@@ -16,12 +16,11 @@ from new trips -- only the (cheap) graph rebuild is repeated, never the
 pass over historical rows.  ``revision`` counts those refreshes and rides
 into serving provenance.
 
-A query snaps both gap endpoints to graph nodes (memoized per graph),
-routes over the graph's contraction hierarchy (built at
-:meth:`HabitImputer.finalize`), projects the cell path to positions
-(cell centres or per-cell mean positions), simplifies with RDP at
-``tolerance_m``, resamples to :data:`repro.core.path.RESAMPLE_M` and pins
-the exact endpoints.  The stages -- :meth:`HabitImputer.snap_endpoints`,
+A query snaps both gap endpoints to graph nodes, routes over the
+graph's contraction hierarchy (built at :meth:`HabitImputer.finalize`),
+projects the cell path to positions (cell centres or per-cell mean
+positions), simplifies with RDP at ``tolerance_m``, resamples to
+:data:`repro.core.path.RESAMPLE_M` and pins the exact endpoints.  The stages -- :meth:`HabitImputer.snap_endpoints`,
 :meth:`HabitImputer.route_batch`, :meth:`HabitImputer.render_paths` --
 are public and form one sequence, which :meth:`HabitImputer.impute_batch`
 runs offline (:meth:`HabitImputer.impute` is its one-gap form) and the
@@ -36,7 +35,6 @@ import os
 import threading
 import zipfile
 from dataclasses import asdict, dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -425,8 +423,8 @@ class HabitImputer:
 
         Returns ``(src_cell, dst_cell)``, or ``None`` when the graph is
         empty or either snap lands beyond :data:`SNAP_LIMIT_CELLS` (the
-        caller degrades to the straight-line fallback).  Snaps are
-        memoized on the graph, so repeated endpoints cost a dict probe.
+        caller degrades to the straight-line fallback).  An endpoint
+        whose cell is a graph node snaps to itself with one lookup.
         """
         self._require_fitted()
         config = self.config
@@ -473,8 +471,9 @@ class HabitImputer:
         Returns ``(paths, lengths)`` aligned with *results*: the paths
         and each one's metric length
         (:func:`repro.geo.proj.path_length_m` of the rendered polyline).
-        Positions come straight from the graph's flat arrays (no dict
-        lookups) with the exact endpoints pinned at both ends.  The
+        Positions come straight from the graph's flat arrays, gathered
+        for every path with one concatenation of the results' node-index
+        arrays, with the exact endpoints pinned at both ends.  The
         routed paths are rendered as one concatenation: one projection,
         one :func:`repro.geo.simplify.rdp_keep_indices_concat` pass at
         ``tolerance_m``, one :func:`repro.core.path.resample_polylines_xy`
@@ -499,11 +498,7 @@ class HabitImputer:
             inner = np.ones(int(sizes.sum()), dtype=bool)
             inner[heads] = False
             inner[tails] = False
-            nodes = np.fromiter(
-                chain.from_iterable(results[i].node_indices for i in routed),
-                dtype=np.int64,
-                count=int(inner.sum()),
-            )
+            nodes = np.concatenate([results[i].node_indices for i in routed])
             lats = np.empty(len(inner))
             lngs = np.empty(len(inner))
             lats[inner] = graph.lats[nodes]

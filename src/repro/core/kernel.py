@@ -1,11 +1,11 @@
 """Vectorised batch query kernel over contraction-hierarchy CSR arrays.
 
-This kernel answers every CH query: one pair from
-:meth:`~repro.core.graph.CellGraph.find_path`, many from
-:meth:`~repro.core.graph.CellGraph.find_paths_batch`.  A query labels
-~70 nodes on the r10 customizable hierarchy, so a Python heap loop would
-spend nearly all of its latency on interpreter overhead (~8 us per
-settled node).  This module removes the interpreter from the per-node
+This kernel answers every CH query, through its one caller
+:meth:`~repro.core.graph.CellGraph.find_paths_batch` (a one-pair
+:meth:`~repro.core.graph.CellGraph.find_path` is a one-lane batch).  A
+query labels ~70 nodes on the r10 customizable hierarchy, so a Python
+heap loop would spend nearly all of its latency on interpreter overhead
+(~8 us per settled node).  This module removes the interpreter from the per-node
 path by answering *many* ``(src, dst)`` queries in one NumPy sweep:
 
 - **One combined bidirectional sweep.**  Upward CH edges go strictly to
@@ -38,14 +38,15 @@ so costs are *bit-equal* to that heap query's -- the property suites
 keep it as a test oracle and assert exactly that, node for node.
 
 The kernel is pure NumPy -- no graph imports (the graph layer calls in
-with raw arrays and builds ``SearchResult`` objects from the returned
-node paths), no new dependencies.  Batches are processed in chunks so
+with raw arrays and slices ``SearchResult`` objects out of the returned
+node CSR), no new dependencies.  Batches are processed in chunks so
 the dense workspace stays bounded (see :data:`BATCH_CHUNK_CELLS`).
 
-Instrumentation (:mod:`repro.obs`): ``repro_kernel_batch_size`` (pairs
-per ``find_paths_batch`` call), ``repro_kernel_sweep_iterations``
-(relaxation rounds per chunk), and ``repro_kernel_seconds`` (kernel
-wall time per batch).
+Instrumentation (:mod:`repro.obs`), fed by ``find_paths_batch``:
+``repro_kernel_batch_size`` (pairs per call),
+``repro_kernel_sweep_iterations`` (relaxation rounds per kernel call,
+summed over its chunks), and ``repro_kernel_seconds`` (wall time per
+call).
 """
 
 from collections import namedtuple
@@ -59,7 +60,6 @@ __all__ = [
     "KernelTables",
     "batch_ch_paths",
     "build_kernel_tables",
-    "solve_batch",
 ]
 
 #: Upper bound on ``chunk_queries * (2 * num_nodes)`` for the dense
@@ -75,7 +75,7 @@ KERNEL_BATCH_SIZE = METRICS.histogram(
 )
 KERNEL_SWEEP_ITERATIONS = METRICS.histogram(
     "repro_kernel_sweep_iterations",
-    "Frontier relaxation rounds per batch-kernel chunk.",
+    "Frontier relaxation rounds per batch-kernel call, summed over its chunks.",
     buckets=COUNT_BUCKETS,
 )
 KERNEL_SECONDS = METRICS.histogram(
@@ -451,21 +451,3 @@ def batch_ch_paths(tables, srcs, dsts):
     np.cumsum(lengths, out=indptr[1:])
     nodes = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
     return indptr, nodes, costs, expanded, total_rounds
-
-
-def solve_batch(tables, srcs, dsts):
-    """Single-model batch entry point: one instrumented kernel solve.
-
-    The reusable seam between callers and the sweep -- the graph layer's
-    :meth:`~repro.core.graph.CellGraph.find_path` (one lane) and
-    :meth:`~repro.core.graph.CellGraph.find_paths_batch`, the serving
-    dispatcher's per-model flushes, and benchmarks all funnel one
-    model's fused lanes through here.  Wraps :func:`batch_ch_paths` and
-    owns the per-sweep instrumentation
-    (``repro_kernel_sweep_iterations``), so every entry path is counted
-    identically.  Returns ``(indptr, nodes, costs, expanded)``; see
-    :func:`batch_ch_paths` for the contract.
-    """
-    indptr, nodes, costs, expanded, rounds = batch_ch_paths(tables, srcs, dsts)
-    KERNEL_SWEEP_ITERATIONS.observe(rounds)
-    return indptr, nodes, costs, expanded

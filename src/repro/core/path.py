@@ -31,13 +31,16 @@ class ImputedPath:
     ``"straight"`` / ``"fallback"`` when a search found no route and the
     imputer degraded to a straight line).  ``expanded`` counts the nodes
     the search settled (0 for straight lines), making heuristic quality
-    observable in served responses, not just benchmarks.
+    observable in served responses, not just benchmarks.  ``cells`` is
+    the searched path's ``int64`` cell ids (empty for straight lines).
     """
 
     lats: np.ndarray
     lngs: np.ndarray
     method: str
-    cells: tuple = field(default=(), repr=False)
+    cells: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64), repr=False
+    )
     expanded: int = 0
 
     @property

@@ -8,8 +8,9 @@ progression (resolution 9 is roughly a 174 m edge), which keeps the paper's
 resolution sweep (6..10) directly comparable.
 
 Scalar helpers (:func:`latlng_to_cell`, :func:`cell_to_latlng`,
-:func:`grid_distance`, :func:`ring`) serve the pathfinding hot loop; the
-``*_array`` variants are the bulk kernels used for dataset indexing.
+:func:`grid_distance`, :func:`ring`) serve endpoint snapping; the
+``*_array`` variants are the bulk kernels used for dataset indexing and
+for the graph's vectorised search heuristic.
 """
 
 from repro.hexgrid.cells import (

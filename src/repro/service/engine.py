@@ -38,9 +38,10 @@ nothing caches a search result.
 
 An entry is an :class:`_Answer`, only what a response reads: the
 coordinate arrays, the method, ``expanded``, the cell count and the
-metric length.  The rendered path's per-cell tuple is dropped once
-counted.  Cached coordinate arrays are shared across responses; callers
-must treat them as read-only (the transport only serialises them).
+metric length.  The rendered path's cell array, a slice of its whole
+batch's kernel output, is dropped once counted.  Cached coordinate
+arrays are shared across responses; callers must treat them as
+read-only (the transport only serialises them).
 
 **Dead entries leave with their graph.**  The cache remembers the serial
 it last served for each ``(model id, class tag)``.  Serials grow with

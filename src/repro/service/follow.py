@@ -87,8 +87,6 @@ class FollowDaemon:
       work per graph rebuild.
     - *poll_interval_s*: how often the dump is polled for appended rows.
     - *chunk_rows*: max source rows parsed per chunk (memory bound).
-    - *max_gap_s* / *max_jump_m* / *min_points*: segmentation thresholds,
-      matching :func:`repro.core.segment_trips` defaults.
     - *buffer_budget*: cap each vessel's open-trip buffer at this many
       rows (CLI ``--buffer-budget``).  Longer open trips are compressed
       in place by SED rank (see
@@ -113,9 +111,6 @@ class FollowDaemon:
         refresh_interval_s=5.0,
         poll_interval_s=0.5,
         chunk_rows=DEFAULT_CHUNK_ROWS,
-        max_gap_s=1800.0,
-        max_jump_m=5000.0,
-        min_points=2,
         buffer_budget=None,
     ):
         self.registry = registry
@@ -125,9 +120,8 @@ class FollowDaemon:
         self.refresh_interval_s = float(refresh_interval_s)
         self.poll_interval_s = float(poll_interval_s)
         self._follower = CsvFollower(path, chunk_rows=chunk_rows)
-        self._segmenter = StreamingSegmenter(
-            max_gap_s, max_jump_m, min_points, buffer_budget=buffer_budget
-        )
+        # Segmentation keeps its defaults, those of segment_trips.
+        self._segmenter = StreamingSegmenter(buffer_budget=buffer_budget)
         self._backlog = []  # polled-but-unsegmented chunks (crash-retryable)
         self._pending = []  # closed-trip tables awaiting the next refresh
         self._pending_rows = 0

@@ -22,7 +22,7 @@ def test_sli_zero_length_gap():
 
 
 def test_gti_fit_and_impute(tiny_kiel):
-    config = GTIConfig(rm_m=250.0, rd_deg=5e-4, downsample_s=60.0)
+    config = GTIConfig(rd_deg=5e-4, downsample_s=60.0)
     gti = GTIImputer(config).fit_from_trips(tiny_kiel.train)
     assert gti.num_nodes > 100
     assert gti.num_edges > 100

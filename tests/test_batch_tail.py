@@ -19,7 +19,7 @@ import pytest
 from graphgen import TOPOLOGIES, random_graph
 from repro.baselines import GTIImputer, StraightLineImputer
 from repro.core import HabitImputer, TypedHabitImputer, kernel
-from repro.core.graph import SearchResult
+from repro.core.graph import _SEARCH_SECONDS, SearchResult
 from repro.core.path import (
     RESAMPLE_M,
     ImputedPath,
@@ -203,6 +203,17 @@ def _bits_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same_result(got, want):
+    """Field-by-field :class:`SearchResult` equality, paths as arrays."""
+    if got is None or want is None:
+        return got is want
+    return (
+        np.array_equal(got.cells, want.cells)
+        and np.array_equal(got.node_indices, want.node_indices)
+        and (got.cost, got.expanded, got.method) == (want.cost, want.expanded, want.method)
+    )
+
+
 # -- kernel assembly -----------------------------------------------------
 
 
@@ -246,9 +257,11 @@ def test_kernel_assembly_find_paths_batch_matches_oracle(topology):
         pairs = [tuple(int(c) for c in rng.choice(cells, 2)) for _ in range(30)]
         pairs += [(cells[0], cells[0]), (cells[0], -5), (123, cells[-1])]
         graph.ensure_ch()
-        assert graph.find_paths_batch(pairs) == _oracle_find_paths_batch(graph, pairs), (
-            f"{topology} seed {seed}"
-        )
+        got = graph.find_paths_batch(pairs)
+        want = _oracle_find_paths_batch(graph, pairs)
+        assert len(got) == len(want), f"{topology} seed {seed}"
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert _same_result(a, b), f"{topology} seed {seed} pair {k}"
 
 
 def test_kernel_assembly_skips_degenerate_pairs(monkeypatch):
@@ -269,8 +282,37 @@ def test_kernel_assembly_skips_degenerate_pairs(monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("degenerate pair reached the kernel")
 
-    monkeypatch.setattr("repro.core.graph.solve_batch", poisoned)
+    monkeypatch.setattr("repro.core.graph.batch_ch_paths", poisoned)
     assert graph.find_paths_batch(pairs) == [None] * len(pairs)
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_kernel_assembly_one_pair_ch_is_a_one_lane_batch(topology):
+    """A one-pair CH ``find_path`` is ``find_paths_batch([(src, dst)])[0]``,
+    field by field, and is counted like one: one ``repro_kernel_batch_size``
+    observation per query, and one ``repro_search_seconds`` observation
+    per query that reaches the kernel, routed or not (a degenerate pair
+    -- ``src == dst``, a source with no out-edge, a target with no
+    in-edge -- is answered before any search, as in a batch)."""
+    for seed in range(6):
+        rng = np.random.default_rng(6300 + seed)
+        graph = random_graph(rng, topology)
+        out_deg = np.diff(graph.indptr)
+        in_deg = np.bincount(graph.indices, minlength=graph.num_nodes)
+        pairs = [tuple(rng.integers(0, graph.num_nodes, 2).tolist()) for _ in range(16)]
+        for si, di in pairs + [(0, 0)]:
+            src, dst = int(graph.cells[si]), int(graph.cells[di])
+            lane = si != di and out_deg[si] > 0 and in_deg[di] > 0
+            where = f"{topology} seed {seed} {src}->{dst}"
+            searches = _SEARCH_SECONDS.count(("ch",))
+            batches = kernel.KERNEL_BATCH_SIZE.count()
+            single = graph.find_path(src, dst, "ch")
+            assert _SEARCH_SECONDS.count(("ch",)) == searches + lane, where
+            assert kernel.KERNEL_BATCH_SIZE.count() == batches + 1, where
+            (batched,) = graph.find_paths_batch([(src, dst)])
+            assert _same_result(single, batched), where
+            if single is not None:
+                assert single.cells.dtype == single.node_indices.dtype == np.int64, where
 
 
 # -- batch resample, projection and lengths ------------------------------
@@ -357,7 +399,8 @@ def test_render_paths_match_per_path_oracle(service_model, rng, tolerance_m):
         want = _oracle_render(imputer, start, end, result)
         got = paths[k]
         assert _bits_equal(got.lats, want.lats) and _bits_equal(got.lngs, want.lngs), k
-        assert (got.method, got.cells, got.expanded) == (want.method, want.cells, want.expanded)
+        assert (got.method, got.expanded) == (want.method, want.expanded)
+        assert np.array_equal(got.cells, want.cells), k
         assert lengths[k] == _oracle_length(want.lats, want.lngs), k
     assert paths[-1].num_points == 2  # the zero-length route
     assert imputer.render_path(starts[0], ends[0], results[0]).lats.tobytes() == (
@@ -404,7 +447,8 @@ def test_impute_batch_equals_one_gap_impute(service_model, fitted_gti, tiny_kiel
     for k, (got, (start, end)) in enumerate(zip(batch, gaps)):
         want = imputer.impute(start, end)
         assert _bits_equal(got.lats, want.lats) and _bits_equal(got.lngs, want.lngs), k
-        assert (got.method, got.cells, got.expanded) == (want.method, want.cells, want.expanded)
+        assert (got.method, got.expanded) == (want.method, want.expanded)
+        assert np.array_equal(got.cells, want.cells), k
     if kind == "habit":
         mid = (len(gaps) - 3) // 2
         far, zero, unreachable = batch[mid : mid + 3]

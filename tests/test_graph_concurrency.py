@@ -99,7 +99,8 @@ def test_mixed_builds_and_queries_share_the_lock_without_deadlock():
             continue
         assert result.cost == pytest.approx(expect.cost, rel=1e-9), (method, pair)
         if method == "ch":
-            assert (result.cells, result.cost) == scalar.find_path(*pair), pair
+            cells, cost = scalar.find_path(*pair)
+            assert np.array_equal(result.cells, cells) and result.cost == cost, pair
 
 
 def test_ensure_calls_are_idempotent_after_build():
@@ -142,4 +143,5 @@ def test_fitted_loaded_and_refreshed_models_hold_kernel_tables(
             single = graph.find_path(*pair)
             assert (single is None) == (result is None)
             if single is not None:
-                assert single.cells == result.cells and single.cost == result.cost
+                assert np.array_equal(single.cells, result.cells)
+                assert single.cost == result.cost

@@ -87,7 +87,7 @@ def test_route_batch_matches_scalar_route(fitted, tiny_kiel):
         assert (result is None) == (scalar is None)
         if result is not None:
             assert result.cost == scalar.cost
-            assert result.cells == scalar.cells
+            assert np.array_equal(result.cells, scalar.cells)
 
 
 def test_dijkstra_equals_astar_cost(fitted, gap):
@@ -111,7 +111,7 @@ def test_save_load_round_trip_is_exact(fitted, gap, tmp_path):
     a = fitted.impute(gap.start, gap.end)
     b = restored.impute(gap.start, gap.end)
     assert np.array_equal(a.lats, b.lats) and np.array_equal(a.lngs, b.lngs)
-    assert a.method == b.method and a.cells == b.cells
+    assert a.method == b.method and np.array_equal(a.cells, b.cells)
 
 
 def test_typed_save_load_round_trip_is_exact(tiny_kiel, gap, tmp_path):

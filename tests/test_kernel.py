@@ -48,7 +48,7 @@ def test_chunked_sweeps_match_one_chunk(monkeypatch):
     for a, b in zip(baseline, chunked):
         assert (a is None) == (b is None)
         if a is not None:
-            assert a.cost == b.cost and a.cells == b.cells
+            assert a.cost == b.cost and np.array_equal(a.cells, b.cells)
             assert a.expanded == b.expanded
 
 

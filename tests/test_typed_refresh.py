@@ -70,7 +70,7 @@ def test_update_matches_full_refit(tiny_kiel, halves, config):
     gap = tiny_kiel.gaps(3600.0)[0]
     a = updated.impute(gap.start, gap.end, "cargo")
     b = refit.impute(gap.start, gap.end, "cargo")
-    assert a.cells == b.cells
+    assert np.array_equal(a.cells, b.cells)
     assert np.allclose(a.lats, b.lats) and np.allclose(a.lngs, b.lngs)
 
 
