@@ -30,12 +30,10 @@ Search variants (:meth:`CellGraph.find_path`):
   cells.  The hierarchy is stored as CSR ``int32`` arrays and persisted
   in every model file; the kernel tables are built with it.
 
-Two weight schemes are supported:
-
-- ``"transitions"`` (paper): cost ~ grid span, with a vanishing bonus for
-  frequently observed transitions (ties break toward habit).
-- ``"inverse_frequency"``: popular edges are up to 2x cheaper per step,
-  steering paths onto dominant lanes.
+Edge costs follow the paper's transition weighting: an edge costs its
+grid span times ``1 + 1/(1 + transitions)``, so cost tracks distance
+with a vanishing bonus for frequently observed transitions (ties break
+toward habit).
 """
 
 import threading
@@ -64,7 +62,6 @@ from repro.obs import COUNT_BUCKETS, METRICS
 
 __all__ = [
     "CellGraph",
-    "EDGE_WEIGHTS",
     "GOAL_DIRECTED_METHODS",
     "PROJECTIONS",
     "SEARCH_METHODS",
@@ -78,9 +75,6 @@ SEARCH_METHODS = ("dijkstra", "astar", "ch")
 
 #: Node placements accepted by :meth:`CellGraph.from_statistics`.
 PROJECTIONS = ("center", "mean")
-
-#: Edge weight schemes accepted by :meth:`CellGraph.from_statistics`.
-EDGE_WEIGHTS = ("transitions", "inverse_frequency")
 
 #: The variants that search *toward* the goal (heuristic- or
 #: hierarchy-guided); each must settle no more nodes than plain Dijkstra
@@ -121,15 +115,9 @@ _H_CACHE_SIZE = 128
 _CCH_LEAF_SIZE = 8
 
 
-def _edge_costs(grid_spans, counts, scheme):
+def _edge_costs(grid_spans, counts):
     spans = np.maximum(grid_spans.astype(np.float64), 1.0)
-    counts = counts.astype(np.float64)
-    if scheme == "transitions":
-        return spans * (1.0 + 1.0 / (1.0 + counts))
-    if scheme == "inverse_frequency":
-        top = max(float(counts.max()), 1.0) if len(counts) else 1.0
-        return spans * (2.0 - counts / top)
-    raise ValueError(f"unknown edge weight scheme {scheme!r}")
+    return spans * (1.0 + 1.0 / (1.0 + counts.astype(np.float64)))
 
 
 @dataclass(frozen=True)
@@ -217,7 +205,7 @@ class CellGraph:
         self._in_deg = None  # per-node in-degree (degenerate short-circuit)
 
     @classmethod
-    def from_statistics(cls, cell_stats, transition_stats, projection, edge_weight):
+    def from_statistics(cls, cell_stats, transition_stats, projection):
         """Build a graph from :func:`repro.core.statistics.compute_statistics`.
 
         *projection* places each node at the cell centre (``"center"``) or
@@ -237,7 +225,7 @@ class CellGraph:
         spans = (
             grid_distance_array(src, dst) if len(src) else np.zeros(0, dtype=np.int64)
         )
-        costs = _edge_costs(spans, counts, edge_weight)
+        costs = _edge_costs(spans, counts)
         return cls(cells, lats, lngs, src, dst, costs, counts)
 
     # -- index space -------------------------------------------------------

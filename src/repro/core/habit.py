@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS, CellGraph
+from repro.core.graph import PROJECTIONS, CellGraph
 from repro.core.path import ImputedPath, resample_polylines_xy, straight_line_path
 from repro.core.statistics import StatisticsState, partial_statistics
 from repro.geo.proj import path_lengths_m, polylines_xy_m
@@ -60,12 +60,12 @@ __all__ = ["HabitConfig", "HabitImputer", "ModelFormatError", "config_hash"]
 #: On-disk model format tag and version.  Bumped whenever the ``.npz``
 #: layout or the :func:`config_hash` digests change; this build reads
 #: only the current version (an older file is a registry miss and is
-#: refitted).  Version 8 has one layout: the five-field config, the model
+#: refitted).  Version 9 has one layout: the three-field config, the model
 #: revision, the graph with its contraction hierarchy and the mergeable
 #: fit state that powers :meth:`HabitImputer.update` after a load -- all
 #: always present.
 MODEL_FORMAT = "habit-npz"
-MODEL_FORMAT_VERSION = 8
+MODEL_FORMAT_VERSION = 9
 
 #: Prefix under which a model's mergeable fit state is stored in the npz.
 _STATE_PREFIX = "state_"
@@ -189,8 +189,6 @@ def _config_payload(config):
             str(config.resolution),
             str(config.tolerance_m),
             config.projection,
-            config.edge_weight,
-            str(int(config.approx_distinct)),
         ]
     )
 
@@ -203,8 +201,6 @@ def _config_from_npz(raw, path):
             resolution=int(raw[0]),
             tolerance_m=float(raw[1]),
             projection=str(raw[2]),
-            edge_weight=str(raw[3]),
-            approx_distinct=bool(int(raw[4])),
         )
     except (IndexError, ValueError) as exc:
         raise ModelFormatError(f"{path}: bad config ({exc})") from exc
@@ -269,20 +265,17 @@ class HabitConfig:
     - ``resolution``: hex grid resolution (paper sweep: 6..10).
     - ``tolerance_m``: RDP simplification tolerance; 0 disables smoothing.
     - ``projection``: node placement, ``"center"`` or ``"mean"``.
-    - ``edge_weight``: ``"transitions"`` (paper) or ``"inverse_frequency"``.
-    - ``approx_distinct``: HyperLogLog vs exact distinct vessels in stats.
 
-    An unknown ``projection`` or ``edge_weight``, a ``resolution``
-    outside the hex grid's ``[0, 15]``, or a ``tolerance_m`` that is
-    negative or not finite raises ``ValueError`` at construction, before
-    any fit can start.
+    Edges are weighted by transition count and distinct vessels are
+    estimated with HyperLogLog, as in the paper.  An unknown
+    ``projection``, a ``resolution`` outside the hex grid's ``[0, 15]``,
+    or a ``tolerance_m`` that is negative or not finite raises
+    ``ValueError`` at construction, before any fit can start.
     """
 
     resolution: int = 9
     tolerance_m: float = 100.0
     projection: str = "center"
-    edge_weight: str = "transitions"
-    approx_distinct: bool = True
 
     def __post_init__(self):
         if not 0 <= self.resolution <= _MAX_RES:
@@ -293,15 +286,10 @@ class HabitConfig:
             raise ValueError(
                 f"tolerance_m must be finite and >= 0, got {self.tolerance_m!r}"
             )
-        for name, choices in (
-            ("projection", PROJECTIONS),
-            ("edge_weight", EDGE_WEIGHTS),
-        ):
-            value = getattr(self, name)
-            if value not in choices:
-                raise ValueError(
-                    f"unknown {name} {value!r}; expected one of {choices}"
-                )
+        if self.projection not in PROJECTIONS:
+            raise ValueError(
+                f"unknown projection {self.projection!r}; expected one of {PROJECTIONS}"
+            )
 
 
 class HabitImputer:
@@ -310,8 +298,6 @@ class HabitImputer:
     def __init__(self, config=None):
         self.config = config or HabitConfig()
         self.graph = None
-        self.cell_stats = None
-        self.transition_stats = None
         #: Accumulated mergeable fit state (None until a partial fit).
         self._state = None
         #: The state the current graph was built from -- states are
@@ -357,18 +343,12 @@ class HabitImputer:
         return self
 
     def finalize(self):
-        """Freeze the accumulated state into statistics + cell graph."""
+        """Freeze the accumulated state into the cell graph."""
         if self._state is None:
             raise RuntimeError("HabitImputer.finalize called with no fit state")
         with _FIT_SECONDS.time(("finalize",)):
-            cell_stats, transition_stats = self._state.finalize()
-            self.cell_stats = cell_stats
-            self.transition_stats = transition_stats
             self.graph = CellGraph.from_statistics(
-                cell_stats,
-                transition_stats,
-                projection=self.config.projection,
-                edge_weight=self.config.edge_weight,
+                *self._state.finalize(), projection=self.config.projection
             )
             # Pay hierarchy preprocessing once at fit time, kernel tables
             # included, so the published graph is serve-ready; the
@@ -407,8 +387,6 @@ class HabitImputer:
         fresh._state = self._state
         fresh._finalized_state = self._finalized_state
         fresh.graph = self.graph
-        fresh.cell_stats = self.cell_stats
-        fresh.transition_stats = self.transition_stats
         fresh.revision = self.revision
         return fresh
 

@@ -6,10 +6,10 @@ segmented trips into a mergeable :class:`StatisticsState`, and
 :func:`merge_statistics` combines any number of states into the two
 tables the cell graph is built from:
 
-- **cell statistics**: support count, distinct vessels (HyperLogLog or
-  exact, per ``config.approx_distinct``), and mean position
-  (``mean_lat`` / ``mean_lon``) -- the means drive the "mean" cell
-  projection.
+- **cell statistics**: support count, distinct vessels (a HyperLogLog
+  estimate, as the paper's DuckDB ``approx_count_distinct``), and mean
+  position (``mean_lat`` / ``mean_lon``) -- the means drive the "mean"
+  cell projection.
 - **transition statistics**: directed cell pairs observed consecutively
   within a trip, with transition counts and distinct-vessel support --
   the graph's edge list.
@@ -65,10 +65,8 @@ _NO_CELL = np.int64(-1)
 _LAT_SUM = "lat_offset_sum"
 _LON_SUM = "lon_offset_sum"
 
-
-def _distinct_agg(approx):
-    spec = agg.approx_count_distinct if approx else agg.count_distinct
-    return spec(schema.VESSEL_ID).alias("vessels")
+#: Distinct vessels per group, estimated with HyperLogLog.
+_VESSELS = agg.approx_count_distinct(schema.VESSEL_ID).alias("vessels")
 
 
 def _index_cells(trips, config):
@@ -105,32 +103,24 @@ class StatisticsState:
     cell_state: GroupState
     transition_state: GroupState
     resolution: int
-    approx_distinct: bool
     num_positions: int
 
     @classmethod
     def merged(cls, states):
-        """Combine shard states; all must share resolution and distinct mode."""
+        """Combine shard states; all must share one resolution."""
         states = list(states)
         if not states:
             raise ValueError("StatisticsState.merged needs at least one state")
         head = states[0]
         for other in states[1:]:
-            if (
-                other.resolution != head.resolution
-                or other.approx_distinct != head.approx_distinct
-            ):
-                raise ValueError(
-                    "cannot merge statistics fitted at different resolutions "
-                    "or distinct-count modes"
-                )
+            if other.resolution != head.resolution:
+                raise ValueError("cannot merge statistics fitted at different resolutions")
         if len(states) == 1:
             return head
         return cls(
             cell_state=merge_states([s.cell_state for s in states]),
             transition_state=merge_states([s.transition_state for s in states]),
             resolution=head.resolution,
-            approx_distinct=head.approx_distinct,
             num_positions=sum(s.num_positions for s in states),
         )
 
@@ -153,12 +143,7 @@ class StatisticsState:
 
     def payload(self, prefix="state_"):
         """Flat array mapping for ``np.savez``-style persistence."""
-        out = {
-            prefix
-            + "meta": np.array(
-                [str(self.resolution), str(int(self.approx_distinct)), str(self.num_positions)]
-            )
-        }
+        out = {prefix + "meta": np.array([str(self.resolution), str(self.num_positions)])}
         out.update(self.cell_state.payload(prefix + "cell_"))
         out.update(self.transition_state.payload(prefix + "tr_"))
         return out
@@ -171,8 +156,7 @@ class StatisticsState:
             cell_state=GroupState.from_payload(data, prefix + "cell_"),
             transition_state=GroupState.from_payload(data, prefix + "tr_"),
             resolution=int(meta[0]),
-            approx_distinct=bool(int(meta[1])),
-            num_positions=int(meta[2]),
+            num_positions=int(meta[1]),
         )
 
 
@@ -186,8 +170,8 @@ def partial_statistics(trips, config):
     """Summarise one shard/chunk of segmented trips into a mergeable state.
 
     *config* is a :class:`repro.core.habit.HabitConfig`; its ``resolution``
-    picks the grid and ``approx_distinct`` picks the distinct-count kernel.
-    The chunk must hold whole trips (see the module docstring).
+    picks the grid.  The chunk must hold whole trips (see the module
+    docstring).
     """
     cells = _index_cells(trips, config)
     center_lat, center_lon = cell_to_latlng_array(cells)
@@ -200,7 +184,7 @@ def partial_statistics(trips, config):
     )
     cell_state = indexed.group_by(CELL).partial(
         agg.count(),
-        _distinct_agg(config.approx_distinct),
+        _VESSELS,
         agg.sum(_LAT_SUM).alias(_LAT_SUM),
         agg.sum(_LON_SUM).alias(_LON_SUM),
     )
@@ -213,13 +197,12 @@ def partial_statistics(trips, config):
         pairs = indexed.with_columns(**{NEXT_CELL: cells})
     transition_state = pairs.group_by(CELL, NEXT_CELL).partial(
         agg.count().alias("transitions"),
-        _distinct_agg(config.approx_distinct),
+        _VESSELS,
     )
     return StatisticsState(
         cell_state=cell_state,
         transition_state=transition_state,
         resolution=config.resolution,
-        approx_distinct=config.approx_distinct,
         num_positions=trips.num_rows,
     )
 

@@ -11,7 +11,7 @@ Everything is vectorised -- there are no per-row Python loops -- so the
 Aggregation runs eagerly (``group_by(...).agg(...)``) or as mergeable
 partial states (``group_by(...).partial(...)`` + :func:`merge_states` +
 ``state.finalize()``) so shards and streamed chunks combine into exactly
-the result of one in-memory pass (counts, integer sums, distincts, HLL).
+the result of one in-memory pass (counts, integer sums, HLL).
 
 Submodules:
 

@@ -4,7 +4,9 @@ Each helper returns an :class:`AggSpec` naming a kernel and an input column;
 ``.alias(name)`` renames the output column.  The fit's per-cell CTE uses
 ``count``, ``approx_count_distinct`` (HyperLogLog) and ``sum`` over
 fixed-point position offsets -- the kinds with a mergeable partial state
-(:mod:`repro.minidb.partial`); the rest run on the eager path only.
+(:mod:`repro.minidb.partial`); the rest run on the eager path only.  The
+exact ``count_distinct`` is one of those: it is the reference the HLL
+tests and ablation bench measure estimates against.
 """
 
 from dataclasses import dataclass, replace
@@ -72,7 +74,7 @@ def first(column):
 
 
 def count_distinct(column):
-    """Exact per-group distinct count (the HLL ablation baseline)."""
+    """Exact per-group distinct count (eager only; the HLL reference)."""
     return AggSpec("count_distinct", column, f"distinct_{column}")
 
 

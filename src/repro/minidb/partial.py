@@ -10,14 +10,14 @@ rows were partitioned.  ``state.finalize()`` renders the merged state as
 the same table ``agg`` would have produced.
 
 Only the kinds the fit aggregates have a partial state: ``count``,
-``sum``, ``count_distinct`` and the HyperLogLog
-``approx_count_distinct``.  Each merges **exactly**: for any partition
-of the rows the result equals the eager one-shot pass.  ``sum`` takes
-integer columns only and accumulates in ``int64`` (where the eager
-kernel returns floats), so its merge is associative; a float column
-raises ``ValueError`` -- encode it as fixed-point integers first, as
-:mod:`repro.core.statistics` does for positions.  Medians, means and
-extrema stay eager-only.
+``sum`` and the HyperLogLog ``approx_count_distinct``.  Each merges
+**exactly**: for any partition of the rows the result equals the eager
+one-shot pass.  ``sum`` takes integer columns only and accumulates in
+``int64`` (where the eager kernel returns floats), so its merge is
+associative; a float column raises ``ValueError`` -- encode it as
+fixed-point integers first, as :mod:`repro.core.statistics` does for
+positions.  Exact distinct counts, medians, means and extrema stay
+eager-only.
 
 States carry their group *keys by value*, not by code -- group codes are
 local to each shard and are re-factorised on merge -- and serialise to a
@@ -40,20 +40,7 @@ from repro.minidb.hll import (
 __all__ = ["GroupState", "merge_states"]
 
 #: Aggregate kinds with a mergeable state.
-MERGEABLE_KINDS = frozenset({"count", "sum", "count_distinct", "approx_count_distinct"})
-
-
-def _unique_pairs(codes, values):
-    """Deduplicate (group code, value) pairs; the exact-distinct state.
-
-    Returns the pairs sorted by (code, value), which both the build and
-    merge paths rely on for deterministic, order-identical states.
-    """
-    order = np.lexsort((values, codes))
-    g, v = codes[order], values[order]
-    fresh = np.ones(len(g), dtype=bool)
-    fresh[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
-    return g[fresh], v[fresh]
+MERGEABLE_KINDS = frozenset({"count", "sum", "approx_count_distinct"})
 
 
 class GroupState:
@@ -108,9 +95,6 @@ class GroupState:
                 total = np.zeros(num_groups, dtype=np.int64)
                 np.add.at(total, codes, values)
                 state = {"sum": total}
-            elif kind == "count_distinct":
-                pair_codes, pair_values = _unique_pairs(codes, table.column(spec.column))
-                state = {"codes": pair_codes, "values": pair_values}
             else:  # approx_count_distinct
                 keys, rho = grouped_register_pairs(codes, table.column(spec.column))
                 state = {"keys": keys, "rho": rho, "p": DEFAULT_P}
@@ -132,10 +116,6 @@ class GroupState:
                 column = counts.copy()
             elif kind == "sum":
                 column = state["sum"].copy()
-            elif kind == "count_distinct":
-                column = np.bincount(
-                    state["codes"], minlength=self.num_groups
-                ).astype(np.int64)
             else:  # approx_count_distinct
                 column = estimate_from_register_pairs(
                     state["keys"], state["rho"], self.num_groups, state["p"]
@@ -164,9 +144,6 @@ class GroupState:
                 continue
             if spec.kind == "sum":
                 out[tag + "sum"] = state["sum"]
-            elif spec.kind == "count_distinct":
-                out[tag + "codes"] = state["codes"]
-                out[tag + "values"] = state["values"]
             else:  # approx_count_distinct
                 out[tag + "keys"] = state["keys"]
                 out[tag + "rho"] = state["rho"]
@@ -192,12 +169,7 @@ class GroupState:
                 state = None
             elif spec.kind == "sum":
                 state = {"sum": np.asarray(data[tag + "sum"])}
-            elif spec.kind == "count_distinct":
-                state = {
-                    "codes": np.asarray(data[tag + "codes"]),
-                    "values": np.asarray(data[tag + "values"]),
-                }
-            else:
+            else:  # approx_count_distinct
                 state = {
                     "keys": np.asarray(data[tag + "keys"]),
                     "rho": np.asarray(data[tag + "rho"]),
@@ -257,12 +229,6 @@ def merge_states(states):
             for part, mapping in zip(parts, maps):
                 np.add.at(total, mapping, part["sum"])
             state = {"sum": total}
-        elif kind == "count_distinct":
-            pair_codes, pair_values = _unique_pairs(
-                np.concatenate([m[p["codes"]] for p, m in zip(parts, maps)]),
-                np.concatenate([p["values"] for p in parts]),
-            )
-            state = {"codes": pair_codes, "values": pair_values}
         else:  # approx_count_distinct
             p_bits = parts[0]["p"]
             if any(part["p"] != p_bits for part in parts):

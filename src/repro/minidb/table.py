@@ -187,9 +187,9 @@ class GroupBy:
 
         Returns a :class:`repro.minidb.partial.GroupState`; combine shard
         states with :func:`repro.minidb.merge_states` and render the final
-        table with ``state.finalize()``.  Only ``count``, integer ``sum``,
-        ``count_distinct`` and ``approx_count_distinct`` have a state, and
-        each merges exactly.
+        table with ``state.finalize()``.  Only ``count``, integer ``sum``
+        and ``approx_count_distinct`` have a state, and each merges
+        exactly.
         """
         # Imported lazily: partial.py builds its states with this module's
         # kernels, so a top-level import would be circular.

@@ -22,7 +22,7 @@ import argparse
 
 from repro.ais.reader import DEFAULT_CHUNK_ROWS
 from repro.core import HabitConfig
-from repro.core.graph import EDGE_WEIGHTS, PROJECTIONS
+from repro.core.graph import PROJECTIONS
 from repro.service.http import make_server
 from repro.service.memory import release_heap
 from repro.service.registry import ModelRegistry
@@ -182,12 +182,6 @@ def _build_parser():
         default=default.projection,
         help="node placement: cell centres or per-cell mean positions",
     )
-    model.add_argument(
-        "--edge-weight",
-        choices=EDGE_WEIGHTS,
-        default=default.edge_weight,
-        help="edge cost scheme",
-    )
     return parser
 
 
@@ -196,7 +190,6 @@ def _config_from_args(args):
         resolution=args.resolution,
         tolerance_m=args.tolerance_m,
         projection=args.projection,
-        edge_weight=args.edge_weight,
     )
 
 

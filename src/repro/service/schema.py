@@ -170,15 +170,12 @@ def _is_finite_number(value):
 def _config_value(name, value):
     """*value* checked against the JSON type of field *name*'s default.
 
-    Nothing is coerced from another type: bool fields take only a JSON
-    bool, int fields only a non-bool integer, float fields only a finite
-    non-bool number (an integer is widened to float), and str fields only
-    a string.
+    Nothing is coerced from another type: int fields take only a non-bool
+    integer, float fields only a finite non-bool number (an integer is
+    widened to float), and str fields only a string.
     """
     default = _CONFIG_DEFAULTS[name]
-    if isinstance(default, bool):
-        ok, kind = isinstance(value, bool), "a boolean"
-    elif isinstance(default, int):
+    if isinstance(default, int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
         ok, kind = _is_finite_number(value), "a finite number"
@@ -194,10 +191,9 @@ def build_config(overrides):
 
     Each value must already have its field's JSON type (see
     :func:`_config_value`); unknown field names, mistyped values and
-    values :class:`HabitConfig` rejects (an unknown ``projection`` or
-    ``edge_weight``, a ``resolution`` off the hex grid, a negative
-    ``tolerance_m``)
-    raise :class:`SchemaError`, so a bad config never reaches fit-on-miss.
+    values :class:`HabitConfig` rejects (an unknown ``projection``, a
+    ``resolution`` off the hex grid, a negative ``tolerance_m``) raise
+    :class:`SchemaError`, so a bad config never reaches fit-on-miss.
     """
     if overrides is None:
         return HabitConfig()

@@ -174,8 +174,6 @@ def test_config_hash_tracks_every_field(fitted):
         HabitConfig(resolution=8),
         HabitConfig(tolerance_m=50.0),
         HabitConfig(projection="mean"),
-        HabitConfig(edge_weight="inverse_frequency"),
-        HabitConfig(approx_distinct=False),
     ]
     assert len(changed) == len(fields(HabitConfig))
     digests = {config_hash(c) for c in changed} | {config_hash(base)}

@@ -1,10 +1,10 @@
-"""Model-format matrix: format v8 is the only version the loaders read.
+"""Model-format matrix: format v9 is the only version the loaders read.
 
 The matrix pinned here:
 
-- a saved v8 file loads into a working imputer with its hierarchy
+- a saved v9 file loads into a working imputer with its hierarchy
   installed (no rebuild at the first query);
-- files tagged with any other version, and malformed v8 files (missing
+- files tagged with any other version, and malformed v9 files (missing
   or short config, a config value the imputer rejects, missing
   revision or typed header arrays, a listed class graph that is
   absent, a missing or malformed fit state), raise
@@ -12,7 +12,7 @@ The matrix pinned here:
   instead of failing every request;
 - plain and typed round-trips preserve every CH array **bit-exactly**,
   and the deterministic CH build reproduces the persisted arrays;
-- new saves are stamped ``format_version == 8`` with every CH array and
+- new saves are stamped ``format_version == 9`` with every CH array and
   the fit state.
 """
 
@@ -103,10 +103,10 @@ def test_typed_round_trip_preserves_ch_arrays_bit_exactly(typed_model, tmp_path)
             assert a.dtype == b.dtype and np.array_equal(a, b), key
 
 
-def test_new_saves_are_stamped_version_8(ch_model, tmp_path):
+def test_new_saves_are_stamped_version_9(ch_model, tmp_path):
     with np.load(ch_model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "8"
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "9"
         for key in habit_mod._CH_KEYS:
             assert key in data.files, key
         state = ch_model._state.payload(habit_mod._STATE_PREFIX)
@@ -116,7 +116,7 @@ def test_new_saves_are_stamped_version_8(ch_model, tmp_path):
 
 def test_versions_outside_the_window_are_rejected(ch_model, tmp_path):
     payload = _payload(ch_model.save(tmp_path / "m.npz"))
-    for bad in ("2", "3", "4", "5", "6", "7", "9"):
+    for bad in ("2", "3", "4", "5", "6", "7", "8", "10"):
         payload["format"] = np.array([habit_mod.MODEL_FORMAT, bad])
         bad_path = tmp_path / f"bad{bad}.npz"
         np.savez(bad_path, **payload)
@@ -147,6 +147,34 @@ def test_v7_file_in_registry_is_refitted_on_miss(ch_model, tmp_path):
         assert str(data["format"][1]) == str(habit_mod.MODEL_FORMAT_VERSION)
 
 
+def test_v8_file_in_registry_is_refitted_on_miss(ch_model, tmp_path):
+    """A file in the v8 layout -- five config slots (``edge_weight`` and
+    ``approx_distinct`` included) and a three-entry state meta -- at the
+    path a registry looks up is refitted, never served."""
+    config = ch_model.config
+    fits = []
+
+    def fitter(dataset, config, typed=False):
+        fits.append(config)
+        return ch_model
+
+    registry = ModelRegistry(tmp_path / "registry", fitter=fitter)
+    path = registry.path_for("KIEL", config)
+    payload = _payload(ch_model.save(tmp_path / "good.npz"))
+    payload["format"] = np.array([habit_mod.MODEL_FORMAT, "8"])
+    payload["config"] = np.append(payload["config"], ["transitions", "1"])
+    resolution, positions = payload["state_meta"]
+    payload["state_meta"] = np.array([resolution, "1", positions])
+    np.savez(path, **payload)
+    with pytest.raises(ModelFormatError, match="format version 8"):
+        HabitImputer.load(path)
+    _, _, source = registry.get("KIEL", config)
+    assert source == "fit" and fits == [config]
+    with np.load(path) as data:
+        assert str(data["format"][1]) == str(habit_mod.MODEL_FORMAT_VERSION)
+        assert len(data["config"]) == 3
+
+
 def _set_config_slot(slot, value):
     def plant(payload):
         payload["config"][slot] = value
@@ -159,7 +187,7 @@ def _drop(key):
 
 
 def _shorten_config(payload):
-    payload["config"] = payload["config"][:3]
+    payload["config"] = payload["config"][:2]
 
 
 def _drop_state(payload):

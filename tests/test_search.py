@@ -129,15 +129,15 @@ def test_snap_memoization_and_scalar_fallback(tiny_kiel):
     assert first == brute
 
 
-def test_saved_format_version_is_8(tiny_kiel, tmp_path):
+def test_saved_format_version_is_9(tiny_kiel, tmp_path):
     import repro.core.habit as habit_mod
 
     model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     with np.load(model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "8"
-        # Five config slots: the snap-limit and resample slots are gone.
-        assert len(data["config"]) == 5
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "9"
+        # Three config slots: resolution, tolerance_m and projection.
+        assert len(data["config"]) == 3
 
 
 def _corrupt_ch(graph, defect):

@@ -1,5 +1,6 @@
 """Service layer: registry LRU, batch engine provenance, HTTP transport."""
 
+import dataclasses
 import gc
 import json
 import socket
@@ -62,10 +63,10 @@ def test_model_id_is_stable_and_config_sensitive():
 
 def test_config_hash_digests_are_pinned():
     """Golden digests: model files on disk are named by these, so they
-    move only with a model-format version bump (v7 hashes the five-field
+    move only with a model-format version bump (v9 hashes the three-field
     ``asdict``)."""
-    assert config_hash(HabitConfig()) == "20202d97f028"
-    assert config_hash(HabitConfig(resolution=10)) == "c48ce07ec417"
+    assert config_hash(HabitConfig()) == "566dd8c0f20a"
+    assert config_hash(HabitConfig(resolution=10)) == "82f8770d3f45"
 
 
 def test_registry_resolution_tiers(registry, service_model):
@@ -678,10 +679,10 @@ def test_http_negative_content_length_is_400(server, length):
         # Unknown fields, including ones earlier model formats had.
         pytest.param("search", "bogus", id="search"),
         pytest.param("resample_m", 500.0, id="resample_m"),
-        pytest.param("projection", "bogus", id="projection"),
         pytest.param("edge_weight", "bogus", id="edge_weight"),
-        # Mistyped values are rejected, never coerced.
         pytest.param("approx_distinct", "false", id="approx_distinct-str"),
+        pytest.param("projection", "bogus", id="projection"),
+        # Mistyped values are rejected, never coerced.
         pytest.param("resolution", 9.5, id="resolution-float"),
         pytest.param("resolution", True, id="resolution-bool"),
         pytest.param("resolution", "9", id="resolution-str"),
@@ -722,7 +723,11 @@ def test_http_bad_config_value_is_400_before_fit_on_miss(
                 },
             )
         assert err.value.code == 400
-        assert field in json.loads(err.value.read())["error"]
+        error = json.loads(err.value.read())["error"]
+        if field in {f.name for f in dataclasses.fields(HabitConfig)}:
+            assert field in error
+        else:
+            assert error.startswith(f"unknown config fields: {field};"), error
     finally:
         server.shutdown()
         server.server_close()
