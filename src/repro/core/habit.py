@@ -19,9 +19,11 @@ into serving provenance.
 A query snaps both gap endpoints to graph nodes, routes over the
 graph's contraction hierarchy (built at :meth:`HabitImputer.finalize`),
 projects the cell path to positions (cell centres or per-cell mean
-positions), simplifies with RDP at ``tolerance_m``, resamples to
-:data:`repro.core.path.RESAMPLE_M` and pins the exact endpoints.  The stages -- :meth:`HabitImputer.snap_endpoints`,
-:meth:`HabitImputer.route_batch`, :meth:`HabitImputer.render_paths` --
+positions), pins the exact endpoints, simplifies with RDP at
+``tolerance_m`` and resamples to :data:`repro.core.path.RESAMPLE_M`.
+The stages -- :meth:`HabitImputer.snap_endpoints`,
+:meth:`HabitImputer.route_batch`, :meth:`HabitImputer.render_paths`
+(itself :meth:`HabitImputer.simplify_paths`, then the resample) --
 are public and form one sequence, which :meth:`HabitImputer.impute_batch`
 runs offline (:meth:`HabitImputer.impute` is its one-gap form) and the
 serving engine runs around its answer cache.  When no route exists the
@@ -40,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.graph import PROJECTIONS, CellGraph
-from repro.core.path import ImputedPath, resample_polylines_xy, straight_line_path
+from repro.core.path import ImputedPath, resample_blocks
 from repro.core.statistics import StatisticsState, partial_statistics
 from repro.geo.proj import path_lengths_m, polylines_xy_m
 from repro.geo.simplify import rdp_keep_indices_concat
@@ -443,64 +445,78 @@ class HabitImputer:
         paths, _ = self.render_paths([start], [end], [result])
         return paths[0]
 
+    def simplify_paths(self, starts, ends, results):
+        """The geometry stage of :meth:`render_paths`: each search
+        result's RDP-kept vertices.
+
+        Returns a list aligned with *results*: a ``(4, k)`` float64
+        block per routed result -- rows lat, lng and the path's own
+        projection x, y -- and ``None`` where the result is ``None``.
+        Positions come straight from the graph's flat arrays, gathered
+        for every path with one concatenation of the results'
+        node-index arrays, with the exact endpoints pinned at both ends;
+        the routed paths are then projected once
+        (:func:`repro.geo.proj.polylines_xy_m`, each path about its own
+        mean latitude) and simplified in one
+        :func:`repro.geo.simplify.rdp_keep_indices_concat` pass at
+        ``tolerance_m``.  Both keep every reduction per path, so a
+        path's block does not depend on the others in the call.  The
+        blocks are column slices of one array built for this call.
+        """
+        blocks = [None] * len(results)
+        routed = [i for i, result in enumerate(results) if result is not None]
+        if not routed:
+            return blocks
+        graph = self.graph
+        sizes = np.array([len(results[i].node_indices) + 2 for i in routed])
+        heads = np.cumsum(sizes) - sizes
+        tails = heads + sizes - 1
+        inner = np.ones(int(sizes.sum()), dtype=bool)
+        inner[heads] = False
+        inner[tails] = False
+        nodes = np.concatenate([results[i].node_indices for i in routed])
+        lats = np.empty(len(inner))
+        lngs = np.empty(len(inner))
+        lats[inner] = graph.lats[nodes]
+        lngs[inner] = graph.lngs[nodes]
+        lats[heads] = [float(starts[i][0]) for i in routed]
+        lngs[heads] = [float(starts[i][1]) for i in routed]
+        lats[tails] = [float(ends[i][0]) for i in routed]
+        lngs[tails] = [float(ends[i][1]) for i in routed]
+        # One projection feeds both simplification and resampling.
+        x, y = polylines_xy_m(lats, lngs, sizes)
+        if self.config.tolerance_m > 0.0:
+            kept = rdp_keep_indices_concat(x, y, sizes, self.config.tolerance_m)
+            sizes = np.diff(np.searchsorted(kept, tails + 1), prepend=0)
+            lats, lngs, x, y = lats[kept], lngs[kept], x[kept], y[kept]
+        block = np.stack((lats, lngs, x, y))
+        bounds = np.cumsum(sizes).tolist()
+        for i, lo, hi in zip(routed, [0, *bounds], bounds):
+            blocks[i] = block[:, lo:hi]
+        return blocks
+
     def render_paths(self, starts, ends, results):
         """Project many search results into :class:`ImputedPath` objects.
 
         Returns ``(paths, lengths)`` aligned with *results*: the paths
         and each one's metric length
         (:func:`repro.geo.proj.path_length_m` of the rendered polyline).
-        Positions come straight from the graph's flat arrays, gathered
-        for every path with one concatenation of the results' node-index
-        arrays, with the exact endpoints pinned at both ends.  The
-        routed paths are rendered as one concatenation: one projection,
-        one :func:`repro.geo.simplify.rdp_keep_indices_concat` pass at
-        ``tolerance_m``, one :func:`repro.core.path.resample_polylines_xy`
-        call to :data:`repro.core.path.RESAMPLE_M` spacing and one
-        :func:`repro.geo.proj.path_lengths_m` call.  Those functions
-        keep every reduction per path, so a path's render does not
-        depend on the others in the call.  A ``None`` result renders the
-        flagged straight-line fallback.
+        The two stages composed: :meth:`simplify_paths`' vertex blocks,
+        sampled by :func:`repro.core.path.resample_blocks` (one
+        :func:`repro.core.path.resample_polylines_xy` call to
+        :data:`repro.core.path.RESAMPLE_M` spacing), then one
+        :func:`repro.geo.proj.path_lengths_m` call.  Every stage keeps
+        its reductions per path, so a path's render does not depend on
+        the others in the call.  A ``None`` result renders the flagged
+        straight-line fallback.
         """
-        paths = [None] * len(results)
-        routed = []
-        for i, (start, end, result) in enumerate(zip(starts, ends, results)):
-            if result is None:
-                paths[i] = straight_line_path(start, end, method="fallback")
-            else:
-                routed.append(i)
-        if routed:
-            graph = self.graph
-            sizes = np.array([len(results[i].node_indices) + 2 for i in routed])
-            heads = np.cumsum(sizes) - sizes
-            tails = heads + sizes - 1
-            inner = np.ones(int(sizes.sum()), dtype=bool)
-            inner[heads] = False
-            inner[tails] = False
-            nodes = np.concatenate([results[i].node_indices for i in routed])
-            lats = np.empty(len(inner))
-            lngs = np.empty(len(inner))
-            lats[inner] = graph.lats[nodes]
-            lngs[inner] = graph.lngs[nodes]
-            lats[heads] = [float(starts[i][0]) for i in routed]
-            lngs[heads] = [float(starts[i][1]) for i in routed]
-            lats[tails] = [float(ends[i][0]) for i in routed]
-            lngs[tails] = [float(ends[i][1]) for i in routed]
-            # One projection feeds both simplification and resampling.
-            x, y = polylines_xy_m(lats, lngs, sizes)
-            if self.config.tolerance_m > 0.0:
-                kept = rdp_keep_indices_concat(x, y, sizes, self.config.tolerance_m)
-                sizes = np.diff(np.searchsorted(kept, tails + 1), prepend=0)
-                lats, lngs, x, y = lats[kept], lngs[kept], x[kept], y[kept]
-            out_lats, out_lngs = resample_polylines_xy(lats, lngs, x, y, sizes)
-            for i, path_lats, path_lngs in zip(routed, out_lats, out_lngs):
-                result = results[i]
-                paths[i] = ImputedPath(
-                    lats=path_lats,
-                    lngs=path_lngs,
-                    method=result.method,
-                    cells=result.cells,
-                    expanded=result.expanded,
-                )
+        blocks = self.simplify_paths(starts, ends, results)
+        paths = [
+            ImputedPath(lats, lngs, method="fallback")
+            if result is None
+            else ImputedPath(lats, lngs, result.method, result.cells, result.expanded)
+            for (lats, lngs), result in zip(resample_blocks(starts, ends, blocks), results)
+        ]
         lengths = path_lengths_m([p.lats for p in paths], [p.lngs for p in paths])
         return paths, lengths
 

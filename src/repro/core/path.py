@@ -9,6 +9,7 @@ from repro.geo.proj import latlng_to_xy_m
 __all__ = [
     "RESAMPLE_M",
     "ImputedPath",
+    "resample_blocks",
     "resample_polyline",
     "resample_polylines_xy",
     "straight_line_path",
@@ -124,6 +125,32 @@ def resample_polylines_xy(lats, lngs, x, y, sizes):
         out_lats.append(np.interp(samples, xp, lats[lo:hi]))
         out_lngs.append(np.interp(samples, xp, lngs[lo:hi]))
     return out_lats, out_lngs
+
+
+def resample_blocks(starts, ends, blocks):
+    """Sample vertex blocks at :data:`RESAMPLE_M` spacing, in one call.
+
+    *blocks* holds, per gap, a ``(4, k)`` float64 block of a polyline's
+    vertices -- rows lat, lng and their projection x, y, as
+    :meth:`repro.core.habit.HabitImputer.simplify_paths` returns them --
+    or ``None`` for the straight line between the gap's raw *starts*
+    and *ends* (:func:`straight_line_path`).  Every block is resampled
+    by one :func:`resample_polylines_xy` call, so each sample list
+    equals its block's alone bit for bit.  Returns a ``(lats, lngs)``
+    pair per gap.
+    """
+    routed = [i for i, block in enumerate(blocks) if block is not None]
+    samples = [None] * len(blocks)
+    if routed:
+        lats, lngs, x, y = np.concatenate([blocks[i] for i in routed], axis=1)
+        sizes = [blocks[i].shape[1] for i in routed]
+        for i, path in zip(routed, zip(*resample_polylines_xy(lats, lngs, x, y, sizes))):
+            samples[i] = path
+    for i, block in enumerate(blocks):
+        if block is None:
+            line = straight_line_path(starts[i], ends[i])
+            samples[i] = (line.lats, line.lngs)
+    return samples
 
 
 def straight_line_path(start, end, method="straight"):

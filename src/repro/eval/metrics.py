@@ -3,7 +3,9 @@
 :func:`dtw_distance_m` is the paper's accuracy measure: dynamic time
 warping over pointwise metric distances.  The DP runs over anti-diagonals
 so each wavefront is a single vectorised update -- O(n + m) small NumPy
-operations instead of O(n * m) Python steps.
+operations instead of O(n * m) Python steps.  The cost matrix is laid out
+by anti-diagonal once, with an infinite border, so a wavefront's three
+predecessor reads are plain slices of the two rows before it.
 """
 
 import numpy as np
@@ -24,10 +26,6 @@ def _cost_matrix_m(lats_a, lngs_a, lats_b, lngs_b):
     return np.hypot(xa[:, None] - xb[None, :], ya[:, None] - yb[None, :])
 
 
-def _diag_bounds(d, n, m):
-    return max(0, d - (m - 1)), min(n - 1, d)
-
-
 def dtw_distance_m(lats_a, lngs_a, lats_b, lngs_b):
     """Dynamic-time-warping distance between two paths, in metres.
 
@@ -35,33 +33,31 @@ def dtw_distance_m(lats_a, lngs_a, lats_b, lngs_b):
     returns the total alignment cost.
     """
     cost = _cost_matrix_m(lats_a, lngs_a, lats_b, lngs_b)
+    # The recurrence is symmetric in its two paths, so the shorter one
+    # indexes each anti-diagonal.
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
     n, m = cost.shape
-    prev = None
-    prev2 = None
-    for d in range(n + m - 1):
-        lo, hi = _diag_bounds(d, n, m)
-        i = np.arange(lo, hi + 1)
-        j = d - i
-        cur = cost[i, j]
-        if d > 0:
-            lo1, hi1 = _diag_bounds(d - 1, n, m)
-            best = np.full(len(i), np.inf)
-            # D[i-1, j]
-            valid = (i - 1 >= lo1) & (i - 1 <= hi1)
-            idx = np.clip(i - 1 - lo1, 0, len(prev) - 1)
-            np.minimum(best, np.where(valid, prev[idx], np.inf), out=best)
-            # D[i, j-1]
-            valid = (i >= lo1) & (i <= hi1) & (j >= 1)
-            idx = np.clip(i - lo1, 0, len(prev) - 1)
-            np.minimum(best, np.where(valid, prev[idx], np.inf), out=best)
-            # D[i-1, j-1]
-            if d >= 2:
-                lo2, hi2 = _diag_bounds(d - 2, n, m)
-                valid = (i - 1 >= lo2) & (i - 1 <= hi2) & (j >= 1)
-                idx = np.clip(i - 1 - lo2, 0, len(prev2) - 1)
-                np.minimum(best, np.where(valid, prev2[idx], np.inf), out=best)
-            cur = cur + best
-        prev2 = prev
-        prev = cur
-    return float(prev[-1])
-
+    # acc[d, i] holds cell (i - 1, d - i - 1): row d is anti-diagonal d of
+    # the matrix padded by one infinite row and column, with acc[0, 0] = 0
+    # starting the alignment.  Cell (i, j) sits at flat offset
+    # (i + j + 2) * (n + 1) + i + 1, so one strided view writes them all.
+    acc = np.full((n + m + 1, n + 1), np.inf)
+    step = acc.itemsize
+    np.lib.stride_tricks.as_strided(
+        acc.reshape(-1)[2 * (n + 1) + 1 :],
+        shape=(n, m),
+        strides=((n + 2) * step, (n + 1) * step),
+        writeable=True,
+    )[...] = cost
+    acc[0, 0] = 0.0
+    best = np.empty(n)
+    for d in range(2, n + m + 1):
+        lo, hi = max(1, d - m), min(n, d - 1)
+        out = best[: hi - lo + 1]
+        # Up, left and diagonal predecessors of acc[d, lo : hi + 1].
+        np.minimum(acc[d - 1, lo - 1 : hi], acc[d - 1, lo : hi + 1], out=out)
+        np.minimum(out, acc[d - 2, lo - 1 : hi], out=out)
+        row = acc[d, lo : hi + 1]
+        np.add(row, out, out=row)
+    return float(acc[n + m, n])

@@ -29,19 +29,29 @@ which render with one config, so the serial pins the whole answer.)  A
 typed refresh keeps an untouched class's graph object, so that class's
 answers stay warm.  A request resolves its class graph and probes the
 cache *before* snapping, so an exactly-repeated query costs one LRU
-lookup: no snap, no search, no geometry.  Only the exact raw endpoints
+lookup: no snap and no search, and from its second repeat on no
+geometry either.  Only the exact raw endpoints
 may reuse an answer, because simplification and resampling both see
 the pinned endpoints; a nudged endpoint is searched and rendered again,
 bit-identically.  Every answer is stored by the same rule -- routed
 paths, no-route answers and out-of-coverage straight lines alike -- and
 nothing caches a search result.
 
-An entry is an :class:`_Answer`, only what a response reads: the
-coordinate arrays, the method, ``expanded``, the cell count and the
-metric length.  The rendered path's cell array, a slice of its whole
-batch's kernel output, is dropped once counted.  Cached coordinate
-arrays are shared across responses; callers must treat them as
-read-only (the transport only serialises them).
+An entry is an :class:`_Answer`: the method, ``expanded``, the cell
+count and the metric length, and the geometry in one of two forms.  A
+miss stores the **compact** form, the ``(4, k)`` float64 block of the
+path's RDP-kept vertices (lat, lng and the x/y of the path's own
+projection; a straight-line fallback holds none), from which the 250 m
+samples are a deterministic function.  The first hit re-renders the
+samples and puts the entry back in the **sampled** form, the samples
+alone, so memory grows only with reuse: a cold entry is ~0.6 KB on a
+resolution-10 model where samples cost ~5 KB, and a reused one is what
+every entry used to be.  (A miss whose samples are smaller than its
+vertices, such as a zero-length gap, stores them at once.)  The
+rendered path's cell array, a slice of its whole batch's kernel output,
+is dropped once counted.  Sample arrays are shared across responses;
+callers must treat them as read-only (the transport only serialises
+them).  ``/healthz`` reports the arrays' bytes, a running sum.
 
 **Dead entries leave with their graph.**  The cache remembers the serial
 it last served for each ``(model id, class tag)``.  Serials grow with
@@ -67,12 +77,15 @@ tier ``"cross_batch"``, the cross-request extension of ``"coalesced"``.
 The dispatcher and the answer cache are always on; there is exactly
 one miss path.
 
-**Rendering is batch-native too:** a batch's misses render in one
-:meth:`repro.core.habit.HabitImputer.render_paths` call per resolved
-class graph -- one level-synchronous RDP pass over all their paths --
-requests sharing an answer key share one render, and each gap is
-charged an equal share of its group's render time, as it is of its
-group's kernel call.
+**Rendering is batch-native too:** a batch's misses are simplified in
+one :meth:`repro.core.habit.HabitImputer.simplify_paths` call per
+resolved class graph -- one level-synchronous RDP pass over all their
+paths -- and the misses and the compact hits are resampled together in
+one :func:`repro.core.path.resample_blocks` call, the two stages
+:meth:`~repro.core.habit.HabitImputer.render_paths` composes offline.
+Requests sharing an answer key share one render, and each rendered gap
+is charged an equal share of the render stage, as it is of its group's
+kernel call.
 
 Every result carries :class:`repro.service.schema.Provenance`: which
 model answered, how it was obtained (cache hit / disk load / fit), the
@@ -91,6 +104,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core import HabitConfig
+from repro.core.path import resample_blocks
 from repro.geo.budget import compress_rendered_path
 from repro.geo.proj import path_lengths_m, polylines_xy_m
 from repro.obs import METRICS
@@ -134,20 +148,40 @@ PATH_CACHE_SIZE = 4096
 
 
 class _Answer(NamedTuple):
-    """One cached answer: exactly what a response reads."""
+    """One answer, in one of two forms, plus exactly what a response
+    reads besides its coordinates.
 
-    lats: np.ndarray
-    lngs: np.ndarray
+    The compact form holds ``vertices``, the ``(4, k)`` float64 block
+    :meth:`~repro.core.habit.HabitImputer.simplify_paths` returns (rows
+    lat, lng, x, y), or ``None`` for a straight-line fallback, which is
+    re-made from the request's raw endpoints; ``lats``/``lngs`` are
+    ``None``.  The sampled form holds the
+    :data:`~repro.core.path.RESAMPLE_M` samples in ``lats``/``lngs`` and
+    no vertices: every response's answer, and a cache entry once it has
+    been hit.
+    """
+
+    vertices: np.ndarray | None
+    lats: np.ndarray | None
+    lngs: np.ndarray | None
     method: str
     expanded: int
     num_cells: int
     length_m: float
 
+    @property
+    def nbytes(self):
+        """Bytes of the arrays this answer holds."""
+        if self.lats is not None:
+            return self.lats.nbytes + self.lngs.nbytes
+        return 0 if self.vertices is None else self.vertices.nbytes
+
 
 class _PathCache:
-    """Thread-safe bounded LRU with its own hit/miss counters, keyed by
-    ``(graph serial, ...)`` and emptied of a graph's entries once a
-    newer graph serves the same ``(model id, class tag)``."""
+    """Thread-safe bounded LRU with its own hit/miss counters and a
+    running sum of its answers' array bytes, keyed by ``(graph serial,
+    ...)`` and emptied of a graph's entries once a newer graph serves the
+    same ``(model id, class tag)``."""
 
     def __init__(self, capacity):
         self.capacity = int(capacity)
@@ -156,6 +190,8 @@ class _PathCache:
         self._serving = {}  # (model id, class tag) -> newest graph serial seen
         self.hits = 0
         self.misses = 0
+        #: :attr:`_Answer.nbytes` summed over the entries.
+        self.bytes = 0
 
     def track(self, owner, serial):
         """Note that *owner* answers on graph *serial*.  A newer serial
@@ -171,7 +207,7 @@ class _PathCache:
             self._serving[owner] = serial
             if old is not None and old not in self._serving.values():
                 for key in [key for key in self._entries if key[0] == old]:
-                    del self._entries[key]
+                    self.bytes -= self._entries.pop(key).nbytes
 
     def get(self, key):
         with self._lock:
@@ -188,10 +224,23 @@ class _PathCache:
         with self._lock:
             if key[0] not in self._serving.values():
                 return
+            old = self._entries.get(key)
+            if old is not None:
+                self.bytes -= old.nbytes
             self._entries[key] = value
+            self.bytes += value.nbytes
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                self.bytes -= self._entries.popitem(last=False)[1].nbytes
+
+    def inflate(self, key, entry, value):
+        """Replace *entry*, as :meth:`get` returned it, with *value* (the
+        same answer in its sampled form), in place in the LRU order --
+        unless the key has been evicted, dropped or stored anew since."""
+        with self._lock:
+            if self._entries.get(key) is entry:
+                self._entries[key] = value
+                self.bytes += value.nbytes - entry.nbytes
 
     def __len__(self):
         return len(self._entries)
@@ -230,13 +279,14 @@ class BatchImputationEngine:
 
     def path_cache_stats(self):
         """JSON-ready answer-cache block for ``/healthz``: this engine's
-        own hit/miss counts, entries and capacity."""
+        own hit/miss counts, entries, capacity and held array bytes."""
         cache = self.render_cache
         return {
             "hits": cache.hits,
             "misses": cache.misses,
             "entries": len(cache),
             "capacity": cache.capacity,
+            "bytes": cache.bytes,
         }
 
     def _run_batched(self, models, requests):
@@ -256,23 +306,24 @@ class BatchImputationEngine:
         The lanes go through the dispatcher, where they can further fuse
         with other concurrent requests' lanes; a lane answered by
         another request's identical search records ``"cross_batch"``.
-        The misses of each resolved class graph then render together in
-        one :meth:`~repro.core.habit.HabitImputer.render_paths` call,
-        which also measures every rendered path; requests sharing an
-        answer key share one render, and every rendered answer is stored
-        under its key as an :class:`_Answer` -- unless its graph was
-        replaced while the batch ran.  :meth:`_compress` then budgets the
-        over-large answers in one pass.  Per-request latency charges each
-        rider its probe/snap time plus an equal share of its group's
-        kernel call, of its group's render call and of the compression
-        stage.  The per-gap metric series are fed in bulk, one call per
-        series per batch.
+        :meth:`_render` then gives every answer of the batch that lacks
+        them its samples -- the misses, simplified per resolved class
+        graph, and the compact hits, resampled together in one call;
+        requests sharing an answer key share one render, and every
+        rendered answer is stored under its key as an :class:`_Answer`
+        -- unless its graph was replaced while the batch ran.
+        :meth:`_compress` then budgets the over-large answers in one
+        pass.  Per-request latency charges each rider its probe/snap time
+        plus an equal share of its group's kernel call, of the render
+        stage and of the compression stage.  The per-gap metric series
+        are fed in bulk, one call per series per batch.
         """
         answers = [None] * len(requests)
         tiers = [None] * len(requests)
         elapsed = [0.0] * len(requests)
         lanes = {}  # route key -> (plain imputer, (src, dst), rider idxs)
         renders = {}  # answer key -> (plain imputer, request, route key | None, rider idxs)
+        inflates = {}  # answer key -> (compact entry, request, rider idxs)
         for i, request in enumerate(requests):
             started = time.perf_counter()
             imputer, model_id, _ = models[(request.dataset.upper(), request.typed)]
@@ -288,6 +339,8 @@ class BatchImputationEngine:
             if entry is not _MISSING:
                 answers[i] = entry
                 tiers[i] = "hit"
+                if entry.lats is None:
+                    inflates.setdefault(key, (entry, request, []))[2].append(i)
             else:
                 snapped = plain.snap_endpoints(request.start, request.end)
                 route = None if snapped is None else (serial, *snapped)
@@ -321,32 +374,8 @@ class BatchImputationEngine:
                     tiers[riders[0]] = "cross_batch"
                 for i in riders:
                     elapsed[i] += share
-        groups = {}  # id(plain imputer) -> (plain imputer, [answer keys])
-        for key, (plain, *_) in renders.items():
-            groups.setdefault(id(plain), (plain, []))[1].append(key)
-        for plain, keys in groups.values():
-            started = time.perf_counter()
-            pending = [renders[key] for key in keys]
-            rendered, rendered_lengths = plain.render_paths(
-                [request.start for _, request, _, _ in pending],
-                [request.end for _, request, _, _ in pending],
-                # A bypass has no route key: it renders the straight line.
-                [results.get(route) for _, _, route, _ in pending],
-            )
-            riders = []
-            for key, path, length, (*_, idxs) in zip(
-                keys, rendered, rendered_lengths, pending
-            ):
-                answer = _Answer(
-                    path.lats, path.lngs, path.method, path.expanded, len(path.cells), length
-                )
-                self.render_cache.put(key, answer)
-                for i in idxs:
-                    answers[i] = answer
-                riders.extend(idxs)
-            share = (time.perf_counter() - started) / len(riders)
-            for i in riders:
-                elapsed[i] += share
+        if renders or inflates:
+            self._render(renders, inflates, results, answers, elapsed)
         budgets = self._compress(requests, answers, elapsed)
         _PATH_CACHE_TOTAL.inc_many((tier,) for tier in tiers)
         _IMPUTE_SECONDS.observe_many(elapsed, ("thread",))
@@ -379,6 +408,70 @@ class BatchImputationEngine:
                 )
             )
         return out
+
+    def _render(self, renders, inflates, results, answers, elapsed):
+        """Give every answer of the batch its samples.
+
+        The misses are simplified, one
+        :meth:`~repro.core.habit.HabitImputer.simplify_paths` call per
+        resolved class graph; then they and the compact hits are
+        resampled together in one :func:`repro.core.path.resample_blocks`
+        call, and the misses measured in one
+        :func:`repro.geo.proj.path_lengths_m` call.  A miss stores the
+        smaller of its two forms -- nearly always the compact one; a
+        compact hit puts its entry back in the sampled form.  Every
+        rider is charged an equal share of the stage.
+        """
+        started = time.perf_counter()
+        groups = {}  # id(plain imputer) -> (plain imputer, [answer keys])
+        for key, (plain, *_) in renders.items():
+            groups.setdefault(id(plain), (plain, []))[1].append(key)
+        fresh = {}  # answer key -> (vertex block | None, search result | None)
+        for plain, keys in groups.values():
+            pending = [renders[key] for key in keys]
+            # A bypass has no route key: it renders the straight line.
+            routes = [results.get(route) for _, _, route, _ in pending]
+            blocks = plain.simplify_paths(
+                [request.start for _, request, _, _ in pending],
+                [request.end for _, request, _, _ in pending],
+                routes,
+            )
+            fresh.update(zip(keys, zip(blocks, routes)))
+        pending = [renders[key][1] for key in fresh]
+        pending += [request for _, request, _ in inflates.values()]
+        samples = resample_blocks(
+            [request.start for request in pending],
+            [request.end for request in pending],
+            [block for block, _ in fresh.values()]
+            + [entry.vertices for entry, _, _ in inflates.values()],
+        )
+        missed, hit = samples[: len(fresh)], samples[len(fresh) :]
+        lengths = path_lengths_m([lats for lats, _ in missed], [lngs for _, lngs in missed])
+        riders = []
+        for (key, (block, result)), (lats, lngs), length in zip(fresh.items(), missed, lengths):
+            if result is None:
+                scalars = ("fallback", 0, 0, length)
+            else:
+                scalars = (result.method, result.expanded, len(result.cells), length)
+            answer = _Answer(None, lats, lngs, *scalars)
+            if block is None or block.nbytes < answer.nbytes:
+                # Owned: a view would pin the whole batch's block.
+                block = None if block is None else block.copy()
+                self.render_cache.put(key, _Answer(block, None, None, *scalars))
+            else:
+                self.render_cache.put(key, answer)
+            for i in renders[key][3]:
+                answers[i] = answer
+            riders.extend(renders[key][3])
+        for (key, (entry, _, idxs)), (lats, lngs) in zip(inflates.items(), hit):
+            answer = _Answer(None, lats, lngs, *entry[3:])
+            self.render_cache.inflate(key, entry, answer)
+            for i in idxs:
+                answers[i] = answer
+            riders.extend(idxs)
+        share = (time.perf_counter() - started) / len(riders)
+        for i in riders:
+            elapsed[i] += share
 
     @staticmethod
     def _compress(requests, answers, elapsed):

@@ -27,6 +27,18 @@ def service_model(tiny_kiel):
     )
 
 
+@pytest.fixture(scope="session")
+def r10_model(tiny_kiel):
+    """The service model's config at resolution 10, the resolution the
+    socket benchmark serves: there RDP keeps a handful of vertices a
+    path, so an answer's vertex block is far smaller than its samples."""
+    from repro.core import HabitConfig, HabitImputer
+
+    return HabitImputer(HabitConfig(resolution=10, tolerance_m=100.0)).fit_from_trips(
+        tiny_kiel.train
+    )
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(7)

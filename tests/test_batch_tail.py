@@ -23,6 +23,7 @@ from repro.core.graph import _SEARCH_SECONDS, SearchResult
 from repro.core.path import (
     RESAMPLE_M,
     ImputedPath,
+    resample_blocks,
     resample_polyline,
     resample_polylines_xy,
     straight_line_path,
@@ -463,15 +464,25 @@ def test_impute_batch_equals_one_gap_impute(service_model, fitted_gti, tiny_kiel
 # -- golden /impute body -------------------------------------------------
 
 
+def _cached_samples(entry, request):
+    """An answer-cache entry's samples: attached once it has been hit,
+    else resampled from its vertex block (or the straight line)."""
+    if entry.lats is not None:
+        return entry.lats, entry.lngs
+    return resample_blocks([request.start], [request.end], [entry.vertices])[0]
+
+
 def _oracle_result(engine, registry, config, result):
     """*result* with its geometry, length and budget fields recomputed by
     the per-path oracles; the engine's answer cache must hold the
-    request's pre-budget answer, equal to the oracle's render."""
+    request's pre-budget answer, whose samples -- attached, or
+    resampled from its vertices -- equal the oracle's render."""
     request = result.request
     imputer, model_id, _ = registry.get(request.dataset, config, typed=request.typed)
     plain = imputer.resolve(request.vessel_type)[0] if request.typed else imputer
     cached = engine.render_cache.get((plain.graph.serial, request.start, request.end))
     assert cached is not _MISSING
+    cached_lats, cached_lngs = _cached_samples(cached, request)
     snapped = plain.snap_endpoints(request.start, request.end)
     if snapped is None:
         path = straight_line_path(request.start, request.end, method="fallback")
@@ -483,7 +494,7 @@ def _oracle_result(engine, registry, config, result):
             _oracle_render(plain, request.start, request.end, route),
             expanded=cached.expanded,
         )
-    assert _bits_equal(cached.lats, path.lats) and _bits_equal(cached.lngs, path.lngs)
+    assert _bits_equal(cached_lats, path.lats) and _bits_equal(cached_lngs, path.lngs)
     assert cached.length_m == _oracle_length(path.lats, path.lngs)
     assert cached.num_cells == len(path.cells)
     length = _oracle_length(path.lats, path.lngs)
@@ -612,13 +623,14 @@ def test_answer_cache_out_of_coverage_repeat_is_a_hit(tmp_path, service_model):
     assert _zeroed_body([first], "") == _zeroed_body([again], "")
 
 
-def test_answer_cache_holds_only_rendered_answers(tmp_path, service_model, tiny_kiel, rng):
-    """After a mixed batch the one cache holds one slim answer per
-    distinct request -- fallbacks and no-routes included: coordinate
-    arrays and scalars, never a search result or a per-cell sequence."""
-    config = service_model.config
-    registry, no_route = _mixed_batch_setup(tmp_path, service_model, tiny_kiel)
-    gaps = _endpoint_requests(service_model, rng, 3)
+def test_answer_cache_holds_only_rendered_answers(tmp_path, r10_model, tiny_kiel, rng):
+    """After a mixed batch the one cache holds one compact answer per
+    distinct request -- fallbacks and no-routes included: a vertex block
+    (none for a straight line) and scalars, no samples, never a search
+    result or a per-cell sequence."""
+    config = r10_model.config
+    registry, no_route = _mixed_batch_setup(tmp_path, r10_model, tiny_kiel)
+    gaps = _endpoint_requests(r10_model, rng, 3)
     requests = [
         GapRequest("KIEL", *gaps[0], "miss"),
         GapRequest("KIEL", *gaps[0], "rider"),
@@ -641,7 +653,95 @@ def test_answer_cache_holds_only_rendered_answers(tmp_path, service_model, tiny_
     assert len(entries) == len(requests) - 1
     for entry in entries:
         assert not isinstance(entry, (ImputedPath, SearchResult))
-        assert entry._fields == ("lats", "lngs", "method", "expanded", "num_cells", "length_m")
-        assert all(isinstance(coords, np.ndarray) for coords in (entry.lats, entry.lngs))
+        assert entry._fields == (
+            "vertices",
+            "lats",
+            "lngs",
+            "method",
+            "expanded",
+            "num_cells",
+            "length_m",
+        )
+        assert entry.lats is None and entry.lngs is None
+        if entry.method == "fallback":
+            assert entry.vertices is None and entry.num_cells == 0
+        else:
+            assert entry.vertices.dtype == np.float64 and entry.vertices.shape[0] == 4
+            assert entry.vertices.base is None  # owns its bytes, pins no batch array
         assert isinstance(entry.method, str) and isinstance(entry.length_m, float)
         assert isinstance(entry.expanded, int) and isinstance(entry.num_cells, int)
+
+
+def _cache_requests(model, tiny_kiel, tmp_path, rng):
+    """A registry serving *model* and a typed model, and one request of
+    every answer shape: routed, coalesced riders, budgeted, zero-length,
+    no-route, out-of-coverage and typed."""
+    registry, no_route = _mixed_batch_setup(tmp_path, model, tiny_kiel)
+    gaps = _endpoint_requests(model, rng, 4)
+    node = (float(model.graph.lats[0]), float(model.graph.lngs[0]))
+    requests = [
+        GapRequest("KIEL", *gaps[0], "routed"),
+        GapRequest("KIEL", *gaps[1], "rider-a"),
+        GapRequest("KIEL", *gaps[1], "rider-b"),
+        GapRequest("KIEL", *gaps[2], "squeezed", max_points=4),
+        GapRequest("KIEL", *gaps[2], "roomy", max_points=100_000),
+        GapRequest("KIEL", node, node, "zero-length"),
+        GapRequest("KIEL", *no_route, "no-route"),
+        GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
+        GapRequest("KIEL", *gaps[3], "typed", typed=True, vessel_type="cargo"),
+    ]
+    return registry, requests
+
+
+def _sampled_keys(engine):
+    """Keys of the entries in the sampled form; no entry holds both."""
+    entries = engine.render_cache._entries
+    assert not any(e.lats is not None and e.vertices is not None for e in entries.values())
+    return {key for key, entry in entries.items() if entry.lats is not None}
+
+
+def test_answer_cache_hit_equals_miss_in_a_mixed_batch(tmp_path, r10_model, tiny_kiel, rng):
+    """A miss stores the compact entry (the zero-length path, whose two
+    samples are smaller than its vertices, excepted); the first hit
+    re-renders it -- beside a fresh miss in the same batch -- and puts
+    it back sampled; the second hit reads the samples.  All three answer
+    the same bytes."""
+    config = r10_model.config
+    registry, requests = _cache_requests(r10_model, tiny_kiel, tmp_path, rng)
+    (extra,) = _endpoint_requests(r10_model, np.random.default_rng(99), 1)
+    engine = BatchImputationEngine(registry)
+    serial = r10_model.graph.serial
+    zero_length = (serial, requests[5].start, requests[5].end)
+    cold = engine.run(requests, config)
+    assert _sampled_keys(engine) == {zero_length}
+    first = engine.run([*requests, GapRequest("KIEL", *extra, "fresh")], config)
+    assert [r.provenance.path_cache for r in first] == ["hit"] * len(requests) + ["miss"]
+    assert _sampled_keys(engine) == set(engine.render_cache._entries) - {(serial, *extra)}
+    second = engine.run(requests, config)
+    assert [r.provenance.path_cache for r in second] == ["hit"] * len(requests)
+    body = _zeroed_body(cold, "")
+    assert _zeroed_body(first[:-1], "") == body
+    assert _zeroed_body(second, "") == body
+    squeezed = cold[3].provenance
+    assert squeezed.points_in > squeezed.points_out == 4
+    assert cold[5].num_points == 2 and cold[6].provenance.fallback
+    assert cold[7].provenance.fallback and cold[8].provenance.method == "ch"
+
+
+def test_answer_cache_hit_equals_miss_alone(tmp_path, r10_model, tiny_kiel, rng):
+    """Each request alone on a fresh engine: its miss, first (re-rendered)
+    hit and second (sampled) hit answer the bytes it answers inside the
+    mixed batch."""
+    config = r10_model.config
+    registry, requests = _cache_requests(r10_model, tiny_kiel, tmp_path, rng)
+    mixed = BatchImputationEngine(registry).run(requests, config)
+    for request, want in zip(requests, mixed):
+        engine = BatchImputationEngine(registry)
+        runs, sampled = [], []
+        for _ in range(3):
+            runs.append(engine.run([request], config)[0])
+            sampled.append(len(_sampled_keys(engine)))
+        assert [r.provenance.path_cache for r in runs[1:]] == ["hit", "hit"]
+        assert sampled == [int(request.request_id == "zero-length"), 1, 1]
+        for got in runs:
+            assert _zeroed_body([got], "") == _zeroed_body([want], ""), request.request_id

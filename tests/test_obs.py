@@ -438,8 +438,8 @@ def test_http_unknown_routes_fold_into_other_label(server):
 def test_healthz_path_cache_block(server, tiny_kiel):
     _, before = _get_json(server, "/healthz")
     block = before["path_cache"]
-    assert {"hits", "misses", "entries", "capacity"} <= set(block)
-    assert block["capacity"] == 4096 and block["entries"] == 0
+    assert {"hits", "misses", "entries", "capacity", "bytes"} <= set(block)
+    assert block["capacity"] == 4096 and block["entries"] == block["bytes"] == 0
     gap = tiny_kiel.gaps(3600.0)[0]
     payload = {"dataset": "KIEL", "start": list(gap.start), "end": list(gap.end)}
     _post(server, "/impute", payload)

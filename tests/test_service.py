@@ -29,7 +29,7 @@ from repro.service import (
     make_server,
     parse_impute_payload,
 )
-from repro.service.engine import _PathCache
+from repro.service.engine import _MISSING, _Answer, _PathCache
 
 
 @pytest.fixture()
@@ -902,17 +902,21 @@ def test_path_cache_stats_are_per_engine(registry, service_model, tiny_kiel):
             first.run(request, service_model.config)
             first.run(request, service_model.config)
             second = BatchImputationEngine(registry)
+            held = first.render_cache.bytes
+            assert held > 0
             assert first.path_cache_stats() == {
                 "hits": 1,
                 "misses": 1,
                 "entries": 1,
                 "capacity": 4096,
+                "bytes": held,
             }
             assert second.path_cache_stats() == {
                 "hits": 0,
                 "misses": 0,
                 "entries": 0,
                 "capacity": 4096,
+                "bytes": 0,
             }
     finally:
         METRICS.set_enabled(was_enabled)
@@ -1230,39 +1234,87 @@ def test_answer_cache_evicts_dead_entries_after_refresh(
     assert len(engine.render_cache) == 6
 
 
-def test_answer_cache_bytes_per_cold_answer_are_bounded(registry, service_model, rng):
-    """Cold answers cost their coordinate bytes plus a small fixed
-    record each (~0.6 KB measured).  A per-cell sequence would blow the
-    2 KB bound: a tuple of Python ints costs at least 32 B a cell."""
-    config = service_model.config
-    gaps = _node_gaps(service_model.graph, rng, 64)
+def test_answer_cache_bytes_per_cold_answer_are_bounded(tmp_path, r10_model, rng):
+    """A cold answer is a compact entry: its RDP-kept vertex block and a
+    small fixed record, at most 1 KB in all (~0.6 KB measured) on a
+    resolution-10 model.  Samples at 250 m spacing (16 B a point) or a
+    per-cell sequence (at least 32 B a cell) would blow the bound."""
+    registry = ModelRegistry(tmp_path / "models")
+    registry.publish("KIEL", r10_model)
+    config = r10_model.config
+    gaps = _node_gaps(r10_model.graph, rng, 64)
     requests = [GapRequest("KIEL", *gap, f"g{i}") for i, gap in enumerate(gaps)]
-    # Warm the graph's snap memo and every metric series on another engine.
+    # Warm every metric series on another engine.
     BatchImputationEngine(registry).run(requests, config)
     engine = BatchImputationEngine(registry)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        answered = []
         for lo in range(0, len(requests), 16):
-            engine.run(requests[lo : lo + 16], config)
+            answered += engine.run(requests[lo : lo + 16], config)
+        points = sum(result.num_points for result in answered)
+        del answered
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     entries = list(engine.render_cache._entries.values())
     assert len(entries) == len(requests)
+    assert all(entry.lats is None for entry in entries)
     cells = sum(entry.num_cells for entry in entries)
-    assert cells >= 64 * len(entries)  # a cell tuple would outweigh the slack
-    coordinates = sum(entry.lats.nbytes + entry.lngs.nbytes for entry in entries)
-    assert grown <= coordinates + 2048 * len(entries)
+    assert cells >= 64 * len(entries)  # a cell tuple would outweigh the bound
+    assert points * 16 > 1024 * len(entries)  # and so would the samples
+    assert grown <= 1024 * len(entries)
 
+
+def _held_bytes(cache):
+    return sum(
+        array.nbytes
+        for entry in cache._entries.values()
+        for array in (entry.vertices, entry.lats, entry.lngs)
+        if array is not None
+    )
+
+
+def test_answer_cache_bytes_track_entries(tmp_path, r10_model, tiny_kiel, rng):
+    """``/healthz`` ``bytes`` is a running sum that equals the arrays the
+    entries hold after a mixed batch, an inflating hit, an LRU eviction
+    and a refresh's dead-serial drop."""
+    registry = ModelRegistry(tmp_path / "models")
+    registry.publish("KIEL", r10_model)
+    config = r10_model.config
+    engine = BatchImputationEngine(registry)
+    cache = engine.render_cache
+    gaps = [
+        gap for gap in _node_gaps(r10_model.graph, rng, 40) if r10_model.impute(*gap).method == "ch"
+    ][:5]
+    mixed = [
+        GapRequest("KIEL", *gaps[0], "a"),
+        GapRequest("KIEL", *gaps[0], "rider"),
+        GapRequest("KIEL", *gaps[1], "budget", max_points=4),
+        GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
+    ]
+    engine.run(mixed, config)
+    compact = cache.bytes
+    assert len(cache) == 3 and compact == _held_bytes(cache) > 0
+    engine.run(mixed[:1], config)
+    assert cache.bytes == _held_bytes(cache) > compact
+    assert engine.path_cache_stats()["bytes"] == cache.bytes
+    cache.capacity = 3
+    engine.run([GapRequest("KIEL", *gap, f"e{i}") for i, gap in enumerate(gaps[2:4])], config)
+    assert len(cache) == 3 and cache.bytes == _held_bytes(cache)
+    registry.refresh("KIEL", tiny_kiel.test, config)
+    engine.run([GapRequest("KIEL", *gaps[4], "after")], config)
+    assert len(cache) == 1 and cache.bytes == _held_bytes(cache)
+    assert engine.path_cache_stats()["bytes"] == cache.bytes
 
 
 def test_answer_cache_stress_keeps_only_the_newest_graph():
     """Threads racing through graph serials 1..N of one model: every
-    entry left belongs to serial N, so no put of a replaced graph
-    slipped past a drop."""
+    entry left belongs to serial N, so no put or re-render of a replaced
+    graph slipped past a drop, and the byte count lost no update."""
     cache = _PathCache(1 << 16)
     last = 40
 
@@ -1270,8 +1322,14 @@ def test_answer_cache_stress_keeps_only_the_newest_graph():
         for serial in range(1, last + 1):
             cache.track(("KIEL", ""), serial)
             for k in range(5):
-                cache.put((serial, tid, k), serial)
-                cache.get((serial, tid, k))
+                key = (serial, tid, k)
+                vertices = np.zeros((4, 2 + serial % 3))
+                cache.put(key, _Answer(vertices, None, None, "ch", 0, 0, 0.0))
+                entry = cache.get(key)
+                if entry is not _MISSING:
+                    samples = np.zeros(3 + k)
+                    sampled = entry._replace(vertices=None, lats=samples, lngs=samples)
+                    cache.inflate(key, entry, sampled)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1286,6 +1344,7 @@ def test_answer_cache_stress_keeps_only_the_newest_graph():
     assert not any(thread.is_alive() for thread in threads)
     assert {key[0] for key in cache._entries} == {last}
     assert len(cache) == 8 * 5
+    assert cache.bytes == _held_bytes(cache)
 
 # -- budget compression (max_points) --------------------------------------
 
