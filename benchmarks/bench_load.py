@@ -10,8 +10,8 @@ open-loop request pileup) hammer a
 searches queued behind a running flush into one kernel call.
 
 The sweep crosses client counts (1 / 4 / 16 / 64, trimmed via
-``REPRO_BENCH_LOAD_CLIENTS`` for CI's quick pass) with three traffic
-tiers:
+``REPRO_BENCH_LOAD_CLIENTS`` for CI's quick pass, but always including
+the gates' 16) with three traffic tiers:
 
 - ``cold`` -- every request is a distinct never-seen route: the pure
   search regime, where the dispatcher's cross-request fusion either
@@ -31,14 +31,15 @@ and only the tail its sample count can back: the highest of p99/p95/p90
 with at least ten samples beyond it, and no tail below forty samples
 (so the 6-round cold rows at 1 and 4 clients report a median alone).
 Flush behaviour comes from
-the ``repro_dispatch_*`` metric deltas.  Everything lands in
+the ``repro_dispatch_*`` metrics, read before and after each scenario.  Everything lands in
 ``BENCH_load.json`` (committed from a representative run, uploaded by
 CI).  The regression gates at the bottom pin the dispatcher's claims: warm
 concurrent serving beats the one-pair route baseline (``scalar_route_us``,
 one uncached ``graph.find_path()`` -- a 1-lane kernel call -- per query)
 on median latency and sustained per-request cost, cold concurrency really fuses
 lanes across requests, and the ``cross_batch`` tier is live under a
-coalesced storm.  (A lone submission running at once is pinned
+coalesced storm -- each read at :data:`GATE_CLIENTS`, whatever else the
+sweep runs.  (A lone submission running at once is pinned
 deterministically in ``tests/test_dispatch.py``.)  All of it runs under
 ``--benchmark-disable`` -- measurements come from wall clocks and
 metric histograms, not pytest-benchmark timers.
@@ -55,14 +56,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.obs import METRICS, MetricsRegistry, diff_snapshots
+from repro.obs import METRICS
 from repro.service import BatchImputationEngine, GapRequest, ModelRegistry
 
-#: Closed-loop client counts the sweep crosses with every traffic tier.
-#: CI's quick pass sets REPRO_BENCH_LOAD_CLIENTS=1,8 to keep the bench
-#: job fast; the committed artifact comes from the full sweep.
+#: The client count every gate reads: the gates' bounds hold at 16
+#: concurrent clients, not at any lower count a trimmed sweep might pick.
+GATE_CLIENTS = 16
+#: Closed-loop client counts the sweep crosses with every traffic tier:
+#: REPRO_BENCH_LOAD_CLIENTS (CI's quick pass sets 1,16 to keep the
+#: bench job fast; the committed artifact comes from the full sweep),
+#: plus GATE_CLIENTS whatever that says.
 CLIENTS = tuple(
-    int(c) for c in os.environ.get("REPRO_BENCH_LOAD_CLIENTS", "1,4,16,64").split(",")
+    sorted(
+        {GATE_CLIENTS}
+        | {
+            int(c)
+            for c in os.environ.get("REPRO_BENCH_LOAD_CLIENTS", "1,4,16,64").split(",")
+        }
+    )
 )
 #: Requests each client issues, per traffic tier.
 ROUNDS = {"cold": 6, "warm": 30, "coalesced": 12}
@@ -191,24 +202,28 @@ def _latency_stats(seconds):
     return stats
 
 
-def _dispatch_stats(delta):
-    """Flush behaviour from the ``repro_dispatch_*`` metric deltas."""
-    scratch = MetricsRegistry()
-    scratch.absorb(delta)
-    lanes = scratch.get("repro_dispatch_batch_lanes")
-    flushes = lanes.count() if lanes is not None else 0
-    coalesced = scratch.get("repro_dispatch_coalesced_total")
+def _dispatch_reading():
+    """``(flushes, lanes, coalesced)`` so far: the ``repro_dispatch_*``
+    metrics' cumulative values."""
+    lanes = METRICS.get("repro_dispatch_batch_lanes")
+    coalesced = METRICS.get("repro_dispatch_coalesced_total")
+    return lanes.count(), lanes.sum(), coalesced.value()
+
+
+def _dispatch_stats(before, after):
+    """Flush behaviour between two :func:`_dispatch_reading` calls."""
+    flushes, lanes, coalesced = (b - a for a, b in zip(before, after))
     return {
         "flushes": flushes,
-        "mean_lanes": round(lanes.sum() / flushes, 2) if flushes else 0.0,
-        "coalesced": coalesced.value() if coalesced is not None else 0,
+        "mean_lanes": round(lanes / flushes, 2) if flushes else 0.0,
+        "coalesced": coalesced,
     }
 
 
 def _run_scenario(engine, config, per_client, lockstep=False):
-    before = METRICS.snapshot()
+    before = _dispatch_reading()
     wall, results, seconds = _closed_loop(engine, config, per_client, lockstep)
-    delta = diff_snapshots(METRICS.snapshot(), before)
+    dispatch = _dispatch_stats(before, _dispatch_reading())
     n = len(results)
     return {
         "clients": len(per_client),
@@ -216,7 +231,7 @@ def _run_scenario(engine, config, per_client, lockstep=False):
         "throughput_rps": round(n / wall, 1),
         "per_request_us": round(wall / n * 1e6, 1),
         "latency": _latency_stats(seconds),
-        "dispatch": _dispatch_stats(delta),
+        "dispatch": dispatch,
         "tiers": dict(Counter(r.provenance.path_cache for r in results)),
     }
 
@@ -296,7 +311,7 @@ def test_load_artifact(load_sweep):
         "python": platform.python_version(),
         "clients": list(CLIENTS),
         "rounds_per_client": ROUNDS,
-        "source": "client-side wall clock per engine.run + repro_dispatch_* (snapshot deltas)",
+        "source": "client-side wall clock per engine.run + repro_dispatch_* (before/after reads)",
         "scalar_route_us": load_sweep["scalar_route_us"],
         "scenarios": load_sweep["scenarios"],
     }
@@ -323,7 +338,7 @@ def test_gate_warm_concurrency_beats_scalar_baseline(load_sweep):
     deliberately not gated: under the GIL it is dominated by scheduler
     descheduling tails, not by serving cost (it is still recorded in
     the artifact)."""
-    clients = 16 if 16 in CLIENTS else max(CLIENTS)
+    clients = GATE_CLIENTS
     warm = load_sweep["scenarios"][f"warm_c{clients}"]
     scalar = load_sweep["scalar_route_us"]
     print(
@@ -335,12 +350,10 @@ def test_gate_warm_concurrency_beats_scalar_baseline(load_sweep):
 
 
 def test_gate_cold_dispatcher_fuses_lanes(load_sweep):
-    """Cold concurrent singletons really fuse: at the highest swept
-    concurrency the dispatcher's flushes collect multiple search lanes
-    per kernel call on average."""
-    clients = max(CLIENTS)
-    if clients < 4:
-        pytest.skip("cold fusion gate needs a concurrent sweep (>= 4 clients)")
+    """Cold concurrent singletons really fuse: at 16 clients the
+    dispatcher's flushes collect multiple search lanes per kernel call
+    on average."""
+    clients = GATE_CLIENTS
     on = load_sweep["scenarios"][f"cold_c{clients}"]
     print(
         f"\ncold_c{clients}: mean {on['latency']['mean_us']:.0f}us, "
@@ -353,10 +366,8 @@ def test_gate_cold_dispatcher_fuses_lanes(load_sweep):
 def test_gate_cross_batch_tier_live(load_sweep):
     """The coalesced storm actually exercises cross-request dedup: the
     cross_batch provenance tier and the dispatcher's coalesce counter
-    both fire."""
-    clients = max(CLIENTS)
-    if clients < 2:
-        pytest.skip("cross-request coalescing needs >= 2 clients")
+    both fire, at 16 clients."""
+    clients = GATE_CLIENTS
     s = load_sweep["scenarios"][f"coalesced_c{clients}"]
     assert set(s["tiers"]) <= {"miss", "cross_batch", "hit", "coalesced"}, s["tiers"]
     assert s["tiers"].get("cross_batch", 0) > 0, s["tiers"]

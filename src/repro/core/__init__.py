@@ -16,10 +16,8 @@ This is the paper's method end to end:
    and answers gap queries with A* plus RDP smoothing
    (:mod:`repro.core.habit`, :mod:`repro.core.graph`).
 
-Side branches: :func:`annotate_events` / :func:`compress_trajectory`
-implement the critical-point compression ablation, and
-:class:`TypedHabitImputer` routes queries over per-vessel-type graphs
-(:mod:`repro.core.typed`).
+Side branch: :func:`annotate_events` / :func:`compress_trajectory`
+implement the critical-point compression ablation.
 """
 
 from repro.core.annotate import annotate_events, clean_messages, compress_trajectory
@@ -42,7 +40,6 @@ from repro.core.statistics import (
     merge_statistics,
     partial_statistics,
 )
-from repro.core.typed import TypedHabitImputer
 
 __all__ = [
     "CellGraph",
@@ -55,7 +52,6 @@ __all__ = [
     "SearchResult",
     "StatisticsState",
     "StreamingSegmenter",
-    "TypedHabitImputer",
     "annotate_events",
     "clean_messages",
     "compress_trajectory",

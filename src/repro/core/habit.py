@@ -105,14 +105,9 @@ _CH_KEYS = (
 )
 
 
-def _graph_arrays(prefix=""):
-    """Names of the arrays one saved graph occupies under *prefix*."""
-    return tuple(prefix + key for key in _GRAPH_KEYS + _CH_KEYS)
-
-
-#: Arrays every plain model file carries; the fit state's remaining
-#: arrays are checked by :func:`_state_from_npz`.
-_REQUIRED_ARRAYS = ("config", "revision", *_graph_arrays(), _STATE_PREFIX + "meta")
+#: Arrays every model file carries; the fit state's remaining arrays
+#: are checked by :func:`_state_from_npz`.
+_REQUIRED_ARRAYS = ("config", "revision", *_GRAPH_KEYS, *_CH_KEYS, _STATE_PREFIX + "meta")
 
 
 class ModelFormatError(ValueError):
@@ -131,55 +126,53 @@ def config_hash(config):
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 
 
-# -- shared .npz payload helpers (also used by the typed variant) ---------
+# -- .npz payload helpers --------------------------------------------------
 
 
-def _format_array(kind):
-    return np.array([kind, str(MODEL_FORMAT_VERSION)])
-
-
-def _check_format(data, kind, path, required):
+def _check_format(data, path):
     """Validate an opened ``np.load`` mapping before anything is parsed.
 
-    The format tag must name *kind* at :data:`MODEL_FORMAT_VERSION`, and
-    every array in *required* must be present; anything else raises
-    :class:`ModelFormatError`.  The loaders and the registry's revision
-    peek share this check, so the peek accepts exactly what loads.
+    The format tag must name :data:`MODEL_FORMAT` at
+    :data:`MODEL_FORMAT_VERSION`, and every array in
+    :data:`_REQUIRED_ARRAYS` must be present; anything else raises
+    :class:`ModelFormatError`.  :meth:`HabitImputer.load` and the
+    registry's revision peek share this check, so the peek accepts
+    exactly what loads.
     """
     if "format" not in data.files:
         raise ModelFormatError(
-            f"{path}: no format tag; not a {kind!r} model "
+            f"{path}: no format tag; not a {MODEL_FORMAT!r} model "
             "(or written by a pre-versioning release)"
         )
     tag = data["format"]
     name, version = str(tag[0]), str(tag[1])
-    if name != kind:
-        raise ModelFormatError(f"{path}: format {name!r}, expected {kind!r}")
+    if name != MODEL_FORMAT:
+        raise ModelFormatError(f"{path}: format {name!r}, expected {MODEL_FORMAT!r}")
     if version != str(MODEL_FORMAT_VERSION):
         raise ModelFormatError(
             f"{path}: format version {version}, this build reads only "
             f"version {MODEL_FORMAT_VERSION}"
         )
-    missing = [key for key in required if key not in data.files]
+    missing = [key for key in _REQUIRED_ARRAYS if key not in data.files]
     if missing:
         raise ModelFormatError(f"{path}: missing arrays {missing}")
 
 
-def _graph_payload(graph, prefix=""):
+def _graph_payload(graph):
     graph.ensure_ch()
-    return {prefix + key: getattr(graph, key) for key in _GRAPH_KEYS + _CH_KEYS}
+    return {key: getattr(graph, key) for key in _GRAPH_KEYS + _CH_KEYS}
 
 
-def _graph_from_npz(data, path, prefix=""):
-    """The graph (hierarchy and kernel tables installed) saved under
-    *prefix*; the arrays' presence was checked by :func:`_check_format`.
-    Edge costs that are not finite and positive, like a hierarchy
-    ``set_ch`` rejects, raise :class:`ModelFormatError`."""
-    graph = CellGraph(*(data[prefix + key] for key in _GRAPH_KEYS))
+def _graph_from_npz(data, path):
+    """The saved graph (hierarchy and kernel tables installed); the
+    arrays' presence was checked by :func:`_check_format`.  Edge costs
+    that are not finite and positive, like a hierarchy ``set_ch``
+    rejects, raise :class:`ModelFormatError`."""
+    graph = CellGraph(*(data[key] for key in _GRAPH_KEYS))
     if not (np.isfinite(graph.edge_cost) & (graph.edge_cost > 0)).all():
-        raise ModelFormatError(f"{path}: {prefix}edge_cost must be finite and positive")
+        raise ModelFormatError(f"{path}: edge_cost must be finite and positive")
     try:
-        graph.set_ch(*(data[prefix + key] for key in _CH_KEYS))
+        graph.set_ch(*(data[key] for key in _CH_KEYS))
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     return graph
@@ -302,11 +295,6 @@ class HabitImputer:
         self.graph = None
         #: Accumulated mergeable fit state (None until a partial fit).
         self._state = None
-        #: The state the current graph was built from -- states are
-        #: immutable and rebound on every fold, so identity against
-        #: ``_state`` is an exact "graph is stale" test (the typed
-        #: refresh path uses it to skip rebuilding untouched classes).
-        self._finalized_state = None
         #: Bumped by every :meth:`update`; surfaced in serving provenance.
         self.revision = 1
 
@@ -356,7 +344,6 @@ class HabitImputer:
             # included, so the published graph is serve-ready; the
             # hierarchy rides in the model payload so loads skip it.
             self.graph.ensure_ch()
-            self._finalized_state = self._state
         return self
 
     def fit_from_trips(self, trips):
@@ -382,12 +369,10 @@ class HabitImputer:
         :meth:`update`, and swaps the fork in.  States are immutable, so
         sharing one between the original and the fork is safe; the
         built graph rides along too (queries never mutate it beyond its
-        own locked memos), which lets a typed refresh skip rebuilding
-        classes the new chunk never touched.
+        own locked memos) until :meth:`update` replaces it.
         """
         fresh = type(self)(self.config)
         fresh._state = self._state
-        fresh._finalized_state = self._finalized_state
         fresh.graph = self.graph
         fresh.revision = self.revision
         return fresh
@@ -557,7 +542,7 @@ class HabitImputer:
         self._require_fitted()
         path = _normalize_npz_path(path)
         payload = {
-            "format": _format_array(MODEL_FORMAT),
+            "format": np.array([MODEL_FORMAT, str(MODEL_FORMAT_VERSION)]),
             "config": _config_payload(self.config),
             "revision": np.array([self.revision], dtype=np.int64),
             **_graph_payload(self.graph),
@@ -579,11 +564,9 @@ class HabitImputer:
         """
         path = Path(path)
         with _open_npz(path) as data:
-            _check_format(data, MODEL_FORMAT, path, _REQUIRED_ARRAYS)
+            _check_format(data, path)
             imputer = cls(_config_from_npz(data["config"], path))
             imputer.graph = _graph_from_npz(data, path)
             imputer.revision = int(data["revision"][0])
             imputer._state = _state_from_npz(data, path, _STATE_PREFIX)
-            # The persisted graph was built from this very state.
-            imputer._finalized_state = imputer._state
         return imputer

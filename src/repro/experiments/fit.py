@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core import HabitConfig, HabitImputer, TypedHabitImputer
+from repro.core import HabitConfig, HabitImputer
 from repro.experiments import common
 
 __all__ = ["FitReport", "dataset_fitter", "fit_and_save", "fit_habit"]
@@ -29,16 +29,11 @@ class FitReport:
     train_rows: int
 
 
-def fit_habit(dataset, config=None, scale=1.0, seed=0, cache_dir=None, typed=False):
-    """Prepare *dataset* and fit an imputer on its train split.
-
-    With *typed*, a :class:`TypedHabitImputer` (one graph per vessel
-    class plus a global fallback) is fitted instead of the plain model.
-    """
+def fit_habit(dataset, config=None, scale=1.0, seed=0, cache_dir=None):
+    """Prepare *dataset* and fit an imputer on its train split."""
     config = config or HabitConfig()
     prepared = common.prepare(dataset, scale=scale, cache_dir=cache_dir, seed=seed)
-    cls = TypedHabitImputer if typed else HabitImputer
-    imputer = cls(config).fit_from_trips(prepared.train)
+    imputer = HabitImputer(config).fit_from_trips(prepared.train)
     return imputer, prepared
 
 
@@ -49,7 +44,6 @@ def fit_and_save(
     scale=1.0,
     seed=0,
     cache_dir=None,
-    typed=False,
 ):
     """Fit *dataset* and publish the model into *registry*.
 
@@ -61,7 +55,7 @@ def fit_and_save(
     """
     started = time.perf_counter()
     imputer, prepared = fit_habit(
-        dataset, config=config, scale=scale, seed=seed, cache_dir=cache_dir, typed=typed
+        dataset, config=config, scale=scale, seed=seed, cache_dir=cache_dir
     )
     model_id, path = registry.publish(dataset, imputer)
     return FitReport(
@@ -75,20 +69,11 @@ def fit_and_save(
 
 
 def dataset_fitter(scale=1.0, seed=0, cache_dir=None):
-    """A ``fitter(dataset, config, typed=False)`` fit-on-miss callback.
+    """A ``fitter(dataset, config)`` fit-on-miss callback."""
 
-    The registry passes ``typed=True`` when a typed model misses, so one
-    callback serves both model kinds.
-    """
-
-    def fit(dataset, config, typed=False):
+    def fit(dataset, config):
         imputer, _ = fit_habit(
-            dataset,
-            config=config,
-            scale=scale,
-            seed=seed,
-            cache_dir=cache_dir,
-            typed=typed,
+            dataset, config=config, scale=scale, seed=seed, cache_dir=cache_dir
         )
         return imputer
 

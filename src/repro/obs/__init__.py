@@ -1,4 +1,4 @@
-"""``repro.obs``: a dependency-free, mergeable metrics core.
+"""``repro.obs``: a dependency-free metrics core.
 
 Three metric kinds -- labeled :class:`Counter`, :class:`Gauge`, and
 :class:`Histogram` (fixed log-spaced buckets) -- live in a
@@ -8,19 +8,11 @@ pipeline, model registry, batch engine, follow daemon, HTTP transport)
 declares its metrics against at import time, so a scrape always renders
 the full catalogue even before the first observation.
 
-The design contract is the same one :mod:`repro.minidb.partial` gives
-the fit pipeline: **snapshots are mergeable states**.
-:meth:`MetricsRegistry.snapshot` captures every series as plain
-picklable dicts, :func:`diff_snapshots` takes the growth between two
-snapshots of one registry, and :meth:`MetricsRegistry.absorb` folds a
-snapshot (or such a delta) back into a live registry -- bit-exactly for
-counters and histogram bucket counts (integer addition is associative
-and commutative, so fold order never changes a count).  Benchmarks use
-the delta to isolate one scenario's growth: snapshot, run, diff.
-
-Gauges are process-local by design: a gauge is a statement about *this*
-process ("models loaded here"), so :func:`diff_snapshots` drops them and
-absorb skips them.
+Every series is cumulative for the life of the process.  To measure one
+scenario, read a series' ``value()`` (counters) or ``count()`` /
+``sum()`` (histograms) before and after it and take the difference;
+:meth:`MetricsRegistry.snapshot` copies every series at once as plain
+dicts.
 
 Rendering: :meth:`MetricsRegistry.render_prometheus` emits the
 Prometheus text exposition format (version 0.0.4) served by
@@ -42,7 +34,6 @@ __all__ = [
     "COUNT_BUCKETS",
     "METRICS",
     "MetricsRegistry",
-    "diff_snapshots",
 ]
 
 
@@ -86,8 +77,7 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """A monotone sum.  Integer increments stay integers, so merged
-    snapshots reproduce the counts bit-exactly."""
+    """A monotone sum.  Integer increments stay integers."""
 
     kind = "counter"
 
@@ -125,7 +115,7 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """A point-in-time value (process-local; never shipped in deltas)."""
+    """A point-in-time value."""
 
     kind = "gauge"
 
@@ -164,8 +154,7 @@ class Histogram(_Metric):
     """Cumulative-bucket histogram over fixed edges.
 
     Each series is ``[per-bucket counts (last = +Inf), total count,
-    sum]``; bucket counts are integers, so merges are bit-exact like
-    counters.  ``observe`` costs one bisect plus three increments;
+    sum]``; bucket counts are integers.  ``observe`` costs one bisect plus three increments;
     ``observe_many`` records a batch under one lock.
     """
 
@@ -278,7 +267,7 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """A set of named metrics with mergeable snapshots.
+    """A set of named metrics.
 
     Declaring a metric is idempotent: re-declaring the same name with
     the same kind/labels returns the existing object (so every module
@@ -331,7 +320,7 @@ class MetricsRegistry:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self):
-        """Every series as plain picklable dicts (a mergeable state)."""
+        """Every series as plain dicts (what :meth:`render_json` renders)."""
         with self._lock:
             out = {}
             for name, metric in self._metrics.items():
@@ -352,46 +341,6 @@ class MetricsRegistry:
                     entry["buckets"] = list(metric.buckets)
                 out[name] = entry
             return out
-
-    def absorb(self, snapshot):
-        """Fold a snapshot (or a delta) into this registry's counts.
-
-        Unknown metrics are declared from the snapshot's metadata, so a
-        parent can absorb series its own process never touched.  Gauges
-        are skipped: they describe the donor process, not this one.
-        """
-        if not snapshot:
-            return self
-        for name, entry in snapshot.items():
-            kind = entry["kind"]
-            if kind == "gauge":
-                continue
-            if kind == "counter":
-                metric = self.counter(name, entry["help"], entry["label_names"])
-                with self._lock:
-                    for key, value in entry["series"].items():
-                        key = tuple(key)
-                        metric._series[key] = metric._series.get(key, 0) + value
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name, entry["help"], entry["label_names"], entry["buckets"]
-                )
-                if list(metric.buckets) != [float(b) for b in entry["buckets"]]:
-                    raise ValueError(f"metric {name!r}: bucket edges differ")
-                with self._lock:
-                    for key, value in entry["series"].items():
-                        key = tuple(key)
-                        series = metric._series.get(key)
-                        if series is None:
-                            series = [[0] * (len(metric.buckets) + 1), 0, 0.0]
-                            metric._series[key] = series
-                        for slot, count in enumerate(value["buckets"]):
-                            series[0][slot] += count
-                        series[1] += value["count"]
-                        series[2] += value["sum"]
-            else:
-                raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
-        return self
 
     # -- rendering ---------------------------------------------------------
 
@@ -471,53 +420,6 @@ def _label_str(label_names, label_values, extra=None):
         return ""
     body = ",".join(f'{name}="{_escape_label(str(v))}"' for name, v in pairs)
     return "{" + body + "}"
-
-
-def diff_snapshots(current, previous):
-    """The counter/histogram growth between two snapshots of one registry.
-
-    Isolates what happened between two points in time (a benchmark
-    scenario's growth); :meth:`MetricsRegistry.absorb` can fold the
-    delta into another registry.  Gauges are dropped (process-local);
-    series and metrics absent from *previous* pass through whole.
-    """
-    out = {}
-    for name, entry in current.items():
-        kind = entry["kind"]
-        if kind == "gauge":
-            continue
-        prev = (previous or {}).get(name)
-        prev_series = prev["series"] if prev else {}
-        series = {}
-        for key, value in entry["series"].items():
-            before = prev_series.get(key)
-            if before is None:
-                series[key] = (
-                    {
-                        "buckets": list(value["buckets"]),
-                        "count": value["count"],
-                        "sum": value["sum"],
-                    }
-                    if kind == "histogram"
-                    else value
-                )
-            elif kind == "histogram":
-                delta = {
-                    "buckets": [
-                        x - y for x, y in zip(value["buckets"], before["buckets"])
-                    ],
-                    "count": value["count"] - before["count"],
-                    "sum": value["sum"] - before["sum"],
-                }
-                if delta["count"]:
-                    series[key] = delta
-            else:
-                delta = value - before
-                if delta:
-                    series[key] = delta
-        if series:
-            out[name] = {**entry, "series": series}
-    return out
 
 
 #: The process-wide default registry every instrumented layer uses.

@@ -7,7 +7,7 @@ package provides the three pieces:
 - :class:`ModelRegistry` (:mod:`repro.service.registry`) -- discovers and
   LRU-caches serialised models keyed by ``(dataset, config_hash)``;
   :meth:`ModelRegistry.refresh` folds newly arrived trips into a served
-  model (plain or typed) without refitting history.
+  model without refitting history.
 - :class:`BatchImputationEngine` (:mod:`repro.service.engine`) -- groups
   gap requests by model and answers each group with one kernel sweep,
   timing and annotating every result with provenance.

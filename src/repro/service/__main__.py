@@ -53,14 +53,6 @@ def _build_parser():
         metavar="DATASET",
         help="fit-and-save this dataset (repeatable; DAN, KIEL, SAR)",
     )
-    parser.add_argument(
-        "--typed",
-        action="store_true",
-        help=(
-            "fit TypedHabitImputer models (per-vessel-class graphs) instead of "
-            "plain; with --follow, refresh the typed model"
-        ),
-    )
     parser.add_argument("--serve", action="store_true", help="start the HTTP daemon")
     parser.add_argument(
         "--registry",
@@ -243,7 +235,6 @@ def main(argv=None):
                 scale=args.scale,
                 seed=args.seed,
                 cache_dir=args.data_cache,
-                typed=args.typed,
             )
             print(
                 f"fitted {report.model_id} -> {report.path} "
@@ -265,7 +256,6 @@ def main(argv=None):
                 args.follow,
                 follow_dataset,
                 config=config,
-                typed=args.typed,
                 refresh_interval_s=args.refresh_interval,
                 poll_interval_s=args.poll_interval,
                 chunk_rows=args.chunk_rows,

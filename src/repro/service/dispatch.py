@@ -8,8 +8,7 @@ SPAA 2010): every request thread submits its snapped-and-cache-missed
 search lanes into a shared :class:`BatchDispatcher`, and whichever
 thread finds no flush running takes every pending submission and
 answers them all with one
-:meth:`~repro.core.habit.HabitImputer.route_batch` call per resolved
-class graph.
+:meth:`~repro.core.habit.HabitImputer.route_batch` call per model.
 
 There is no window, no lane cap and no background thread:
 
@@ -136,8 +135,8 @@ class BatchDispatcher:
             crossed = sum(len(sub.entries) for sub in batch) - len(lanes)
             if crossed:
                 DISPATCH_COALESCED_TOTAL.inc(crossed)
-            # One route_batch per resolved class graph: a single kernel
-            # sweep answers every lane riding that graph.
+            # One route_batch per model: a single kernel sweep answers
+            # every lane riding its graph.
             groups = {}
             for key, lane in lanes.items():
                 groups.setdefault(id(lane[0]), (lane[0], []))[1].append((key, lane))

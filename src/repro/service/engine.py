@@ -1,15 +1,15 @@
 """Batch imputation engine: many gap requests, one kernel sweep per model.
 
 The engine is the service's query executor.  A batch is grouped by
-``(dataset, typed)`` so each model -- plain or typed -- is resolved
-through the registry exactly once (one cache probe / disk load / fit per
-model, however many gaps ride on it).  Execution is **batch-native**:
-every request probes the answer cache, the misses snap their endpoints,
-identical routes are deduplicated (see request coalescing below) and
-handed to the dispatcher, which groups them by resolved class graph --
-a single vectorised CH kernel sweep (:mod:`repro.core.kernel`) answers a
-whole group instead of one Python heap loop per request.  Per-request
-``expanded``/cost/latency still land in provenance individually.
+dataset so each model is resolved through the registry exactly once
+(one cache probe / disk load / fit per model, however many gaps ride on
+it).  Execution is **batch-native**: every request probes the answer
+cache, the misses snap their endpoints, identical routes are
+deduplicated (see request coalescing below) and handed to the
+dispatcher, which groups them by graph -- a single vectorised CH kernel
+sweep (:mod:`repro.core.kernel`) answers a whole group instead of one
+Python heap loop per request.  Per-request ``expanded``/cost/latency
+still land in provenance individually.
 
 Everything runs in-process: fitted imputers are read-only, so the whole
 batch runs on the request thread -- snap is cheap Python, and the
@@ -26,11 +26,9 @@ very graph that computed it: a refitted, republished, refreshed or
 reloaded model has a new graph, hence a new serial, whatever its
 revision says.  (A graph is only shared between forks of one model,
 which render with one config, so the serial pins the whole answer.)  A
-typed refresh keeps an untouched class's graph object, so that class's
-answers stay warm.  A request resolves its class graph and probes the
-cache *before* snapping, so an exactly-repeated query costs one LRU
-lookup: no snap and no search, and from its second repeat on no
-geometry either.  Only the exact raw endpoints
+request probes the cache *before* snapping, so an exactly-repeated query
+costs one LRU lookup: no snap and no search, and from its second repeat
+on no geometry either.  Only the exact raw endpoints
 may reuse an answer, because simplification and resampling both see
 the pinned endpoints; a nudged endpoint is searched and rendered again,
 bit-identically.  Every answer is stored by the same rule -- routed
@@ -54,10 +52,10 @@ callers must treat them as read-only (the transport only serialises
 them).  ``/healthz`` reports the arrays' bytes, a running sum.
 
 **Dead entries leave with their graph.**  The cache remembers the serial
-it last served for each ``(model id, class tag)``.  Serials grow with
-build order, so the first request on a newer graph drops the older
-serial's entries in one pass, and an in-flight request still on the
-older graph is answered but not stored.
+it last served for each model id.  Serials grow with build order, so
+the first request on a newer graph drops the older serial's entries in
+one pass, and an in-flight request still on the older graph is answered
+but not stored.
 
 **Request coalescing:** a miss snaps its endpoints, and identical
 ``(graph serial, snapped src, snapped dst)`` routes within one batch are
@@ -71,16 +69,16 @@ shared :class:`repro.service.dispatch.BatchDispatcher`, a combining
 flush.  A submission that finds no flush running runs at once -- a lone
 request never waits -- and submissions from concurrent HTTP handler
 threads that arrive while one runs queue behind it and fuse into the
-next flush, one kernel call per resolved class graph.  Identical routes
-from *different* requests dedupe to one lane: the late arrivals record
+next flush, one kernel call per graph.  Identical routes from
+*different* requests dedupe to one lane: the late arrivals record
 tier ``"cross_batch"``, the cross-request extension of ``"coalesced"``.
 The dispatcher and the answer cache are always on; there is exactly
 one miss path.
 
 **Rendering is batch-native too:** a batch's misses are simplified in
 one :meth:`repro.core.habit.HabitImputer.simplify_paths` call per
-resolved class graph -- one level-synchronous RDP pass over all their
-paths -- and the misses and the compact hits are resampled together in
+model -- one level-synchronous RDP pass over all their paths -- and the
+misses and the compact hits are resampled together in
 one :func:`repro.core.path.resample_blocks` call, the two stages
 :meth:`~repro.core.habit.HabitImputer.render_paths` composes offline.
 Requests sharing an answer key share one render, and each rendered gap
@@ -181,13 +179,13 @@ class _PathCache:
     """Thread-safe bounded LRU with its own hit/miss counters and a
     running sum of its answers' array bytes, keyed by ``(graph serial,
     ...)`` and emptied of a graph's entries once a newer graph serves the
-    same ``(model id, class tag)``."""
+    same model id."""
 
     def __init__(self, capacity):
         self.capacity = int(capacity)
         self._entries = OrderedDict()
         self._lock = threading.Lock()
-        self._serving = {}  # (model id, class tag) -> newest graph serial seen
+        self._serving = {}  # model id -> newest graph serial seen
         self.hits = 0
         self.misses = 0
         #: :attr:`_Answer.nbytes` summed over the entries.
@@ -270,11 +268,9 @@ class BatchImputationEngine:
         config = config or HabitConfig()
         models = {}
         for request in requests:
-            key = (request.dataset.upper(), request.typed)
+            key = request.dataset.upper()
             if key not in models:
-                models[key] = self.registry.get(
-                    request.dataset, config, typed=request.typed
-                )
+                models[key] = self.registry.get(request.dataset, config)
         return self._run_batched(models, requests)
 
     def path_cache_stats(self):
@@ -292,12 +288,11 @@ class BatchImputationEngine:
     def _run_batched(self, models, requests):
         """Execute one batch: an answer-cache probe per request, one
         dispatcher submission for the routes to search, one render call
-        per resolved class graph.
+        per model.
 
-        Each request resolves its class graph, tracks that graph's
-        serial for its ``(model id, class tag)`` (dropping a replaced
-        graph's entries) and probes the answer cache under ``(graph
-        serial, raw start, raw end)``; a hit (tier ``"hit"``) takes the
+        Each request tracks its model's graph serial for the model id
+        (dropping a replaced graph's entries) and probes the answer
+        cache under ``(graph serial, raw start, raw end)``; a hit (tier ``"hit"``) takes the
         cached answer and never snaps.  A miss snaps: an out-of-coverage
         gap renders the straight line (tier ``"bypass"``), and the rest
         coalesce by snapped route key ``(graph serial, snapped src,
@@ -307,8 +302,8 @@ class BatchImputationEngine:
         with other concurrent requests' lanes; a lane answered by
         another request's identical search records ``"cross_batch"``.
         :meth:`_render` then gives every answer of the batch that lacks
-        them its samples -- the misses, simplified per resolved class
-        graph, and the compact hits, resampled together in one call;
+        them its samples -- the misses, simplified per model, and the
+        compact hits, resampled together in one call;
         requests sharing an answer key share one render, and every
         rendered answer is stored under its key as an :class:`_Answer`
         -- unless its graph was replaced while the batch ran.
@@ -321,18 +316,14 @@ class BatchImputationEngine:
         answers = [None] * len(requests)
         tiers = [None] * len(requests)
         elapsed = [0.0] * len(requests)
-        lanes = {}  # route key -> (plain imputer, (src, dst), rider idxs)
-        renders = {}  # answer key -> (plain imputer, request, route key | None, rider idxs)
+        lanes = {}  # route key -> (imputer, (src, dst), rider idxs)
+        renders = {}  # answer key -> (imputer, request, route key | None, rider idxs)
         inflates = {}  # answer key -> (compact entry, request, rider idxs)
         for i, request in enumerate(requests):
             started = time.perf_counter()
-            imputer, model_id, _ = models[(request.dataset.upper(), request.typed)]
-            if request.typed:
-                plain, class_tag = imputer.resolve(request.vessel_type)
-            else:
-                plain, class_tag = imputer, ""
-            serial = plain.graph.serial
-            self.render_cache.track((model_id, class_tag), serial)
+            imputer, model_id, _ = models[request.dataset.upper()]
+            serial = imputer.graph.serial
+            self.render_cache.track(model_id, serial)
             key = (serial, request.start, request.end)
             # A repeat within the batch is answered by the pending render.
             entry = _MISSING if key in renders else self.render_cache.get(key)
@@ -342,7 +333,7 @@ class BatchImputationEngine:
                 if entry.lats is None:
                     inflates.setdefault(key, (entry, request, []))[2].append(i)
             else:
-                snapped = plain.snap_endpoints(request.start, request.end)
+                snapped = imputer.snap_endpoints(request.start, request.end)
                 route = None if snapped is None else (serial, *snapped)
                 if route is None:
                     tiers[i] = "bypass"
@@ -350,19 +341,19 @@ class BatchImputationEngine:
                     lanes[route][2].append(i)
                     tiers[i] = "coalesced"
                 else:
-                    lanes[route] = (plain, snapped, [i])
+                    lanes[route] = (imputer, snapped, [i])
                     tiers[i] = "miss"
-                renders.setdefault(key, (plain, request, route, []))[3].append(i)
+                renders.setdefault(key, (imputer, request, route, []))[3].append(i)
             elapsed[i] = time.perf_counter() - started
         results = {}  # route key -> SearchResult | None
         if lanes:
             # The shared dispatcher fuses these lanes with other
             # concurrent requests' lanes and runs one kernel call per
-            # resolved class graph.
+            # graph.
             searched = self.dispatcher.submit(
                 [
-                    (route, plain, snapped, len(riders))
-                    for route, (plain, snapped, riders) in lanes.items()
+                    (route, imputer, snapped, len(riders))
+                    for route, (imputer, snapped, riders) in lanes.items()
                 ],
             )
             for route, (_, _, riders) in lanes.items():
@@ -381,7 +372,7 @@ class BatchImputationEngine:
         _IMPUTE_SECONDS.observe_many(elapsed, ("thread",))
         out = []
         for i, request in enumerate(requests):
-            imputer, model_id, source = models[(request.dataset.upper(), request.typed)]
+            imputer, model_id, source = models[request.dataset.upper()]
             answer = answers[i]
             points_in, points_out, max_sed = budgets[i]
             provenance = Provenance(
@@ -392,7 +383,7 @@ class BatchImputationEngine:
                 num_cells=answer.num_cells,
                 path_length_m=answer.length_m,
                 elapsed_ms=elapsed[i] * 1e3,
-                revision=getattr(imputer, "revision", 1),
+                revision=imputer.revision,
                 path_cache=tiers[i],
                 expanded=answer.expanded,
                 points_in=points_in,
@@ -414,7 +405,7 @@ class BatchImputationEngine:
 
         The misses are simplified, one
         :meth:`~repro.core.habit.HabitImputer.simplify_paths` call per
-        resolved class graph; then they and the compact hits are
+        model; then they and the compact hits are
         resampled together in one :func:`repro.core.path.resample_blocks`
         call, and the misses measured in one
         :func:`repro.geo.proj.path_lengths_m` call.  A miss stores the
@@ -423,15 +414,15 @@ class BatchImputationEngine:
         rider is charged an equal share of the stage.
         """
         started = time.perf_counter()
-        groups = {}  # id(plain imputer) -> (plain imputer, [answer keys])
-        for key, (plain, *_) in renders.items():
-            groups.setdefault(id(plain), (plain, []))[1].append(key)
+        groups = {}  # id(imputer) -> (imputer, [answer keys])
+        for key, (imputer, *_) in renders.items():
+            groups.setdefault(id(imputer), (imputer, []))[1].append(key)
         fresh = {}  # answer key -> (vertex block | None, search result | None)
-        for plain, keys in groups.values():
+        for imputer, keys in groups.values():
             pending = [renders[key] for key in keys]
             # A bypass has no route key: it renders the straight line.
             routes = [results.get(route) for _, _, route, _ in pending]
-            blocks = plain.simplify_paths(
+            blocks = imputer.simplify_paths(
                 [request.start for _, request, _, _ in pending],
                 [request.end for _, request, _, _ in pending],
                 routes,

@@ -81,7 +81,7 @@ class FollowDaemon:
     - *dataset*: the model to refresh.  It must be resolvable -- fit it
       first or give the registry a fitter.
     - *config*: the model's :class:`repro.core.HabitConfig` (default
-      config if omitted); *typed* selects the dataset's typed model.
+      config if omitted).
     - *refresh_interval_s*: minimum seconds between refreshes; closed
       trips buffer between refreshes, so a slow cadence batches more
       work per graph rebuild.
@@ -107,7 +107,6 @@ class FollowDaemon:
         path,
         dataset,
         config=None,
-        typed=False,
         refresh_interval_s=5.0,
         poll_interval_s=0.5,
         chunk_rows=DEFAULT_CHUNK_ROWS,
@@ -116,7 +115,6 @@ class FollowDaemon:
         self.registry = registry
         self.dataset = str(dataset)
         self.config = config or HabitConfig()
-        self.typed = bool(typed)
         self.refresh_interval_s = float(refresh_interval_s)
         self.poll_interval_s = float(poll_interval_s)
         self._follower = CsvFollower(path, chunk_rows=chunk_rows)
@@ -131,7 +129,7 @@ class FollowDaemon:
         # into a model that already contains it.  Trips still *open* at
         # shutdown are the documented (bounded) loss; delete the file to
         # deliberately start over.
-        model_id = registry.model_id(self.dataset, self.config, self.typed)
+        model_id = registry.model_id(self.dataset, self.config)
         self._state_path = Path(registry.root) / f"{model_id}.follow.json"
         self._stop = threading.Event()
         self._thread = None
@@ -141,7 +139,6 @@ class FollowDaemon:
         self._status = {
             "path": str(self._follower.path),
             "dataset": self.dataset,
-            "typed": self.typed,
             "running": False,
             "rows_read": 0,
             "open_rows": 0,
@@ -198,9 +195,7 @@ class FollowDaemon:
             state = json.load(handle)
         recorded = state.get("revision")
         if recorded is not None:
-            _, current = self.registry.peek_revision(
-                self.dataset, self.config, typed=self.typed
-            )
+            _, current = self.registry.peek_revision(self.dataset, self.config)
             if current is not None and current != recorded:
                 raise RuntimeError(
                     f"{self._state_path}: follow state was written at model "
@@ -324,9 +319,7 @@ class FollowDaemon:
         """
         chunk = self._pending[0] if len(self._pending) == 1 else Table.concat(self._pending)
         trips_closed = len(np.unique(np.asarray(chunk.column(schema.TRIP_ID))))
-        _, _, revision = self.registry.refresh(
-            self.dataset, chunk, self.config, typed=self.typed
-        )
+        _, _, revision = self.registry.refresh(self.dataset, chunk, self.config)
         self._pending = []
         self._pending_rows = 0
         self._save_state(revision)

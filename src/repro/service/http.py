@@ -27,8 +27,9 @@ Four routes:
   budget compression (:mod:`repro.geo.budget`); the provenance then
   reports ``points_in``/``points_out``/``max_sed_m``.
 
-Schema violations map to 400, unresolvable models to 404, everything
-else to 500 with the error message in the body.  The server is a
+Schema violations map to 400 (422 for a request field the service no
+longer accepts), unresolvable models to 404, everything else to 500
+with the error message in the body.  The server is a
 :class:`ThreadingHTTPServer`, so requests run concurrently -- one
 handler thread per connection; all shared state lives in the (locked)
 registry, the read-only models, the follow daemon's own locked status
@@ -312,7 +313,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             results = self.engine.run(requests, config)
             elapsed_ms = (time.perf_counter() - started) * 1e3
         except SchemaError as exc:
-            self._send_json(400, {"error": str(exc)})
+            self._send_json(exc.status, {"error": str(exc)})
             return
         except ModelNotFound as exc:
             self._send_json(404, {"error": exc.args[0]})

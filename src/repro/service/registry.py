@@ -1,31 +1,27 @@
 """Model registry: fit-once / serve-many over ``.npz``-serialised models.
 
-A registry owns one directory of fitted models -- plain
-:class:`repro.core.HabitImputer` and typed
-:class:`repro.core.TypedHabitImputer` alike -- one file per
-``(dataset, config, typed)`` triple.  The file name *is* the model id --
-``{DATASET}_{config_hash}.npz``, with a ``_TYPED`` marker for typed
-models -- so any process pointed at the same directory resolves the same
-ids without coordination.
+A registry owns one directory of fitted
+:class:`repro.core.HabitImputer` models, one file per ``(dataset,
+config)`` pair.  The file name *is* the model id --
+``{DATASET}_{config_hash}.npz`` -- so any process pointed at the same
+directory resolves the same ids without coordination.
 
 :meth:`ModelRegistry.get` resolves a model through three tiers:
 
 1. in-memory LRU cache (``"hit"``),
 2. the registry directory (``"load"``),
 3. an optional ``fitter(dataset, config)`` callback that fits on miss and
-   publishes the result for every later process (``"fit"``).  A fitter
-   that also accepts ``typed=True`` serves typed misses too.  A fit is a
+   publishes the result for every later process (``"fit"``).  A fit is a
    one-off build the serving process will not repeat, so once its model
    is saved and cached the freed heap goes back to the kernel
    (:func:`repro.service.memory.release_heap`); loads and refreshes keep
    theirs, which the next load or refresh reuses.
 
 :meth:`ModelRegistry.refresh` is the incremental path: it merges a chunk
-of newly arrived (segmented) trips into the resolved model's fit state
-(plain models) or per-class fit states (typed models), rebuilds the
-graph(s), bumps the model ``revision`` -- surfaced in response provenance
-and the ``/models`` feed -- and republishes.  The served instance is
-never mutated: the refreshed model *replaces* it in cache and on disk,
+of newly arrived (segmented) trips into the resolved model's fit state,
+rebuilds the graph, bumps the model ``revision`` -- surfaced in response
+provenance and the ``/models`` feed -- and republishes.  The served
+instance is never mutated: the refreshed model *replaces* it in cache and on disk,
 so in-flight queries keep reading the old read-only graph.  Per-model
 refresh bookkeeping (``last_refresh``, ``rows_ingested``) rides into
 :meth:`ModelRegistry.list_models` so clients can monitor freshness.
@@ -36,7 +32,6 @@ a cold fit never blocks cache hits on other models or ``/healthz``, and
 concurrent misses on the same model dedupe to one load/fit.
 """
 
-import inspect
 import threading
 import time
 from collections import OrderedDict
@@ -45,15 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import (
-    HabitConfig,
-    HabitImputer,
-    ModelFormatError,
-    TypedHabitImputer,
-    config_hash,
-)
-from repro.core.habit import _REQUIRED_ARRAYS, MODEL_FORMAT, _check_format
-from repro.core.typed import TYPED_MODEL_FORMAT, _required_arrays
+from repro.core import HabitConfig, HabitImputer, ModelFormatError, config_hash
+from repro.core.habit import _check_format
 from repro.obs import METRICS
 from repro.service.memory import release_heap
 
@@ -78,20 +66,14 @@ _MODELS_LOADED = METRICS.gauge(
     "Models currently warm in this process's LRU cache.",
 )
 
-#: Model-id marker separating typed multi-graph models from plain ones.
-_TYPED_TAG = "_TYPED"
-
-
 class ModelNotFound(KeyError):
     """No cached, on-disk, or fittable model matches the request."""
 
-    def __init__(self, dataset, digest, typed=False):
+    def __init__(self, dataset, digest):
         self.dataset = dataset
         self.digest = digest
-        self.typed = typed
-        kind = "typed model" if typed else "model"
         super().__init__(
-            f"no {kind} for dataset {dataset!r} with config hash {digest}; "
+            f"no model for dataset {dataset!r} with config hash {digest}; "
             "fit one first (python -m repro.service --fit) or enable fit-on-miss"
         )
 
@@ -135,26 +117,23 @@ class ModelRegistry:
     # -- naming -----------------------------------------------------------
 
     @staticmethod
-    def model_id(dataset, config, typed=False):
-        """Canonical id: dataset name (upper), typed marker, config hash."""
-        tag = _TYPED_TAG if typed else ""
-        return f"{str(dataset).upper()}{tag}_{config_hash(config)}"
+    def model_id(dataset, config):
+        """Canonical id: dataset name (upper), config hash."""
+        return f"{str(dataset).upper()}_{config_hash(config)}"
 
-    def path_for(self, dataset, config, typed=False):
-        """Where the model for ``(dataset, config, typed)`` lives on disk."""
-        return self.root / f"{self.model_id(dataset, config, typed)}.npz"
+    def path_for(self, dataset, config):
+        """Where the model for ``(dataset, config)`` lives on disk."""
+        return self.root / f"{self.model_id(dataset, config)}.npz"
 
     # -- population -------------------------------------------------------
 
     def publish(self, dataset, imputer):
         """Serialise a fitted imputer into the registry; returns ``(id, path)``.
 
-        Typed imputers are recognised by type and published under the
-        typed id.  The model is also inserted into the in-memory cache so
-        the publishing process serves it warm immediately.
+        The model is also inserted into the in-memory cache so the
+        publishing process serves it warm immediately.
         """
-        typed = isinstance(imputer, TypedHabitImputer)
-        model_id = self.model_id(dataset, imputer.config, typed)
+        model_id = self.model_id(dataset, imputer.config)
         path = imputer.save(self.root / f"{model_id}.npz")
         with self._lock:
             self._insert(model_id, imputer)
@@ -162,8 +141,8 @@ class ModelRegistry:
 
     # -- resolution -------------------------------------------------------
 
-    def get(self, dataset, config, typed=False):
-        """Resolve ``(dataset, config, typed)``; returns ``(imputer, id, source)``.
+    def get(self, dataset, config):
+        """Resolve ``(dataset, config)``; returns ``(imputer, id, source)``.
 
         ``source`` is ``"hit"``, ``"load"``, or ``"fit"`` -- surfaced in
         response provenance so clients can see cold starts.  An
@@ -172,7 +151,7 @@ class ModelRegistry:
         artefact must not poison its model id.  Raises
         :class:`ModelNotFound` when all three tiers miss.
         """
-        model_id = self.model_id(dataset, config, typed)
+        model_id = self.model_id(dataset, config)
         hit = self._cached(model_id)
         if hit is not None:
             return hit
@@ -182,11 +161,10 @@ class ModelRegistry:
             if hit is not None:
                 return hit
             path = self.root / f"{model_id}.npz"
-            loader = TypedHabitImputer if typed else HabitImputer
             if path.exists():
                 started = time.perf_counter()
                 try:
-                    imputer = loader.load(path)
+                    imputer = HabitImputer.load(path)
                 except ModelFormatError:
                     if self.fitter is None:
                         raise
@@ -198,7 +176,7 @@ class ModelRegistry:
                         self._insert(model_id, imputer)
                     return imputer, model_id, "load"
             started = time.perf_counter()
-            imputer = self._fit_on_miss(dataset, config, typed)
+            imputer = None if self.fitter is None else self.fitter(dataset, config)
             if imputer is not None:
                 imputer.save(path)
                 _REGISTRY_SECONDS.observe(time.perf_counter() - started, ("fit",))
@@ -208,16 +186,16 @@ class ModelRegistry:
                     self._insert(model_id, imputer)
                 release_heap()
                 return imputer, model_id, "fit"
-        raise ModelNotFound(dataset, config_hash(config), typed)
+        raise ModelNotFound(dataset, config_hash(config))
 
-    def refresh(self, dataset, chunk, config=None, typed=False):
+    def refresh(self, dataset, chunk, config=None):
         """Merge newly arrived segmented trips into a served model.
 
         Resolves the model like :meth:`get`, folds *chunk* (a segmented
         trip table, e.g. one :class:`repro.core.StreamingSegmenter`
-        emission) into its fit state -- per-class states for typed models
-        -- bumps the model ``revision``, and republishes to cache and
-        disk.  Returns ``(imputer, model_id, revision)``.
+        emission) into its fit state, bumps the model ``revision``, and
+        republishes to cache and disk.  Returns ``(imputer, model_id,
+        revision)``.
 
         The served instance is never mutated: the base model is *forked*
         (states are immutable and shared), the fork absorbs the chunk,
@@ -226,8 +204,8 @@ class ModelRegistry:
         carries its fit state, so every model refreshes.
         """
         config = config or HabitConfig()
-        model_id = self.model_id(dataset, config, typed)
-        base, _, _ = self.get(dataset, config, typed=typed)
+        model_id = self.model_id(dataset, config)
+        base, _, _ = self.get(dataset, config)
         with self._model_lock(model_id), _REGISTRY_SECONDS.time(("refresh",)):
             with self._lock:
                 base = self._cache.get(model_id, base)
@@ -251,18 +229,6 @@ class ModelRegistry:
     def _model_lock(self, model_id):
         with self._lock:
             return self._resolving.setdefault(model_id, threading.Lock())
-
-    def _fit_on_miss(self, dataset, config, typed):
-        """Run the fitter if it exists and can serve this request."""
-        if self.fitter is None:
-            return None
-        if not typed:
-            return self.fitter(dataset, config)
-        try:
-            inspect.signature(self.fitter).bind(dataset, config, typed=True)
-        except TypeError:
-            return None  # fitter predates typed serving
-        return self.fitter(dataset, config, typed=True)
 
     def _cached(self, model_id):
         with self._lock:
@@ -304,7 +270,7 @@ class ModelRegistry:
             self._cache.clear()
             _MODELS_LOADED.set(0)
 
-    def peek_revision(self, dataset, config, typed=False):
+    def peek_revision(self, dataset, config):
         """Cheap resolvability probe: ``(model_id, revision)`` or ``(id, None)``.
 
         Answers from the in-memory cache when warm, otherwise from the
@@ -314,21 +280,21 @@ class ModelRegistry:
         which applies the full fitter/corruption semantics.  The follow
         daemon uses this to read a model's revision without loading it.
         """
-        model_id = self.model_id(dataset, config, typed)
+        model_id = self.model_id(dataset, config)
         with self._lock:
             cached = self._cache.get(model_id)
             if cached is not None:
-                return model_id, getattr(cached, "revision", 1)
+                return model_id, cached.revision
         path = self.root / f"{model_id}.npz"
         if not path.exists():
             return model_id, None
-        return model_id, self._stored_revision(path, typed)
+        return model_id, self._stored_revision(path)
 
     def list_models(self):
         """All models in the registry directory, as JSON-ready dicts.
 
         Beyond identity (``model_id``, ``dataset``, ``config_hash``,
-        ``typed``, ``path``, ``size_bytes``, ``loaded``) every entry is a
+        ``path``, ``size_bytes``, ``loaded``) every entry is a
         freshness feed: ``revision`` (the model's incremental-refresh
         counter, read from memory when warm, from the file otherwise --
         ``None`` for an unreadable artefact), ``last_refresh`` (epoch
@@ -343,20 +309,16 @@ class ModelRegistry:
         for path in sorted(self.root.glob("*.npz")):
             model_id = path.stem
             dataset, _, digest = model_id.rpartition("_")
-            typed = dataset.endswith(_TYPED_TAG)
-            if typed:
-                dataset = dataset[: -len(_TYPED_TAG)]
             if model_id in cached:
                 revision = cached[model_id].revision
             else:
-                revision = self._stored_revision(path, typed)
+                revision = self._stored_revision(path)
             model_meta = meta.get(model_id, {})
             entries.append(
                 {
                     "model_id": model_id,
                     "dataset": dataset,
                     "config_hash": digest,
-                    "typed": typed,
                     "path": str(path),
                     "size_bytes": path.stat().st_size,
                     "loaded": model_id in cached,
@@ -368,7 +330,7 @@ class ModelRegistry:
             )
         return entries
 
-    def _stored_revision(self, path, typed):
+    def _stored_revision(self, path):
         """Peek a model file's revision without a full load (None if unloadable).
 
         ``np.load`` reads the zip directory lazily, so this touches one
@@ -377,11 +339,10 @@ class ModelRegistry:
         not a zip open.
 
         ``None`` means "do not trust this artefact": not just unreadable
-        zips, but any file the *expected* loader (plain vs *typed*,
-        derived from the model id) would reject -- wrong kind, any other
-        version, missing arrays.  That keeps
-        :meth:`peek_revision`'s fast path honest -- a corrupt or
-        mis-kinded file falls through to :meth:`get`, which applies the
+        zips, but any file :meth:`repro.core.HabitImputer.load` would
+        reject -- another format tag, any other version, missing arrays.
+        That keeps :meth:`peek_revision`'s fast path honest -- a corrupt
+        or foreign file falls through to :meth:`get`, which applies the
         fitter semantics.
         """
         try:
@@ -393,7 +354,7 @@ class ModelRegistry:
             memo = self._revision_memo.get(key)
             if memo is not None and memo[0] == mtime_ns:
                 return memo[1]
-        revision = self._validated_revision(path, typed)
+        revision = self._validated_revision(path)
         # Failures memoize too: a corrupt artefact must not be re-opened
         # and re-validated on every /models poll -- the atomic-replace
         # publish path guarantees a repair changes the mtime.
@@ -402,19 +363,16 @@ class ModelRegistry:
         return revision
 
     @staticmethod
-    def _validated_revision(path, typed):
-        """Revision if the file would plausibly load as its kind, else None.
+    def _validated_revision(path):
+        """Revision if the file would plausibly load, else None.
 
-        Validation is the loaders' own :func:`repro.core.habit._check_format`
-        with their own required-array lists, so the peek cannot drift
-        from what ``load()`` accepts as the format evolves.
+        Validation is the loader's own :func:`repro.core.habit._check_format`,
+        so the peek cannot drift from what ``load()`` accepts as the
+        format evolves.
         """
         try:
             with np.load(path) as data:
-                if typed:
-                    _check_format(data, TYPED_MODEL_FORMAT, path, _required_arrays(data))
-                else:
-                    _check_format(data, MODEL_FORMAT, path, _REQUIRED_ARRAYS)
+                _check_format(data, path)
                 return int(data["revision"][0])
         except Exception:
             return None

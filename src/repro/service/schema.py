@@ -9,8 +9,11 @@ The wire format is plain JSON.  An ``/impute`` payload is either a batch::
 or the single-gap shorthand (``dataset``/``start``/``end`` at top level).
 ``config`` holds optional :class:`repro.core.HabitConfig` field overrides;
 unknown fields are rejected rather than silently ignored.  Parsing raises
-:class:`SchemaError` (mapped to HTTP 400 by the transport) with a message
-naming the offending field.
+:class:`SchemaError` with a message naming the offending field; the
+transport answers with its ``status``: 400, or 422 for a request field
+the service no longer accepts (``typed`` and ``vessel_type``: every
+dataset serves one model, so honouring neither would give a global
+answer without saying so).
 """
 
 from dataclasses import dataclass, field, fields
@@ -32,17 +35,19 @@ __all__ = [
 
 
 class SchemaError(ValueError):
-    """An ``/impute`` payload does not match the request schema."""
+    """An ``/impute`` payload does not match the request schema.
+
+    ``status`` is the HTTP status the transport answers with.
+    """
+
+    def __init__(self, message, status=400):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
 class GapRequest:
     """One gap to impute: a dataset name plus two ``(lat, lng)`` endpoints.
-
-    ``typed=True`` routes the gap over the dataset's
-    :class:`repro.core.TypedHabitImputer` (resolved and persisted under
-    its own model id); ``vessel_type`` then picks the class-specific
-    graph, falling back to the global one when omitted or unknown.
 
     ``max_points`` caps the response polyline: when the rendered path is
     longer, it is compressed with
@@ -57,8 +62,6 @@ class GapRequest:
     start: tuple
     end: tuple
     request_id: str = ""
-    typed: bool = False
-    vessel_type: str | None = None
     max_points: int | None = None
 
 
@@ -236,13 +239,14 @@ def _parse_request(item, index):
     dataset = item.get("dataset")
     if not isinstance(dataset, str) or not dataset.strip():
         raise SchemaError(f"requests[{index}].dataset must be a non-empty string")
+    for name in ("typed", "vessel_type"):
+        if name in item:
+            raise SchemaError(
+                f"requests[{index}].{name} is not accepted: typed models were "
+                "removed, and every dataset serves one model",
+                status=422,
+            )
     request_id = str(item.get("id", f"req-{index}"))
-    typed = item.get("typed", False)
-    if not isinstance(typed, bool):
-        raise SchemaError(f"requests[{index}].typed must be a boolean")
-    vessel_type = item.get("vessel_type")
-    if vessel_type is not None and not isinstance(vessel_type, str):
-        raise SchemaError(f"requests[{index}].vessel_type must be a string")
     max_points = item.get("max_points")
     if max_points is not None:
         if isinstance(max_points, bool) or not isinstance(max_points, int):
@@ -260,8 +264,6 @@ def _parse_request(item, index):
         start=_parse_endpoint(item.get("start"), f"requests[{index}].start"),
         end=_parse_endpoint(item.get("end"), f"requests[{index}].end"),
         request_id=request_id,
-        typed=typed,
-        vessel_type=vessel_type,
         max_points=max_points,
     )
 

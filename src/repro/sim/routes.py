@@ -12,7 +12,7 @@ Areas:
   a Fehmarn branch -- a long main corridor so multi-hour gaps fit.
 - ``DAN``: wider Danish waters with Skagerrak/North Sea approaches.
 - ``SAR``: a mixed-traffic gulf with distinct cargo / passenger lanes and
-  slow zig-zag fishing grounds (the typed-imputer testbed).
+  slow zig-zag fishing grounds.
 """
 
 from dataclasses import dataclass

@@ -18,7 +18,7 @@ import pytest
 
 from graphgen import TOPOLOGIES, random_graph
 from repro.baselines import GTIImputer, StraightLineImputer
-from repro.core import HabitImputer, TypedHabitImputer, kernel
+from repro.core import HabitImputer, kernel
 from repro.core.graph import _SEARCH_SECONDS, SearchResult
 from repro.core.path import (
     RESAMPLE_M,
@@ -478,20 +478,19 @@ def _oracle_result(engine, registry, config, result):
     request's pre-budget answer, whose samples -- attached, or
     resampled from its vertices -- equal the oracle's render."""
     request = result.request
-    imputer, model_id, _ = registry.get(request.dataset, config, typed=request.typed)
-    plain = imputer.resolve(request.vessel_type)[0] if request.typed else imputer
-    cached = engine.render_cache.get((plain.graph.serial, request.start, request.end))
+    imputer, _, _ = registry.get(request.dataset, config)
+    cached = engine.render_cache.get((imputer.graph.serial, request.start, request.end))
     assert cached is not _MISSING
     cached_lats, cached_lngs = _cached_samples(cached, request)
-    snapped = plain.snap_endpoints(request.start, request.end)
+    snapped = imputer.snap_endpoints(request.start, request.end)
     if snapped is None:
         path = straight_line_path(request.start, request.end, method="fallback")
     else:
-        (route,) = plain.route_batch([snapped])
+        (route,) = imputer.route_batch([snapped])
         # ``expanded`` counts what the engine's shared kernel sweep
         # settled for this lane, so it is read from the cached answer.
         path = replace(
-            _oracle_render(plain, request.start, request.end, route),
+            _oracle_render(imputer, request.start, request.end, route),
             expanded=cached.expanded,
         )
     assert _bits_equal(cached_lats, path.lats) and _bits_equal(cached_lngs, path.lngs)
@@ -522,15 +521,11 @@ def _oracle_result(engine, registry, config, result):
     return replace(result, lats=path.lats, lngs=path.lngs, provenance=provenance)
 
 
-def _mixed_batch_setup(tmp_path, service_model, tiny_kiel):
-    """A registry serving the plain and a typed KIEL model, and a gap
-    between two nodes with no route (out of a sink node)."""
+def _mixed_batch_setup(tmp_path, service_model):
+    """A registry serving the KIEL model, and a gap between two nodes
+    with no route (out of a sink node)."""
     registry = ModelRegistry(tmp_path / "models")
     registry.publish("KIEL", service_model)
-    typed = TypedHabitImputer(service_model.config, min_group_rows=100).fit_from_trips(
-        tiny_kiel.train
-    )
-    registry.publish("KIEL", typed)
     graph = service_model.graph
     sink = int(np.flatnonzero(np.diff(graph.indptr) == 0)[0])
     other = (sink + 1) % graph.num_nodes
@@ -541,14 +536,14 @@ def _mixed_batch_setup(tmp_path, service_model, tiny_kiel):
     return registry, no_route
 
 
-def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel, rng):
+def test_golden_body_matches_per_path_oracle(tmp_path, service_model, rng):
     """A mixed ``/impute`` batch -- miss, answer-cache hit, a miss nudged
     off the hit's endpoints, coalesced rider, out-of-coverage fallback,
-    cached no-route, typed request, zero-length gap, budget no-op and
-    compressed budget -- encodes to the same bytes as the per-path
-    oracles' body once ``elapsed_ms`` is zeroed."""
+    cached no-route, zero-length gap, budget no-op and compressed
+    budget -- encodes to the same bytes as the per-path oracles' body
+    once ``elapsed_ms`` is zeroed."""
     config = service_model.config
-    registry, no_route = _mixed_batch_setup(tmp_path, service_model, tiny_kiel)
+    registry, no_route = _mixed_batch_setup(tmp_path, service_model)
     graph = service_model.graph
     node = (float(graph.lats[0]), float(graph.lngs[0]))
     warm, *fresh = _endpoint_requests(service_model, rng, 7)
@@ -571,7 +566,6 @@ def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel,
         GapRequest("KIEL", *fresh[1], "rider-b"),
         GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
         GapRequest("KIEL", *no_route, "no-route"),
-        GapRequest("KIEL", *fresh[2], "typed", typed=True, vessel_type="cargo"),
         GapRequest("KIEL", node, node, "zero-length"),
         GapRequest("KIEL", *fresh[3], "roomy", max_points=100_000),
         GapRequest("KIEL", *fresh[4], "squeezed", max_points=4),
@@ -588,8 +582,7 @@ def test_golden_body_matches_per_path_oracle(tmp_path, service_model, tiny_kiel,
     assert prov["rider-b"].path_cache == "coalesced"
     assert prov["offshore"].path_cache == "bypass" and prov["offshore"].fallback
     assert prov["no-route"].path_cache == "hit" and prov["no-route"].fallback
-    assert prov["typed"].model_id != prov["miss"].model_id
-    assert results[8].num_points == 2
+    assert results[7].num_points == 2
     assert prov["roomy"].points_in == 0 and prov["squeezed"].points_in > 0
     got = _ENCODER.encode(impute_response(results, 0.0)).encode("utf-8")
     want = json.dumps(_oracle_response(oracle, 0.0)).encode("utf-8")
@@ -623,21 +616,20 @@ def test_answer_cache_out_of_coverage_repeat_is_a_hit(tmp_path, service_model):
     assert _zeroed_body([first], "") == _zeroed_body([again], "")
 
 
-def test_answer_cache_holds_only_rendered_answers(tmp_path, r10_model, tiny_kiel, rng):
+def test_answer_cache_holds_only_rendered_answers(tmp_path, r10_model, rng):
     """After a mixed batch the one cache holds one compact answer per
     distinct request -- fallbacks and no-routes included: a vertex block
     (none for a straight line) and scalars, no samples, never a search
     result or a per-cell sequence."""
     config = r10_model.config
-    registry, no_route = _mixed_batch_setup(tmp_path, r10_model, tiny_kiel)
-    gaps = _endpoint_requests(r10_model, rng, 3)
+    registry, no_route = _mixed_batch_setup(tmp_path, r10_model)
+    gaps = _endpoint_requests(r10_model, rng, 2)
     requests = [
         GapRequest("KIEL", *gaps[0], "miss"),
         GapRequest("KIEL", *gaps[0], "rider"),
         GapRequest("KIEL", *gaps[1], "squeezed", max_points=4),
         GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
         GapRequest("KIEL", *no_route, "no-route"),
-        GapRequest("KIEL", *gaps[2], "typed", typed=True, vessel_type="cargo"),
     ]
     engine = BatchImputationEngine(registry)
     results = engine.run(requests, config)
@@ -647,7 +639,6 @@ def test_answer_cache_holds_only_rendered_answers(tmp_path, r10_model, tiny_kiel
         "coalesced",
         "miss",
         "bypass",
-        "miss",
         "miss",
     ]
     assert len(entries) == len(requests) - 1
@@ -672,12 +663,12 @@ def test_answer_cache_holds_only_rendered_answers(tmp_path, r10_model, tiny_kiel
         assert isinstance(entry.expanded, int) and isinstance(entry.num_cells, int)
 
 
-def _cache_requests(model, tiny_kiel, tmp_path, rng):
-    """A registry serving *model* and a typed model, and one request of
-    every answer shape: routed, coalesced riders, budgeted, zero-length,
-    no-route, out-of-coverage and typed."""
-    registry, no_route = _mixed_batch_setup(tmp_path, model, tiny_kiel)
-    gaps = _endpoint_requests(model, rng, 4)
+def _cache_requests(model, tmp_path, rng):
+    """A registry serving *model*, and one request of every answer shape:
+    routed, coalesced riders, budgeted, zero-length, no-route and
+    out-of-coverage."""
+    registry, no_route = _mixed_batch_setup(tmp_path, model)
+    gaps = _endpoint_requests(model, rng, 3)
     node = (float(model.graph.lats[0]), float(model.graph.lngs[0]))
     requests = [
         GapRequest("KIEL", *gaps[0], "routed"),
@@ -688,7 +679,6 @@ def _cache_requests(model, tiny_kiel, tmp_path, rng):
         GapRequest("KIEL", node, node, "zero-length"),
         GapRequest("KIEL", *no_route, "no-route"),
         GapRequest("KIEL", (10.0, -30.0), (11.0, -31.0), "offshore"),
-        GapRequest("KIEL", *gaps[3], "typed", typed=True, vessel_type="cargo"),
     ]
     return registry, requests
 
@@ -700,14 +690,14 @@ def _sampled_keys(engine):
     return {key for key, entry in entries.items() if entry.lats is not None}
 
 
-def test_answer_cache_hit_equals_miss_in_a_mixed_batch(tmp_path, r10_model, tiny_kiel, rng):
+def test_answer_cache_hit_equals_miss_in_a_mixed_batch(tmp_path, r10_model, rng):
     """A miss stores the compact entry (the zero-length path, whose two
     samples are smaller than its vertices, excepted); the first hit
     re-renders it -- beside a fresh miss in the same batch -- and puts
     it back sampled; the second hit reads the samples.  All three answer
     the same bytes."""
     config = r10_model.config
-    registry, requests = _cache_requests(r10_model, tiny_kiel, tmp_path, rng)
+    registry, requests = _cache_requests(r10_model, tmp_path, rng)
     (extra,) = _endpoint_requests(r10_model, np.random.default_rng(99), 1)
     engine = BatchImputationEngine(registry)
     serial = r10_model.graph.serial
@@ -725,15 +715,15 @@ def test_answer_cache_hit_equals_miss_in_a_mixed_batch(tmp_path, r10_model, tiny
     squeezed = cold[3].provenance
     assert squeezed.points_in > squeezed.points_out == 4
     assert cold[5].num_points == 2 and cold[6].provenance.fallback
-    assert cold[7].provenance.fallback and cold[8].provenance.method == "ch"
+    assert cold[7].provenance.fallback
 
 
-def test_answer_cache_hit_equals_miss_alone(tmp_path, r10_model, tiny_kiel, rng):
+def test_answer_cache_hit_equals_miss_alone(tmp_path, r10_model, rng):
     """Each request alone on a fresh engine: its miss, first (re-rendered)
     hit and second (sampled) hit answer the bytes it answers inside the
     mixed batch."""
     config = r10_model.config
-    registry, requests = _cache_requests(r10_model, tiny_kiel, tmp_path, rng)
+    registry, requests = _cache_requests(r10_model, tmp_path, rng)
     mixed = BatchImputationEngine(registry).run(requests, config)
     for request, want in zip(requests, mixed):
         engine = BatchImputationEngine(registry)

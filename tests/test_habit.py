@@ -1,4 +1,4 @@
-"""HABIT end-to-end: fit, impute, persist, and the typed variant."""
+"""HABIT end-to-end: fit, impute, persist."""
 
 from dataclasses import fields
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import StraightLineImputer
-from repro.core import (
-    HabitConfig,
-    HabitImputer,
-    ModelFormatError,
-    TypedHabitImputer,
-    config_hash,
-)
+from repro.core import HabitConfig, HabitImputer, ModelFormatError, config_hash
 from repro.eval import evaluate_imputer
 from repro.eval.metrics import dtw_distance_m
 
@@ -114,31 +108,20 @@ def test_save_load_round_trip_is_exact(fitted, gap, tmp_path):
     assert a.method == b.method and np.array_equal(a.cells, b.cells)
 
 
-def test_typed_save_load_round_trip_is_exact(tiny_kiel, gap, tmp_path):
-    typed = TypedHabitImputer(
-        HabitConfig(resolution=9), min_group_rows=100
-    ).fit_from_trips(tiny_kiel.train)
-    restored = TypedHabitImputer.load(typed.save(tmp_path / "typed.npz"))
-    assert restored.fitted_groups == typed.fitted_groups
-    assert restored.min_group_rows == typed.min_group_rows
-    assert restored.storage_size_bytes() == typed.storage_size_bytes()
-    for vessel_type in typed.fitted_groups + [None, "submarine"]:
-        a = typed.impute(gap.start, gap.end, vessel_type)
-        b = restored.impute(gap.start, gap.end, vessel_type)
-        assert np.array_equal(a.lats, b.lats) and np.array_equal(a.lngs, b.lngs)
-        assert a.method == b.method
-
-
 def test_load_rejects_untagged_or_foreign_npz(fitted, tmp_path):
     # Pre-versioning files carry no format tag.
     untagged = tmp_path / "untagged.npz"
     np.savez(untagged, cells=fitted.graph.cells)
     with pytest.raises(ModelFormatError, match="format tag"):
         HabitImputer.load(untagged)
-    # A typed model must not load as a plain one, and vice versa.
-    plain = fitted.save(tmp_path / "plain.npz")
+    # A file tagged as another kind (the removed typed models') does not load.
+    with np.load(fitted.save(tmp_path / "plain.npz")) as data:
+        payload = {key: data[key] for key in data.files}
+    payload["format"] = np.array(["typed-habit-npz", payload["format"][1]])
+    foreign = tmp_path / "foreign.npz"
+    np.savez(foreign, **payload)
     with pytest.raises(ModelFormatError, match="typed-habit-npz"):
-        TypedHabitImputer.load(plain)
+        HabitImputer.load(foreign)
     # Not an .npz archive at all.
     garbage = tmp_path / "garbage.npz"
     garbage.write_bytes(b"this is not a zip archive")
@@ -213,16 +196,3 @@ def test_render_zero_length_gap_is_two_point_linestring(fitted):
         assert result.method == "ch"
         assert result.lats.tolist() == [point[0], point[0]]
         assert result.lngs.tolist() == [point[1], point[1]]
-
-
-def test_typed_imputer(tiny_kiel, gap):
-    typed = TypedHabitImputer(
-        HabitConfig(resolution=9), min_group_rows=100
-    ).fit_from_trips(tiny_kiel.train)
-    assert typed.fitted_groups  # at least one class got its own graph
-    known = typed.impute(gap.start, gap.end, typed.fitted_groups[0])
-    unknown = typed.impute(gap.start, gap.end, "submarine")
-    untyped = typed.impute(gap.start, gap.end)
-    assert known.num_points >= 2 and unknown.num_points >= 2
-    assert untyped.num_points >= 2
-    assert typed.storage_size_bytes() > typed.fallback.storage_size_bytes()

@@ -1,4 +1,4 @@
-"""repro.obs: metric core, mergeable snapshots, diff/absorb, /metrics."""
+"""repro.obs: metric core, snapshots, /metrics."""
 
 import importlib.util
 import json
@@ -16,7 +16,6 @@ from repro.obs import (
     LATENCY_BUCKETS,
     METRICS,
     MetricsRegistry,
-    diff_snapshots,
 )
 from repro.service import ModelRegistry, make_server
 
@@ -65,6 +64,22 @@ def _post(base, path, payload):
 
 def _series(snapshot, name):
     return snapshot.get(name, {"series": {}})["series"]
+
+
+def _growth(before, after, name):
+    """``{labels: growth}`` of one metric between two snapshots: counter
+    values, or histogram observation counts; series that did not grow
+    are left out."""
+
+    def counts(snapshot):
+        return {
+            key: value["count"] if isinstance(value, dict) else value
+            for key, value in _series(snapshot, name).items()
+        }
+
+    old = counts(before)
+    grown = {key: n - old.get(key, 0) for key, n in counts(after).items()}
+    return {key: n for key, n in grown.items() if n}
 
 
 # -- metric core ---------------------------------------------------------
@@ -233,74 +248,6 @@ def test_render_json_shape():
     json.dumps(rendered)  # JSON-serialisable as-is
 
 
-# -- mergeable snapshots -------------------------------------------------
-
-
-def _random_registry(rng, rounds=200):
-    """A registry fuzzed with integer-valued observations (so histogram
-    sums are exactly representable and diff/absorb must be bit-exact)."""
-    reg = MetricsRegistry()
-    counter = reg.counter("c_total", "c", ("tier",))
-    hist = reg.histogram("h_seconds", "h", ("method",), buckets=(1.0, 8.0, 64.0))
-    gauge = reg.gauge("g", "g")
-    tiers = ("hit", "miss", "bypass")
-    methods = ("ch", "astar")
-    for _ in range(rounds):
-        roll = int(rng.integers(0, 3))
-        if roll == 0:
-            counter.inc(int(rng.integers(1, 10)), (tiers[rng.integers(0, 3)],))
-        elif roll == 1:
-            hist.observe(int(rng.integers(0, 100)), (methods[rng.integers(0, 2)],))
-        else:
-            gauge.set(int(rng.integers(0, 100)))
-    return reg
-
-
-def test_diff_then_absorb_reproduces_worker_growth(rng):
-    """The diff/absorb contract: shipping diff(now, last)
-    after every batch and absorbing each delta reproduces the worker's
-    counters in the parent exactly, without double counting."""
-    worker = _random_registry(rng, rounds=50)
-    parent = MetricsRegistry()
-    shipped = None
-    for _ in range(4):  # four "batches" of further worker activity
-        counter = worker.counter("c_total", "c", ("tier",))
-        hist = worker.histogram("h_seconds", "h", ("method",), buckets=(1.0, 8.0, 64.0))
-        counter.inc(int(rng.integers(1, 5)), ("hit",))
-        hist.observe(int(rng.integers(0, 100)), ("ch",))
-        now = worker.snapshot()
-        parent.absorb(diff_snapshots(now, shipped))
-        shipped = now
-    worker_final = worker.snapshot()
-    parent_final = parent.snapshot()
-    assert _series(parent_final, "c_total") == _series(worker_final, "c_total")
-    assert _series(parent_final, "h_seconds") == _series(worker_final, "h_seconds")
-    # Gauges are process-local: never shipped, never absorbed.
-    assert "g" not in parent_final
-
-
-def test_diff_drops_unchanged_series(rng):
-    reg = MetricsRegistry()
-    counter = reg.counter("c_total", "c", ("tier",))
-    counter.inc(5, ("hit",))
-    before = reg.snapshot()
-    counter.inc(1, ("miss",))
-    delta = diff_snapshots(reg.snapshot(), before)
-    assert _series(delta, "c_total") == {("miss",): 1}
-    assert diff_snapshots(reg.snapshot(), reg.snapshot()) == {}
-
-
-def test_absorb_skips_gauges_and_unknown_metrics_materialise():
-    donor = MetricsRegistry()
-    donor.counter("only_in_donor_total", "d", ("k",)).inc(7, ("v",))
-    donor.gauge("donor_gauge", "d").set(3)
-    target = MetricsRegistry()
-    target.absorb(donor.snapshot())
-    snap = target.snapshot()
-    assert _series(snap, "only_in_donor_total") == {("v",): 7}
-    assert "donor_gauge" not in snap
-
-
 # -- the instrumented stack ----------------------------------------------
 
 
@@ -309,9 +256,9 @@ def test_search_and_fit_metrics_flow_into_global_registry(service_model, tiny_ki
     src, dst = service_model.snap_endpoints(gap.start, gap.end)
     before = METRICS.snapshot()
     assert service_model.graph.find_path(src, dst, "astar") is not None
-    delta = diff_snapshots(METRICS.snapshot(), before)
-    assert _series(delta, "repro_search_seconds")[("astar",)]["count"] == 1
-    assert _series(delta, "repro_search_expanded")[("astar",)]["count"] == 1
+    after = METRICS.snapshot()
+    assert _growth(before, after, "repro_search_seconds") == {("astar",): 1}
+    assert _growth(before, after, "repro_search_expanded") == {("astar",): 1}
     # The session-scoped model was fitted through the instrumented
     # pipeline, so fit-stage spans are already in the global registry.
     fit = _series(METRICS.snapshot(), "repro_fit_seconds")
@@ -401,26 +348,25 @@ def test_batch_tail_keeps_metrics_series(server, service_model, rng):
     assert status == 200
     missing = [name for name in _documented_metrics() if f"# TYPE {name} " not in text]
     assert not missing
-    delta = diff_snapshots(METRICS.snapshot(), before)
+    after = METRICS.snapshot()
     provenances = [r["provenance"] for r in body["results"]]
     tiers = {}
     for p in provenances:
         tiers[(p["path_cache"],)] = tiers.get((p["path_cache"],), 0) + 1
     assert tiers[("miss",)] == 8 and tiers[("coalesced",)] == 1
-    assert _series(delta, "repro_path_cache_total") == tiers
-    (impute,) = _series(delta, "repro_impute_seconds").items()
-    assert impute[0] == ("thread",) and impute[1]["count"] == len(requests)
+    assert _growth(before, after, "repro_path_cache_total") == tiers
+    assert _growth(before, after, "repro_impute_seconds") == {("thread",): len(requests)}
     routed = sum(p["path_cache"] == "miss" and not p["fallback"] for p in provenances)
-    assert _series(delta, "repro_search_seconds")[("ch",)]["count"] == 8
-    assert _series(delta, "repro_search_expanded")[("ch",)]["count"] == routed
+    assert _growth(before, after, "repro_search_seconds")[("ch",)] == 8
+    assert _growth(before, after, "repro_search_expanded")[("ch",)] == routed
     for name in ("repro_kernel_batch_size", "repro_kernel_sweep_iterations"):
-        assert _series(delta, name)[()]["count"] == 1, name
+        assert _growth(before, after, name) == {(): 1}, name
     squeezed = [p for p in provenances if p["points_in"]]
     assert squeezed
-    assert _series(delta, "repro_compress_seconds")[()]["count"] == len(squeezed)
-    assert _series(delta, "repro_compress_points_dropped_total")[()] == sum(
-        p["points_in"] - p["points_out"] for p in squeezed
-    )
+    assert _growth(before, after, "repro_compress_seconds") == {(): len(squeezed)}
+    assert _growth(before, after, "repro_compress_points_dropped_total") == {
+        (): sum(p["points_in"] - p["points_out"] for p in squeezed)
+    }
 
 
 def test_http_unknown_routes_fold_into_other_label(server):

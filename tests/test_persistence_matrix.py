@@ -5,13 +5,12 @@ The matrix pinned here:
 - a saved v9 file loads into a working imputer with its hierarchy
   installed (no rebuild at the first query);
 - files tagged with any other version, and malformed v9 files (missing
-  or short config, a config value the imputer rejects, missing
-  revision or typed header arrays, a listed class graph that is
-  absent, a missing or malformed fit state), raise
+  or short config, a config value the imputer rejects, a missing
+  revision, a missing or malformed fit state), raise
   :class:`ModelFormatError` -- and a registry with a fitter refits them
   instead of failing every request;
-- plain and typed round-trips preserve every CH array **bit-exactly**,
-  and the deterministic CH build reproduces the persisted arrays;
+- a round-trip preserves every CH array **bit-exactly**, and the
+  deterministic CH build reproduces the persisted arrays;
 - new saves are stamped ``format_version == 9`` with every CH array and
   the fit state.
 """
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro.core.habit as habit_mod
-from repro.core import HabitConfig, HabitImputer, ModelFormatError, TypedHabitImputer
+from repro.core import HabitConfig, HabitImputer, ModelFormatError
 from repro.service import ModelRegistry
 
 
@@ -29,15 +28,6 @@ def ch_model(tiny_kiel):
     """Default-config model: hierarchy built at finalize."""
     model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     assert model.graph.has_ch
-    return model
-
-
-@pytest.fixture(scope="module")
-def typed_model(tiny_kiel):
-    """Typed model with at least one class graph (``g0_*`` arrays)."""
-    model = TypedHabitImputer(HabitConfig(resolution=9), min_group_rows=100)
-    model.fit_from_trips(tiny_kiel.train)
-    assert model.fitted_groups
     return model
 
 
@@ -86,23 +76,6 @@ def test_plain_round_trip_preserves_ch_arrays_bit_exactly(ch_model, tmp_path):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), key
 
 
-def test_typed_round_trip_preserves_ch_arrays_bit_exactly(typed_model, tmp_path):
-    typed = typed_model
-    assert typed.fallback.graph.has_ch  # finalize builds CH per class
-    restored = TypedHabitImputer.load(typed.save(tmp_path / "typed.npz"))
-    graph_pairs = [(typed.fallback.graph, restored.fallback.graph)]
-    assert sorted(restored.by_type) == sorted(typed.by_type)
-    graph_pairs += [
-        (typed.by_type[name].graph, restored.by_type[name].graph)
-        for name in sorted(typed.by_type)
-    ]
-    for ours, theirs in graph_pairs:
-        assert theirs.has_ch
-        for key in habit_mod._CH_KEYS:
-            a, b = getattr(ours, key), getattr(theirs, key)
-            assert a.dtype == b.dtype and np.array_equal(a, b), key
-
-
 def test_new_saves_are_stamped_version_9(ch_model, tmp_path):
     with np.load(ch_model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
@@ -132,7 +105,7 @@ def test_v7_file_in_registry_is_refitted_on_miss(ch_model, tmp_path):
     assert ch_model.config == config
     fits = []
 
-    def fitter(dataset, config, typed=False):
+    def fitter(dataset, config):
         fits.append(config)
         return ch_model
 
@@ -154,7 +127,7 @@ def test_v8_file_in_registry_is_refitted_on_miss(ch_model, tmp_path):
     config = ch_model.config
     fits = []
 
-    def fitter(dataset, config, typed=False):
+    def fitter(dataset, config):
         fits.append(config)
         return ch_model
 
@@ -216,41 +189,22 @@ _PLAIN_DEFECTS = {
     "bad_state_cell_manifest": _set_array("state_cell_manifest", np.array(["{"])),
     "short_state_meta": _set_array("state_meta", np.array(["9"])),
 }
-_TYPED_DEFECTS = {
-    "no_min_group_rows": _drop("min_group_rows"),
-    "no_groups": _drop("groups"),
-    "no_g0_cells": _drop("g0_cells"),
-    "no_state_c0_meta": _drop("state_c0_meta"),
-    "no_state_fallback_cell_counts": _drop("state_fallback_cell_counts"),
-    "no_class_states": _set_array("state_groups", np.array([], dtype=np.str_)),
-}
-_ALL_DEFECTS = {**_DEFECTS, **_PLAIN_DEFECTS, **_TYPED_DEFECTS}
-_CASES = [(False, name) for name in {**_DEFECTS, **_PLAIN_DEFECTS}] + [
-    (True, name) for name in {**_DEFECTS, **_TYPED_DEFECTS}
-]
+_ALL_DEFECTS = {**_DEFECTS, **_PLAIN_DEFECTS}
 
 
 @pytest.mark.parametrize(
-    "typed,defect",
-    _CASES,
-    ids=[f"{'typed' if typed else 'plain'}-{name}" for typed, name in _CASES],
+    "defect", _ALL_DEFECTS, ids=[f"plain-{name}" for name in _ALL_DEFECTS]
 )
-def test_malformed_files_raise_format_error_and_refit(
-    ch_model, typed_model, tmp_path, typed, defect
-):
+def test_malformed_files_raise_format_error_and_refit(ch_model, tmp_path, defect):
     """A malformed model file is a :class:`ModelFormatError`, never a bare
     ``KeyError``/``IndexError``/``ValueError`` -- so a registry with a
     fitter refits it instead of failing every request for its id."""
-    model = typed_model if typed else ch_model
-    registry = ModelRegistry(
-        tmp_path / "registry", fitter=lambda dataset, config, typed=False: model
-    )
-    path = registry.path_for("KIEL", model.config, typed)
-    payload = _payload(model.save(tmp_path / "good.npz"))
+    registry = ModelRegistry(tmp_path / "registry", fitter=lambda dataset, config: ch_model)
+    path = registry.path_for("KIEL", ch_model.config)
+    payload = _payload(ch_model.save(tmp_path / "good.npz"))
     _ALL_DEFECTS[defect](payload)
     np.savez(path, **payload)
-    loader = TypedHabitImputer if typed else HabitImputer
     with pytest.raises(ModelFormatError):
-        loader.load(path)
-    _, _, source = registry.get("KIEL", model.config, typed=typed)
+        HabitImputer.load(path)
+    _, _, source = registry.get("KIEL", ch_model.config)
     assert source == "fit"

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import HabitConfig, HabitImputer, TypedHabitImputer, config_hash
+from repro.core import HabitConfig, HabitImputer, config_hash
 from repro.geo import compress_to_budget, latlng_to_xy_m
 from repro.geo.simplify import off_chord_mask
 from repro.obs import METRICS
@@ -222,10 +222,14 @@ def test_peek_revision_rejects_unloadable_files(tmp_path, service_model):
     )
     _, revision = reg.peek_revision("KIEL", config)
     assert revision is None
-    # A plain-format file sitting at a typed model id is mis-kinded:
-    # the typed loader would reject it, so the peek must too.
-    service_model.save(reg.path_for("KIEL", config, typed=True))
-    _, revision = reg.peek_revision("KIEL", config, typed=True)
+    # A file tagged as another kind (the removed typed models') with a
+    # readable revision: load() rejects it, so the peek must too.
+    np.savez(
+        reg.path_for("KIEL", config),
+        format=np.array(["typed-habit-npz", "9"]),
+        revision=np.array([3]),
+    )
+    _, revision = reg.peek_revision("KIEL", config)
     assert revision is None
     # A genuinely loadable publish peeks its real revision.
     reg.publish("KIEL", service_model)
@@ -247,95 +251,80 @@ def test_result_feature_carries_provenance(registry, service_model, tiny_kiel):
     json.dumps(feature)  # must be JSON-serialisable as-is
 
 
-# -- typed-model serving -------------------------------------------------
+# -- typed models are gone ----------------------------------------------
 
 
-def test_registry_typed_publish_and_resolve(tmp_path, tiny_kiel, service_model):
-    reg = ModelRegistry(tmp_path / "models")
-    config = service_model.config
-    typed = TypedHabitImputer(config, min_group_rows=100).fit_from_trips(
-        tiny_kiel.train
-    )
-    reg.publish("KIEL", service_model)
-    typed_id, _ = reg.publish("KIEL", typed)
-    plain_id = ModelRegistry.model_id("KIEL", config)
-    assert typed_id == ModelRegistry.model_id("KIEL", config, typed=True)
-    assert typed_id != plain_id and "_TYPED_" in typed_id
-    # The two kinds resolve independently, and a cold load restores types.
-    reg.evict_all()
-    plain_got, _, _ = reg.get("KIEL", config)
-    typed_got, _, _ = reg.get("KIEL", config, typed=True)
-    assert isinstance(plain_got, HabitImputer)
-    assert isinstance(typed_got, TypedHabitImputer)
-    assert typed_got.fitted_groups == typed.fitted_groups
-    by_id = {e["model_id"]: e for e in reg.list_models()}
-    assert by_id[typed_id]["typed"] is True and by_id[typed_id]["dataset"] == "KIEL"
-    assert by_id[plain_id]["typed"] is False
-
-
-def test_typed_miss_needs_typed_capable_fitter(tmp_path, tiny_kiel):
-    config = HabitConfig()
-    legacy = ModelRegistry(
-        tmp_path / "legacy",
-        fitter=lambda d, c: HabitImputer(c).fit_from_trips(tiny_kiel.train),
-    )
-    with pytest.raises(ModelNotFound, match="typed model"):
-        legacy.get("KIEL", config, typed=True)
-
-    def typed_fitter(dataset, cfg, typed=False):
-        cls = TypedHabitImputer if typed else HabitImputer
-        return cls(cfg).fit_from_trips(tiny_kiel.train)
-
-    capable = ModelRegistry(tmp_path / "capable", fitter=typed_fitter)
-    imputer, _, source = capable.get("KIEL", config, typed=True)
-    assert source == "fit" and isinstance(imputer, TypedHabitImputer)
-
-
-def test_engine_routes_typed_requests(registry, service_model, tiny_kiel):
-    typed = TypedHabitImputer(service_model.config, min_group_rows=100).fit_from_trips(
-        tiny_kiel.train
-    )
-    typed_id, _ = registry.publish("KIEL", typed)
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        pytest.param("typed", True, id="typed-true"),
+        pytest.param("typed", False, id="typed-false"),
+        pytest.param("vessel_type", "cargo", id="vessel_type"),
+    ],
+)
+def test_http_typed_request_fields_are_422(server, tiny_kiel, field, value):
+    """A request item naming a typed-model field gets a 422 that names
+    the field: answering it from the one model per dataset would give a
+    global answer without saying so."""
     gap = tiny_kiel.gaps(3600.0)[0]
-    requests = [
-        GapRequest("KIEL", gap.start, gap.end, "plain"),
-        GapRequest(
-            "KIEL", gap.start, gap.end, "typed", typed=True, vessel_type="cargo"
-        ),
-    ]
-    plain_result, typed_result = BatchImputationEngine(registry).run(
-        requests, service_model.config
-    )
-    assert plain_result.provenance.model_id == ModelRegistry.model_id(
-        "KIEL", service_model.config
-    )
-    assert typed_result.provenance.model_id == typed_id
-    assert typed_result.num_points >= 2
+    item = {"dataset": "KIEL", "start": list(gap.start), "end": list(gap.end)}
+    for payload in ({**item, field: value}, {"requests": [item, {**item, field: value}]}):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server, "/impute", payload)
+        assert err.value.code == 422
+        error = json.loads(err.value.read())["error"]
+        assert f"].{field} is not accepted" in error and "typed models were removed" in error
 
 
-def test_parse_impute_payload_typed_fields():
-    requests, _ = parse_impute_payload(
-        {
-            "requests": [
-                {
-                    "dataset": "KIEL",
-                    "start": [54.0, 10.0],
-                    "end": [55.0, 11.0],
-                    "typed": True,
-                    "vessel_type": "cargo",
-                }
-            ]
-        }
+def test_cli_typed_flag_is_a_usage_error():
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.service", "--typed"],
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
-    assert requests[0].typed is True and requests[0].vessel_type == "cargo"
-    with pytest.raises(SchemaError, match="typed"):
-        parse_impute_payload(
-            {"dataset": "KIEL", "start": [1, 2], "end": [3, 4], "typed": "yes"}
+    assert result.returncode == 2
+    assert "unrecognized arguments: --typed" in result.stderr
+
+
+def test_typed_model_file_is_listed_but_never_loaded(registry, server, tiny_kiel):
+    """A typed-format file left in the registry directory is listed by
+    ``/models`` as an untrusted artefact (``revision: null``, no
+    ``typed`` key) and is never loaded or served: KIEL requests are
+    answered by the plain model, and the file's own id fails to load."""
+    config = HabitConfig()
+    stale = registry.root / f"KIEL_TYPED_{config_hash(config)}.npz"
+    np.savez(
+        stale,
+        format=np.array(["typed-habit-npz", "9"]),
+        config=np.array(["9", "100.0", "center"]),
+        revision=np.array([1]),
+        groups=np.array(["cargo"]),
+    )
+    status, models = _get(server, "/models")
+    assert status == 200
+    by_id = {entry["model_id"]: entry for entry in models["models"]}
+    entry = by_id[stale.stem]
+    assert entry["revision"] is None and entry["loaded"] is False
+    assert all("typed" not in entry for entry in by_id.values())
+    gap = tiny_kiel.gaps(3600.0)[0]
+    status, body = _post(
+        server, "/impute", {"dataset": "KIEL", "start": list(gap.start), "end": list(gap.end)}
+    )
+    assert status == 200
+    assert body["results"][0]["provenance"]["model_id"] == ModelRegistry.model_id(
+        "KIEL", config
+    )
+    with pytest.raises(urllib.error.HTTPError):
+        _post(
+            server,
+            "/impute",
+            {"dataset": "KIEL_TYPED", "start": list(gap.start), "end": list(gap.end)},
         )
-    with pytest.raises(SchemaError, match="vessel_type"):
-        parse_impute_payload(
-            {"dataset": "KIEL", "start": [1, 2], "end": [3, 4], "vessel_type": 7}
-        )
+    assert stale.stem not in registry.loaded_ids
+    assert registry.stats.loads == 0
 
 
 # -- incremental refresh -------------------------------------------------
@@ -371,33 +360,6 @@ def test_refresh_grows_coverage_not_mutating_served_instance(
     assert refreshed is not served  # replace semantics, never in-place
     assert served.graph.num_nodes == nodes_before
     assert refreshed.graph.num_nodes >= nodes_before
-
-
-def test_registry_refresh_typed_model(registry, service_model, tiny_kiel):
-    config = service_model.config
-    typed = TypedHabitImputer(config, min_group_rows=100).fit_from_trips(
-        tiny_kiel.train
-    )
-    typed_id, _ = registry.publish("KIEL", typed)
-    refreshed, model_id, revision = registry.refresh(
-        "KIEL", tiny_kiel.test, config, typed=True
-    )
-    assert model_id == typed_id and revision == 2
-    assert refreshed is not typed  # replace semantics for typed models too
-    # Rebuilt graphs take the new revision (path-cache keys read them);
-    # the chunk is cargo-only, so the untouched tanker class keeps its
-    # revision and its warm cached routes.
-    assert refreshed.fallback.revision == 2
-    assert refreshed.by_type["cargo"].revision == 2
-    assert refreshed.by_type["tanker"].revision == 1
-    # The refreshed typed model round-trips through a cold process.
-    loaded, _, source = ModelRegistry(registry.root).get("KIEL", config, typed=True)
-    assert source == "load" and loaded.revision == 2
-    gap = tiny_kiel.gaps(3600.0)[0]
-    (result,) = BatchImputationEngine(registry).run(
-        [GapRequest("KIEL", gap.start, gap.end, "t0", typed=True)], config
-    )
-    assert result.provenance.revision == 2
 
 
 def test_models_feed_reports_revision_and_refresh(registry, service_model, tiny_kiel):
@@ -999,43 +961,11 @@ def test_engine_coalescing_keeps_distinct_routes_apart(
         assert np.array_equal(batched.lngs, alone.lngs)
 
 
-def test_engine_path_cache_typed_routes_by_class(registry, service_model, tiny_kiel):
-    from repro.core import TypedHabitImputer
-
-    typed = TypedHabitImputer(service_model.config, min_group_rows=100).fit_from_trips(
-        tiny_kiel.train
-    )
-    registry.publish("KIEL", typed)
-    gap = tiny_kiel.gaps(3600.0)[0]
-    engine = BatchImputationEngine(registry)
-    known = typed.fitted_groups[0]
-    req = lambda rid, vt: [  # noqa: E731
-        GapRequest("KIEL", gap.start, gap.end, rid, typed=True, vessel_type=vt)
-    ]
-    (a,) = engine.run(req("a", known), service_model.config)
-    (b,) = engine.run(req("b", known), service_model.config)
-    assert a.provenance.path_cache == "miss" and b.provenance.path_cache == "hit"
-    # A different class resolves a different graph: no cross-class reuse.
-    (c,) = engine.run(req("c", "submarine"), service_model.config)
-    assert c.provenance.path_cache == "miss"
-    # The engine answers exactly what the typed model's own impute does,
-    # for a fitted class and for one that falls back to the global graph.
-    for result, vessel_type in ((a, known), (c, "submarine")):
-        expected = typed.impute(gap.start, gap.end, vessel_type)
-        assert np.array_equal(result.lats, expected.lats)
-        assert np.array_equal(result.lngs, expected.lngs)
-
-
 def test_engine_batch_render_equals_offline_impute(registry, service_model, tiny_kiel):
     """One mixed batch renders every answer exactly as offline ``impute``
     does: an answer-cache hit, searched misses (one nudged off the hit's
     endpoints), coalesced riders (one sharing a render, one nudged), an
-    out-of-coverage fallback and a typed request, rendered together."""
-    typed = TypedHabitImputer(service_model.config, min_group_rows=100).fit_from_trips(
-        tiny_kiel.train
-    )
-    registry.publish("KIEL", typed)
-    known = typed.fitted_groups[0]
+    out-of-coverage fallback and a reversed gap, rendered together."""
     gaps = tiny_kiel.gaps(3600.0)
     assert len(gaps) >= 2
     engine = BatchImputationEngine(registry)
@@ -1048,7 +978,6 @@ def test_engine_batch_render_equals_offline_impute(registry, service_model, tiny
         GapRequest("KIEL", gaps[1].start, gaps[1].end, "rider"),
         GapRequest("KIEL", gaps[1].start, nudge(gaps[1].end), "nudged-rider"),
         GapRequest("KIEL", (10.0, -40.0), (11.0, -41.0), "ocean"),
-        GapRequest("KIEL", gaps[0].start, gaps[0].end, "typed", typed=True, vessel_type=known),
         GapRequest("KIEL", gaps[0].end, gaps[0].start, "reversed"),
     ]
     results = engine.run(requests, service_model.config)
@@ -1060,13 +989,9 @@ def test_engine_batch_render_equals_offline_impute(registry, service_model, tiny
         "coalesced",
         "bypass",
         "miss",
-        "miss",
     ]
     for request, result in zip(requests, results):
-        if request.typed:
-            expected = typed.impute(request.start, request.end, request.vessel_type)
-        else:
-            expected = service_model.impute(request.start, request.end)
+        expected = service_model.impute(request.start, request.end)
         assert np.array_equal(result.lats, expected.lats), request.request_id
         assert np.array_equal(result.lngs, expected.lngs), request.request_id
         assert result.provenance.method == expected.method
@@ -1159,42 +1084,6 @@ def _node_gaps(graph, rng, count):
 
 def _cached_serials(engine):
     return {key[0] for key in engine.render_cache._entries}
-
-
-def test_answer_cache_typed_refresh_keeps_untouched_classes_warm(
-    registry, service_model, tiny_kiel, rng
-):
-    """A typed refresh whose chunk carries no tanker traffic keeps the
-    tanker graph: its answers stay hits.  The rebuilt cargo graph's old
-    entries leave once the new one serves."""
-    from repro.ais import schema
-
-    config = service_model.config
-    typed = TypedHabitImputer(config, min_group_rows=100).fit_from_trips(tiny_kiel.train)
-    registry.publish("KIEL", typed)
-    tanker, cargo = typed.by_type["tanker"].graph, typed.by_type["cargo"].graph
-    requests = [
-        GapRequest("KIEL", *gap, f"{kind}{i}", typed=True, vessel_type=kind)
-        for kind, graph in (("tanker", tanker), ("cargo", cargo))
-        for i, gap in enumerate(_node_gaps(graph, rng, 3))
-    ]
-    engine = BatchImputationEngine(registry)
-    engine.run(requests, config)
-    assert _cached_serials(engine) == {tanker.serial, cargo.serial}
-    ids = np.asarray(tiny_kiel.train.column(schema.TRIP_ID))
-    cargo_only = tiny_kiel.train.filter(ids % 2 == 0)
-    refreshed, _, _ = registry.refresh("KIEL", cargo_only, config, typed=True)
-    assert refreshed.by_type["tanker"].graph is tanker
-    assert refreshed.by_type["cargo"].graph is not cargo
-    results = engine.run(requests, config)
-    tiers = [r.provenance.path_cache for r in results]
-    assert tiers[:3] == ["hit"] * 3
-    assert "hit" not in tiers[3:]
-    assert _cached_serials(engine) == {tanker.serial, refreshed.by_type["cargo"].graph.serial}
-    for result in results:
-        request = result.request
-        expected = refreshed.impute(request.start, request.end, request.vessel_type)
-        assert np.array_equal(result.lats, expected.lats)
 
 
 def test_answer_cache_evicts_dead_entries_after_refresh(
