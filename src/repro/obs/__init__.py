@@ -215,16 +215,6 @@ class Histogram(_Metric):
         """``with histogram.time(labels): ...`` observes the span."""
         return _Timer(self, labels)
 
-    def summary(self, labels=()):
-        """``{count, sum, p50, p95, p99}`` for one series (estimates)."""
-        return {
-            "count": self.count(labels),
-            "sum": self.sum(labels),
-            "p50": self.quantile(0.50, labels),
-            "p95": self.quantile(0.95, labels),
-            "p99": self.quantile(0.99, labels),
-        }
-
     def count(self, labels=()):
         key = self._check_labels(labels)
         with self._registry._lock:
@@ -236,34 +226,6 @@ class Histogram(_Metric):
         with self._registry._lock:
             series = self._series.get(key)
             return 0.0 if series is None else series[2]
-
-    def quantile(self, q, labels=()):
-        """Estimated q-quantile by linear interpolation within buckets.
-
-        Returns ``None`` for an empty series; observations beyond the
-        last finite edge report that edge (the estimate saturates).
-        """
-        key = self._check_labels(labels)
-        with self._registry._lock:
-            series = self._series.get(key)
-            if series is None or series[1] == 0:
-                return None
-            counts = list(series[0])
-            total = series[1]
-        rank = q * total
-        cumulative = 0
-        for slot, count in enumerate(counts):
-            if count == 0:
-                continue
-            if cumulative + count >= rank:
-                if slot >= len(self.buckets):
-                    return self.buckets[-1]
-                lo = self.buckets[slot - 1] if slot > 0 else 0.0
-                hi = self.buckets[slot]
-                fraction = (rank - cumulative) / count
-                return lo + (hi - lo) * min(max(fraction, 0.0), 1.0)
-            cumulative += count
-        return self.buckets[-1]
 
 
 class MetricsRegistry:

@@ -24,7 +24,7 @@ from repro.ais.reader import DEFAULT_CHUNK_ROWS
 from repro.core import HabitConfig
 from repro.core.graph import PROJECTIONS
 from repro.service.http import make_server
-from repro.service.memory import release_heap
+from repro.service.memory import release_heap, use_one_arena
 from repro.service.registry import ModelRegistry
 
 __all__ = ["main"]
@@ -188,6 +188,11 @@ def _config_from_args(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.serve:
+        # Before the fit or any thread: glibc would give the follow
+        # thread and each handler thread an arena of its own, each
+        # keeping its own freed temporaries resident.
+        use_one_arena()
     if not args.fit and not args.serve:
         parser.error("nothing to do: pass --fit DATASET and/or --serve")
     if args.follow and not args.serve:

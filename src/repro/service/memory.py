@@ -1,8 +1,17 @@
-"""Process memory: give freed C heap back, and read what is resident.
+"""Process memory: one C heap, give its freed pages back, read what is resident.
 
 CPython and NumPy allocate through the C library's ``malloc``.  glibc
-keeps the pages of freed chunks that sit below live ones, so a one-off
-build (a fit) leaves its working set resident after it is freed.
+gives each new thread that allocates an arena of its own (up to eight
+per core), and each arena keeps the pages of its own freed chunks.  In
+the daemon that means the follow thread and every HTTP handler thread
+keep their own high-water of freed NumPy temporaries.
+:func:`use_one_arena` calls glibc's ``mallopt(M_ARENA_MAX, 1)`` (see
+``mallopt(3)``), so every thread allocates from the main heap and freed
+memory is kept once, not once per thread.  The limit only governs
+arenas created after the call, so the CLI makes it first thing in
+``--serve``, before the startup fit, the follow thread and the HTTP
+server start.
+
 :func:`release_heap` calls glibc's ``malloc_trim(0)`` (see
 ``malloc_trim(3)``), which returns every free page of every arena to the
 kernel.  It is meant for the points where a one-off build has ended and
@@ -11,6 +20,9 @@ registry fit-on-miss.  A refresh is not such a point: the next refresh
 reuses its working set, and trimming it makes that refresh fault the
 pages back in (see the *Memory* section of ``docs/OPERATIONS.md``).
 
+Both are silent no-ops returning ``False`` where the C library lacks
+the function (macOS, musl, Windows).
+
 :func:`resident_bytes` reads the resident and peak resident set sizes
 from ``/proc/self/status`` for the ``/metrics`` gauges.
 """
@@ -18,32 +30,42 @@ from ``/proc/self/status`` for the ``/metrics`` gauges.
 import ctypes
 import functools
 
-__all__ = ["release_heap", "resident_bytes"]
+__all__ = ["release_heap", "resident_bytes", "use_one_arena"]
+
+#: ``mallopt`` parameter for the arena limit (glibc ``<malloc.h>``).
+_M_ARENA_MAX = -8
 
 
 @functools.cache
-def _malloc_trim():
-    """The C library's ``malloc_trim``, or ``None`` where it has none
-    (macOS, musl, Windows).  Resolved once per process."""
+def _libc_function(name, *argtypes):
+    """The C library's ``int``-returning function *name*, or ``None``
+    where it has none.  Resolved once per process and name."""
     try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):
+        function = getattr(ctypes.CDLL(None), name)
+    except (OSError, TypeError, AttributeError):
         return None
-    trim = getattr(libc, "malloc_trim", None)
-    if trim is None:
-        return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
+    function.argtypes = list(argtypes)
+    function.restype = ctypes.c_int
+    return function
+
+
+def use_one_arena():
+    """Make every thread allocate from the main C heap
+    (``mallopt(M_ARENA_MAX, 1)``).
+
+    Call it before any other thread starts: a thread that already has an
+    arena keeps it.  Returns ``True`` when glibc accepted the limit.
+    """
+    mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
+    return mallopt is not None and bool(mallopt(_M_ARENA_MAX, 1))
 
 
 def release_heap():
     """Return the C heap's free pages to the kernel (``malloc_trim(0)``).
 
-    Returns ``True`` when memory was released; a silent no-op returning
-    ``False`` where the C library has no ``malloc_trim``.
+    Returns ``True`` when memory was released.
     """
-    trim = _malloc_trim()
+    trim = _libc_function("malloc_trim", ctypes.c_size_t)
     return trim is not None and bool(trim(0))
 
 

@@ -1,5 +1,7 @@
-"""Memory release: the heap trim, where it runs, and the startup fit served warm."""
+"""Process memory: one C heap for the daemon, the heap trim, where each
+runs, and the startup fit served warm."""
 
+import ctypes
 import json
 import re
 import subprocess
@@ -7,13 +9,14 @@ import sys
 import threading
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import HabitConfig, HabitImputer
 from repro.service import ModelRegistry, make_server, memory, registry as registry_module
-from repro.service.memory import release_heap, resident_bytes
+from repro.service.memory import release_heap, resident_bytes, use_one_arena
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,7 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_release_heap_returns_a_worker_threads_freed_arrays():
     """Arrays of 1-2 MB freed on a worker thread stay resident in its
     arena until the trim, which must give back at least half of them."""
-    if memory._malloc_trim() is None or resident_bytes() is None:
+    if memory._libc_function("malloc_trim", ctypes.c_size_t) is None or resident_bytes() is None:
         pytest.skip("needs glibc's malloc_trim and /proc/self/status")
     sizes = [(1 << 20) + (k % 4) * (1 << 18) for k in range(32)]
     freed = sum(sizes[:-1])
@@ -58,13 +61,87 @@ def test_release_heap_is_a_silent_no_op_without_malloc_trim(monkeypatch):
         pass  # attribute lookups fail, as for a symbol the library lacks
 
     monkeypatch.setattr(memory.ctypes, "CDLL", lambda name: _LibcWithoutTrim())
-    memory._malloc_trim.cache_clear()
+    memory._libc_function.cache_clear()
     try:
-        assert memory._malloc_trim() is None
+        assert memory._libc_function("malloc_trim", ctypes.c_size_t) is None
         assert release_heap() is False
     finally:
         monkeypatch.undo()
-        memory._malloc_trim.cache_clear()
+        memory._libc_function.cache_clear()
+
+
+def test_use_one_arena_is_a_silent_no_op_without_mallopt(monkeypatch):
+    class _LibcWithoutMallopt:
+        pass  # attribute lookups fail, as for a symbol the library lacks
+
+    monkeypatch.setattr(memory.ctypes, "CDLL", lambda name: _LibcWithoutMallopt())
+    memory._libc_function.cache_clear()
+    try:
+        assert use_one_arena() is False
+    finally:
+        monkeypatch.undo()
+        memory._libc_function.cache_clear()
+
+
+# Four threads hold 1-2 MB arrays at once, then the child prints how
+# many heaps glibc's malloc_info reports.  argv[1] == "1" calls the
+# helper first, as the CLI does before any thread starts.
+_ARENA_CHILD = """
+import ctypes, sys, threading
+import numpy as np
+from repro.service.memory import use_one_arena
+
+if sys.argv[1] == "1":
+    assert use_one_arena()
+barrier = threading.Barrier(4)
+
+def churn():
+    np.ones(8 << 20, np.uint8)  # lifts the mmap threshold, as in the trim test
+    arrays = [np.ones((1 << 20) + k * (1 << 18), np.uint8) for k in range(4)]
+    barrier.wait(timeout=30)  # all four threads hold their arrays at once
+    del arrays
+
+threads = [threading.Thread(target=churn) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+libc = ctypes.CDLL(None)
+libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+libc.fopen.restype = ctypes.c_void_p
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.malloc_info.restype = ctypes.c_int
+libc.fclose.argtypes = [ctypes.c_void_p]
+libc.fclose.restype = ctypes.c_int
+report = sys.argv[2]
+stream = libc.fopen(report.encode(), b"w")
+assert stream and libc.malloc_info(0, stream) == 0
+libc.fclose(stream)
+with open(report) as handle:
+    print(handle.read().count("<heap "))
+"""
+
+
+@pytest.mark.parametrize("one_arena", [True, False], ids=["one_arena", "default"])
+def test_one_arena_keeps_overlapping_threads_on_one_heap(tmp_path, one_arena):
+    libc = ctypes.CDLL(None)
+    if not all(hasattr(libc, name) for name in ("mallopt", "malloc_info", "fopen")):
+        pytest.skip("needs glibc's mallopt and malloc_info")
+    child = subprocess.run(
+        [sys.executable, "-c", _ARENA_CHILD, "1" if one_arena else "0",
+         str(tmp_path / "malloc_info.xml")],
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    heaps = int(child.stdout.split()[-1])
+    if one_arena:
+        assert heaps == 1
+    else:
+        assert heaps > 1
 
 
 def test_resident_bytes_reads_status_and_tolerates_its_absence(tmp_path):
@@ -115,8 +192,9 @@ def test_cli_trims_once_after_fitting_to_serve(tmp_path, tiny_cache, monkeypatch
     and not at all when it only fits (the process is about to exit)."""
     from repro.service import __main__ as cli
 
-    calls, registries = [], []
+    calls, arenas, registries = [], [], []
     monkeypatch.setattr(cli, "release_heap", lambda: calls.append(1))
+    monkeypatch.setattr(cli, "use_one_arena", lambda: arenas.append(1))
     monkeypatch.setattr(
         cli, "make_server", lambda registry, **_: registries.append(registry) or _StoppedServer()
     )
@@ -124,9 +202,46 @@ def test_cli_trims_once_after_fitting_to_serve(tmp_path, tiny_cache, monkeypatch
             "--data-cache", tiny_cache]
     cli.main(argv + ["--serve"] if serve else argv)
     assert calls == ([1] if serve else [])
+    assert arenas == ([1] if serve else [])
     if serve:
         (registry,) = registries
         assert registry.loaded_ids == [ModelRegistry.model_id("KIEL", HabitConfig())]
+
+
+def test_cli_uses_one_arena_before_the_fit_follow_and_server(tmp_path, monkeypatch):
+    """``--serve`` limits the C heap to one arena exactly once, before
+    the startup fit, the follow daemon's thread and the HTTP server."""
+    from repro.experiments import fit as fit_module
+    from repro.service import __main__ as cli
+    from repro.service import follow as follow_module
+
+    events = []
+
+    def fit_and_save(dataset, registry, **_):
+        events.append("fit")
+        return SimpleNamespace(model_id=dataset, path="-", storage_bytes=0,
+                               train_rows=0, fit_seconds=0.0)
+
+    class _Follow:
+        def __init__(self, *args, **kwargs):
+            events.append("follow")
+
+        def start(self):
+            return self
+
+        def stop(self):
+            pass
+
+    monkeypatch.setattr(cli, "use_one_arena", lambda: events.append("arena"))
+    monkeypatch.setattr(cli, "release_heap", lambda: events.append("trim"))
+    monkeypatch.setattr(fit_module, "fit_and_save", fit_and_save)
+    monkeypatch.setattr(follow_module, "FollowDaemon", _Follow)
+    monkeypatch.setattr(
+        cli, "make_server", lambda registry, **_: events.append("server") or _StoppedServer()
+    )
+    cli.main(["--fit", "KIEL", "--serve", "--follow", str(tmp_path / "live.csv"),
+              "--registry", str(tmp_path / "models")])
+    assert events == ["arena", "fit", "trim", "follow", "server"]
 
 
 def test_metrics_scrape_sets_the_resident_memory_gauges(tmp_path, service_model):

@@ -105,22 +105,15 @@ def test_counter_gauge_histogram_basics():
         hist.observe(value)
     assert hist.count() == 5
     assert hist.sum() == pytest.approx(56.05)
-    # Quantiles interpolate within buckets and saturate at the last edge.
-    assert 0.0 < hist.quantile(0.1) <= 0.1
-    assert 0.1 < hist.quantile(0.5) <= 1.0
-    assert hist.quantile(0.999) == 10.0
-    summary = hist.summary()
-    assert summary["count"] == 5 and summary["p99"] == 10.0
 
     with hist.time():
         pass
     assert hist.count() == 6
 
 
-def test_histogram_empty_quantile_and_wrong_labels():
+def test_histogram_rejects_wrong_labels_and_unsorted_edges():
     reg = MetricsRegistry()
     hist = reg.histogram("h", "h", ("k",))
-    assert hist.quantile(0.5, ("x",)) is None
     with pytest.raises(ValueError, match="label values"):
         hist.observe(1.0)  # missing the label
     with pytest.raises(ValueError, match="increasing"):
