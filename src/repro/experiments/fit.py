@@ -3,8 +3,7 @@
 This module is the bridge between the experiment harness (which knows
 how to prepare datasets) and :mod:`repro.service` (which serves fitted
 models): :func:`fit_and_save` is what ``python -m repro.service --fit``
-runs, and :func:`dataset_fitter` builds the fit-on-miss callback a
-:class:`repro.service.registry.ModelRegistry` can fall back to.
+runs.
 """
 
 import time
@@ -14,7 +13,7 @@ from pathlib import Path
 from repro.core import HabitConfig, HabitImputer
 from repro.experiments import common
 
-__all__ = ["FitReport", "dataset_fitter", "fit_and_save", "fit_habit"]
+__all__ = ["FitReport", "fit_and_save"]
 
 
 @dataclass(frozen=True)
@@ -29,14 +28,6 @@ class FitReport:
     train_rows: int
 
 
-def fit_habit(dataset, config=None, scale=1.0, seed=0, cache_dir=None):
-    """Prepare *dataset* and fit an imputer on its train split."""
-    config = config or HabitConfig()
-    prepared = common.prepare(dataset, scale=scale, cache_dir=cache_dir, seed=seed)
-    imputer = HabitImputer(config).fit_from_trips(prepared.train)
-    return imputer, prepared
-
-
 def fit_and_save(
     dataset,
     registry,
@@ -45,7 +36,7 @@ def fit_and_save(
     seed=0,
     cache_dir=None,
 ):
-    """Fit *dataset* and publish the model into *registry*.
+    """Fit *dataset*'s train split and publish the model into *registry*.
 
     *registry* is a :class:`repro.service.registry.ModelRegistry`: the
     published ``.npz`` is immediately resolvable by any registry pointed
@@ -54,9 +45,8 @@ def fit_and_save(
     load.  Returns a :class:`FitReport`.
     """
     started = time.perf_counter()
-    imputer, prepared = fit_habit(
-        dataset, config=config, scale=scale, seed=seed, cache_dir=cache_dir
-    )
+    prepared = common.prepare(dataset, scale=scale, cache_dir=cache_dir, seed=seed)
+    imputer = HabitImputer(config or HabitConfig()).fit_from_trips(prepared.train)
     model_id, path = registry.publish(dataset, imputer)
     return FitReport(
         model_id=model_id,
@@ -67,14 +57,3 @@ def fit_and_save(
         train_rows=prepared.train.num_rows,
     )
 
-
-def dataset_fitter(scale=1.0, seed=0, cache_dir=None):
-    """A ``fitter(dataset, config)`` fit-on-miss callback."""
-
-    def fit(dataset, config):
-        imputer, _ = fit_habit(
-            dataset, config=config, scale=scale, seed=seed, cache_dir=cache_dir
-        )
-        return imputer
-
-    return fit

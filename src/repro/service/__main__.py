@@ -77,11 +77,6 @@ def _build_parser():
         "--capacity", type=int, default=8, help="LRU cache size in models"
     )
     parser.add_argument(
-        "--fit-on-miss",
-        action="store_true",
-        help="fit (at --scale) when a requested model is neither cached nor on disk",
-    )
-    parser.add_argument(
         "--metrics",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -220,16 +215,11 @@ def main(argv=None):
         METRICS.set_enabled(False)
     config = _config_from_args(args)
 
-    # Imported lazily: --serve alone must not pay for the experiments layer.
-    fitter = None
-    if args.serve and args.fit_on_miss:
-        from repro.experiments.fit import dataset_fitter
-
-        fitter = dataset_fitter(scale=args.scale, seed=args.seed, cache_dir=args.data_cache)
     # One registry: the models fitted below are published into the one
     # that serves, so --fit ... --serve answers its first request warm.
-    registry = ModelRegistry(args.registry, capacity=args.capacity, fitter=fitter)
+    registry = ModelRegistry(args.registry, capacity=args.capacity)
     if args.fit:
+        # Imported lazily: --serve alone must not pay for the experiments layer.
         from repro.experiments.fit import fit_and_save
 
         for dataset in args.fit:

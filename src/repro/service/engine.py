@@ -2,7 +2,7 @@
 
 The engine is the service's query executor.  A batch is grouped by
 dataset so each model is resolved through the registry exactly once
-(one cache probe / disk load / fit per model, however many gaps ride on
+(one cache probe or disk load per model, however many gaps ride on
 it).  Execution is **batch-native**: every request probes the answer
 cache, the misses snap their endpoints, identical routes are
 deduplicated (see request coalescing below) and handed to the
@@ -22,7 +22,7 @@ On top of the model cache sits one **answer cache**: a bounded LRU
 ``(graph serial, raw start, raw end)``.  The serial is the
 process-unique number every :class:`repro.core.graph.CellGraph` takes
 when it is built or loaded, so an answer is only ever handed out on the
-very graph that computed it: a refitted, republished, refreshed or
+very graph that computed it: a republished, refreshed or
 reloaded model has a new graph, hence a new serial, whatever its
 revision says.  (A graph is only shared between forks of one model,
 which render with one config, so the serial pins the whole answer.)  A
@@ -86,7 +86,7 @@ is charged an equal share of the render stage, as it is of its group's
 kernel call.
 
 Every result carries :class:`repro.service.schema.Provenance`: which
-model answered, how it was obtained (cache hit / disk load / fit), the
+model answered, how it was obtained (cache hit / disk load), the
 answer-cache tier (``hit``/``miss``/``coalesced``/``cross_batch``, or
 ``bypass`` for an out-of-coverage straight-line fallback that was not
 cached yet), the routing method actually used (including the
@@ -262,7 +262,8 @@ class BatchImputationEngine:
 
         *config* applies to the whole batch (the transport parses it once
         per payload).  Raises :class:`repro.service.registry.ModelNotFound`
-        if any request names a dataset with no resolvable model.
+        if any request names a dataset with no model file, and
+        :class:`repro.core.ModelFormatError` if its file does not load.
         """
         requests = list(requests)
         config = config or HabitConfig()

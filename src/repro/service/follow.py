@@ -79,7 +79,7 @@ class FollowDaemon:
     - *path*: the growing CSV dump to tail (same header dialects as
       :func:`repro.ais.read_csv`; may not exist yet).
     - *dataset*: the model to refresh.  It must be resolvable -- fit it
-      first or give the registry a fitter.
+      first (``python -m repro.service --fit``).
     - *config*: the model's :class:`repro.core.HabitConfig` (default
       config if omitted).
     - *refresh_interval_s*: minimum seconds between refreshes; closed

@@ -3,7 +3,7 @@
 Four routes:
 
 - ``GET /healthz`` -- liveness plus registry cache counters (hits /
-  loads / fits / evictions / refreshes), the engine's answer-cache
+  loads / evictions / refreshes), the engine's answer-cache
   block (``path_cache``: hits / misses / entries / capacity)
   and, when a follow daemon is attached, its ``follow`` status block
   (rows read, trips closed, refreshes, current revision, last error).
@@ -28,8 +28,10 @@ Four routes:
   reports ``points_in``/``points_out``/``max_sed_m``.
 
 Schema violations map to 400 (422 for a request field the service no
-longer accepts), unresolvable models to 404, everything else to 500
-with the error message in the body.  The server is a
+longer accepts), models with no file to 404, a model file that does not
+load (torn, stale format) to 503 naming the file and its remedy (an
+offline refit with ``--fit``), everything else to 500 with the error
+message in the body.  The server is a
 :class:`ThreadingHTTPServer`, so requests run concurrently -- one
 handler thread per connection; all shared state lives in the (locked)
 registry, the read-only models, the follow daemon's own locked status
@@ -55,6 +57,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.core import ModelFormatError
 from repro.io import feature_collection, linestring_features
 from repro.obs import METRICS
 from repro.service.engine import BatchImputationEngine
@@ -251,7 +254,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "cache": {
                     "hits": stats.hits,
                     "loads": stats.loads,
-                    "fits": stats.fits,
                     "evictions": stats.evictions,
                     "refreshes": stats.refreshes,
                 },
@@ -317,6 +319,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         except ModelNotFound as exc:
             self._send_json(404, {"error": exc.args[0]})
+            return
+        except ModelFormatError as exc:
+            self._send_json(
+                503, {"error": f"{exc}; refit the model with python -m repro.service --fit"}
+            )
             return
         except Exception as exc:  # pragma: no cover - defensive
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})

@@ -14,11 +14,11 @@ server start.
 
 :func:`release_heap` calls glibc's ``malloc_trim(0)`` (see
 ``malloc_trim(3)``), which returns every free page of every arena to the
-kernel.  It is meant for the points where a one-off build has ended and
-serving will not reuse the memory it freed: the CLI's startup fit and a
-registry fit-on-miss.  A refresh is not such a point: the next refresh
-reuses its working set, and trimming it makes that refresh fault the
-pages back in (see the *Memory* section of ``docs/OPERATIONS.md``).
+kernel.  It is meant for the one point where a one-off build has ended
+and serving will not reuse the memory it freed: the end of the CLI's
+startup fit.  A refresh is not such a point: the next refresh reuses
+its working set, and trimming it makes that refresh fault the pages
+back in (see the *Memory* section of ``docs/OPERATIONS.md``).
 
 Both are silent no-ops returning ``False`` where the C library lacks
 the function (macOS, musl, Windows).

@@ -6,16 +6,12 @@ config)`` pair.  The file name *is* the model id --
 ``{DATASET}_{config_hash}.npz`` -- so any process pointed at the same
 directory resolves the same ids without coordination.
 
-:meth:`ModelRegistry.get` resolves a model through three tiers:
-
-1. in-memory LRU cache (``"hit"``),
-2. the registry directory (``"load"``),
-3. an optional ``fitter(dataset, config)`` callback that fits on miss and
-   publishes the result for every later process (``"fit"``).  A fit is a
-   one-off build the serving process will not repeat, so once its model
-   is saved and cached the freed heap goes back to the kernel
-   (:func:`repro.service.memory.release_heap`); loads and refreshes keep
-   theirs, which the next load or refresh reuses.
+:meth:`ModelRegistry.get` resolves a model through two tiers: the
+in-memory LRU cache (``"hit"``) and the registry directory
+(``"load"``).  It never fits: a model that is missing raises
+:class:`ModelNotFound`, and a file that does not load (torn, stale
+format) raises :class:`repro.core.ModelFormatError`.  Both have one
+remedy, an offline ``python -m repro.service --fit``.
 
 :meth:`ModelRegistry.refresh` is the incremental path: it merges a chunk
 of newly arrived (segmented) trips into the resolved model's fit state,
@@ -27,9 +23,9 @@ refresh bookkeeping (``last_refresh``, ``rows_ingested``) rides into
 :meth:`ModelRegistry.list_models` so clients can monitor freshness.
 
 Cache bookkeeping is guarded by one registry lock, while slow work
-(disk loads, fits, refreshes) runs outside it under a per-model-id lock --
-a cold fit never blocks cache hits on other models or ``/healthz``, and
-concurrent misses on the same model dedupe to one load/fit.
+(disk loads, refreshes) runs outside it under a per-model-id lock --
+a cold load never blocks cache hits on other models or ``/healthz``,
+and concurrent misses on the same model dedupe to one load.
 """
 
 import threading
@@ -40,21 +36,20 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import HabitConfig, HabitImputer, ModelFormatError, config_hash
+from repro.core import HabitConfig, HabitImputer, config_hash
 from repro.core.habit import _check_format
 from repro.obs import METRICS
-from repro.service.memory import release_heap
 
 __all__ = ["ModelNotFound", "ModelRegistry", "RegistryStats"]
 
 _RESOLUTIONS_TOTAL = METRICS.counter(
     "repro_registry_resolutions_total",
-    "Model resolutions by tier (hit = warm LRU, load = disk, fit = fit-on-miss).",
+    "Model resolutions by tier (hit = warm LRU, load = disk).",
     ("tier",),
 )
 _REGISTRY_SECONDS = METRICS.histogram(
     "repro_registry_seconds",
-    "Registry slow-path duration in seconds, by operation (load, fit, refresh).",
+    "Registry slow-path duration in seconds, by operation (load, refresh).",
     ("op",),
 )
 _EVICTIONS_TOTAL = METRICS.counter(
@@ -67,24 +62,23 @@ _MODELS_LOADED = METRICS.gauge(
 )
 
 class ModelNotFound(KeyError):
-    """No cached, on-disk, or fittable model matches the request."""
+    """No cached or on-disk model matches the request."""
 
     def __init__(self, dataset, digest):
         self.dataset = dataset
         self.digest = digest
         super().__init__(
             f"no model for dataset {dataset!r} with config hash {digest}; "
-            "fit one first (python -m repro.service --fit) or enable fit-on-miss"
+            "fit one first (python -m repro.service --fit)"
         )
 
 
 @dataclass(frozen=True)
 class RegistryStats:
-    """Counters for the three resolution tiers plus evictions/refreshes."""
+    """Counters for the two resolution tiers plus evictions/refreshes."""
 
     hits: int
     loads: int
-    fits: int
     evictions: int
     refreshes: int = 0
 
@@ -92,18 +86,17 @@ class RegistryStats:
 class ModelRegistry:
     """Thread-safe LRU cache over a directory of serialised models."""
 
-    def __init__(self, root, capacity=8, fitter=None):
+    def __init__(self, root, capacity=8):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.capacity = max(int(capacity), 1)
-        self.fitter = fitter
         self._cache = OrderedDict()  # model_id -> imputer
         self._lock = threading.RLock()
-        # One lock per model id serialises its load/fit/refresh without
+        # One lock per model id serialises its load/refresh without
         # holding the registry lock; entries are tiny and bounded by
         # distinct models seen, so they are never reclaimed.
         self._resolving = {}
-        self._hits = self._loads = self._fits = self._evictions = 0
+        self._hits = self._loads = self._evictions = 0
         self._refreshes = 0
         # Per-model refresh bookkeeping for the /models feed: model_id ->
         # {"last_refresh": epoch seconds, "rows_ingested": cumulative rows,
@@ -144,12 +137,12 @@ class ModelRegistry:
     def get(self, dataset, config):
         """Resolve ``(dataset, config)``; returns ``(imputer, id, source)``.
 
-        ``source`` is ``"hit"``, ``"load"``, or ``"fit"`` -- surfaced in
-        response provenance so clients can see cold starts.  An
-        unreadable file on disk (interrupted save, stale format) falls
-        through to the fitter when one is configured -- a corrupt
-        artefact must not poison its model id.  Raises
-        :class:`ModelNotFound` when all three tiers miss.
+        ``source`` is ``"hit"`` or ``"load"`` -- surfaced in response
+        provenance so clients can see cold starts.  Raises
+        :class:`ModelNotFound` when no file exists, and
+        :class:`repro.core.ModelFormatError` when the file does not load
+        (interrupted save, stale format); the file stays unserved until a
+        :meth:`publish` replaces it.
         """
         model_id = self.model_id(dataset, config)
         hit = self._cached(model_id)
@@ -161,32 +154,16 @@ class ModelRegistry:
             if hit is not None:
                 return hit
             path = self.root / f"{model_id}.npz"
-            if path.exists():
-                started = time.perf_counter()
-                try:
-                    imputer = HabitImputer.load(path)
-                except ModelFormatError:
-                    if self.fitter is None:
-                        raise
-                else:
-                    _REGISTRY_SECONDS.observe(time.perf_counter() - started, ("load",))
-                    _RESOLUTIONS_TOTAL.inc(1, ("load",))
-                    with self._lock:
-                        self._loads += 1
-                        self._insert(model_id, imputer)
-                    return imputer, model_id, "load"
+            if not path.exists():
+                raise ModelNotFound(dataset, config_hash(config))
             started = time.perf_counter()
-            imputer = None if self.fitter is None else self.fitter(dataset, config)
-            if imputer is not None:
-                imputer.save(path)
-                _REGISTRY_SECONDS.observe(time.perf_counter() - started, ("fit",))
-                _RESOLUTIONS_TOTAL.inc(1, ("fit",))
-                with self._lock:
-                    self._fits += 1
-                    self._insert(model_id, imputer)
-                release_heap()
-                return imputer, model_id, "fit"
-        raise ModelNotFound(dataset, config_hash(config))
+            imputer = HabitImputer.load(path)
+            _REGISTRY_SECONDS.observe(time.perf_counter() - started, ("load",))
+            _RESOLUTIONS_TOTAL.inc(1, ("load",))
+            with self._lock:
+                self._loads += 1
+                self._insert(model_id, imputer)
+            return imputer, model_id, "load"
 
     def refresh(self, dataset, chunk, config=None):
         """Merge newly arrived segmented trips into a served model.
@@ -255,7 +232,7 @@ class ModelRegistry:
         """Current :class:`RegistryStats` snapshot."""
         with self._lock:
             return RegistryStats(
-                self._hits, self._loads, self._fits, self._evictions, self._refreshes
+                self._hits, self._loads, self._evictions, self._refreshes
             )
 
     @property
@@ -277,8 +254,8 @@ class ModelRegistry:
         file's revision field alone -- no graph construction, no cache
         insertion.  ``None`` means the model is not cheaply resolvable
         (missing or unreadable file): callers fall back to :meth:`get`,
-        which applies the full fitter/corruption semantics.  The follow
-        daemon uses this to read a model's revision without loading it.
+        which raises the matching error.  The follow daemon uses this to
+        read a model's revision without loading it.
         """
         model_id = self.model_id(dataset, config)
         with self._lock:
@@ -342,8 +319,8 @@ class ModelRegistry:
         zips, but any file :meth:`repro.core.HabitImputer.load` would
         reject -- another format tag, any other version, missing arrays.
         That keeps :meth:`peek_revision`'s fast path honest -- a corrupt
-        or foreign file falls through to :meth:`get`, which applies the
-        fitter semantics.
+        or foreign file falls through to :meth:`get`, which raises
+        :class:`repro.core.ModelFormatError` for it.
         """
         try:
             mtime_ns = path.stat().st_mtime_ns

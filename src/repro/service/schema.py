@@ -22,7 +22,6 @@ from math import isfinite
 import numpy as np
 
 from repro.core import HabitConfig
-from repro.io import linestring_feature
 
 __all__ = [
     "GapRequest",
@@ -69,11 +68,11 @@ class GapRequest:
 class Provenance:
     """How one imputation was produced (attached to every result).
 
-    ``cache`` records how the model was obtained: ``"hit"`` (in-memory),
-    ``"load"`` (read from the registry directory) or ``"fit"`` (fitted on
-    miss).  ``path_cache`` records the engine's answer-cache tier:
-    ``"hit"`` (an exact repeat of a cached query, answered without
-    snapping, searching or rendering), ``"miss"`` (searched and
+    ``cache`` records how the model was obtained: ``"hit"`` (in-memory)
+    or ``"load"`` (read from the registry directory).  ``path_cache``
+    records the engine's answer-cache tier: ``"hit"`` (an exact repeat
+    of a cached query, answered without snapping, searching or
+    rendering), ``"miss"`` (searched and
     rendered, now cached), ``"coalesced"`` (an
     identical route earlier in the same batch was searched once and this
     request rode the same kernel lane), ``"cross_batch"`` (an identical
@@ -143,19 +142,6 @@ class ImputeResult:
         """Number of path positions."""
         return len(self.lats)
 
-    def to_feature(self, provenance=None):
-        """GeoJSON LineString feature with provenance in ``properties``.
-
-        *provenance* is ``self.provenance.to_dict()``, for a caller that
-        has already built it.
-        """
-        properties = {
-            "request_id": self.request.request_id,
-            "dataset": self.request.dataset,
-            **(provenance or self.provenance.to_dict()),
-        }
-        return linestring_feature(self.lats, self.lngs, properties)
-
 
 #: HabitConfig field name -> default value, used to type-check JSON overrides.
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(HabitConfig)}
@@ -196,7 +182,7 @@ def build_config(overrides):
     :func:`_config_value`); unknown field names, mistyped values and
     values :class:`HabitConfig` rejects (an unknown ``projection``, a
     ``resolution`` off the hex grid, a negative ``tolerance_m``) raise
-    :class:`SchemaError`, so a bad config never reaches fit-on-miss.
+    :class:`SchemaError`, so a bad config never reaches the registry.
     """
     if overrides is None:
         return HabitConfig()

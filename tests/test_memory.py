@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import HabitConfig, HabitImputer
-from repro.service import ModelRegistry, make_server, memory, registry as registry_module
+from repro.service import ModelRegistry, make_server, memory
 from repro.service.memory import release_heap, resident_bytes, use_one_arena
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -153,24 +153,18 @@ def test_resident_bytes_reads_status_and_tolerates_its_absence(tmp_path):
     assert resident_bytes(status) is None
 
 
-def test_only_a_fit_on_miss_releases_the_heap(tmp_path, tiny_kiel, monkeypatch):
-    """One trim after a fit-on-miss; a refresh and a disk load reuse
-    what they free, so they must not trim."""
-    calls = []
-    monkeypatch.setattr(registry_module, "release_heap", lambda: calls.append(1))
+def test_a_disk_load_or_refresh_never_releases_the_heap(tmp_path, tiny_kiel, monkeypatch):
+    """A refresh and a disk load reuse what they free, so neither trims
+    the C heap: only the CLI's startup fit does."""
+    resolved = []
+    monkeypatch.setattr(memory, "_libc_function", lambda name, *_: resolved.append(name))
     config = HabitConfig(resolution=9, tolerance_m=100.0)
-
-    def fitter(dataset, config):
-        return HabitImputer(config).fit_from_trips(tiny_kiel.train)
-
-    registry = ModelRegistry(tmp_path / "models", fitter=fitter)
-    assert registry.get("KIEL", config)[2] == "fit"
-    assert calls == [1]
-    assert registry.get("KIEL", config)[2] == "hit"
+    registry = ModelRegistry(tmp_path / "models")
+    registry.publish("KIEL", HabitImputer(config).fit_from_trips(tiny_kiel.train))
     registry.refresh("KIEL", tiny_kiel.test, config)
     registry.evict_all()
     assert registry.get("KIEL", config)[2] == "load"
-    assert calls == [1]
+    assert resolved == []
 
 
 class _StoppedServer:

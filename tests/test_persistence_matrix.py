@@ -7,8 +7,8 @@ The matrix pinned here:
 - files tagged with any other version, and malformed v9 files (missing
   or short config, a config value the imputer rejects, a missing
   revision, a missing or malformed fit state), raise
-  :class:`ModelFormatError` -- and a registry with a fitter refits them
-  instead of failing every request;
+  :class:`ModelFormatError` -- which a registry raises on every request
+  for the file's model, never serving it, until a publish replaces it;
 - a round-trip preserves every CH array **bit-exactly**, and the
   deterministic CH build reproduces the persisted arrays;
 - new saves are stamped ``format_version == 9`` with every CH array and
@@ -29,6 +29,22 @@ def ch_model(tiny_kiel):
     model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     assert model.graph.has_ch
     return model
+
+
+def _assert_refused_until_republished(registry, model):
+    """The registry raises :class:`ModelFormatError` for the bad file at
+    *model*'s path on every request, caching and serving nothing, and a
+    publish of *model* heals the id on disk."""
+    for _ in range(2):
+        with pytest.raises(ModelFormatError):
+            registry.get("KIEL", model.config)
+    assert registry.loaded_ids == [] and registry.stats.loads == 0
+    registry.publish("KIEL", model)
+    registry.evict_all()
+    _, _, source = registry.get("KIEL", model.config)
+    assert source == "load"
+    with np.load(registry.path_for("KIEL", model.config)) as data:
+        assert str(data["format"][1]) == str(habit_mod.MODEL_FORMAT_VERSION)
 
 
 def _payload(path):
@@ -57,7 +73,7 @@ def test_ch_rebuild_matches_persisted_hierarchy(ch_model, tmp_path):
 def test_file_whose_shortcuts_never_unpack_is_rejected(ch_model, tmp_path):
     """Middle nodes that are their own arc's tail would make every CH
     path unpack forever; such a file fails to load like any bad model,
-    so the registry refits or rejects it instead of pinning a thread."""
+    so the registry rejects it instead of pinning a thread."""
     payload = _payload(ch_model.save(tmp_path / "m.npz"))
     indptr = payload["ch_up_indptr"]
     tails = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
@@ -97,42 +113,26 @@ def test_versions_outside_the_window_are_rejected(ch_model, tmp_path):
             HabitImputer.load(bad_path)
 
 
-def test_v7_file_in_registry_is_refitted_on_miss(ch_model, tmp_path):
+def test_v7_file_in_registry_is_refused_until_republished(ch_model, tmp_path):
     """A default-config file from the t-digest era sits at the same path
     (the digest did not move), but its version is stale: the registry
-    refits it instead of serving or failing on it."""
+    refuses it until a refit is published over it."""
     config = HabitConfig()
     assert ch_model.config == config
-    fits = []
-
-    def fitter(dataset, config):
-        fits.append(config)
-        return ch_model
-
-    registry = ModelRegistry(tmp_path / "registry", fitter=fitter)
-    path = registry.path_for("KIEL", config)
+    registry = ModelRegistry(tmp_path / "registry")
     payload = _payload(ch_model.save(tmp_path / "good.npz"))
     payload["format"] = np.array([habit_mod.MODEL_FORMAT, "7"])
-    np.savez(path, **payload)
-    _, _, source = registry.get("KIEL", config)
-    assert source == "fit" and fits == [config]
-    with np.load(path) as data:
-        assert str(data["format"][1]) == str(habit_mod.MODEL_FORMAT_VERSION)
+    np.savez(registry.path_for("KIEL", config), **payload)
+    _assert_refused_until_republished(registry, ch_model)
 
 
-def test_v8_file_in_registry_is_refitted_on_miss(ch_model, tmp_path):
+def test_v8_file_in_registry_is_refused_until_republished(ch_model, tmp_path):
     """A file in the v8 layout -- five config slots (``edge_weight`` and
     ``approx_distinct`` included) and a three-entry state meta -- at the
-    path a registry looks up is refitted, never served."""
-    config = ch_model.config
-    fits = []
-
-    def fitter(dataset, config):
-        fits.append(config)
-        return ch_model
-
-    registry = ModelRegistry(tmp_path / "registry", fitter=fitter)
-    path = registry.path_for("KIEL", config)
+    path a registry looks up is refused, never served, until a refit is
+    published over it."""
+    registry = ModelRegistry(tmp_path / "registry")
+    path = registry.path_for("KIEL", ch_model.config)
     payload = _payload(ch_model.save(tmp_path / "good.npz"))
     payload["format"] = np.array([habit_mod.MODEL_FORMAT, "8"])
     payload["config"] = np.append(payload["config"], ["transitions", "1"])
@@ -141,10 +141,8 @@ def test_v8_file_in_registry_is_refitted_on_miss(ch_model, tmp_path):
     np.savez(path, **payload)
     with pytest.raises(ModelFormatError, match="format version 8"):
         HabitImputer.load(path)
-    _, _, source = registry.get("KIEL", config)
-    assert source == "fit" and fits == [config]
+    _assert_refused_until_republished(registry, ch_model)
     with np.load(path) as data:
-        assert str(data["format"][1]) == str(habit_mod.MODEL_FORMAT_VERSION)
         assert len(data["config"]) == 3
 
 
@@ -197,14 +195,13 @@ _ALL_DEFECTS = {**_DEFECTS, **_PLAIN_DEFECTS}
 )
 def test_malformed_files_raise_format_error_and_refit(ch_model, tmp_path, defect):
     """A malformed model file is a :class:`ModelFormatError`, never a bare
-    ``KeyError``/``IndexError``/``ValueError`` -- so a registry with a
-    fitter refits it instead of failing every request for its id."""
-    registry = ModelRegistry(tmp_path / "registry", fitter=lambda dataset, config: ch_model)
+    ``KeyError``/``IndexError``/``ValueError`` -- so the registry refuses
+    it (a 503 over HTTP) and a published refit heals its id."""
+    registry = ModelRegistry(tmp_path / "registry")
     path = registry.path_for("KIEL", ch_model.config)
     payload = _payload(ch_model.save(tmp_path / "good.npz"))
     _ALL_DEFECTS[defect](payload)
     np.savez(path, **payload)
     with pytest.raises(ModelFormatError):
         HabitImputer.load(path)
-    _, _, source = registry.get("KIEL", ch_model.config)
-    assert source == "fit"
+    _assert_refused_until_republished(registry, ch_model)

@@ -218,8 +218,8 @@ def test_set_ch_rejects_hierarchies_queries_cannot_walk(defect):
 def test_load_rejects_corrupt_hierarchy_unpacking(tiny_kiel, tmp_path, defect):
     """A model file whose hierarchy unpacks to non-edges -- a shortcut
     half missing, or an arc marked original that is no edge -- fails to
-    load as a ``ModelFormatError``, so a registry with a fitter refits
-    it instead of serving paths that hop between unconnected cells."""
+    load as a ``ModelFormatError``, so the registry refuses it instead
+    of serving paths that hop between unconnected cells."""
     from repro.core import ModelFormatError
 
     model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+from contextlib import contextmanager
 import json
 import socket
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import HabitConfig, HabitImputer, config_hash
+from repro.core import HabitConfig, HabitImputer, ModelFormatError, config_hash
 from repro.geo import compress_to_budget, latlng_to_xy_m
 from repro.geo.simplify import off_chord_mask
 from repro.obs import METRICS
@@ -30,6 +31,7 @@ from repro.service import (
     parse_impute_payload,
 )
 from repro.service.engine import _MISSING, _Answer, _PathCache
+from repro.service.http import impute_response
 
 
 @pytest.fixture()
@@ -81,39 +83,19 @@ def test_registry_resolution_tiers(registry, service_model):
     _, _, source = registry.get("KIEL", config)
     assert source == "hit"
     stats = registry.stats
-    assert stats.hits == 2 and stats.loads == 1 and stats.fits == 0
+    assert stats.hits == 2 and stats.loads == 1
 
 
-def test_registry_miss_without_fitter_raises(registry):
+def test_registry_miss_raises_model_not_found(registry):
     with pytest.raises(ModelNotFound, match="DAN"):
         registry.get("DAN", HabitConfig())
 
 
-def test_registry_fit_on_miss_publishes(tmp_path, tiny_kiel):
-    calls = []
-
-    def fitter(dataset, config):
-        calls.append(dataset)
-        return HabitImputer(config).fit_from_trips(tiny_kiel.train)
-
-    reg = ModelRegistry(tmp_path / "reg", fitter=fitter)
-    config = HabitConfig(resolution=8)
-    _, model_id, source = reg.get("KIEL", config)
-    assert source == "fit" and calls == ["KIEL"]
-    assert (tmp_path / "reg" / f"{model_id}.npz").exists()
-    # A second registry on the same directory resolves from disk, no refit.
-    _, _, source = ModelRegistry(tmp_path / "reg").get("KIEL", config)
-    assert source == "load" and calls == ["KIEL"]
-
-
 def test_registry_lru_eviction(tmp_path, tiny_kiel):
-    fitter = lambda dataset, config: HabitImputer(config).fit_from_trips(  # noqa: E731
-        tiny_kiel.train
-    )
-    reg = ModelRegistry(tmp_path / "lru", capacity=2, fitter=fitter)
+    reg = ModelRegistry(tmp_path / "lru", capacity=2)
     configs = [HabitConfig(resolution=r) for r in (7, 8, 9)]
     for config in configs:
-        reg.get("KIEL", config)
+        reg.publish("KIEL", HabitImputer(config).fit_from_trips(tiny_kiel.train))
     assert reg.stats.evictions == 1
     assert len(reg.loaded_ids) == 2
     # The oldest model fell out of memory but survives on disk.
@@ -125,44 +107,16 @@ def test_registry_lru_eviction(tmp_path, tiny_kiel):
     assert ModelRegistry.model_id("KIEL", configs[0]) not in reg.loaded_ids
 
 
-def test_registry_corrupt_file_falls_through_to_fitter(tmp_path, tiny_kiel):
-    from repro.core import ModelFormatError
-
-    config = HabitConfig()
-    fitted = {"count": 0}
-
-    def fitter(dataset, cfg):
-        fitted["count"] += 1
-        return HabitImputer(cfg).fit_from_trips(tiny_kiel.train)
-
-    # An interrupted save left garbage under the model's id.
-    no_fitter = ModelRegistry(tmp_path / "reg")
-    bad = no_fitter.path_for("KIEL", config)
-    bad.write_bytes(b"truncated, definitely not a zip")
-    with pytest.raises(ModelFormatError):
-        no_fitter.get("KIEL", config)
-    # With a fitter the corrupt artefact is refitted and overwritten.
-    reg = ModelRegistry(tmp_path / "reg", fitter=fitter)
-    _, model_id, source = reg.get("KIEL", config)
-    assert source == "fit" and fitted["count"] == 1
-    assert HabitImputer.load(bad).graph.num_nodes > 0  # healed on disk
-
-
-def test_registry_concurrent_misses_dedupe_to_one_fit(tmp_path, tiny_kiel):
-    fits = []
-
-    def fitter(dataset, cfg):
-        fits.append(dataset)
-        return HabitImputer(cfg).fit_from_trips(tiny_kiel.train)
-
-    reg = ModelRegistry(tmp_path / "reg", fitter=fitter)
-    config = HabitConfig()
+def test_registry_concurrent_misses_dedupe_to_one_load(registry, service_model):
+    registry.evict_all()
+    loads_before = registry.stats.loads
     with ThreadPoolExecutor(max_workers=8) as pool:
         outcomes = list(
-            pool.map(lambda _: reg.get("KIEL", config)[2], range(8))
+            pool.map(lambda _: registry.get("KIEL", service_model.config)[2], range(8))
         )
-    assert len(fits) == 1  # one thread fit, the rest waited for the cache
-    assert sorted(set(outcomes)) in (["fit"], ["fit", "hit"])
+    # One thread loaded, the rest waited on the model lock and hit.
+    assert registry.stats.loads - loads_before == 1
+    assert sorted(outcomes) == ["hit"] * 7 + ["load"]
 
 
 def test_registry_list_models(registry, service_model):
@@ -210,8 +164,8 @@ def test_engine_unknown_dataset_raises(registry, service_model):
 
 def test_peek_revision_rejects_unloadable_files(tmp_path, service_model):
     """The cheap revision probe must not trust a file a real load()
-    would reject -- such files fall through to get() and its fitter
-    semantics."""
+    would reject -- such files fall through to get(), which raises
+    ModelFormatError for them."""
     reg = ModelRegistry(tmp_path / "reg")
     config = service_model.config
     # Valid zip with a readable revision but no graph arrays.
@@ -242,7 +196,7 @@ def test_result_feature_carries_provenance(registry, service_model, tiny_kiel):
     gap = tiny_kiel.gaps(3600.0)[0]
     request = GapRequest("KIEL", gap.start, gap.end, "g0")
     (result,) = BatchImputationEngine(registry).run([request], service_model.config)
-    feature = result.to_feature()
+    feature = impute_response([result], 1.0)["geojson"]["features"][0]
     assert feature["geometry"]["type"] == "LineString"
     assert len(feature["geometry"]["coordinates"]) == result.num_points
     props = feature["properties"]
@@ -466,16 +420,25 @@ def _get(base, path):
         return response.status, json.loads(response.read())
 
 
-@pytest.fixture()
-def server(registry):
+@contextmanager
+def _serving(registry):
+    """Serve *registry* on an ephemeral port; yields the base URL."""
     server = make_server(registry, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture()
+def server(registry):
+    with _serving(registry) as base:
+        yield base
 
 
 def test_http_impute_returns_geojson_with_provenance(server, tiny_kiel, service_model):
@@ -503,7 +466,6 @@ def test_impute_response_bytes_match_asdict_construction(registry, service_model
     from dataclasses import asdict
 
     from repro.io import feature_collection
-    from repro.service.http import impute_response
 
     gap = tiny_kiel.gaps(3600.0)[0]
     requests = [
@@ -545,8 +507,6 @@ def test_impute_response_bytes_match_asdict_construction(registry, service_model
         "geojson": feature_collection(old_feature(r) for r in results),
     }
     assert json.dumps(impute_response(results, 12.25)) == json.dumps(old)
-    for r in results:
-        assert json.dumps(r.to_feature()) == json.dumps(old_feature(r))
 
 
 def test_http_render_zero_length_gap_is_two_point_linestring(server, service_model):
@@ -561,7 +521,7 @@ def test_http_render_zero_length_gap_is_two_point_linestring(server, service_mod
 def test_http_health_and_models(server):
     status, health = _get(server, "/healthz")
     assert status == 200 and health["status"] == "ok"
-    assert {"hits", "loads", "fits", "evictions", "refreshes"} <= set(health["cache"])
+    assert set(health["cache"]) == {"hits", "loads", "evictions", "refreshes"}
     assert {"hits", "misses", "entries", "capacity"} <= set(health["path_cache"])
     assert "executor" not in health
     assert "follow" not in health  # no daemon attached to this server
@@ -656,26 +616,14 @@ def test_http_negative_content_length_is_400(server, length):
         pytest.param("resolution", 16, id="resolution-16"),
     ],
 )
-def test_http_bad_config_value_is_400_before_fit_on_miss(
-    tmp_path, tiny_kiel, field, value
-):
+def test_http_bad_config_value_is_400_and_publishes_nothing(tmp_path, field, value):
     """An unknown or mistyped config value is a client error: 400, and no
-    fit runs or publishes a stray model into the registry."""
-    fits = []
-
-    def fitter(dataset, config):
-        fits.append(config)
-        return HabitImputer(config).fit_from_trips(tiny_kiel.train)
-
+    stray model file appears in the registry."""
     root = tmp_path / "reg"
-    server = make_server(ModelRegistry(root, fitter=fitter), port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    try:
+    with _serving(ModelRegistry(root)) as base:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(
-                f"http://{host}:{port}",
+                base,
                 "/impute",
                 {
                     "dataset": "KIEL",
@@ -690,12 +638,44 @@ def test_http_bad_config_value_is_400_before_fit_on_miss(
             assert field in error
         else:
             assert error.startswith(f"unknown config fields: {field};"), error
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert fits == []
     assert not list(root.glob("*.npz"))
+
+
+def test_http_torn_model_file_is_503_until_republished(
+    tmp_path, service_model, odd_half_model, tiny_kiel
+):
+    """A torn model file answers 503 naming the model and the offline
+    refit, not the catch-all 500; another model on the same server keeps
+    answering, and a published refit answers from its own graph."""
+    registry = ModelRegistry(tmp_path / "models")
+    registry.publish("KIEL", service_model)
+    registry.publish("DAN", service_model)
+    config = service_model.config
+    registry.path_for("KIEL", config).write_bytes(b"torn")
+    registry.evict_all()
+    gap = _replaced_gap(tiny_kiel, service_model, odd_half_model)
+
+    def impute(base, dataset):
+        return _post(
+            base, "/impute", {"dataset": dataset, "start": list(gap.start), "end": list(gap.end)}
+        )
+
+    with _serving(registry) as base:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            impute(base, "KIEL")
+        assert err.value.code == 503
+        error = json.loads(err.value.read())["error"]
+        assert ModelRegistry.model_id("KIEL", config) in error
+        assert "python -m repro.service --fit" in error
+        status, body = impute(base, "DAN")
+        assert status == 200 and body["results"][0]["provenance"]["cache"] == "load"
+        registry.publish("KIEL", odd_half_model)
+        status, body = impute(base, "KIEL")
+    assert status == 200
+    expected = odd_half_model.impute(gap.start, gap.end)
+    assert body["geojson"]["features"][0]["geometry"]["coordinates"] == [
+        [float(lng), float(lat)] for lat, lng in zip(expected.lats, expected.lngs)
+    ]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -1051,21 +1031,25 @@ def test_answer_cache_never_serves_a_replaced_model(
 def test_answer_cache_never_serves_a_replaced_refit(
     tmp_path, service_model, odd_half_model, tiny_kiel
 ):
-    """Fit-on-miss variant: a torn model file is refitted, the refit
-    restarts at revision 1, and its answers are its own."""
-    fits = iter([service_model, odd_half_model])
-    registry = ModelRegistry(tmp_path / "models", fitter=lambda dataset, config: next(fits))
+    """A torn model file is refused until a refit is published over it;
+    the refit answers from its own graph, never from its predecessor's
+    cached entry."""
+    registry = ModelRegistry(tmp_path / "models")
+    registry.publish("KIEL", service_model)
     config = service_model.config
     gap = _replaced_gap(tiny_kiel, service_model, odd_half_model)
     request = [GapRequest("KIEL", gap.start, gap.end, "r0")]
     engine = BatchImputationEngine(registry)
     (first,) = engine.run(request, config)
-    assert first.provenance.cache == "fit"
+    assert first.provenance.path_cache == "miss"
     _assert_answers_like(first, service_model)
     registry.path_for("KIEL", config).write_bytes(b"torn")
     registry.evict_all()
+    with pytest.raises(ModelFormatError):
+        engine.run(request, config)
+    registry.publish("KIEL", odd_half_model)
     (again,) = engine.run(request, config)
-    assert again.provenance.cache == "fit" and again.provenance.revision == 1
+    assert again.provenance.cache == "hit" and again.provenance.revision == 1
     assert again.provenance.path_cache == "miss"
     _assert_answers_like(again, odd_half_model)
 
