@@ -2,6 +2,11 @@
 
 Builders return plain dicts in RFC 7946 shape; :func:`write_geojson`
 serialises any of them to disk and returns the path.
+
+:func:`linestring_coordinates` skips the dicts for a whole batch of
+paths: it writes each path's ``[[lng, lat], ...]`` array as the exact
+bytes ``json.dumps`` gives it, every coordinate in one NumPy pass that
+reproduces ``float.__repr__`` (:func:`repr_floats`).
 """
 
 import json
@@ -11,11 +16,221 @@ import numpy as np
 
 __all__ = [
     "feature_collection",
+    "linestring_coordinates",
     "linestring_feature",
     "linestring_features",
     "point_feature",
+    "repr_floats",
     "write_geojson",
 ]
+
+#: ``float.__repr__`` writes ``|x|`` in this range in fixed-point
+#: notation, which is the only notation :func:`repr_floats` writes.
+REPR_RANGE = (1e-4, 1e16)
+
+# Exact powers of ten (10**k is a double for k <= 22), each also split
+# into 26-bit halves for Dekker's product.
+_POW10 = 10.0 ** np.arange(23)
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _split(a):
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+#: ASCII tens and units digit of 0..99.
+_DIGIT_PAIRS = np.array([np.arange(100) // 10, np.arange(100) % 10], dtype=np.uint8) + 48
+#: Text row indices of a number's 22 digit/point positions.
+_ROWS = np.arange(22, dtype=np.uint8)[:, None]
+
+
+def _scaled(a, k):
+    """``(high, low)`` with ``high + low == a * 10**k`` exactly: the
+    rounded product and its error, by Dekker's two-product."""
+    high = a * _POW10.take(k)
+    b_high = _POW10_HIGH.take(k)
+    b_low = _POW10_LOW.take(k)
+    a_high, a_low = _split(a)
+    low = ((a_high * b_high - high) + a_high * b_low + a_low * b_high) + a_low * b_low
+    return high, low
+
+
+def _shortest_digits(a):
+    """The shortest round-tripping decimal of each positive double *a*
+    in :data:`REPR_RANGE`, as ``float.__repr__`` picks it.
+
+    Returns ``(digits, size, point)``: *digits* is a 17-digit int64
+    ``d1 d2 ... d17`` whose first *size* digits are significant (the
+    rest are zeros) and the value is ``0.d1d2...d17 * 10**point``.
+
+    Each value is scaled by ``10**(16 - E)`` into ``[1e16, 1e17)``
+    exactly, as ``top + low`` (an integer double and its error), and
+    so is its rounding interval: half an ulp each side, a quarter ulp
+    below at the bottom of a binade, closed when the mantissa is even.
+    The shortest decimal has the most trailing zeros of any integer in
+    that interval, and among those the nearest (ties to an even last
+    digit).  Every boundary test compares a small integer offset from
+    ``top``, less or plus a half-width (both exact), with ``low``.
+    """
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    top, low = _scaled(a, 16 - exponent)
+    # log10 may land one decade off next to a power of ten.
+    under = (top < 1e16) | ((top == 1e16) & (low < 0.0))
+    over = (top > 1e17) | ((top == 1e17) & (low >= 0.0))
+    off = np.flatnonzero(under | over)
+    if len(off):
+        exponent[off] += over[off].astype(np.int64) - under[off]
+        top[off], low[off] = _scaled(a[off], 16 - exponent[off])
+    bits = a.view(np.int64)
+    closed = (bits & 1) == 0
+    half_up = np.spacing(a) * _POW10.take(16 - exponent) * 0.5
+    half_down = np.where((bits & 0xFFFFFFFFFFFFF) == 0, half_up * 0.5, half_up)
+    # An open end becomes closed against the neighbouring double.
+    low_up = np.where(closed, low, np.nextafter(low, -np.inf))
+    low_down = np.where(closed, low, np.nextafter(low, np.inf))
+    top = top.astype(np.int64)
+    whole = top + np.floor(low).astype(np.int64)  # floor of the scaled value
+
+    def inside(candidate, rows=slice(None)):
+        offset = (candidate - top[rows]).astype(np.float64)
+        above_low = offset + half_down[rows] >= low_down[rows]
+        return (offset - half_up[rows] <= low_up[rows]) & above_low
+
+    def nearest(quotient, unit, rows=slice(None)):
+        below = quotient * unit
+        in_below = inside(below, rows)
+        in_above = inside(below + unit, rows)
+        # Above is nearer when 2 * (scaled - below) > unit.
+        twice = 2.0 * low[rows]
+        middle = 2.0 * (below - top[rows]).astype(np.float64) + unit
+        above = in_above & (
+            ~in_below | (twice > middle) | ((twice == middle) & ((quotient & 1) == 1))
+        )
+        return below + above * unit, in_below | in_above
+
+    digits, _ = nearest(whole, 1)
+    tens, more = nearest(whole // 10, 10)
+    digits = np.where(more, tens, digits)
+    zeros = more.astype(np.int64)
+    # Rows with a candidate at 10**t try 10**(t+1); few get past t = 1.
+    rows = np.flatnonzero(more)
+    for t in range(2, 17):
+        if not len(rows):
+            break
+        unit = _POW10_INT[t]
+        candidate, more = nearest(whole[rows] // unit, unit, rows)
+        rows = rows[more]
+        digits[rows] = candidate[more]
+        zeros[rows] = t
+    size = 17 - zeros
+    # Rounding up to the next power of ten: '9.999...' becomes '10.0'.
+    carry = np.flatnonzero(digits == _POW10_INT[17])
+    digits[carry] = _POW10_INT[16]
+    exponent[carry] += 1
+    size[carry] = 1
+    return digits, size, exponent + 1
+
+
+def _write_reprs(values, out):
+    """Write ``repr(values[i])`` into column ``i`` of the 23 uint8 rows
+    *out* (a sign row, then 22 digit and point rows), zeros padding
+    each text on both sides, and return the texts' lengths.
+
+    Returns ``None``, writing nothing, if any value lies outside
+    :data:`REPR_RANGE` (zero, NaN and infinities included).
+    """
+    a = np.abs(values)
+    if not ((a >= REPR_RANGE[0]) & (a < REPR_RANGE[1])).all():
+        return None
+    digits, size, point = _shortest_digits(a)
+    count = len(values)
+    # padded[1:] is "0000" then the 17 digits then "0"; padded[:-1] is
+    # the same shifted down one row, for the rows after the point.
+    padded = np.empty((23, count), dtype=np.uint8)
+    padded[0] = 0
+    padded[1:5] = 48
+    padded[22] = 48
+    high = digits // 100000000
+    lead = high // 100000000
+    padded[5] = 48 + lead
+    chunks = np.stack((high - lead * 100000000, digits - high * 100000000))
+    pairs = np.empty((2, 4, count), dtype=np.int64)
+    pairs[:, 0] = chunks // 1000000
+    chunks -= pairs[:, 0] * 1000000
+    pairs[:, 1] = chunks // 10000
+    chunks -= pairs[:, 1] * 10000
+    pairs[:, 2] = chunks // 100
+    pairs[:, 3] = chunks - pairs[:, 2] * 100
+    text = _DIGIT_PAIRS.take(pairs, axis=1).transpose(1, 2, 0, 3)
+    padded[6:22].reshape(2, 4, 2, count)[...] = text
+    # The point sits at text row 4 + point (in 1..20); rows before it
+    # take padded[1:], rows after it padded[:-1].
+    at = (point + 4).astype(np.uint8)
+    body = out[1:]
+    before = _ROWS < at
+    np.subtract(padded[1:], padded[:-1], out=body)
+    body *= before
+    body += padded[:-1]
+    body.put(at.astype(np.int64) * count + np.arange(count), 46)
+    # Keep one integer digit at least, and one fraction digit at least.
+    first = np.minimum(at, 5) - 1
+    last = np.maximum(at + 1, (size + 4).astype(np.uint8))
+    body *= (_ROWS >= first) & (_ROWS <= last)
+    negative = values < 0.0
+    out[0] = negative * 45
+    return last - first + 1 + negative
+
+
+def repr_floats(values):
+    """``(text, lengths)``: every value's ``float.__repr__``,
+    concatenated as ASCII bytes, and each one's length; ``None`` if
+    any ``|value|`` is outside :data:`REPR_RANGE`."""
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    out = np.empty((23, len(values)), dtype=np.uint8)
+    lengths = _write_reprs(values, out)
+    if lengths is None:
+        return None
+    return out.T.tobytes().translate(None, b"\0"), lengths.astype(np.int64)
+
+
+def linestring_coordinates(lats, lngs):
+    """Each path's ``coordinates`` array as JSON bytes, equal to
+    ``json.dumps([[lng, lat], ...]).encode()`` of its float64 values.
+
+    One :func:`repr_floats` pass covers the whole batch; each path's
+    text is a slice of one buffer.  Returns ``None`` if any coordinate
+    is outside :data:`REPR_RANGE`: a batch at exactly 0.0 or within
+    1e-4 degrees of the equator or the prime meridian must take the
+    stdlib encoder.
+    """
+    sizes = np.array([len(path) for path in lats], dtype=np.int64)
+    values = np.empty((int(sizes.sum()), 2))
+    if len(sizes):
+        values[:, 0] = np.concatenate(lngs)
+        values[:, 1] = np.concatenate(lats)
+    values = values.ravel()
+    # Each value's column: '[' (lng only), its text, then ', ' after a
+    # lng and '], ' after a lat.
+    out = np.zeros((27, len(values)), dtype=np.uint8)
+    lengths = _write_reprs(values, out[1:24])
+    if lengths is None:
+        return None
+    out[0, 0::2] = ord("[")
+    out[24:26, 0::2] = np.array([[ord(",")], [ord(" ")]], dtype=np.uint8)
+    out[24:27, 1::2] = np.array([[ord("]")], [ord(",")], [ord(" ")]], dtype=np.uint8)
+    text = out.T.tobytes().translate(None, b"\0")
+    ends = np.zeros(len(values) // 2 + 1, dtype=np.int64)
+    np.cumsum(lengths.astype(np.int64).reshape(-1, 2).sum(axis=1) + 6, out=ends[1:])
+    bounds = ends[np.concatenate(([0], np.cumsum(sizes)))].tolist()
+    # Each path drops its last pair's ', ' and closes its array.
+    return [
+        b"[" + text[lo : hi - 2] + b"]" if hi > lo else b"[]"
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def linestring_features(lats, lngs, properties):

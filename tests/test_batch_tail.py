@@ -32,9 +32,9 @@ from repro.geo.budget import compress_rendered_path
 from repro.geo.proj import latlng_to_xy_m, path_length_m, path_lengths_m, polylines_xy_m
 from repro.geo.simplify import rdp_keep_indices_batch
 from repro.io import feature_collection
-from repro.service import BatchImputationEngine, GapRequest, ModelRegistry
+from repro.service import BatchImputationEngine, GapRequest, ModelRegistry, http
 from repro.service.engine import _MISSING
-from repro.service.http import _ENCODER, impute_response
+from repro.service.http import _ENCODER, impute_body, impute_response
 
 # -- oracles: the per-lane / per-path code the batch passes replaced -------
 
@@ -536,7 +536,7 @@ def _mixed_batch_setup(tmp_path, service_model):
     return registry, no_route
 
 
-def test_golden_body_matches_per_path_oracle(tmp_path, service_model, rng):
+def test_golden_body_matches_per_path_oracle(tmp_path, service_model, rng, monkeypatch):
     """A mixed ``/impute`` batch -- miss, answer-cache hit, a miss nudged
     off the hit's endpoints, coalesced rider, out-of-coverage fallback,
     cached no-route, zero-length gap, budget no-op and compressed
@@ -587,6 +587,9 @@ def test_golden_body_matches_per_path_oracle(tmp_path, service_model, rng):
     got = _ENCODER.encode(impute_response(results, 0.0)).encode("utf-8")
     want = json.dumps(_oracle_response(oracle, 0.0)).encode("utf-8")
     assert got == want
+    # The served bytes writer, on its coordinate-writer path.
+    monkeypatch.setattr(http, "WRITER_MIN_POINTS", 0)
+    assert impute_body(results, 0.0) == want
 
 
 # -- the answer cache ----------------------------------------------------
