@@ -218,19 +218,20 @@ def impute_body(results, elapsed_ms):
     head = _ENCODER.encode(
         {"count": len(results), "elapsed_ms": elapsed_ms, "results": entries}
     )
-    parts = [head[:-1].encode("utf-8"), b', "geojson": {"type": "FeatureCollection", "features": [']
-    for k, (coords, props) in enumerate(zip(coordinates, properties)):
-        if k:
-            parts.append(b", ")
-        parts += (
-            _FEATURE_HEAD,
-            coords,
-            _FEATURE_PROPERTIES,
-            _ENCODER.encode(props).encode("utf-8"),
-            b"}",
+    features = b", ".join(
+        b"".join(
+            (_FEATURE_HEAD, coords, _FEATURE_PROPERTIES, _ENCODER.encode(props).encode(), b"}")
         )
-    parts.append(b"]}}")
-    return b"".join(parts)
+        for coords, props in zip(coordinates, properties)
+    )
+    return b"".join(
+        (
+            head[:-1].encode(),
+            b', "geojson": {"type": "FeatureCollection", "features": [',
+            features,
+            b"]}}",
+        )
+    )
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
