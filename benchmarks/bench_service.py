@@ -19,6 +19,7 @@ and wall clocks, not pytest-benchmark timers.
 import json
 import platform
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ import pytest
 
 from repro.obs import METRICS
 from repro.service import BatchImputationEngine, GapRequest, ModelRegistry
+from repro.service.http import _ENCODER, impute_body, impute_response
 
 
 def _requests(gaps, n):
@@ -124,6 +126,47 @@ def _latency_quantiles(results):
     }
 
 
+def _body_encoding(engine, config, gaps):
+    """Same-run /impute body time, stdlib encoding vs the bytes writer
+    (``impute_body``), per batch: 64 cold 16-gap batches (half with
+    ``max_points`` 32, each from a fresh engine) and 64 one-gap hits.
+    Gated on byte equality only; the times are recorded, not bounded."""
+    cold = []
+    for b in range(64):
+        requests = [
+            replace(r, max_points=32 if k % 2 else None)
+            for k, r in enumerate(_requests(gaps[b % len(gaps):] + gaps, 16))
+        ]
+        cold.append(BatchImputationEngine(engine.registry).run(requests, config))
+    hits = []
+    for request in _requests(gaps, 64):
+        engine.run([request], config)
+        engine.run([request], config)
+        hits.append(engine.run([request], config))
+    out = {}
+    for name, batches in (("cold_16_gap", cold), ("one_gap_hit", hits)):
+        for batch in batches:
+            want = _ENCODER.encode(impute_response(batch, 1.0)).encode("utf-8")
+            assert impute_body(batch, 1.0) == want, name
+        times = {}
+        for label, encode in (
+            ("stdlib_ms", lambda b: _ENCODER.encode(impute_response(b, 1.0)).encode("utf-8")),
+            ("writer_ms", lambda b: impute_body(b, 1.0)),
+        ):
+            best = []
+            for _ in range(5):
+                started = time.perf_counter()
+                for batch in batches:
+                    encode(batch)
+                best.append((time.perf_counter() - started) / len(batches))
+            times[label] = round(min(best) * 1e3, 3)
+        times["points_per_batch"] = round(
+            float(np.mean([sum(r.num_points for r in b) for b in batches])), 1
+        )
+        out[name] = times
+    return out
+
+
 def test_latency_quantile_artifact(warm_engine, kiel_gaps):
     """Write BENCH_service.json from raw per-request latencies.
 
@@ -163,6 +206,7 @@ def test_latency_quantile_artifact(warm_engine, kiel_gaps):
         "batch_requests": 64,
         "source": "provenance.elapsed_ms per request (exact quantiles)",
         "scenarios": scenarios,
+        "body_encoding": _body_encoding(thread_engine, config, kiel_gaps),
     }
     out = Path(__file__).parent / "BENCH_service.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
