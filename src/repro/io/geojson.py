@@ -3,10 +3,10 @@
 Builders return plain dicts in RFC 7946 shape; :func:`write_geojson`
 serialises any of them to disk and returns the path.
 
-:func:`linestring_coordinates` skips the dicts for a whole batch of
-paths: it writes each path's ``[[lng, lat], ...]`` array as the exact
-bytes ``json.dumps`` gives it, every coordinate in one NumPy pass that
-reproduces ``float.__repr__`` (:func:`repr_floats`).
+:func:`linestring_collection_bytes` skips the dicts for a whole batch
+of paths: it writes the FeatureCollection as the exact bytes
+``json.dumps`` gives it, every coordinate in one NumPy pass that
+reproduces ``float.__repr__`` (:func:`linestring_coordinates`).
 """
 
 import json
@@ -16,16 +16,17 @@ import numpy as np
 
 __all__ = [
     "feature_collection",
+    "linestring_collection_bytes",
     "linestring_coordinates",
     "linestring_feature",
     "linestring_features",
     "point_feature",
-    "repr_floats",
     "write_geojson",
 ]
 
 #: ``float.__repr__`` writes ``|x|`` in this range in fixed-point
-#: notation, which is the only notation :func:`repr_floats` writes.
+#: notation, which is the only notation :func:`linestring_coordinates`
+#: writes.
 REPR_RANGE = (1e-4, 1e16)
 
 # Exact powers of ten (10**k is a double for k <= 22), each also split
@@ -40,8 +41,8 @@ def _split(a):
     return high, a - high
 
 
-_POW10_HIGH, _POW10_LOW = _split(_POW10)
-_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+_POW10_PARTS = np.stack((_POW10,) + _split(_POW10))
+_POW10_INT = 10 ** np.arange(17, dtype=np.int64)
 #: ASCII tens and units digit of 0..99.
 _DIGIT_PAIRS = np.array([np.arange(100) // 10, np.arange(100) % 10], dtype=np.uint8) + 48
 #: Text row indices of a number's 22 digit/point positions.
@@ -51,12 +52,34 @@ _ROWS = np.arange(22, dtype=np.uint8)[:, None]
 def _scaled(a, k):
     """``(high, low)`` with ``high + low == a * 10**k`` exactly: the
     rounded product and its error, by Dekker's two-product."""
-    high = a * _POW10.take(k)
-    b_high = _POW10_HIGH.take(k)
-    b_low = _POW10_LOW.take(k)
+    b, b_high, b_low = _POW10_PARTS.take(k, axis=1)
+    high = a * b
     a_high, a_low = _split(a)
     low = ((a_high * b_high - high) + a_high * b_low + a_low * b_high) + a_low * b_low
     return high, low
+
+
+def _nearest(quotient, unit, top, bounds):
+    """Of ``quotient * unit`` and the next multiple of *unit*, the one in
+    a scaled value's rounding interval nearest to it (ties to an even
+    quotient), and whether either is in the interval.
+
+    *top* and *bounds* (``2 * low`` and the interval's ends as exact
+    offsets from ``top``) describe each scaled value, as
+    :func:`_shortest_digits` builds them; every argument broadcasts.
+    """
+    twice_low, upper, lower = bounds
+    below = quotient * unit
+    offset = (below - top).astype(np.float64)
+    above = offset + unit
+    in_below = (offset <= upper) & (offset >= lower)
+    in_above = (above <= upper) & (above >= lower)
+    # Above is nearer when 2 * (scaled - below) > unit.
+    middle = offset + above
+    up = in_above & (
+        ~in_below | (twice_low > middle) | ((twice_low == middle) & ((quotient & 1) == 1))
+    )
+    return below + up * unit, in_below | in_above
 
 
 def _shortest_digits(a):
@@ -69,70 +92,55 @@ def _shortest_digits(a):
 
     Each value is scaled by ``10**(16 - E)`` into ``[1e16, 1e17)``
     exactly, as ``top + low`` (an integer double and its error), and
-    so is its rounding interval: half an ulp each side, a quarter ulp
-    below at the bottom of a binade, closed when the mantissa is even.
-    The shortest decimal has the most trailing zeros of any integer in
-    that interval, and among those the nearest (ties to an even last
-    digit).  Every boundary test compares a small integer offset from
-    ``top``, less or plus a half-width (both exact), with ``low``.
+    so is its rounding interval, half an ulp each side.  The shortest
+    decimal has the most trailing zeros of any integer in that
+    interval, and among those the nearest (ties to an even last digit).
+    Every boundary test compares a small integer offset from ``top``
+    with an end of the interval, ``low`` plus or less the half-width,
+    which is exact: for ``a = m * 2**e`` scaled by ``10**k`` both are
+    multiples of ``2**(e+k-1) >= 2**-48`` below 32 in size.
+
+    In :data:`REPR_RANGE` the interval's finer points never decide:
+    an end lands on a multiple of ten only for ``|a| >= 2**53``, whose
+    own scaled text already ends in a zero there, so whether an end is
+    open (odd mantissa) does not matter; and the quarter ulp below a
+    power of two would matter only if its scaled text sat within 12 of
+    a multiple of ten with more trailing zeros than its own, which no
+    power of two from ``2**-13`` to ``2**53`` does.
     """
     exponent = np.floor(np.log10(a)).astype(np.int64)
     top, low = _scaled(a, 16 - exponent)
-    # log10 may land one decade off next to a power of ten.
-    under = (top < 1e16) | ((top == 1e16) & (low < 0.0))
-    over = (top > 1e17) | ((top == 1e17) & (low >= 0.0))
+    # log10 may land one decade off next to a power of ten.  Near zero
+    # both differences are exact (multiples of top's ulp), so adding
+    # low gives the exact product's side of each bound.
+    under = (top - 1e16) + low < 0.0
+    over = (top - 1e17) + low >= 0.0
     off = np.flatnonzero(under | over)
     if len(off):
         exponent[off] += over[off].astype(np.int64) - under[off]
         top[off], low[off] = _scaled(a[off], 16 - exponent[off])
-    bits = a.view(np.int64)
-    closed = (bits & 1) == 0
-    half_up = np.spacing(a) * _POW10.take(16 - exponent) * 0.5
-    half_down = np.where((bits & 0xFFFFFFFFFFFFF) == 0, half_up * 0.5, half_up)
-    # An open end becomes closed against the neighbouring double.
-    low_up = np.where(closed, low, np.nextafter(low, -np.inf))
-    low_down = np.where(closed, low, np.nextafter(low, np.inf))
+    half = np.spacing(a) * _POW10.take(16 - exponent) * 0.5
+    bounds = np.stack((2.0 * low, low + half, low - half))
     top = top.astype(np.int64)
     whole = top + np.floor(low).astype(np.int64)  # floor of the scaled value
-
-    def inside(candidate, rows=slice(None)):
-        offset = (candidate - top[rows]).astype(np.float64)
-        above_low = offset + half_down[rows] >= low_down[rows]
-        return (offset - half_up[rows] <= low_up[rows]) & above_low
-
-    def nearest(quotient, unit, rows=slice(None)):
-        below = quotient * unit
-        in_below = inside(below, rows)
-        in_above = inside(below + unit, rows)
-        # Above is nearer when 2 * (scaled - below) > unit.
-        twice = 2.0 * low[rows]
-        middle = 2.0 * (below - top[rows]).astype(np.float64) + unit
-        above = in_above & (
-            ~in_below | (twice > middle) | ((twice == middle) & ((quotient & 1) == 1))
-        )
-        return below + above * unit, in_below | in_above
-
-    digits, _ = nearest(whole, 1)
-    tens, more = nearest(whole // 10, 10)
-    digits = np.where(more, tens, digits)
-    zeros = more.astype(np.int64)
-    # Rows with a candidate at 10**t try 10**(t+1); few get past t = 1.
-    rows = np.flatnonzero(more)
-    for t in range(2, 17):
-        if not len(rows):
-            break
-        unit = _POW10_INT[t]
-        candidate, more = nearest(whole[rows] // unit, unit, rows)
-        rows = rows[more]
-        digits[rows] = candidate[more]
-        zeros[rows] = t
-    size = 17 - zeros
-    # Rounding up to the next power of ten: '9.999...' becomes '10.0'.
-    carry = np.flatnonzero(digits == _POW10_INT[17])
-    digits[carry] = _POW10_INT[16]
-    exponent[carry] += 1
-    size[carry] = 1
-    return digits, size, exponent + 1
+    # The nearest multiple of 1, 10 and 100, side by side (an integer
+    # always fits: 17 digits round-trip); few values fit a 100.
+    units = _POW10_INT[:, None]
+    candidate, fits = _nearest(whole // units[:3], units[:3], top, bounds)
+    zeros = fits[1:].sum(axis=0)
+    digits = np.where(fits[2], candidate[2], np.where(fits[1], candidate[1], candidate[0]))
+    # Those try every larger 10**t at once; a multiple of 10**t is one
+    # of 10**(t-1), so the count of fits is the count of trailing zeros.
+    rows = np.flatnonzero(fits[2])
+    if len(rows):
+        wide, fits = _nearest(whole[rows] // units[3:], units[3:], top[rows], bounds[:, rows])
+        extra = fits.sum(axis=0)
+        found = np.flatnonzero(extra)
+        digits[rows[found]] = wide[extra[found] - 1, found]
+        zeros[rows] += extra
+    # No candidate is 1e17: that is 10**(E+1), a double other than a
+    # (powers of ten are exact to 1e22), so outside a's interval.
+    return digits, 17 - zeros, exponent + 1
 
 
 def _write_reprs(values, out):
@@ -185,27 +193,15 @@ def _write_reprs(values, out):
     return last - first + 1 + negative
 
 
-def repr_floats(values):
-    """``(text, lengths)``: every value's ``float.__repr__``,
-    concatenated as ASCII bytes, and each one's length; ``None`` if
-    any ``|value|`` is outside :data:`REPR_RANGE`."""
-    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    out = np.empty((23, len(values)), dtype=np.uint8)
-    lengths = _write_reprs(values, out)
-    if lengths is None:
-        return None
-    return out.T.tobytes().translate(None, b"\0"), lengths.astype(np.int64)
-
-
 def linestring_coordinates(lats, lngs):
     """Each path's ``coordinates`` array as JSON bytes, equal to
     ``json.dumps([[lng, lat], ...]).encode()`` of its float64 values.
 
-    One :func:`repr_floats` pass covers the whole batch; each path's
-    text is a slice of one buffer.  Returns ``None`` if any coordinate
-    is outside :data:`REPR_RANGE`: a batch at exactly 0.0 or within
-    1e-4 degrees of the equator or the prime meridian must take the
-    stdlib encoder.
+    One NumPy pass writes every coordinate's ``float.__repr__`` text;
+    each path's text is a slice of one buffer.  Returns ``None`` if any
+    coordinate is outside :data:`REPR_RANGE`: a batch at exactly 0.0 or
+    within 1e-4 degrees of the equator or the prime meridian must take
+    the stdlib encoder.
     """
     sizes = np.array([len(path) for path in lats], dtype=np.int64)
     values = np.empty((int(sizes.sum()), 2))
@@ -224,7 +220,7 @@ def linestring_coordinates(lats, lngs):
     out[24:27, 1::2] = np.array([[ord("]")], [ord(",")], [ord(" ")]], dtype=np.uint8)
     text = out.T.tobytes().translate(None, b"\0")
     ends = np.zeros(len(values) // 2 + 1, dtype=np.int64)
-    np.cumsum(lengths.astype(np.int64).reshape(-1, 2).sum(axis=1) + 6, out=ends[1:])
+    np.cumsum(lengths[0::2] + lengths[1::2].astype(np.int64) + 6, out=ends[1:])
     bounds = ends[np.concatenate(([0], np.cumsum(sizes)))].tolist()
     # Each path drops its last pair's ', ' and closes its array.
     return [
@@ -254,12 +250,16 @@ def linestring_features(lats, lngs, properties):
     lo = 0
     for size, props in zip(sizes, properties):
         hi = lo + size
-        yield {
-            "type": "Feature",
-            "geometry": {"type": "LineString", "coordinates": coords[lo:hi]},
-            "properties": props,
-        }
+        yield _linestring(coords[lo:hi], props)
         lo = hi
+
+
+def _linestring(coordinates, properties):
+    return {
+        "type": "Feature",
+        "geometry": {"type": "LineString", "coordinates": coordinates},
+        "properties": properties,
+    }
 
 
 def linestring_feature(lats, lngs, properties=None):
@@ -280,6 +280,38 @@ def point_feature(lat, lng, properties=None):
 def feature_collection(features):
     """Wrap features into a FeatureCollection."""
     return {"type": "FeatureCollection", "features": list(features)}
+
+
+def _text_around(obj):
+    """The JSON bytes of *obj*, split where it holds the string ``"\\0"``."""
+    return json.dumps(obj).encode().split(b'"\\u0000"')
+
+
+#: A LineString feature's text around its coordinates and properties,
+#: and a FeatureCollection's around and between its features.
+_FEATURE_TEXT = _text_around(_linestring("\0", "\0"))
+_COLLECTION_TEXT = _text_around(feature_collection(["\0", "\0"]))
+
+
+def linestring_collection_bytes(lats, lngs, properties, encode=json.dumps):
+    """``feature_collection(linestring_features(lats, lngs, properties))``
+    as JSON bytes, without building the features.
+
+    The coordinates come from :func:`linestring_coordinates` and each
+    properties mapping from *encode*, a JSON encoder with ``json``'s
+    default separators, so the bytes equal *encode* of the dicts.
+    Returns ``None`` where :func:`linestring_coordinates` does.
+    """
+    coordinates = linestring_coordinates(lats, lngs)
+    if coordinates is None:
+        return None
+    head, middle, tail = _FEATURE_TEXT
+    opening, separator, closing = _COLLECTION_TEXT
+    features = separator.join(
+        b"".join((head, text, middle, encode(props).encode(), tail))
+        for text, props in zip(coordinates, properties)
+    )
+    return b"".join((opening, features, closing))
 
 
 def write_geojson(obj, path):

@@ -59,7 +59,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core import ModelFormatError
 from repro.io import feature_collection, linestring_features
-from repro.io.geojson import linestring_coordinates
+from repro.io.geojson import linestring_collection_bytes
 from repro.obs import METRICS
 from repro.service.engine import BatchImputationEngine
 from repro.service.memory import resident_bytes
@@ -163,6 +163,15 @@ def _entries(results):
     return entries, properties
 
 
+def _response(results, elapsed_ms, entries, geojson):
+    return {
+        "count": len(results),
+        "elapsed_ms": elapsed_ms,
+        "results": entries,
+        "geojson": geojson,
+    }
+
+
 def impute_response(results, elapsed_ms):
     """The ``/impute`` 200 body as a dict: per-result provenance plus
     the GeoJSON.
@@ -173,65 +182,32 @@ def impute_response(results, elapsed_ms):
     batch (:func:`repro.io.geojson.linestring_features`).
     """
     entries, properties = _entries(results)
-    return {
-        "count": len(results),
-        "elapsed_ms": elapsed_ms,
-        "results": entries,
-        "geojson": feature_collection(
-            linestring_features(
-                [r.lats for r in results], [r.lngs for r in results], properties
-            )
-        ),
-    }
-
-
-#: Batches with fewer points take the stdlib encoder: below ~1,000
-#: coordinates NumPy's per-call overhead outweighs ``float.__repr__``
-#: (a 310-point warm hit: 0.46 ms against 0.43 ms; a 2,570-point cold
-#: 16-gap batch: 2.1 ms against 3.8 ms).
-WRITER_MIN_POINTS = 512
-
-#: The text around each feature's coordinates in the ``/impute`` body.
-_FEATURE_HEAD = b'{"type": "Feature", "geometry": {"type": "LineString", "coordinates": '
-_FEATURE_PROPERTIES = b'}, "properties": '
+    features = linestring_features(
+        [r.lats for r in results], [r.lngs for r in results], properties
+    )
+    return _response(results, elapsed_ms, entries, feature_collection(features))
 
 
 def impute_body(results, elapsed_ms):
     """The ``/impute`` 200 body as bytes: exactly
     ``_ENCODER.encode(impute_response(results, elapsed_ms))``.
 
-    The stdlib encodes the skeleton (counts, ``results[]``, each
-    feature's properties), and each feature's coordinates are spliced
-    in from one :func:`repro.io.geojson.linestring_coordinates` pass
-    over the batch.  A batch holding a coordinate that pass cannot
-    write (0.0, or closer than 1e-4 to it) is encoded whole by the
-    stdlib, and so is one smaller than :data:`WRITER_MIN_POINTS`.
+    The stdlib encodes ``count``, ``elapsed_ms`` and ``results[]``, and
+    the FeatureCollection, whose coordinates one NumPy pass writes, is
+    spliced in (:func:`repro.io.geojson.linestring_collection_bytes`).
+    A batch holding a coordinate that pass cannot write (0.0, or closer
+    than 1e-4 to it) is encoded whole from :func:`impute_response`.
     """
-    coordinates = None
-    if sum(r.num_points for r in results) >= WRITER_MIN_POINTS:
-        coordinates = linestring_coordinates(
-            [r.lats for r in results], [r.lngs for r in results]
-        )
-    if coordinates is None:
-        return _ENCODER.encode(impute_response(results, elapsed_ms)).encode("utf-8")
     entries, properties = _entries(results)
-    head = _ENCODER.encode(
-        {"count": len(results), "elapsed_ms": elapsed_ms, "results": entries}
+    geojson = linestring_collection_bytes(
+        [r.lats for r in results], [r.lngs for r in results], properties, _ENCODER.encode
     )
-    features = b", ".join(
-        b"".join(
-            (_FEATURE_HEAD, coords, _FEATURE_PROPERTIES, _ENCODER.encode(props).encode(), b"}")
-        )
-        for coords, props in zip(coordinates, properties)
-    )
-    return b"".join(
-        (
-            head[:-1].encode(),
-            b', "geojson": {"type": "FeatureCollection", "features": [',
-            features,
-            b"]}}",
-        )
-    )
+    if geojson is None:
+        return _ENCODER.encode(impute_response(results, elapsed_ms)).encode("utf-8")
+    skeleton = _ENCODER.encode(_response(results, elapsed_ms, entries, None))
+    # "geojson" is the last key, so its null is the text's last.
+    head, _, tail = skeleton.rpartition("null")
+    return b"".join((head.encode(), geojson, tail.encode()))
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):

@@ -32,7 +32,8 @@ from repro.geo.budget import compress_rendered_path
 from repro.geo.proj import latlng_to_xy_m, path_length_m, path_lengths_m, polylines_xy_m
 from repro.geo.simplify import rdp_keep_indices_batch
 from repro.io import feature_collection
-from repro.service import BatchImputationEngine, GapRequest, ModelRegistry, http
+from repro.io.geojson import linestring_coordinates
+from repro.service import BatchImputationEngine, GapRequest, ModelRegistry
 from repro.service.engine import _MISSING
 from repro.service.http import _ENCODER, impute_body, impute_response
 
@@ -536,7 +537,7 @@ def _mixed_batch_setup(tmp_path, service_model):
     return registry, no_route
 
 
-def test_golden_body_matches_per_path_oracle(tmp_path, service_model, rng, monkeypatch):
+def test_golden_body_matches_per_path_oracle(tmp_path, service_model, rng):
     """A mixed ``/impute`` batch -- miss, answer-cache hit, a miss nudged
     off the hit's endpoints, coalesced rider, out-of-coverage fallback,
     cached no-route, zero-length gap, budget no-op and compressed
@@ -588,7 +589,7 @@ def test_golden_body_matches_per_path_oracle(tmp_path, service_model, rng, monke
     want = json.dumps(_oracle_response(oracle, 0.0)).encode("utf-8")
     assert got == want
     # The served bytes writer, on its coordinate-writer path.
-    monkeypatch.setattr(http, "WRITER_MIN_POINTS", 0)
+    assert linestring_coordinates([r.lats for r in results], [r.lngs for r in results])
     assert impute_body(results, 0.0) == want
 
 

@@ -1,10 +1,11 @@
 """The vectorised coordinate writer equals ``float.__repr__`` and the
 ``/impute`` bytes writer equals the stdlib encoding.
 
-``repro.io.geojson.repr_floats`` is checked against ``repr`` on over a
-million doubles drawn with fixed seeds; a failure names the family, the
-seed and the first differing value (with its ``float.hex``), so it
-replays.  ``repro.service.http.impute_body`` is checked against
+``repro.io.geojson.linestring_coordinates`` is checked against
+``json.dumps`` of the ``[[lng, lat], ...]`` lists on over a million
+doubles drawn with fixed seeds; a failure names the family, the seed
+and the first differing value (with its ``float.hex``), so it replays.
+``repro.service.http.impute_body`` is checked against
 ``_ENCODER.encode(impute_response(...))``, which stays the reference.
 """
 
@@ -17,8 +18,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.io.geojson import REPR_RANGE, linestring_coordinates, repr_floats
-from repro.service import BatchImputationEngine, GapRequest, ModelRegistry, http, make_server
+from repro.io import feature_collection, linestring_features
+from repro.io.geojson import REPR_RANGE, linestring_collection_bytes, linestring_coordinates
+from repro.service import BatchImputationEngine, GapRequest, ModelRegistry, make_server
 from repro.service.http import _ENCODER, impute_body, impute_response
 
 SEED = 20260
@@ -51,6 +53,9 @@ def _families(rng):
         "binade bottoms and powers of ten +- 1 ulp": edges,
         "short decimals": np.concatenate([short, [54.25, 2.0**50 + 0.25, 2.0**50 + 0.75]]),
         "integers": np.arange(1.0, 100_000.0),
+        # Where interval ends are integers: spacing 2, then 1, then 0.5.
+        "around 2**53": 2.0**53 + np.arange(-100_000.0, 100_000.0, 1.0),
+        "around 2**52": 2.0**52 + np.arange(-50_000.0, 50_000.0, 0.5),
         "neighbours of 15-17 digit decimals": np.concatenate(
             [decimals, np.nextafter(decimals, np.inf), np.nextafter(decimals, -np.inf)]
         ),
@@ -62,24 +67,34 @@ def _families(rng):
     }
 
 
-def _first_mismatch(values, text, lengths):
-    ends = np.cumsum(lengths)
-    decoded = text.decode()
-    for i, value in enumerate(values.tolist()):
-        got = decoded[ends[i] - lengths[i] : ends[i]]
+def _json_paths(lats, lngs):
+    return [json.dumps(np.column_stack((b, a)).tolist()).encode() for a, b in zip(lats, lngs)]
+
+
+def _first_mismatch(values, paths):
+    """The first of *values* (in ``lng, lat, lng, ...`` order) whose
+    text in the written *paths* differs from its ``repr``."""
+    pairs = b", ".join(p[1:-1] for p in paths if p != b"[]").decode()[1:-1].split("], [")
+    written = [text for pair in pairs for text in pair.split(", ")]
+    for value, got in zip(values.tolist(), written):
         if got != repr(value):
             return f"{value!r} ({value.hex()}) written as {got!r}"
-    return "texts agree but lengths differ"
+    return f"{len(written)} texts for {len(values)} values"
 
 
-def test_repr_floats_matches_float_repr_on_a_million_doubles():
+def test_coordinate_writer_matches_float_repr_on_a_million_doubles():
     rng = np.random.default_rng(SEED)
     total = 0
     for name, values in _families(rng).items():
-        text, lengths = repr_floats(values)
-        want = [repr(v) for v in values.tolist()]
-        ok = text == "".join(want).encode() and lengths.tolist() == [len(w) for w in want]
-        assert ok, f"{name} (seed {SEED}): " + _first_mismatch(values, text, lengths)
+        if len(values) % 2:
+            values = np.append(values, values[0])
+        # Uneven paths, so slicing the batch's text is checked too.
+        lngs = np.split(values[0::2], [1, 2, len(values) // 5])
+        lats = np.split(values[1::2], [1, 2, len(values) // 5])
+        paths = linestring_coordinates(lats, lngs)
+        assert paths is not None, f"{name} (seed {SEED}): reported out of range"
+        ok = paths == _json_paths(lats, lngs)
+        assert ok, f"{name} (seed {SEED}): " + _first_mismatch(values, paths)
         total += len(values)
     assert total >= 1_000_000
 
@@ -88,9 +103,11 @@ def test_repr_floats_matches_float_repr_on_a_million_doubles():
     "values",
     [[0.0], [-0.0], [5e-5], [1e16], [-1e17], [np.nan], [np.inf], [54.1, 1e-5]],
 )
-def test_repr_floats_reports_values_outside_its_range(values):
-    assert repr_floats(values) is None
-    assert linestring_coordinates([np.array(values)], [np.full(len(values), 10.5)]) is None
+def test_coordinate_writer_reports_values_outside_its_range(values):
+    inside = np.full(len(values), 10.5)
+    assert linestring_coordinates([np.array(values)], [inside]) is None
+    assert linestring_coordinates([inside], [np.array(values)]) is None
+    assert linestring_collection_bytes([np.array(values)], [inside], [{}]) is None
 
 
 def test_linestring_coordinates_equal_json_dumps():
@@ -98,23 +115,28 @@ def test_linestring_coordinates_equal_json_dumps():
     sizes = [0, 3, 1, 0, 7]
     lats = [rng.uniform(-89.0, 89.0, n) for n in sizes]
     lngs = [rng.uniform(-179.0, 179.0, n) for n in sizes]
-    want = [json.dumps(np.column_stack((b, a)).tolist()).encode() for a, b in zip(lats, lngs)]
-    assert linestring_coordinates(lats, lngs) == want
+    assert linestring_coordinates(lats, lngs) == _json_paths(lats, lngs)
     assert linestring_coordinates([], []) == []
+
+
+def test_linestring_collection_bytes_equal_json_dumps():
+    rng = np.random.default_rng(SEED)
+    sizes = [4, 0, 2]
+    lats = [rng.uniform(-89.0, 89.0, n) for n in sizes]
+    lngs = [rng.uniform(-179.0, 179.0, n) for n in sizes]
+    properties = [{"request_id": "caf\u00e9", "n": 1}, {}, {"fallback": True, "x": None}]
+    want = json.dumps(feature_collection(linestring_features(lats, lngs, properties)))
+    assert linestring_collection_bytes(lats, lngs, properties) == want.encode()
+    empty = json.dumps(feature_collection([])).encode()
+    assert linestring_collection_bytes([], [], []) == empty
 
 
 def _stdlib_body(results, elapsed_ms):
     return _ENCODER.encode(impute_response(results, elapsed_ms)).encode("utf-8")
 
 
-@pytest.fixture()
-def writer_for_every_batch(monkeypatch):
-    """Route even small test batches through the coordinate writer."""
-    monkeypatch.setattr(http, "WRITER_MIN_POINTS", 0)
-
-
 def test_impute_body_equals_stdlib_for_every_answer_kind(
-    tmp_path, service_model, tiny_kiel, writer_for_every_batch
+    tmp_path, service_model, tiny_kiel
 ):
     """Routed, budgeted, coalesced, hit, no-route, zero-length and
     offshore answers in one batch."""
@@ -153,7 +175,7 @@ def test_impute_body_equals_stdlib_for_every_answer_kind(
 
 
 def test_impute_body_falls_back_on_a_zero_coordinate(
-    registry, service_model, tiny_kiel, writer_for_every_batch
+    registry, service_model, tiny_kiel
 ):
     gap = tiny_kiel.gaps(3600.0)[0]
     (result,) = BatchImputationEngine(registry).run(
@@ -193,7 +215,7 @@ def _raw_post(url, payload):
         return exc.code, exc.read()
 
 
-def test_socket_body_equals_stdlib_encoding(registry, tiny_kiel, writer_for_every_batch):
+def test_socket_body_equals_stdlib_encoding(registry, tiny_kiel):
     """Through ``make_server``: the served bytes, re-encoded by the stdlib
     from the parsed body, are the same bytes."""
     gaps = tiny_kiel.gaps(3600.0)[:4]
