@@ -5,8 +5,8 @@ serialises any of them to disk and returns the path.
 
 :func:`linestring_collection_bytes` skips the dicts for a whole batch
 of paths: it writes the FeatureCollection as the exact bytes
-``json.dumps`` gives it, every coordinate in one NumPy pass that
-reproduces ``float.__repr__`` (:func:`linestring_coordinates`).
+``json.dumps`` gives it, every coordinate by vectorised NumPy passes
+that reproduce ``float.__repr__`` (:func:`linestring_coordinates`).
 """
 
 import json
@@ -203,11 +203,11 @@ def linestring_coordinates(lats, lngs):
     """Each path's ``coordinates`` array as JSON bytes, equal to
     ``json.dumps([[lng, lat], ...]).encode()`` of its float64 values.
 
-    One NumPy pass writes every coordinate's ``float.__repr__`` text;
-    each path's text is a slice of one buffer.  Returns ``None`` if any
-    coordinate is outside :data:`REPR_RANGE`: a batch at exactly 0.0 or
-    within 1e-4 degrees of the equator or the prime meridian must take
-    the stdlib encoder.
+    NumPy passes of :data:`_CHUNK` values write every coordinate's
+    ``float.__repr__`` text; each path's text is a slice of the joined
+    buffer.  Returns ``None`` if any coordinate is outside
+    :data:`REPR_RANGE`: a batch at exactly 0.0 or within 1e-4 degrees
+    of the equator or the prime meridian must take the stdlib encoder.
     """
     sizes = np.array([len(path) for path in lats], dtype=np.int64)
     values = np.empty((int(sizes.sum()), 2))
@@ -305,14 +305,13 @@ _FEATURE_TEXT = _text_around(_linestring("\0", "\0"))
 _COLLECTION_TEXT = _text_around(feature_collection(["\0", "\0"]))
 
 
-def linestring_collection_bytes(lats, lngs, properties, encode=json.dumps):
-    """``feature_collection(linestring_features(lats, lngs, properties))``
-    as JSON bytes, without building the features.
+def linestring_collection_bytes(lats, lngs, properties):
+    """``json.dumps(feature_collection(linestring_features(lats, lngs,
+    properties))).encode()``, without building the features.
 
     The coordinates come from :func:`linestring_coordinates` and each
-    properties mapping from *encode*, a JSON encoder with ``json``'s
-    default separators, so the bytes equal *encode* of the dicts.
-    Returns ``None`` where :func:`linestring_coordinates` does.
+    properties mapping from ``json.dumps``.  Returns ``None`` where
+    :func:`linestring_coordinates` does.
     """
     coordinates = linestring_coordinates(lats, lngs)
     if coordinates is None:
@@ -320,7 +319,7 @@ def linestring_collection_bytes(lats, lngs, properties, encode=json.dumps):
     head, middle, tail = _FEATURE_TEXT
     opening, separator, closing = _COLLECTION_TEXT
     features = separator.join(
-        b"".join((head, text, middle, encode(props).encode(), tail))
+        b"".join((head, text, middle, json.dumps(props).encode(), tail))
         for text, props in zip(coordinates, properties)
     )
     return b"".join((opening, features, closing))

@@ -200,7 +200,7 @@ def impute_body(results, elapsed_ms):
     """
     entries, properties = _entries(results)
     geojson = linestring_collection_bytes(
-        [r.lats for r in results], [r.lngs for r in results], properties, _ENCODER.encode
+        [r.lats for r in results], [r.lngs for r in results], properties
     )
     if geojson is None:
         return _ENCODER.encode(impute_response(results, elapsed_ms)).encode("utf-8")
