@@ -193,10 +193,11 @@ def impute_body(results, elapsed_ms):
     ``_ENCODER.encode(impute_response(results, elapsed_ms))``.
 
     The stdlib encodes ``count``, ``elapsed_ms`` and ``results[]``, and
-    the FeatureCollection, whose coordinates one NumPy pass writes, is
-    spliced in (:func:`repro.io.geojson.linestring_collection_bytes`).
-    A batch holding a coordinate that pass cannot write (0.0, or closer
-    than 1e-4 to it) is encoded whole from :func:`impute_response`.
+    the FeatureCollection, whose coordinates vectorised NumPy passes
+    write, is spliced in
+    (:func:`repro.io.geojson.linestring_collection_bytes`).  A batch
+    holding a coordinate those passes cannot write (0.0, or closer than
+    1e-4 to it) is encoded whole from :func:`impute_response`.
     """
     entries, properties = _entries(results)
     geojson = linestring_collection_bytes(

@@ -27,7 +27,7 @@ SEED = 20260
 
 
 def _families(rng):
-    """``name -> float64 array``, about 1.1M values in all."""
+    """``name -> float64 array``, about 1.8M values in all."""
     lo, hi = (np.float64(v).view(np.int64) for v in REPR_RANGE)
     bits = rng.integers(lo, hi, 300_000).view(np.float64)
     binade = np.ldexp(1.0, np.arange(-13, 54))
@@ -135,9 +135,7 @@ def _stdlib_body(results, elapsed_ms):
     return _ENCODER.encode(impute_response(results, elapsed_ms)).encode("utf-8")
 
 
-def test_impute_body_equals_stdlib_for_every_answer_kind(
-    tmp_path, service_model, tiny_kiel
-):
+def test_impute_body_equals_stdlib_for_every_answer_kind(tmp_path, service_model, tiny_kiel):
     """Routed, budgeted, coalesced, hit, no-route, zero-length and
     offshore answers in one batch."""
     registry = ModelRegistry(tmp_path / "models")
@@ -174,9 +172,7 @@ def test_impute_body_equals_stdlib_for_every_answer_kind(
     assert impute_body([], 0.5) == _stdlib_body([], 0.5)
 
 
-def test_impute_body_falls_back_on_a_zero_coordinate(
-    registry, service_model, tiny_kiel
-):
+def test_impute_body_falls_back_on_a_zero_coordinate(registry, service_model, tiny_kiel):
     gap = tiny_kiel.gaps(3600.0)[0]
     (result,) = BatchImputationEngine(registry).run(
         [GapRequest("KIEL", gap.start, gap.end, "equator")], service_model.config
