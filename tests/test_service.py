@@ -31,7 +31,7 @@ from repro.service import (
     parse_impute_payload,
 )
 from repro.service.engine import _MISSING, _Answer, _PathCache
-from repro.service.http import impute_response
+from repro.service.http import impute_body, impute_response
 
 
 @pytest.fixture()
@@ -462,7 +462,8 @@ def test_impute_response_bytes_match_asdict_construction(registry, service_model
     # The /impute body builds each provenance dict once and shares it
     # between results[] and the feature properties; the bytes must equal
     # the original construction (dataclasses.asdict per use, per-point
-    # float() coordinates) for routed, budgeted and fallback answers.
+    # float() coordinates) for routed, budgeted and fallback answers,
+    # from the dict builder and from the bytes writer alike.
     from dataclasses import asdict
 
     from repro.io import feature_collection
@@ -507,6 +508,7 @@ def test_impute_response_bytes_match_asdict_construction(registry, service_model
         "geojson": feature_collection(old_feature(r) for r in results),
     }
     assert json.dumps(impute_response(results, 12.25)) == json.dumps(old)
+    assert impute_body(results, 12.25) == json.dumps(old).encode()
 
 
 def test_http_render_zero_length_gap_is_two_point_linestring(server, service_model):
