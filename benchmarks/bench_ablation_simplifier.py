@@ -9,17 +9,13 @@ endpoints and return fewer points than it.
 
 import pytest
 
-from repro.core import HabitConfig, HabitImputer
 from repro.geo import rdp_simplify, turn_statistics, vw_simplify
 
 
 @pytest.fixture(scope="module")
-def raw_path(kiel, kiel_gaps):
-    imputer = HabitImputer(
-        HabitConfig(resolution=10, tolerance_m=0.0)
-    ).fit_from_trips(kiel.train)
+def raw_path(habit_r10, kiel_gaps):
     gap = kiel_gaps[0]
-    result = imputer.impute(gap.start, gap.end)
+    result = habit_r10.impute(gap.start, gap.end, tolerance_m=0.0)
     return result.lats, result.lngs
 
 

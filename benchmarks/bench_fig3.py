@@ -1,7 +1,6 @@
 """Figure 3 benchmark: imputation + DTW scoring across resolutions and
 projections (accuracy values land in extra_info)."""
 
-import numpy as np
 import pytest
 
 from repro.core import HabitConfig, HabitImputer
@@ -13,7 +12,7 @@ from repro.eval.metrics import dtw_distance_m
 @pytest.mark.parametrize("projection", ["center", "mean"])
 def test_impute_and_score(benchmark, kiel, kiel_gaps, resolution, projection):
     imputer = HabitImputer(
-        HabitConfig(resolution=resolution, projection=projection, tolerance_m=100.0)
+        HabitConfig(resolution=resolution, projection=projection)
     ).fit_from_trips(kiel.train)
     gap = kiel_gaps[0]
 

@@ -1,19 +1,14 @@
 """Table 3 benchmark: simplification cost and its effect on path shape."""
 
-import numpy as np
 import pytest
 
-from repro.core import HabitConfig, HabitImputer
 from repro.geo import rdp_simplify, turn_statistics
 
 
 @pytest.fixture(scope="module")
-def raw_imputed_path(kiel, kiel_gaps):
-    imputer = HabitImputer(
-        HabitConfig(resolution=10, tolerance_m=0.0)
-    ).fit_from_trips(kiel.train)
+def raw_imputed_path(habit_r10, kiel_gaps):
     gap = kiel_gaps[0]
-    result = imputer.impute(gap.start, gap.end)
+    result = habit_r10.impute(gap.start, gap.end, tolerance_m=0.0)
     return result.lats, result.lngs
 
 

@@ -102,16 +102,12 @@ def kiel_gaps(kiel):
 
 @pytest.fixture(scope="session")
 def habit_r9(kiel):
-    return HabitImputer(HabitConfig(resolution=9, tolerance_m=100.0)).fit_from_trips(
-        kiel.train
-    )
+    return HabitImputer(HabitConfig(resolution=9)).fit_from_trips(kiel.train)
 
 
 @pytest.fixture(scope="session")
 def habit_r10(kiel):
-    return HabitImputer(HabitConfig(resolution=10, tolerance_m=100.0)).fit_from_trips(
-        kiel.train
-    )
+    return HabitImputer(HabitConfig(resolution=10)).fit_from_trips(kiel.train)
 
 
 @pytest.fixture(scope="session")

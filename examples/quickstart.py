@@ -10,7 +10,7 @@ from repro.eval.metrics import dtw_distance_m
 from repro.experiments import common
 
 data = common.prepare("KIEL", scale=0.05, cache_dir=".cache/repro")
-imputer = HabitImputer(HabitConfig(resolution=9, tolerance_m=100.0))
+imputer = HabitImputer(HabitConfig(resolution=9))
 imputer.fit_from_trips(data.train)
 gap = data.gaps(3600.0)[0]
 path = imputer.impute(gap.start, gap.end)

@@ -20,7 +20,7 @@ A query snaps both gap endpoints to graph nodes, routes over the
 graph's contraction hierarchy (built at :meth:`HabitImputer.finalize`),
 projects the cell path to positions (cell centres or per-cell mean
 positions), pins the exact endpoints, simplifies with RDP at
-``tolerance_m`` and resamples to :data:`repro.core.path.RESAMPLE_M`.
+:data:`RDP_TOLERANCE_M` and resamples to :data:`repro.core.path.RESAMPLE_M`.
 The stages -- :meth:`HabitImputer.snap_endpoints`,
 :meth:`HabitImputer.route_batch`, :meth:`HabitImputer.render_paths`
 (itself :meth:`HabitImputer.simplify_paths`, then the resample) --
@@ -32,7 +32,6 @@ imputer degrades to a straight line, flagged in ``ImputedPath.method``.
 
 import hashlib
 import json
-import math
 import os
 import threading
 import zipfile
@@ -44,7 +43,7 @@ import numpy as np
 from repro.core.graph import PROJECTIONS, CellGraph
 from repro.core.path import ImputedPath, resample_blocks
 from repro.core.statistics import StatisticsState, partial_statistics
-from repro.geo.proj import path_lengths_m, polylines_xy_m
+from repro.geo.proj import polylines_xy_m
 from repro.geo.simplify import rdp_keep_indices_concat
 from repro.hexgrid import grid_distance, latlng_to_cell
 from repro.hexgrid.cells import _MAX_RES
@@ -61,13 +60,13 @@ __all__ = ["HabitConfig", "HabitImputer", "ModelFormatError", "config_hash"]
 
 #: On-disk model format tag and version.  Bumped whenever the ``.npz``
 #: layout or the :func:`config_hash` digests change; this build reads
-#: only the current version (an older file is a registry miss and is
-#: refitted).  Version 9 has one layout: the three-field config, the model
-#: revision, the graph with its contraction hierarchy and the mergeable
-#: fit state that powers :meth:`HabitImputer.update` after a load -- all
-#: always present.
+#: only the current version (an older file raises
+#: :class:`ModelFormatError` until a refit replaces it).  Version 10 has
+#: one layout: the two-field config, the model revision, the graph with
+#: its contraction hierarchy and the mergeable fit state that powers
+#: :meth:`HabitImputer.update` after a load -- all always present.
 MODEL_FORMAT = "habit-npz"
-MODEL_FORMAT_VERSION = 9
+MODEL_FORMAT_VERSION = 10
 
 #: Prefix under which a model's mergeable fit state is stored in the npz.
 _STATE_PREFIX = "state_"
@@ -76,6 +75,15 @@ _STATE_PREFIX = "state_"
 #: rejected, so queries far outside the trained coverage degrade to the
 #: straight-line fallback instead of routing through a distant corridor.
 SNAP_LIMIT_CELLS = 200
+
+#: RDP tolerance, in metres, of every rendered path.  A render setting,
+#: not part of a model's identity: the graph and fit state never depend
+#: on it, and the paper's Figure 4 finds accuracy flat in it.  It is
+#: 100 m because every served path has been rendered at 100 m, and a
+#: new value moves served paths.  At r9 it keeps about half of a path's
+#: cells; whether it should be one cell edge is ROADMAP item 12, gated
+#: on the accuracy artefact.
+RDP_TOLERANCE_M = 100.0
 
 #: The flat arrays that fully describe a :class:`CellGraph`, in the
 #: positional order of its constructor.
@@ -182,7 +190,6 @@ def _config_payload(config):
     return np.array(
         [
             str(config.resolution),
-            str(config.tolerance_m),
             config.projection,
         ]
     )
@@ -194,8 +201,7 @@ def _config_from_npz(raw, path):
     try:
         return HabitConfig(
             resolution=int(raw[0]),
-            tolerance_m=float(raw[1]),
-            projection=str(raw[2]),
+            projection=str(raw[1]),
         )
     except (IndexError, ValueError) as exc:
         raise ModelFormatError(f"{path}: bad config ({exc})") from exc
@@ -258,28 +264,23 @@ class HabitConfig:
     """Tuning knobs for :class:`HabitImputer`.
 
     - ``resolution``: hex grid resolution (paper sweep: 6..10).
-    - ``tolerance_m``: RDP simplification tolerance; 0 disables smoothing.
     - ``projection``: node placement, ``"center"`` or ``"mean"``.
 
     Edges are weighted by transition count and distinct vessels are
     estimated with HyperLogLog, as in the paper.  An unknown
-    ``projection``, a ``resolution`` outside the hex grid's ``[0, 15]``,
-    or a ``tolerance_m`` that is negative or not finite raises
-    ``ValueError`` at construction, before any fit can start.
+    ``projection`` or a ``resolution`` outside the hex grid's ``[0, 15]``
+    raises ``ValueError`` at construction, before any fit can start.
+    The RDP tolerance is a render setting, not a config field (see
+    :data:`RDP_TOLERANCE_M`).
     """
 
     resolution: int = 9
-    tolerance_m: float = 100.0
     projection: str = "center"
 
     def __post_init__(self):
         if not 0 <= self.resolution <= _MAX_RES:
             raise ValueError(
                 f"resolution must be in [0, {_MAX_RES}], got {self.resolution!r}"
-            )
-        if not 0.0 <= self.tolerance_m < math.inf:
-            raise ValueError(
-                f"tolerance_m must be finite and >= 0, got {self.tolerance_m!r}"
             )
         if self.projection not in PROJECTIONS:
             raise ValueError(
@@ -427,10 +428,9 @@ class HabitImputer:
         flagged straight-line fallback.  No query calls it: it stays
         because perfbench's traced runs wrap it by name.
         """
-        paths, _ = self.render_paths([start], [end], [result])
-        return paths[0]
+        return self.render_paths([start], [end], [result])[0]
 
-    def simplify_paths(self, starts, ends, results):
+    def simplify_paths(self, starts, ends, results, *, tolerance_m=RDP_TOLERANCE_M):
         """The geometry stage of :meth:`render_paths`: each search
         result's RDP-kept vertices.
 
@@ -444,9 +444,10 @@ class HabitImputer:
         (:func:`repro.geo.proj.polylines_xy_m`, each path about its own
         mean latitude) and simplified in one
         :func:`repro.geo.simplify.rdp_keep_indices_concat` pass at
-        ``tolerance_m``.  Both keep every reduction per path, so a
-        path's block does not depend on the others in the call.  The
-        blocks are column slices of one array built for this call.
+        *tolerance_m* (0 keeps every vertex).  Both keep every reduction
+        per path, so a path's block does not depend on the others in the
+        call.  The blocks are column slices of one array built for this
+        call.
         """
         blocks = [None] * len(results)
         routed = [i for i, result in enumerate(results) if result is not None]
@@ -470,8 +471,8 @@ class HabitImputer:
         lngs[tails] = [float(ends[i][1]) for i in routed]
         # One projection feeds both simplification and resampling.
         x, y = polylines_xy_m(lats, lngs, sizes)
-        if self.config.tolerance_m > 0.0:
-            kept = rdp_keep_indices_concat(x, y, sizes, self.config.tolerance_m)
+        if tolerance_m > 0.0:
+            kept = rdp_keep_indices_concat(x, y, sizes, tolerance_m)
             sizes = np.diff(np.searchsorted(kept, tails + 1), prepend=0)
             lats, lngs, x, y = lats[kept], lngs[kept], x[kept], y[kept]
         block = np.stack((lats, lngs, x, y))
@@ -480,32 +481,27 @@ class HabitImputer:
             blocks[i] = block[:, lo:hi]
         return blocks
 
-    def render_paths(self, starts, ends, results):
+    def render_paths(self, starts, ends, results, *, tolerance_m=RDP_TOLERANCE_M):
         """Project many search results into :class:`ImputedPath` objects.
 
-        Returns ``(paths, lengths)`` aligned with *results*: the paths
-        and each one's metric length
-        (:func:`repro.geo.proj.path_length_m` of the rendered polyline).
-        The two stages composed: :meth:`simplify_paths`' vertex blocks,
+        Returns the paths aligned with *results*: the two stages
+        composed, :meth:`simplify_paths`' vertex blocks at *tolerance_m*
         sampled by :func:`repro.core.path.resample_blocks` (one
         :func:`repro.core.path.resample_polylines_xy` call to
-        :data:`repro.core.path.RESAMPLE_M` spacing), then one
-        :func:`repro.geo.proj.path_lengths_m` call.  Every stage keeps
-        its reductions per path, so a path's render does not depend on
+        :data:`repro.core.path.RESAMPLE_M` spacing).  Both stages keep
+        their reductions per path, so a path's render does not depend on
         the others in the call.  A ``None`` result renders the flagged
         straight-line fallback.
         """
-        blocks = self.simplify_paths(starts, ends, results)
-        paths = [
+        blocks = self.simplify_paths(starts, ends, results, tolerance_m=tolerance_m)
+        return [
             ImputedPath(lats, lngs, method="fallback")
             if result is None
             else ImputedPath(lats, lngs, result.method, result.cells, result.expanded)
             for (lats, lngs), result in zip(resample_blocks(starts, ends, blocks), results)
         ]
-        lengths = path_lengths_m([p.lats for p in paths], [p.lngs for p in paths])
-        return paths, lengths
 
-    def impute_batch(self, starts, ends):
+    def impute_batch(self, starts, ends, *, tolerance_m=RDP_TOLERANCE_M):
         """Reconstruct many gaps from their ``(lat, lng)`` endpoints.
 
         The served sequence: one :meth:`snap_endpoints` per gap, one
@@ -513,18 +509,20 @@ class HabitImputer:
         :meth:`render_paths` call, in which a gap that did not snap
         renders the flagged straight-line fallback.  Returns the
         :class:`ImputedPath` list aligned with *starts*; every path
-        equals a one-gap :meth:`impute`'s bit for bit.
+        equals a one-gap :meth:`impute`'s bit for bit.  *tolerance_m*
+        overrides the render's :data:`RDP_TOLERANCE_M` offline (0 skips
+        RDP); serving always renders at the constant.
         """
         self._require_fitted()
         snapped = [self.snap_endpoints(s, e) for s, e in zip(starts, ends)]
         pairs = [pair for pair in snapped if pair is not None]
         searched = iter(self.route_batch(pairs) if pairs else ())
         results = [None if pair is None else next(searched) for pair in snapped]
-        return self.render_paths(starts, ends, results)[0]
+        return self.render_paths(starts, ends, results, tolerance_m=tolerance_m)
 
-    def impute(self, start, end):
+    def impute(self, start, end, *, tolerance_m=RDP_TOLERANCE_M):
         """Reconstruct the path between two ``(lat, lng)`` gap endpoints."""
-        return self.impute_batch([start], [end])[0]
+        return self.impute_batch([start], [end], tolerance_m=tolerance_m)[0]
 
     # -- persistence ------------------------------------------------------
 

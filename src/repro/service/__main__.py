@@ -30,14 +30,6 @@ from repro.service.registry import ModelRegistry
 __all__ = ["main"]
 
 
-def _tolerance_m(text):
-    """``--tolerance-m`` as a float :class:`HabitConfig` accepts."""
-    try:
-        return HabitConfig(tolerance_m=float(text)).tolerance_m
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -158,12 +150,6 @@ def _build_parser():
         "--resolution", type=int, default=default.resolution, help="hex grid resolution"
     )
     model.add_argument(
-        "--tolerance-m",
-        type=_tolerance_m,
-        default=default.tolerance_m,
-        help="RDP simplification tolerance in metres (finite, >= 0)",
-    )
-    model.add_argument(
         "--projection",
         choices=PROJECTIONS,
         default=default.projection,
@@ -173,11 +159,7 @@ def _build_parser():
 
 
 def _config_from_args(args):
-    return HabitConfig(
-        resolution=args.resolution,
-        tolerance_m=args.tolerance_m,
-        projection=args.projection,
-    )
+    return HabitConfig(resolution=args.resolution, projection=args.projection)
 
 
 def main(argv=None):

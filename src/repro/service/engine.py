@@ -24,8 +24,7 @@ process-unique number every :class:`repro.core.graph.CellGraph` takes
 when it is built or loaded, so an answer is only ever handed out on the
 very graph that computed it: a republished, refreshed or
 reloaded model has a new graph, hence a new serial, whatever its
-revision says.  (A graph is only shared between forks of one model,
-which render with one config, so the serial pins the whole answer.)  A
+revision says, and the serial pins the whole answer.  A
 request probes the cache *before* snapping, so an exactly-repeated query
 costs one LRU lookup: no snap and no search, and from its second repeat
 on no geometry either.  Only the exact raw endpoints

@@ -4,7 +4,7 @@ Four routes:
 
 - ``GET /healthz`` -- liveness plus registry cache counters (hits /
   loads / evictions / refreshes), the engine's answer-cache
-  block (``path_cache``: hits / misses / entries / capacity)
+  block (``path_cache``: hits / misses / entries / capacity / bytes)
   and, when a follow daemon is attached, its ``follow`` status block
   (rows read, trips closed, refreshes, current revision, last error).
 - ``GET /models``  -- the model/revision feed: every model in the

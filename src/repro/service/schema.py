@@ -50,8 +50,8 @@ class GapRequest:
 
     ``max_points`` caps the response polyline: when the rendered path is
     longer, it is compressed with
-    :func:`repro.geo.budget.compress_rendered_path` *after* the render
-    memo, so cached paths stay budget-agnostic and a large budget is an
+    :func:`repro.geo.budget.compress_rendered_path` *after* the answer
+    cache, so cached paths stay budget-agnostic and a large budget is an
     exact no-op.  On-chord points are dropped first, so the answer often
     carries fewer than ``max_points`` points; SQUISH-E ranks only the
     turn points left.  Must be an integer >= 2 when given.
@@ -160,19 +160,15 @@ def _config_value(name, value):
     """*value* checked against the JSON type of field *name*'s default.
 
     Nothing is coerced from another type: int fields take only a non-bool
-    integer, float fields only a finite non-bool number (an integer is
-    widened to float), and str fields only a string.
+    integer, and str fields only a string.
     """
-    default = _CONFIG_DEFAULTS[name]
-    if isinstance(default, int):
+    if isinstance(_CONFIG_DEFAULTS[name], int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif isinstance(default, float):
-        ok, kind = _is_finite_number(value), "a finite number"
     else:
         ok, kind = isinstance(value, str), "a string"
     if not ok:
         raise SchemaError(f"config field {name!r} must be {kind}, got {value!r}")
-    return float(value) if isinstance(default, float) else value
+    return value
 
 
 def build_config(overrides):
@@ -181,8 +177,8 @@ def build_config(overrides):
     Each value must already have its field's JSON type (see
     :func:`_config_value`); unknown field names, mistyped values and
     values :class:`HabitConfig` rejects (an unknown ``projection``, a
-    ``resolution`` off the hex grid, a negative ``tolerance_m``) raise
-    :class:`SchemaError`, so a bad config never reaches the registry.
+    ``resolution`` off the hex grid) raise :class:`SchemaError`, so a
+    bad config never reaches the registry.
     """
     if overrides is None:
         return HabitConfig()

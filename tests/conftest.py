@@ -22,9 +22,7 @@ def service_model(tiny_kiel):
     """One fitted KIEL model shared by the serving-layer tests."""
     from repro.core import HabitConfig, HabitImputer
 
-    return HabitImputer(HabitConfig(resolution=9, tolerance_m=100.0)).fit_from_trips(
-        tiny_kiel.train
-    )
+    return HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
 
 
 @pytest.fixture(scope="session")
@@ -34,9 +32,7 @@ def r10_model(tiny_kiel):
     path, so an answer's vertex block is far smaller than its samples."""
     from repro.core import HabitConfig, HabitImputer
 
-    return HabitImputer(HabitConfig(resolution=10, tolerance_m=100.0)).fit_from_trips(
-        tiny_kiel.train
-    )
+    return HabitImputer(HabitConfig(resolution=10)).fit_from_trips(tiny_kiel.train)
 
 
 @pytest.fixture()

@@ -20,6 +20,7 @@ from graphgen import TOPOLOGIES, random_graph
 from repro.baselines import GTIImputer, StraightLineImputer
 from repro.core import HabitImputer, kernel
 from repro.core.graph import _SEARCH_SECONDS, SearchResult
+from repro.core.habit import RDP_TOLERANCE_M
 from repro.core.path import (
     RESAMPLE_M,
     ImputedPath,
@@ -144,7 +145,7 @@ def _oracle_length(lats, lngs):
     return float(np.hypot(np.diff(x), np.diff(y)).sum())
 
 
-def _oracle_render(imputer, start, end, result):
+def _oracle_render(imputer, start, end, result, tolerance_m=RDP_TOLERANCE_M):
     if result is None:
         return straight_line_path(start, end, method="fallback")
     idx = np.asarray(result.node_indices, dtype=np.int64)
@@ -155,8 +156,8 @@ def _oracle_render(imputer, start, end, result):
     lats[1:-1] = imputer.graph.lats[idx]
     lngs[1:-1] = imputer.graph.lngs[idx]
     x, y = latlng_to_xy_m(lats, lngs)
-    if imputer.config.tolerance_m > 0.0:
-        keep = rdp_keep_indices_batch([(x, y)], imputer.config.tolerance_m)[0]
+    if tolerance_m > 0.0:
+        keep = rdp_keep_indices_batch([(x, y)], tolerance_m)[0]
         lats, lngs, x, y = lats[keep], lngs[keep], x[keep], y[keep]
     lats, lngs = _oracle_resample(lats, lngs, x, y)
     return ImputedPath(
@@ -380,12 +381,12 @@ def _endpoint_requests(imputer, rng, count):
     return out
 
 
-@pytest.mark.parametrize("tolerance_m", [100.0, 0.0])
+@pytest.mark.parametrize("tolerance_m", [RDP_TOLERANCE_M, 0.0])
 def test_render_paths_match_per_path_oracle(service_model, rng, tolerance_m):
-    """Batch render: coordinates and lengths equal the per-path oracle's,
-    fallbacks and zero-length routes included."""
-    imputer = service_model.fork()
-    imputer.config = replace(service_model.config, tolerance_m=tolerance_m)
+    """Batch render: coordinates equal the per-path oracle's at the
+    served tolerance and with RDP off, fallbacks and zero-length routes
+    included."""
+    imputer = service_model
     gaps = _endpoint_requests(imputer, rng, 24)
     node = (float(imputer.graph.lats[0]), float(imputer.graph.lngs[0]))
     gaps.append((node, node))
@@ -395,19 +396,19 @@ def test_render_paths_match_per_path_oracle(service_model, rng, tolerance_m):
     results = iter(results)
     results = [next(results) if p is not None else None for p in snapped]
     results[3] = None  # a straight-line fallback mid-batch
-    paths, lengths = imputer.render_paths(starts, ends, results)
-    assert len(paths) == len(lengths) == len(gaps)
+    paths = imputer.render_paths(starts, ends, results, tolerance_m=tolerance_m)
+    assert len(paths) == len(gaps)
     for k, (start, end, result) in enumerate(zip(starts, ends, results)):
-        want = _oracle_render(imputer, start, end, result)
+        want = _oracle_render(imputer, start, end, result, tolerance_m)
         got = paths[k]
         assert _bits_equal(got.lats, want.lats) and _bits_equal(got.lngs, want.lngs), k
         assert (got.method, got.expanded) == (want.method, want.expanded)
         assert np.array_equal(got.cells, want.cells), k
-        assert lengths[k] == _oracle_length(want.lats, want.lngs), k
     assert paths[-1].num_points == 2  # the zero-length route
-    assert imputer.render_path(starts[0], ends[0], results[0]).lats.tobytes() == (
-        paths[0].lats.tobytes()
-    )
+    if tolerance_m == RDP_TOLERANCE_M:
+        assert imputer.render_path(starts[0], ends[0], results[0]).lats.tobytes() == (
+            paths[0].lats.tobytes()
+        )
 
 
 # -- offline batch imputation ---------------------------------------------

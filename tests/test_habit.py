@@ -13,9 +13,7 @@ from repro.eval.metrics import dtw_distance_m
 
 @pytest.fixture(scope="module")
 def fitted(tiny_kiel):
-    return HabitImputer(
-        HabitConfig(resolution=9, tolerance_m=100.0)
-    ).fit_from_trips(tiny_kiel.train)
+    return HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +86,7 @@ def test_dijkstra_equals_astar_cost(fitted, gap):
     src, dst = fitted.snap_endpoints(gap.start, gap.end)
     searched = [fitted.graph.find_path(src, dst, method) for method in ("astar", "dijkstra")]
     assert searched[0].cost == pytest.approx(searched[1].cost)
-    (with_h, without), _ = fitted.render_paths([gap.start] * 2, [gap.end] * 2, searched)
+    with_h, without = fitted.render_paths([gap.start] * 2, [gap.end] * 2, searched)
     dtw = dtw_distance_m(with_h.lats, with_h.lngs, without.lats, without.lngs)
     assert dtw == pytest.approx(0.0, abs=1e-6)
 
@@ -155,20 +153,11 @@ def test_config_hash_tracks_every_field(fitted):
     assert config_hash(base) == config_hash(HabitConfig())
     changed = [
         HabitConfig(resolution=8),
-        HabitConfig(tolerance_m=50.0),
         HabitConfig(projection="mean"),
     ]
     assert len(changed) == len(fields(HabitConfig))
     digests = {config_hash(c) for c in changed} | {config_hash(base)}
     assert len(digests) == len(changed) + 1  # every field moves the digest
-
-
-@pytest.mark.parametrize("tolerance_m", [-1.0, float("nan"), float("inf")])
-def test_config_rejects_negative_or_non_finite_tolerance(tolerance_m):
-    # -1 and nan would render like 0 under their own digests; inf would
-    # collapse every path to a straight line.
-    with pytest.raises(ValueError, match="tolerance_m"):
-        HabitConfig(tolerance_m=tolerance_m)
 
 
 def test_save_without_suffix_returns_real_file(fitted, gap, tmp_path):

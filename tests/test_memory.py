@@ -158,7 +158,7 @@ def test_a_disk_load_or_refresh_never_releases_the_heap(tmp_path, tiny_kiel, mon
     the C heap: only the CLI's startup fit does."""
     resolved = []
     monkeypatch.setattr(memory, "_libc_function", lambda name, *_: resolved.append(name))
-    config = HabitConfig(resolution=9, tolerance_m=100.0)
+    config = HabitConfig(resolution=9)
     registry = ModelRegistry(tmp_path / "models")
     registry.publish("KIEL", HabitImputer(config).fit_from_trips(tiny_kiel.train))
     registry.refresh("KIEL", tiny_kiel.test, config)

@@ -1,17 +1,17 @@
-"""Model-format matrix: format v9 is the only version the loaders read.
+"""Model-format matrix: format v10 is the only version the loaders read.
 
 The matrix pinned here:
 
-- a saved v9 file loads into a working imputer with its hierarchy
+- a saved v10 file loads into a working imputer with its hierarchy
   installed (no rebuild at the first query);
-- files tagged with any other version, and malformed v9 files (missing
+- files tagged with any other version, and malformed v10 files (missing
   or short config, a config value the imputer rejects, a missing
   revision, a missing or malformed fit state), raise
   :class:`ModelFormatError` -- which a registry raises on every request
   for the file's model, never serving it, until a publish replaces it;
 - a round-trip preserves every CH array **bit-exactly**, and the
   deterministic CH build reproduces the persisted arrays;
-- new saves are stamped ``format_version == 9`` with every CH array and
+- new saves are stamped ``format_version == 10`` with every CH array and
   the fit state.
 """
 
@@ -92,10 +92,10 @@ def test_plain_round_trip_preserves_ch_arrays_bit_exactly(ch_model, tmp_path):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), key
 
 
-def test_new_saves_are_stamped_version_9(ch_model, tmp_path):
+def test_new_saves_are_stamped_version_10(ch_model, tmp_path):
     with np.load(ch_model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "9"
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "10"
         for key in habit_mod._CH_KEYS:
             assert key in data.files, key
         state = ch_model._state.payload(habit_mod._STATE_PREFIX)
@@ -105,7 +105,7 @@ def test_new_saves_are_stamped_version_9(ch_model, tmp_path):
 
 def test_versions_outside_the_window_are_rejected(ch_model, tmp_path):
     payload = _payload(ch_model.save(tmp_path / "m.npz"))
-    for bad in ("2", "3", "4", "5", "6", "7", "8", "10"):
+    for bad in ("2", "3", "4", "5", "6", "7", "8", "9", "11"):
         payload["format"] = np.array([habit_mod.MODEL_FORMAT, bad])
         bad_path = tmp_path / f"bad{bad}.npz"
         np.savez(bad_path, **payload)
@@ -113,10 +113,16 @@ def test_versions_outside_the_window_are_rejected(ch_model, tmp_path):
             HabitImputer.load(bad_path)
 
 
+def _v9_config(payload):
+    """*payload*'s config in the v9 layout: ``tolerance_m`` (its 100 m
+    default) between resolution and projection."""
+    return np.insert(payload["config"], 1, "100.0")
+
+
 def test_v7_file_in_registry_is_refused_until_republished(ch_model, tmp_path):
-    """A default-config file from the t-digest era sits at the same path
-    (the digest did not move), but its version is stale: the registry
-    refuses it until a refit is published over it."""
+    """A default-config file from the t-digest era, planted at the path a
+    registry looks up, is refused for its stale version until a refit is
+    published over it."""
     config = HabitConfig()
     assert ch_model.config == config
     registry = ModelRegistry(tmp_path / "registry")
@@ -135,7 +141,7 @@ def test_v8_file_in_registry_is_refused_until_republished(ch_model, tmp_path):
     path = registry.path_for("KIEL", ch_model.config)
     payload = _payload(ch_model.save(tmp_path / "good.npz"))
     payload["format"] = np.array([habit_mod.MODEL_FORMAT, "8"])
-    payload["config"] = np.append(payload["config"], ["transitions", "1"])
+    payload["config"] = np.append(_v9_config(payload), ["transitions", "1"])
     resolution, positions = payload["state_meta"]
     payload["state_meta"] = np.array([resolution, "1", positions])
     np.savez(path, **payload)
@@ -143,7 +149,24 @@ def test_v8_file_in_registry_is_refused_until_republished(ch_model, tmp_path):
         HabitImputer.load(path)
     _assert_refused_until_republished(registry, ch_model)
     with np.load(path) as data:
-        assert len(data["config"]) == 3
+        assert len(data["config"]) == 2
+
+
+def test_v9_file_in_registry_is_refused_until_republished(ch_model, tmp_path):
+    """A file in the v9 layout -- three config slots, ``tolerance_m``
+    included, and otherwise today's arrays -- at the path a registry looks
+    up is refused, never served, until a refit is published over it."""
+    registry = ModelRegistry(tmp_path / "registry")
+    path = registry.path_for("KIEL", ch_model.config)
+    payload = _payload(ch_model.save(tmp_path / "good.npz"))
+    payload["format"] = np.array([habit_mod.MODEL_FORMAT, "9"])
+    payload["config"] = _v9_config(payload)
+    np.savez(path, **payload)
+    with pytest.raises(ModelFormatError, match="format version 9"):
+        HabitImputer.load(path)
+    _assert_refused_until_republished(registry, ch_model)
+    with np.load(path) as data:
+        assert list(data["config"]) == ["9", "center"]
 
 
 def _set_config_slot(slot, value):
@@ -158,7 +181,7 @@ def _drop(key):
 
 
 def _shorten_config(payload):
-    payload["config"] = payload["config"][:2]
+    payload["config"] = payload["config"][:1]
 
 
 def _drop_state(payload):

@@ -129,15 +129,15 @@ def test_snap_memoization_and_scalar_fallback(tiny_kiel):
     assert first == brute
 
 
-def test_saved_format_version_is_9(tiny_kiel, tmp_path):
+def test_saved_format_version_is_10(tiny_kiel, tmp_path):
     import repro.core.habit as habit_mod
 
     model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     with np.load(model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "9"
-        # Three config slots: resolution, tolerance_m and projection.
-        assert len(data["config"]) == 3
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "10"
+        # Two config slots: resolution and projection.
+        assert len(data["config"]) == 2
 
 
 def _corrupt_ch(graph, defect):
@@ -271,7 +271,7 @@ def test_impute_method_override_and_config_search(tiny_kiel):
     default = imputer.impute(gap.start, gap.end)
     assert default.method == "ch"
     searched = imputer.graph.find_path(*imputer.snap_endpoints(gap.start, gap.end), "astar")
-    (override,), _ = imputer.render_paths([gap.start], [gap.end], [searched])
+    (override,) = imputer.render_paths([gap.start], [gap.end], [searched])
     assert override.method == "astar"
     assert override.expanded > 0
     assert override.cells[0] == default.cells[0]

@@ -65,10 +65,10 @@ def test_model_id_is_stable_and_config_sensitive():
 
 def test_config_hash_digests_are_pinned():
     """Golden digests: model files on disk are named by these, so they
-    move only with a model-format version bump (v9 hashes the three-field
+    move only with a model-format version bump (v10 hashes the two-field
     ``asdict``)."""
-    assert config_hash(HabitConfig()) == "566dd8c0f20a"
-    assert config_hash(HabitConfig(resolution=10)) == "82f8770d3f45"
+    assert config_hash(HabitConfig()) == "df9ee531c634"
+    assert config_hash(HabitConfig(resolution=10)) == "2bef7904b5fb"
 
 
 def test_registry_resolution_tiers(registry, service_model):
@@ -392,13 +392,13 @@ def test_parse_impute_payload_shorthand_and_config():
             "dataset": "KIEL",
             "start": [54.0, 10.0],
             "end": [55.0, 11.0],
-            "config": {"resolution": 8, "tolerance_m": 50},
+            "config": {"resolution": 8, "projection": "mean"},
         }
     )
     assert len(requests) == 1
     assert requests[0].dataset == "KIEL"
     assert requests[0].start == (54.0, 10.0)
-    assert config == HabitConfig(resolution=8, tolerance_m=50.0)
+    assert config == HabitConfig(resolution=8, projection="mean")
 
 
 # -- HTTP transport ------------------------------------------------------
@@ -605,16 +605,16 @@ def test_http_negative_content_length_is_400(server, length):
         pytest.param("resample_m", 500.0, id="resample_m"),
         pytest.param("edge_weight", "bogus", id="edge_weight"),
         pytest.param("approx_distinct", "false", id="approx_distinct-str"),
-        pytest.param("projection", "bogus", id="projection"),
+        # The v9 tolerance is refused by name, whatever its value.
+        pytest.param("tolerance_m", "100", id="tolerance_m-str"),
+        pytest.param("tolerance_m", float("nan"), id="tolerance_m-nan"),
+        pytest.param("tolerance_m", -1, id="tolerance_m-negative"),
         # Mistyped values are rejected, never coerced.
         pytest.param("resolution", 9.5, id="resolution-float"),
         pytest.param("resolution", True, id="resolution-bool"),
         pytest.param("resolution", "9", id="resolution-str"),
-        pytest.param("tolerance_m", "100", id="tolerance_m-str"),
-        pytest.param("tolerance_m", float("nan"), id="tolerance_m-nan"),
         # Well-typed, but a value HabitConfig rejects.
-        pytest.param("tolerance_m", -1, id="tolerance_m-negative"),
-        # Off the hex grid's resolution range.
+        pytest.param("projection", "bogus", id="projection"),
         pytest.param("resolution", 16, id="resolution-16"),
     ],
 )
@@ -680,14 +680,15 @@ def test_http_torn_model_file_is_503_until_republished(
     ]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_cli_rejects_bad_tolerance_at_parse_time(capsys, value):
+def test_cli_rejects_the_removed_tolerance_flag(capsys):
+    """The RDP tolerance is no model option: ``--tolerance-m`` is a usage
+    error."""
     from repro.service.__main__ import _build_parser
 
     with pytest.raises(SystemExit) as exit_info:
-        _build_parser().parse_args(["--serve", "--tolerance-m", value])
+        _build_parser().parse_args(["--serve", "--tolerance-m", "100"])
     assert exit_info.value.code == 2
-    assert "tolerance_m" in capsys.readouterr().err
+    assert "--tolerance-m" in capsys.readouterr().err
 
 
 def test_http_concurrent_imputes(server, tiny_kiel):
