@@ -680,13 +680,14 @@ def test_http_torn_model_file_is_503_until_republished(
     ]
 
 
-def test_cli_rejects_the_removed_tolerance_flag(capsys):
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "100"])
+def test_cli_rejects_bad_tolerance_at_parse_time(capsys, value):
     """The RDP tolerance is no model option: ``--tolerance-m`` is a usage
-    error."""
+    error whatever its value."""
     from repro.service.__main__ import _build_parser
 
     with pytest.raises(SystemExit) as exit_info:
-        _build_parser().parse_args(["--serve", "--tolerance-m", "100"])
+        _build_parser().parse_args(["--serve", "--tolerance-m", value])
     assert exit_info.value.code == 2
     assert "--tolerance-m" in capsys.readouterr().err
 
