@@ -1,20 +1,19 @@
 """Substrate throughput benchmarks: the bulk kernels everything rests on.
 
 Not a paper table, but the numbers that explain HABIT's build times:
-hexgrid bulk indexing, minidb group-by with the paper's aggregate mix,
-window lag, HLL sketching, DTW scoring, and the follow daemon's ingest
-of one outage backlog (CSV poll, cleaning, streaming segmentation).
+hexgrid bulk indexing, the fit's partial group-by, window lag, DTW
+scoring, and the follow daemon's ingest of one outage backlog (CSV poll,
+cleaning, streaming segmentation).
 """
 
 import numpy as np
 import pytest
 
 from repro.ais import CsvFollower, schema
-from repro.core import StreamingSegmenter, clean_messages
+from repro.core import HabitConfig, StreamingSegmenter, clean_messages, partial_statistics
 from repro.eval.metrics import dtw_distance_m
 from repro.hexgrid import grid_distance_array, latlng_to_cell_array
-from repro.minidb import Table, agg
-from repro.minidb.hll import HyperLogLog
+from repro.minidb import Table
 
 N = 200_000
 
@@ -58,22 +57,12 @@ def test_bulk_grid_distance(benchmark, points):
 
 @pytest.mark.benchmark(group="substrate-minidb")
 def test_paper_cte_groupby(benchmark, ais_like):
-    """The paper's per-cell aggregation mix on 200k rows."""
-    cells = latlng_to_cell_array(ais_like["lat"], ais_like["lon"], 9)
-    table = ais_like.with_columns(cl=cells)
-
-    def cte():
-        return table.group_by("cl").agg(
-            agg.count(),
-            agg.approx_count_distinct("vessel_id").alias("vessels"),
-            agg.median("lon"),
-            agg.median("lat"),
-            agg.median("sog"),
-            agg.median("cog"),
-        )
-
-    result = benchmark(cte)
-    benchmark.extra_info["groups"] = result.num_rows
+    """The fit's CTE stage on 200k rows: cell indexing, the per-cell
+    count and position sums, and the per-transition count."""
+    state = benchmark(partial_statistics, ais_like, HabitConfig(resolution=9))
+    assert state.num_positions == N
+    benchmark.extra_info["groups"] = state.cell_state.num_groups
+    benchmark.extra_info["transitions"] = state.transition_state.num_groups
 
 
 @pytest.mark.benchmark(group="substrate-minidb")
@@ -82,19 +71,6 @@ def test_window_lag(benchmark, ais_like):
         ais_like.lag, "vessel_id", "trip_id", "t", 1, -1
     )
     assert len(lagged) == N
-
-
-@pytest.mark.benchmark(group="substrate-minidb")
-def test_hll_sketching(benchmark, rng):
-    values = rng.integers(0, 1_000_000, N)
-
-    def sketch():
-        hll = HyperLogLog()
-        hll.add_array(values)
-        return hll.cardinality()
-
-    estimate = benchmark(sketch)
-    assert estimate > 0
 
 
 @pytest.mark.benchmark(group="substrate-dtw")

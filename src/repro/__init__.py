@@ -4,8 +4,8 @@ Analysis* (EDBT 2026).
 The package is layered bottom-up:
 
 - :mod:`repro.hexgrid` / :mod:`repro.minidb` -- **substrates**: a vectorised
-  hexagonal spatial index and a small columnar table engine (group-by,
-  window lag, HyperLogLog sketches).
+  hexagonal spatial index and a small columnar table engine (group-by
+  with mergeable partial states, window lag).
 - :mod:`repro.ais` / :mod:`repro.sim` / :mod:`repro.experiments` -- **data**:
   the AIS column schema, synthetic DAN/KIEL/SAR dataset generators, and the
   experiment preparation harness (cleaning, splitting, gap extraction).

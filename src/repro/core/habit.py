@@ -61,12 +61,13 @@ __all__ = ["HabitConfig", "HabitImputer", "ModelFormatError", "config_hash"]
 #: On-disk model format tag and version.  Bumped whenever the ``.npz``
 #: layout or the :func:`config_hash` digests change; this build reads
 #: only the current version (an older file raises
-#: :class:`ModelFormatError` until a refit replaces it).  Version 10 has
+#: :class:`ModelFormatError` until a refit replaces it).  Version 11 has
 #: one layout: the two-field config, the model revision, the graph with
 #: its contraction hierarchy and the mergeable fit state that powers
-#: :meth:`HabitImputer.update` after a load -- all always present.
+#: :meth:`HabitImputer.update` after a load (counts and integer position
+#: sums) -- all always present.
 MODEL_FORMAT = "habit-npz"
-MODEL_FORMAT_VERSION = 10
+MODEL_FORMAT_VERSION = 11
 
 #: Prefix under which a model's mergeable fit state is stored in the npz.
 _STATE_PREFIX = "state_"
@@ -266,8 +267,7 @@ class HabitConfig:
     - ``resolution``: hex grid resolution (paper sweep: 6..10).
     - ``projection``: node placement, ``"center"`` or ``"mean"``.
 
-    Edges are weighted by transition count and distinct vessels are
-    estimated with HyperLogLog, as in the paper.  An unknown
+    Edges are weighted by transition count, as in the paper.  An unknown
     ``projection`` or a ``resolution`` outside the hex grid's ``[0, 15]``
     raises ``ValueError`` at construction, before any fit can start.
     The RDP tolerance is a render setting, not a config field (see
@@ -558,7 +558,9 @@ class HabitImputer:
         :data:`MODEL_FORMAT_VERSION`, missing arrays, a bad config or fit
         state, a hierarchy :meth:`~repro.core.graph.CellGraph.set_ch`
         rejects, or not an ``.npz`` archive at all).  A loaded model is
-        always refreshable.
+        always refreshable: a fit state that could not merge (see
+        :meth:`repro.minidb.GroupState.from_payload`) or that was fitted
+        at another resolution than the config's is a bad fit state.
         """
         path = Path(path)
         with _open_npz(path) as data:
@@ -567,4 +569,9 @@ class HabitImputer:
             imputer.graph = _graph_from_npz(data, path)
             imputer.revision = int(data["revision"][0])
             imputer._state = _state_from_npz(data, path, _STATE_PREFIX)
+        if imputer._state.resolution != imputer.config.resolution:
+            raise ModelFormatError(
+                f"{path}: fit state at resolution {imputer._state.resolution}, "
+                f"config at {imputer.config.resolution}"
+            )
         return imputer

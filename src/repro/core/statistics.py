@@ -6,13 +6,13 @@ segmented trips into a mergeable :class:`StatisticsState`, and
 :func:`merge_statistics` combines any number of states into the two
 tables the cell graph is built from:
 
-- **cell statistics**: support count, distinct vessels (a HyperLogLog
-  estimate, as the paper's DuckDB ``approx_count_distinct``), and mean
-  position (``mean_lat`` / ``mean_lon``) -- the means drive the "mean"
-  cell projection.
+- **cell statistics**: support count and mean position (``mean_lat`` /
+  ``mean_lon``) -- the means drive the "mean" cell projection.
 - **transition statistics**: directed cell pairs observed consecutively
-  within a trip, with transition counts and distinct-vessel support --
-  the graph's edge list.
+  within a trip, with transition counts -- the graph's edge list.
+
+The paper also counts distinct vessels per cell; nothing downstream of
+the fit reads such a count, so the state does not carry one.
 
 :func:`compute_statistics` (the original one-shot entry point) is a thin
 wrapper: one partial state, finalised immediately.  Equivalence between
@@ -64,9 +64,6 @@ _NO_CELL = np.int64(-1)
 #: Partial-state columns holding each cell's summed position offsets.
 _LAT_SUM = "lat_offset_sum"
 _LON_SUM = "lon_offset_sum"
-
-#: Distinct vessels per group, estimated with HyperLogLog.
-_VESSELS = agg.approx_count_distinct(schema.VESSEL_ID).alias("vessels")
 
 
 def _index_cells(trips, config):
@@ -184,7 +181,6 @@ def partial_statistics(trips, config):
     )
     cell_state = indexed.group_by(CELL).partial(
         agg.count(),
-        _VESSELS,
         agg.sum(_LAT_SUM).alias(_LAT_SUM),
         agg.sum(_LON_SUM).alias(_LON_SUM),
     )
@@ -196,8 +192,7 @@ def partial_statistics(trips, config):
     else:
         pairs = indexed.with_columns(**{NEXT_CELL: cells})
     transition_state = pairs.group_by(CELL, NEXT_CELL).partial(
-        agg.count().alias("transitions"),
-        _VESSELS,
+        agg.count().alias("transitions")
     )
     return StatisticsState(
         cell_state=cell_state,

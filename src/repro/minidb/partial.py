@@ -9,15 +9,13 @@ aggregates over *one shard or chunk* of the rows -- and
 rows were partitioned.  ``state.finalize()`` renders the merged state as
 the same table ``agg`` would have produced.
 
-Only the kinds the fit aggregates have a partial state: ``count``,
-``sum`` and the HyperLogLog ``approx_count_distinct``.  Each merges
-**exactly**: for any partition of the rows the result equals the eager
-one-shot pass.  ``sum`` takes integer columns only and accumulates in
-``int64`` (where the eager kernel returns floats), so its merge is
-associative; a float column raises ``ValueError`` -- encode it as
-fixed-point integers first, as :mod:`repro.core.statistics` does for
-positions.  Exact distinct counts, medians, means and extrema stay
-eager-only.
+Only the kinds the fit aggregates have a partial state: ``count`` and
+``sum``.  Each merges **exactly**: for any partition of the rows the
+result equals the eager one-shot pass.  ``sum`` takes integer columns
+only and accumulates in ``int64`` (where the eager kernel returns
+floats), so its merge is associative; a float column raises
+``ValueError`` -- encode it as fixed-point integers first, as
+:mod:`repro.core.statistics` does for positions.  Means stay eager-only.
 
 States carry their group *keys by value*, not by code -- group codes are
 local to each shard and are re-factorised on merge -- and serialise to a
@@ -30,28 +28,31 @@ import json
 
 import numpy as np
 
-from repro.minidb.hll import (
-    DEFAULT_P,
-    estimate_from_register_pairs,
-    grouped_register_pairs,
-    merge_register_pairs,
-)
-
 __all__ = ["GroupState", "merge_states"]
 
 #: Aggregate kinds with a mergeable state.
-MERGEABLE_KINDS = frozenset({"count", "sum", "approx_count_distinct"})
+MERGEABLE_KINDS = frozenset({"count", "sum"})
+
+
+def _check_kinds(specs):
+    unknown = [s.kind for s in specs if s.kind not in MERGEABLE_KINDS]
+    if unknown:
+        raise ValueError(f"aggregate kinds {unknown} have no mergeable state")
 
 
 class GroupState:
-    """Partial aggregates for one shard, keyed by group-key values."""
+    """Partial aggregates for one shard, keyed by group-key values.
 
-    def __init__(self, key_names, key_columns, specs, counts, data):
+    *sums* maps each ``sum`` spec's output name to its ``int64`` per-group
+    totals; ``count`` specs read *counts*.
+    """
+
+    def __init__(self, key_names, key_columns, specs, counts, sums):
         self.key_names = tuple(key_names)
         self.key_columns = dict(key_columns)
         self.specs = tuple(specs)
         self.counts = np.asarray(counts, dtype=np.int64)
-        self.data = dict(data)
+        self.sums = dict(sums)
 
     @property
     def num_groups(self):
@@ -74,32 +75,24 @@ class GroupState:
         # Local import: table.py lazily imports this module for .partial().
         from repro.minidb.table import _factorize_keys
 
-        unknown = [s.kind for s in specs if s.kind not in MERGEABLE_KINDS]
-        if unknown:
-            raise ValueError(f"aggregate kinds {unknown} have no mergeable state")
+        _check_kinds(specs)
         codes, key_columns = _factorize_keys(table, key_names)
         num_groups = len(next(iter(key_columns.values()))) if key_columns else 0
         counts = np.bincount(codes, minlength=num_groups).astype(np.int64)
-        data = {}
+        sums = {}
         for spec in specs:
-            kind = spec.kind
-            if kind == "count":
-                state = None
-            elif kind == "sum":
-                values = np.asarray(table.column(spec.column))
-                if not np.issubdtype(values.dtype, np.integer):
-                    raise ValueError(
-                        f"partial sum of {spec.column!r} needs an integer column, "
-                        f"got {values.dtype}"
-                    )
-                total = np.zeros(num_groups, dtype=np.int64)
-                np.add.at(total, codes, values)
-                state = {"sum": total}
-            else:  # approx_count_distinct
-                keys, rho = grouped_register_pairs(codes, table.column(spec.column))
-                state = {"keys": keys, "rho": rho, "p": DEFAULT_P}
-            data[spec.name] = state
-        return cls(key_names, key_columns, specs, counts, data)
+            if spec.kind != "sum":
+                continue
+            values = np.asarray(table.column(spec.column))
+            if not np.issubdtype(values.dtype, np.integer):
+                raise ValueError(
+                    f"partial sum of {spec.column!r} needs an integer column, "
+                    f"got {values.dtype}"
+                )
+            total = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(total, codes, values)
+            sums[spec.name] = total
+        return cls(key_names, key_columns, specs, counts, sums)
 
     # -- finalisation ------------------------------------------------------
 
@@ -108,19 +101,9 @@ class GroupState:
         from repro.minidb.table import Table
 
         out = dict(self.key_columns)
-        counts = self.counts
         for spec in self.specs:
-            kind = spec.kind
-            state = self.data[spec.name]
-            if kind == "count":
-                column = counts.copy()
-            elif kind == "sum":
-                column = state["sum"].copy()
-            else:  # approx_count_distinct
-                column = estimate_from_register_pairs(
-                    state["keys"], state["rho"], self.num_groups, state["p"]
-                )
-            out[spec.name] = column
+            column = self.counts if spec.kind == "count" else self.sums[spec.name]
+            out[spec.name] = column.copy()
         return Table(out)
 
     # -- serialisation -----------------------------------------------------
@@ -138,21 +121,18 @@ class GroupState:
             out[f"{prefix}key_{name}"] = self.key_columns[name]
         out[prefix + "counts"] = self.counts
         for i, spec in enumerate(self.specs):
-            state = self.data[spec.name]
-            tag = f"{prefix}s{i}_"
-            if spec.kind == "count":
-                continue
             if spec.kind == "sum":
-                out[tag + "sum"] = state["sum"]
-            else:  # approx_count_distinct
-                out[tag + "keys"] = state["keys"]
-                out[tag + "rho"] = state["rho"]
-                out[tag + "p"] = np.array([state["p"]], dtype=np.int64)
+                out[f"{prefix}s{i}_sum"] = self.sums[spec.name]
         return out
 
     @classmethod
     def from_payload(cls, data, prefix=""):
-        """Rebuild a state from a :meth:`payload` mapping (dict or npz)."""
+        """Rebuild a state from a :meth:`payload` mapping (dict or npz).
+
+        A state that rebuilds must merge: a spec kind without a mergeable
+        state, a key, count or sum array whose length is not the group
+        count, or a sum that is not ``int64`` raises ``ValueError``.
+        """
         from repro.minidb.agg import AggSpec
 
         manifest = json.loads(str(np.asarray(data[prefix + "manifest"])[0]))
@@ -160,23 +140,23 @@ class GroupState:
         specs = tuple(
             AggSpec(s["kind"], s["column"], s["name"]) for s in manifest["specs"]
         )
+        _check_kinds(specs)
         key_columns = {name: np.asarray(data[f"{prefix}key_{name}"]) for name in key_names}
         counts = np.asarray(data[prefix + "counts"])
-        state_data = {}
-        for i, spec in enumerate(specs):
-            tag = f"{prefix}s{i}_"
-            if spec.kind == "count":
-                state = None
-            elif spec.kind == "sum":
-                state = {"sum": np.asarray(data[tag + "sum"])}
-            else:  # approx_count_distinct
-                state = {
-                    "keys": np.asarray(data[tag + "keys"]),
-                    "rho": np.asarray(data[tag + "rho"]),
-                    "p": int(np.asarray(data[tag + "p"])[0]),
-                }
-            state_data[spec.name] = state
-        return cls(key_names, key_columns, specs, counts, state_data)
+        sums = {
+            spec.name: np.asarray(data[f"{prefix}s{i}_sum"])
+            for i, spec in enumerate(specs)
+            if spec.kind == "sum"
+        }
+        for name, column in {**key_columns, **sums}.items():
+            if len(column) != len(counts):
+                raise ValueError(
+                    f"{name!r} has {len(column)} entries for {len(counts)} groups"
+                )
+        for name, total in sums.items():
+            if total.dtype != np.int64:
+                raise ValueError(f"sum {name!r} is {total.dtype}, expected int64")
+        return cls(key_names, key_columns, specs, counts, sums)
 
 
 def merge_states(states):
@@ -218,31 +198,10 @@ def merge_states(states):
     for state, mapping in zip(states, maps):
         np.add.at(counts, mapping, state.counts)
 
-    data = {}
-    for spec in head.specs:
-        kind = spec.kind
-        parts = [s.data[spec.name] for s in states]
-        if kind == "count":
-            state = None
-        elif kind == "sum":
-            total = np.zeros(num_groups, dtype=np.int64)
-            for part, mapping in zip(parts, maps):
-                np.add.at(total, mapping, part["sum"])
-            state = {"sum": total}
-        else:  # approx_count_distinct
-            p_bits = parts[0]["p"]
-            if any(part["p"] != p_bits for part in parts):
-                raise ValueError("cannot merge HLL states of different precision")
-            m = 1 << p_bits
-            keys = np.concatenate(
-                [
-                    mapping[part["keys"] // m] * m + part["keys"] % m
-                    for part, mapping in zip(parts, maps)
-                ]
-            )
-            rho = np.concatenate([part["rho"] for part in parts])
-            merged_keys, merged_rho = merge_register_pairs(keys, rho)
-            state = {"keys": merged_keys, "rho": merged_rho, "p": p_bits}
-        data[spec.name] = state
-    return GroupState(head.key_names, key_columns, head.specs, counts, data)
-
+    sums = {}
+    for name in head.sums:
+        total = np.zeros(num_groups, dtype=np.int64)
+        for state, mapping in zip(states, maps):
+            np.add.at(total, mapping, state.sums[name])
+        sums[name] = total
+    return GroupState(head.key_names, key_columns, head.specs, counts, sums)

@@ -1,17 +1,13 @@
-"""The columnar :class:`Table` and its sort-based aggregation kernels.
+"""The columnar :class:`Table` and its group-by aggregation kernels.
 
 A table is an ordered mapping of column name to equal-length 1-D NumPy
 array.  Tables are immutable in style: every operation returns a new table
 sharing the untouched column arrays.  Group-by works by factorising the key
-column(s) to dense codes, then running one vectorised kernel per aggregate
-(``bincount`` for counts/sums, a single ``lexsort`` shared by the
-order-statistic kernels, sparse HyperLogLog for approximate distincts).
+column(s) to dense codes, then running one ``bincount`` kernel per
+aggregate (count, sum, mean).
 """
 
 import numpy as np
-
-from repro.minidb import agg as agg_mod
-from repro.minidb.hll import grouped_approx_count_distinct
 
 __all__ = ["Table", "GroupBy", "factorize"]
 
@@ -175,11 +171,8 @@ class GroupBy:
         num_groups = len(next(iter(key_columns.values()))) if key_columns else 0
         out = dict(key_columns)
         counts = np.bincount(codes, minlength=num_groups)
-        sorted_cache = {}
         for spec in specs:
-            out[spec.name] = _run_agg(
-                table, spec, codes, num_groups, counts, sorted_cache
-            )
+            out[spec.name] = _run_agg(table, spec, codes, num_groups, counts)
         return Table(out)
 
     def partial(self, *specs):
@@ -187,9 +180,8 @@ class GroupBy:
 
         Returns a :class:`repro.minidb.partial.GroupState`; combine shard
         states with :func:`repro.minidb.merge_states` and render the final
-        table with ``state.finalize()``.  Only ``count``, integer ``sum``
-        and ``approx_count_distinct`` have a state, and each merges
-        exactly.
+        table with ``state.finalize()``.  Only ``count`` and integer
+        ``sum`` have a state, and each merges exactly.
         """
         # Imported lazily: partial.py builds its states with this module's
         # kernels, so a top-level import would be circular.
@@ -201,10 +193,8 @@ class GroupBy:
 def _factorize_keys(table, key_names):
     """Combine one or more key columns into dense group codes."""
     codes = None
-    raw_codes = []
     for name in key_names:
         col_codes, _ = factorize(table.column(name))
-        raw_codes.append(col_codes)
         if codes is None:
             codes = col_codes
         else:
@@ -221,15 +211,7 @@ def _factorize_keys(table, key_names):
     return dense.astype(np.int64), key_columns
 
 
-def _grouped_order(codes, values, sorted_cache, column_key):
-    """Rows lex-sorted by (group, value), cached per source column."""
-    if column_key not in sorted_cache:
-        order = np.lexsort((values, codes))
-        sorted_cache[column_key] = (codes[order], values[order])
-    return sorted_cache[column_key]
-
-
-def _run_agg(table, spec, codes, num_groups, counts, sorted_cache):
+def _run_agg(table, spec, codes, num_groups, counts):
     kind = spec.kind
     if kind == "count":
         return counts.astype(np.int64)
@@ -239,31 +221,5 @@ def _run_agg(table, spec, codes, num_groups, counts, sorted_cache):
     if kind == "mean":
         sums = np.bincount(codes, weights=values, minlength=num_groups)
         return sums / np.maximum(counts, 1)
-    if kind == "first":
-        first_idx = np.full(num_groups, -1, dtype=np.int64)
-        # Reverse scatter: earlier rows overwrite later ones.
-        first_idx[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
-        return values[first_idx]
-    if kind in ("median", "min", "max"):
-        g, v = _grouped_order(codes, values, sorted_cache, spec.column)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        if kind == "min":
-            return v[offsets]
-        if kind == "max":
-            return v[offsets + counts - 1]
-        lo = v[offsets + (counts - 1) // 2]
-        hi = v[offsets + counts // 2]
-        return (lo + hi) / 2.0
-    if kind == "count_distinct":
-        g, v = _grouped_order(codes, values, sorted_cache, spec.column)
-        fresh = np.ones(len(g), dtype=bool)
-        fresh[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
-        return np.bincount(g[fresh], minlength=num_groups).astype(np.int64)
-    if kind == "approx_count_distinct":
-        return grouped_approx_count_distinct(codes, num_groups, values)
     raise ValueError(f"unknown aggregate kind {spec.kind!r}")
 
-
-# Re-export the spec helpers so ``from repro.minidb import agg`` works both as
-# a module (``agg.count()``) and for type access (``agg.AggSpec``).
-AggSpec = agg_mod.AggSpec

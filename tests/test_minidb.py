@@ -53,19 +53,11 @@ def test_group_by_aggregates(small):
         agg.count(),
         agg.sum("v"),
         agg.mean("v"),
-        agg.min("v"),
-        agg.max("v"),
-        agg.median("v"),
-        agg.count_distinct("who").alias("crews"),
     )
     assert np.array_equal(result["g"], [0, 1, 2])
     assert np.array_equal(result["count"], [2, 1, 3])
     assert np.allclose(result["sum_v"], [4.0, 5.0, 60.0])
     assert np.allclose(result["mean_v"], [2.0, 5.0, 20.0])
-    assert np.allclose(result["min_v"], [1.0, 5.0, 10.0])
-    assert np.allclose(result["max_v"], [3.0, 5.0, 30.0])
-    assert np.allclose(result["median_v"], [2.0, 5.0, 20.0])
-    assert np.array_equal(result["crews"], [2, 1, 2])
 
 
 def test_group_by_matches_numpy_reference(rng):
@@ -73,11 +65,11 @@ def test_group_by_matches_numpy_reference(rng):
     table = Table(
         {"k": rng.integers(0, 37, n), "x": rng.normal(size=n)}
     )
-    result = table.group_by("k").agg(agg.count(), agg.median("x"), agg.sum("x"))
+    result = table.group_by("k").agg(agg.count(), agg.mean("x"), agg.sum("x"))
     for row, key in enumerate(result["k"]):
         values = table["x"][table["k"] == key]
         assert result["count"][row] == len(values)
-        assert result["median_x"][row] == pytest.approx(np.median(values))
+        assert result["mean_x"][row] == pytest.approx(np.mean(values))
         assert result["sum_x"][row] == pytest.approx(values.sum())
 
 
@@ -94,7 +86,7 @@ def test_multi_key_group_by(small):
 
 def test_empty_group_by():
     empty = Table({"k": np.zeros(0, dtype=np.int64), "x": np.zeros(0)})
-    result = empty.group_by("k").agg(agg.count(), agg.median("x"))
+    result = empty.group_by("k").agg(agg.count(), agg.mean("x"))
     assert result.num_rows == 0
 
 

@@ -1,19 +1,22 @@
-"""Model-format matrix: format v10 is the only version the loaders read.
+"""Model-format matrix: format v11 is the only version the loaders read.
 
 The matrix pinned here:
 
-- a saved v10 file loads into a working imputer with its hierarchy
+- a saved v11 file loads into a working imputer with its hierarchy
   installed (no rebuild at the first query);
-- files tagged with any other version, and malformed v10 files (missing
+- files tagged with any other version, and malformed v11 files (missing
   or short config, a config value the imputer rejects, a missing
-  revision, a missing or malformed fit state), raise
+  revision, a missing or malformed fit state, a fit state that could not
+  merge or was fitted at another resolution), raise
   :class:`ModelFormatError` -- which a registry raises on every request
   for the file's model, never serving it, until a publish replaces it;
 - a round-trip preserves every CH array **bit-exactly**, and the
   deterministic CH build reproduces the persisted arrays;
-- new saves are stamped ``format_version == 10`` with every CH array and
-  the fit state.
+- new saves are stamped ``format_version == 11`` with every CH array and
+  exactly the fit state's meta, manifests, keys, counts and position sums.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -92,10 +95,10 @@ def test_plain_round_trip_preserves_ch_arrays_bit_exactly(ch_model, tmp_path):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), key
 
 
-def test_new_saves_are_stamped_version_10(ch_model, tmp_path):
+def test_new_saves_are_stamped_version_11(ch_model, tmp_path):
     with np.load(ch_model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "10"
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "11"
         for key in habit_mod._CH_KEYS:
             assert key in data.files, key
         state = ch_model._state.payload(habit_mod._STATE_PREFIX)
@@ -103,9 +106,31 @@ def test_new_saves_are_stamped_version_10(ch_model, tmp_path):
             assert key in data.files, key
 
 
+def test_saved_fit_state_is_counts_and_position_sums(ch_model, tmp_path):
+    """The fit state saves what the graph build reads back: per-cell
+    counts and fixed-point position sums, per-transition counts -- no
+    distinct-vessel sketch."""
+    with np.load(ch_model.save(tmp_path / "m.npz")) as data:
+        state = {key for key in data.files if key.startswith("state_")}
+        sums = [data["state_cell_s1_sum"], data["state_cell_s2_sum"]]
+    assert state == {
+        "state_meta",
+        "state_cell_manifest",
+        "state_cell_key_cell",
+        "state_cell_counts",
+        "state_cell_s1_sum",
+        "state_cell_s2_sum",
+        "state_tr_manifest",
+        "state_tr_key_cell",
+        "state_tr_key_next_cell",
+        "state_tr_counts",
+    }
+    assert all(total.dtype == np.int64 for total in sums)
+
+
 def test_versions_outside_the_window_are_rejected(ch_model, tmp_path):
     payload = _payload(ch_model.save(tmp_path / "m.npz"))
-    for bad in ("2", "3", "4", "5", "6", "7", "8", "9", "11"):
+    for bad in ("2", "3", "4", "5", "6", "7", "8", "9", "10", "12"):
         payload["format"] = np.array([habit_mod.MODEL_FORMAT, bad])
         bad_path = tmp_path / f"bad{bad}.npz"
         np.savez(bad_path, **payload)
@@ -167,6 +192,86 @@ def test_v9_file_in_registry_is_refused_until_republished(ch_model, tmp_path):
     _assert_refused_until_republished(registry, ch_model)
     with np.load(path) as data:
         assert list(data["config"]) == ["9", "center"]
+
+
+def _v10_state(payload):
+    """*payload*'s fit state in the v10 layout: a distinct-vessel sketch
+    (``vessels``, sparse register pairs) at spec 1 of both group states,
+    shifting the position sums to specs 2 and 3."""
+    sketch = {"kind": "approx_count_distinct", "column": "vessel_id", "name": "vessels"}
+    for group in ("cell", "tr"):
+        prefix = f"state_{group}_"
+        manifest = json.loads(str(payload[prefix + "manifest"][0]))
+        manifest["specs"].insert(1, sketch)
+        payload[prefix + "manifest"] = np.array([json.dumps(manifest)])
+        for i in (2, 1):
+            if f"{prefix}s{i}_sum" in payload:
+                payload[f"{prefix}s{i + 1}_sum"] = payload.pop(f"{prefix}s{i}_sum")
+        payload[prefix + "s1_keys"] = np.zeros(len(payload[prefix + "counts"]), np.int64)
+        payload[prefix + "s1_rho"] = np.ones(len(payload[prefix + "counts"]), np.uint8)
+        payload[prefix + "s1_p"] = np.array([14], dtype=np.int64)
+
+
+def test_v10_file_in_registry_is_refused_until_republished(ch_model, tmp_path):
+    """A file in the v10 layout -- today's config and graph, and a fit
+    state that also carries the distinct-vessel sketch -- at the path a
+    registry looks up (config digests did not move) is refused, never
+    served, until a refit is published over it."""
+    registry = ModelRegistry(tmp_path / "registry")
+    path = registry.path_for("KIEL", ch_model.config)
+    payload = _payload(ch_model.save(tmp_path / "good.npz"))
+    payload["format"] = np.array([habit_mod.MODEL_FORMAT, "10"])
+    _v10_state(payload)
+    np.savez(path, **payload)
+    with pytest.raises(ModelFormatError, match="format version 10"):
+        HabitImputer.load(path)
+    _assert_refused_until_republished(registry, ch_model)
+    with np.load(path) as data:
+        assert "state_cell_s1_rho" not in data.files
+
+
+def _shorten(key):
+    def plant(payload):
+        payload[key] = payload[key][:-1]
+
+    return plant
+
+
+def _float_sum(payload):
+    payload["state_cell_s2_sum"] = payload["state_cell_s2_sum"].astype(np.float64)
+
+
+def _state_resolution(value):
+    def plant(payload):
+        payload["state_meta"] = np.array([value, payload["state_meta"][1]])
+
+    return plant
+
+
+#: Fit states that parse but could not be refreshed: each used to load
+#: and serve, and the model's first ``update`` then raised (or, for the
+#: float sum, silently lost exactness).
+_UNMERGEABLE_STATES = {
+    "short_sum": (_shorten("state_cell_s2_sum"), "lon_offset_sum"),
+    "short_counts": (_shorten("state_cell_counts"), "groups"),
+    "float_sum": (_float_sum, "int64"),
+    "state_resolution_8": (_state_resolution("8"), "resolution 8"),
+}
+
+
+@pytest.mark.parametrize("defect", _UNMERGEABLE_STATES)
+def test_load_rejects_corrupt_fit_state(ch_model, tmp_path, defect):
+    """A fit state that could not merge is a :class:`ModelFormatError` at
+    load (a 503 over HTTP), not an error at the model's first refresh."""
+    plant, message = _UNMERGEABLE_STATES[defect]
+    registry = ModelRegistry(tmp_path / "registry")
+    path = registry.path_for("KIEL", ch_model.config)
+    payload = _payload(ch_model.save(tmp_path / "good.npz"))
+    plant(payload)
+    np.savez(path, **payload)
+    with pytest.raises(ModelFormatError, match=message):
+        HabitImputer.load(path)
+    _assert_refused_until_republished(registry, ch_model)
 
 
 def _set_config_slot(slot, value):

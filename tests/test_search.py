@@ -129,13 +129,13 @@ def test_snap_memoization_and_scalar_fallback(tiny_kiel):
     assert first == brute
 
 
-def test_saved_format_version_is_10(tiny_kiel, tmp_path):
+def test_saved_format_version_is_11(tiny_kiel, tmp_path):
     import repro.core.habit as habit_mod
 
     model = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     with np.load(model.save(tmp_path / "m.npz")) as data:
         tag = data["format"]
-        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "10"
+        assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "11"
         # Two config slots: resolution and projection.
         assert len(data["config"]) == 2
 
